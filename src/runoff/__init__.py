@@ -17,6 +17,7 @@ from runoff.triangle import (
 )
 from runoff.chainladder import (
     DevelopmentFactors,
+    Fit,
     SigmaEstimates,
     MackSummary,
     estimate_development_factors,
@@ -66,6 +67,7 @@ __all__ = [
     "validate",
     "column_partial_sum",
     "DevelopmentFactors",
+    "Fit",
     "SigmaEstimates",
     "MackSummary",
     "estimate_development_factors",

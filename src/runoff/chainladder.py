@@ -57,6 +57,118 @@ class MackSummary:
     mse_total: float
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _ahead(per_s: np.ndarray, accumulate, empty: float) -> np.ndarray:
+    """Per accident year i, per_s accumulated over the development years
+    s = I-i+1..I-1 still ahead of it; year 1 gets `empty`."""
+    return np.concatenate(([empty], accumulate(per_s[::-1])))
+
+
+@dataclass(frozen=True)
+class Fit:
+    """The fitted chain-ladder state every statistic and impact reads.
+
+    Built once from the cumulative triangle and its factors, and the
+    sigmas for the Mack quantities. Slot s-1 holds development year s,
+    slot i-1 accident year i; all arrays are read-only.
+
+    colsum:   column prefix sums, colsum[p-1, j-1] = sum of C_{n,j}, n <= p
+    num, den: A_s and B_s, the sums of C_{n,s+1} and C_{n,s} over n <= I-s
+    fprod:    F_i = f_{I-i+1} ... f_{I-1}, the factors still ahead of year i
+    latest:   the latest diagonal C_{i,I-i+1}; ult = latest * F
+    g:        d ln f_s / dX_{k,j} for every row k <= I-s (zero below):
+              g[s-1, j-1] = 1{j <= s+1} / A_s - 1{j <= s} / B_s
+    w:        sum of sigma^2_s / (f_s^2 B_s) over the years s ahead of i
+    process:  sum of f_{I-i+1}..f_{s-1} sigma^2_s (f_{s+1}..f_{I-1})^2 over
+              the same s
+    w and process are None when the fit has no sigmas.
+    """
+
+    dimension: int
+    colsum: np.ndarray
+    num: np.ndarray
+    den: np.ndarray
+    factors: np.ndarray
+    fprod: np.ndarray
+    latest: np.ndarray
+    ult: np.ndarray
+    g: np.ndarray
+    sigma2: np.ndarray | None = None
+    w: np.ndarray | None = None
+    process: np.ndarray | None = None
+
+    @classmethod
+    def build(
+        cls,
+        cum: CumulativeTriangle,
+        factors: DevelopmentFactors,
+        sigmas: SigmaEstimates | None = None,
+    ) -> "Fit":
+        dim = cum.dimension
+        filled = np.nan_to_num(cum.values)
+        colsum = np.cumsum(filled, axis=0)
+        s = np.arange(1, dim)
+        num = colsum[dim - s - 1, s]
+        den = colsum[dim - s - 1, s - 1]
+        f = factors.values
+        # f_{I-i+1} ... f_{I-1} multiplied left to right, as
+        # DevelopmentFactors.product does: padding with ones is exact.
+        ahead = s > dim - np.arange(1, dim + 1)[:, None]
+        fprod = np.prod(np.where(ahead, f, 1.0), axis=1)
+        rows = np.arange(dim)
+        latest = filled[rows, dim - 1 - rows]
+        j = np.arange(1, dim + 1)
+        g = np.where(j <= s[:, None] + 1, 1.0 / num[:, None], 0.0) - np.where(
+            j <= s[:, None], 1.0 / den[:, None], 0.0
+        )
+        mack = {}
+        if sigmas is not None:
+            sigma2 = np.array(sigmas.values)
+            # F_i / (f_{I-i+1}..f_s) * (f_{s+1}..f_{I-1})^2 = F_i (f_{s+1}..f_{I-1}) / f_s
+            trail = fprod[dim - 1 - s]
+            mack = {
+                "sigma2": sigma2,
+                "w": _ahead(sigma2 / (f**2 * den), np.cumsum, 0.0),
+                "process": fprod * _ahead(sigma2 * trail / f, np.cumsum, 0.0),
+            }
+        arrays = dict(
+            colsum=colsum, num=num, den=den, factors=np.array(f), fprod=fprod,
+            latest=latest, ult=latest * fprod, g=g, **mack,
+        )
+        return cls(dim, **{k: _read_only(v) for k, v in arrays.items()})
+
+    @property
+    def reserves(self) -> np.ndarray:
+        """Per-year chain-ladder reserves, ultimate minus latest."""
+        return self.ult - self.latest
+
+    @property
+    def later(self) -> np.ndarray:
+        """Per year i, the sum of the ultimates of the years after it."""
+        return np.concatenate((np.cumsum(self.ult[:0:-1])[::-1], [0.0]))
+
+    def _need_sigmas(self):
+        if self.w is None:
+            raise ValueError("the fit has no sigmas; build it with SigmaEstimates")
+
+    @property
+    def mse_by_year(self) -> np.ndarray:
+        """latest * process + ult^2 * w: process variance plus estimation error."""
+        self._need_sigmas()
+        return self.latest * self.process + self.ult**2 * self.w
+
+    @property
+    def mse_total(self) -> float:
+        """Per-year MSEs plus the cross covariances ult_i * later_i * 2 w_i."""
+        self._need_sigmas()
+        cross = self.ult * self.later * 2.0 * self.w
+        return float(np.sum(self.mse_by_year) + np.sum(cross))
+
+
 def estimate_development_factors(cum: CumulativeTriangle) -> DevelopmentFactors:
     """f_j = sum(C_{i,j+1}, i<=I-j) / sum(C_{i,j}, i<=I-j)."""
     dim = cum.dimension
@@ -72,21 +184,12 @@ def estimate_development_factors(cum: CumulativeTriangle) -> DevelopmentFactors:
 
 def project_ultimates(cum: CumulativeTriangle, factors: DevelopmentFactors) -> np.ndarray:
     """Ultimate claims per accident year: latest cumulative times remaining factors."""
-    dim = cum.dimension
-    out = np.empty(dim)
-    for i in range(1, dim + 1):
-        latest = cum.cell(i, dim - i + 1)
-        out[i - 1] = latest * factors.product(dim - i + 1, dim - 1)
-    return out
+    return np.array(Fit.build(cum, factors).ult)
 
 
 def reserves(cum: CumulativeTriangle, factors: DevelopmentFactors):
     """Per-year reserves (ultimate minus latest cumulative) and their total."""
-    dim = cum.dimension
-    ult = project_ultimates(cum, factors)
-    by_year = np.empty(dim)
-    for i in range(1, dim + 1):
-        by_year[i - 1] = ult[i - 1] - cum.cell(i, dim - i + 1)
+    by_year = Fit.build(cum, factors).reserves
     return by_year, float(np.sum(by_year))
 
 
@@ -141,38 +244,7 @@ def mse_accident_year(
         return 0.0
     if not 2 <= i <= dim:
         raise IndexError(f"accident year {i} out of range 2..{dim}")
-    latest = cum.cell(i, dim - i + 1)
-    process = 0.0
-    for jp in range(dim - i + 1, dim):
-        lead = factors.product(dim - i + 1, jp - 1)
-        trail = factors.product(jp + 1, dim - 1) ** 2
-        process += lead * sigmas.sigma2(jp) * trail
-    process *= latest
-    fprod = factors.product(dim - i + 1, dim - 1)
-    estimation = latest**2 * fprod**2 * _sum_w(cum, factors, sigmas, i)
-    return process + estimation
-
-
-def _sum_w(cum, factors, sigmas, i):
-    """sum over s = I-i+1..I-1 of (sigma^2_s / f_s^2) / sum(C_{n,s}, n<=I-s)."""
-    dim = cum.dimension
-    acc = 0.0
-    for s in range(dim - i + 1, dim):
-        acc += (sigmas.sigma2(s) / factors.factor(s) ** 2) / column_partial_sum(
-            cum, s, dim - s
-        )
-    return acc
-
-
-def _cross_v(cum, factors, sigmas, i):
-    """sum over r = I-i+1..I-1 of (2 sigma^2_r / f_r^2) / sum(C_{n,r}, n<=I-r)."""
-    dim = cum.dimension
-    acc = 0.0
-    for r in range(dim - i + 1, dim):
-        acc += (2.0 * sigmas.sigma2(r) / factors.factor(r) ** 2) / column_partial_sum(
-            cum, r, dim - r
-        )
-    return acc
+    return float(Fit.build(cum, factors, sigmas).mse_by_year[i - 1])
 
 
 def mse_total(
@@ -181,32 +253,20 @@ def mse_total(
     sigmas: SigmaEstimates,
 ) -> float:
     """Prediction MSE of the total reserve: per-year MSEs plus cross covariances."""
-    dim = cum.dimension
-    ult = project_ultimates(cum, factors)
-    acc = 0.0
-    for i in range(2, dim + 1):
-        acc += mse_accident_year(cum, factors, sigmas, i)
-        later = float(np.sum(ult[i:]))
-        acc += ult[i - 1] * later * _cross_v(cum, factors, sigmas, i)
-    return acc
+    return Fit.build(cum, factors, sigmas).mse_total
 
 
 def mack_summary(cum: CumulativeTriangle) -> MackSummary:
     """Convenience bundle of all chain-ladder and Mack estimates."""
-    dim = cum.dimension
     factors = estimate_development_factors(cum)
     sigmas = estimate_sigmas(cum, factors)
-    ult = project_ultimates(cum, factors)
-    by_year, total = reserves(cum, factors)
-    mse_by_year = np.array(
-        [mse_accident_year(cum, factors, sigmas, i) for i in range(1, dim + 1)]
-    )
+    fit = Fit.build(cum, factors, sigmas)
     return MackSummary(
         factors=factors,
         sigmas=sigmas,
-        ultimates=ult,
-        reserves_by_year=by_year,
-        reserve_total=total,
-        mse_by_year=mse_by_year,
-        mse_total=mse_total(cum, factors, sigmas),
+        ultimates=np.array(fit.ult),
+        reserves_by_year=fit.reserves,
+        reserve_total=float(np.sum(fit.reserves)),
+        mse_by_year=fit.mse_by_year,
+        mse_total=fit.mse_total,
     )

@@ -270,10 +270,6 @@ def render_svg(impacts: ImpactTriangle) -> str:
     return "\n".join(parts) + "\n"
 
 
-def emit_heatmap(impacts: ImpactTriangle, path: str):
-    _write(render_svg(impacts), path)
-
-
 def _write(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)

@@ -2,9 +2,13 @@
 
 Every operation returns an ImpactTriangle holding d(statistic)/dX_{k,j}
 for each observed incremental cell (k, j). Reserve impacts use the
-indicator master formula built from d_ln_f; MSE impacts treat the
+indicator master formula built from d ln f; MSE impacts treat the
 variance scales sigma^2 as fixed constants and differentiate the
 development factors and cumulative cells they multiply.
+
+Each triangle is O(I^2) array algebra over one chainladder.Fit: the sums
+over accident years and development years collapse into one suffix sum
+over years and one prefix sum over development years (_kernel, _by_row).
 """
 
 from __future__ import annotations
@@ -14,20 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from runoff.bornhuetter import PriorUltimates
-from runoff.chainladder import (
-    DevelopmentFactors,
-    SigmaEstimates,
-    _cross_v,
-    _sum_w,
-    mse_accident_year,
-    project_ultimates,
-)
+from runoff.chainladder import DevelopmentFactors, Fit, SigmaEstimates
 from runoff.triangle import CumulativeTriangle, IncrementalTriangle, column_partial_sum
 
 # Statistics that are homogeneous of order 1 in the increments, for which
 # the Euler allocation sum(IF * X) equals the statistic exactly. BF with
 # frozen priors is excluded: mu does not scale with X.
 ORDER_ONE_STATISTICS = ("reserve-ay", "reserve-total")
+# Relative tolerance of the Euler sum-check in marginal_contributions.
+EULER_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -60,15 +59,51 @@ class ImpactTriangle:
                 yield k, j
 
 
-def _blank(dim: int) -> np.ndarray:
-    arr = np.full((dim, dim), np.nan)
-    for k in range(1, dim + 1):
-        arr[k - 1, : dim - k + 1] = 0.0
-    return arr
+def _impact(statistic: str, target, fit: Fit, values: np.ndarray) -> ImpactTriangle:
+    """ImpactTriangle of values on the observed region, NaN outside.
+    Adding 0.0 turns the -0.0 of a zero times a negative into 0.0."""
+    dim = fit.dimension
+    rows = np.arange(dim)
+    observed = rows[:, None] + rows <= dim - 1
+    return ImpactTriangle(statistic, target, dim, np.where(observed, values + 0.0, np.nan))
+
+
+def _by_row(per_s: np.ndarray) -> np.ndarray:
+    """(I, I) array whose row k is the sum of per_s[s-1] over s <= I-k.
+
+    per_s holds one row per development year s = 1..I-1. Only rows k <= I-s
+    enter the column sums of f_s, so a term of year s reaches rows 1..I-s:
+    a prefix sum over s, read at s = I-k (an empty sum for k = I).
+    """
+    dim = per_s.shape[0] + 1
+    out = np.zeros((dim, dim))
+    out[:-1] = np.cumsum(per_s, axis=0)[::-1]
+    return out
+
+
+def _kernel(fit: Fit, c: np.ndarray) -> np.ndarray:
+    """K(c)[k, j] = sum over q > k of c_q * sum over s = I-q+1..I-k of g[s, j].
+
+    This is sum over q of c_q IF_{k,j}(R_q) / ult_q off the diagonal, the
+    shape every reserve-like total shares. Swapping the sums gives
+    sum over s <= I-k of g[s, j] * (sum of c_q over q >= I-s+1): one suffix
+    sum over q and one prefix sum over s, O(I^2). c_1 never enters.
+    """
+    ahead = np.cumsum(c[:0:-1])
+    return _by_row(fit.g * ahead[:, None])
+
+
+def _one_year(fit: Fit, i: int, per_year: np.ndarray) -> np.ndarray:
+    """per_year with every accident year but i set to zero."""
+    if not 1 <= i <= fit.dimension:
+        raise IndexError(f"accident year {i} out of range 1..{fit.dimension}")
+    c = np.zeros(fit.dimension)
+    c[i - 1] = per_year[i - 1]
+    return c
 
 
 def d_ln_f(cum: CumulativeTriangle, s: int, k: int, j: int) -> float:
-    """d ln f_s / dX_{k,j}.
+    """d ln f_s / dX_{k,j}, one cell of Fit.g.
 
     Zero when k > I - s (the cell is outside both column sums); otherwise
     the reciprocal of the numerator sum when j <= s+1 minus the
@@ -87,52 +122,27 @@ def d_ln_f(cum: CumulativeTriangle, s: int, k: int, j: int) -> float:
     return out
 
 
-def _reserve_row_sum(cum: CumulativeTriangle, i: int, k: int, j: int) -> float:
-    """sum over p = k..i-1 of the two indicator reciprocals for IF(R_i)."""
-    dim = cum.dimension
-    acc = 0.0
-    for p in range(k, i):
-        if j <= dim - p + 1:
-            acc += 1.0 / column_partial_sum(cum, dim - p + 1, p)
-        if j <= dim - p:
-            acc -= 1.0 / column_partial_sum(cum, dim - p, p)
-    return acc
-
-
 def impact_reserve_ay(
     cum: CumulativeTriangle, factors: DevelopmentFactors, i: int
 ) -> ImpactTriangle:
     """IF_{k,j}(R_i): zero for k > i, flat (f-product - 1) for k = i,
-    ultimate times indicator reciprocal sums for k < i."""
-    dim = cum.dimension
-    if not 1 <= i <= dim:
-        raise IndexError(f"accident year {i} out of range 1..{dim}")
-    arr = _blank(dim)
-    if i == 1:
-        return ImpactTriangle("reserve-ay", i, dim, arr)
-    fprod = factors.product(dim - i + 1, dim - 1)
-    ult_i = cum.cell(i, dim - i + 1) * fprod
-    for k in range(1, dim + 1):
-        for j in range(1, dim - k + 2):
-            if k > i:
-                continue
-            if k == i:
-                arr[k - 1, j - 1] = fprod - 1.0
-            else:
-                arr[k - 1, j - 1] = ult_i * _reserve_row_sum(cum, i, k, j)
-    return ImpactTriangle("reserve-ay", i, dim, arr)
+    the ultimate times the d ln f sum over s = I-i+1..I-k for k < i."""
+    fit = Fit.build(cum, factors)
+    values = _kernel(fit, _one_year(fit, i, fit.ult))
+    values[i - 1] = fit.fprod[i - 1] - 1.0
+    return _impact("reserve-ay", i, fit, values)
+
+
+def _reserve_total(fit: Fit) -> np.ndarray:
+    return _kernel(fit, fit.ult) + (fit.fprod - 1.0)[:, None]
 
 
 def impact_reserve_total(
     cum: CumulativeTriangle, factors: DevelopmentFactors
 ) -> ImpactTriangle:
     """IF_{k,j}(R) = sum over accident years of IF_{k,j}(R_i)."""
-    dim = cum.dimension
-    acc = _blank(dim)
-    for i in range(2, dim + 1):
-        acc = acc + np.nan_to_num(impact_reserve_ay(cum, factors, i).values, nan=0.0)
-    acc[np.isnan(_blank(dim))] = np.nan
-    return ImpactTriangle("reserve-total", None, dim, acc)
+    fit = Fit.build(cum, factors)
+    return _impact("reserve-total", None, fit, _reserve_total(fit))
 
 
 def impact_bf_ay(
@@ -142,19 +152,10 @@ def impact_bf_ay(
     i: int,
 ) -> ImpactTriangle:
     """IF_{k,j}(R_i^BF) with frozen priors: zero for k >= i, otherwise the
-    prior discounted by the factor product times the indicator sums."""
-    dim = cum.dimension
-    if not 1 <= i <= dim:
-        raise IndexError(f"accident year {i} out of range 1..{dim}")
-    arr = _blank(dim)
-    if i == 1:
-        return ImpactTriangle("bf-ay", i, dim, arr)
-    fprod = factors.product(dim - i + 1, dim - 1)
-    scale = priors.prior(i) / fprod
-    for k in range(1, i):
-        for j in range(1, dim - k + 2):
-            arr[k - 1, j - 1] = scale * _reserve_row_sum(cum, i, k, j)
-    return ImpactTriangle("bf-ay", i, dim, arr)
+    prior discounted by the factor product times the d ln f sums."""
+    fit = Fit.build(cum, factors)
+    c = _one_year(fit, i, priors.values / fit.fprod)
+    return _impact("bf-ay", i, fit, _kernel(fit, c))
 
 
 def impact_bf_total(
@@ -162,12 +163,20 @@ def impact_bf_total(
     factors: DevelopmentFactors,
     priors: PriorUltimates,
 ) -> ImpactTriangle:
-    dim = cum.dimension
-    acc = _blank(dim)
-    for i in range(2, dim + 1):
-        acc = acc + np.nan_to_num(impact_bf_ay(cum, factors, priors, i).values, nan=0.0)
-    acc[np.isnan(_blank(dim))] = np.nan
-    return ImpactTriangle("bf-total", None, dim, acc)
+    """IF_{k,j}(R^BF) = sum over accident years of IF_{k,j}(R_i^BF)."""
+    fit = Fit.build(cum, factors)
+    return _impact("bf-total", None, fit, _kernel(fit, priors.values / fit.fprod))
+
+
+def _shrink(fit: Fit) -> np.ndarray:
+    """Per year, d(mse_i) / d(R_i) off the diagonal: -2 latest F sqrt(w)."""
+    return -2.0 * fit.latest * fit.fprod * np.sqrt(fit.w)
+
+
+def _mse_diagonal(fit: Fit) -> np.ndarray:
+    """Per year, d(mse_i) / dX_{i,j}: the process sum plus twice the
+    estimation term over the latest cumulative."""
+    return fit.process + 2.0 * fit.latest * fit.fprod**2 * fit.w
 
 
 def impact_mse_ay(
@@ -183,30 +192,10 @@ def impact_mse_ay(
     negative constant times IF_{k,j}(R_i): the estimation error shrinks
     when the reserve impact grows.
     """
-    dim = cum.dimension
-    if not 1 <= i <= dim:
-        raise IndexError(f"accident year {i} out of range 1..{dim}")
-    arr = _blank(dim)
-    if i == 1:
-        return ImpactTriangle("mse-ay", i, dim, arr)
-    latest = cum.cell(i, dim - i + 1)
-    fprod = factors.product(dim - i + 1, dim - 1)
-    w = _sum_w(cum, factors, sigmas, i)
-    process_per_latest = 0.0
-    for jp in range(dim - i + 1, dim):
-        lead = factors.product(dim - i + 1, jp - 1)
-        trail = factors.product(jp + 1, dim - 1) ** 2
-        process_per_latest += lead * sigmas.sigma2(jp) * trail
-    diag_value = process_per_latest + 2.0 * latest * fprod**2 * w
-    shrink = -2.0 * latest * fprod * np.sqrt(w)
-    reserve_if = impact_reserve_ay(cum, factors, i)
-    for k in range(1, i + 1):
-        for j in range(1, dim - k + 2):
-            if k == i:
-                arr[k - 1, j - 1] = diag_value
-            else:
-                arr[k - 1, j - 1] = shrink * reserve_if.values[k - 1, j - 1]
-    return ImpactTriangle("mse-ay", i, dim, arr)
+    fit = Fit.build(cum, factors, sigmas)
+    values = _kernel(fit, _one_year(fit, i, _shrink(fit) * fit.ult))
+    values[i - 1] = _mse_diagonal(fit)[i - 1]
+    return _impact("mse-ay", i, fit, values)
 
 
 def impact_rmse(mse_value: float, mse_impacts: ImpactTriangle) -> ImpactTriangle:
@@ -220,9 +209,32 @@ def impact_rmse(mse_value: float, mse_impacts: ImpactTriangle) -> ImpactTriangle
     )
 
 
-def _d_column_sum(cum: CumulativeTriangle, r: int, k: int, j: int) -> float:
-    """d/dX_{k,j} of sum(C_{n,r}, n <= I-r): 1 iff row k contributes and j <= r."""
-    return 1.0 if (k <= cum.dimension - r and j <= r) else 0.0
+def _mse_total(fit: Fit) -> np.ndarray:
+    """Sum over years of the per-year MSE impacts plus, by the product
+    rule, of the cross covariances u_i v_i, with u_i = ult_i later_i and
+    v_i = 2 w_i.
+
+    d(u_i) collects dChat_q = IF(R_q) + 1{k=q}; summed over i with the
+    weights v_i it is sum over q of alpha_q dChat_q, with
+    alpha_q = sum over i < q of v_i ult_i, plus v_q later_q, so it joins
+    the kernel as alpha * ult and adds alpha * F on the diagonal row. d(v_i)
+    is a sum over r >= I-i+1 of
+        -2 sigma^2_r (1{j <= r} + 2 B_r g[r, j]) / (f_r^2 B_r^2)
+    for rows k <= I-r; summed over i with the weights u_i it is a prefix
+    sum over r.
+    """
+    dim = fit.dimension
+    later = fit.later
+    v = 2.0 * fit.w
+    vu = v * fit.ult
+    alpha = np.concatenate(([0.0], np.cumsum(vu)[:-1])) + v * later
+    u_ahead = np.cumsum((fit.ult * later)[:0:-1])
+    scale = -2.0 * fit.sigma2 / (fit.factors**2 * fit.den**2) * u_ahead
+    r = np.arange(1, dim)
+    member = np.arange(1, dim + 1) <= r[:, None]
+    d_cross_v = _by_row(scale[:, None] * (member + 2.0 * fit.den[:, None] * fit.g))
+    kernel = _kernel(fit, (_shrink(fit) + alpha) * fit.ult)
+    return kernel + d_cross_v + (_mse_diagonal(fit) + alpha * fit.fprod)[:, None]
 
 
 def impact_mse_total(
@@ -239,44 +251,8 @@ def impact_mse_total(
     differentiates both the factors and the column sums; the derivative
     of u_i reduces to reserve impacts plus latest-diagonal indicators.
     """
-    dim = cum.dimension
-    ult = project_ultimates(cum, factors)
-    reserve_ifs = {
-        q: impact_reserve_ay(cum, factors, q).values for q in range(1, dim + 1)
-    }
-    arr = _blank(dim)
-    for i in range(2, dim + 1):
-        arr += np.nan_to_num(impact_mse_ay(cum, factors, sigmas, i).values, nan=0.0)
-        u_i = ult[i - 1] * float(np.sum(ult[i:]))
-        v_i = _cross_v(cum, factors, sigmas, i)
-        for k in range(1, dim + 1):
-            for j in range(1, dim - k + 2):
-                # dv: each r-term has derivative
-                # -2 sigma^2_r [sum_n C_{n,r} dlnC_{n,r} + 2 dlnf_r sum_n C_{n,r}]
-                #             / (f_r^2 (sum_n C_{n,r})^2)
-                # where sum_n C_{n,r} dlnC_{n,r} collapses to the membership
-                # indicator of (k, j) in the column sum.
-                dv = 0.0
-                for r in range(dim - i + 1, dim):
-                    s_r = column_partial_sum(cum, r, dim - r)
-                    f_r = factors.factor(r)
-                    dv += (
-                        -2.0
-                        * sigmas.sigma2(r)
-                        * (
-                            _d_column_sum(cum, r, k, j)
-                            + 2.0 * d_ln_f(cum, r, k, j) * s_r
-                        )
-                        / (f_r**2 * s_r**2)
-                    )
-                # du: d(Chat_q)/dX = IF(R_q) + 1{k=q}
-                later_d = 0.0
-                for q in range(i + 1, dim + 1):
-                    later_d += reserve_ifs[q][k - 1, j - 1] + (1.0 if k == q else 0.0)
-                own_d = reserve_ifs[i][k - 1, j - 1] + (1.0 if k == i else 0.0)
-                du = ult[i - 1] * later_d + float(np.sum(ult[i:])) * own_d
-                arr[k - 1, j - 1] += u_i * dv + v_i * du
-    return ImpactTriangle("mse-total", None, dim, arr)
+    fit = Fit.build(cum, factors, sigmas)
+    return _impact("mse-total", None, fit, _mse_total(fit))
 
 
 def marginal_contributions(
@@ -289,7 +265,10 @@ def marginal_contributions(
     When expected_total is given the statistic must be homogeneous of
     order 1 (per-year or total chain-ladder reserves); the allocation of
     any other statistic does not sum to its value and the check is
-    refused rather than silently reported.
+    refused rather than silently reported. The allocation must then sum
+    to expected_total within EULER_RTOL (1e-9) of the larger of
+    |expected_total| and sum(|IF * X|), the scale of the rounding in the
+    sum; otherwise ValueError.
     """
     if impacts.dimension != inc.dimension:
         raise ValueError("impact triangle and data triangle dimensions differ")
@@ -299,9 +278,18 @@ def marginal_contributions(
             "of order 1 in the increments, its allocation does not sum to the "
             "statistic"
         )
+    contributions = impacts.values * inc.values
+    if expected_total is not None:
+        allocated = float(np.nansum(contributions))
+        scale = max(abs(expected_total), float(np.nansum(np.abs(contributions))))
+        if not abs(allocated - expected_total) <= EULER_RTOL * scale:
+            raise ValueError(
+                f"Euler identity broken: the allocation of {impacts.statistic!r} "
+                f"sums to {allocated!r}, expected {expected_total!r}"
+            )
     return ImpactTriangle(
         impacts.statistic + "-contribution",
         impacts.target,
         impacts.dimension,
-        impacts.values * inc.values,
+        contributions,
     )

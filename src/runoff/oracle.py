@@ -19,6 +19,7 @@ import numpy as np
 
 from runoff.bornhuetter import PriorUltimates, bf_reserves, default_priors
 from runoff.chainladder import (
+    Fit,
     estimate_development_factors,
     estimate_sigmas,
     mse_total,
@@ -233,22 +234,16 @@ def _assemble_mse_from_blocks(inc: IncrementalTriangle, blocks, per_year: bool =
     cum, factors = _state(inc)
     dim = inc.dimension
     sigmas = estimate_sigmas(cum, factors)
-    ult = project_ultimates(cum, factors)
+    fit = Fit.build(cum, factors, sigmas)
+    ult = fit.ult
     dlnf, dc, dult = blocks["dlnf"], blocks["dc"], blocks["dult"]
     yearly = {}
     total = np.zeros((dim, dim))
     for i in range(2, dim + 1):
-        latest = cum.cell(i, dim - i + 1)
-        fprod = factors.product(dim - i + 1, dim - 1)
-        w = 0.0
-        proc = 0.0
-        for s in range(dim - i + 1, dim):
-            w += (sigmas.sigma2(s) / factors.factor(s) ** 2) / column_partial_sum(
-                cum, s, dim - s
-            )
-            lead = factors.product(dim - i + 1, s - 1)
-            trail = factors.product(s + 1, dim - 1) ** 2
-            proc += lead * sigmas.sigma2(s) * trail
+        latest = fit.latest[i - 1]
+        fprod = fit.fprod[i - 1]
+        w = fit.w[i - 1]
+        proc = fit.process[i - 1]
         # d(mse_i): the diagonal case differentiates the explicit latest
         # cumulative (FD of C_{i, I-i+1}); below the diagonal the shrink
         # constant multiplies the reserve impact assembled from d ln f.
@@ -267,18 +262,14 @@ def _assemble_mse_from_blocks(inc: IncrementalTriangle, blocks, per_year: bool =
         yearly[i] = m_i
         # cross covariance u_i * v_i by the product rule on FD blocks
         u_i = ult[i - 1] * float(np.sum(ult[i:]))
-        v_i = 0.0
-        for r in range(dim - i + 1, dim):
-            v_i += (
-                2.0 * sigmas.sigma2(r) / factors.factor(r) ** 2
-            ) / column_partial_sum(cum, r, dim - r)
+        v_i = 2.0 * w
         cross = np.zeros((dim, dim))
         for k in range(1, dim + 1):
             for j in range(1, dim - k + 2):
                 dv = 0.0
                 for r in range(dim - i + 1, dim):
-                    s_r = column_partial_sum(cum, r, dim - r)
-                    f_r2 = factors.factor(r) ** 2
+                    s_r = fit.den[r - 1]
+                    f_r2 = fit.factors[r - 1] ** 2
                     inner = 0.0
                     for n in range(1, dim - r + 1):
                         c_nr = cum.cell(n, r)
@@ -288,7 +279,7 @@ def _assemble_mse_from_blocks(inc: IncrementalTriangle, blocks, per_year: bool =
                             * c_nr
                             * (dln_c + 2.0 * dlnf[r - 1, k - 1, j - 1])
                         )
-                    dv += -2.0 * sigmas.sigma2(r) * inner / (s_r * f_r2) ** 2
+                    dv += -2.0 * fit.sigma2[r - 1] * inner / (s_r * f_r2) ** 2
                 later_d = float(np.sum(dult[i:dim, k - 1, j - 1]))
                 du = ult[i - 1] * later_d + float(np.sum(ult[i:])) * dult[
                     i - 1, k - 1, j - 1

@@ -13,13 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from runoff.chainladder import (
-    DevelopmentFactors,
-    SigmaEstimates,
-    mse_total,
-    reserves,
-)
-from runoff.impact import ImpactTriangle, impact_mse_total, impact_reserve_total
+from runoff.chainladder import DevelopmentFactors, Fit, SigmaEstimates
+from runoff.impact import ImpactTriangle, _impact, _mse_total, _reserve_total
 from runoff.triangle import CumulativeTriangle
 
 
@@ -124,11 +119,12 @@ def impact_quantile(
         d(mu)     = IF(R) / R - d(sigma2) / 2
         IF(F^-1)  = (d(mu) + z_q * d(sigma2) / (2 sqrt(sigma2))) * F^-1(q)
 
-    evaluated cellwise from the reserve and MSE impact triangles.
+    evaluated cellwise from the reserve and MSE impact triangles, both
+    read from one fitted state.
     """
-    dim = cum.dimension
-    _, total = reserves(cum, factors)
-    mse = mse_total(cum, factors, sigmas)
+    state = Fit.build(cum, factors, sigmas)
+    total = float(np.sum(state.reserves))
+    mse = state.mse_total
     if total <= 0.0:
         raise ValueError(f"total reserve must be positive, got {total}")
     if mse <= 0.0:
@@ -136,10 +132,10 @@ def impact_quantile(
     fit = fit_lognormal(total, mse)
     z = inv_std_normal_cdf(q)
     fq = lognormal_quantile(fit, q)
-    if_r = impact_reserve_total(cum, factors).values
-    if_m = impact_mse_total(cum, factors, sigmas).values
+    if_r = _reserve_total(state)
+    if_m = _mse_total(state)
     denom = mse + total**2
     d_sigma2 = (if_m - 2.0 * mse * if_r / total) / denom
     d_mu = if_r / total - d_sigma2 / 2.0
     d_sigma = d_sigma2 / (2.0 * math.sqrt(fit.sigma2))
-    return ImpactTriangle("quantile", None, dim, (d_mu + z * d_sigma) * fq)
+    return _impact("quantile", None, state, (d_mu + z * d_sigma) * fq)

@@ -125,8 +125,8 @@ def decumulate(cum: CumulativeTriangle) -> IncrementalTriangle:
 def validate(inc: IncrementalTriangle) -> list:
     """Diagnostics for an incremental triangle; empty list means valid.
 
-    Checks: negative cells, missing observed cells, populated future
-    cells, and zero column partial sums on the cumulated triangle (these
+    Checks: missing, non-finite and negative observed cells, populated
+    future cells, and zero column partial sums on the cumulated triangle (these
     sums appear as denominators downstream).
     """
     dim = inc.dimension
@@ -137,6 +137,8 @@ def validate(inc: IncrementalTriangle) -> list:
             if i + j <= dim + 1:
                 if np.isnan(v):
                     problems.append(f"missing observed cell ({i}, {j})")
+                elif not np.isfinite(v):
+                    problems.append(f"non-finite cell ({i}, {j}): {v}")
                 elif v < 0:
                     problems.append(f"negative cell ({i}, {j}): {v}")
             elif not np.isnan(v):

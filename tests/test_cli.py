@@ -269,6 +269,13 @@ class TestDataErrors:
         assert code == 2
         assert "negative cell" in err
 
+    def test_non_finite_cell_rejected(self, capsys, tmp_path):
+        p = tmp_path / "inf.csv"
+        p.write_text("I=4\ninf,2,3,4\n4,5,6\n6,7\n8\n")
+        code, _, err = run(capsys, "reserves", str(p))
+        assert code == 2
+        assert "non-finite cell (1, 1): inf" in err
+
     def test_wrong_row_count(self, capsys, tmp_path):
         p = tmp_path / "short.csv"
         p.write_text("I=3\n1,2,3\n4,5\n")

@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 
 import properties
-from conftest import proportional_triangle
+from conftest import proportional_triangle, random_triangle
 from runoff.bornhuetter import default_priors
 from runoff.chainladder import (
     estimate_development_factors,
     estimate_sigmas,
     mse_accident_year,
+    project_ultimates,
+    reserves,
 )
 from runoff.impact import (
     ImpactTriangle,
     d_ln_f,
+    impact_bf_ay,
     impact_bf_total,
     impact_mse_ay,
     impact_mse_total,
@@ -176,6 +179,21 @@ class TestMarginalContributions:
         assert alloc.statistic == "reserve-total-contribution"
         assert math.isclose(float(np.nansum(alloc.values)), total, rel_tol=1e-12)
 
+    def test_wrong_expected_total_raises(self, belgian, state):
+        cum, factors, _ = state
+        impacts = impact_reserve_total(cum, factors)
+        with pytest.raises(ValueError, match="Euler identity broken"):
+            marginal_contributions(impacts, belgian, -12345.0)
+
+    def test_expected_total_tolerance_is_1e_9(self, belgian, state):
+        cum, factors, _ = state
+        _, total = reserves(cum, factors)
+        impacts = impact_reserve_total(cum, factors)
+        scale = float(np.nansum(np.abs(impacts.values * belgian.values)))
+        marginal_contributions(impacts, belgian, total + 0.5e-9 * scale)
+        with pytest.raises(ValueError, match="Euler identity broken"):
+            marginal_contributions(impacts, belgian, total + 2e-9 * scale)
+
     def test_refuses_euler_check_for_mse(self, belgian, state):
         cum, factors, sigmas = state
         impacts = impact_mse_total(cum, factors, sigmas)
@@ -206,6 +224,128 @@ class TestBfImpacts:
         priors = default_priors(cum, factors)
         arr = impact_bf_total(cum, factors, priors)
         assert arr.cell(10, 1) == 0.0
+
+
+def loop_impacts(cum, factors, sigmas, priors):
+    """Per-cell loop reference for the total impact triangles, written
+    straight from the formulas over the scalar d_ln_f: O(I^4) and more."""
+    dim = cum.dimension
+    fprod = [factors.product(dim - i + 1, dim - 1) for i in range(1, dim + 1)]
+    ult = project_ultimates(cum, factors)
+    latest = [cum.cell(i, dim - i + 1) for i in range(1, dim + 1)]
+    sig = sigmas.values
+    den = [float(np.sum(cum.values[: dim - s, s - 1])) for s in range(1, dim)]
+    w = [
+        sum(sig[s - 1] / factors.factor(s) ** 2 / den[s - 1] for s in range(dim - i + 1, dim))
+        for i in range(1, dim + 1)
+    ]
+
+    def dlnf_sum(i, k, j):  # sum over s = I-i+1..I-1 of d ln f_s / dX_kj
+        return sum(d_ln_f(cum, s, k, j) for s in range(dim - i + 1, dim))
+
+    def d_ult(q, k, j):  # dChat_q / dX_kj
+        return ult[q - 1] * dlnf_sum(q, k, j) + (fprod[q - 1] if k == q else 0.0)
+
+    out = {name: np.full((dim, dim), np.nan) for name in ("reserve", "bf", "mse")}
+    for k in range(1, dim + 1):
+        for j in range(1, dim - k + 2):
+            res = bf = mse = 0.0
+            for i in range(2, dim + 1):
+                res += d_ult(i, k, j) - (1.0 if k == i else 0.0)
+                bf += priors.values[i - 1] / fprod[i - 1] * dlnf_sum(i, k, j)
+                if k == i:
+                    proc = sum(
+                        factors.product(dim - i + 1, s - 1) * sig[s - 1]
+                        * factors.product(s + 1, dim - 1) ** 2
+                        for s in range(dim - i + 1, dim)
+                    )
+                    mse += proc + 2.0 * latest[i - 1] * fprod[i - 1] ** 2 * w[i - 1]
+                elif k < i:
+                    shrink = -2.0 * latest[i - 1] * fprod[i - 1] * math.sqrt(w[i - 1])
+                    mse += shrink * ult[i - 1] * dlnf_sum(i, k, j)
+                dv = sum(
+                    -2.0 * sig[r - 1]
+                    * ((k <= dim - r and j <= r) + 2.0 * d_ln_f(cum, r, k, j) * den[r - 1])
+                    / (factors.factor(r) ** 2 * den[r - 1] ** 2)
+                    for r in range(dim - i + 1, dim)
+                )
+                later = float(np.sum(ult[i:]))
+                du = ult[i - 1] * sum(d_ult(q, k, j) for q in range(i + 1, dim + 1))
+                du += later * d_ult(i, k, j)
+                mse += ult[i - 1] * later * dv + 2.0 * w[i - 1] * du
+            out["reserve"][k - 1, j - 1] = res
+            out["bf"][k - 1, j - 1] = bf
+            out["mse"][k - 1, j - 1] = mse
+    return out
+
+
+# Reassociated float64 sums: a few hundred ulps of the largest |value|.
+LOOP_TOL = 1e-13
+
+
+@pytest.mark.parametrize("dim", [None, 4, 7, 12])
+def test_totals_match_the_loop_reference(belgian, dim):
+    inc = belgian if dim is None else random_triangle(np.random.default_rng(dim), dim)
+    cum = cumulate(inc)
+    factors = estimate_development_factors(cum)
+    sigmas = estimate_sigmas(cum, factors)
+    priors = default_priors(cum, factors)
+    ref = loop_impacts(cum, factors, sigmas, priors)
+    got = {
+        "reserve": impact_reserve_total(cum, factors).values,
+        "bf": impact_bf_total(cum, factors, priors).values,
+        "mse": impact_mse_total(cum, factors, sigmas).values,
+    }
+    for name, want in ref.items():
+        assert np.array_equal(np.isnan(got[name]), np.isnan(want))
+        scale = np.nanmax(np.abs(want))
+        assert np.nanmax(np.abs(got[name] - want)) <= LOOP_TOL * scale, name
+
+
+@pytest.fixture(scope="module", params=[30, 60], ids=lambda d: f"I={d}")
+def large(request):
+    dim = request.param
+    inc = random_triangle(np.random.default_rng(dim), dim)
+    cum = cumulate(inc)
+    factors = estimate_development_factors(cum)
+    sigmas = estimate_sigmas(cum, factors)
+    priors = default_priors(cum, factors)
+    return inc, cum, factors, sigmas, priors
+
+
+class TestLargeTriangles:
+    def test_reserve_total_is_sum_of_years(self, large):
+        _, cum, factors, _, _ = large
+        total = impact_reserve_total(cum, factors).values
+        years = sum(impact_reserve_ay(cum, factors, i).values for i in range(1, len(total) + 1))
+        scale = np.nanmax(np.abs(total))
+        np.testing.assert_allclose(total, years, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_bf_total_is_sum_of_years(self, large):
+        _, cum, factors, _, priors = large
+        total = impact_bf_total(cum, factors, priors).values
+        years = sum(impact_bf_ay(cum, factors, priors, i).values for i in range(1, len(total) + 1))
+        scale = np.nanmax(np.abs(total))
+        np.testing.assert_allclose(total, years, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_euler_allocation_of_the_total(self, large):
+        inc, cum, factors, _, _ = large
+        _, total = reserves(cum, factors)
+        alloc = marginal_contributions(impact_reserve_total(cum, factors), inc, total)
+        assert math.isclose(float(np.nansum(alloc.values)), total, rel_tol=1e-9)
+
+    def test_exact_zeros(self, large):
+        _, cum, factors, sigmas, priors = large
+        dim = cum.dimension
+        for i in range(1, dim + 1):
+            for arr, first_zero_row in (
+                (impact_reserve_ay(cum, factors, i), i + 1),
+                (impact_mse_ay(cum, factors, sigmas, i), i + 1),
+                (impact_bf_ay(cum, factors, priors, i), i),
+            ):
+                below = arr.values[first_zero_row - 1 :]
+                assert np.all(below[~np.isnan(below)] == 0.0), (arr.statistic, i)
+        assert impact_bf_total(cum, factors, priors).cell(dim, 1) == 0.0
 
 
 @pytest.mark.parametrize("check", properties.ALL_CHECKS, ids=lambda c: c.__name__)

@@ -119,6 +119,13 @@ class TestValidate:
         tri = small().with_cell(2, 2, -1.0)
         assert validate(tri) == ["negative cell (2, 2): -1.0"]
 
+    def test_non_finite_cells(self):
+        tri = small().with_cell(1, 1, np.inf).with_cell(2, 2, -np.inf)
+        assert validate(tri) == [
+            "non-finite cell (1, 1): inf",
+            "non-finite cell (2, 2): -inf",
+        ]
+
     def test_future_cell(self):
         arr = np.array(small().values)
         arr[2, 1] = 7.0
