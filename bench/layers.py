@@ -1,4 +1,4 @@
-"""Per-stage timings of the runoff fit and impact layer at growing sizes.
+"""Per-stage timings of the runoff fit, impact and oracle layers at growing sizes.
 
     python bench/layers.py                          # this checkout, after
     python bench/layers.py --src OTHER/src --label before --sizes 10 20 40 60
@@ -59,6 +59,9 @@ def stages(runoff, dim: int) -> dict:
         "impact_mse_ay": lambda: runoff.impact_mse_ay(cum, factors, sigmas, dim),
         "impact_mse_total": lambda: runoff.impact_mse_total(cum, factors, sigmas),
         "impact_quantile": lambda: runoff.impact_quantile(cum, factors, sigmas, 0.995),
+        "verify_reserve_impacts": lambda: runoff.verify_reserve_impacts(inc, "reserve-total"),
+        "verify_mse_components": lambda: runoff.verify_mse_components(inc),
+        "verify_quantile_impacts": lambda: runoff.verify_quantile_impacts(inc, 0.995),
     }
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from runoff.chainladder import DevelopmentFactors, project_ultimates
+from runoff.chainladder import DevelopmentFactors, _latest_and_fprod, project_ultimates
 from runoff.triangle import CumulativeTriangle
 
 
@@ -44,11 +44,12 @@ def bf_reserves(
         raise ValueError(
             f"priors cover {priors.dimension} accident years, triangle has {dim}"
         )
-    by_year = np.empty(dim)
-    for i in range(1, dim + 1):
-        fprod = factors.product(dim - i + 1, dim - 1)
-        mu = priors.values[i - 1]
-        if fprod != 1.0 and not (np.isfinite(mu) and mu > 0):
-            raise ValueError(f"missing or non-positive prior for accident year {i}")
-        by_year[i - 1] = mu - mu / fprod if np.isfinite(mu) else 0.0
+    _, fprod = _latest_and_fprod(cum, factors)
+    finite = np.isfinite(priors.values)
+    missing = np.flatnonzero((fprod != 1.0) & ~(finite & (priors.values > 0)))
+    if missing.size:
+        year = missing[0] + 1
+        raise ValueError(f"missing or non-positive prior for accident year {year}")
+    mu = np.where(finite, priors.values, 0.0)
+    by_year = mu - mu / fprod
     return by_year, float(np.sum(by_year))

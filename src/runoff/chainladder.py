@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from runoff.triangle import CumulativeTriangle, column_partial_sum
+from runoff.triangle import CumulativeTriangle
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,26 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _ahead(per_s: np.ndarray, accumulate, empty: float) -> np.ndarray:
-    """Per accident year i, per_s accumulated over the development years
-    s = I-i+1..I-1 still ahead of it; year 1 gets `empty`."""
-    return np.concatenate(([empty], accumulate(per_s[::-1])))
+def _ahead(per_s: np.ndarray) -> np.ndarray:
+    """Per accident year i, per_s summed along axis 0 over the development
+    years s = I-i+1..I-1 still ahead of it; year 1 gets zeros."""
+    empty = np.zeros((1,) + per_s.shape[1:])
+    return np.concatenate((empty, np.cumsum(per_s[::-1], axis=0)))
+
+
+def _latest_and_fprod(cum: CumulativeTriangle, factors: DevelopmentFactors):
+    """The latest diagonal C_{i,I-i+1} and the factor products
+    F_i = f_{I-i+1} ... f_{I-1}, the two arrays a reserve reads.
+
+    The products are multiplied left to right, as DevelopmentFactors.product
+    does (padding with ones is exact): the finite-difference oracle's
+    verdicts hang on the last bit of every refit reserve.
+    """
+    dim = cum.dimension
+    rows = np.arange(dim)
+    ahead = np.arange(1, dim) >= dim - rows[:, None]
+    fprod = np.prod(np.where(ahead, factors.values, 1.0), axis=1)
+    return cum.values[rows, dim - 1 - rows], fprod
 
 
 @dataclass(frozen=True)
@@ -109,18 +125,12 @@ class Fit:
         sigmas: SigmaEstimates | None = None,
     ) -> "Fit":
         dim = cum.dimension
-        filled = np.nan_to_num(cum.values)
-        colsum = np.cumsum(filled, axis=0)
+        colsum = np.cumsum(np.nan_to_num(cum.values), axis=0)
         s = np.arange(1, dim)
         num = colsum[dim - s - 1, s]
         den = colsum[dim - s - 1, s - 1]
         f = factors.values
-        # f_{I-i+1} ... f_{I-1} multiplied left to right, as
-        # DevelopmentFactors.product does: padding with ones is exact.
-        ahead = s > dim - np.arange(1, dim + 1)[:, None]
-        fprod = np.prod(np.where(ahead, f, 1.0), axis=1)
-        rows = np.arange(dim)
-        latest = filled[rows, dim - 1 - rows]
+        latest, fprod = _latest_and_fprod(cum, factors)
         j = np.arange(1, dim + 1)
         g = np.where(j <= s[:, None] + 1, 1.0 / num[:, None], 0.0) - np.where(
             j <= s[:, None], 1.0 / den[:, None], 0.0
@@ -132,8 +142,8 @@ class Fit:
             trail = fprod[dim - 1 - s]
             mack = {
                 "sigma2": sigma2,
-                "w": _ahead(sigma2 / (f**2 * den), np.cumsum, 0.0),
-                "process": fprod * _ahead(sigma2 * trail / f, np.cumsum, 0.0),
+                "w": _ahead(sigma2 / (f**2 * den)),
+                "process": fprod * _ahead(sigma2 * trail / f),
             }
         arrays = dict(
             colsum=colsum, num=num, den=den, factors=np.array(f), fprod=fprod,
@@ -172,24 +182,27 @@ class Fit:
 def estimate_development_factors(cum: CumulativeTriangle) -> DevelopmentFactors:
     """f_j = sum(C_{i,j+1}, i<=I-j) / sum(C_{i,j}, i<=I-j)."""
     dim = cum.dimension
+    values = cum.values
     out = np.empty(dim - 1)
     for j in range(1, dim):
-        den = column_partial_sum(cum, j, dim - j)
+        # the reduction column_partial_sum runs, so every factor keeps its bits
+        den = float(np.add.reduce(values[: dim - j, j - 1]))
         if den == 0.0:
             raise ZeroDivisionError(f"zero denominator for development factor {j}")
-        num = column_partial_sum(cum, j + 1, dim - j)
-        out[j - 1] = num / den
+        out[j - 1] = float(np.add.reduce(values[: dim - j, j])) / den
     return DevelopmentFactors(dim, out)
 
 
 def project_ultimates(cum: CumulativeTriangle, factors: DevelopmentFactors) -> np.ndarray:
     """Ultimate claims per accident year: latest cumulative times remaining factors."""
-    return np.array(Fit.build(cum, factors).ult)
+    latest, fprod = _latest_and_fprod(cum, factors)
+    return latest * fprod
 
 
 def reserves(cum: CumulativeTriangle, factors: DevelopmentFactors):
     """Per-year reserves (ultimate minus latest cumulative) and their total."""
-    by_year = Fit.build(cum, factors).reserves
+    latest, fprod = _latest_and_fprod(cum, factors)
+    by_year = latest * fprod - latest
     return by_year, float(np.sum(by_year))
 
 

@@ -177,9 +177,10 @@ def compute(stat: str, inc: IncrementalTriangle, year, q: float, priors_src: str
         m = mse_total(cum, factors, sigmas)
         return impact_rmse(m, impact_mse_total(cum, factors, sigmas)), math.sqrt(m)
     if stat == "quantile":
+        impacts = impact_quantile(cum, factors, sigmas, q)
         total_reserve = reserves(cum, factors)[1]
         fit = fit_lognormal(total_reserve, mse_total(cum, factors, sigmas))
-        return impact_quantile(cum, factors, sigmas, q), lognormal_quantile(fit, q)
+        return impacts, lognormal_quantile(fit, q)
     raise UsageError(f"unknown statistic {stat!r}")
 
 
@@ -337,11 +338,20 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _blank_none(value) -> str:
+    """A CSV field: the value to 10 significant digits, empty for None."""
+    return "" if value is None else f"{value:.10g}"
+
+
 def cmd_reserves(args) -> int:
     inc = ingest(args.input)
     cum = cumulate(inc)
     factors = estimate_development_factors(cum)
-    sigmas = estimate_sigmas(cum, factors)
+    try:
+        sigmas = estimate_sigmas(cum, factors)
+    except ValueError as exc:  # too few accident years for a variance scale
+        sigmas = None
+        print(f"note: rmse column left empty: {exc}", file=sys.stderr)
     by_year, total = reserves(cum, factors)
     ult = project_ultimates(cum, factors)
     priors = load_priors(args.priors, cum, factors)
@@ -355,11 +365,13 @@ def cmd_reserves(args) -> int:
                 "latest": cum.cell(i, dim - i + 1),
                 "ultimate": float(ult[i - 1]),
                 "reserve": by_year[i - 1],
-                "rmse": math.sqrt(mse_accident_year(cum, factors, sigmas, i)),
+                "rmse": None
+                if sigmas is None
+                else math.sqrt(mse_accident_year(cum, factors, sigmas, i)),
                 "bf_reserve": bf_by_year[i - 1],
             }
         )
-    total_rmse = math.sqrt(mse_total(cum, factors, sigmas))
+    total_rmse = None if sigmas is None else math.sqrt(mse_total(cum, factors, sigmas))
     if args.format == "json":
         doc = {
             "statistic": "reserves",
@@ -377,9 +389,9 @@ def cmd_reserves(args) -> int:
         for r in rows:
             lines.append(
                 f"{r['i']},{r['latest']:.10g},{r['ultimate']:.10g},"
-                f"{r['reserve']:.10g},{r['rmse']:.10g},{r['bf_reserve']:.10g}"
+                f"{r['reserve']:.10g},{_blank_none(r['rmse'])},{r['bf_reserve']:.10g}"
             )
-        lines.append(f"total,,,{total:.10g},{total_rmse:.10g},{bf_tot:.10g}")
+        lines.append(f"total,,,{total:.10g},{_blank_none(total_rmse)},{bf_tot:.10g}")
         _write("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -423,7 +435,7 @@ def cmd_verify(args) -> int:
     elif args.stat == "quantile":
         report = verify_quantile_impacts(inc, args.q, scheme, args.tolerance)
     else:
-        report = verify_mse_components(inc, scheme, args.tolerance)
+        report = verify_mse_components(inc, scheme, args.tolerance, args.year)
     if args.format == "json":
         _write(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
     else:

@@ -128,9 +128,13 @@ def impact_reserve_ay(
     """IF_{k,j}(R_i): zero for k > i, flat (f-product - 1) for k = i,
     the ultimate times the d ln f sum over s = I-i+1..I-k for k < i."""
     fit = Fit.build(cum, factors)
+    return _impact("reserve-ay", i, fit, _reserve_ay(fit, i))
+
+
+def _reserve_ay(fit: Fit, i: int) -> np.ndarray:
     values = _kernel(fit, _one_year(fit, i, fit.ult))
     values[i - 1] = fit.fprod[i - 1] - 1.0
-    return _impact("reserve-ay", i, fit, values)
+    return values
 
 
 def _reserve_total(fit: Fit) -> np.ndarray:
@@ -193,9 +197,13 @@ def impact_mse_ay(
     when the reserve impact grows.
     """
     fit = Fit.build(cum, factors, sigmas)
+    return _impact("mse-ay", i, fit, _mse_ay(fit, i))
+
+
+def _mse_ay(fit: Fit, i: int) -> np.ndarray:
     values = _kernel(fit, _one_year(fit, i, _shrink(fit) * fit.ult))
     values[i - 1] = _mse_diagonal(fit)[i - 1]
-    return _impact("mse-ay", i, fit, values)
+    return values
 
 
 def impact_rmse(mse_value: float, mse_impacts: ImpactTriangle) -> ImpactTriangle:

@@ -128,7 +128,12 @@ def impact_quantile(
     if total <= 0.0:
         raise ValueError(f"total reserve must be positive, got {total}")
     if mse <= 0.0:
-        raise ValueError(f"impact_quantile undefined for mse = {mse}")
+        cause = (
+            "all development ratios are proportional, every sigma^2 is 0"
+            if not np.any(state.sigma2)
+            else f"mse = {mse}"
+        )
+        raise ValueError(f"impact_quantile undefined: {cause}")
     fit = fit_lognormal(total, mse)
     z = inv_std_normal_cdf(q)
     fq = lognormal_quantile(fit, q)

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import build_corpus, proportional_triangle
+from conftest import build_corpus, proportional_triangle, random_triangle
+from runoff.bornhuetter import PriorUltimates, bf_reserves
 from runoff.chainladder import (
+    DevelopmentFactors,
+    Fit,
     estimate_development_factors,
     estimate_sigmas,
     mack_summary,
@@ -126,6 +129,34 @@ class TestReserves:
         by_year, total = reserves(cum, estimate_development_factors(cum))
         assert abs(by_year[7] - 226_403_952) <= 1.0
         assert abs(total - 1_463_388_942) <= 1.0
+
+
+@pytest.mark.parametrize("dim", [5, 10, 20, 40])
+def test_refits_are_bit_identical_to_the_reference(dim):
+    """The oracle's verdicts hang on the last bit of every refit, so the
+    lean factor, reserve, ultimate and BF code must equal, not approximate,
+    the column_partial_sum factors and the Fit and factor-product formulas."""
+    cum = cumulate(random_triangle(np.random.default_rng([40, dim]), dim))
+    want = [
+        column_partial_sum(cum, j + 1, dim - j) / column_partial_sum(cum, j, dim - j)
+        for j in range(1, dim)
+    ]
+    factors = estimate_development_factors(cum)
+    assert factors.values.tolist() == want
+    fit = Fit.build(cum, DevelopmentFactors(dim, np.array(want)))
+    ult = [
+        cum.cell(i, dim - i + 1) * factors.product(dim - i + 1, dim - 1)
+        for i in range(1, dim + 1)
+    ]
+    assert project_ultimates(cum, factors).tolist() == fit.ult.tolist() == ult
+    by_year, total = reserves(cum, factors)
+    assert by_year.tolist() == fit.reserves.tolist()
+    assert total == float(np.sum(fit.reserves))
+    mu = np.full(dim, 1.1) * ult
+    bf = [m - m / factors.product(dim - i + 1, dim - 1) for i, m in enumerate(mu, start=1)]
+    by_year, total = bf_reserves(cum, factors, PriorUltimates(dim, mu))
+    assert by_year.tolist() == bf
+    assert total == float(np.sum(bf))
 
 
 class TestSigmas:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import bundled_path
+from conftest import bundled_path, proportional_triangle
 from runoff.cli import main
 
 
@@ -29,6 +29,20 @@ class TestReservesCommand:
         assert doc["I"] == 10
         assert abs(doc["summary"]["reserve_total"] - 1_463_388_942) <= 1.0
         assert len(doc["years"]) == 10
+
+    def test_three_years_leave_rmse_empty(self, capsys, tmp_path):
+        # sigma estimation needs I >= 4; the reserves need no sigmas
+        p = tmp_path / "three.csv"
+        p.write_text("I=3\n100,50,10\n120,60\n130\n")
+        code, out, err = run(capsys, "reserves", str(p))
+        assert code == 0
+        assert out.splitlines()[-2:] == ["3,130,208,78,,78", "total,,,90,,90"]
+        assert err.count("\n") == 1 and "rmse" in err
+        code, out, _ = run(capsys, "reserves", str(p), "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert [y["rmse"] for y in doc["years"]] == [None, None, None]
+        assert doc["summary"] == {"reserve_total": 90.0, "rmse_total": None, "bf_total": 90.0}
 
 
 class TestImpactCommand:
@@ -143,6 +157,11 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", bundled_path(), "--stat", "mse-total")
         assert code == 0
         assert "direct_fd_max_rel" in out
+
+    def test_per_year_protocol_checks_that_year(self, capsys):
+        code, out, _ = run(capsys, "verify", bundled_path(), "--stat", "mse-ay", "--year", "5")
+        assert code == 0
+        assert "cells checked: 55\n" in out
 
 
 class TestHeatmapCommand:
@@ -275,6 +294,14 @@ class TestDataErrors:
         code, _, err = run(capsys, "reserves", str(p))
         assert code == 2
         assert "non-finite cell (1, 1): inf" in err
+
+    def test_zero_mse_quantile_names_the_cause(self, capsys, tmp_path):
+        p = tmp_path / "proportional.csv"
+        rows = proportional_triangle().to_rows()
+        p.write_text(f"I={len(rows)}\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows))
+        code, _, err = run(capsys, "impact", str(p), "--stat", "quantile")
+        assert code == 2
+        assert "all development ratios are proportional, every sigma^2 is 0" in err
 
     def test_wrong_row_count(self, capsys, tmp_path):
         p = tmp_path / "short.csv"

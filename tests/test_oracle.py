@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import golden
-from conftest import build_corpus, proportional_triangle
-from runoff.chainladder import estimate_development_factors
+from conftest import build_corpus, proportional_triangle, random_triangle
+from runoff.chainladder import Fit, estimate_development_factors, estimate_sigmas
 from runoff.impact import impact_reserve_total
 from runoff.oracle import (
     FdScheme,
     VerificationReport,
+    _assemble_mse_from_blocks,
+    _fd_blocks,
     fd_derivative,
     relative_error,
     verify_mse_components,
@@ -154,6 +156,96 @@ class TestVerifyMseComponents:
         report = verify_mse_components(proportional_triangle())
         assert report.passed
         assert all(c["analytic"] == 0.0 and c["numeric"] == 0.0 for c in report.cells)
+
+    def test_year_checks_that_triangle_alone(self, belgian):
+        full = verify_mse_components(belgian)
+        one = verify_mse_components(belgian, year=5)
+        n = 55
+        assert len(full.cells) == 10 * n
+        assert one.cells == full.cells[3 * n : 4 * n]
+        assert one.passed
+
+    def test_year_out_of_range(self, belgian):
+        with pytest.raises(ValueError, match="out of range"):
+            verify_mse_components(belgian, year=11)
+
+
+def loop_assembly(inc, blocks, per_year=False):
+    """The per-cell (i, k, j, r, n) loop the one-pass assembly replaced,
+    kept as its reference, on a dense dC[n, r][k, j] rebuilt from dcrow."""
+    cum = cumulate(inc)
+    factors = estimate_development_factors(cum)
+    dim = inc.dimension
+    fit = Fit.build(cum, factors, estimate_sigmas(cum, factors))
+    ult = fit.ult
+    dlnf, dult = blocks["dlnf"], blocks["dult"]
+    dc = np.zeros((dim, dim, dim, dim))
+    for n in range(dim):
+        dc[n, :, n, :] = blocks["dcrow"][:, n, :]
+    yearly = {}
+    total = np.zeros((dim, dim))
+    for i in range(2, dim + 1):
+        latest = fit.latest[i - 1]
+        fprod = fit.fprod[i - 1]
+        w = fit.w[i - 1]
+        proc = fit.process[i - 1]
+        m_i = np.zeros((dim, dim))
+        shrink = -2.0 * latest * fprod * math.sqrt(w) if w > 0.0 else 0.0
+        for k in range(1, i + 1):
+            for j in range(1, dim - k + 2):
+                if k == i:
+                    dlatest = dc[i - 1, dim - i, k - 1, j - 1]
+                    m_i[k - 1, j - 1] = (proc + 2.0 * latest * fprod**2 * w) * dlatest
+                else:
+                    if_res = ult[i - 1] * float(
+                        np.sum(dlnf[dim - i : dim - 1, k - 1, j - 1])
+                    )
+                    m_i[k - 1, j - 1] = shrink * if_res
+        yearly[i] = m_i
+        u_i = ult[i - 1] * float(np.sum(ult[i:]))
+        v_i = 2.0 * w
+        cross = np.zeros((dim, dim))
+        for k in range(1, dim + 1):
+            for j in range(1, dim - k + 2):
+                dv = 0.0
+                for r in range(dim - i + 1, dim):
+                    s_r = fit.den[r - 1]
+                    f_r2 = fit.factors[r - 1] ** 2
+                    inner = 0.0
+                    for n in range(1, dim - r + 1):
+                        c_nr = cum.cell(n, r)
+                        dln_c = dc[n - 1, r - 1, k - 1, j - 1] / c_nr
+                        inner += f_r2 * c_nr * (dln_c + 2.0 * dlnf[r - 1, k - 1, j - 1])
+                    dv += -2.0 * fit.sigma2[r - 1] * inner / (s_r * f_r2) ** 2
+                later_d = float(np.sum(dult[i:dim, k - 1, j - 1]))
+                du = ult[i - 1] * later_d + float(np.sum(ult[i:])) * dult[
+                    i - 1, k - 1, j - 1
+                ]
+                cross[k - 1, j - 1] = u_i * dv + v_i * du
+        total += m_i + cross
+    return yearly if per_year else total
+
+
+@pytest.mark.parametrize("dim", [4, 7, 12])
+def test_assembly_matches_the_loop_reference(dim):
+    inc = random_triangle(np.random.default_rng([4, dim]), dim)
+    cum = cumulate(inc)
+    factors = estimate_development_factors(cum)
+    fit = Fit.build(cum, factors, estimate_sigmas(cum, factors))
+    blocks = _fd_blocks(inc, FdScheme())
+    yearly, total = _assemble_mse_from_blocks(fit, blocks)
+    rows = np.arange(dim)
+    observed = rows[:, None] + rows <= dim - 1
+
+    def close(got, want):
+        scale = np.max(np.abs(want[observed]))
+        assert scale > 0.0
+        assert np.max(np.abs(got - want)[observed]) <= 1e-13 * scale
+
+    assert not np.any(yearly[0])
+    for i, want in loop_assembly(inc, blocks, per_year=True).items():
+        close(yearly[i - 1], want)
+    close(total, loop_assembly(inc, blocks))
 
 
 class TestVerifyQuantileImpacts:
