@@ -16,16 +16,17 @@ import numpy as np
 
 from runoff.bornhuetter import PriorUltimates, bf_reserves, default_priors
 from runoff.chainladder import (
+    Fit,
     estimate_development_factors,
     estimate_sigmas,
     mse_accident_year,
     mse_total,
-    project_ultimates,
     reserves,
 )
 from runoff.impact import (
     ORDER_ONE_STATISTICS,
     ImpactTriangle,
+    _check_mse,
     impact_bf_ay,
     impact_bf_total,
     impact_mse_ay,
@@ -163,19 +164,17 @@ def compute(stat: str, inc: IncrementalTriangle, year, q: float, priors_src: str
             return impact_bf_ay(cum, factors, priors, year), by_year[year - 1]
         return impact_bf_total(cum, factors, priors), total
     sigmas = estimate_sigmas(cum, factors)
-    if stat == "mse-ay":
-        return (
-            impact_mse_ay(cum, factors, sigmas, year),
-            mse_accident_year(cum, factors, sigmas, year),
-        )
-    if stat == "mse-total":
-        return impact_mse_total(cum, factors, sigmas), mse_total(cum, factors, sigmas)
-    if stat == "rmse-ay":
+    if stat in ("mse-ay", "rmse-ay"):
+        impacts = impact_mse_ay(cum, factors, sigmas, year)
         m = mse_accident_year(cum, factors, sigmas, year)
-        return impact_rmse(m, impact_mse_ay(cum, factors, sigmas, year)), math.sqrt(m)
-    if stat == "rmse-total":
+    elif stat in ("mse-total", "rmse-total"):
+        impacts = impact_mse_total(cum, factors, sigmas)
         m = mse_total(cum, factors, sigmas)
-        return impact_rmse(m, impact_mse_total(cum, factors, sigmas)), math.sqrt(m)
+    if stat in ("mse-ay", "mse-total"):
+        return impacts, m
+    if stat in ("rmse-ay", "rmse-total"):
+        _check_mse(f"{stat} impact", m, sigmas.values)
+        return impact_rmse(m, impacts), math.sqrt(m)
     if stat == "quantile":
         impacts = impact_quantile(cum, factors, sigmas, q)
         total_reserve = reserves(cum, factors)[1]
@@ -335,12 +334,22 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("heatmap", help="SVG heatmap of an impact triangle")
     common(p)
+    p.set_defaults(format="svg")  # impact --format svg under its own name
     return parser
 
 
 def _blank_none(value) -> str:
     """A CSV field: the value to 10 significant digits, empty for None."""
     return "" if value is None else f"{value:.10g}"
+
+
+def _checked_input(args) -> IncrementalTriangle:
+    """The ingested triangle, once --year and --q suit the statistic."""
+    inc = ingest(args.input)
+    _check_target(args.stat, args.year, inc.dimension)
+    if not 0.0 < args.q < 1.0:
+        raise UsageError(f"--q must be in (0, 1), got {args.q}")
+    return inc
 
 
 def cmd_reserves(args) -> int:
@@ -352,26 +361,25 @@ def cmd_reserves(args) -> int:
     except ValueError as exc:  # too few accident years for a variance scale
         sigmas = None
         print(f"note: rmse column left empty: {exc}", file=sys.stderr)
-    by_year, total = reserves(cum, factors)
-    ult = project_ultimates(cum, factors)
+    fit = Fit.build(cum, factors, sigmas)
     priors = load_priors(args.priors, cum, factors)
     bf_by_year, bf_tot = bf_reserves(cum, factors, priors)
+    rmse = None if sigmas is None else np.sqrt(fit.mse_by_year)
     dim = inc.dimension
     rows = []
     for i in range(1, dim + 1):
         rows.append(
             {
                 "i": i,
-                "latest": cum.cell(i, dim - i + 1),
-                "ultimate": float(ult[i - 1]),
-                "reserve": by_year[i - 1],
-                "rmse": None
-                if sigmas is None
-                else math.sqrt(mse_accident_year(cum, factors, sigmas, i)),
+                "latest": float(fit.latest[i - 1]),
+                "ultimate": float(fit.ult[i - 1]),
+                "reserve": float(fit.reserves[i - 1]),
+                "rmse": None if rmse is None else float(rmse[i - 1]),
                 "bf_reserve": bf_by_year[i - 1],
             }
         )
-    total_rmse = None if sigmas is None else math.sqrt(mse_total(cum, factors, sigmas))
+    total = float(np.sum(fit.reserves))
+    total_rmse = None if sigmas is None else math.sqrt(fit.mse_total)
     if args.format == "json":
         doc = {
             "statistic": "reserves",
@@ -397,32 +405,18 @@ def cmd_reserves(args) -> int:
 
 
 def cmd_impact(args) -> int:
-    inc = ingest(args.input)
-    _check_target(args.stat, args.year, inc.dimension)
-    if not 0.0 < args.q < 1.0:
-        raise UsageError(f"--q must be in (0, 1), got {args.q}")
+    """impact, marginal (the impacts times the increments) and heatmap."""
+    inc = _checked_input(args)
     impacts, value = compute(args.stat, inc, args.year, args.q, args.priors)
+    if args.command == "marginal":
+        expected = value if impacts.statistic in ORDER_ONE_STATISTICS else None
+        impacts = marginal_contributions(impacts, inc, expected)
     _emit(impacts, value, args.format, args.out)
     return 0
 
 
-def cmd_marginal(args) -> int:
-    inc = ingest(args.input)
-    _check_target(args.stat, args.year, inc.dimension)
-    if not 0.0 < args.q < 1.0:
-        raise UsageError(f"--q must be in (0, 1), got {args.q}")
-    impacts, value = compute(args.stat, inc, args.year, args.q, args.priors)
-    expected = value if impacts.statistic in ORDER_ONE_STATISTICS else None
-    contributions = marginal_contributions(impacts, inc, expected)
-    _emit(contributions, value, args.format, args.out)
-    return 0
-
-
 def cmd_verify(args) -> int:
-    inc = ingest(args.input)
-    _check_target(args.stat, args.year, inc.dimension)
-    if not 0.0 < args.q < 1.0:
-        raise UsageError(f"--q must be in (0, 1), got {args.q}")
+    inc = _checked_input(args)
     scheme = FdScheme(relative_step=args.fd_step)
     if args.stat in ("reserve-ay", "reserve-total", "bf-ay", "bf-total"):
         priors = None
@@ -453,16 +447,6 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 3
 
 
-def cmd_heatmap(args) -> int:
-    inc = ingest(args.input)
-    _check_target(args.stat, args.year, inc.dimension)
-    if not 0.0 < args.q < 1.0:
-        raise UsageError(f"--q must be in (0, 1), got {args.q}")
-    impacts, _ = compute(args.stat, inc, args.year, args.q, args.priors)
-    _write(render_svg(impacts), args.out)
-    return 0
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -470,9 +454,9 @@ def main(argv=None) -> int:
         handler = {
             "reserves": cmd_reserves,
             "impact": cmd_impact,
-            "marginal": cmd_marginal,
+            "marginal": cmd_impact,
             "verify": cmd_verify,
-            "heatmap": cmd_heatmap,
+            "heatmap": cmd_impact,
         }[args.command]
         return handler(args)
     except UsageError as exc:

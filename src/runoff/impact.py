@@ -19,7 +19,13 @@ import numpy as np
 
 from runoff.bornhuetter import PriorUltimates
 from runoff.chainladder import DevelopmentFactors, Fit, SigmaEstimates
-from runoff.triangle import CumulativeTriangle, IncrementalTriangle, column_partial_sum
+from runoff.triangle import (
+    CumulativeTriangle,
+    IncrementalTriangle,
+    Triangle,
+    column_partial_sum,
+    observed_mask,
+)
 
 # Statistics that are homogeneous of order 1 in the increments, for which
 # the Euler allocation sum(IF * X) equals the statistic exactly. BF with
@@ -30,7 +36,7 @@ EULER_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
-class ImpactTriangle:
+class ImpactTriangle(Triangle):
     """Per-cell derivative values for one statistic.
 
     statistic: tag such as "reserve-total" or "mse-ay".
@@ -43,28 +49,12 @@ class ImpactTriangle:
     dimension: int
     values: np.ndarray
 
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    def cell(self, k: int, j: int) -> float:
-        if not (1 <= k <= self.dimension and 1 <= j <= self.dimension - k + 1):
-            raise IndexError(f"cell ({k}, {j}) is not observed for I={self.dimension}")
-        return float(self.values[k - 1, j - 1])
-
-    def observed_cells(self):
-        for k in range(1, self.dimension + 1):
-            for j in range(1, self.dimension - k + 2):
-                yield k, j
-
 
 def _impact(statistic: str, target, fit: Fit, values: np.ndarray) -> ImpactTriangle:
     """ImpactTriangle of values on the observed region, NaN outside.
     Adding 0.0 turns the -0.0 of a zero times a negative into 0.0."""
     dim = fit.dimension
-    rows = np.arange(dim)
-    observed = rows[:, None] + rows <= dim - 1
+    observed = observed_mask(dim)
     return ImpactTriangle(statistic, target, dim, np.where(observed, values + 0.0, np.nan))
 
 
@@ -215,6 +205,18 @@ def impact_rmse(mse_value: float, mse_impacts: ImpactTriangle) -> ImpactTriangle
     return ImpactTriangle(
         tag, mse_impacts.target, mse_impacts.dimension, mse_impacts.values * scale
     )
+
+
+def _check_mse(what: str, mse: float, sigma2: np.ndarray):
+    """Raise ValueError when mse is not positive, since what divides by
+    it; the message names the cause."""
+    if mse <= 0.0:
+        cause = (
+            "all development ratios are proportional, every sigma^2 is 0"
+            if not np.any(sigma2)
+            else f"mse = {mse}"
+        )
+        raise ValueError(f"{what} undefined: {cause}")
 
 
 def _mse_total(fit: Fit) -> np.ndarray:

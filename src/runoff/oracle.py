@@ -39,8 +39,8 @@ from runoff.impact import (
     impact_reserve_ay,
     impact_reserve_total,
 )
-from runoff.quantile import fit_lognormal, impact_quantile, inv_std_normal_cdf
-from runoff.triangle import IncrementalTriangle, cumulate
+from runoff.quantile import fit_lognormal, impact_quantile, lognormal_quantile
+from runoff.triangle import IncrementalTriangle, cumulate, observed_mask
 
 
 @dataclass(frozen=True)
@@ -59,18 +59,14 @@ class VerificationReport:
     cells: list = field(default_factory=list)
     notes: dict = field(default_factory=dict)
 
-    def add(self, k: int, j: int, analytic: float, numeric: float):
-        analytic = float(analytic)
-        numeric = float(numeric)
-        self.cells.append(
-            {
-                "k": int(k),
-                "j": int(j),
-                "analytic": analytic,
-                "numeric": numeric,
-                "rel_error": relative_error(analytic, numeric),
-            }
-        )
+    def add(self, k, j, analytic, numeric):
+        """Record cell (k, j), or one cell per entry of equal-length arrays."""
+        analytic = np.asarray(analytic, dtype=float)
+        numeric = np.asarray(numeric, dtype=float)
+        rel = relative_error(analytic, numeric)
+        columns = [np.ravel(c).tolist() for c in (k, j, analytic, numeric, rel)]
+        keys = ("k", "j", "analytic", "numeric", "rel_error")
+        self.cells.extend(dict(zip(keys, row)) for row in zip(*columns))
 
     @property
     def max_rel_error(self) -> float:
@@ -99,8 +95,9 @@ class VerificationReport:
         }
 
 
-def relative_error(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(a), abs(b), 1e-12)
+def relative_error(a, b):
+    """|a - b| / max(|a|, |b|, 1e-12), elementwise over arrays."""
+    return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-12)
 
 
 def fd_derivative(
@@ -121,31 +118,21 @@ def fd_derivative(
     return (up - down) / (2.0 * h)
 
 
-def _reserve_statistic(kind: str, year, priors: PriorUltimates | None):
-    """Build the recompute-everything functional for one reserve statistic."""
+def _refit(kind: str, year, priors: PriorUltimates | None):
+    """The recompute-everything functional of one reserve statistic: the
+    chain-ladder (reserve-*) or BF (bf-*) reserve, of year for the per-year
+    kinds (-ay), else the total."""
 
-    def total(t):
+    def statistic(t):
         cum = cumulate(t)
-        return reserves(cum, estimate_development_factors(cum))[1]
+        factors = estimate_development_factors(cum)
+        if kind.startswith("bf"):
+            by_year, total = bf_reserves(cum, factors, priors)
+        else:
+            by_year, total = reserves(cum, factors)
+        return by_year[year - 1] if kind.endswith("-ay") else total
 
-    def per_year(t):
-        cum = cumulate(t)
-        return reserves(cum, estimate_development_factors(cum))[0][year - 1]
-
-    def bf_total(t):
-        cum = cumulate(t)
-        return bf_reserves(cum, estimate_development_factors(cum), priors)[1]
-
-    def bf_year(t):
-        cum = cumulate(t)
-        return bf_reserves(cum, estimate_development_factors(cum), priors)[0][year - 1]
-
-    return {
-        "reserve-total": total,
-        "reserve-ay": per_year,
-        "bf-total": bf_total,
-        "bf-ay": bf_year,
-    }[kind]
+    return statistic
 
 
 def verify_reserve_impacts(
@@ -174,11 +161,12 @@ def verify_reserve_impacts(
         "bf-total": lambda: impact_bf_total(cum, factors, priors),
         "bf-ay": lambda: impact_bf_ay(cum, factors, priors, year),
     }[statistic]()
-    functional = _reserve_statistic(statistic, year, priors)
+    functional = _refit(statistic, year, priors)
     report = VerificationReport(statistic=statistic, tolerance=tolerance)
-    for k, j in inc.observed_cells():
-        numeric = fd_derivative(functional, inc, k, j, scheme)
-        report.add(k, j, analytic.cell(k, j), numeric)
+    cells = list(inc.observed_cells())
+    numeric = [fd_derivative(functional, inc, k, j, scheme) for k, j in cells]
+    observed = observed_mask(inc.dimension)
+    report.add(*np.transpose(cells), analytic.values[observed], numeric)
     return report
 
 
@@ -267,8 +255,7 @@ def _assemble_mse_from_blocks(fit: Fit, blocks):
 
 def _max_rel(analytic: np.ndarray, numeric: np.ndarray, observed: np.ndarray) -> float:
     """The largest relative_error over the observed cells of stacked triangles."""
-    scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12)
-    return float(np.max((np.abs(analytic - numeric) / scale)[..., observed], initial=0.0))
+    return float(np.max(relative_error(analytic, numeric)[..., observed], initial=0.0))
 
 
 def verify_mse_components(
@@ -299,7 +286,7 @@ def verify_mse_components(
     dlnf, dcrow, dult = blocks["dlnf"], blocks["dcrow"], blocks["dult"]
     report = VerificationReport(statistic="mse-components", tolerance=tolerance)
     rows = np.arange(dim)
-    observed = rows[:, None] + rows <= dim - 1
+    observed = observed_mask(dim)
     cells = list(inc.observed_cells())
 
     # building block: d ln f, Fit.g on the rows inside its column sums
@@ -329,8 +316,7 @@ def verify_mse_components(
     else:
         checks = [(_mse_ay(fit, year), yearly_fd[year - 1])]
     for analytic, numeric in checks:
-        for k, j in cells:
-            report.add(k, j, analytic[k - 1, j - 1], numeric[k - 1, j - 1])
+        report.add(*np.transpose(cells), analytic[observed], numeric[observed])
 
     # direct FD of the plug-in value of the last checked statistic, documented only
     checked = checks[-1][0]
@@ -342,10 +328,8 @@ def verify_mse_components(
             return mse_total(c, f, sigmas)
         return mse_accident_year(c, f, sigmas, year)
 
-    worst_direct = 0.0
-    for k, j in cells:
-        direct = fd_derivative(plugin, inc, k, j, scheme)
-        worst_direct = max(worst_direct, relative_error(checked[k - 1, j - 1], direct))
+    direct = [fd_derivative(plugin, inc, k, j, scheme) for k, j in cells]
+    worst_direct = np.max(relative_error(checked[observed], direct))
     report.notes["direct_fd_max_rel"] = float(worst_direct)
     return report
 
@@ -368,12 +352,10 @@ def verify_quantile_impacts(
     fit = Fit.build(cum, factors, sigmas)
     total_reserve = float(np.sum(fit.reserves))
     mse = fit.mse_total
-    z = inv_std_normal_cdf(q)
     analytic = impact_quantile(cum, factors, sigmas, q)
 
     def quantile_map(r, m):
-        lognormal = fit_lognormal(r, m)
-        return math.exp(lognormal.mu + math.sqrt(lognormal.sigma2) * z)
+        return lognormal_quantile(fit_lognormal(r, m), q)
 
     h_r = scheme.relative_step * total_reserve
     h_m = scheme.relative_step * mse
@@ -384,15 +366,13 @@ def verify_quantile_impacts(
         quantile_map(total_reserve, mse + h_m) - quantile_map(total_reserve, mse - h_m)
     ) / (2.0 * h_m)
 
-    def total_statistic(t):
-        c = cumulate(t)
-        return reserves(c, estimate_development_factors(c))[1]
-
+    total_statistic = _refit("reserve-total", None, None)
     blocks = _fd_blocks(inc, scheme)
     mse_fd = _assemble_mse_from_blocks(fit, blocks)[1]
     report = VerificationReport(statistic="quantile", tolerance=tolerance)
-    for k, j in inc.observed_cells():
-        if_r = fd_derivative(total_statistic, inc, k, j, scheme)
-        numeric = df_dr * if_r + df_dm * float(mse_fd[k - 1, j - 1])
-        report.add(k, j, analytic.cell(k, j), numeric)
+    cells = list(inc.observed_cells())
+    if_r = np.array([fd_derivative(total_statistic, inc, k, j, scheme) for k, j in cells])
+    observed = observed_mask(inc.dimension)
+    numeric = df_dr * if_r + df_dm * mse_fd[observed]
+    report.add(*np.transpose(cells), analytic.values[observed], numeric)
     return report

@@ -17,25 +17,49 @@ def is_observed(dimension: int, i: int, j: int) -> bool:
     return 1 <= i <= dimension and 1 <= j <= dimension and i + j <= dimension + 1
 
 
-def _as_masked_array(dimension: int, values: np.ndarray) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    if arr.shape != (dimension, dimension):
-        raise ValueError(
-            f"values must have shape ({dimension}, {dimension}), got {arr.shape}"
-        )
-    arr.setflags(write=False)
-    return arr
+def observed_mask(dimension: int) -> np.ndarray:
+    """(I, I) boolean array, True on the observed cells i + j <= I + 1."""
+    rows = np.arange(dimension)
+    return rows[:, None] + rows <= dimension - 1
+
+
+class Triangle:
+    """What every triangle shares: a read-only (I, I) float copy of its
+    values, NaN outside the observed region, read cell by cell. The
+    subclasses are frozen dataclasses with dimension and values fields."""
+
+    def __post_init__(self):
+        arr = np.array(self.values, dtype=float)
+        if arr.shape != (self.dimension, self.dimension):
+            raise ValueError(
+                f"values must have shape ({self.dimension}, {self.dimension}), "
+                f"got {arr.shape}"
+            )
+        arr.setflags(write=False)
+        object.__setattr__(self, "values", arr)
+
+    def _check_observed(self, i: int, j: int):
+        if not is_observed(self.dimension, i, j):
+            raise IndexError(f"cell ({i}, {j}) is not observed for I={self.dimension}")
+
+    def cell(self, i: int, j: int) -> float:
+        """The value of an observed cell."""
+        self._check_observed(i, j)
+        return float(self.values[i - 1, j - 1])
+
+    def observed_cells(self):
+        """Iterate observed (i, j) pairs, row-major."""
+        for i in range(1, self.dimension + 1):
+            for j in range(1, self.dimension - i + 2):
+                yield i, j
 
 
 @dataclass(frozen=True)
-class IncrementalTriangle:
+class IncrementalTriangle(Triangle):
     """Incremental claims X_{i,j} on the observed region."""
 
     dimension: int
     values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _as_masked_array(self.dimension, self.values))
 
     @classmethod
     def from_rows(cls, rows: list) -> "IncrementalTriangle":
@@ -51,52 +75,26 @@ class IncrementalTriangle:
             arr[idx, : len(row)] = row
         return cls(dim, arr)
 
-    def cell(self, i: int, j: int) -> float:
-        """X_{i,j} for an observed cell."""
-        if not is_observed(self.dimension, i, j):
-            raise IndexError(f"cell ({i}, {j}) is not observed for I={self.dimension}")
-        return float(self.values[i - 1, j - 1])
-
     def to_rows(self) -> list:
         return [
             [float(self.values[i, j]) for j in range(self.dimension - i)]
             for i in range(self.dimension)
         ]
 
-    def observed_cells(self):
-        """Iterate observed (i, j) pairs, row-major."""
-        for i in range(1, self.dimension + 1):
-            for j in range(1, self.dimension - i + 2):
-                yield i, j
-
     def with_cell(self, i: int, j: int, value: float) -> "IncrementalTriangle":
         """Copy with one observed cell replaced."""
-        if not is_observed(self.dimension, i, j):
-            raise IndexError(f"cell ({i}, {j}) is not observed for I={self.dimension}")
+        self._check_observed(i, j)
         arr = np.array(self.values)
         arr[i - 1, j - 1] = value
         return IncrementalTriangle(self.dimension, arr)
 
 
 @dataclass(frozen=True)
-class CumulativeTriangle:
+class CumulativeTriangle(Triangle):
     """Cumulative claims C_{i,j} = sum of X_{i,1..j} on the observed region."""
 
     dimension: int
     values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _as_masked_array(self.dimension, self.values))
-
-    def cell(self, i: int, j: int) -> float:
-        if not is_observed(self.dimension, i, j):
-            raise IndexError(f"cell ({i}, {j}) is not observed for I={self.dimension}")
-        return float(self.values[i - 1, j - 1])
-
-    def observed_cells(self):
-        for i in range(1, self.dimension + 1):
-            for j in range(1, self.dimension - i + 2):
-                yield i, j
 
 
 def cumulate(inc: IncrementalTriangle) -> CumulativeTriangle:

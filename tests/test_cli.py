@@ -198,6 +198,18 @@ class TestHeatmapCommand:
             )
         assert a.read_bytes() == b.read_bytes()
 
+    def test_alias_of_impact_svg(self, capsys, tmp_path):
+        a, b = tmp_path / "a.svg", tmp_path / "b.svg"
+        argv = [bundled_path(), "--stat", "mse-ay", "--year", "6"]
+        assert run(capsys, "heatmap", *argv, "--out", str(a))[0] == 0
+        assert run(capsys, "impact", *argv, "--format", "svg", "--out", str(b))[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_takes_no_format(self, capsys):
+        code, _, err = run(capsys, "heatmap", bundled_path(), "--format", "csv")
+        assert code == 1
+        assert "--format" in err
+
 
 class TestUsageErrors:
     def test_missing_year(self, capsys):
@@ -295,11 +307,16 @@ class TestDataErrors:
         assert code == 2
         assert "non-finite cell (1, 1): inf" in err
 
-    def test_zero_mse_quantile_names_the_cause(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "stat",
+        [["quantile"], ["rmse-total"], ["rmse-ay", "--year", "3"]],
+        ids=["quantile", "rmse-total", "rmse-ay"],
+    )
+    def test_zero_mse_quantile_names_the_cause(self, capsys, tmp_path, stat):
         p = tmp_path / "proportional.csv"
         rows = proportional_triangle().to_rows()
         p.write_text(f"I={len(rows)}\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows))
-        code, _, err = run(capsys, "impact", str(p), "--stat", "quantile")
+        code, _, err = run(capsys, "impact", str(p), "--stat", *stat)
         assert code == 2
         assert "all development ratios are proportional, every sigma^2 is 0" in err
 

@@ -8,8 +8,10 @@ from runoff.triangle import (
     cumulate,
     decumulate,
     is_observed,
+    observed_mask,
     validate,
 )
+from runoff.impact import ImpactTriangle
 
 
 def small():
@@ -75,6 +77,40 @@ class TestCellAccess:
     def test_observed_cells_order(self):
         cells = list(small().observed_cells())
         assert cells == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]
+
+
+class TestSharedBase:
+    """cell, observed_cells and the shape check are one implementation,
+    shared by the incremental, cumulative and impact triangles."""
+
+    TRIANGLES = {
+        "incremental": (lambda: small(), [100.0, 50.0, 25.0, 110.0, 55.0, 120.0]),
+        "cumulative": (lambda: cumulate(small()), [100.0, 150.0, 175.0, 110.0, 165.0, 120.0]),
+        "impact": (
+            lambda: ImpactTriangle("reserve-total", None, 3, small().values),
+            [100.0, 50.0, 25.0, 110.0, 55.0, 120.0],
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", TRIANGLES)
+    def test_cell_and_observed_cells(self, kind):
+        build, expected = self.TRIANGLES[kind]
+        tri = build()
+        cells = list(tri.observed_cells())
+        assert cells == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]
+        assert [tri.cell(i, j) for i, j in cells] == expected
+        with pytest.raises(IndexError, match=r"\(2, 3\) is not observed for I=3"):
+            tri.cell(2, 3)
+        with pytest.raises(ValueError):
+            tri.values[0, 0] = 1.0
+
+    def test_impact_triangle_checks_its_shape(self):
+        with pytest.raises(ValueError, match=r"shape \(3, 3\), got \(2, 2\)"):
+            ImpactTriangle("mse-ay", 2, 3, np.zeros((2, 2)))
+
+    def test_observed_mask(self):
+        mask = observed_mask(3)
+        assert mask.tolist() == [[True, True, True], [True, True, False], [True, False, False]]
 
 
 class TestCumulate:
