@@ -3,8 +3,8 @@
 Chain-ladder / Mack and Bornhuetter-Ferguson reserve statistics from
 incremental claims triangles, plus closed-form impact functions (first
 derivatives) of reserves, prediction MSEs, and lognormal reserve
-quantiles with respect to every observed incremental cell. A finite
-difference oracle cross-checks every analytic derivative.
+quantiles with respect to every observed incremental cell. A
+complex-step oracle cross-checks every analytic derivative.
 """
 
 from runoff.triangle import (

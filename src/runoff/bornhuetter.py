@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from runoff.chainladder import DevelopmentFactors, _latest_and_fprod, project_ultimates
+from runoff.chainladder import DevelopmentFactors, Fit, project_ultimates
 from runoff.triangle import CumulativeTriangle
 
 
@@ -33,6 +33,20 @@ def default_priors(cum: CumulativeTriangle, factors: DevelopmentFactors) -> Prio
     return PriorUltimates(cum.dimension, np.array(project_ultimates(cum, factors)))
 
 
+def bf_reserve_values(fprod: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Per-year BF reserves mu_i (1 - 1/F_i) over the leading batch axes of
+    the factor products F_i = f_{I-i+1} ... f_{I-1}; a year with F_i = 1
+    needs no prior."""
+    finite = np.isfinite(mu)
+    ahead = np.real(fprod) != 1.0
+    missing = np.nonzero(ahead & ~(finite & (mu > 0)))[-1]
+    if missing.size:
+        year = missing.min() + 1
+        raise ValueError(f"missing or non-positive prior for accident year {year}")
+    mu = np.where(finite, mu, 0.0)
+    return mu - mu / fprod
+
+
 def bf_reserves(
     cum: CumulativeTriangle,
     factors: DevelopmentFactors,
@@ -44,12 +58,5 @@ def bf_reserves(
         raise ValueError(
             f"priors cover {priors.dimension} accident years, triangle has {dim}"
         )
-    _, fprod = _latest_and_fprod(cum, factors)
-    finite = np.isfinite(priors.values)
-    missing = np.flatnonzero((fprod != 1.0) & ~(finite & (priors.values > 0)))
-    if missing.size:
-        year = missing[0] + 1
-        raise ValueError(f"missing or non-positive prior for accident year {year}")
-    mu = np.where(finite, priors.values, 0.0)
-    by_year = mu - mu / fprod
+    by_year = bf_reserve_values(Fit.build(cum, factors).fprod, priors.values)
     return by_year, float(np.sum(by_year))

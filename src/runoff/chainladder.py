@@ -3,15 +3,21 @@
 Development factors are volume-weighted column ratios; prediction MSE
 splits into process variance and estimation error, with the usual
 minimum rule supplying the variance scale for the last development year.
+
+The Triangle-typed functions wrap array forms that take (..., I, I)
+cumulative values with any leading batch axes. Their arithmetic is
+complex-safe (comparisons read real parts), so a stack of perturbed
+triangles refits in one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from runoff.triangle import CumulativeTriangle
+from runoff.triangle import CumulativeTriangle, observed_mask
 
 
 @dataclass(frozen=True)
@@ -62,26 +68,35 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _ahead(per_s: np.ndarray) -> np.ndarray:
-    """Per accident year i, per_s summed along axis 0 over the development
+def _ahead(per_s: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Per accident year i, per_s summed along axis over the development
     years s = I-i+1..I-1 still ahead of it; year 1 gets zeros."""
-    empty = np.zeros((1,) + per_s.shape[1:])
-    return np.concatenate((empty, np.cumsum(per_s[::-1], axis=0)))
+    ahead = np.cumsum(np.flip(per_s, axis), axis=axis)
+    return np.concatenate((np.zeros_like(np.take(ahead, [0], axis=axis)), ahead), axis=axis)
 
 
-def _latest_and_fprod(cum: CumulativeTriangle, factors: DevelopmentFactors):
-    """The latest diagonal C_{i,I-i+1} and the factor products
-    F_i = f_{I-i+1} ... f_{I-1}, the two arrays a reserve reads.
-
-    The products are multiplied left to right, as DevelopmentFactors.product
-    does (padding with ones is exact): the finite-difference oracle's
-    verdicts hang on the last bit of every refit reserve.
-    """
-    dim = cum.dimension
-    rows = np.arange(dim)
-    ahead = np.arange(1, dim) >= dim - rows[:, None]
-    fprod = np.prod(np.where(ahead, factors.values, 1.0), axis=1)
-    return cum.values[rows, dim - 1 - rows], fprod
+def sigma2_values(cum: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """sigma^2_s for s = 1..I-1, the array form of estimate_sigmas."""
+    dim = cum.shape[-1]
+    if dim < 4:
+        raise ValueError(f"sigma estimation needs I >= 4, got I={dim}")
+    both = observed_mask(dim)[:, 1:-1]  # rows n <= I-k of columns k = 1..I-2
+    c = cum[..., :-2]
+    zero = np.argwhere(np.swapaxes(both & (np.real(c) == 0.0), -1, -2))
+    if zero.size:
+        k, i = zero[0, -2:] + 1
+        raise ZeroDivisionError(f"zero cumulative cell ({i}, {k}) in sigma estimation")
+    ratio = cum[..., 1:-1] / np.where(both, c, 1.0)
+    residual = np.where(both, c * (ratio - f[..., None, :-1]) ** 2, 0.0)
+    head = np.sum(residual, axis=-2) / np.arange(dim - 2, 0, -1)
+    # min(sigma^4_{I-2}/sigma^2_{I-3}, sigma^2_{I-3}, sigma^2_{I-2}), first
+    # minimum by real part; a zero sigma^2_{I-3} makes min(a, b) = 0 win
+    a, b = head[..., -2], head[..., -1]
+    positive = np.real(a) > 0.0
+    rule = np.stack((b * b / np.where(positive, a, 1.0), a, b), axis=-1)
+    pick = np.argmin(np.real(rule), axis=-1)[..., None]
+    last = np.where(positive, np.take_along_axis(rule, pick, axis=-1)[..., 0], 0.0)
+    return np.concatenate((head, last[..., None]), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -90,29 +105,26 @@ class Fit:
 
     Built once from the cumulative triangle and its factors, and the
     sigmas for the Mack quantities. Slot s-1 holds development year s,
-    slot i-1 accident year i; all arrays are read-only.
+    slot i-1 accident year i; all arrays are read-only and carry the
+    leading batch axes of the cumulative values they were built from.
 
-    colsum:   column prefix sums, colsum[p-1, j-1] = sum of C_{n,j}, n <= p
     num, den: A_s and B_s, the sums of C_{n,s+1} and C_{n,s} over n <= I-s
     fprod:    F_i = f_{I-i+1} ... f_{I-1}, the factors still ahead of year i
     latest:   the latest diagonal C_{i,I-i+1}; ult = latest * F
-    g:        d ln f_s / dX_{k,j} for every row k <= I-s (zero below):
-              g[s-1, j-1] = 1{j <= s+1} / A_s - 1{j <= s} / B_s
     w:        sum of sigma^2_s / (f_s^2 B_s) over the years s ahead of i
     process:  sum of f_{I-i+1}..f_{s-1} sigma^2_s (f_{s+1}..f_{I-1})^2 over
               the same s
-    w and process are None when the fit has no sigmas.
+    w and process are None when the fit has no sigmas. The d ln f kernel g
+    is computed on first read: the impacts need it, refits do not.
     """
 
     dimension: int
-    colsum: np.ndarray
     num: np.ndarray
     den: np.ndarray
     factors: np.ndarray
     fprod: np.ndarray
     latest: np.ndarray
     ult: np.ndarray
-    g: np.ndarray
     sigma2: np.ndarray | None = None
     w: np.ndarray | None = None
     process: np.ndarray | None = None
@@ -124,32 +136,52 @@ class Fit:
         factors: DevelopmentFactors,
         sigmas: SigmaEstimates | None = None,
     ) -> "Fit":
-        dim = cum.dimension
-        colsum = np.cumsum(np.nan_to_num(cum.values), axis=0)
-        s = np.arange(1, dim)
-        num = colsum[dim - s - 1, s]
-        den = colsum[dim - s - 1, s - 1]
-        f = factors.values
-        latest, fprod = _latest_and_fprod(cum, factors)
-        j = np.arange(1, dim + 1)
-        g = np.where(j <= s[:, None] + 1, 1.0 / num[:, None], 0.0) - np.where(
-            j <= s[:, None], 1.0 / den[:, None], 0.0
-        )
+        return cls.of(cum.values, factors.values, None if sigmas is None else sigmas.values)
+
+    @classmethod
+    def of(
+        cls, cum: np.ndarray, f: np.ndarray | None = None, sigma2: np.ndarray | None = None
+    ) -> "Fit":
+        """The array form of build: (..., I, I) cumulative values, (..., I-1)
+        factors, estimated as f_s = A_s / B_s when None, and optionally
+        sigma^2, broadcast against them."""
+        dim = cum.shape[-1]
+        rows = np.arange(dim)
+        # one masked reduction over the rows n <= I-s that hold both columns
+        both = observed_mask(dim)[:, 1:]
+        num = np.sum(np.where(both, cum[..., 1:], 0.0), axis=-2)
+        den = np.sum(np.where(both, cum[..., :-1], 0.0), axis=-2)
+        if f is None:
+            zero = np.nonzero(np.real(den) == 0.0)[-1]
+            if zero.size:
+                raise ZeroDivisionError(f"zero denominator for development factor {zero.min() + 1}")
+            f = num / den
+        ahead = np.cumprod(f[..., ::-1], axis=-1)
+        fprod = np.concatenate((np.ones(ahead.shape[:-1] + (1,)), ahead), axis=-1)
+        latest = cum[..., rows, dim - 1 - rows]
         mack = {}
-        if sigmas is not None:
-            sigma2 = np.array(sigmas.values)
+        if sigma2 is not None:
             # F_i / (f_{I-i+1}..f_s) * (f_{s+1}..f_{I-1})^2 = F_i (f_{s+1}..f_{I-1}) / f_s
-            trail = fprod[dim - 1 - s]
+            trail = fprod[..., dim - 1 - np.arange(1, dim)]
             mack = {
-                "sigma2": sigma2,
+                "sigma2": np.array(sigma2),
                 "w": _ahead(sigma2 / (f**2 * den)),
                 "process": fprod * _ahead(sigma2 * trail / f),
             }
         arrays = dict(
-            colsum=colsum, num=num, den=den, factors=np.array(f), fprod=fprod,
-            latest=latest, ult=latest * fprod, g=g, **mack,
+            num=num, den=den, factors=np.array(f), fprod=fprod,
+            latest=latest, ult=latest * fprod, **mack,
         )
         return cls(dim, **{k: _read_only(v) for k, v in arrays.items()})
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        """d ln f_s / dX_{k,j} for every row k <= I-s (zero below):
+        g[s-1, j-1] = 1{j <= s+1} / A_s - 1{j <= s} / B_s."""
+        s = np.arange(1, self.dimension)[:, None]
+        j = np.arange(1, self.dimension + 1)
+        inv_num = np.where(j <= s + 1, 1.0 / self.num[..., None], 0.0)
+        return _read_only(inv_num - np.where(j <= s, 1.0 / self.den[..., None], 0.0))
 
     @property
     def reserves(self) -> np.ndarray:
@@ -159,7 +191,7 @@ class Fit:
     @property
     def later(self) -> np.ndarray:
         """Per year i, the sum of the ultimates of the years after it."""
-        return np.concatenate((np.cumsum(self.ult[:0:-1])[::-1], [0.0]))
+        return _ahead(self.ult[..., 1:])[..., ::-1]
 
     def _need_sigmas(self):
         if self.w is None:
@@ -172,37 +204,27 @@ class Fit:
         return self.latest * self.process + self.ult**2 * self.w
 
     @property
-    def mse_total(self) -> float:
-        """Per-year MSEs plus the cross covariances ult_i * later_i * 2 w_i."""
+    def mse_total(self):
+        """Per-year MSEs plus the cross covariances ult_i * later_i * 2 w_i,
+        one value per batch entry."""
         self._need_sigmas()
         cross = self.ult * self.later * 2.0 * self.w
-        return float(np.sum(self.mse_by_year) + np.sum(cross))
+        return np.sum(self.mse_by_year, axis=-1) + np.sum(cross, axis=-1)
 
 
 def estimate_development_factors(cum: CumulativeTriangle) -> DevelopmentFactors:
     """f_j = sum(C_{i,j+1}, i<=I-j) / sum(C_{i,j}, i<=I-j)."""
-    dim = cum.dimension
-    values = cum.values
-    out = np.empty(dim - 1)
-    for j in range(1, dim):
-        # the reduction column_partial_sum runs, so every factor keeps its bits
-        den = float(np.add.reduce(values[: dim - j, j - 1]))
-        if den == 0.0:
-            raise ZeroDivisionError(f"zero denominator for development factor {j}")
-        out[j - 1] = float(np.add.reduce(values[: dim - j, j])) / den
-    return DevelopmentFactors(dim, out)
+    return DevelopmentFactors(cum.dimension, np.array(Fit.of(cum.values).factors))
 
 
 def project_ultimates(cum: CumulativeTriangle, factors: DevelopmentFactors) -> np.ndarray:
     """Ultimate claims per accident year: latest cumulative times remaining factors."""
-    latest, fprod = _latest_and_fprod(cum, factors)
-    return latest * fprod
+    return np.array(Fit.build(cum, factors).ult)
 
 
 def reserves(cum: CumulativeTriangle, factors: DevelopmentFactors):
     """Per-year reserves (ultimate minus latest cumulative) and their total."""
-    latest, fprod = _latest_and_fprod(cum, factors)
-    by_year = latest * fprod - latest
+    by_year = Fit.build(cum, factors).reserves
     return by_year, float(np.sum(by_year))
 
 
@@ -214,28 +236,7 @@ def estimate_sigmas(cum: CumulativeTriangle, factors: DevelopmentFactors) -> Sig
     min(sigma^4_{I-2}/sigma^2_{I-3}, min(sigma^2_{I-3}, sigma^2_{I-2})),
     reading 0/0 as 0 so all-proportional triangles yield zero throughout.
     """
-    dim = cum.dimension
-    if dim < 4:
-        raise ValueError(f"sigma estimation needs I >= 4, got I={dim}")
-    out = np.empty(dim - 1)
-    for k in range(1, dim - 1):
-        fk = factors.factor(k)
-        acc = 0.0
-        for i in range(1, dim - k + 1):
-            cik = cum.cell(i, k)
-            if cik == 0.0:
-                raise ZeroDivisionError(
-                    f"zero cumulative cell ({i}, {k}) in sigma estimation"
-                )
-            ratio = cum.cell(i, k + 1) / cik
-            acc += cik * (ratio - fk) ** 2
-        out[k - 1] = acc / (dim - k - 1)
-    a, b = out[dim - 4], out[dim - 3]
-    if a > 0.0:
-        out[dim - 2] = min(b * b / a, min(a, b))
-    else:
-        out[dim - 2] = 0.0  # min(a, b) = 0 dominates whatever 0/0 would mean
-    return SigmaEstimates(dim, out)
+    return SigmaEstimates(cum.dimension, sigma2_values(cum.values, factors.values))
 
 
 def mse_accident_year(
@@ -266,7 +267,7 @@ def mse_total(
     sigmas: SigmaEstimates,
 ) -> float:
     """Prediction MSE of the total reserve: per-year MSEs plus cross covariances."""
-    return Fit.build(cum, factors, sigmas).mse_total
+    return float(Fit.build(cum, factors, sigmas).mse_total)
 
 
 def mack_summary(cum: CumulativeTriangle) -> MackSummary:
@@ -281,5 +282,5 @@ def mack_summary(cum: CumulativeTriangle) -> MackSummary:
         reserves_by_year=fit.reserves,
         reserve_total=float(np.sum(fit.reserves)),
         mse_by_year=fit.mse_by_year,
-        mse_total=fit.mse_total,
+        mse_total=float(fit.mse_total),
     )

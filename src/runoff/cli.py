@@ -37,7 +37,6 @@ from runoff.impact import (
     marginal_contributions,
 )
 from runoff.oracle import (
-    FdScheme,
     verify_mse_components,
     verify_quantile_impacts,
     verify_reserve_impacts,
@@ -326,10 +325,9 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
 
-    p = sub.add_parser("verify", help="finite-difference check of the impacts")
+    p = sub.add_parser("verify", help="complex-step check of the impacts")
     common(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--fd-step", type=float, default=1e-6)
     p.add_argument("--tolerance", type=float, default=1e-5)
 
     p = sub.add_parser("heatmap", help="SVG heatmap of an impact triangle")
@@ -416,20 +414,18 @@ def cmd_impact(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Checks what impact computes, so refuses what impact refuses."""
     inc = _checked_input(args)
-    scheme = FdScheme(relative_step=args.fd_step)
+    compute(args.stat, inc, args.year, args.q, args.priors)
     if args.stat in ("reserve-ay", "reserve-total", "bf-ay", "bf-total"):
-        priors = None
-        if args.stat.startswith("bf") and args.priors != "cl":
-            cum = cumulate(inc)
-            priors = load_priors(args.priors, cum, estimate_development_factors(cum))
-        report = verify_reserve_impacts(
-            inc, args.stat, args.year, priors, scheme, args.tolerance
-        )
+        cum = cumulate(inc)
+        bf = args.stat.startswith("bf")
+        priors = load_priors(args.priors, cum, estimate_development_factors(cum)) if bf else None
+        report = verify_reserve_impacts(inc, args.stat, args.year, priors, args.tolerance)
     elif args.stat == "quantile":
-        report = verify_quantile_impacts(inc, args.q, scheme, args.tolerance)
+        report = verify_quantile_impacts(inc, args.q, args.tolerance)
     else:
-        report = verify_mse_components(inc, scheme, args.tolerance, args.year)
+        report = verify_mse_components(inc, args.tolerance, args.year)
     if args.format == "json":
         _write(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
     else:

@@ -1,33 +1,27 @@
-"""Finite-difference verification of the analytic impact triangles.
+"""Complex-step verification of the analytic impact triangles.
 
-Reserve impacts are checked against plain central differences of the
-recomputed statistic. MSE impacts cannot be checked that way: their
-estimation-error part substitutes an approximation after differentiation,
-so the raw derivative of the plug-in estimator is a different object.
-For those the oracle verifies each differentiable building block by
-finite differences and re-assembles the impact formula from the FD
-blocks, holding the variance scales at their baseline values throughout.
+Every numerical derivative is a complex step (Squire & Trapp, SIAM Review
+1998): dS/dX_{k,j} = Im S(X + ih e_{k,j}) / h with h = 1e-30, taken
+through the library's own array-form fit on stacks of perturbed
+triangles. It subtracts nothing, so there is no step size to choose and
+the derivative is exact to rounding. Reserve impacts are checked against
+the derivative of the refit reserve. MSE impacts cannot be checked that
+way: their estimation-error part substitutes an approximation after
+differentiation, so the raw derivative of the plug-in estimator is a
+different object. For those the oracle differentiates each building
+block and re-assembles the impact formula from the numerical blocks,
+holding the variance scales at their baseline values throughout.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from runoff.bornhuetter import PriorUltimates, bf_reserves, default_priors
-from runoff.chainladder import (
-    Fit,
-    _ahead,
-    estimate_development_factors,
-    estimate_sigmas,
-    mse_accident_year,
-    mse_total,
-    project_ultimates,
-    reserves,
-)
+from runoff.bornhuetter import PriorUltimates, bf_reserve_values, default_priors
+from runoff.chainladder import Fit, _ahead, estimate_development_factors, estimate_sigmas
 from runoff.impact import (
     _mse_ay,
     _mse_diagonal,
@@ -40,7 +34,14 @@ from runoff.impact import (
     impact_reserve_total,
 )
 from runoff.quantile import fit_lognormal, impact_quantile, lognormal_quantile
-from runoff.triangle import IncrementalTriangle, cumulate, observed_mask
+from runoff.triangle import IncrementalTriangle, cumulate, cumulate_values, observed_mask
+
+# The imaginary step h. Its square vanishes against any real part, and
+# times any derivative met here it stays far above the smallest double.
+STEP = 1e-30
+# Cells of all the perturbed triangles refit in one stack; bounds the
+# memory of a stack refit at any I.
+BATCH_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,6 @@ class FdScheme:
 
     relative_step: float = 1e-6
     absolute_floor: float = 1e-2
-    mode: str = "central"
 
 
 @dataclass
@@ -67,6 +67,12 @@ class VerificationReport:
         columns = [np.ravel(c).tolist() for c in (k, j, analytic, numeric, rel)]
         keys = ("k", "j", "analytic", "numeric", "rel_error")
         self.cells.extend(dict(zip(keys, row)) for row in zip(*columns))
+
+    def add_triangle(self, analytic: np.ndarray, numeric: np.ndarray):
+        """Record every observed cell of two (I, I) triangles, row-major."""
+        observed = observed_mask(analytic.shape[-1])
+        k, j = np.nonzero(observed)
+        self.add(k + 1, j + 1, analytic[observed], numeric[observed])
 
     @property
     def max_rel_error(self) -> float:
@@ -118,21 +124,35 @@ def fd_derivative(
     return (up - down) / (2.0 * h)
 
 
-def _refit(kind: str, year, priors: PriorUltimates | None):
-    """The recompute-everything functional of one reserve statistic: the
-    chain-ladder (reserve-*) or BF (bf-*) reserve, of year for the per-year
-    kinds (-ay), else the total."""
+def _partial(f: Callable, x):
+    """df/dx at a real x by one complex step, Im f(x + ih) / h."""
+    return np.imag(f(x + STEP * 1j)) / STEP
 
-    def statistic(t):
-        cum = cumulate(t)
-        factors = estimate_development_factors(cum)
-        if kind.startswith("bf"):
-            by_year, total = bf_reserves(cum, factors, priors)
-        else:
-            by_year, total = reserves(cum, factors)
-        return by_year[year - 1] if kind.endswith("-ay") else total
 
-    return statistic
+def complex_step(inc: IncrementalTriangle, statistic: Callable) -> np.ndarray:
+    """d(statistic)/dX_{k,j} for every observed cell, on two trailing (I, I)
+    axes that hold zero outside the observed region.
+
+    statistic maps an (n, I, I) stack of incremental values to an (n, ...)
+    array and must be complex-safe, as the library's array forms are.
+    Entry m of a stack carries the imaginary step on one observed cell;
+    each stack holds at most BATCH_CELLS cells in all.
+    """
+    dim = inc.dimension
+    observed = observed_mask(dim)
+    k, j = np.nonzero(observed)
+    size = max(1, BATCH_CELLS // dim**2)
+    parts = []
+    for start in range(0, k.size, size):
+        kk, jj = k[start : start + size], j[start : start + size]
+        stack = np.empty((kk.size, dim, dim), dtype=complex)
+        stack[:] = inc.values
+        stack[np.arange(kk.size), kk, jj] += STEP * 1j
+        parts.append(np.imag(statistic(stack)) / STEP)
+    d = np.concatenate(parts)
+    out = np.zeros(d.shape[1:] + (dim, dim))
+    out[..., observed] = np.moveaxis(d, 0, -1)
+    return out
 
 
 def verify_reserve_impacts(
@@ -140,10 +160,10 @@ def verify_reserve_impacts(
     statistic: str = "reserve-total",
     year: int | None = None,
     priors: PriorUltimates | None = None,
-    scheme: FdScheme = FdScheme(),
     tolerance: float = 1e-5,
 ) -> VerificationReport:
-    """Compare an analytic reserve impact triangle to finite differences.
+    """Compare an analytic reserve impact triangle to the complex-step
+    derivative of the refit reserve.
 
     statistic: reserve-total | reserve-ay | bf-total | bf-ay. Per-year
     statistics need year. BF priors default to the frozen chain-ladder
@@ -153,7 +173,8 @@ def verify_reserve_impacts(
         raise ValueError(f"{statistic} needs an accident year")
     cum = cumulate(inc)
     factors = estimate_development_factors(cum)
-    if statistic.startswith("bf") and priors is None:
+    bf = statistic.startswith("bf")
+    if bf and priors is None:
         priors = default_priors(cum, factors)
     analytic = {
         "reserve-total": lambda: impact_reserve_total(cum, factors),
@@ -161,58 +182,31 @@ def verify_reserve_impacts(
         "bf-total": lambda: impact_bf_total(cum, factors, priors),
         "bf-ay": lambda: impact_bf_ay(cum, factors, priors, year),
     }[statistic]()
-    functional = _refit(statistic, year, priors)
+
+    def refit(x):
+        fit = Fit.of(cumulate_values(x))
+        by_year = bf_reserve_values(fit.fprod, priors.values) if bf else fit.reserves
+        return by_year[..., year - 1] if statistic.endswith("-ay") else np.sum(by_year, axis=-1)
+
     report = VerificationReport(statistic=statistic, tolerance=tolerance)
-    cells = list(inc.observed_cells())
-    numeric = [fd_derivative(functional, inc, k, j, scheme) for k, j in cells]
-    observed = observed_mask(inc.dimension)
-    report.add(*np.transpose(cells), analytic.values[observed], numeric)
+    report.add_triangle(analytic.values, complex_step(inc, refit))
     return report
 
 
-def _state(inc: IncrementalTriangle):
-    """Baseline quantities reused by the block assembly."""
-    cum = cumulate(inc)
-    factors = estimate_development_factors(cum)
-    return cum, factors
-
-
-def _block_snapshot(inc: IncrementalTriangle):
-    """Everything the MSE formulas differentiate, as plain arrays."""
-    cum, factors = _state(inc)
-    # math.log, not np.log: numpy's log is not bound to round as libm's
-    # does, and the verdicts hang on the last bit of every refit.
-    lnf = np.array([math.log(f) for f in factors.values.tolist()])
-    return np.nan_to_num(cum.values), lnf, project_ultimates(cum, factors)
-
-
-def _fd_blocks(inc: IncrementalTriangle, scheme: FdScheme):
-    """Per-cell central differences of ln f_s, C_{k,r} and Chat_q.
-
-    Returns dict with dlnf[s][k,j], dcrow[r][k,j] and dult[q][k,j] arrays
-    (1-based logical indices mapped onto 0-based array slots). A change of
-    X_{k,j} moves only row k of the cumulative triangle, whose rows are
-    independent cumulative sums, so dC_{n,r} is exactly 0 for n != k and
-    dcrow keeps row k alone: dcrow[r][k,j] = dC_{k,r} / dX_{k,j}.
-    """
+def _mse_blocks(inc: IncrementalTriangle) -> dict:
+    """Complex-step dlnf[s-1] = d ln f_s, dcrow[r-1] = dC_{k,r} and
+    dult[q-1] = dChat_q, each over the cells (k, j) on two trailing axes.
+    X_{k,j} moves row k of the cumulative triangle alone, so dC_{k,r} is
+    the derivative of the sum of C_{n,r} over every row n."""
     dim = inc.dimension
-    dlnf = np.zeros((dim - 1, dim, dim))
-    dcrow = np.zeros((dim, dim, dim))
-    dult = np.zeros((dim, dim, dim))
-    for k, j in inc.observed_cells():
-        x = inc.cell(k, j)
-        h = max(scheme.relative_step * abs(x), scheme.absolute_floor)
-        if x - h < 0.0:
-            c0, lnf0, ult0 = _block_snapshot(inc)
-            step = h
-        else:
-            c0, lnf0, ult0 = _block_snapshot(inc.with_cell(k, j, x - h))
-            step = 2.0 * h
-        c1, lnf1, ult1 = _block_snapshot(inc.with_cell(k, j, x + h))
-        dlnf[:, k - 1, j - 1] = (lnf1 - lnf0) / step
-        dult[:, k - 1, j - 1] = (ult1 - ult0) / step
-        dcrow[:, k - 1, j - 1] = (c1[k - 1] - c0[k - 1]) / step
-    return {"dlnf": dlnf, "dcrow": dcrow, "dult": dult}
+
+    def blocks(x):
+        cum = cumulate_values(x)
+        fit = Fit.of(cum)
+        return np.concatenate((np.log(fit.factors), np.nansum(cum, axis=-2), fit.ult), axis=-1)
+
+    d = complex_step(inc, blocks)
+    return {"dlnf": d[: dim - 1], "dcrow": d[dim - 1 : 2 * dim - 1], "dult": d[2 * dim - 1 :]}
 
 
 def _in_column_sums(dim: int) -> np.ndarray:
@@ -223,10 +217,10 @@ def _in_column_sums(dim: int) -> np.ndarray:
 
 
 def _assemble_mse_from_blocks(fit: Fit, blocks):
-    """Rebuild the MSE impact triangles from FD blocks, as (yearly, total).
+    """Rebuild the MSE impact triangles from numerical blocks, as (yearly, total).
 
     Same algebra as the analytic formulas, but every derivative factor
-    (d ln f, dC, dChat) is the finite-difference value. Variance scales
+    (d ln f, dC, dChat) is the complex-step value. Variance scales
     and all non-differentiated quantities are read from the baseline fit.
     yearly[i-1] is the impact on mse_i; total adds the cross covariances
     u_i v_i, with u_i = ult_i later_i and v_i = 2 w_i, by the product rule.
@@ -235,16 +229,16 @@ def _assemble_mse_from_blocks(fit: Fit, blocks):
     dlnf, dcrow, dult = blocks["dlnf"], blocks["dcrow"], blocks["dult"]
     rows = np.arange(dim)
     # d(mse_i): rows k < i get the shrink constant times the reserve impact
-    # assembled from d ln f; row i the diagonal constant times the FD of
+    # assembled from d ln f; row i the diagonal constant times the derivative of
     # the latest cumulative C_{i, I-i+1}.
-    yearly = (_shrink(fit) * fit.ult)[:, None, None] * _ahead(dlnf)
+    yearly = (_shrink(fit) * fit.ult)[:, None, None] * _ahead(dlnf, axis=0)
     yearly *= (rows < rows[:, None])[:, :, None]
     yearly[rows, rows] = _mse_diagonal(fit)[:, None] * dcrow[dim - 1 - rows, rows]
     # d(v_i): the sum over r >= I-i+1 of coef_r d(B_r f_r^2) / f_r^2, where
     # dC_{k,r} enters the column sum B_r for rows k <= I-r only
     coef = -2.0 * fit.sigma2 / (fit.den**2 * fit.factors**2)
     d_colsum = _in_column_sums(dim) * dcrow[:-1] + 2.0 * fit.den[:, None, None] * dlnf
-    dv = _ahead(coef[:, None, None] * d_colsum)
+    dv = _ahead(coef[:, None, None] * d_colsum, axis=0)
     # d(u_i) = ult_i * (sum of dChat_q over q > i) + later_i * dChat_i
     dlater = np.concatenate((np.cumsum(dult[:0:-1], axis=0)[::-1], np.zeros((1, dim, dim))))
     du = fit.ult[:, None, None] * dlater + fit.later[:, None, None] * dult
@@ -260,18 +254,17 @@ def _max_rel(analytic: np.ndarray, numeric: np.ndarray, observed: np.ndarray) ->
 
 def verify_mse_components(
     inc: IncrementalTriangle,
-    scheme: FdScheme = FdScheme(),
     tolerance: float = 1e-5,
     year: int | None = None,
 ) -> VerificationReport:
     """Component-protocol verification of the MSE impact triangles.
 
-    FD-checks the building blocks (d ln f_s, dC_{n,r}, dChat_q, and the
-    derivative of column-sum * f^2), re-assembles the per-year and total
-    MSE impacts from the FD blocks, and compares against the analytic
-    triangles: every per-year triangle and the total, or year's triangle
-    alone when year is given. The direct finite difference of the plug-in
-    MSE value (of year, or of the total) is reported in notes but
+    Differentiates the building blocks (d ln f_s, dC_{n,r}, dChat_q, and
+    the derivative of column-sum * f^2) by complex step, re-assembles the
+    per-year and total MSE impacts from those blocks, and compares against
+    the analytic triangles: every per-year triangle and the total, or
+    year's triangle alone when year is given. The direct derivative of the
+    plug-in MSE value (of year, or of the total) is reported in notes but
     deliberately not compared: it is a different object from the impact
     formula, whose estimation-error part arises by substitution after
     differentiation.
@@ -279,15 +272,14 @@ def verify_mse_components(
     dim = inc.dimension
     if year is not None and not 1 <= year <= dim:
         raise ValueError(f"accident year {year} out of range 1..{dim}")
-    cum, factors = _state(inc)
-    sigmas = estimate_sigmas(cum, factors)
-    fit = Fit.build(cum, factors, sigmas)
-    blocks = _fd_blocks(inc, scheme)
+    cum = cumulate(inc)
+    factors = estimate_development_factors(cum)
+    fit = Fit.build(cum, factors, estimate_sigmas(cum, factors))
+    blocks = _mse_blocks(inc)
     dlnf, dcrow, dult = blocks["dlnf"], blocks["dcrow"], blocks["dult"]
     report = VerificationReport(statistic="mse-components", tolerance=tolerance)
     rows = np.arange(dim)
     observed = observed_mask(dim)
-    cells = list(inc.observed_cells())
 
     # building block: d ln f, Fit.g on the rows inside its column sums
     inside = _in_column_sums(dim)
@@ -309,70 +301,49 @@ def verify_mse_components(
     report.notes["d_colsum_fsq_max_rel"] = _max_rel(analytic, numeric, observed)
 
     # assembled impacts vs analytic: every year's and the total, or year's
-    yearly_fd, total_fd = _assemble_mse_from_blocks(fit, blocks)
+    yearly, total = _assemble_mse_from_blocks(fit, blocks)
     if year is None:
-        checks = [(_mse_ay(fit, i), yearly_fd[i - 1]) for i in range(2, dim + 1)]
-        checks.append((_mse_total(fit), total_fd))
+        checks = [(_mse_ay(fit, i), yearly[i - 1]) for i in range(2, dim + 1)]
+        checks.append((_mse_total(fit), total))
     else:
-        checks = [(_mse_ay(fit, year), yearly_fd[year - 1])]
+        checks = [(_mse_ay(fit, year), yearly[year - 1])]
     for analytic, numeric in checks:
-        report.add(*np.transpose(cells), analytic[observed], numeric[observed])
+        report.add_triangle(analytic, numeric)
 
-    # direct FD of the plug-in value of the last checked statistic, documented only
-    checked = checks[-1][0]
+    # direct derivative of the plug-in value of the last checked statistic,
+    # sigma^2 held at the baseline; documented only
+    def plugin(x):
+        refit = Fit.of(cumulate_values(x), sigma2=fit.sigma2)
+        return refit.mse_total if year is None else refit.mse_by_year[..., year - 1]
 
-    def plugin(t):
-        c = cumulate(t)
-        f = estimate_development_factors(c)
-        if year is None:
-            return mse_total(c, f, sigmas)
-        return mse_accident_year(c, f, sigmas, year)
-
-    direct = [fd_derivative(plugin, inc, k, j, scheme) for k, j in cells]
-    worst_direct = np.max(relative_error(checked[observed], direct))
-    report.notes["direct_fd_max_rel"] = float(worst_direct)
+    direct = complex_step(inc, plugin)
+    report.notes["direct_fd_max_rel"] = _max_rel(checks[-1][0], direct, observed)
     return report
 
 
 def verify_quantile_impacts(
     inc: IncrementalTriangle,
     q: float = 0.995,
-    scheme: FdScheme = FdScheme(),
     tolerance: float = 1e-5,
 ) -> VerificationReport:
     """Chain-rule verification of the quantile impact triangle.
 
-    The closed-form quantile map F(R, m) is differentiated numerically in
-    its two scalar arguments; those partials are combined with the
-    FD reserve impacts and the component-assembled MSE impacts and
-    compared against the analytic quantile impact triangle.
+    The closed-form quantile map F(R, m) is differentiated by complex step
+    in its two scalar arguments; those partials are combined with the
+    complex-step reserve impacts and the component-assembled MSE impacts
+    and compared against the analytic quantile impact triangle.
     """
-    cum, factors = _state(inc)
+    cum = cumulate(inc)
+    factors = estimate_development_factors(cum)
     sigmas = estimate_sigmas(cum, factors)
     fit = Fit.build(cum, factors, sigmas)
-    total_reserve = float(np.sum(fit.reserves))
+    total_reserve = np.sum(fit.reserves)
     mse = fit.mse_total
     analytic = impact_quantile(cum, factors, sigmas, q)
-
-    def quantile_map(r, m):
-        return lognormal_quantile(fit_lognormal(r, m), q)
-
-    h_r = scheme.relative_step * total_reserve
-    h_m = scheme.relative_step * mse
-    df_dr = (
-        quantile_map(total_reserve + h_r, mse) - quantile_map(total_reserve - h_r, mse)
-    ) / (2.0 * h_r)
-    df_dm = (
-        quantile_map(total_reserve, mse + h_m) - quantile_map(total_reserve, mse - h_m)
-    ) / (2.0 * h_m)
-
-    total_statistic = _refit("reserve-total", None, None)
-    blocks = _fd_blocks(inc, scheme)
-    mse_fd = _assemble_mse_from_blocks(fit, blocks)[1]
+    df_dr = _partial(lambda r: lognormal_quantile(fit_lognormal(r, mse), q), total_reserve)
+    df_dm = _partial(lambda m: lognormal_quantile(fit_lognormal(total_reserve, m), q), mse)
+    if_r = complex_step(inc, lambda x: np.sum(Fit.of(cumulate_values(x)).reserves, axis=-1))
+    if_m = _assemble_mse_from_blocks(fit, _mse_blocks(inc))[1]
     report = VerificationReport(statistic="quantile", tolerance=tolerance)
-    cells = list(inc.observed_cells())
-    if_r = np.array([fd_derivative(total_statistic, inc, k, j, scheme) for k, j in cells])
-    observed = observed_mask(inc.dimension)
-    numeric = df_dr * if_r + df_dm * mse_fd[observed]
-    report.add(*np.transpose(cells), analytic.values[observed], numeric)
+    report.add_triangle(analytic.values, df_dr * if_r + df_dm * if_m)
     return report

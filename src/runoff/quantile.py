@@ -8,7 +8,6 @@ rule through that fit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -28,13 +27,16 @@ class LognormalFit:
 
 
 def fit_lognormal(reserve: float, mse: float) -> LognormalFit:
-    """Match LN(mu, sigma2) moments to E = reserve, Var = mse."""
-    if reserve <= 0.0:
+    """Match LN(mu, sigma2) moments to E = reserve, Var = mse.
+
+    Complex-safe, for a complex step through the map: the signs are read
+    from the real parts."""
+    if np.real(reserve) <= 0.0:
         raise ValueError(f"reserve must be positive, got {reserve}")
-    if mse <= 0.0:
+    if np.real(mse) <= 0.0:
         raise ValueError(f"mse must be positive, got {mse}")
-    sigma2 = math.log1p(mse / reserve**2)
-    mu = math.log(reserve) - sigma2 / 2.0
+    sigma2 = np.log1p(mse / reserve**2)
+    mu = np.log(reserve) - sigma2 / 2.0
     return LognormalFit(mu=mu, sigma2=sigma2)
 
 
@@ -47,8 +49,8 @@ def inv_std_normal_cdf(q: float) -> float:
 
 
 def lognormal_quantile(fit: LognormalFit, q: float) -> float:
-    """exp(mu + sqrt(sigma2) * z_q)."""
-    return math.exp(fit.mu + math.sqrt(fit.sigma2) * inv_std_normal_cdf(q))
+    """exp(mu + sqrt(sigma2) * z_q), complex-safe like fit_lognormal."""
+    return np.exp(fit.mu + np.sqrt(fit.sigma2) * inv_std_normal_cdf(q))
 
 
 def impact_quantile(
@@ -82,5 +84,5 @@ def impact_quantile(
     denom = mse + total**2
     d_sigma2 = (if_m - 2.0 * mse * if_r / total) / denom
     d_mu = if_r / total - d_sigma2 / 2.0
-    d_sigma = d_sigma2 / (2.0 * math.sqrt(fit.sigma2))
+    d_sigma = d_sigma2 / (2.0 * np.sqrt(fit.sigma2))
     return _impact("quantile", None, state, (d_mu + z * d_sigma) * fq)

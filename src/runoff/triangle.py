@@ -97,12 +97,16 @@ class CumulativeTriangle(Triangle):
     values: np.ndarray
 
 
+def cumulate_values(values: np.ndarray) -> np.ndarray:
+    """Row partial sums of (..., I, I) incremental values over any leading
+    batch axes, NaN where the increments are NaN."""
+    missing = np.isnan(values)
+    return np.where(missing, np.nan, np.cumsum(np.where(missing, 0.0, values), axis=-1))
+
+
 def cumulate(inc: IncrementalTriangle) -> CumulativeTriangle:
     """Row partial sums of the incremental triangle."""
-    filled = np.where(np.isnan(inc.values), 0.0, inc.values)
-    cum = np.cumsum(filled, axis=1)
-    cum = np.where(np.isnan(inc.values), np.nan, cum)
-    return CumulativeTriangle(inc.dimension, cum)
+    return CumulativeTriangle(inc.dimension, cumulate_values(inc.values))
 
 
 def decumulate(cum: CumulativeTriangle) -> IncrementalTriangle:

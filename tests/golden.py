@@ -40,11 +40,12 @@ IMPACT_RMSE_AY8 = [
 ]
 
 # IF_{k,j} of the 99.5% quantile of the lognormal total-reserve fit.
-# Derived by the finite-difference oracle, not by impact_quantile: each
-# value is the `numeric` column of verify_quantile_impacts(belgian, 0.995)
-# rounded to 4 dp, i.e. the central-difference partials of the quantile
-# map in (R, mse), chained with the central-difference reserve impacts and
-# the MSE impacts re-assembled from finite-difference building blocks.
+# Derived by the oracle, not by impact_quantile: each value is the
+# `numeric` column of verify_quantile_impacts(belgian, 0.995) rounded to
+# 4 dp, i.e. the complex-step partials of the quantile map in (R, mse),
+# chained with the complex-step reserve impacts and the MSE impacts
+# re-assembled from complex-step building blocks. The central differences
+# the oracle used before round to the same 55 values.
 # The MSE-total impact has no reference table of its own and its oracle
 # re-assembles the same formula as impact_mse_total, so this table also
 # fixes impact_mse_total on the bundled triangle.

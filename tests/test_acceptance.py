@@ -1,6 +1,6 @@
 """Acceptance suite: one test per shipped guarantee, run with -v for a
 one-line verdict each. Golden numbers live in golden.py; anything not
-covered by a published value is checked against the finite-difference
+covered by a published value is checked against the complex-step
 oracle or a structural property."""
 
 import math

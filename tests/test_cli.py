@@ -13,6 +13,14 @@ def run(capsys, *argv):
     return code, out, err
 
 
+def proportional_file(tmp_path) -> str:
+    """conftest.proportional_triangle as a triangle file: every sigma^2 is 0."""
+    p = tmp_path / "proportional.csv"
+    rows = proportional_triangle().to_rows()
+    p.write_text(f"I={len(rows)}\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows))
+    return str(p)
+
+
 class TestReservesCommand:
     def test_csv_summary(self, capsys):
         code, out, _ = run(capsys, "reserves", bundled_path())
@@ -162,6 +170,19 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", bundled_path(), "--stat", "mse-ay", "--year", "5")
         assert code == 0
         assert "cells checked: 55\n" in out
+
+    @pytest.mark.parametrize(
+        "proportional, stat",
+        [(False, ["rmse-ay", "--year", "1"]), (True, ["rmse-total"])],
+        ids=["rmse-ay-year-1", "rmse-total-proportional"],
+    )
+    def test_refuses_what_impact_refuses(self, capsys, tmp_path, proportional, stat):
+        path = proportional_file(tmp_path) if proportional else bundled_path()
+        impact_code, _, impact_err = run(capsys, "impact", path, "--stat", *stat)
+        code, out, err = run(capsys, "verify", path, "--stat", *stat)
+        assert code == impact_code == 2
+        assert err == impact_err and "undefined" in err
+        assert out == ""
 
 
 class TestHeatmapCommand:
@@ -313,10 +334,7 @@ class TestDataErrors:
         ids=["quantile", "rmse-total", "rmse-ay"],
     )
     def test_zero_mse_quantile_names_the_cause(self, capsys, tmp_path, stat):
-        p = tmp_path / "proportional.csv"
-        rows = proportional_triangle().to_rows()
-        p.write_text(f"I={len(rows)}\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows))
-        code, _, err = run(capsys, "impact", str(p), "--stat", *stat)
+        code, _, err = run(capsys, "impact", proportional_file(tmp_path), "--stat", *stat)
         assert code == 2
         assert "all development ratios are proportional, every sigma^2 is 0" in err
 

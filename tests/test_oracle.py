@@ -11,7 +11,7 @@ from runoff.oracle import (
     FdScheme,
     VerificationReport,
     _assemble_mse_from_blocks,
-    _fd_blocks,
+    _mse_blocks,
     fd_derivative,
     relative_error,
     verify_mse_components,
@@ -232,7 +232,7 @@ def test_assembly_matches_the_loop_reference(dim):
     cum = cumulate(inc)
     factors = estimate_development_factors(cum)
     fit = Fit.build(cum, factors, estimate_sigmas(cum, factors))
-    blocks = _fd_blocks(inc, FdScheme())
+    blocks = _mse_blocks(inc)
     yearly, total = _assemble_mse_from_blocks(fit, blocks)
     rows = np.arange(dim)
     observed = rows[:, None] + rows <= dim - 1
@@ -270,3 +270,18 @@ class TestVerifyQuantileImpacts:
     def test_median_sigma_contribution_absent(self, belgian):
         report = verify_quantile_impacts(belgian, 0.5)
         assert report.passed
+
+
+@pytest.mark.parametrize("dim", [15, 20, 30, 40])
+def test_no_false_alarms_at_large_dimension(dim):
+    """The benchmark's four kinds pass the unchanged 1e-5 tolerance at sizes
+    where central differences raised false alarms."""
+    inc = random_triangle(np.random.default_rng([6, dim]), dim)
+    for report in (
+        verify_reserve_impacts(inc, "reserve-total"),
+        verify_reserve_impacts(inc, "bf-total"),
+        verify_mse_components(inc),
+        verify_quantile_impacts(inc, 0.995),
+    ):
+        assert report.tolerance == 1e-5
+        assert report.passed, (report.statistic, report.max_rel_error, report.worst_cell)
