@@ -151,6 +151,21 @@ class Fit:
         both = observed_mask(dim)[:, 1:]
         num = np.sum(np.where(both, cum[..., 1:], 0.0), axis=-2)
         den = np.sum(np.where(both, cum[..., :-1], 0.0), axis=-2)
+        return cls.of_sums(num, den, cum[..., rows, dim - 1 - rows], f, sigma2)
+
+    @classmethod
+    def of_sums(
+        cls,
+        num: np.ndarray,
+        den: np.ndarray,
+        latest: np.ndarray,
+        f: np.ndarray | None = None,
+        sigma2: np.ndarray | None = None,
+    ) -> "Fit":
+        """The fit from what it reads of the cumulative triangle: the column
+        sums A_s and B_s, (..., I-1), and the latest diagonal, (..., I).
+        f and sigma2 as in of."""
+        dim = latest.shape[-1]
         if f is None:
             zero = np.nonzero(np.real(den) == 0.0)[-1]
             if zero.size:
@@ -158,7 +173,6 @@ class Fit:
             f = num / den
         ahead = np.cumprod(f[..., ::-1], axis=-1)
         fprod = np.concatenate((np.ones(ahead.shape[:-1] + (1,)), ahead), axis=-1)
-        latest = cum[..., rows, dim - 1 - rows]
         mack = {}
         if sigma2 is not None:
             # F_i / (f_{I-i+1}..f_s) * (f_{s+1}..f_{I-1})^2 = F_i (f_{s+1}..f_{I-1}) / f_s
@@ -169,8 +183,8 @@ class Fit:
                 "process": fprod * _ahead(sigma2 * trail / f),
             }
         arrays = dict(
-            num=num, den=den, factors=np.array(f), fprod=fprod,
-            latest=latest, ult=latest * fprod, **mack,
+            num=np.array(num), den=np.array(den), factors=np.array(f), fprod=fprod,
+            latest=np.array(latest), ult=latest * fprod, **mack,
         )
         return cls(dim, **{k: _read_only(v) for k, v in arrays.items()})
 

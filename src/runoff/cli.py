@@ -41,7 +41,7 @@ from runoff.oracle import (
     verify_quantile_impacts,
     verify_reserve_impacts,
 )
-from runoff.quantile import fit_lognormal, impact_quantile, lognormal_quantile
+from runoff.quantile import _impact_quantile, fit_lognormal, lognormal_quantile
 from runoff.triangle import IncrementalTriangle, cumulate, validate
 
 STATISTICS = (
@@ -175,10 +175,10 @@ def compute(stat: str, inc: IncrementalTriangle, year, q: float, priors_src: str
         _check_mse(f"{stat} impact", m, sigmas.values)
         return impact_rmse(m, impacts), math.sqrt(m)
     if stat == "quantile":
-        impacts = impact_quantile(cum, factors, sigmas, q)
-        total_reserve = reserves(cum, factors)[1]
-        fit = fit_lognormal(total_reserve, mse_total(cum, factors, sigmas))
-        return impacts, lognormal_quantile(fit, q)
+        fit = Fit.build(cum, factors, sigmas)
+        impacts = _impact_quantile(fit, q)
+        matched = fit_lognormal(float(np.sum(fit.reserves)), float(fit.mse_total))
+        return impacts, lognormal_quantile(matched, q)
     raise UsageError(f"unknown statistic {stat!r}")
 
 
@@ -431,7 +431,7 @@ def cmd_verify(args) -> int:
     else:
         lines = [
             f"statistic: {report.statistic}",
-            f"cells checked: {len(report.cells)}",
+            f"cells checked: {report.k.size}",
             f"max relative error: {report.max_rel_error:.3e}",
             f"worst cell: {report.worst_cell}",
             f"tolerance: {report.tolerance:.1e}",

@@ -23,7 +23,6 @@ from runoff.triangle import (
     CumulativeTriangle,
     IncrementalTriangle,
     Triangle,
-    column_partial_sum,
     observed_mask,
 )
 
@@ -102,14 +101,11 @@ def d_ln_f(cum: CumulativeTriangle, s: int, k: int, j: int) -> float:
     dim = cum.dimension
     if not 1 <= s <= dim - 1:
         raise IndexError(f"factor index {s} out of range 1..{dim - 1}")
+    if not 1 <= j <= dim:
+        raise IndexError(f"development year {j} out of range 1..{dim}")
     if k > dim - s:
         return 0.0
-    out = 0.0
-    if j <= s + 1:
-        out += 1.0 / column_partial_sum(cum, s + 1, dim - s)
-    if j <= s:
-        out -= 1.0 / column_partial_sum(cum, s, dim - s)
-    return out
+    return float(Fit.of(cum.values).g[s - 1, j - 1])
 
 
 def impact_reserve_ay(

@@ -2,9 +2,9 @@
 
 Every numerical derivative is a complex step (Squire & Trapp, SIAM Review
 1998): dS/dX_{k,j} = Im S(X + ih e_{k,j}) / h with h = 1e-30, taken
-through the library's own array-form fit on stacks of perturbed
-triangles. It subtracts nothing, so there is no step size to choose and
-the derivative is exact to rounding. Reserve impacts are checked against
+through the library's own array-form fit, stacked over the perturbed
+cells and refit one row at a time. It subtracts nothing, so there is no
+step size to choose and the derivative is exact to rounding. Reserve impacts are checked against
 the derivative of the refit reserve. MSE impacts cannot be checked that
 way: their estimation-error part substitutes an approximation after
 differentiation, so the raw derivative of the plug-in estimator is a
@@ -33,14 +33,14 @@ from runoff.impact import (
     impact_reserve_ay,
     impact_reserve_total,
 )
-from runoff.quantile import fit_lognormal, impact_quantile, lognormal_quantile
+from runoff.quantile import _impact_quantile, fit_lognormal, lognormal_quantile
 from runoff.triangle import IncrementalTriangle, cumulate, cumulate_values, observed_mask
 
 # The imaginary step h. Its square vanishes against any real part, and
 # times any derivative met here it stays far above the smallest double.
 STEP = 1e-30
-# Cells of all the perturbed triangles refit in one stack; bounds the
-# memory of a stack refit at any I.
+# n cells times I, the size of each (n, I) array of one stacked refit;
+# bounds the memory of a stack at any I.
 BATCH_CELLS = 2**14
 
 
@@ -52,38 +52,67 @@ class FdScheme:
     absolute_floor: float = 1e-2
 
 
-@dataclass
+# The per-cell columns of a VerificationReport, in the order of its cell dicts.
+COLUMNS = ("k", "j", "analytic", "numeric", "rel_error")
+
+
+@dataclass(eq=False)
 class VerificationReport:
+    """The checked cells as columns: k, j (int arrays), analytic, numeric
+    and rel_error (float arrays), one entry per cell in the order added."""
+
     statistic: str
     tolerance: float
-    cells: list = field(default_factory=list)
     notes: dict = field(default_factory=dict)
+    k: np.ndarray = field(init=False, repr=False)
+    j: np.ndarray = field(init=False, repr=False)
+    analytic: np.ndarray = field(init=False, repr=False)
+    numeric: np.ndarray = field(init=False, repr=False)
+    rel_error: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.k = self.j = np.zeros(0, dtype=int)
+        self.analytic = self.numeric = self.rel_error = np.zeros(0)
+        self._cells = None
 
     def add(self, k, j, analytic, numeric):
         """Record cell (k, j), or one cell per entry of equal-length arrays."""
-        analytic = np.asarray(analytic, dtype=float)
-        numeric = np.asarray(numeric, dtype=float)
-        rel = relative_error(analytic, numeric)
-        columns = [np.ravel(c).tolist() for c in (k, j, analytic, numeric, rel)]
-        keys = ("k", "j", "analytic", "numeric", "rel_error")
-        self.cells.extend(dict(zip(keys, row)) for row in zip(*columns))
+        analytic = np.ravel(np.asarray(analytic, dtype=float))
+        numeric = np.ravel(np.asarray(numeric, dtype=float))
+        new = (np.ravel(k), np.ravel(j), analytic, numeric, relative_error(analytic, numeric))
+        for name, values in zip(COLUMNS, new):
+            setattr(self, name, np.concatenate((getattr(self, name), values)))
+        self._cells = None
 
     def add_triangle(self, analytic: np.ndarray, numeric: np.ndarray):
-        """Record every observed cell of two (I, I) triangles, row-major."""
+        """Record every observed cell of two (..., I, I) stacks of triangles,
+        triangle by triangle, each row-major."""
         observed = observed_mask(analytic.shape[-1])
-        k, j = np.nonzero(observed)
-        self.add(k + 1, j + 1, analytic[observed], numeric[observed])
+        analytic, numeric = analytic[..., observed], numeric[..., observed]
+        k, j = (np.broadcast_to(c + 1, analytic.shape) for c in np.nonzero(observed))
+        self.add(k, j, analytic, numeric)
+
+    @property
+    def cells(self) -> list:
+        """One dict per checked cell, keyed by COLUMNS. Built on the first
+        read after an add and kept, so every read returns the same list."""
+        if self._cells is None:
+            columns = [getattr(self, name).tolist() for name in COLUMNS]
+            self._cells = [dict(zip(COLUMNS, row)) for row in zip(*columns)]
+        return self._cells
 
     @property
     def max_rel_error(self) -> float:
-        return max((c["rel_error"] for c in self.cells), default=0.0)
+        """The largest rel_error, 0.0 for no cells; NaN if any cell's is."""
+        return float(np.max(self.rel_error, initial=0.0))
 
     @property
     def worst_cell(self):
-        if not self.cells:
+        """(k, j) of the first cell with the largest rel_error, or None."""
+        if not self.rel_error.size:
             return None
-        worst = max(self.cells, key=lambda c: c["rel_error"])
-        return worst["k"], worst["j"]
+        m = np.argmax(self.rel_error)
+        return int(self.k[m]), int(self.j[m])
 
     @property
     def passed(self) -> bool:
@@ -129,26 +158,49 @@ def _partial(f: Callable, x):
     return np.imag(f(x + STEP * 1j)) / STEP
 
 
-def complex_step(inc: IncrementalTriangle, statistic: Callable) -> np.ndarray:
+def complex_step(
+    inc: IncrementalTriangle, statistic: Callable, sigma2: np.ndarray | None = None
+) -> np.ndarray:
     """d(statistic)/dX_{k,j} for every observed cell, on two trailing (I, I)
     axes that hold zero outside the observed region.
 
-    statistic maps an (n, I, I) stack of incremental values to an (n, ...)
-    array and must be complex-safe, as the library's array forms are.
-    Entry m of a stack carries the imaginary step on one observed cell;
-    each stack holds at most BATCH_CELLS cells in all.
+    statistic maps a Fit stacked on a leading axis of n entries to an
+    (n, ...) array and must be complex-safe, as the library's array forms
+    are; the stacked fits carry sigma2 when it is given. Entry m of a stack
+    carries the imaginary step on one observed cell (k, j). X_{k,j} moves
+    row k of the cumulative triangle alone, so entry m is refit from the
+    baseline column sums and latest diagonal with row k's part replaced:
+    O(I) work per cell. The real parts are the baseline's exactly and the
+    imaginary parts carry the step. A stack holds BATCH_CELLS // I cells,
+    so each of its (n, I) arrays at most BATCH_CELLS values.
     """
     dim = inc.dimension
+    cum = cumulate_values(inc.values)
+    base = Fit.of(cum)
     observed = observed_mask(dim)
     k, j = np.nonzero(observed)
-    size = max(1, BATCH_CELLS // dim**2)
+    size = max(1, BATCH_CELLS // dim)
     parts = []
     for start in range(0, k.size, size):
         kk, jj = k[start : start + size], j[start : start + size]
-        stack = np.empty((kk.size, dim, dim), dtype=complex)
-        stack[:] = inc.values
-        stack[np.arange(kk.size), kk, jj] += STEP * 1j
-        parts.append(np.imag(statistic(stack)) / STEP)
+        entry = np.arange(kk.size)
+        rows = inc.values[kk].astype(complex)
+        rows[entry, jj] += STEP * 1j
+        rows = cumulate_values(rows)
+        # the change of row k, whose real part is exactly 0, enters the
+        # column sums of f_s for k <= I-s
+        delta = rows - cum[kk]
+        inside = observed[kk, 1:]
+        latest = np.empty((kk.size, dim), dtype=complex)
+        latest[:] = base.latest
+        latest[entry, kk] = rows[entry, dim - 1 - kk]
+        fit = Fit.of_sums(
+            base.num + np.where(inside, delta[:, 1:], 0.0),
+            base.den + np.where(inside, delta[:, :-1], 0.0),
+            latest,
+            sigma2=sigma2,
+        )
+        parts.append(np.imag(statistic(fit)) / STEP)
     d = np.concatenate(parts)
     out = np.zeros(d.shape[1:] + (dim, dim))
     out[..., observed] = np.moveaxis(d, 0, -1)
@@ -183,8 +235,7 @@ def verify_reserve_impacts(
         "bf-ay": lambda: impact_bf_ay(cum, factors, priors, year),
     }[statistic]()
 
-    def refit(x):
-        fit = Fit.of(cumulate_values(x))
+    def refit(fit):
         by_year = bf_reserve_values(fit.fprod, priors.values) if bf else fit.reserves
         return by_year[..., year - 1] if statistic.endswith("-ay") else np.sum(by_year, axis=-1)
 
@@ -193,20 +244,42 @@ def verify_reserve_impacts(
     return report
 
 
-def _mse_blocks(inc: IncrementalTriangle) -> dict:
+def _column_totals(fit: Fit) -> np.ndarray:
+    """Per development year r, the sum of C_{n,r} over every observed row n:
+    B_r plus the latest cell of year I-r+1, and C_{1,I} for r = I."""
+    return np.concatenate((fit.den + fit.latest[..., :0:-1], fit.latest[..., :1]), axis=-1)
+
+
+def _mse_blocks(
+    inc: IncrementalTriangle,
+    sigma2: np.ndarray | None = None,
+    extra: Callable | None = None,
+) -> dict:
     """Complex-step dlnf[s-1] = d ln f_s, dcrow[r-1] = dC_{k,r} and
     dult[q-1] = dChat_q, each over the cells (k, j) on two trailing axes.
     X_{k,j} moves row k of the cumulative triangle alone, so dC_{k,r} is
-    the derivative of the sum of C_{n,r} over every row n."""
+    the derivative of the sum of C_{n,r} over every row n.
+
+    extra, when given, maps the stacked fit (with sigma2) to one more
+    statistic per entry, differentiated in the same stack: its derivative
+    is under "extra"."""
     dim = inc.dimension
 
-    def blocks(x):
-        cum = cumulate_values(x)
-        fit = Fit.of(cum)
-        return np.concatenate((np.log(fit.factors), np.nansum(cum, axis=-2), fit.ult), axis=-1)
+    def blocks(fit):
+        values = [np.log(fit.factors), _column_totals(fit), fit.ult]
+        if extra is not None:
+            values.append(extra(fit)[..., None])
+        return np.concatenate(values, axis=-1)
 
-    d = complex_step(inc, blocks)
-    return {"dlnf": d[: dim - 1], "dcrow": d[dim - 1 : 2 * dim - 1], "dult": d[2 * dim - 1 :]}
+    d = complex_step(inc, blocks, sigma2)
+    out = {
+        "dlnf": d[: dim - 1],
+        "dcrow": d[dim - 1 : 2 * dim - 1],
+        "dult": d[2 * dim - 1 : 3 * dim - 1],
+    }
+    if extra is not None:
+        out["extra"] = d[-1]
+    return out
 
 
 def _in_column_sums(dim: int) -> np.ndarray:
@@ -275,7 +348,11 @@ def verify_mse_components(
     cum = cumulate(inc)
     factors = estimate_development_factors(cum)
     fit = Fit.build(cum, factors, estimate_sigmas(cum, factors))
-    blocks = _mse_blocks(inc)
+
+    def plugin(refit):
+        return refit.mse_total if year is None else refit.mse_by_year[..., year - 1]
+
+    blocks = _mse_blocks(inc, fit.sigma2, plugin)
     dlnf, dcrow, dult = blocks["dlnf"], blocks["dcrow"], blocks["dult"]
     report = VerificationReport(statistic="mse-components", tolerance=tolerance)
     rows = np.arange(dim)
@@ -303,21 +380,15 @@ def verify_mse_components(
     # assembled impacts vs analytic: every year's and the total, or year's
     yearly, total = _assemble_mse_from_blocks(fit, blocks)
     if year is None:
-        checks = [(_mse_ay(fit, i), yearly[i - 1]) for i in range(2, dim + 1)]
-        checks.append((_mse_total(fit), total))
+        analytic = np.stack([_mse_ay(fit, i) for i in range(2, dim + 1)] + [_mse_total(fit)])
+        numeric = np.concatenate((yearly[1:], total[None]))
     else:
-        checks = [(_mse_ay(fit, year), yearly[year - 1])]
-    for analytic, numeric in checks:
-        report.add_triangle(analytic, numeric)
+        analytic, numeric = _mse_ay(fit, year)[None], yearly[year - 1][None]
+    report.add_triangle(analytic, numeric)
 
     # direct derivative of the plug-in value of the last checked statistic,
-    # sigma^2 held at the baseline; documented only
-    def plugin(x):
-        refit = Fit.of(cumulate_values(x), sigma2=fit.sigma2)
-        return refit.mse_total if year is None else refit.mse_by_year[..., year - 1]
-
-    direct = complex_step(inc, plugin)
-    report.notes["direct_fd_max_rel"] = _max_rel(checks[-1][0], direct, observed)
+    # sigma^2 held at the baseline, from the blocks' stack; documented only
+    report.notes["direct_fd_max_rel"] = _max_rel(analytic[-1], blocks["extra"], observed)
     return report
 
 
@@ -335,15 +406,14 @@ def verify_quantile_impacts(
     """
     cum = cumulate(inc)
     factors = estimate_development_factors(cum)
-    sigmas = estimate_sigmas(cum, factors)
-    fit = Fit.build(cum, factors, sigmas)
+    fit = Fit.build(cum, factors, estimate_sigmas(cum, factors))
     total_reserve = np.sum(fit.reserves)
     mse = fit.mse_total
-    analytic = impact_quantile(cum, factors, sigmas, q)
+    analytic = _impact_quantile(fit, q)
     df_dr = _partial(lambda r: lognormal_quantile(fit_lognormal(r, mse), q), total_reserve)
     df_dm = _partial(lambda m: lognormal_quantile(fit_lognormal(total_reserve, m), q), mse)
-    if_r = complex_step(inc, lambda x: np.sum(Fit.of(cumulate_values(x)).reserves, axis=-1))
-    if_m = _assemble_mse_from_blocks(fit, _mse_blocks(inc))[1]
+    blocks = _mse_blocks(inc, extra=lambda refit: np.sum(refit.reserves, axis=-1))
+    if_m = _assemble_mse_from_blocks(fit, blocks)[1]
     report = VerificationReport(statistic="quantile", tolerance=tolerance)
-    report.add_triangle(analytic.values, df_dr * if_r + df_dm * if_m)
+    report.add_triangle(analytic.values, df_dr * blocks["extra"] + df_dm * if_m)
     return report

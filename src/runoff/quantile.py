@@ -70,7 +70,11 @@ def impact_quantile(
     evaluated cellwise from the reserve and MSE impact triangles, both
     read from one fitted state.
     """
-    state = Fit.build(cum, factors, sigmas)
+    return _impact_quantile(Fit.build(cum, factors, sigmas), q)
+
+
+def _impact_quantile(state: Fit, q: float) -> ImpactTriangle:
+    """impact_quantile over a fit built with sigmas."""
     total = float(np.sum(state.reserves))
     mse = state.mse_total
     if total <= 0.0:

@@ -7,6 +7,7 @@ import properties
 from conftest import proportional_triangle, random_triangle
 from runoff.bornhuetter import default_priors
 from runoff.chainladder import (
+    Fit,
     estimate_development_factors,
     estimate_sigmas,
     mse_accident_year,
@@ -111,6 +112,19 @@ class TestDLnF:
         cum, _, _ = state
         with pytest.raises(IndexError, match="factor index 10"):
             d_ln_f(cum, 10, 1, 1)
+        # j = 0 would wrap around to the last column of Fit.g
+        with pytest.raises(IndexError, match="development year 0"):
+            d_ln_f(cum, 3, 1, 0)
+
+    @pytest.mark.parametrize("dim", [5, 12])
+    def test_matches_fit_g_on_every_cell(self, dim):
+        cum = cumulate(random_triangle(np.random.default_rng([7, dim]), dim))
+        g = Fit.of(cum.values).g
+        for s in range(1, dim):
+            for k, j in cum.observed_cells():
+                want = g[s - 1, j - 1] if k <= dim - s else 0.0
+                got = d_ln_f(cum, s, k, j)
+                assert abs(got - want) <= dim * np.finfo(float).eps * abs(want), (s, k, j)
 
 
 class TestMseImpacts:

@@ -2,23 +2,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden
 from conftest import build_corpus, proportional_triangle, random_triangle
+from runoff.bornhuetter import bf_reserve_values, default_priors
 from runoff.chainladder import Fit, estimate_development_factors, estimate_sigmas
 from runoff.impact import impact_reserve_total
 from runoff.oracle import (
+    BATCH_CELLS,
+    STEP,
     FdScheme,
     VerificationReport,
     _assemble_mse_from_blocks,
     _mse_blocks,
+    complex_step,
     fd_derivative,
     relative_error,
     verify_mse_components,
     verify_quantile_impacts,
     verify_reserve_impacts,
 )
-from runoff.triangle import IncrementalTriangle, cumulate
+from runoff.triangle import IncrementalTriangle, cumulate, cumulate_values, observed_mask, validate
 from test_acceptance import TABLE_TOL
 
 
@@ -97,6 +103,28 @@ class TestVerificationReport:
         assert doc["statistic"] == "x"
         assert doc["passed"] is True
         assert doc["cells"][0]["rel_error"] == 0.0
+
+    def test_columns_and_cells_agree(self):
+        report = VerificationReport(statistic="x", tolerance=1e-5)
+        report.add([1, 2, 2], [1, 1, 2], [1.0, 2.0, 4.0], [1.0, 3.0, 2.0])
+        report.add(3, 1, 1.0, 2.0)
+        assert report.k.tolist() == [1, 2, 2, 3]
+        assert report.cells[1] == {
+            "k": 2, "j": 1, "analytic": 2.0, "numeric": 3.0, "rel_error": 1 / 3
+        }
+        assert report.cells is report.cells
+        # the first of two maximal cells, as Python ints
+        assert report.max_rel_error == 0.5
+        assert report.worst_cell == (2, 2)
+        assert all(type(v) is int for v in report.worst_cell)
+        assert not report.passed
+
+    def test_a_nan_cell_fails_wherever_it_sits(self):
+        report = VerificationReport(statistic="x", tolerance=1e-5)
+        report.add([1, 1], [1, 2], [1.0, np.nan], [1.0, 1.0])
+        assert math.isnan(report.max_rel_error)
+        assert report.worst_cell == (1, 2)
+        assert not report.passed
 
 
 class TestVerifyReserveImpacts:
@@ -285,3 +313,78 @@ def test_no_false_alarms_at_large_dimension(dim):
     ):
         assert report.tolerance == 1e-5
         assert report.passed, (report.statistic, report.max_rel_error, report.worst_cell)
+
+
+def full_stack_complex_step(inc, statistic):
+    """The complex step before row updates, kept as the reference: each
+    entry of a stack is the whole perturbed (I, I) incremental triangle,
+    and statistic maps the (n, I, I) stack to an (n, ...) array."""
+    dim = inc.dimension
+    observed = observed_mask(dim)
+    k, j = np.nonzero(observed)
+    size = max(1, BATCH_CELLS // dim**2)
+    parts = []
+    for start in range(0, k.size, size):
+        kk, jj = k[start : start + size], j[start : start + size]
+        stack = np.empty((kk.size, dim, dim), dtype=complex)
+        stack[:] = inc.values
+        stack[np.arange(kk.size), kk, jj] += STEP * 1j
+        parts.append(np.imag(statistic(stack)) / STEP)
+    d = np.concatenate(parts)
+    out = np.zeros(d.shape[1:] + (dim, dim))
+    out[..., observed] = np.moveaxis(d, 0, -1)
+    return out
+
+
+def assert_row_update_is_the_full_refit(inc):
+    """Row-update derivatives == full-stack derivatives, bit for bit, for the
+    reserve total, the BF total, the MSE blocks and the plug-in MSE."""
+    dim = inc.dimension
+    cum = cumulate(inc)
+    factors = estimate_development_factors(cum)
+    sigma2 = estimate_sigmas(cum, factors).values
+    mu = default_priors(cum, factors).values
+
+    def full(x):
+        return Fit.of(cumulate_values(x), sigma2=sigma2)
+
+    pairs = [
+        (lambda fit: np.sum(fit.reserves, axis=-1), None),
+        (lambda fit: np.sum(bf_reserve_values(fit.fprod, mu), axis=-1), None),
+        (lambda fit: fit.mse_total, sigma2),
+    ]
+    for statistic, s2 in pairs:
+        want = full_stack_complex_step(inc, lambda x: statistic(full(x)))
+        assert np.array_equal(complex_step(inc, statistic, s2), want)
+
+    def blocks(x):
+        c = cumulate_values(x)
+        fit = Fit.of(c)
+        return np.concatenate((np.log(fit.factors), np.nansum(c, axis=-2), fit.ult), axis=-1)
+
+    want = full_stack_complex_step(inc, blocks)
+    got = _mse_blocks(inc)
+    for name, rows in (("dlnf", slice(0, dim - 1)), ("dcrow", slice(dim - 1, 2 * dim - 1))):
+        assert np.array_equal(got[name], want[rows]), name
+    assert np.array_equal(got["dult"], want[2 * dim - 1 :])
+
+
+@pytest.mark.parametrize("dim", [4, 7, 12, 20])
+def test_row_update_is_the_full_refit(dim):
+    assert_row_update_is_the_full_refit(random_triangle(np.random.default_rng([8, dim]), dim))
+
+
+@st.composite
+def positive_triangles(draw):
+    dim = draw(st.integers(4, 12))
+    cells = st.floats(1e-2, 1e7, allow_nan=False, allow_infinity=False)
+    rows = [draw(st.lists(cells, min_size=dim - i, max_size=dim - i)) for i in range(dim)]
+    inc = IncrementalTriangle.from_rows(rows)
+    assert not validate(inc)
+    return inc
+
+
+@settings(max_examples=40, deadline=None)
+@given(positive_triangles())
+def test_row_update_is_the_full_refit_on_any_positive_triangle(inc):
+    assert_row_update_is_the_full_refit(inc)

@@ -1,17 +1,22 @@
 """Guards for the tooling that reaches into runoff from outside.
 
 perfbench/tracing.py wraps runoff functions by name for the per-layer
-benchmark metrics. A rename or deletion in runoff breaks only a traced
-benchmark run, silently, so the names it needs are pinned here.
+benchmark metrics, and bench/layers.py calls the fit, impact and oracle
+layers directly. A rename, deletion or signature change in runoff breaks
+only a benchmark run, silently, so what they need is pinned here.
 """
 
 import importlib
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import runoff
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
+LAYERS = ROOT / "bench" / "layers.py"
 
 PUBLIC = [
     "IncrementalTriangle",
@@ -58,15 +63,15 @@ PUBLIC = [
 ]
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_span_name_resolves():
-    tracing = load_tracing()
+    tracing = load(TRACING, "perfbench_tracing")
     for span in (
         "triangle.IncrementalTriangle.with_cell",
         "quantile.inv_std_normal_cdf",
@@ -86,3 +91,13 @@ def test_every_span_name_resolves():
 def test_public_names_unchanged():
     assert runoff.__all__ == PUBLIC
     assert all(hasattr(runoff, name) for name in PUBLIC)
+
+
+def test_layer_record_times_every_stage(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # layers.main prepends --src
+    layers = load(LAYERS, "bench_layers")
+    out = tmp_path / "BENCH.json"
+    assert layers.main(["--sizes", "5", "--out", str(out)]) == 0
+    row = json.loads(out.read_text())["layers"]["after"]["seconds"]["I=5"]
+    assert set(row) == set(layers.stages(runoff, 5))
+    assert all(stage["best_s"] > 0.0 for stage in row.values())
