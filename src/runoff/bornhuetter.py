@@ -11,12 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from runoff.chainladder import DevelopmentFactors, Fit, project_ultimates
-from runoff.triangle import CumulativeTriangle
+from runoff.chainladder import DevelopmentFactors, _fit, project_ultimates
+from runoff.triangle import CumulativeTriangle, ReadOnlyArrays
 
 
 @dataclass(frozen=True)
-class PriorUltimates:
+class PriorUltimates(ReadOnlyArrays):
     """Exogenous prior ultimates mu_i > 0, one per accident year."""
 
     dimension: int
@@ -30,7 +30,7 @@ class PriorUltimates:
 
 def default_priors(cum: CumulativeTriangle, factors: DevelopmentFactors) -> PriorUltimates:
     """Priors set to the chain-ladder ultimates, then frozen."""
-    return PriorUltimates(cum.dimension, np.array(project_ultimates(cum, factors)))
+    return PriorUltimates(cum.dimension, project_ultimates(cum, factors))
 
 
 def bf_reserve_values(fprod: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -58,5 +58,5 @@ def bf_reserves(
         raise ValueError(
             f"priors cover {priors.dimension} accident years, triangle has {dim}"
         )
-    by_year = bf_reserve_values(Fit.build(cum, factors).fprod, priors.values)
+    by_year = bf_reserve_values(_fit(cum, factors).fprod, priors.values)
     return by_year, float(np.sum(by_year))

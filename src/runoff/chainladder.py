@@ -17,11 +17,11 @@ from functools import cached_property
 
 import numpy as np
 
-from runoff.triangle import CumulativeTriangle, observed_mask
+from runoff.triangle import CumulativeTriangle, ReadOnlyArrays, _read_only, observed_mask
 
 
 @dataclass(frozen=True)
-class DevelopmentFactors:
+class DevelopmentFactors(ReadOnlyArrays):
     """Estimated factors f_j for j = 1..I-1."""
 
     dimension: int
@@ -40,7 +40,7 @@ class DevelopmentFactors:
 
 
 @dataclass(frozen=True)
-class SigmaEstimates:
+class SigmaEstimates(ReadOnlyArrays):
     """Variance scales sigma^2_j for j = 1..I-1."""
 
     dimension: int
@@ -53,7 +53,7 @@ class SigmaEstimates:
 
 
 @dataclass(frozen=True)
-class MackSummary:
+class MackSummary(ReadOnlyArrays):
     factors: DevelopmentFactors
     sigmas: SigmaEstimates
     ultimates: np.ndarray
@@ -61,11 +61,6 @@ class MackSummary:
     reserve_total: float
     mse_by_year: np.ndarray
     mse_total: float
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 def _ahead(per_s: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -115,7 +110,8 @@ class Fit:
     process:  sum of f_{I-i+1}..f_{s-1} sigma^2_s (f_{s+1}..f_{I-1})^2 over
               the same s
     w and process are None when the fit has no sigmas. The d ln f kernel g
-    is computed on first read: the impacts need it, refits do not.
+    and the derived reserves, later, mse_by_year and mse_total are computed
+    on first read, read-only: the impacts need g, refits do not.
     """
 
     dimension: int
@@ -197,48 +193,69 @@ class Fit:
         inv_num = np.where(j <= s + 1, 1.0 / self.num[..., None], 0.0)
         return _read_only(inv_num - np.where(j <= s, 1.0 / self.den[..., None], 0.0))
 
-    @property
+    @cached_property
     def reserves(self) -> np.ndarray:
         """Per-year chain-ladder reserves, ultimate minus latest."""
-        return self.ult - self.latest
+        return _read_only(self.ult - self.latest)
 
-    @property
+    @cached_property
     def later(self) -> np.ndarray:
         """Per year i, the sum of the ultimates of the years after it."""
-        return _ahead(self.ult[..., 1:])[..., ::-1]
+        return _read_only(_ahead(self.ult[..., 1:])[..., ::-1])
 
     def _need_sigmas(self):
         if self.w is None:
             raise ValueError("the fit has no sigmas; build it with SigmaEstimates")
 
-    @property
+    @cached_property
     def mse_by_year(self) -> np.ndarray:
         """latest * process + ult^2 * w: process variance plus estimation error."""
         self._need_sigmas()
-        return self.latest * self.process + self.ult**2 * self.w
+        return _read_only(self.latest * self.process + self.ult**2 * self.w)
 
-    @property
+    @cached_property
     def mse_total(self):
         """Per-year MSEs plus the cross covariances ult_i * later_i * 2 w_i,
         one value per batch entry."""
         self._need_sigmas()
         cross = self.ult * self.later * 2.0 * self.w
-        return np.sum(self.mse_by_year, axis=-1) + np.sum(cross, axis=-1)
+        return _read_only(np.sum(self.mse_by_year, axis=-1) + np.sum(cross, axis=-1))
+
+
+def _fit(
+    cum: CumulativeTriangle,
+    factors: DevelopmentFactors | None = None,
+    sigmas: SigmaEstimates | None = None,
+) -> Fit:
+    """The Fit of cum under factors and sigmas, built once per triangle: cum
+    keeps the last one built as (factors, sigmas, fit) in its __dict__, like
+    a cached_property, and serves it to calls with the same (read-only, so
+    unchanged) factors and sigmas objects. A fit with sigmas serves a call
+    without, and any fit serves factors None: the column sums and g."""
+    held = cum.__dict__.get("_fit")
+    if held and (factors is None or factors is held[0]) and (sigmas is None or sigmas is held[1]):
+        return held[2]
+    fit = Fit.of(cum.values) if factors is None else Fit.build(cum, factors, sigmas)
+    cum.__dict__["_fit"] = (factors, sigmas, fit)
+    return fit
 
 
 def estimate_development_factors(cum: CumulativeTriangle) -> DevelopmentFactors:
     """f_j = sum(C_{i,j+1}, i<=I-j) / sum(C_{i,j}, i<=I-j)."""
-    return DevelopmentFactors(cum.dimension, np.array(Fit.of(cum.values).factors))
+    fit = Fit.of(cum.values)
+    factors = DevelopmentFactors(cum.dimension, fit.factors)
+    cum.__dict__["_fit"] = (factors, None, fit)  # its factors are num / den
+    return factors
 
 
 def project_ultimates(cum: CumulativeTriangle, factors: DevelopmentFactors) -> np.ndarray:
     """Ultimate claims per accident year: latest cumulative times remaining factors."""
-    return np.array(Fit.build(cum, factors).ult)
+    return np.array(_fit(cum, factors).ult)
 
 
 def reserves(cum: CumulativeTriangle, factors: DevelopmentFactors):
     """Per-year reserves (ultimate minus latest cumulative) and their total."""
-    by_year = Fit.build(cum, factors).reserves
+    by_year = np.array(_fit(cum, factors).reserves)
     return by_year, float(np.sum(by_year))
 
 
@@ -268,11 +285,11 @@ def mse_accident_year(
     two-reciprocal estimator (asserted in tests).
     """
     dim = cum.dimension
+    if not 1 <= i <= dim:
+        raise IndexError(f"accident year {i} out of range 1..{dim}")
     if i == 1:
         return 0.0
-    if not 2 <= i <= dim:
-        raise IndexError(f"accident year {i} out of range 2..{dim}")
-    return float(Fit.build(cum, factors, sigmas).mse_by_year[i - 1])
+    return float(_fit(cum, factors, sigmas).mse_by_year[i - 1])
 
 
 def mse_total(
@@ -281,18 +298,18 @@ def mse_total(
     sigmas: SigmaEstimates,
 ) -> float:
     """Prediction MSE of the total reserve: per-year MSEs plus cross covariances."""
-    return float(Fit.build(cum, factors, sigmas).mse_total)
+    return float(_fit(cum, factors, sigmas).mse_total)
 
 
 def mack_summary(cum: CumulativeTriangle) -> MackSummary:
     """Convenience bundle of all chain-ladder and Mack estimates."""
     factors = estimate_development_factors(cum)
     sigmas = estimate_sigmas(cum, factors)
-    fit = Fit.build(cum, factors, sigmas)
+    fit = _fit(cum, factors, sigmas)
     return MackSummary(
         factors=factors,
         sigmas=sigmas,
-        ultimates=np.array(fit.ult),
+        ultimates=fit.ult,
         reserves_by_year=fit.reserves,
         reserve_total=float(np.sum(fit.reserves)),
         mse_by_year=fit.mse_by_year,

@@ -16,7 +16,7 @@ import numpy as np
 
 from runoff.bornhuetter import PriorUltimates, bf_reserves, default_priors
 from runoff.chainladder import (
-    Fit,
+    _fit,
     estimate_development_factors,
     estimate_sigmas,
     mse_accident_year,
@@ -175,7 +175,7 @@ def compute(stat: str, inc: IncrementalTriangle, year, q: float, priors_src: str
         _check_mse(f"{stat} impact", m, sigmas.values)
         return impact_rmse(m, impacts), math.sqrt(m)
     if stat == "quantile":
-        fit = Fit.build(cum, factors, sigmas)
+        fit = _fit(cum, factors, sigmas)
         impacts = _impact_quantile(fit, q)
         matched = fit_lognormal(float(np.sum(fit.reserves)), float(fit.mse_total))
         return impacts, lognormal_quantile(matched, q)
@@ -359,7 +359,7 @@ def cmd_reserves(args) -> int:
     except ValueError as exc:  # too few accident years for a variance scale
         sigmas = None
         print(f"note: rmse column left empty: {exc}", file=sys.stderr)
-    fit = Fit.build(cum, factors, sigmas)
+    fit = _fit(cum, factors, sigmas)
     priors = load_priors(args.priors, cum, factors)
     bf_by_year, bf_tot = bf_reserves(cum, factors, priors)
     rmse = None if sigmas is None else np.sqrt(fit.mse_by_year)

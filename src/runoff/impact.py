@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from runoff.bornhuetter import PriorUltimates
-from runoff.chainladder import DevelopmentFactors, Fit, SigmaEstimates
+from runoff.chainladder import DevelopmentFactors, Fit, SigmaEstimates, _fit
 from runoff.triangle import (
     CumulativeTriangle,
     IncrementalTriangle,
@@ -92,7 +92,7 @@ def _one_year(fit: Fit, i: int, per_year: np.ndarray) -> np.ndarray:
 
 
 def d_ln_f(cum: CumulativeTriangle, s: int, k: int, j: int) -> float:
-    """d ln f_s / dX_{k,j}, one cell of Fit.g.
+    """d ln f_s / dX_{k,j}, one cell of Fit.g, read from the fit cum holds.
 
     Zero when k > I - s (the cell is outside both column sums); otherwise
     the reciprocal of the numerator sum when j <= s+1 minus the
@@ -105,7 +105,7 @@ def d_ln_f(cum: CumulativeTriangle, s: int, k: int, j: int) -> float:
         raise IndexError(f"development year {j} out of range 1..{dim}")
     if k > dim - s:
         return 0.0
-    return float(Fit.of(cum.values).g[s - 1, j - 1])
+    return float(_fit(cum).g[s - 1, j - 1])
 
 
 def impact_reserve_ay(
@@ -113,7 +113,7 @@ def impact_reserve_ay(
 ) -> ImpactTriangle:
     """IF_{k,j}(R_i): zero for k > i, flat (f-product - 1) for k = i,
     the ultimate times the d ln f sum over s = I-i+1..I-k for k < i."""
-    fit = Fit.build(cum, factors)
+    fit = _fit(cum, factors)
     return _impact("reserve-ay", i, fit, _reserve_ay(fit, i))
 
 
@@ -131,7 +131,7 @@ def impact_reserve_total(
     cum: CumulativeTriangle, factors: DevelopmentFactors
 ) -> ImpactTriangle:
     """IF_{k,j}(R) = sum over accident years of IF_{k,j}(R_i)."""
-    fit = Fit.build(cum, factors)
+    fit = _fit(cum, factors)
     return _impact("reserve-total", None, fit, _reserve_total(fit))
 
 
@@ -143,7 +143,7 @@ def impact_bf_ay(
 ) -> ImpactTriangle:
     """IF_{k,j}(R_i^BF) with frozen priors: zero for k >= i, otherwise the
     prior discounted by the factor product times the d ln f sums."""
-    fit = Fit.build(cum, factors)
+    fit = _fit(cum, factors)
     c = _one_year(fit, i, priors.values / fit.fprod)
     return _impact("bf-ay", i, fit, _kernel(fit, c))
 
@@ -154,7 +154,7 @@ def impact_bf_total(
     priors: PriorUltimates,
 ) -> ImpactTriangle:
     """IF_{k,j}(R^BF) = sum over accident years of IF_{k,j}(R_i^BF)."""
-    fit = Fit.build(cum, factors)
+    fit = _fit(cum, factors)
     return _impact("bf-total", None, fit, _kernel(fit, priors.values / fit.fprod))
 
 
@@ -182,7 +182,7 @@ def impact_mse_ay(
     negative constant times IF_{k,j}(R_i): the estimation error shrinks
     when the reserve impact grows.
     """
-    fit = Fit.build(cum, factors, sigmas)
+    fit = _fit(cum, factors, sigmas)
     return _impact("mse-ay", i, fit, _mse_ay(fit, i))
 
 
@@ -257,7 +257,7 @@ def impact_mse_total(
     differentiates both the factors and the column sums; the derivative
     of u_i reduces to reserve impacts plus latest-diagonal indicators.
     """
-    fit = Fit.build(cum, factors, sigmas)
+    fit = _fit(cum, factors, sigmas)
     return _impact("mse-total", None, fit, _mse_total(fit))
 
 

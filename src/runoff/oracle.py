@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from runoff.bornhuetter import PriorUltimates, bf_reserve_values, default_priors
-from runoff.chainladder import Fit, _ahead, estimate_development_factors, estimate_sigmas
+from runoff.chainladder import Fit, _ahead, _fit, estimate_development_factors, estimate_sigmas
 from runoff.impact import (
     _mse_ay,
     _mse_diagonal,
@@ -34,7 +34,7 @@ from runoff.impact import (
     impact_reserve_total,
 )
 from runoff.quantile import _impact_quantile, fit_lognormal, lognormal_quantile
-from runoff.triangle import IncrementalTriangle, cumulate, cumulate_values, observed_mask
+from runoff.triangle import IncrementalTriangle, _read_only, cumulate, cumulate_values, observed_mask
 
 # The imaginary step h. Its square vanishes against any real part, and
 # times any derivative met here it stays far above the smallest double.
@@ -59,7 +59,8 @@ COLUMNS = ("k", "j", "analytic", "numeric", "rel_error")
 @dataclass(eq=False)
 class VerificationReport:
     """The checked cells as columns: k, j (int arrays), analytic, numeric
-    and rel_error (float arrays), one entry per cell in the order added."""
+    and rel_error (float arrays), one entry per cell in the order added;
+    read-only, as add replaces them."""
 
     statistic: str
     tolerance: float
@@ -71,8 +72,8 @@ class VerificationReport:
     rel_error: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.k = self.j = np.zeros(0, dtype=int)
-        self.analytic = self.numeric = self.rel_error = np.zeros(0)
+        self.k = self.j = _read_only(np.zeros(0, dtype=int))
+        self.analytic = self.numeric = self.rel_error = _read_only(np.zeros(0))
         self._cells = None
 
     def add(self, k, j, analytic, numeric):
@@ -81,7 +82,7 @@ class VerificationReport:
         numeric = np.ravel(np.asarray(numeric, dtype=float))
         new = (np.ravel(k), np.ravel(j), analytic, numeric, relative_error(analytic, numeric))
         for name, values in zip(COLUMNS, new):
-            setattr(self, name, np.concatenate((getattr(self, name), values)))
+            setattr(self, name, _read_only(np.concatenate((getattr(self, name), values))))
         self._cells = None
 
     def add_triangle(self, analytic: np.ndarray, numeric: np.ndarray):
@@ -347,7 +348,7 @@ def verify_mse_components(
         raise ValueError(f"accident year {year} out of range 1..{dim}")
     cum = cumulate(inc)
     factors = estimate_development_factors(cum)
-    fit = Fit.build(cum, factors, estimate_sigmas(cum, factors))
+    fit = _fit(cum, factors, estimate_sigmas(cum, factors))
 
     def plugin(refit):
         return refit.mse_total if year is None else refit.mse_by_year[..., year - 1]
@@ -406,7 +407,7 @@ def verify_quantile_impacts(
     """
     cum = cumulate(inc)
     factors = estimate_development_factors(cum)
-    fit = Fit.build(cum, factors, estimate_sigmas(cum, factors))
+    fit = _fit(cum, factors, estimate_sigmas(cum, factors))
     total_reserve = np.sum(fit.reserves)
     mse = fit.mse_total
     analytic = _impact_quantile(fit, q)

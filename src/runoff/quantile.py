@@ -13,7 +13,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from runoff.chainladder import DevelopmentFactors, Fit, SigmaEstimates
+from runoff.chainladder import DevelopmentFactors, Fit, SigmaEstimates, _fit
 from runoff.impact import ImpactTriangle, _check_mse, _impact, _mse_total, _reserve_total
 from runoff.triangle import CumulativeTriangle
 
@@ -70,7 +70,7 @@ def impact_quantile(
     evaluated cellwise from the reserve and MSE impact triangles, both
     read from one fitted state.
     """
-    return _impact_quantile(Fit.build(cum, factors, sigmas), q)
+    return _impact_quantile(_fit(cum, factors, sigmas), q)
 
 
 def _impact_quantile(state: Fit, q: float) -> ImpactTriangle:

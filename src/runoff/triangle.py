@@ -7,7 +7,7 @@ i + j <= I + 1; unobserved cells are stored as NaN and never read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,19 +23,33 @@ def observed_mask(dimension: int) -> np.ndarray:
     return rows[:, None] + rows <= dimension - 1
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+class ReadOnlyArrays:
+    """Base of the frozen dataclasses: each field annotated np.ndarray
+    holds a read-only copy of what the caller passed."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.type == "np.ndarray":
+                object.__setattr__(self, f.name, _read_only(np.array(getattr(self, f.name))))
+
+
 class Triangle:
     """What every triangle shares: a read-only (I, I) float copy of its
     values, NaN outside the observed region, read cell by cell. The
     subclasses are frozen dataclasses with dimension and values fields."""
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
+        arr = _read_only(np.array(self.values, dtype=float))
         if arr.shape != (self.dimension, self.dimension):
             raise ValueError(
                 f"values must have shape ({self.dimension}, {self.dimension}), "
                 f"got {arr.shape}"
             )
-        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     def _check_observed(self, i: int, j: int):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import build_corpus, proportional_triangle, random_triangle
-from runoff.bornhuetter import PriorUltimates, bf_reserves
+from runoff.bornhuetter import PriorUltimates, bf_reserves, default_priors
 from runoff.chainladder import (
+    DevelopmentFactors,
     Fit,
+    _fit,
     estimate_development_factors,
     estimate_sigmas,
     mack_summary,
@@ -15,6 +17,8 @@ from runoff.chainladder import (
     project_ultimates,
     reserves,
 )
+from runoff.impact import d_ln_f, impact_bf_total, impact_mse_total, impact_reserve_total
+from runoff.quantile import impact_quantile
 from runoff.triangle import IncrementalTriangle, column_partial_sum, cumulate
 
 
@@ -253,6 +257,15 @@ class TestMse:
         with pytest.raises(IndexError, match="accident year 11"):
             mse_accident_year(cum, factors, sigmas, 11)
 
+    def test_year_zero_names_the_range_from_year_one(self, belgian):
+        # year 1 is accepted (its MSE is 0), so the range starts at 1
+        cum = cumulate(belgian)
+        factors = estimate_development_factors(cum)
+        sigmas = estimate_sigmas(cum, factors)
+        assert mse_accident_year(cum, factors, sigmas, 1) == 0.0
+        with pytest.raises(IndexError, match=r"accident year 0 out of range 1\.\.10$"):
+            mse_accident_year(cum, factors, sigmas, 0)
+
 
 class TestMackSummary:
     def test_bundle_is_consistent(self, belgian):
@@ -268,3 +281,96 @@ class TestMackSummary:
         assert math.isclose(
             summary.mse_total, mse_total(cum, factors, sigmas), rel_tol=0
         )
+
+
+@pytest.fixture
+def fit_builds(monkeypatch):
+    """The Fit.of_sums calls made while the test runs, one entry each;
+    every Fit is built through it."""
+    calls = []
+    of_sums = Fit.of_sums.__func__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return of_sums(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fit, "of_sums", classmethod(counted))
+    return calls
+
+
+class TestFitMemo:
+    """A triangle keeps the last Fit built for it, keyed by the identity of
+    its read-only factors and sigmas."""
+
+    def test_a_sensitivity_report_builds_two_fits(self, belgian, fit_builds):
+        # the perfbench api-report op: one fit without sigmas, one with
+        cum = cumulate(belgian)
+        factors = estimate_development_factors(cum)
+        sigmas = estimate_sigmas(cum, factors)
+        reserves(cum, factors)
+        mse_total(cum, factors, sigmas)
+        priors = default_priors(cum, factors)
+        impact_reserve_total(cum, factors)
+        impact_bf_total(cum, factors, priors)
+        impact_mse_total(cum, factors, sigmas)
+        impact_quantile(cum, factors, sigmas, 0.995)
+        assert len(fit_builds) == 2
+        assert "g" in _fit(cum, factors, sigmas).__dict__  # one g, read by all four
+
+    def test_new_factors_object_gets_a_new_fit(self, belgian):
+        cum = cumulate(belgian)
+        factors = estimate_development_factors(cum)
+        base = reserves(cum, factors)[1]
+        other = DevelopmentFactors(factors.dimension, factors.values * 1.01)
+        fresh = float(np.sum(Fit.build(cum, other).reserves))
+        assert reserves(cum, other)[1] == fresh != base
+        assert _fit(cum, other) is not _fit(cum, factors)
+        assert reserves(cum, factors)[1] == base
+
+    def test_fit_with_sigmas_serves_reserves(self, belgian, fit_builds):
+        cum = cumulate(belgian)
+        factors = estimate_development_factors(cum)
+        sigmas = estimate_sigmas(cum, factors)
+        fit = _fit(cum, factors, sigmas)
+        assert _fit(cum, factors) is fit
+        count = len(fit_builds)
+        by_year, total = reserves(cum, factors)
+        project_ultimates(cum, factors)
+        assert len(fit_builds) == count
+        assert by_year.tolist() == fit.reserves.tolist()
+
+    def test_d_ln_f_builds_one_fit(self, fit_builds):
+        cum = cumulate(random_triangle(np.random.default_rng([8, 6]), 6))
+        g = [d_ln_f(cum, s, 1, j) for s in range(1, 6) for j in range(1, 7)]
+        assert len(fit_builds) == 1
+        assert g == np.ravel(Fit.of(cum.values).g).tolist()
+
+    def test_factor_values_are_read_only(self, belgian):
+        cum = cumulate(belgian)
+        factors = estimate_development_factors(cum)
+        sigmas = estimate_sigmas(cum, factors)
+        for values in (factors.values, sigmas.values):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 2.0
+
+    def test_returned_arrays_are_the_callers(self, belgian):
+        cum = cumulate(belgian)
+        factors = estimate_development_factors(cum)
+        want = reserves(cum, factors)
+        for got in (reserves(cum, factors)[0], project_ultimates(cum, factors)):
+            assert got.flags.writeable
+            got[:] = 0.0
+        again = reserves(cum, factors)
+        assert again[0].tolist() == want[0].tolist() and again[1] == want[1]
+
+    def test_build_is_pure(self, belgian):
+        cum = cumulate(belgian)
+        factors = estimate_development_factors(cumulate(belgian))
+        first = Fit.build(cum, factors)
+        assert Fit.build(cum, factors) is not first
+        assert "_fit" not in cum.__dict__
+        with pytest.raises(ValueError, match="no sigmas"):
+            first.mse_total
+        for name in ("reserves", "later"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(first, name)[0] = 1.0

@@ -96,8 +96,11 @@ def test_public_names_unchanged():
 def test_layer_record_times_every_stage(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))  # layers.main prepends --src
     layers = load(LAYERS, "bench_layers")
+    monkeypatch.setattr(layers, "BATCH_S", 1e-4)
     out = tmp_path / "BENCH.json"
     assert layers.main(["--sizes", "5", "--out", str(out)]) == 0
     row = json.loads(out.read_text())["layers"]["after"]["seconds"]["I=5"]
-    assert set(row) == set(layers.stages(runoff, 5))
-    assert all(stage["best_s"] > 0.0 for stage in row.values())
+    assert set(row) == set(layers.stages(runoff, 5)) >= {"fit", "sensitivity_report"}
+    for stage in row.values():
+        assert stage["best_s"] > 0.0
+        assert stage["batches"] == layers.BATCHES and stage["calls"] >= stage["batches"]

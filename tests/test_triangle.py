@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import runoff
 from runoff.triangle import (
     CumulativeTriangle,
     IncrementalTriangle,
@@ -190,3 +193,54 @@ class TestColumnPartialSum:
             column_partial_sum(cum, 4, 1)
         with pytest.raises(IndexError, match="row bound 3"):
             column_partial_sum(cum, 2, 3)
+
+
+def containers(caller):
+    """One instance of every dataclass runoff exports, built from arrays
+    that caller(shape) hands out, by class name."""
+    tri = caller((3, 3))
+    tri[:] = [[100.0, 150.0, 175.0], [110.0, 160.0, np.nan], [120.0, np.nan, np.nan]]
+    report = runoff.VerificationReport("reserve-total", 1e-5)
+    report.add(caller(2).astype(int), caller(2).astype(int), caller(2), caller(2))
+    factors = runoff.DevelopmentFactors(3, caller(2))
+    sigmas = runoff.SigmaEstimates(3, caller(2))
+    return {
+        "IncrementalTriangle": runoff.IncrementalTriangle(3, caller((3, 3))),
+        "CumulativeTriangle": runoff.CumulativeTriangle(3, tri),
+        "ImpactTriangle": runoff.ImpactTriangle("reserve-total", None, 3, caller((3, 3))),
+        "DevelopmentFactors": factors,
+        "SigmaEstimates": sigmas,
+        "PriorUltimates": runoff.PriorUltimates(3, caller(3)),
+        "MackSummary": runoff.MackSummary(
+            factors, sigmas, caller(3), caller(3), 1.0, caller(3), 1.0
+        ),
+        "Fit": runoff.Fit.of(tri, caller(2), caller(2)),
+        "LognormalFit": runoff.LognormalFit(0.0, 1.0),
+        "FdScheme": runoff.FdScheme(),
+        "VerificationReport": report,
+    }
+
+
+def test_every_container_holds_read_only_copies():
+    """README: the containers are frozen dataclasses over read-only arrays
+    (a VerificationReport's add replaces its columns), and building one
+    neither freezes nor aliases the caller's arrays."""
+    handed_out = []
+
+    def caller(shape):
+        handed_out.append(np.ones(shape))
+        return handed_out[-1]
+
+    built = containers(caller)
+    exported = {
+        name for name in runoff.__all__ if dataclasses.is_dataclass(getattr(runoff, name))
+    }
+    assert set(built) == exported
+    for name, obj in built.items():
+        assert dataclasses.fields(obj)
+        frozen = type(obj).__dataclass_params__.frozen
+        assert frozen or name == "VerificationReport", name
+        arrays = [v for v in vars(obj).values() if isinstance(v, np.ndarray)]
+        assert all(not a.flags.writeable for a in arrays), name
+        assert not any(np.shares_memory(a, c) for a in arrays for c in handed_out), name
+    assert all(c.flags.writeable for c in handed_out)
