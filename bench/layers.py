@@ -10,9 +10,9 @@ is the least mean time per call over the batches (best_s), with the
 number of calls and batches made; a batch whose time passes SLOW_S ends
 the stage. The estimator and impact stages reuse one triangle and its
 factors and sigmas, so where runoff keeps a triangle's Fit they time only
-their own algebra over it; the fit stage times building that Fit and its
-d ln f kernel, and sensitivity_report a whole report (the perfbench
-api-report op) from the increments. The result goes under layers[label] of
+their own algebra over it; the fit stage times building that Fit with
+its d ln f kernel and Mack sums, and sensitivity_report a whole report
+(the perfbench api-report op) from the increments. The result goes under layers[label] of
 BENCH_<yyyymmdd>.json in the repository root, merged with what the file
 already holds, so a before and an after run share one file.
 """
@@ -65,6 +65,13 @@ def sensitivity_report(runoff, inc) -> tuple:
     )
 
 
+def fit(runoff, cum, factors, sigmas) -> tuple:
+    """A Fit with sigmas and what the impacts read of it beyond its sums:
+    g, and the Mack sums w and process, wherever the Fit computes them."""
+    built = runoff.Fit.build(cum, factors, sigmas)
+    return built.g, built.w, built.process
+
+
 def stages(runoff, dim: int) -> dict:
     """Name -> zero-argument call, each on the fitted state of one triangle."""
     inc = runoff.IncrementalTriangle.from_rows(random_rows(dim))
@@ -76,7 +83,7 @@ def stages(runoff, dim: int) -> dict:
         "cumulate": lambda: runoff.cumulate(inc),
         "estimate_development_factors": lambda: runoff.estimate_development_factors(cum),
         "estimate_sigmas": lambda: runoff.estimate_sigmas(cum, factors),
-        "fit": lambda: runoff.Fit.build(cum, factors, sigmas).g,
+        "fit": lambda: fit(runoff, cum, factors, sigmas),
         "impact_reserve_ay": lambda: runoff.impact_reserve_ay(cum, factors, dim),
         "impact_reserve_total": lambda: runoff.impact_reserve_total(cum, factors),
         "impact_bf_ay": lambda: runoff.impact_bf_ay(cum, factors, priors, dim),

@@ -12,11 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from runoff.chainladder import DevelopmentFactors, _fit, project_ultimates
-from runoff.triangle import CumulativeTriangle, ReadOnlyArrays
+from runoff.triangle import CumulativeTriangle, YearValues
 
 
 @dataclass(frozen=True)
-class PriorUltimates(ReadOnlyArrays):
+class PriorUltimates(YearValues):
     """Exogenous prior ultimates mu_i > 0, one per accident year."""
 
     dimension: int
@@ -47,16 +47,20 @@ def bf_reserve_values(fprod: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return mu - mu / fprod
 
 
+def _prior_values(cum: CumulativeTriangle, priors: PriorUltimates) -> np.ndarray:
+    """The priors' values, one per accident year of cum, or ValueError."""
+    if priors.dimension != cum.dimension:
+        raise ValueError(
+            f"priors cover {priors.dimension} accident years, triangle has {cum.dimension}"
+        )
+    return priors.values
+
+
 def bf_reserves(
     cum: CumulativeTriangle,
     factors: DevelopmentFactors,
     priors: PriorUltimates,
 ):
     """Per-year BF reserves mu_i (1 - 1/(f_{I-i+1} ... f_{I-1})) and their total."""
-    dim = cum.dimension
-    if priors.dimension != dim:
-        raise ValueError(
-            f"priors cover {priors.dimension} accident years, triangle has {dim}"
-        )
-    by_year = bf_reserve_values(_fit(cum, factors).fprod, priors.values)
+    by_year = bf_reserve_values(_fit(cum, factors).fprod, _prior_values(cum, priors))
     return by_year, float(np.sum(by_year))

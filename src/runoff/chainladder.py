@@ -17,15 +17,16 @@ from functools import cached_property
 
 import numpy as np
 
-from runoff.triangle import CumulativeTriangle, ReadOnlyArrays, _read_only, observed_mask
+from runoff.triangle import CumulativeTriangle, ReadOnlyArrays, YearValues, _read_only, observed_mask
 
 
 @dataclass(frozen=True)
-class DevelopmentFactors(ReadOnlyArrays):
+class DevelopmentFactors(YearValues):
     """Estimated factors f_j for j = 1..I-1."""
 
     dimension: int
     values: np.ndarray
+    SHORT = 1
 
     def factor(self, j: int) -> float:
         if not 1 <= j <= self.dimension - 1:
@@ -40,11 +41,12 @@ class DevelopmentFactors(ReadOnlyArrays):
 
 
 @dataclass(frozen=True)
-class SigmaEstimates(ReadOnlyArrays):
+class SigmaEstimates(YearValues):
     """Variance scales sigma^2_j for j = 1..I-1."""
 
     dimension: int
     values: np.ndarray
+    SHORT = 1
 
     def sigma2(self, j: int) -> float:
         if not 1 <= j <= self.dimension - 1:
@@ -106,12 +108,11 @@ class Fit:
     num, den: A_s and B_s, the sums of C_{n,s+1} and C_{n,s} over n <= I-s
     fprod:    F_i = f_{I-i+1} ... f_{I-1}, the factors still ahead of year i
     latest:   the latest diagonal C_{i,I-i+1}; ult = latest * F
-    w:        sum of sigma^2_s / (f_s^2 B_s) over the years s ahead of i
-    process:  sum of f_{I-i+1}..f_{s-1} sigma^2_s (f_{s+1}..f_{I-1})^2 over
-              the same s
-    w and process are None when the fit has no sigmas. The d ln f kernel g
-    and the derived reserves, later, mse_by_year and mse_total are computed
-    on first read, read-only: the impacts need g, refits do not.
+    sigma2:   the variance scales, None when the fit has no sigmas
+    The d ln f kernel g, the Mack sums w and process, and the derived
+    reserves, later, mse_by_year and mse_total are computed on first read,
+    read-only: the impacts need g, refits do not, and a refit that carries
+    sigma2 pays for the Mack sums only if its statistic reads them.
     """
 
     dimension: int
@@ -122,8 +123,6 @@ class Fit:
     latest: np.ndarray
     ult: np.ndarray
     sigma2: np.ndarray | None = None
-    w: np.ndarray | None = None
-    process: np.ndarray | None = None
 
     @classmethod
     def build(
@@ -169,19 +168,12 @@ class Fit:
             f = num / den
         ahead = np.cumprod(f[..., ::-1], axis=-1)
         fprod = np.concatenate((np.ones(ahead.shape[:-1] + (1,)), ahead), axis=-1)
-        mack = {}
-        if sigma2 is not None:
-            # F_i / (f_{I-i+1}..f_s) * (f_{s+1}..f_{I-1})^2 = F_i (f_{s+1}..f_{I-1}) / f_s
-            trail = fprod[..., dim - 1 - np.arange(1, dim)]
-            mack = {
-                "sigma2": np.array(sigma2),
-                "w": _ahead(sigma2 / (f**2 * den)),
-                "process": fprod * _ahead(sigma2 * trail / f),
-            }
         arrays = dict(
             num=np.array(num), den=np.array(den), factors=np.array(f), fprod=fprod,
-            latest=np.array(latest), ult=latest * fprod, **mack,
+            latest=np.array(latest), ult=latest * fprod,
         )
+        if sigma2 is not None:
+            arrays["sigma2"] = np.array(sigma2)
         return cls(dim, **{k: _read_only(v) for k, v in arrays.items()})
 
     @cached_property
@@ -204,22 +196,43 @@ class Fit:
         return _read_only(_ahead(self.ult[..., 1:])[..., ::-1])
 
     def _need_sigmas(self):
-        if self.w is None:
+        if self.sigma2 is None:
             raise ValueError("the fit has no sigmas; build it with SigmaEstimates")
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        """Sum of sigma^2_s / (f_s^2 B_s) over the years s ahead of i."""
+        self._need_sigmas()
+        return _read_only(_ahead(self.sigma2 / (self.factors**2 * self.den)))
+
+    @cached_property
+    def process(self) -> np.ndarray:
+        """Sum of f_{I-i+1}..f_{s-1} sigma^2_s (f_{s+1}..f_{I-1})^2 over the
+        years s ahead of i."""
+        self._need_sigmas()
+        # F_i / (f_{I-i+1}..f_s) * (f_{s+1}..f_{I-1})^2 = F_i (f_{s+1}..f_{I-1}) / f_s
+        trail = self.fprod[..., self.dimension - 1 - np.arange(1, self.dimension)]
+        return _read_only(self.fprod * _ahead(self.sigma2 * trail / self.factors))
 
     @cached_property
     def mse_by_year(self) -> np.ndarray:
         """latest * process + ult^2 * w: process variance plus estimation error."""
-        self._need_sigmas()
         return _read_only(self.latest * self.process + self.ult**2 * self.w)
 
     @cached_property
     def mse_total(self):
         """Per-year MSEs plus the cross covariances ult_i * later_i * 2 w_i,
         one value per batch entry."""
-        self._need_sigmas()
         cross = self.ult * self.later * 2.0 * self.w
         return _read_only(np.sum(self.mse_by_year, axis=-1) + np.sum(cross, axis=-1))
+
+
+def _check_dimension(cum: CumulativeTriangle, *given):
+    """ValueError unless the factors or sigmas given (None passes) are for
+    cum's I: other lengths would broadcast into a wrong answer."""
+    for g in given:
+        if g is not None and g.dimension != cum.dimension:
+            raise ValueError(f"{type(g).__name__} for I={g.dimension}, triangle has I={cum.dimension}")
 
 
 def _fit(
@@ -231,10 +244,12 @@ def _fit(
     keeps the last one built as (factors, sigmas, fit) in its __dict__, like
     a cached_property, and serves it to calls with the same (read-only, so
     unchanged) factors and sigmas objects. A fit with sigmas serves a call
-    without, and any fit serves factors None: the column sums and g."""
+    without, and any fit serves factors None: the column sums and g.
+    Factors or sigmas for another I raise ValueError."""
     held = cum.__dict__.get("_fit")
     if held and (factors is None or factors is held[0]) and (sigmas is None or sigmas is held[1]):
         return held[2]
+    _check_dimension(cum, factors, sigmas)
     fit = Fit.of(cum.values) if factors is None else Fit.build(cum, factors, sigmas)
     cum.__dict__["_fit"] = (factors, sigmas, fit)
     return fit
@@ -267,6 +282,7 @@ def estimate_sigmas(cum: CumulativeTriangle, factors: DevelopmentFactors) -> Sig
     min(sigma^4_{I-2}/sigma^2_{I-3}, min(sigma^2_{I-3}, sigma^2_{I-2})),
     reading 0/0 as 0 so all-proportional triangles yield zero throughout.
     """
+    _check_dimension(cum, factors)
     return SigmaEstimates(cum.dimension, sigma2_values(cum.values, factors.values))
 
 

@@ -37,6 +37,7 @@ from runoff.impact import (
     marginal_contributions,
 )
 from runoff.oracle import (
+    RESERVE_STATISTICS,
     verify_mse_components,
     verify_quantile_impacts,
     verify_reserve_impacts,
@@ -417,7 +418,7 @@ def cmd_verify(args) -> int:
     """Checks what impact computes, so refuses what impact refuses."""
     inc = _checked_input(args)
     compute(args.stat, inc, args.year, args.q, args.priors)
-    if args.stat in ("reserve-ay", "reserve-total", "bf-ay", "bf-total"):
+    if args.stat in RESERVE_STATISTICS:
         cum = cumulate(inc)
         bf = args.stat.startswith("bf")
         priors = load_priors(args.priors, cum, estimate_development_factors(cum)) if bf else None

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from runoff.bornhuetter import PriorUltimates
+from runoff.bornhuetter import PriorUltimates, _prior_values
 from runoff.chainladder import DevelopmentFactors, Fit, SigmaEstimates, _fit
 from runoff.triangle import (
     CumulativeTriangle,
@@ -144,7 +144,7 @@ def impact_bf_ay(
     """IF_{k,j}(R_i^BF) with frozen priors: zero for k >= i, otherwise the
     prior discounted by the factor product times the d ln f sums."""
     fit = _fit(cum, factors)
-    c = _one_year(fit, i, priors.values / fit.fprod)
+    c = _one_year(fit, i, _prior_values(cum, priors) / fit.fprod)
     return _impact("bf-ay", i, fit, _kernel(fit, c))
 
 
@@ -155,7 +155,8 @@ def impact_bf_total(
 ) -> ImpactTriangle:
     """IF_{k,j}(R^BF) = sum over accident years of IF_{k,j}(R_i^BF)."""
     fit = _fit(cum, factors)
-    return _impact("bf-total", None, fit, _kernel(fit, priors.values / fit.fprod))
+    mu = _prior_values(cum, priors)
+    return _impact("bf-total", None, fit, _kernel(fit, mu / fit.fprod))
 
 
 def _shrink(fit: Fit) -> np.ndarray:

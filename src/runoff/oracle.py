@@ -2,11 +2,14 @@
 
 Every numerical derivative is a complex step (Squire & Trapp, SIAM Review
 1998): dS/dX_{k,j} = Im S(X + ih e_{k,j}) / h with h = 1e-30, taken
-through the library's own array-form fit, stacked over the perturbed
-cells and refit one row at a time. It subtracts nothing, so there is no
-step size to choose and the derivative is exact to rounding. Reserve impacts are checked against
-the derivative of the refit reserve. MSE impacts cannot be checked that
-way: their estimation-error part substitutes an approximation after
+through the library's own Fit, stacked over the perturbed cells. The step
+adds ih to C_{k,r} for r >= j alone, so each cell's fit is the verifier's
+baseline Fit with ih added to the column sums and latest diagonal that
+C_{k,r} enters: no triangle is perturbed or cumulated again. It subtracts
+nothing, so there is no step size to choose and the derivative is exact
+to rounding. Reserve impacts are checked against the derivative of the
+refit reserve. MSE impacts cannot be checked that way: their
+estimation-error part substitutes an approximation after
 differentiation, so the raw derivative of the plug-in estimator is a
 different object. For those the oracle differentiates each building
 block and re-assembles the impact formula from the numerical blocks,
@@ -34,7 +37,7 @@ from runoff.impact import (
     impact_reserve_total,
 )
 from runoff.quantile import _impact_quantile, fit_lognormal, lognormal_quantile
-from runoff.triangle import IncrementalTriangle, _read_only, cumulate, cumulate_values, observed_mask
+from runoff.triangle import IncrementalTriangle, _read_only, cumulate, observed_mask
 
 # The imaginary step h. Its square vanishes against any real part, and
 # times any derivative met here it stays far above the smallest double.
@@ -51,6 +54,9 @@ class FdScheme:
     relative_step: float = 1e-6
     absolute_floor: float = 1e-2
 
+
+# The statistics verify_reserve_impacts checks.
+RESERVE_STATISTICS = ("reserve-total", "reserve-ay", "bf-total", "bf-ay")
 
 # The per-cell columns of a VerificationReport, in the order of its cell dicts.
 COLUMNS = ("k", "j", "analytic", "numeric", "rel_error")
@@ -159,49 +165,38 @@ def _partial(f: Callable, x):
     return np.imag(f(x + STEP * 1j)) / STEP
 
 
-def complex_step(
-    inc: IncrementalTriangle, statistic: Callable, sigma2: np.ndarray | None = None
-) -> np.ndarray:
+def complex_step(fit: Fit, statistic: Callable) -> np.ndarray:
     """d(statistic)/dX_{k,j} for every observed cell, on two trailing (I, I)
     axes that hold zero outside the observed region.
 
     statistic maps a Fit stacked on a leading axis of n entries to an
     (n, ...) array and must be complex-safe, as the library's array forms
-    are; the stacked fits carry sigma2 when it is given. Entry m of a stack
-    carries the imaginary step on one observed cell (k, j). X_{k,j} moves
-    row k of the cumulative triangle alone, so entry m is refit from the
-    baseline column sums and latest diagonal with row k's part replaced:
-    O(I) work per cell. The real parts are the baseline's exactly and the
-    imaginary parts carry the step. A stack holds BATCH_CELLS // I cells,
-    so each of its (n, I) arrays at most BATCH_CELLS values.
+    are. Entry m of a stack carries the imaginary step on one observed cell
+    (k, j). X_{k,j} + ih adds exactly ih to C_{k,r} for r >= j and changes
+    nothing else, so entry m is the baseline fit's column sums and latest
+    diagonal with ih added where C_{k,r} enters them: A_s for j <= s+1 and
+    B_s for j <= s when k <= I-s, and the latest cell of row k. The real
+    parts are the baseline's exactly. Every entry carries fit.sigma2, and
+    its Mack sums are computed only if statistic reads them. A stack holds
+    BATCH_CELLS // I cells, so each of its (n, I) arrays at most
+    BATCH_CELLS values.
     """
-    dim = inc.dimension
-    cum = cumulate_values(inc.values)
-    base = Fit.of(cum)
+    dim = fit.dimension
     observed = observed_mask(dim)
     k, j = np.nonzero(observed)
+    s = np.arange(1, dim)
     size = max(1, BATCH_CELLS // dim)
     parts = []
     for start in range(0, k.size, size):
-        kk, jj = k[start : start + size], j[start : start + size]
-        entry = np.arange(kk.size)
-        rows = inc.values[kk].astype(complex)
-        rows[entry, jj] += STEP * 1j
-        rows = cumulate_values(rows)
-        # the change of row k, whose real part is exactly 0, enters the
-        # column sums of f_s for k <= I-s
-        delta = rows - cum[kk]
-        inside = observed[kk, 1:]
-        latest = np.empty((kk.size, dim), dtype=complex)
-        latest[:] = base.latest
-        latest[entry, kk] = rows[entry, dim - 1 - kk]
-        fit = Fit.of_sums(
-            base.num + np.where(inside, delta[:, 1:], 0.0),
-            base.den + np.where(inside, delta[:, :-1], 0.0),
-            latest,
-            sigma2=sigma2,
+        kk, jj = k[start : start + size], j[start : start + size, None]
+        inside = observed[kk, 1:]  # k <= I-s
+        stack = Fit.of_sums(
+            fit.num + np.where(inside & (jj <= s), STEP * 1j, 0.0),
+            fit.den + np.where(inside & (jj < s), STEP * 1j, 0.0),
+            fit.latest + np.where(kk[:, None] == np.arange(dim), STEP * 1j, 0.0),
+            sigma2=fit.sigma2,
         )
-        parts.append(np.imag(statistic(fit)) / STEP)
+        parts.append(np.imag(statistic(stack)) / STEP)
     d = np.concatenate(parts)
     out = np.zeros(d.shape[1:] + (dim, dim))
     out[..., observed] = np.moveaxis(d, 0, -1)
@@ -222,6 +217,10 @@ def verify_reserve_impacts(
     statistics need year. BF priors default to the frozen chain-ladder
     ultimates of the unperturbed triangle.
     """
+    if statistic not in RESERVE_STATISTICS:
+        raise ValueError(
+            f"unknown statistic {statistic!r}; expected one of {', '.join(RESERVE_STATISTICS)}"
+        )
     if statistic.endswith("-ay") and year is None:
         raise ValueError(f"{statistic} needs an accident year")
     cum = cumulate(inc)
@@ -241,7 +240,7 @@ def verify_reserve_impacts(
         return by_year[..., year - 1] if statistic.endswith("-ay") else np.sum(by_year, axis=-1)
 
     report = VerificationReport(statistic=statistic, tolerance=tolerance)
-    report.add_triangle(analytic.values, complex_step(inc, refit))
+    report.add_triangle(analytic.values, complex_step(_fit(cum, factors), refit))
     return report
 
 
@@ -251,28 +250,25 @@ def _column_totals(fit: Fit) -> np.ndarray:
     return np.concatenate((fit.den + fit.latest[..., :0:-1], fit.latest[..., :1]), axis=-1)
 
 
-def _mse_blocks(
-    inc: IncrementalTriangle,
-    sigma2: np.ndarray | None = None,
-    extra: Callable | None = None,
-) -> dict:
+def _mse_blocks(fit: Fit, extra: Callable | None = None) -> dict:
     """Complex-step dlnf[s-1] = d ln f_s, dcrow[r-1] = dC_{k,r} and
-    dult[q-1] = dChat_q, each over the cells (k, j) on two trailing axes.
-    X_{k,j} moves row k of the cumulative triangle alone, so dC_{k,r} is
-    the derivative of the sum of C_{n,r} over every row n.
+    dult[q-1] = dChat_q, each over the cells (k, j) on two trailing axes,
+    stepped from the baseline fit. X_{k,j} moves row k of the cumulative
+    triangle alone, so dC_{k,r} is the derivative of the sum of C_{n,r}
+    over every row n.
 
-    extra, when given, maps the stacked fit (with sigma2) to one more
-    statistic per entry, differentiated in the same stack: its derivative
-    is under "extra"."""
-    dim = inc.dimension
+    extra, when given, maps the stacked fit (which carries the baseline's
+    sigma2) to one more statistic per entry, differentiated in the same
+    stack: its derivative is under "extra"."""
+    dim = fit.dimension
 
-    def blocks(fit):
-        values = [np.log(fit.factors), _column_totals(fit), fit.ult]
+    def blocks(stack):
+        values = [np.log(stack.factors), _column_totals(stack), stack.ult]
         if extra is not None:
-            values.append(extra(fit)[..., None])
+            values.append(extra(stack)[..., None])
         return np.concatenate(values, axis=-1)
 
-    d = complex_step(inc, blocks, sigma2)
+    d = complex_step(fit, blocks)
     out = {
         "dlnf": d[: dim - 1],
         "dcrow": d[dim - 1 : 2 * dim - 1],
@@ -353,7 +349,7 @@ def verify_mse_components(
     def plugin(refit):
         return refit.mse_total if year is None else refit.mse_by_year[..., year - 1]
 
-    blocks = _mse_blocks(inc, fit.sigma2, plugin)
+    blocks = _mse_blocks(fit, plugin)
     dlnf, dcrow, dult = blocks["dlnf"], blocks["dcrow"], blocks["dult"]
     report = VerificationReport(statistic="mse-components", tolerance=tolerance)
     rows = np.arange(dim)
@@ -413,7 +409,7 @@ def verify_quantile_impacts(
     analytic = _impact_quantile(fit, q)
     df_dr = _partial(lambda r: lognormal_quantile(fit_lognormal(r, mse), q), total_reserve)
     df_dm = _partial(lambda m: lognormal_quantile(fit_lognormal(total_reserve, m), q), mse)
-    blocks = _mse_blocks(inc, extra=lambda refit: np.sum(refit.reserves, axis=-1))
+    blocks = _mse_blocks(fit, lambda refit: np.sum(refit.reserves, axis=-1))
     if_m = _assemble_mse_from_blocks(fit, blocks)[1]
     report = VerificationReport(statistic="quantile", tolerance=tolerance)
     report.add_triangle(analytic.values, df_dr * blocks["extra"] + df_dm * if_m)

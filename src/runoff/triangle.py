@@ -38,6 +38,21 @@ class ReadOnlyArrays:
                 object.__setattr__(self, f.name, _read_only(np.array(getattr(self, f.name))))
 
 
+class YearValues(ReadOnlyArrays):
+    """Base of the per-year containers: values holds one entry per year,
+    dimension - SHORT of them (I - 1 development years or I accident
+    years). The subclasses are frozen dataclasses with dimension and
+    values fields."""
+
+    SHORT = 0
+
+    def __post_init__(self):
+        super().__post_init__()
+        want = (self.dimension - self.SHORT,)
+        if self.values.shape != want:
+            raise ValueError(f"values must have shape {want}, got {self.values.shape}")
+
+
 class Triangle:
     """What every triangle shares: a read-only (I, I) float copy of its
     values, NaN outside the observed region, read cell by cell. The

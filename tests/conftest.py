@@ -3,6 +3,7 @@ import importlib.resources as ir
 import numpy as np
 import pytest
 
+from runoff.chainladder import Fit
 from runoff.cli import ingest
 from runoff.triangle import IncrementalTriangle
 
@@ -53,3 +54,18 @@ def random_corpus() -> list:
 @pytest.fixture(scope="session")
 def small_corpus() -> list:
     return build_corpus(count=5, seed=7)
+
+
+@pytest.fixture
+def fit_builds(monkeypatch):
+    """The Fit.of_sums calls made while the test runs, one entry each;
+    every Fit is built through it."""
+    calls = []
+    of_sums = Fit.of_sums.__func__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return of_sums(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fit, "of_sums", classmethod(counted))
+    return calls

@@ -5,6 +5,8 @@ import pytest
 
 from runoff.bornhuetter import PriorUltimates, bf_reserves, default_priors
 from runoff.chainladder import estimate_development_factors, project_ultimates, reserves
+from runoff.impact import impact_bf_ay, impact_bf_total
+from runoff.oracle import verify_reserve_impacts
 from runoff.triangle import cumulate
 
 
@@ -75,7 +77,18 @@ class TestBfReserves:
             bf_reserves(cum, factors, PriorUltimates(10, mu))
 
     def test_dimension_mismatch(self, belgian):
+        """Every BF statistic refuses priors for another number of years,
+        where one prior would otherwise broadcast over all ten."""
         cum = cumulate(belgian)
         factors = estimate_development_factors(cum)
-        with pytest.raises(ValueError, match="priors cover 3 accident years"):
-            bf_reserves(cum, factors, PriorUltimates(3, np.ones(3)))
+        for count in (1, 3):
+            priors = PriorUltimates(count, np.full(count, 1e6))
+            for call in (
+                lambda: bf_reserves(cum, factors, priors),
+                lambda: impact_bf_total(cum, factors, priors),
+                lambda: impact_bf_ay(cum, factors, priors, 6),
+                lambda: verify_reserve_impacts(belgian, "bf-total", priors=priors),
+                lambda: verify_reserve_impacts(belgian, "bf-ay", 6, priors),
+            ):
+                with pytest.raises(ValueError, match=f"priors cover {count} accident years, triangle has 10"):
+                    call()

@@ -8,6 +8,7 @@ from runoff.bornhuetter import PriorUltimates, bf_reserves, default_priors
 from runoff.chainladder import (
     DevelopmentFactors,
     Fit,
+    SigmaEstimates,
     _fit,
     estimate_development_factors,
     estimate_sigmas,
@@ -283,21 +284,6 @@ class TestMackSummary:
         )
 
 
-@pytest.fixture
-def fit_builds(monkeypatch):
-    """The Fit.of_sums calls made while the test runs, one entry each;
-    every Fit is built through it."""
-    calls = []
-    of_sums = Fit.of_sums.__func__
-
-    def counted(cls, *args, **kwargs):
-        calls.append(args)
-        return of_sums(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fit, "of_sums", classmethod(counted))
-    return calls
-
-
 class TestFitMemo:
     """A triangle keeps the last Fit built for it, keyed by the identity of
     its read-only factors and sigmas."""
@@ -362,6 +348,20 @@ class TestFitMemo:
             got[:] = 0.0
         again = reserves(cum, factors)
         assert again[0].tolist() == want[0].tolist() and again[1] == want[1]
+
+    def test_factors_and_sigmas_of_another_dimension_are_refused(self):
+        # a one-entry sigma array or an empty or two-entry factor array would broadcast
+        cum = cumulate(random_triangle(np.random.default_rng([8, 6]), 6))
+        factors = estimate_development_factors(cum)
+        sigmas = estimate_sigmas(cum, factors)
+        for call, name, dim in (
+            (lambda: mse_total(cum, factors, SigmaEstimates(2, [5.0])), "SigmaEstimates", 2),
+            (lambda: reserves(cum, DevelopmentFactors(1, [])), "DevelopmentFactors", 1),
+            (lambda: impact_mse_total(cum, DevelopmentFactors(2, [1.1]), sigmas), "DevelopmentFactors", 2),
+            (lambda: estimate_sigmas(cum, DevelopmentFactors(3, [1.1, 1.2])), "DevelopmentFactors", 3),
+        ):
+            with pytest.raises(ValueError, match=f"{name} for I={dim}, triangle has I=6"):
+                call()
 
     def test_build_is_pure(self, belgian):
         cum = cumulate(belgian)

@@ -150,6 +150,12 @@ class TestVerifyReserveImpacts:
         with pytest.raises(ValueError, match="needs an accident year"):
             verify_reserve_impacts(belgian, "reserve-ay")
 
+    def test_unknown_statistic_names_the_four(self, belgian, fit_builds):
+        want = "'mse-total'; expected one of reserve-total, reserve-ay, bf-total, bf-ay"
+        with pytest.raises(ValueError, match=want):
+            verify_reserve_impacts(belgian, "mse-total")
+        assert not fit_builds  # refused before any work
+
     def test_proportional_triangle(self):
         report = verify_reserve_impacts(proportional_triangle(), "reserve-total")
         assert report.passed
@@ -260,7 +266,7 @@ def test_assembly_matches_the_loop_reference(dim):
     cum = cumulate(inc)
     factors = estimate_development_factors(cum)
     fit = Fit.build(cum, factors, estimate_sigmas(cum, factors))
-    blocks = _mse_blocks(inc)
+    blocks = _mse_blocks(fit)
     yearly, total = _assemble_mse_from_blocks(fit, blocks)
     rows = np.arange(dim)
     observed = rows[:, None] + rows <= dim - 1
@@ -315,6 +321,23 @@ def test_no_false_alarms_at_large_dimension(dim):
         assert report.passed, (report.statistic, report.max_rel_error, report.worst_cell)
 
 
+@pytest.mark.parametrize("dim", [10, 20])
+def test_one_baseline_fit_per_verifier(dim, fit_builds):
+    """Each verifier steps the Fit it already holds: the factors' fit, the
+    fit with sigmas where the MSE needs them, and one stack of stepped fits
+    (every cell fits in one stack at these sizes)."""
+    inc = random_triangle(np.random.default_rng([9, dim]), dim)
+    for verify, builds in (
+        (lambda: verify_reserve_impacts(inc, "reserve-total"), 2),
+        (lambda: verify_reserve_impacts(inc, "bf-total"), 2),
+        (lambda: verify_mse_components(inc), 3),
+        (lambda: verify_quantile_impacts(inc, 0.995), 3),
+    ):
+        fit_builds.clear()
+        assert verify().passed
+        assert len(fit_builds) == builds
+
+
 def full_stack_complex_step(inc, statistic):
     """The complex step before row updates, kept as the reference: each
     entry of a stack is the whole perturbed (I, I) incremental triangle,
@@ -355,7 +378,7 @@ def assert_row_update_is_the_full_refit(inc):
     ]
     for statistic, s2 in pairs:
         want = full_stack_complex_step(inc, lambda x: statistic(full(x)))
-        assert np.array_equal(complex_step(inc, statistic, s2), want)
+        assert np.array_equal(complex_step(Fit.of(cum.values, sigma2=s2), statistic), want)
 
     def blocks(x):
         c = cumulate_values(x)
@@ -363,7 +386,7 @@ def assert_row_update_is_the_full_refit(inc):
         return np.concatenate((np.log(fit.factors), np.nansum(c, axis=-2), fit.ult), axis=-1)
 
     want = full_stack_complex_step(inc, blocks)
-    got = _mse_blocks(inc)
+    got = _mse_blocks(Fit.of(cum.values))
     for name, rows in (("dlnf", slice(0, dim - 1)), ("dcrow", slice(dim - 1, 2 * dim - 1))):
         assert np.array_equal(got[name], want[rows]), name
     assert np.array_equal(got["dult"], want[2 * dim - 1 :])

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -219,6 +220,19 @@ def containers(caller):
         "FdScheme": runoff.FdScheme(),
         "VerificationReport": report,
     }
+
+
+@pytest.mark.parametrize(
+    "cls, count",
+    [(runoff.DevelopmentFactors, 5), (runoff.SigmaEstimates, 5), (runoff.PriorUltimates, 6)],
+)
+def test_per_year_containers_check_their_length(cls, count):
+    """I - 1 factors or sigmas and I priors for I = 6; any other shape
+    would broadcast into a silently wrong answer."""
+    assert cls(6, np.ones(count)).values.shape == (count,)
+    for shape in ((1,), (count - 1,), (count + 1,), (1, count), ()):
+        with pytest.raises(ValueError, match=rf"shape \({count},\), got {re.escape(str(shape))}"):
+            cls(6, np.ones(shape))
 
 
 def test_every_container_holds_read_only_copies():
