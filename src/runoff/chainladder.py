@@ -12,7 +12,7 @@ triangles refits in one pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -176,6 +176,16 @@ class Fit:
             arrays["sigma2"] = np.array(sigma2)
         return cls(dim, **{k: _read_only(v) for k, v in arrays.items()})
 
+    def with_sigmas(self, sigma2: np.ndarray) -> "Fit":
+        """This fit with the variance scales sigma2: the same read-only sums,
+        factor products and ultimates, and the derived arrays that do not
+        read sigma2 (g, reserves, later) where this fit has computed them."""
+        fit = replace(self, sigma2=_read_only(np.array(sigma2)))
+        for name in ("g", "reserves", "later"):
+            if name in self.__dict__:
+                fit.__dict__[name] = self.__dict__[name]
+        return fit
+
     @cached_property
     def g(self) -> np.ndarray:
         """d ln f_s / dX_{k,j} for every row k <= I-s (zero below):
@@ -244,13 +254,19 @@ def _fit(
     keeps the last one built as (factors, sigmas, fit) in its __dict__, like
     a cached_property, and serves it to calls with the same (read-only, so
     unchanged) factors and sigmas objects. A fit with sigmas serves a call
-    without, and any fit serves factors None: the column sums and g.
-    Factors or sigmas for another I raise ValueError."""
+    without, and any fit serves factors None: the column sums and g. A
+    call with other sigmas for the held factors derives its fit from the
+    held one (Fit.with_sigmas) instead of refitting. Factors or sigmas for
+    another I raise ValueError."""
     held = cum.__dict__.get("_fit")
-    if held and (factors is None or factors is held[0]) and (sigmas is None or sigmas is held[1]):
-        return held[2]
-    _check_dimension(cum, factors, sigmas)
-    fit = Fit.of(cum.values) if factors is None else Fit.build(cum, factors, sigmas)
+    if held and (factors is None or factors is held[0]):
+        if sigmas is None or sigmas is held[1]:
+            return held[2]
+        _check_dimension(cum, sigmas)
+        factors, fit = held[0], held[2].with_sigmas(sigmas.values)
+    else:
+        _check_dimension(cum, factors, sigmas)
+        fit = Fit.of(cum.values) if factors is None else Fit.build(cum, factors, sigmas)
     cum.__dict__["_fit"] = (factors, sigmas, fit)
     return fit
 

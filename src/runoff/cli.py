@@ -173,7 +173,7 @@ def compute(stat: str, inc: IncrementalTriangle, year, q: float, priors_src: str
     if stat in ("mse-ay", "mse-total"):
         return impacts, m
     if stat in ("rmse-ay", "rmse-total"):
-        _check_mse(f"{stat} impact", m, sigmas.values)
+        _check_mse(f"{stat} impact", m, not np.any(sigmas.values))
         return impact_rmse(m, impacts), math.sqrt(m)
     if stat == "quantile":
         fit = _fit(cum, factors, sigmas)

@@ -58,15 +58,17 @@ def _impact(statistic: str, target, fit: Fit, values: np.ndarray) -> ImpactTrian
 
 
 def _by_row(per_s: np.ndarray) -> np.ndarray:
-    """(I, I) array whose row k is the sum of per_s[s-1] over s <= I-k.
+    """(..., I, I) array whose row k is the sum of per_s[..., s-1, :] over
+    s <= I-k.
 
-    per_s holds one row per development year s = 1..I-1. Only rows k <= I-s
-    enter the column sums of f_s, so a term of year s reaches rows 1..I-s:
-    a prefix sum over s, read at s = I-k (an empty sum for k = I).
+    per_s holds one row per development year s = 1..I-1, on any leading
+    batch axes. Only rows k <= I-s enter the column sums of f_s, so a term
+    of year s reaches rows 1..I-s: a prefix sum over s, read at s = I-k
+    (an empty sum for k = I).
     """
-    dim = per_s.shape[0] + 1
-    out = np.zeros((dim, dim))
-    out[:-1] = np.cumsum(per_s, axis=0)[::-1]
+    dim = per_s.shape[-2] + 1
+    out = np.zeros(per_s.shape[:-2] + (dim, dim))
+    out[..., :-1, :] = np.cumsum(per_s, axis=-2)[..., ::-1, :]
     return out
 
 
@@ -76,10 +78,11 @@ def _kernel(fit: Fit, c: np.ndarray) -> np.ndarray:
     This is sum over q of c_q IF_{k,j}(R_q) / ult_q off the diagonal, the
     shape every reserve-like total shares. Swapping the sums gives
     sum over s <= I-k of g[s, j] * (sum of c_q over q >= I-s+1): one suffix
-    sum over q and one prefix sum over s, O(I^2). c_1 never enters.
+    sum over q and one prefix sum over s, O(I^2). c_1 never enters. c may
+    carry leading batch axes, (..., I), and so does the result.
     """
-    ahead = np.cumsum(c[:0:-1])
-    return _by_row(fit.g * ahead[:, None])
+    ahead = np.cumsum(c[..., :0:-1], axis=-1)
+    return _by_row(fit.g * ahead[..., :, None])
 
 
 def _one_year(fit: Fit, i: int, per_year: np.ndarray) -> np.ndarray:
@@ -89,6 +92,21 @@ def _one_year(fit: Fit, i: int, per_year: np.ndarray) -> np.ndarray:
     c = np.zeros(fit.dimension)
     c[i - 1] = per_year[i - 1]
     return c
+
+
+def _year(fit: Fit, i: int | None, per_year: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """The kernel of per_year on accident year i alone, with row i set to
+    diagonal[i-1] (flat in j). For i None, every year's at once, (I, I, I):
+    the weights are the rows of diag(per_year), one batched kernel, and
+    slot [i-1] is year i's triangle bit for bit."""
+    if i is None:
+        values = _kernel(fit, np.diag(per_year))
+        rows = np.arange(fit.dimension)
+        values[rows, rows] = diagonal[:, None]
+    else:
+        values = _kernel(fit, _one_year(fit, i, per_year))
+        values[i - 1] = diagonal[i - 1]
+    return values
 
 
 def d_ln_f(cum: CumulativeTriangle, s: int, k: int, j: int) -> float:
@@ -117,10 +135,9 @@ def impact_reserve_ay(
     return _impact("reserve-ay", i, fit, _reserve_ay(fit, i))
 
 
-def _reserve_ay(fit: Fit, i: int) -> np.ndarray:
-    values = _kernel(fit, _one_year(fit, i, fit.ult))
-    values[i - 1] = fit.fprod[i - 1] - 1.0
-    return values
+def _reserve_ay(fit: Fit, i: int | None) -> np.ndarray:
+    """IF(R_i) as an (I, I) array, or every year's, (I, I, I), for i None."""
+    return _year(fit, i, fit.ult, fit.fprod - 1.0)
 
 
 def _reserve_total(fit: Fit) -> np.ndarray:
@@ -187,15 +204,22 @@ def impact_mse_ay(
     return _impact("mse-ay", i, fit, _mse_ay(fit, i))
 
 
-def _mse_ay(fit: Fit, i: int) -> np.ndarray:
-    values = _kernel(fit, _one_year(fit, i, _shrink(fit) * fit.ult))
-    values[i - 1] = _mse_diagonal(fit)[i - 1]
-    return values
+def _mse_ay(fit: Fit, i: int | None) -> np.ndarray:
+    """IF(mse_i) as an (I, I) array, or every year's, (I, I, I), for i None."""
+    return _year(fit, i, _shrink(fit) * fit.ult, _mse_diagonal(fit))
 
 
 def impact_rmse(mse_value: float, mse_impacts: ImpactTriangle) -> ImpactTriangle:
-    """Map MSE impacts to RMSE impacts: v -> v / (2 sqrt(mse))."""
+    """Map MSE impacts to RMSE impacts: v -> v / (2 sqrt(mse)).
+
+    mse_value must be positive. The total and year I read every sigma^2,
+    so their MSE impacts vanish on every cell exactly when each sigma^2
+    is 0; a zero MSE with such impacts is refused with that cause.
+    """
     if mse_value <= 0.0:
+        reads_every_sigma = mse_impacts.target in (None, mse_impacts.dimension)
+        if reads_every_sigma and not np.any(np.nan_to_num(mse_impacts.values)):
+            _check_mse("impact_rmse", mse_value, zero_sigmas=True)
         raise ValueError("rmse impact undefined for mse_value <= 0")
     scale = 1.0 / (2.0 * np.sqrt(mse_value))
     tag = mse_impacts.statistic.replace("mse", "rmse", 1)
@@ -204,13 +228,14 @@ def impact_rmse(mse_value: float, mse_impacts: ImpactTriangle) -> ImpactTriangle
     )
 
 
-def _check_mse(what: str, mse: float, sigma2: np.ndarray):
+def _check_mse(what: str, mse: float, zero_sigmas: bool):
     """Raise ValueError when mse is not positive, since what divides by
-    it; the message names the cause."""
+    it; the message names the cause, every sigma^2 being 0 when
+    zero_sigmas."""
     if mse <= 0.0:
         cause = (
             "all development ratios are proportional, every sigma^2 is 0"
-            if not np.any(sigma2)
+            if zero_sigmas
             else f"mse = {mse}"
         )
         raise ValueError(f"{what} undefined: {cause}")

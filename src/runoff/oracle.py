@@ -2,13 +2,17 @@
 
 Every numerical derivative is a complex step (Squire & Trapp, SIAM Review
 1998): dS/dX_{k,j} = Im S(X + ih e_{k,j}) / h with h = 1e-30, taken
-through the library's own Fit, stacked over the perturbed cells. The step
-adds ih to C_{k,r} for r >= j alone, so each cell's fit is the verifier's
-baseline Fit with ih added to the column sums and latest diagonal that
-C_{k,r} enters: no triangle is perturbed or cumulated again. It subtracts
-nothing, so there is no step size to choose and the derivative is exact
-to rounding. Reserve impacts are checked against the derivative of the
-refit reserve. MSE impacts cannot be checked that way: their
+through the library's own Fit. Every statistic reads the triangle only
+through the fitted column sums and the latest diagonal, and X_{k,j} enters
+each of them with coefficient 1; so the oracle steps each of the 3I-2
+sums of the verifier's baseline Fit once, in one stack, and maps that
+gradient to the cells by the chain rule, one product with the 0/1
+incidence of the cells in the sums. No triangle is perturbed or cumulated
+again. The step subtracts nothing, so there is no step size to choose and
+the derivative is exact to rounding. The derivatives are held over the
+observed cells alone, one entry per cell in row-major order (_cells).
+Reserve impacts are checked against the derivative of the refit reserve.
+MSE impacts cannot be checked that way: their
 estimation-error part substitutes an approximation after
 differentiation, so the raw derivative of the plug-in estimator is a
 different object. For those the oracle differentiates each building
@@ -42,9 +46,6 @@ from runoff.triangle import IncrementalTriangle, _read_only, cumulate, observed_
 # The imaginary step h. Its square vanishes against any real part, and
 # times any derivative met here it stays far above the smallest double.
 STEP = 1e-30
-# n cells times I, the size of each (n, I) array of one stacked refit;
-# bounds the memory of a stack at any I.
-BATCH_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -92,11 +93,12 @@ class VerificationReport:
         self._cells = None
 
     def add_triangle(self, analytic: np.ndarray, numeric: np.ndarray):
-        """Record every observed cell of two (..., I, I) stacks of triangles,
-        triangle by triangle, each row-major."""
-        observed = observed_mask(analytic.shape[-1])
-        analytic, numeric = analytic[..., observed], numeric[..., observed]
-        k, j = (np.broadcast_to(c + 1, analytic.shape) for c in np.nonzero(observed))
+        """Record every observed cell of a (..., I, I) stack of analytic
+        triangles against the numeric derivatives in the cell layout
+        (..., n) of complex_step, triangle by triangle, each row-major."""
+        dim = analytic.shape[-1]
+        analytic = analytic[..., observed_mask(dim)]
+        k, j = (np.broadcast_to(c, analytic.shape) for c in _cells(dim))
         self.add(k, j, analytic, numeric)
 
     @property
@@ -160,47 +162,58 @@ def fd_derivative(
     return (up - down) / (2.0 * h)
 
 
+def _cells(dim: int) -> tuple:
+    """k and j, 1-based, of the observed cells in row-major order: the
+    cell layout of the oracle's derivatives, one entry per cell on the
+    last axis."""
+    return tuple(c + 1 for c in np.nonzero(observed_mask(dim)))
+
+
 def _partial(f: Callable, x):
     """df/dx at a real x by one complex step, Im f(x + ih) / h."""
     return np.imag(f(x + STEP * 1j)) / STEP
 
 
+def _incidence(dim: int) -> np.ndarray:
+    """(3I-2, n) 0/1 array over the n observed cells (_cells): entry [m, c]
+    is 1 where cell c's X_{k,j} enters fitted sum m, in the order
+    A_1..A_{I-1}, B_1..B_{I-1}, L_1..L_I.
+
+    X_{k,j} adds to C_{k,r} for r >= j alone, so it enters A_s when
+    j <= s+1 and B_s when j <= s, both only for rows k <= I-s, and the
+    latest cell L_k of its own row."""
+    k, j = _cells(dim)
+    s = np.arange(1, dim)[:, None]
+    inside = k <= dim - s
+    latest = np.arange(1, dim + 1)[:, None] == k
+    return np.concatenate((inside & (j <= s + 1), inside & (j <= s), latest)).astype(float)
+
+
 def complex_step(fit: Fit, statistic: Callable) -> np.ndarray:
-    """d(statistic)/dX_{k,j} for every observed cell, on two trailing (I, I)
-    axes that hold zero outside the observed region.
+    """d(statistic)/dX_{k,j} for every observed cell, on a trailing axis of
+    n = I(I+1)/2 entries in the cell layout of _cells (row-major).
 
     statistic maps a Fit stacked on a leading axis of n entries to an
     (n, ...) array and must be complex-safe, as the library's array forms
-    are. Entry m of a stack carries the imaginary step on one observed cell
-    (k, j). X_{k,j} + ih adds exactly ih to C_{k,r} for r >= j and changes
-    nothing else, so entry m is the baseline fit's column sums and latest
-    diagonal with ih added where C_{k,r} enters them: A_s for j <= s+1 and
-    B_s for j <= s when k <= I-s, and the latest cell of row k. The real
-    parts are the baseline's exactly. Every entry carries fit.sigma2, and
-    its Mack sums are computed only if statistic reads them. A stack holds
-    BATCH_CELLS // I cells, so each of its (n, I) arrays at most
-    BATCH_CELLS values.
+    are. It reads the triangle only through the fitted sums A_s, B_s
+    (s = 1..I-1) and the latest diagonal L_i, and X_{k,j} enters each of
+    them linearly with coefficient 1. So one stack of 3I-2 entries, entry
+    m the baseline fit with ih added to sum m alone (real parts exactly
+    the baseline's, sigma2 the baseline's), gives the gradient over the
+    sums, and one product with the 0/1 incidence of the cells in the sums
+    (_incidence) maps it to every cell by the chain rule. The Mack sums
+    of the stack are computed only if statistic reads them.
     """
     dim = fit.dimension
-    observed = observed_mask(dim)
-    k, j = np.nonzero(observed)
-    s = np.arange(1, dim)
-    size = max(1, BATCH_CELLS // dim)
-    parts = []
-    for start in range(0, k.size, size):
-        kk, jj = k[start : start + size], j[start : start + size, None]
-        inside = observed[kk, 1:]  # k <= I-s
-        stack = Fit.of_sums(
-            fit.num + np.where(inside & (jj <= s), STEP * 1j, 0.0),
-            fit.den + np.where(inside & (jj < s), STEP * 1j, 0.0),
-            fit.latest + np.where(kk[:, None] == np.arange(dim), STEP * 1j, 0.0),
-            sigma2=fit.sigma2,
-        )
-        parts.append(np.imag(statistic(stack)) / STEP)
-    d = np.concatenate(parts)
-    out = np.zeros(d.shape[1:] + (dim, dim))
-    out[..., observed] = np.moveaxis(d, 0, -1)
-    return out
+    step = np.eye(3 * dim - 2) * (STEP * 1j)
+    stack = Fit.of_sums(
+        fit.num + step[:, : dim - 1],
+        fit.den + step[:, dim - 1 : 2 * dim - 2],
+        fit.latest + step[:, 2 * dim - 2 :],
+        sigma2=fit.sigma2,
+    )
+    grad = np.moveaxis(np.imag(statistic(stack)) / STEP, 0, -1)
+    return grad @ _incidence(dim)
 
 
 def verify_reserve_impacts(
@@ -214,18 +227,23 @@ def verify_reserve_impacts(
     derivative of the refit reserve.
 
     statistic: reserve-total | reserve-ay | bf-total | bf-ay. Per-year
-    statistics need year. BF priors default to the frozen chain-ladder
-    ultimates of the unperturbed triangle.
+    statistics need year and the totals refuse one; priors apply to the BF
+    statistics alone, and default to the frozen chain-ladder ultimates of
+    the unperturbed triangle.
     """
     if statistic not in RESERVE_STATISTICS:
         raise ValueError(
             f"unknown statistic {statistic!r}; expected one of {', '.join(RESERVE_STATISTICS)}"
         )
-    if statistic.endswith("-ay") and year is None:
+    per_year, bf = statistic.endswith("-ay"), statistic.startswith("bf")
+    if per_year and year is None:
         raise ValueError(f"{statistic} needs an accident year")
+    if not per_year and year is not None:
+        raise ValueError(f"{statistic} takes no accident year, got {year}")
+    if not bf and priors is not None:
+        raise ValueError(f"{statistic} takes no priors")
     cum = cumulate(inc)
     factors = estimate_development_factors(cum)
-    bf = statistic.startswith("bf")
     if bf and priors is None:
         priors = default_priors(cum, factors)
     analytic = {
@@ -237,7 +255,7 @@ def verify_reserve_impacts(
 
     def refit(fit):
         by_year = bf_reserve_values(fit.fprod, priors.values) if bf else fit.reserves
-        return by_year[..., year - 1] if statistic.endswith("-ay") else np.sum(by_year, axis=-1)
+        return by_year[..., year - 1] if per_year else np.sum(by_year, axis=-1)
 
     report = VerificationReport(statistic=statistic, tolerance=tolerance)
     report.add_triangle(analytic.values, complex_step(_fit(cum, factors), refit))
@@ -252,10 +270,10 @@ def _column_totals(fit: Fit) -> np.ndarray:
 
 def _mse_blocks(fit: Fit, extra: Callable | None = None) -> dict:
     """Complex-step dlnf[s-1] = d ln f_s, dcrow[r-1] = dC_{k,r} and
-    dult[q-1] = dChat_q, each over the cells (k, j) on two trailing axes,
-    stepped from the baseline fit. X_{k,j} moves row k of the cumulative
-    triangle alone, so dC_{k,r} is the derivative of the sum of C_{n,r}
-    over every row n.
+    dult[q-1] = dChat_q, each over the cells (k, j) in the layout of
+    complex_step, stepped from the baseline fit. X_{k,j} moves row k of
+    the cumulative triangle alone, so dC_{k,r} is the derivative of the
+    sum of C_{n,r} over every row n.
 
     extra, when given, maps the stacked fit (which carries the baseline's
     sigma2) to one more statistic per entry, differentiated in the same
@@ -280,14 +298,14 @@ def _mse_blocks(fit: Fit, extra: Callable | None = None) -> dict:
 
 
 def _in_column_sums(dim: int) -> np.ndarray:
-    """(I-1, I, 1) mask, slot [s-1, k-1]: row k enters the column sums of
-    f_s, k <= I-s."""
-    rows = np.arange(dim)
-    return (rows <= dim - 1 - rows[1:, None])[:, :, None]
+    """(I-1, n) mask over the cells, slot [s-1, c]: cell c's row k enters
+    the column sums of f_s, k <= I-s."""
+    return _cells(dim)[0] <= dim - np.arange(1, dim)[:, None]
 
 
 def _assemble_mse_from_blocks(fit: Fit, blocks):
-    """Rebuild the MSE impact triangles from numerical blocks, as (yearly, total).
+    """Rebuild the MSE impact triangles from numerical blocks, as (yearly, total),
+    in the cell layout of the blocks.
 
     Same algebra as the analytic formulas, but every derivative factor
     (d ln f, dC, dChat) is the complex-step value. Variance scales
@@ -297,29 +315,29 @@ def _assemble_mse_from_blocks(fit: Fit, blocks):
     """
     dim = fit.dimension
     dlnf, dcrow, dult = blocks["dlnf"], blocks["dcrow"], blocks["dult"]
-    rows = np.arange(dim)
+    rows, k = np.arange(dim)[:, None], _cells(dim)[0] - 1
     # d(mse_i): rows k < i get the shrink constant times the reserve impact
     # assembled from d ln f; row i the diagonal constant times the derivative of
     # the latest cumulative C_{i, I-i+1}.
-    yearly = (_shrink(fit) * fit.ult)[:, None, None] * _ahead(dlnf, axis=0)
-    yearly *= (rows < rows[:, None])[:, :, None]
-    yearly[rows, rows] = _mse_diagonal(fit)[:, None] * dcrow[dim - 1 - rows, rows]
+    yearly = (_shrink(fit) * fit.ult)[:, None] * _ahead(dlnf, axis=0) * (k < rows)
+    diagonal = _mse_diagonal(fit)[:, None] * dcrow[dim - 1 - rows[:, 0]]
+    yearly = np.where(k == rows, diagonal, yearly)
     # d(v_i): the sum over r >= I-i+1 of coef_r d(B_r f_r^2) / f_r^2, where
     # dC_{k,r} enters the column sum B_r for rows k <= I-r only
     coef = -2.0 * fit.sigma2 / (fit.den**2 * fit.factors**2)
-    d_colsum = _in_column_sums(dim) * dcrow[:-1] + 2.0 * fit.den[:, None, None] * dlnf
-    dv = _ahead(coef[:, None, None] * d_colsum, axis=0)
+    d_colsum = _in_column_sums(dim) * dcrow[:-1] + 2.0 * fit.den[:, None] * dlnf
+    dv = _ahead(coef[:, None] * d_colsum, axis=0)
     # d(u_i) = ult_i * (sum of dChat_q over q > i) + later_i * dChat_i
-    dlater = np.concatenate((np.cumsum(dult[:0:-1], axis=0)[::-1], np.zeros((1, dim, dim))))
-    du = fit.ult[:, None, None] * dlater + fit.later[:, None, None] * dult
+    dlater = np.concatenate((np.cumsum(dult[:0:-1], axis=0)[::-1], np.zeros((1, k.size))))
+    du = fit.ult[:, None] * dlater + fit.later[:, None] * dult
     u, v = fit.ult * fit.later, 2.0 * fit.w
-    cross = u[:, None, None] * dv + v[:, None, None] * du
+    cross = u[:, None] * dv + v[:, None] * du
     return yearly, np.sum(yearly + cross, axis=0)
 
 
-def _max_rel(analytic: np.ndarray, numeric: np.ndarray, observed: np.ndarray) -> float:
-    """The largest relative_error over the observed cells of stacked triangles."""
-    return float(np.max(relative_error(analytic, numeric)[..., observed], initial=0.0))
+def _max_rel(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """The largest relative_error over stacked cell arrays."""
+    return float(np.max(relative_error(analytic, numeric), initial=0.0))
 
 
 def verify_mse_components(
@@ -352,32 +370,33 @@ def verify_mse_components(
     blocks = _mse_blocks(fit, plugin)
     dlnf, dcrow, dult = blocks["dlnf"], blocks["dcrow"], blocks["dult"]
     report = VerificationReport(statistic="mse-components", tolerance=tolerance)
-    rows = np.arange(dim)
     observed = observed_mask(dim)
+    k, j = _cells(dim)
+    s = np.arange(1, dim)[:, None]
 
     # building block: d ln f, Fit.g on the rows inside its column sums
     inside = _in_column_sums(dim)
-    d_lnf = np.where(inside, fit.g[:, None, :], 0.0)
-    report.notes["d_ln_f_max_rel"] = _max_rel(d_lnf, dlnf, observed)
+    d_lnf = np.where(inside, fit.g[:, j - 1], 0.0)
+    report.notes["d_ln_f_max_rel"] = _max_rel(d_lnf, dlnf)
 
-    # building block: dChat_q = IF(R_q) + 1{k=q}
-    d_ult = np.stack([_reserve_ay(fit, q) for q in range(2, dim + 1)])
-    d_ult[rows[:-1], rows[1:]] += 1.0
-    report.notes["d_ultimate_max_rel"] = _max_rel(d_ult, dult[1:], observed)
+    # building block: dChat_q = IF(R_q) + 1{k=q}, every year in one batch
+    d_ult = _reserve_ay(fit, None)[1:, observed]
+    d_ult[k == s + 1] += 1.0
+    report.notes["d_ultimate_max_rel"] = _max_rel(d_ult, dult[1:])
 
     # building block: d(sum_n C_{n,r} * f_r^2); X_{k,j} is inside C_{k,r}
     # for j <= r
-    fsq = (fit.factors**2)[:, None, None]
-    den = fit.den[:, None, None]
-    member = inside & (rows <= rows[:-1, None, None])
+    fsq = (fit.factors**2)[:, None]
+    den = fit.den[:, None]
+    member = inside & (j <= s)
     analytic = fsq * (member + 2.0 * d_lnf * den)
     numeric = inside * dcrow[:-1] * fsq + 2.0 * fsq * dlnf * den
-    report.notes["d_colsum_fsq_max_rel"] = _max_rel(analytic, numeric, observed)
+    report.notes["d_colsum_fsq_max_rel"] = _max_rel(analytic, numeric)
 
     # assembled impacts vs analytic: every year's and the total, or year's
     yearly, total = _assemble_mse_from_blocks(fit, blocks)
     if year is None:
-        analytic = np.stack([_mse_ay(fit, i) for i in range(2, dim + 1)] + [_mse_total(fit)])
+        analytic = np.concatenate((_mse_ay(fit, None)[1:], _mse_total(fit)[None]))
         numeric = np.concatenate((yearly[1:], total[None]))
     else:
         analytic, numeric = _mse_ay(fit, year)[None], yearly[year - 1][None]
@@ -385,7 +404,7 @@ def verify_mse_components(
 
     # direct derivative of the plug-in value of the last checked statistic,
     # sigma^2 held at the baseline, from the blocks' stack; documented only
-    report.notes["direct_fd_max_rel"] = _max_rel(analytic[-1], blocks["extra"], observed)
+    report.notes["direct_fd_max_rel"] = _max_rel(analytic[-1][observed], blocks["extra"])
     return report
 
 

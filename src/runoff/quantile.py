@@ -79,7 +79,7 @@ def _impact_quantile(state: Fit, q: float) -> ImpactTriangle:
     mse = state.mse_total
     if total <= 0.0:
         raise ValueError(f"total reserve must be positive, got {total}")
-    _check_mse("impact_quantile", mse, state.sigma2)
+    _check_mse("impact_quantile", mse, not np.any(state.sigma2))
     fit = fit_lognormal(total, mse)
     z = inv_std_normal_cdf(q)
     fq = lognormal_quantile(fit, q)

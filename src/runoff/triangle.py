@@ -8,6 +8,7 @@ i + j <= I + 1; unobserved cells are stored as NaN and never read.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,10 +18,12 @@ def is_observed(dimension: int, i: int, j: int) -> bool:
     return 1 <= i <= dimension and 1 <= j <= dimension and i + j <= dimension + 1
 
 
+@lru_cache(maxsize=16)
 def observed_mask(dimension: int) -> np.ndarray:
-    """(I, I) boolean array, True on the observed cells i + j <= I + 1."""
+    """(I, I) boolean array, True on the observed cells i + j <= I + 1.
+    Read-only and built once per I: every caller shares it."""
     rows = np.arange(dimension)
-    return rows[:, None] + rows <= dimension - 1
+    return _read_only(rows[:, None] + rows <= dimension - 1)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -59,7 +59,8 @@ def small_corpus() -> list:
 @pytest.fixture
 def fit_builds(monkeypatch):
     """The Fit.of_sums calls made while the test runs, one entry each;
-    every Fit is built through it."""
+    every Fit is built through it or derived from one that was
+    (Fit.with_sigmas)."""
     calls = []
     of_sums = Fit.of_sums.__func__
 

@@ -288,8 +288,8 @@ class TestFitMemo:
     """A triangle keeps the last Fit built for it, keyed by the identity of
     its read-only factors and sigmas."""
 
-    def test_a_sensitivity_report_builds_two_fits(self, belgian, fit_builds):
-        # the perfbench api-report op: one fit without sigmas, one with
+    def test_a_sensitivity_report_builds_one_fit(self, belgian, fit_builds):
+        # the perfbench api-report op: the factors' fit, its sigma fit derived
         cum = cumulate(belgian)
         factors = estimate_development_factors(cum)
         sigmas = estimate_sigmas(cum, factors)
@@ -300,8 +300,22 @@ class TestFitMemo:
         impact_bf_total(cum, factors, priors)
         impact_mse_total(cum, factors, sigmas)
         impact_quantile(cum, factors, sigmas, 0.995)
-        assert len(fit_builds) == 2
+        assert len(fit_builds) == 1
         assert "g" in _fit(cum, factors, sigmas).__dict__  # one g, read by all four
+
+    def test_the_sigma_fit_is_derived_from_the_held_fit(self, belgian, fit_builds):
+        cum = cumulate(belgian)
+        factors = estimate_development_factors(cum)
+        held = _fit(cum, factors)
+        held.g, held.reserves
+        sigmas = estimate_sigmas(cum, factors)
+        fit = _fit(cum, factors, sigmas)
+        assert len(fit_builds) == 1  # the factors' fit alone
+        for name in ("num", "den", "factors", "fprod", "latest", "ult", "g", "reserves"):
+            assert getattr(fit, name) is getattr(held, name), name
+        assert fit.sigma2.tolist() == sigmas.values.tolist() and not fit.sigma2.flags.writeable
+        assert fit.mse_total == Fit.build(cum, factors, sigmas).mse_total
+        assert held.sigma2 is None
 
     def test_new_factors_object_gets_a_new_fit(self, belgian):
         cum = cumulate(belgian)

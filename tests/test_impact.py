@@ -8,14 +8,18 @@ from conftest import proportional_triangle, random_triangle
 from runoff.bornhuetter import default_priors
 from runoff.chainladder import (
     Fit,
+    _fit,
     estimate_development_factors,
     estimate_sigmas,
     mse_accident_year,
+    mse_total,
     project_ultimates,
     reserves,
 )
 from runoff.impact import (
     ImpactTriangle,
+    _mse_ay,
+    _reserve_ay,
     d_ln_f,
     impact_bf_ay,
     impact_bf_total,
@@ -179,6 +183,43 @@ class TestRmseTransform:
         arr = ImpactTriangle("mse-ay", 2, 2, np.array([[8.0, 0.0], [8.0, np.nan]]))
         with pytest.raises(ValueError, match="mse_value <= 0"):
             impact_rmse(0.0, arr)
+
+    def test_zero_sigmas_name_the_cause(self, belgian):
+        # the total and year I read every sigma^2; year 1 reads none, so its
+        # zero MSE keeps the plain message
+        cum = cumulate(proportional_triangle())
+        factors = estimate_development_factors(cum)
+        sigmas = estimate_sigmas(cum, factors)
+        cause = "impact_rmse undefined: all development ratios are proportional, every sigma"
+        for m, impacts in (
+            (mse_total(cum, factors, sigmas), impact_mse_total(cum, factors, sigmas)),
+            (mse_accident_year(cum, factors, sigmas, 5), impact_mse_ay(cum, factors, sigmas, 5)),
+        ):
+            with pytest.raises(ValueError, match=cause):
+                impact_rmse(m, impacts)
+        cum = cumulate(belgian)
+        factors = estimate_development_factors(cum)
+        sigmas = estimate_sigmas(cum, factors)
+        with pytest.raises(ValueError, match="mse_value <= 0"):
+            impact_rmse(0.0, impact_mse_ay(cum, factors, sigmas, 1))
+
+
+@pytest.mark.parametrize("dim", [4, 12, 40])
+def test_batched_years_are_the_per_year_impacts(dim):
+    """_reserve_ay and _mse_ay for every year at once, in one batch, equal
+    each year's public impact triangle bit for bit."""
+    cum = cumulate(random_triangle(np.random.default_rng([11, dim]), dim))
+    factors = estimate_development_factors(cum)
+    sigmas = estimate_sigmas(cum, factors)
+    fit = _fit(cum, factors, sigmas)
+    observed = ~np.isnan(impact_reserve_total(cum, factors).values)
+    for batch, one in (
+        (_reserve_ay(fit, None), lambda i: impact_reserve_ay(cum, factors, i)),
+        (_mse_ay(fit, None), lambda i: impact_mse_ay(cum, factors, sigmas, i)),
+    ):
+        assert batch.shape == (dim, dim, dim)
+        for i in range(1, dim + 1):
+            assert np.array_equal(batch[i - 1][observed] + 0.0, one(i).values[observed])
 
 
 class TestMarginalContributions:

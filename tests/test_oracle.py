@@ -11,7 +11,6 @@ from runoff.bornhuetter import bf_reserve_values, default_priors
 from runoff.chainladder import Fit, estimate_development_factors, estimate_sigmas
 from runoff.impact import impact_reserve_total
 from runoff.oracle import (
-    BATCH_CELLS,
     STEP,
     FdScheme,
     VerificationReport,
@@ -156,6 +155,20 @@ class TestVerifyReserveImpacts:
             verify_reserve_impacts(belgian, "mse-total")
         assert not fit_builds  # refused before any work
 
+    def test_arguments_that_do_not_apply_are_refused(self, belgian, fit_builds):
+        cum = cumulate(belgian)
+        priors = default_priors(cum, estimate_development_factors(cum))
+        fit_builds.clear()
+        for stat, year, given, want in (
+            ("reserve-total", 3, None, "reserve-total takes no accident year, got 3"),
+            ("bf-total", 3, priors, "bf-total takes no accident year, got 3"),
+            ("reserve-total", None, priors, "reserve-total takes no priors"),
+            ("reserve-ay", 3, priors, "reserve-ay takes no priors"),
+        ):
+            with pytest.raises(ValueError, match=want):
+                verify_reserve_impacts(belgian, stat, year, given)
+        assert not fit_builds  # refused before any work
+
     def test_proportional_triangle(self):
         report = verify_reserve_impacts(proportional_triangle(), "reserve-total")
         assert report.passed
@@ -204,6 +217,14 @@ class TestVerifyMseComponents:
             verify_mse_components(belgian, year=11)
 
 
+def triangles(cells, dim):
+    """(..., n) values in the oracle's cell layout as (..., I, I) triangles,
+    zero outside the observed region."""
+    out = np.zeros(cells.shape[:-1] + (dim, dim))
+    out[..., observed_mask(dim)] = cells
+    return out
+
+
 def loop_assembly(inc, blocks, per_year=False):
     """The per-cell (i, k, j, r, n) loop the one-pass assembly replaced,
     kept as its reference, on a dense dC[n, r][k, j] rebuilt from dcrow."""
@@ -212,10 +233,10 @@ def loop_assembly(inc, blocks, per_year=False):
     dim = inc.dimension
     fit = Fit.build(cum, factors, estimate_sigmas(cum, factors))
     ult = fit.ult
-    dlnf, dult = blocks["dlnf"], blocks["dult"]
+    dlnf, dcrow, dult = (triangles(blocks[name], dim) for name in ("dlnf", "dcrow", "dult"))
     dc = np.zeros((dim, dim, dim, dim))
     for n in range(dim):
-        dc[n, :, n, :] = blocks["dcrow"][:, n, :]
+        dc[n, :, n, :] = dcrow[:, n, :]
     yearly = {}
     total = np.zeros((dim, dim))
     for i in range(2, dim + 1):
@@ -267,7 +288,7 @@ def test_assembly_matches_the_loop_reference(dim):
     factors = estimate_development_factors(cum)
     fit = Fit.build(cum, factors, estimate_sigmas(cum, factors))
     blocks = _mse_blocks(fit)
-    yearly, total = _assemble_mse_from_blocks(fit, blocks)
+    yearly, total = (triangles(a, dim) for a in _assemble_mse_from_blocks(fit, blocks))
     rows = np.arange(dim)
     observed = rows[:, None] + rows <= dim - 1
 
@@ -323,29 +344,56 @@ def test_no_false_alarms_at_large_dimension(dim):
 
 @pytest.mark.parametrize("dim", [10, 20])
 def test_one_baseline_fit_per_verifier(dim, fit_builds):
-    """Each verifier steps the Fit it already holds: the factors' fit, the
-    fit with sigmas where the MSE needs them, and one stack of stepped fits
-    (every cell fits in one stack at these sizes)."""
+    """Each verifier steps the Fit it already holds: the factors' fit (the
+    fit with sigmas where the MSE needs them is derived from it) and one
+    stack of stepped fits."""
     inc = random_triangle(np.random.default_rng([9, dim]), dim)
-    for verify, builds in (
-        (lambda: verify_reserve_impacts(inc, "reserve-total"), 2),
-        (lambda: verify_reserve_impacts(inc, "bf-total"), 2),
-        (lambda: verify_mse_components(inc), 3),
-        (lambda: verify_quantile_impacts(inc, 0.995), 3),
+    for verify in (
+        lambda: verify_reserve_impacts(inc, "reserve-total"),
+        lambda: verify_reserve_impacts(inc, "bf-total"),
+        lambda: verify_mse_components(inc),
+        lambda: verify_quantile_impacts(inc, 0.995),
     ):
         fit_builds.clear()
         assert verify().passed
-        assert len(fit_builds) == builds
+        assert len(fit_builds) == 2
+
+
+@pytest.mark.parametrize("dim", [4, 20, 100])
+def test_one_stack_of_the_fitted_sums(dim, fit_builds):
+    """complex_step steps each of A_1..A_{I-1}, B_1..B_{I-1}, L_1..L_I once,
+    in one stack of 3I-2 entries, whatever I."""
+    cum = cumulate(random_triangle(np.random.default_rng([10, dim]), dim))
+    fit = Fit.of(cum.values)
+    fit_builds.clear()
+    d = complex_step(fit, lambda stack: np.sum(stack.reserves, axis=-1))
+    assert d.shape == (dim * (dim + 1) // 2,)
+    assert len(fit_builds) == 1
+    num, den, latest = fit_builds[0][:3]
+    assert num.shape == den.shape == (3 * dim - 2, dim - 1)
+    assert latest.shape == (3 * dim - 2, dim)
+    # entry m steps sum m alone, and its real parts are the baseline's
+    sums = np.concatenate((num, den, latest), axis=-1)
+    assert np.array_equal(np.imag(sums), STEP * np.eye(3 * dim - 2))
+    baseline = np.concatenate((fit.num, fit.den, fit.latest))
+    assert np.array_equal(np.real(sums), np.broadcast_to(baseline, sums.shape))
+
+
+def test_reserve_impacts_pass_at_i_100():
+    inc = random_triangle(np.random.default_rng([6, 100]), 100)
+    report = verify_reserve_impacts(inc, "reserve-total")
+    assert report.k.size == 5050
+    assert report.passed, (report.max_rel_error, report.worst_cell)
 
 
 def full_stack_complex_step(inc, statistic):
     """The complex step before row updates, kept as the reference: each
     entry of a stack is the whole perturbed (I, I) incremental triangle,
-    and statistic maps the (n, I, I) stack to an (n, ...) array."""
+    and statistic maps the (n, I, I) stack to an (n, ...) array. The
+    derivatives are returned in complex_step's cell layout (..., cells)."""
     dim = inc.dimension
-    observed = observed_mask(dim)
-    k, j = np.nonzero(observed)
-    size = max(1, BATCH_CELLS // dim**2)
+    k, j = np.nonzero(observed_mask(dim))
+    size = max(1, 2**14 // dim**2)
     parts = []
     for start in range(0, k.size, size):
         kk, jj = k[start : start + size], j[start : start + size]
@@ -353,15 +401,22 @@ def full_stack_complex_step(inc, statistic):
         stack[:] = inc.values
         stack[np.arange(kk.size), kk, jj] += STEP * 1j
         parts.append(np.imag(statistic(stack)) / STEP)
-    d = np.concatenate(parts)
-    out = np.zeros(d.shape[1:] + (dim, dim))
-    out[..., observed] = np.moveaxis(d, 0, -1)
-    return out
+    return np.moveaxis(np.concatenate(parts), 0, -1)
+
+
+def assert_close_to(got, want, dim, name):
+    """|got - want| <= 2 I eps max|want| on every cell: the stepped sums and
+    the whole-triangle refit take the same derivative with the operations
+    in another order, and the chain-rule sum over the fitted sums has up
+    to 2I-1 terms per cell."""
+    bound = 2 * dim * np.finfo(float).eps * np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= bound, name
 
 
 def assert_row_update_is_the_full_refit(inc):
-    """Row-update derivatives == full-stack derivatives, bit for bit, for the
-    reserve total, the BF total, the MSE blocks and the plug-in MSE."""
+    """Stepped-sum derivatives == full-stack derivatives to 2 I eps of each
+    quantity's largest value, for the reserve total, the BF total, the
+    plug-in MSE and the three MSE blocks."""
     dim = inc.dimension
     cum = cumulate(inc)
     factors = estimate_development_factors(cum)
@@ -371,14 +426,14 @@ def assert_row_update_is_the_full_refit(inc):
     def full(x):
         return Fit.of(cumulate_values(x), sigma2=sigma2)
 
-    pairs = [
-        (lambda fit: np.sum(fit.reserves, axis=-1), None),
-        (lambda fit: np.sum(bf_reserve_values(fit.fprod, mu), axis=-1), None),
-        (lambda fit: fit.mse_total, sigma2),
+    quantities = [
+        ("reserve total", lambda fit: np.sum(fit.reserves, axis=-1), None),
+        ("bf total", lambda fit: np.sum(bf_reserve_values(fit.fprod, mu), axis=-1), None),
+        ("plug-in mse", lambda fit: fit.mse_total, sigma2),
     ]
-    for statistic, s2 in pairs:
+    for name, statistic, s2 in quantities:
         want = full_stack_complex_step(inc, lambda x: statistic(full(x)))
-        assert np.array_equal(complex_step(Fit.of(cum.values, sigma2=s2), statistic), want)
+        assert_close_to(complex_step(Fit.of(cum.values, sigma2=s2), statistic), want, dim, name)
 
     def blocks(x):
         c = cumulate_values(x)
@@ -387,9 +442,12 @@ def assert_row_update_is_the_full_refit(inc):
 
     want = full_stack_complex_step(inc, blocks)
     got = _mse_blocks(Fit.of(cum.values))
-    for name, rows in (("dlnf", slice(0, dim - 1)), ("dcrow", slice(dim - 1, 2 * dim - 1))):
-        assert np.array_equal(got[name], want[rows]), name
-    assert np.array_equal(got["dult"], want[2 * dim - 1 :])
+    for name, rows in (
+        ("dlnf", slice(0, dim - 1)),
+        ("dcrow", slice(dim - 1, 2 * dim - 1)),
+        ("dult", slice(2 * dim - 1, None)),
+    ):
+        assert_close_to(got[name], want[rows], dim, name)
 
 
 @pytest.mark.parametrize("dim", [4, 7, 12, 20])

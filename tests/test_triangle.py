@@ -115,6 +115,10 @@ class TestSharedBase:
     def test_observed_mask(self):
         mask = observed_mask(3)
         assert mask.tolist() == [[True, True, True], [True, True, False], [True, False, False]]
+        # built once per I and shared, so no caller may write into it
+        assert observed_mask(3) is mask
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0, 0] = False
 
 
 class TestCumulate:
