@@ -8,11 +8,13 @@ distribution, a fixed seed per size). A stage is timed in BATCHES
 batches, each repeating the call until BATCH_S has passed, and its entry
 is the least mean time per call over the batches (best_s), with the
 number of calls and batches made; a batch whose time passes SLOW_S ends
-the stage. The estimator and impact stages reuse one triangle and its
-factors and sigmas, so where runoff keeps a triangle's Fit they time only
-their own algebra over it; the fit stage times building that Fit with
-its d ln f kernel and Mack sums, and sensitivity_report a whole report
-(the perfbench api-report op) from the increments. The result goes under layers[label] of
+the stage. After the timing, one more call runs under tracemalloc, and
+its peak of traced memory is the stage's peak_mb. The estimator and
+impact stages reuse one triangle and its factors and sigmas, so where
+runoff keeps a triangle's Fit they time only their own algebra over it;
+the fit stage times building that Fit with its d ln f kernel and Mack
+sums, and sensitivity_report a whole report (the perfbench api-report
+op) from the increments. The result goes under layers[label] of
 BENCH_<yyyymmdd>.json in the repository root, merged with what the file
 already holds, so a before and an after run share one file.
 """
@@ -26,12 +28,13 @@ import os
 import platform
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-SIZES = (10, 20, 40, 60, 100)
+SIZES = (10, 20, 40, 60, 100, 200)
 BATCHES = 5
 BATCH_S = 0.05
 SLOW_S = 5.0
@@ -114,6 +117,16 @@ def per_call(call) -> dict:
     return {"best_s": min(means), "calls": calls, "batches": len(means)}
 
 
+def peak_mb(call) -> float:
+    """The tracemalloc peak of one call, in MB (2^20 bytes)."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding runoff/")
@@ -142,8 +155,8 @@ def main(argv=None) -> int:
     for dim in args.sizes:
         row = {}
         for name, call in stages(runoff, dim).items():
-            row[name] = per_call(call)
-            print(f"I={dim:<4} {name:<30} {row[name]['best_s']:.6f} s", flush=True)
+            row[name] = per_call(call) | {"peak_mb": peak_mb(call)}
+            print(f"I={dim:<4} {name:<30} {row[name]['best_s']:.6f} s {row[name]['peak_mb']:9.2f} MB", flush=True)
         section["seconds"][f"I={dim}"] = row
     doc.setdefault("layers", {})[args.label] = section
     out.write_text(json.dumps(doc, indent=1) + "\n")

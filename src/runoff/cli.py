@@ -38,6 +38,7 @@ from runoff.impact import (
 )
 from runoff.oracle import (
     RESERVE_STATISTICS,
+    TOLERANCE,
     verify_mse_components,
     verify_quantile_impacts,
     verify_reserve_impacts,
@@ -329,7 +330,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="complex-step check of the impacts")
     common(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--tolerance", type=float, default=1e-5)
+    p.add_argument("--tolerance", type=float, default=TOLERANCE)
 
     p = sub.add_parser("heatmap", help="SVG heatmap of an impact triangle")
     common(p)

@@ -3,21 +3,28 @@
 Every numerical derivative is a complex step (Squire & Trapp, SIAM Review
 1998): dS/dX_{k,j} = Im S(X + ih e_{k,j}) / h with h = 1e-30, taken
 through the library's own Fit. Every statistic reads the triangle only
-through the fitted column sums and the latest diagonal, and X_{k,j} enters
-each of them with coefficient 1; so the oracle steps each of the 3I-2
-sums of the verifier's baseline Fit once, in one stack, and maps that
-gradient to the cells by the chain rule, one product with the 0/1
-incidence of the cells in the sums. No triangle is perturbed or cumulated
-again. The step subtracts nothing, so there is no step size to choose and
-the derivative is exact to rounding. The derivatives are held over the
-observed cells alone, one entry per cell in row-major order (_cells).
-Reserve impacts are checked against the derivative of the refit reserve.
-MSE impacts cannot be checked that way: their
-estimation-error part substitutes an approximation after
-differentiation, so the raw derivative of the plug-in estimator is a
-different object. For those the oracle differentiates each building
-block and re-assembles the impact formula from the numerical blocks,
-holding the variance scales at their baseline values throughout.
+through the 3I-2 fitted sums (the column sums A_s, B_s and the latest
+diagonal L_i), and X_{k,j} enters each of them with coefficient 1 or not
+at all; so the oracle steps each sum of the verifier's baseline Fit once,
+in one stack, and keeps the derivatives as gradients over the sums until
+the last step, where _to_cells maps each to the observed cells by the
+chain rule, with prefix sums over s. No triangle is perturbed or
+cumulated again. The step subtracts nothing, so there is no step size to
+choose and the derivative is exact to rounding. Over the cells the
+derivatives are held one entry per observed cell in row-major order
+(_cells). Reserve impacts are checked against the derivative of the refit
+reserve. MSE impacts cannot be checked that way: their estimation-error
+part substitutes an approximation after differentiation, so the raw
+derivative of the plug-in estimator is a different object. For those the
+oracle differentiates each building block and re-assembles the impact
+formula from the numerical blocks over the sums, holding the variance
+scales at their baseline values throughout.
+
+A cell's rel_error is |a - n| / max(|a|, |n|, I eps S / TOLERANCE), S
+the largest |analytic| of the triangle the cell belongs to: a difference
+below I eps S, the rounding of an I-term sum at the triangle's scale,
+reads at most the default tolerance, and scaling X by a power of two
+leaves every rel_error as it is.
 """
 
 from __future__ import annotations
@@ -33,7 +40,6 @@ from runoff.impact import (
     _mse_ay,
     _mse_diagonal,
     _mse_total,
-    _reserve_ay,
     _shrink,
     impact_bf_ay,
     impact_bf_total,
@@ -46,6 +52,10 @@ from runoff.triangle import IncrementalTriangle, _read_only, cumulate, observed_
 # The imaginary step h. Its square vanishes against any real part, and
 # times any derivative met here it stays far above the smallest double.
 STEP = 1e-30
+
+# The default tolerance of the verifiers, and the rel_error a difference of
+# I eps S reads (see _floor).
+TOLERANCE = 1e-5
 
 
 @dataclass(frozen=True)
@@ -84,22 +94,25 @@ class VerificationReport:
         self._cells = None
 
     def add(self, k, j, analytic, numeric):
-        """Record cell (k, j), or one cell per entry of equal-length arrays."""
-        analytic = np.ravel(np.asarray(analytic, dtype=float))
-        numeric = np.ravel(np.asarray(numeric, dtype=float))
-        new = (np.ravel(k), np.ravel(j), analytic, numeric, relative_error(analytic, numeric))
-        for name, values in zip(COLUMNS, new):
-            setattr(self, name, _read_only(np.concatenate((getattr(self, name), values))))
+        """Record cell (k, j), or one cell per entry of equal-shape arrays
+        whose last axis holds the cells of one triangle; the triangle's
+        dimension, which scales the floor of rel_error, is its largest
+        k + j - 1."""
+        k, j, analytic, numeric = np.broadcast_arrays(
+            np.atleast_1d(k), j, np.asarray(analytic, dtype=float), np.asarray(numeric, dtype=float)
+        )
+        dim = np.max(k + j, axis=-1, keepdims=True) - 1
+        rel = relative_error(analytic, numeric, _floor(analytic, dim))
+        for name, values in zip(COLUMNS, (k, j, analytic, numeric, rel)):
+            setattr(self, name, _read_only(np.concatenate((getattr(self, name), np.ravel(values)))))
         self._cells = None
 
     def add_triangle(self, analytic: np.ndarray, numeric: np.ndarray):
         """Record every observed cell of a (..., I, I) stack of analytic
         triangles against the numeric derivatives in the cell layout
-        (..., n) of complex_step, triangle by triangle, each row-major."""
+        (..., n) of _to_cells, triangle by triangle, each row-major."""
         dim = analytic.shape[-1]
-        analytic = analytic[..., observed_mask(dim)]
-        k, j = (np.broadcast_to(c, analytic.shape) for c in _cells(dim))
-        self.add(k, j, analytic, numeric)
+        self.add(*_cells(dim), analytic[..., observed_mask(dim)], numeric)
 
     @property
     def cells(self) -> list:
@@ -139,9 +152,20 @@ class VerificationReport:
         }
 
 
-def relative_error(a, b):
-    """|a - b| / max(|a|, |b|, 1e-12), elementwise over arrays."""
-    return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-12)
+def relative_error(a, b, floor):
+    """|a - b| / max(|a|, |b|, floor), elementwise over arrays; a NaN
+    floor is ignored, a NaN in a or b gives NaN."""
+    return np.abs(a - b) / np.fmax(np.maximum(np.abs(a), np.abs(b)), floor)
+
+
+def _floor(analytic: np.ndarray, dim) -> np.ndarray:
+    """Per triangle, the last axis of analytic, I eps S / TOLERANCE, S its
+    largest |analytic|: the rel_error floor. It is fixed by the default
+    tolerance, not by the one a report asks for, so a stricter tolerance
+    stays stricter. At least the smallest normal double, so a triangle of
+    exact zeros reads 0."""
+    scale = np.max(np.abs(analytic), axis=-1, keepdims=True, initial=0.0)
+    return np.maximum(dim * np.finfo(float).eps / TOLERANCE * scale, np.finfo(float).tiny)
 
 
 def fd_derivative(
@@ -174,35 +198,17 @@ def _partial(f: Callable, x):
     return np.imag(f(x + STEP * 1j)) / STEP
 
 
-def _incidence(dim: int) -> np.ndarray:
-    """(3I-2, n) 0/1 array over the n observed cells (_cells): entry [m, c]
-    is 1 where cell c's X_{k,j} enters fitted sum m, in the order
-    A_1..A_{I-1}, B_1..B_{I-1}, L_1..L_I.
-
-    X_{k,j} adds to C_{k,r} for r >= j alone, so it enters A_s when
-    j <= s+1 and B_s when j <= s, both only for rows k <= I-s, and the
-    latest cell L_k of its own row."""
-    k, j = _cells(dim)
-    s = np.arange(1, dim)[:, None]
-    inside = k <= dim - s
-    latest = np.arange(1, dim + 1)[:, None] == k
-    return np.concatenate((inside & (j <= s + 1), inside & (j <= s), latest)).astype(float)
-
-
 def complex_step(fit: Fit, statistic: Callable) -> np.ndarray:
-    """d(statistic)/dX_{k,j} for every observed cell, on a trailing axis of
-    n = I(I+1)/2 entries in the cell layout of _cells (row-major).
+    """d(statistic) over the 3I-2 fitted sums, on a trailing axis in the
+    order A_1..A_{I-1}, B_1..B_{I-1}, L_1..L_I; _to_cells maps it to the
+    cells.
 
-    statistic maps a Fit stacked on a leading axis of n entries to an
-    (n, ...) array and must be complex-safe, as the library's array forms
-    are. It reads the triangle only through the fitted sums A_s, B_s
-    (s = 1..I-1) and the latest diagonal L_i, and X_{k,j} enters each of
-    them linearly with coefficient 1. So one stack of 3I-2 entries, entry
-    m the baseline fit with ih added to sum m alone (real parts exactly
-    the baseline's, sigma2 the baseline's), gives the gradient over the
-    sums, and one product with the 0/1 incidence of the cells in the sums
-    (_incidence) maps it to every cell by the chain rule. The Mack sums
-    of the stack are computed only if statistic reads them.
+    statistic maps a Fit stacked on a leading axis of 3I-2 entries to a
+    (3I-2, ...) array and must be complex-safe, as the library's array
+    forms are. Entry m of the stack is the baseline fit with ih added to
+    sum m alone (real parts exactly the baseline's, sigma2 the
+    baseline's), so one stack gives the whole gradient. The Mack sums of
+    the stack are computed only if statistic reads them.
     """
     dim = fit.dimension
     step = np.eye(3 * dim - 2) * (STEP * 1j)
@@ -212,8 +218,26 @@ def complex_step(fit: Fit, statistic: Callable) -> np.ndarray:
         fit.latest + step[:, 2 * dim - 2 :],
         sigma2=fit.sigma2,
     )
-    grad = np.moveaxis(np.imag(statistic(stack)) / STEP, 0, -1)
-    return grad @ _incidence(dim)
+    return np.moveaxis(np.imag(statistic(stack)) / STEP, 0, -1)
+
+
+def _to_cells(grad: np.ndarray) -> np.ndarray:
+    """Gradients over the fitted sums, (..., 3I-2) in the order of
+    complex_step, as derivatives over the observed cells, (..., n) in the
+    layout of _cells, by the chain rule.
+
+    X_{k,j} adds to C_{k,r} for r >= j alone, so it enters A_s for
+    s >= j-1, B_s for s >= j (both for s <= I-k only) and L_k. With P[m]
+    the sum of gA_s + gB_s over s <= m, cell (k, j) gets
+    P[I-k] + gL_k - (P[j-1] - gA_{j-1}), gA_0 = 0: a row term less a
+    column term, O(I) work per gradient before the n-cell gather."""
+    dim = (grad.shape[-1] + 2) // 3
+    k, j = _cells(dim)
+    zero = np.zeros(grad.shape[:-1] + (1,))
+    g_a = np.concatenate((zero, grad[..., : dim - 1]), axis=-1)
+    prefix = np.cumsum(g_a + np.concatenate((zero, grad[..., dim - 1 : 2 * dim - 2]), axis=-1), axis=-1)
+    row = prefix[..., ::-1] + grad[..., 2 * dim - 2 :]
+    return row[..., k - 1] - (prefix - g_a)[..., j - 1]
 
 
 def verify_reserve_impacts(
@@ -221,7 +245,7 @@ def verify_reserve_impacts(
     statistic: str = "reserve-total",
     year: int | None = None,
     priors: PriorUltimates | None = None,
-    tolerance: float = 1e-5,
+    tolerance: float = TOLERANCE,
 ) -> VerificationReport:
     """Compare an analytic reserve impact triangle to the complex-step
     derivative of the refit reserve.
@@ -258,104 +282,83 @@ def verify_reserve_impacts(
         return by_year[..., year - 1] if per_year else np.sum(by_year, axis=-1)
 
     report = VerificationReport(statistic=statistic, tolerance=tolerance)
-    report.add_triangle(analytic.values, complex_step(_fit(cum, factors), refit))
+    report.add_triangle(analytic.values, _to_cells(complex_step(_fit(cum, factors), refit)))
     return report
 
 
-def _column_totals(fit: Fit) -> np.ndarray:
-    """Per development year r, the sum of C_{n,r} over every observed row n:
-    B_r plus the latest cell of year I-r+1, and C_{1,I} for r = I."""
-    return np.concatenate((fit.den + fit.latest[..., :0:-1], fit.latest[..., :1]), axis=-1)
-
-
 def _mse_blocks(fit: Fit, extra: Callable | None = None) -> dict:
-    """Complex-step dlnf[s-1] = d ln f_s, dcrow[r-1] = dC_{k,r} and
-    dult[q-1] = dChat_q, each over the cells (k, j) in the layout of
-    complex_step, stepped from the baseline fit. X_{k,j} moves row k of
-    the cumulative triangle alone, so dC_{k,r} is the derivative of the
-    sum of C_{n,r} over every row n.
+    """Complex-step gradients over the fitted sums, stepped from the
+    baseline fit: d_ln_f[s-1] of ln f_s, d_colsum_fsq[r-1] of B_r f_r^2
+    and d_ultimate[q-1] of the ultimate Chat_q.
 
     extra, when given, maps the stacked fit (which carries the baseline's
     sigma2) to one more statistic per entry, differentiated in the same
-    stack: its derivative is under "extra"."""
+    stack: its gradient is under "extra"."""
     dim = fit.dimension
 
     def blocks(stack):
-        values = [np.log(stack.factors), _column_totals(stack), stack.ult]
+        values = [np.log(stack.factors), stack.den * stack.factors**2, stack.ult]
         if extra is not None:
             values.append(extra(stack)[..., None])
         return np.concatenate(values, axis=-1)
 
     d = complex_step(fit, blocks)
-    out = {
-        "dlnf": d[: dim - 1],
-        "dcrow": d[dim - 1 : 2 * dim - 1],
-        "dult": d[2 * dim - 1 : 3 * dim - 1],
-    }
+    parts = np.split(d[: 3 * dim - 2], [dim - 1, 2 * dim - 2])
+    out = dict(zip(("d_ln_f", "d_colsum_fsq", "d_ultimate"), parts))
     if extra is not None:
         out["extra"] = d[-1]
     return out
 
 
-def _in_column_sums(dim: int) -> np.ndarray:
-    """(I-1, n) mask over the cells, slot [s-1, c]: cell c's row k enters
-    the column sums of f_s, k <= I-s."""
-    return _cells(dim)[0] <= dim - np.arange(1, dim)[:, None]
-
-
 def _assemble_mse_from_blocks(fit: Fit, blocks):
-    """Rebuild the MSE impact triangles from numerical blocks, as (yearly, total),
-    in the cell layout of the blocks.
+    """Rebuild the MSE impacts from numerical blocks as (yearly, total),
+    gradients over the fitted sums like the blocks.
 
     Same algebra as the analytic formulas, but every derivative factor
-    (d ln f, dC, dChat) is the complex-step value. Variance scales
+    (d ln f, d(B f^2), dChat) is the complex-step value. Variance scales
     and all non-differentiated quantities are read from the baseline fit.
     yearly[i-1] is the impact on mse_i; total adds the cross covariances
     u_i v_i, with u_i = ult_i later_i and v_i = 2 w_i, by the product rule.
     """
     dim = fit.dimension
-    dlnf, dcrow, dult = blocks["dlnf"], blocks["dcrow"], blocks["dult"]
-    rows, k = np.arange(dim)[:, None], _cells(dim)[0] - 1
-    # d(mse_i): rows k < i get the shrink constant times the reserve impact
-    # assembled from d ln f; row i the diagonal constant times the derivative of
-    # the latest cumulative C_{i, I-i+1}.
-    yearly = (_shrink(fit) * fit.ult)[:, None] * _ahead(dlnf, axis=0) * (k < rows)
-    diagonal = _mse_diagonal(fit)[:, None] * dcrow[dim - 1 - rows[:, 0]]
-    yearly = np.where(k == rows, diagonal, yearly)
-    # d(v_i): the sum over r >= I-i+1 of coef_r d(B_r f_r^2) / f_r^2, where
-    # dC_{k,r} enters the column sum B_r for rows k <= I-r only
-    coef = -2.0 * fit.sigma2 / (fit.den**2 * fit.factors**2)
-    d_colsum = _in_column_sums(dim) * dcrow[:-1] + 2.0 * fit.den[:, None] * dlnf
-    dv = _ahead(coef[:, None] * d_colsum, axis=0)
+    dlnf, dcolsum_fsq, dult = (blocks[name] for name in ("d_ln_f", "d_colsum_fsq", "d_ultimate"))
+    # d(mse_i): the shrink constant times the reserve impact assembled from
+    # the d ln f_s ahead of i, which reach rows k < i alone, plus the
+    # diagonal constant times dL_i
+    yearly = (_shrink(fit) * fit.ult)[:, None] * _ahead(dlnf, axis=0)
+    yearly[:, 2 * dim - 2 :] += np.diag(_mse_diagonal(fit))
+    # d(v_i): the sum over r >= I-i+1 of -2 sigma^2_r d(B_r f_r^2) / (B_r f_r^2)^2
+    dv = _ahead((-2.0 * fit.sigma2 / (fit.den * fit.factors**2) ** 2)[:, None] * dcolsum_fsq, axis=0)
     # d(u_i) = ult_i * (sum of dChat_q over q > i) + later_i * dChat_i
-    dlater = np.concatenate((np.cumsum(dult[:0:-1], axis=0)[::-1], np.zeros((1, k.size))))
-    du = fit.ult[:, None] * dlater + fit.later[:, None] * dult
+    du = fit.ult[:, None] * _ahead(dult[1:], axis=0)[::-1] + fit.later[:, None] * dult
     u, v = fit.ult * fit.later, 2.0 * fit.w
     cross = u[:, None] * dv + v[:, None] * du
     return yearly, np.sum(yearly + cross, axis=0)
 
 
-def _max_rel(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    """The largest relative_error over stacked cell arrays."""
-    return float(np.max(relative_error(analytic, numeric), initial=0.0))
+def _max_rel(analytic: np.ndarray, numeric: np.ndarray, dim: int) -> float:
+    """The largest rel_error over stacked arrays, each last-axis row one
+    triangle of dimension dim."""
+    rel = relative_error(analytic, numeric, _floor(analytic, dim))
+    return float(np.max(rel, initial=0.0))
 
 
 def verify_mse_components(
     inc: IncrementalTriangle,
-    tolerance: float = 1e-5,
+    tolerance: float = TOLERANCE,
     year: int | None = None,
 ) -> VerificationReport:
     """Component-protocol verification of the MSE impact triangles.
 
-    Differentiates the building blocks (d ln f_s, dC_{n,r}, dChat_q, and
-    the derivative of column-sum * f^2) by complex step, re-assembles the
-    per-year and total MSE impacts from those blocks, and compares against
-    the analytic triangles: every per-year triangle and the total, or
-    year's triangle alone when year is given. The direct derivative of the
-    plug-in MSE value (of year, or of the total) is reported in notes but
-    deliberately not compared: it is a different object from the impact
-    formula, whose estimation-error part arises by substitution after
-    differentiation.
+    Differentiates the building blocks (d ln f_s, d(B_r f_r^2) and dChat_q)
+    by complex step over the fitted sums, checks each against its closed
+    form there, re-assembles the per-year and total MSE impacts from those
+    blocks, maps them to the cells, and compares against the analytic
+    triangles: every per-year triangle and the total, or year's triangle
+    alone when year is given. The direct derivative of the plug-in MSE
+    value (of year, or of the total) is reported in notes but deliberately
+    not compared: it is a different object from the impact formula, whose
+    estimation-error part arises by substitution after differentiation.
     """
     dim = inc.dimension
     if year is not None and not 1 <= year <= dim:
@@ -368,30 +371,21 @@ def verify_mse_components(
         return refit.mse_total if year is None else refit.mse_by_year[..., year - 1]
 
     blocks = _mse_blocks(fit, plugin)
-    dlnf, dcrow, dult = blocks["dlnf"], blocks["dcrow"], blocks["dult"]
     report = VerificationReport(statistic="mse-components", tolerance=tolerance)
-    observed = observed_mask(dim)
-    k, j = _cells(dim)
-    s = np.arange(1, dim)[:, None]
 
-    # building block: d ln f, Fit.g on the rows inside its column sums
-    inside = _in_column_sums(dim)
-    d_lnf = np.where(inside, fit.g[:, j - 1], 0.0)
-    report.notes["d_ln_f_max_rel"] = _max_rel(d_lnf, dlnf)
-
-    # building block: dChat_q = IF(R_q) + 1{k=q}, every year in one batch
-    d_ult = _reserve_ay(fit, None)[1:, observed]
-    d_ult[k == s + 1] += 1.0
-    report.notes["d_ultimate_max_rel"] = _max_rel(d_ult, dult[1:])
-
-    # building block: d(sum_n C_{n,r} * f_r^2); X_{k,j} is inside C_{k,r}
-    # for j <= r
+    # building blocks against their gradients over the sums:
+    # d ln f_s = dA_s / A_s - dB_s / B_s, d(B_r f_r^2) = f_r^2 (dB_r + 2 B_r d ln f_r)
+    # and dChat_q = Chat_q (d ln f_s summed over the years s ahead of q) + F_q dL_q
+    s, q = np.arange(dim - 1), np.arange(dim)
+    d_lnf = np.zeros((dim - 1, 3 * dim - 2))
+    d_lnf[s, s], d_lnf[s, dim - 1 + s] = 1.0 / fit.num, -1.0 / fit.den
     fsq = (fit.factors**2)[:, None]
-    den = fit.den[:, None]
-    member = inside & (j <= s)
-    analytic = fsq * (member + 2.0 * d_lnf * den)
-    numeric = inside * dcrow[:-1] * fsq + 2.0 * fsq * dlnf * den
-    report.notes["d_colsum_fsq_max_rel"] = _max_rel(analytic, numeric)
+    d_colsum_fsq = fsq * 2.0 * fit.den[:, None] * d_lnf
+    d_colsum_fsq[s, dim - 1 + s] += fsq[:, 0]
+    d_ult = fit.ult[:, None] * _ahead(d_lnf, axis=0)
+    d_ult[q, 2 * dim - 2 + q] += fit.fprod
+    for name, analytic in (("d_ln_f", d_lnf), ("d_ultimate", d_ult), ("d_colsum_fsq", d_colsum_fsq)):
+        report.notes[f"{name}_max_rel"] = _max_rel(analytic, blocks[name], dim)
 
     # assembled impacts vs analytic: every year's and the total, or year's
     yearly, total = _assemble_mse_from_blocks(fit, blocks)
@@ -400,18 +394,19 @@ def verify_mse_components(
         numeric = np.concatenate((yearly[1:], total[None]))
     else:
         analytic, numeric = _mse_ay(fit, year)[None], yearly[year - 1][None]
-    report.add_triangle(analytic, numeric)
+    report.add_triangle(analytic, _to_cells(numeric))
 
     # direct derivative of the plug-in value of the last checked statistic,
     # sigma^2 held at the baseline, from the blocks' stack; documented only
-    report.notes["direct_fd_max_rel"] = _max_rel(analytic[-1][observed], blocks["extra"])
+    observed = analytic[-1][observed_mask(dim)]
+    report.notes["direct_fd_max_rel"] = _max_rel(observed, _to_cells(blocks["extra"]), dim)
     return report
 
 
 def verify_quantile_impacts(
     inc: IncrementalTriangle,
     q: float = 0.995,
-    tolerance: float = 1e-5,
+    tolerance: float = TOLERANCE,
 ) -> VerificationReport:
     """Chain-rule verification of the quantile impact triangle.
 
@@ -431,5 +426,5 @@ def verify_quantile_impacts(
     blocks = _mse_blocks(fit, lambda refit: np.sum(refit.reserves, axis=-1))
     if_m = _assemble_mse_from_blocks(fit, blocks)[1]
     report = VerificationReport(statistic="quantile", tolerance=tolerance)
-    report.add_triangle(analytic.values, df_dr * blocks["extra"] + df_dm * if_m)
+    report.add_triangle(analytic.values, _to_cells(df_dr * blocks["extra"] + df_dm * if_m))
     return report

@@ -15,7 +15,9 @@ from runoff.oracle import (
     FdScheme,
     VerificationReport,
     _assemble_mse_from_blocks,
+    _cells,
     _mse_blocks,
+    _to_cells,
     complex_step,
     fd_derivative,
     relative_error,
@@ -29,13 +31,13 @@ from test_acceptance import TABLE_TOL
 
 class TestRelativeError:
     def test_zero_vs_zero(self):
-        assert relative_error(0.0, 0.0) == 0.0
+        assert relative_error(0.0, 0.0, 1e-12) == 0.0
 
     def test_tiny_values_use_floor(self):
-        assert relative_error(0.0, 1e-14) == pytest.approx(0.01)
+        assert relative_error(0.0, 1e-14, 1e-12) == pytest.approx(0.01)
 
     def test_symmetric(self):
-        assert relative_error(2.0, 1.0) == relative_error(1.0, 2.0) == 0.5
+        assert relative_error(2.0, 1.0, 1e-12) == relative_error(1.0, 2.0, 1e-12) == 0.5
 
 
 class TestFdDerivative:
@@ -227,16 +229,17 @@ def triangles(cells, dim):
 
 def loop_assembly(inc, blocks, per_year=False):
     """The per-cell (i, k, j, r, n) loop the one-pass assembly replaced,
-    kept as its reference, on a dense dC[n, r][k, j] rebuilt from dcrow."""
+    kept as its reference, on the blocks d ln f and dChat mapped to the
+    cells and the exact dC[n, r][k, j] = 1{n = k, j <= r}."""
     cum = cumulate(inc)
     factors = estimate_development_factors(cum)
     dim = inc.dimension
     fit = Fit.build(cum, factors, estimate_sigmas(cum, factors))
     ult = fit.ult
-    dlnf, dcrow, dult = (triangles(blocks[name], dim) for name in ("dlnf", "dcrow", "dult"))
+    dlnf, dult = (triangles(_to_cells(blocks[name]), dim) for name in ("d_ln_f", "d_ultimate"))
     dc = np.zeros((dim, dim, dim, dim))
     for n in range(dim):
-        dc[n, :, n, :] = dcrow[:, n, :]
+        dc[n, :, n, :] = np.tril(np.ones((dim, dim)))
     yearly = {}
     total = np.zeros((dim, dim))
     for i in range(2, dim + 1):
@@ -288,7 +291,7 @@ def test_assembly_matches_the_loop_reference(dim):
     factors = estimate_development_factors(cum)
     fit = Fit.build(cum, factors, estimate_sigmas(cum, factors))
     blocks = _mse_blocks(fit)
-    yearly, total = (triangles(a, dim) for a in _assemble_mse_from_blocks(fit, blocks))
+    yearly, total = (triangles(_to_cells(a), dim) for a in _assemble_mse_from_blocks(fit, blocks))
     rows = np.arange(dim)
     observed = rows[:, None] + rows <= dim - 1
 
@@ -367,7 +370,7 @@ def test_one_stack_of_the_fitted_sums(dim, fit_builds):
     fit = Fit.of(cum.values)
     fit_builds.clear()
     d = complex_step(fit, lambda stack: np.sum(stack.reserves, axis=-1))
-    assert d.shape == (dim * (dim + 1) // 2,)
+    assert d.shape == (3 * dim - 2,)
     assert len(fit_builds) == 1
     num, den, latest = fit_builds[0][:3]
     assert num.shape == den.shape == (3 * dim - 2, dim - 1)
@@ -379,11 +382,117 @@ def test_one_stack_of_the_fitted_sums(dim, fit_builds):
     assert np.array_equal(np.real(sums), np.broadcast_to(baseline, sums.shape))
 
 
+def benchmark_kinds(inc):
+    """The four reports the benchmark's oracle-verify ops make."""
+    return (
+        verify_reserve_impacts(inc, "reserve-total"),
+        verify_reserve_impacts(inc, "bf-total"),
+        verify_mse_components(inc),
+        verify_quantile_impacts(inc, 0.995),
+    )
+
+
+def test_no_false_alarms_on_any_year_at_i_100():
+    """Every per-year reserve and BF check passes at I=100, where cells of
+    about 1e-12 against a largest impact of 0.7 differ by rounding alone;
+    an absolute 1e-12 floor failed 79 of them."""
+    inc = random_triangle(np.random.default_rng([6, 100]), 100)
+    failed = [
+        (statistic, year, report.max_rel_error)
+        for year in range(1, 101)
+        for statistic in ("reserve-ay", "bf-ay")
+        if not (report := verify_reserve_impacts(inc, statistic, year)).passed
+    ]
+    assert not failed, failed
+
+
+@pytest.mark.parametrize("m", [-40, 20])
+def test_p11_rel_error_is_scale_free(m):
+    """P11: X -> 2^m X scales every sum, impact and derivative by a power
+    of two, exactly, so no cell's rel_error may move."""
+    inc = random_triangle(np.random.default_rng([6, 40]), 40)
+    scaled = IncrementalTriangle(inc.dimension, inc.values * 2.0**m)
+    for want, got in zip(benchmark_kinds(inc), benchmark_kinds(scaled)):
+        assert np.array_equal(got.rel_error, want.rel_error), want.statistic
+
+
+def by_triangle(column, dim):
+    """A report column as (triangles, n), one row per checked triangle."""
+    return column.reshape(-1, dim * (dim + 1) // 2)
+
+
+def replanted(report, analytic, dim):
+    """report's cells rechecked with analytic in place of its analytic
+    column, triangle by triangle."""
+    again = VerificationReport(statistic=report.statistic, tolerance=report.tolerance)
+    again.add(*(by_triangle(c, dim) for c in (report.k, report.j, analytic, report.numeric)))
+    return again
+
+
+@pytest.mark.parametrize("dim", [40, 100])
+def test_planted_errors_fail_under_the_floor(dim):
+    """The floor blunts nothing above rounding: an exact-zero analytic cell
+    moved by 1e-6 S_t, and any cell above 1e-6 S_t moved by a relative
+    1e-4, each read rel_error above the tolerance."""
+    inc = random_triangle(np.random.default_rng([6, dim]), dim)
+    reports = benchmark_kinds(inc) + (verify_reserve_impacts(inc, "reserve-ay", dim // 2),)
+    for report in reports:
+        assert report.passed, report.statistic
+        assert np.array_equal(replanted(report, report.analytic, dim).rel_error, report.rel_error)
+        a = by_triangle(report.analytic, dim)
+        scale = np.broadcast_to(np.max(np.abs(a), axis=-1, keepdims=True), a.shape).ravel()
+        zero = report.analytic == 0.0
+        large = np.abs(report.analytic) > 1e-6 * scale
+        moved = np.where(zero, 1e-6 * scale, report.analytic * np.where(large, 1.0 + 1e-4, 1.0))
+        rel = replanted(report, moved, dim).rel_error
+        assert np.all(rel[zero | large] > report.tolerance), report.statistic
+    assert np.any(reports[-1].analytic == 0.0)
+
+
+@pytest.mark.parametrize("s", [1, 20, 39])
+def test_a_dropped_term_of_g_fails(s, monkeypatch):
+    """Fit.g without its -1{j <= s}/B_s term for one s: every impact built
+    on it is wrong, and each of the four reports says so."""
+    inc = random_triangle(np.random.default_rng([6, 40]), 40)
+    g = Fit.__dict__["g"].func
+
+    def dropped(fit):
+        values = np.array(g(fit))
+        values[..., s - 1, :s] += 1.0 / fit.den[..., s - 1, None]
+        return values
+
+    monkeypatch.setattr(Fit, "g", property(dropped))
+    assert not any(report.passed for report in benchmark_kinds(inc))
+
+
 def test_reserve_impacts_pass_at_i_100():
     inc = random_triangle(np.random.default_rng([6, 100]), 100)
     report = verify_reserve_impacts(inc, "reserve-total")
     assert report.k.size == 5050
     assert report.passed, (report.max_rel_error, report.worst_cell)
+
+
+def incidence(dim):
+    """(3I-2, n) 0/1 array over the n observed cells (_cells): entry [m, c]
+    is 1 where cell c's X_{k,j} enters fitted sum m, in the order
+    A_1..A_{I-1}, B_1..B_{I-1}, L_1..L_I. X_{k,j} adds to C_{k,r} for
+    r >= j alone, so it enters A_s when j <= s+1 and B_s when j <= s, both
+    only for rows k <= I-s, and the latest cell L_k of its own row."""
+    k, j = _cells(dim)
+    s = np.arange(1, dim)[:, None]
+    inside = k <= dim - s
+    latest = np.arange(1, dim + 1)[:, None] == k
+    return np.concatenate((inside & (j <= s + 1), inside & (j <= s), latest)).astype(float)
+
+
+@pytest.mark.parametrize("dim", [4, 7, 20])
+def test_to_cells_maps_each_sum_to_its_cells(dim):
+    """_to_cells of the unit gradient on sum m is row m of the incidence,
+    and a stack of gradients maps row by row."""
+    basis = np.eye(3 * dim - 2)
+    assert np.array_equal(_to_cells(basis), incidence(dim))
+    grad = np.random.default_rng([11, dim]).normal(size=(2, 3, 3 * dim - 2))
+    assert_close_to(_to_cells(grad), grad @ incidence(dim), dim, "stack")
 
 
 def full_stack_complex_step(inc, statistic):
@@ -414,9 +523,9 @@ def assert_close_to(got, want, dim, name):
 
 
 def assert_row_update_is_the_full_refit(inc):
-    """Stepped-sum derivatives == full-stack derivatives to 2 I eps of each
-    quantity's largest value, for the reserve total, the BF total, the
-    plug-in MSE and the three MSE blocks."""
+    """Stepped-sum derivatives mapped to the cells == full-stack derivatives
+    to 2 I eps of each quantity's largest value, for the reserve total, the
+    BF total, the plug-in MSE and the three MSE blocks."""
     dim = inc.dimension
     cum = cumulate(inc)
     factors = estimate_development_factors(cum)
@@ -433,21 +542,23 @@ def assert_row_update_is_the_full_refit(inc):
     ]
     for name, statistic, s2 in quantities:
         want = full_stack_complex_step(inc, lambda x: statistic(full(x)))
-        assert_close_to(complex_step(Fit.of(cum.values, sigma2=s2), statistic), want, dim, name)
+        got = _to_cells(complex_step(Fit.of(cum.values, sigma2=s2), statistic))
+        assert_close_to(got, want, dim, name)
 
     def blocks(x):
-        c = cumulate_values(x)
-        fit = Fit.of(c)
-        return np.concatenate((np.log(fit.factors), np.nansum(c, axis=-2), fit.ult), axis=-1)
+        fit = Fit.of(cumulate_values(x))
+        return np.concatenate(
+            (np.log(fit.factors), fit.den * fit.factors**2, fit.ult), axis=-1
+        )
 
     want = full_stack_complex_step(inc, blocks)
     got = _mse_blocks(Fit.of(cum.values))
     for name, rows in (
-        ("dlnf", slice(0, dim - 1)),
-        ("dcrow", slice(dim - 1, 2 * dim - 1)),
-        ("dult", slice(2 * dim - 1, None)),
+        ("d_ln_f", slice(0, dim - 1)),
+        ("d_colsum_fsq", slice(dim - 1, 2 * dim - 2)),
+        ("d_ultimate", slice(2 * dim - 2, None)),
     ):
-        assert_close_to(got[name], want[rows], dim, name)
+        assert_close_to(_to_cells(got[name]), want[rows], dim, name)
 
 
 @pytest.mark.parametrize("dim", [4, 7, 12, 20])
