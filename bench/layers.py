@@ -71,7 +71,7 @@ def sensitivity_report(runoff, inc) -> tuple:
 def fit(runoff, cum, factors, sigmas) -> tuple:
     """A Fit with sigmas and what the impacts read of it beyond its sums:
     g, and the Mack sums w and process, wherever the Fit computes them."""
-    built = runoff.Fit.build(cum, factors, sigmas)
+    built = runoff.Fit.of(cum.values, factors.values, sigmas.values)
     return built.g, built.w, built.process
 
 

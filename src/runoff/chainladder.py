@@ -125,21 +125,12 @@ class Fit:
     sigma2: np.ndarray | None = None
 
     @classmethod
-    def build(
-        cls,
-        cum: CumulativeTriangle,
-        factors: DevelopmentFactors,
-        sigmas: SigmaEstimates | None = None,
-    ) -> "Fit":
-        return cls.of(cum.values, factors.values, None if sigmas is None else sigmas.values)
-
-    @classmethod
     def of(
         cls, cum: np.ndarray, f: np.ndarray | None = None, sigma2: np.ndarray | None = None
     ) -> "Fit":
-        """The array form of build: (..., I, I) cumulative values, (..., I-1)
-        factors, estimated as f_s = A_s / B_s when None, and optionally
-        sigma^2, broadcast against them."""
+        """The fit of (..., I, I) cumulative values under (..., I-1) factors,
+        estimated as f_s = A_s / B_s when None, and optionally sigma^2,
+        broadcast against them."""
         dim = cum.shape[-1]
         rows = np.arange(dim)
         # one masked reduction over the rows n <= I-s that hold both columns
@@ -266,7 +257,8 @@ def _fit(
         factors, fit = held[0], held[2].with_sigmas(sigmas.values)
     else:
         _check_dimension(cum, factors, sigmas)
-        fit = Fit.of(cum.values) if factors is None else Fit.build(cum, factors, sigmas)
+        values = (None if x is None else x.values for x in (factors, sigmas))
+        fit = Fit.of(cum.values, *values)
     cum.__dict__["_fit"] = (factors, sigmas, fit)
     return fit
 
@@ -319,8 +311,6 @@ def mse_accident_year(
     dim = cum.dimension
     if not 1 <= i <= dim:
         raise IndexError(f"accident year {i} out of range 1..{dim}")
-    if i == 1:
-        return 0.0
     return float(_fit(cum, factors, sigmas).mse_by_year[i - 1])
 
 

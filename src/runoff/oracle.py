@@ -29,7 +29,8 @@ leaves every rel_error as it is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -73,55 +74,41 @@ RESERVE_STATISTICS = ("reserve-total", "reserve-ay", "bf-total", "bf-ay")
 COLUMNS = ("k", "j", "analytic", "numeric", "rel_error")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class VerificationReport:
-    """The checked cells as columns: k, j (int arrays), analytic, numeric
-    and rel_error (float arrays), one entry per cell in the order added;
-    read-only, as add replaces them."""
+    """The checked cells as read-only columns: k, j (int arrays), analytic,
+    numeric and rel_error (float arrays), one entry per cell, triangle by
+    triangle and row-major within each.
+
+    Built from the checked triangles of dimension I: analytic and numeric
+    derivatives in the cell layout of _cells, (..., I(I+1)/2). rel_error is
+    derived here, with each triangle's floor (see _floor)."""
 
     statistic: str
     tolerance: float
+    analytic: np.ndarray = field(repr=False)
+    numeric: np.ndarray = field(repr=False)
+    dimension: InitVar[int]
     notes: dict = field(default_factory=dict)
     k: np.ndarray = field(init=False, repr=False)
     j: np.ndarray = field(init=False, repr=False)
-    analytic: np.ndarray = field(init=False, repr=False)
-    numeric: np.ndarray = field(init=False, repr=False)
     rel_error: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self.k = self.j = _read_only(np.zeros(0, dtype=int))
-        self.analytic = self.numeric = self.rel_error = _read_only(np.zeros(0))
-        self._cells = None
-
-    def add(self, k, j, analytic, numeric):
-        """Record cell (k, j), or one cell per entry of equal-shape arrays
-        whose last axis holds the cells of one triangle; the triangle's
-        dimension, which scales the floor of rel_error, is its largest
-        k + j - 1."""
-        k, j, analytic, numeric = np.broadcast_arrays(
-            np.atleast_1d(k), j, np.asarray(analytic, dtype=float), np.asarray(numeric, dtype=float)
-        )
-        dim = np.max(k + j, axis=-1, keepdims=True) - 1
-        rel = relative_error(analytic, numeric, _floor(analytic, dim))
+    def __post_init__(self, dimension):
+        # C-order copies: the caller's arrays stay theirs, rel comes out
+        # C-order too, and ravel copies none of the three
+        analytic, numeric = (np.array(x, dtype=float, order="C") for x in (self.analytic, self.numeric))
+        rel = relative_error(analytic, numeric, _floor(analytic, dimension))
+        k, j = (np.broadcast_to(c, analytic.shape) for c in _cells(dimension))
         for name, values in zip(COLUMNS, (k, j, analytic, numeric, rel)):
-            setattr(self, name, _read_only(np.concatenate((getattr(self, name), np.ravel(values)))))
-        self._cells = None
+            object.__setattr__(self, name, _read_only(np.ravel(values)))
 
-    def add_triangle(self, analytic: np.ndarray, numeric: np.ndarray):
-        """Record every observed cell of a (..., I, I) stack of analytic
-        triangles against the numeric derivatives in the cell layout
-        (..., n) of _to_cells, triangle by triangle, each row-major."""
-        dim = analytic.shape[-1]
-        self.add(*_cells(dim), analytic[..., observed_mask(dim)], numeric)
-
-    @property
+    @cached_property
     def cells(self) -> list:
-        """One dict per checked cell, keyed by COLUMNS. Built on the first
-        read after an add and kept, so every read returns the same list."""
-        if self._cells is None:
-            columns = [getattr(self, name).tolist() for name in COLUMNS]
-            self._cells = [dict(zip(COLUMNS, row)) for row in zip(*columns)]
-        return self._cells
+        """One dict per checked cell, keyed by COLUMNS; built on the first
+        read and kept, so every read returns the same list."""
+        columns = [getattr(self, name).tolist() for name in COLUMNS]
+        return [dict(zip(COLUMNS, row)) for row in zip(*columns)]
 
     @property
     def max_rel_error(self) -> float:
@@ -191,6 +178,11 @@ def _cells(dim: int) -> tuple:
     cell layout of the oracle's derivatives, one entry per cell on the
     last axis."""
     return tuple(c + 1 for c in np.nonzero(observed_mask(dim)))
+
+
+def _observed(triangles: np.ndarray) -> np.ndarray:
+    """A (..., I, I) stack of triangles in the cell layout of _cells."""
+    return triangles[..., observed_mask(triangles.shape[-1])]
 
 
 def _partial(f: Callable, x):
@@ -281,9 +273,8 @@ def verify_reserve_impacts(
         by_year = bf_reserve_values(fit.fprod, priors.values) if bf else fit.reserves
         return by_year[..., year - 1] if per_year else np.sum(by_year, axis=-1)
 
-    report = VerificationReport(statistic=statistic, tolerance=tolerance)
-    report.add_triangle(analytic.values, _to_cells(complex_step(_fit(cum, factors), refit)))
-    return report
+    numeric = _to_cells(complex_step(_fit(cum, factors), refit))
+    return VerificationReport(statistic, tolerance, _observed(analytic.values), numeric, cum.dimension)
 
 
 def _mse_blocks(fit: Fit, extra: Callable | None = None) -> dict:
@@ -371,7 +362,6 @@ def verify_mse_components(
         return refit.mse_total if year is None else refit.mse_by_year[..., year - 1]
 
     blocks = _mse_blocks(fit, plugin)
-    report = VerificationReport(statistic="mse-components", tolerance=tolerance)
 
     # building blocks against their gradients over the sums:
     # d ln f_s = dA_s / A_s - dB_s / B_s, d(B_r f_r^2) = f_r^2 (dB_r + 2 B_r d ln f_r)
@@ -384,23 +374,22 @@ def verify_mse_components(
     d_colsum_fsq[s, dim - 1 + s] += fsq[:, 0]
     d_ult = fit.ult[:, None] * _ahead(d_lnf, axis=0)
     d_ult[q, 2 * dim - 2 + q] += fit.fprod
-    for name, analytic in (("d_ln_f", d_lnf), ("d_ultimate", d_ult), ("d_colsum_fsq", d_colsum_fsq)):
-        report.notes[f"{name}_max_rel"] = _max_rel(analytic, blocks[name], dim)
+    checked = {"d_ln_f": d_lnf, "d_ultimate": d_ult, "d_colsum_fsq": d_colsum_fsq}
+    notes = {f"{name}_max_rel": _max_rel(a, blocks[name], dim) for name, a in checked.items()}
 
-    # assembled impacts vs analytic: every year's and the total, or year's
+    # assembled impacts vs analytic, over the observed cells: every year's
+    # and the total, or year's
     yearly, total = _assemble_mse_from_blocks(fit, blocks)
     if year is None:
-        analytic = np.concatenate((_mse_ay(fit, None)[1:], _mse_total(fit)[None]))
+        analytic = np.concatenate((_observed(_mse_ay(fit, None)[1:]), _observed(_mse_total(fit))[None]))
         numeric = np.concatenate((yearly[1:], total[None]))
     else:
-        analytic, numeric = _mse_ay(fit, year)[None], yearly[year - 1][None]
-    report.add_triangle(analytic, _to_cells(numeric))
+        analytic, numeric = _observed(_mse_ay(fit, year))[None], yearly[year - 1][None]
 
     # direct derivative of the plug-in value of the last checked statistic,
     # sigma^2 held at the baseline, from the blocks' stack; documented only
-    observed = analytic[-1][observed_mask(dim)]
-    report.notes["direct_fd_max_rel"] = _max_rel(observed, _to_cells(blocks["extra"]), dim)
-    return report
+    notes["direct_fd_max_rel"] = _max_rel(analytic[-1], _to_cells(blocks["extra"]), dim)
+    return VerificationReport("mse-components", tolerance, analytic, _to_cells(numeric), dim, notes)
 
 
 def verify_quantile_impacts(
@@ -425,6 +414,5 @@ def verify_quantile_impacts(
     df_dm = _partial(lambda m: lognormal_quantile(fit_lognormal(total_reserve, m), q), mse)
     blocks = _mse_blocks(fit, lambda refit: np.sum(refit.reserves, axis=-1))
     if_m = _assemble_mse_from_blocks(fit, blocks)[1]
-    report = VerificationReport(statistic="quantile", tolerance=tolerance)
-    report.add_triangle(analytic.values, _to_cells(df_dr * blocks["extra"] + df_dm * if_m))
-    return report
+    numeric = _to_cells(df_dr * blocks["extra"] + df_dm * if_m)
+    return VerificationReport("quantile", tolerance, _observed(analytic.values), numeric, fit.dimension)

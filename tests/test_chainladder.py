@@ -154,7 +154,7 @@ def test_refits_are_bit_identical_to_the_reference(dim):
     ])
     factors = estimate_development_factors(cum)
     close(factors.values, want, want)
-    fit = Fit.build(cum, factors)
+    fit = Fit.of(cum.values, factors.values)
     ult = np.array([
         cum.cell(i, dim - i + 1) * factors.product(dim - i + 1, dim - 1)
         for i in range(1, dim + 1)
@@ -314,7 +314,7 @@ class TestFitMemo:
         for name in ("num", "den", "factors", "fprod", "latest", "ult", "g", "reserves"):
             assert getattr(fit, name) is getattr(held, name), name
         assert fit.sigma2.tolist() == sigmas.values.tolist() and not fit.sigma2.flags.writeable
-        assert fit.mse_total == Fit.build(cum, factors, sigmas).mse_total
+        assert fit.mse_total == Fit.of(cum.values, factors.values, sigmas.values).mse_total
         assert held.sigma2 is None
 
     def test_new_factors_object_gets_a_new_fit(self, belgian):
@@ -322,7 +322,7 @@ class TestFitMemo:
         factors = estimate_development_factors(cum)
         base = reserves(cum, factors)[1]
         other = DevelopmentFactors(factors.dimension, factors.values * 1.01)
-        fresh = float(np.sum(Fit.build(cum, other).reserves))
+        fresh = float(np.sum(Fit.of(cum.values, other.values).reserves))
         assert reserves(cum, other)[1] == fresh != base
         assert _fit(cum, other) is not _fit(cum, factors)
         assert reserves(cum, factors)[1] == base
@@ -373,6 +373,7 @@ class TestFitMemo:
             (lambda: reserves(cum, DevelopmentFactors(1, [])), "DevelopmentFactors", 1),
             (lambda: impact_mse_total(cum, DevelopmentFactors(2, [1.1]), sigmas), "DevelopmentFactors", 2),
             (lambda: estimate_sigmas(cum, DevelopmentFactors(3, [1.1, 1.2])), "DevelopmentFactors", 3),
+            (lambda: mse_accident_year(cum, factors, SigmaEstimates(2, [5.0]), 1), "SigmaEstimates", 2),
         ):
             with pytest.raises(ValueError, match=f"{name} for I={dim}, triangle has I=6"):
                 call()
@@ -380,8 +381,8 @@ class TestFitMemo:
     def test_build_is_pure(self, belgian):
         cum = cumulate(belgian)
         factors = estimate_development_factors(cumulate(belgian))
-        first = Fit.build(cum, factors)
-        assert Fit.build(cum, factors) is not first
+        first = Fit.of(cum.values, factors.values)
+        assert Fit.of(cum.values, factors.values) is not first
         assert "_fit" not in cum.__dict__
         with pytest.raises(ValueError, match="no sigmas"):
             first.mse_total

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import bundled_path, proportional_triangle
 from runoff.cli import main
+from runoff.oracle import verify_mse_components
 
 
 def run(capsys, *argv):
@@ -170,6 +171,18 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", bundled_path(), "--stat", "mse-ay", "--year", "5")
         assert code == 0
         assert "cells checked: 55\n" in out
+
+    def test_json_cells_of_one_year(self, capsys, belgian):
+        code, out, _ = run(
+            capsys, "verify", bundled_path(), "--stat", "mse-ay", "--year", "5", "--format", "json"
+        )
+        assert code == 0
+        cells = json.loads(out)["cells"]
+        assert len(cells) == 55
+        assert all(type(c["k"]) is int and type(c["j"]) is int for c in cells)
+        row_major = [(k, j) for k in range(1, 11) for j in range(1, 12 - k)]
+        assert [(c["k"], c["j"]) for c in cells] == row_major
+        assert cells == verify_mse_components(belgian, year=5).cells
 
     @pytest.mark.parametrize(
         "proportional, stat",

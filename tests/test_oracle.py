@@ -92,40 +92,44 @@ class TestFdDerivative:
 
 class TestVerificationReport:
     def test_empty_report(self):
-        report = VerificationReport(statistic="x", tolerance=1e-5)
+        report = VerificationReport("x", 1e-5, np.zeros((0, 3)), np.zeros((0, 3)), 2)
+        assert report.k.size == 0 and report.cells == []
         assert report.max_rel_error == 0.0
         assert report.worst_cell is None
         assert report.passed
 
     def test_to_dict_shape(self):
-        report = VerificationReport(statistic="x", tolerance=1e-5)
-        report.add(1, 1, 1.0, 1.0)
+        report = VerificationReport("x", 1e-5, [[1.0]], [[1.0]], 1)
         doc = report.to_dict()
         assert doc["statistic"] == "x"
         assert doc["passed"] is True
         assert doc["cells"][0]["rel_error"] == 0.0
 
     def test_columns_and_cells_agree(self):
-        report = VerificationReport(statistic="x", tolerance=1e-5)
-        report.add([1, 2, 2], [1, 1, 2], [1.0, 2.0, 4.0], [1.0, 3.0, 2.0])
-        report.add(3, 1, 1.0, 2.0)
-        assert report.k.tolist() == [1, 2, 2, 3]
+        # two triangles of I=2, each over the cells (1, 1), (1, 2), (2, 1)
+        report = VerificationReport(
+            "x", 1e-5, [[1.0, 2.0, 4.0], [1.0, 1.0, 1.0]], [[1.0, 3.0, 2.0], [2.0, 1.0, 1.0]], 2
+        )
+        assert report.k.tolist() == [1, 1, 2, 1, 1, 2]
+        assert report.j.tolist() == [1, 2, 1, 1, 2, 1]
         assert report.cells[1] == {
-            "k": 2, "j": 1, "analytic": 2.0, "numeric": 3.0, "rel_error": 1 / 3
+            "k": 1, "j": 2, "analytic": 2.0, "numeric": 3.0, "rel_error": 1 / 3
         }
         assert report.cells is report.cells
         # the first of two maximal cells, as Python ints
         assert report.max_rel_error == 0.5
-        assert report.worst_cell == (2, 2)
+        assert report.worst_cell == (2, 1)
         assert all(type(v) is int for v in report.worst_cell)
         assert not report.passed
 
     def test_a_nan_cell_fails_wherever_it_sits(self):
-        report = VerificationReport(statistic="x", tolerance=1e-5)
-        report.add([1, 1], [1, 2], [1.0, np.nan], [1.0, 1.0])
-        assert math.isnan(report.max_rel_error)
-        assert report.worst_cell == (1, 2)
-        assert not report.passed
+        for at, cell in enumerate(((1, 1), (1, 2), (2, 1))):
+            analytic = np.ones((1, 3))
+            analytic[0, at] = np.nan
+            report = VerificationReport("x", 1e-5, analytic, np.ones((1, 3)), 2)
+            assert math.isnan(report.max_rel_error)
+            assert report.worst_cell == cell
+            assert not report.passed
 
 
 class TestVerifyReserveImpacts:
@@ -234,7 +238,7 @@ def loop_assembly(inc, blocks, per_year=False):
     cum = cumulate(inc)
     factors = estimate_development_factors(cum)
     dim = inc.dimension
-    fit = Fit.build(cum, factors, estimate_sigmas(cum, factors))
+    fit = Fit.of(cum.values, factors.values, estimate_sigmas(cum, factors).values)
     ult = fit.ult
     dlnf, dult = (triangles(_to_cells(blocks[name]), dim) for name in ("d_ln_f", "d_ultimate"))
     dc = np.zeros((dim, dim, dim, dim))
@@ -289,7 +293,7 @@ def test_assembly_matches_the_loop_reference(dim):
     inc = random_triangle(np.random.default_rng([4, dim]), dim)
     cum = cumulate(inc)
     factors = estimate_development_factors(cum)
-    fit = Fit.build(cum, factors, estimate_sigmas(cum, factors))
+    fit = Fit.of(cum.values, factors.values, estimate_sigmas(cum, factors).values)
     blocks = _mse_blocks(fit)
     yearly, total = (triangles(_to_cells(a), dim) for a in _assemble_mse_from_blocks(fit, blocks))
     rows = np.arange(dim)
@@ -424,9 +428,8 @@ def by_triangle(column, dim):
 def replanted(report, analytic, dim):
     """report's cells rechecked with analytic in place of its analytic
     column, triangle by triangle."""
-    again = VerificationReport(statistic=report.statistic, tolerance=report.tolerance)
-    again.add(*(by_triangle(c, dim) for c in (report.k, report.j, analytic, report.numeric)))
-    return again
+    numeric = by_triangle(report.numeric, dim)
+    return VerificationReport(report.statistic, report.tolerance, by_triangle(analytic, dim), numeric, dim)
 
 
 @pytest.mark.parametrize("dim", [40, 100])

@@ -1,11 +1,13 @@
 """Guards for the tooling that reaches into runoff from outside.
 
 perfbench/tracing.py wraps runoff functions by name for the per-layer
-benchmark metrics, and bench/layers.py calls the fit, impact and oracle
-layers directly. A rename, deletion or signature change in runoff breaks
-only a benchmark run, silently, so what they need is pinned here.
+benchmark metrics, perfbench/gate.py reads the cells of an oracle report,
+and bench/layers.py calls the fit, impact and oracle layers directly. A
+rename, deletion or signature change in runoff breaks only a benchmark
+run, silently, so what they need is pinned here.
 """
 
+import copy
 import importlib
 import importlib.util
 import json
@@ -16,6 +18,8 @@ import runoff
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
+GATE = ROOT / "perfbench" / "gate.py"
+INPUTS = ROOT / "perfbench" / "inputs.py"
 LAYERS = ROOT / "bench" / "layers.py"
 
 PUBLIC = [
@@ -104,3 +108,16 @@ def test_layer_record_times_every_stage(tmp_path, monkeypatch):
     for stage in row.values():
         assert stage["best_s"] > 0.0
         assert stage["batches"] == layers.BATCHES and stage["calls"] >= stage["batches"]
+
+
+def test_gate_sees_an_edit_to_the_cells_of_a_copied_report():
+    """The oracle-verify gate reads report.cells, and its self-check edits
+    cells[3] of a deep copy: cells must be one list, kept across reads."""
+    gate, inputs = load(GATE, "perfbench_gate"), load(INPUTS, "perfbench_inputs")
+    inc = runoff.IncrementalTriangle.from_rows(inputs.triangle_rows(inputs.REFERENCE_SEED, 0, 10))
+    report = runoff.verify_reserve_impacts(inc)
+    reference = gate.load_reference("oracle-verify")["reserve-total I=10"]
+    assert gate.check_verdict(report, 10, reference) == []
+    bad = copy.deepcopy(report)
+    bad.cells[3]["analytic"] *= 1 + 1e-6
+    assert gate.check_verdict(bad, 10, reference)

@@ -205,8 +205,7 @@ def containers(caller):
     that caller(shape) hands out, by class name."""
     tri = caller((3, 3))
     tri[:] = [[100.0, 150.0, 175.0], [110.0, 160.0, np.nan], [120.0, np.nan, np.nan]]
-    report = runoff.VerificationReport("reserve-total", 1e-5)
-    report.add(caller(2).astype(int), caller(2).astype(int), caller(2), caller(2))
+    report = runoff.VerificationReport("reserve-total", 1e-5, caller((1, 3)), caller((1, 3)), 2)
     factors = runoff.DevelopmentFactors(3, caller(2))
     sigmas = runoff.SigmaEstimates(3, caller(2))
     return {
@@ -240,9 +239,8 @@ def test_per_year_containers_check_their_length(cls, count):
 
 
 def test_every_container_holds_read_only_copies():
-    """README: the containers are frozen dataclasses over read-only arrays
-    (a VerificationReport's add replaces its columns), and building one
-    neither freezes nor aliases the caller's arrays."""
+    """README: the containers are frozen dataclasses over read-only arrays,
+    and building one neither freezes nor aliases the caller's arrays."""
     handed_out = []
 
     def caller(shape):
@@ -256,8 +254,7 @@ def test_every_container_holds_read_only_copies():
     assert set(built) == exported
     for name, obj in built.items():
         assert dataclasses.fields(obj)
-        frozen = type(obj).__dataclass_params__.frozen
-        assert frozen or name == "VerificationReport", name
+        assert type(obj).__dataclass_params__.frozen, name
         arrays = [v for v in vars(obj).values() if isinstance(v, np.ndarray)]
         assert all(not a.flags.writeable for a in arrays), name
         assert not any(np.shares_memory(a, c) for a in arrays for c in handed_out), name
