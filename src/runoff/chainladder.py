@@ -67,9 +67,14 @@ class MackSummary(ReadOnlyArrays):
 
 def _ahead(per_s: np.ndarray, axis: int = -1) -> np.ndarray:
     """Per accident year i, per_s summed along axis over the development
-    years s = I-i+1..I-1 still ahead of it; year 1 gets zeros."""
-    ahead = np.cumsum(np.flip(per_s, axis), axis=axis)
-    return np.concatenate((np.zeros_like(np.take(ahead, [0], axis=axis)), ahead), axis=axis)
+    years s = I-i+1..I-1 still ahead of it; year 1 gets zeros. One
+    allocation: the sums of the reversed input are written into its tail."""
+    lead = (slice(None),) * (axis % per_s.ndim)
+    shape = list(per_s.shape)
+    shape[axis] += 1
+    out = np.zeros(shape, dtype=np.result_type(per_s, 0.0))
+    np.cumsum(per_s[lead + (slice(None, None, -1),)], axis=axis, out=out[lead + (slice(1, None),)])
+    return out
 
 
 def sigma2_values(cum: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -113,6 +118,7 @@ class Fit:
     reserves, later, mse_by_year and mse_total are computed on first read,
     read-only: the impacts need g, refits do not, and a refit that carries
     sigma2 pays for the Mack sums only if its statistic reads them.
+    runoff.impact keeps the total impact triangles on the fit the same way.
     """
 
     dimension: int
@@ -170,9 +176,11 @@ class Fit:
     def with_sigmas(self, sigma2: np.ndarray) -> "Fit":
         """This fit with the variance scales sigma2: the same read-only sums,
         factor products and ultimates, and the derived arrays that do not
-        read sigma2 (g, reserves, later) where this fit has computed them."""
+        read sigma2 (g, reserves, later, and the total reserve impact that
+        runoff.impact holds as _reserve_total) where this fit has computed
+        them."""
         fit = replace(self, sigma2=_read_only(np.array(sigma2)))
-        for name in ("g", "reserves", "later"):
+        for name in ("g", "reserves", "later", "_reserve_total"):
             if name in self.__dict__:
                 fit.__dict__[name] = self.__dict__[name]
         return fit

@@ -23,6 +23,7 @@ from runoff.triangle import (
     CumulativeTriangle,
     IncrementalTriangle,
     Triangle,
+    _read_only,
     observed_mask,
 )
 
@@ -140,6 +141,21 @@ def _reserve_ay(fit: Fit, i: int | None) -> np.ndarray:
     return _year(fit, i, fit.ult, fit.fprod - 1.0)
 
 
+def _held(build):
+    """build(fit), an (I, I) total impact triangle, computed on the first
+    call for a fit and kept on it, read-only, in its __dict__ under build's
+    name, as functools.cached_property keeps a value; later calls return
+    the held array. Every impact that reads the total reads this one."""
+
+    def held(fit: Fit) -> np.ndarray:
+        if build.__name__ not in fit.__dict__:
+            fit.__dict__[build.__name__] = _read_only(build(fit))
+        return fit.__dict__[build.__name__]
+
+    return held
+
+
+@_held
 def _reserve_total(fit: Fit) -> np.ndarray:
     return _kernel(fit, fit.ult) + (fit.fprod - 1.0)[:, None]
 
@@ -241,6 +257,7 @@ def _check_mse(what: str, mse: float, zero_sigmas: bool):
         raise ValueError(f"{what} undefined: {cause}")
 
 
+@_held
 def _mse_total(fit: Fit) -> np.ndarray:
     """Sum over years of the per-year MSE impacts plus, by the product
     rule, of the cross covariances u_i v_i, with u_i = ult_i later_i and

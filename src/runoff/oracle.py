@@ -222,14 +222,18 @@ def _to_cells(grad: np.ndarray) -> np.ndarray:
     s >= j-1, B_s for s >= j (both for s <= I-k only) and L_k. With P[m]
     the sum of gA_s + gB_s over s <= m, cell (k, j) gets
     P[I-k] + gL_k - (P[j-1] - gA_{j-1}), gA_0 = 0: a row term less a
-    column term, O(I) work per gradient before the n-cell gather."""
+    column term, O(I) work per gradient before the n-cell gather. The
+    column term is subtracted into the gathered row term in place, so two
+    (..., n) arrays are alive at once, not three."""
     dim = (grad.shape[-1] + 2) // 3
     k, j = _cells(dim)
     zero = np.zeros(grad.shape[:-1] + (1,))
     g_a = np.concatenate((zero, grad[..., : dim - 1]), axis=-1)
     prefix = np.cumsum(g_a + np.concatenate((zero, grad[..., dim - 1 : 2 * dim - 2]), axis=-1), axis=-1)
     row = prefix[..., ::-1] + grad[..., 2 * dim - 2 :]
-    return row[..., k - 1] - (prefix - g_a)[..., j - 1]
+    cells = row[..., k - 1]
+    cells -= (prefix - g_a)[..., j - 1]
+    return cells
 
 
 def verify_reserve_impacts(

@@ -67,8 +67,9 @@ def impact_quantile(
         d(mu)     = IF(R) / R - d(sigma2) / 2
         IF(F^-1)  = (d(mu) + z_q * d(sigma2) / (2 sqrt(sigma2))) * F^-1(q)
 
-    evaluated cellwise from the reserve and MSE impact triangles, both
-    read from one fitted state.
+    evaluated cellwise from the reserve and MSE impact triangles that the
+    one fitted state holds, built once for it and shared with
+    impact_reserve_total and impact_mse_total.
     """
     return _impact_quantile(_fit(cum, factors, sigmas), q)
 

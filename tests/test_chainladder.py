@@ -9,6 +9,7 @@ from runoff.chainladder import (
     DevelopmentFactors,
     Fit,
     SigmaEstimates,
+    _ahead,
     _fit,
     estimate_development_factors,
     estimate_sigmas,
@@ -18,6 +19,7 @@ from runoff.chainladder import (
     project_ultimates,
     reserves,
 )
+from runoff import impact
 from runoff.impact import d_ln_f, impact_bf_total, impact_mse_total, impact_reserve_total
 from runoff.quantile import impact_quantile
 from runoff.triangle import IncrementalTriangle, column_partial_sum, cumulate
@@ -171,6 +173,34 @@ def test_refits_are_bit_identical_to_the_reference(dim):
     close(total, np.sum(bf), np.sum(mu))
 
 
+def ahead_reference(per_s, axis=-1):
+    """_ahead written with flip, cumsum and concatenate."""
+    ahead = np.cumsum(np.flip(per_s, axis), axis=axis)
+    return np.concatenate((np.zeros_like(np.take(ahead, [0], axis=axis)), ahead), axis=axis)
+
+
+@pytest.mark.parametrize("shape", [(7,), (6, 9), (3, 5, 4), (0, 5)])
+@pytest.mark.parametrize("axis", [0, -1])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_ahead_matches_the_reference(shape, axis, dtype):
+    rng = np.random.default_rng([13, len(shape)])
+    per_s = rng.uniform(-1e6, 1e6, shape).astype(dtype)
+    if dtype is complex:
+        per_s += 1j * rng.uniform(-1.0, 1.0, shape)
+    # C-ordered, and transposed as the oracle's gradients are
+    for x in (per_s, per_s.T):
+        if x.shape[axis] == 0:
+            # nothing ahead of any year: the reference cannot take slot 0 of an empty axis
+            want = np.zeros(tuple(n + (a == axis % x.ndim) for a, n in enumerate(x.shape)), dtype)
+        else:
+            want = ahead_reference(x, axis)
+        got = _ahead(x, axis)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.flags.writeable and got.flags.owndata
+        got[...] = 1.0
+        assert not np.any(x == 1.0)
+
+
 class TestSigmas:
     def test_matches_direct_formula(self, belgian):
         cum = cumulate(belgian)
@@ -284,24 +314,59 @@ class TestMackSummary:
         )
 
 
+def sensitivity_report(inc):
+    """The perfbench api-report op's calls, as (cum, factors, sigmas, its
+    quantile impact triangle)."""
+    cum = cumulate(inc)
+    factors = estimate_development_factors(cum)
+    sigmas = estimate_sigmas(cum, factors)
+    reserves(cum, factors)
+    mse_total(cum, factors, sigmas)
+    priors = default_priors(cum, factors)
+    impact_reserve_total(cum, factors)
+    impact_bf_total(cum, factors, priors)
+    impact_mse_total(cum, factors, sigmas)
+    return cum, factors, sigmas, impact_quantile(cum, factors, sigmas, 0.995)
+
+
 class TestFitMemo:
     """A triangle keeps the last Fit built for it, keyed by the identity of
     its read-only factors and sigmas."""
 
     def test_a_sensitivity_report_builds_one_fit(self, belgian, fit_builds):
         # the perfbench api-report op: the factors' fit, its sigma fit derived
-        cum = cumulate(belgian)
-        factors = estimate_development_factors(cum)
-        sigmas = estimate_sigmas(cum, factors)
-        reserves(cum, factors)
-        mse_total(cum, factors, sigmas)
-        priors = default_priors(cum, factors)
-        impact_reserve_total(cum, factors)
-        impact_bf_total(cum, factors, priors)
-        impact_mse_total(cum, factors, sigmas)
-        impact_quantile(cum, factors, sigmas, 0.995)
+        cum, factors, sigmas, _ = sensitivity_report(belgian)
         assert len(fit_builds) == 1
         assert "g" in _fit(cum, factors, sigmas).__dict__  # one g, read by all four
+
+    def test_a_sensitivity_report_builds_each_total_impact_once(self, belgian, monkeypatch):
+        kernels = []
+        kernel = impact._kernel
+
+        def counted(fit, c):
+            kernels.append(c)
+            return kernel(fit, c)
+
+        monkeypatch.setattr(impact, "_kernel", counted)
+        cum, factors, sigmas, quantile = sensitivity_report(belgian)
+        # the reserve, BF and MSE totals; impact_quantile reads the fit's two
+        assert len(kernels) == 3
+        fresh = impact_quantile(cumulate(belgian), factors, sigmas, 0.995)
+        assert quantile.values.tobytes() == fresh.values.tobytes()
+        fit = _fit(cum, factors, sigmas)
+        for held in (impact._reserve_total(fit), impact._mse_total(fit)):
+            with pytest.raises(ValueError, match="read-only"):
+                held[0, 0] = 1.0
+
+    def test_other_sigmas_get_their_own_mse_total_impact(self, belgian):
+        cum, factors, sigmas, _ = sensitivity_report(belgian)
+        held = _fit(cum, factors, sigmas)
+        other = SigmaEstimates(sigmas.dimension, sigmas.values * 1.5)
+        got = impact_mse_total(cum, factors, other).values  # derived by with_sigmas
+        fresh = impact_mse_total(cumulate(belgian), factors, other).values  # by Fit.of
+        assert got.tobytes() == fresh.tobytes()
+        assert not np.array_equal(got, impact_mse_total(cum, factors, sigmas).values, equal_nan=True)
+        assert impact._reserve_total(_fit(cum, factors, other)) is impact._reserve_total(held)
 
     def test_the_sigma_fit_is_derived_from_the_held_fit(self, belgian, fit_builds):
         cum = cumulate(belgian)
