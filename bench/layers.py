@@ -19,6 +19,9 @@ impact_quantile both totals and the chain rule over them. The fit stage
 times building that Fit with its d ln f kernel and Mack sums, and
 sensitivity_report a whole report (the perfbench api-report op) from the
 increments, where each total is built once and read by impact_quantile.
+The validate stage checks the increments as ingest does, decumulate
+inverts the cumulated triangle, and render_csv writes the reserve-total
+impact triangle as the CLI's CSV.
 The result goes under layers[label] of
 BENCH_<yyyymmdd>.json in the repository root, merged with what the file
 already holds, so a before and an after run share one file.
@@ -100,8 +103,11 @@ def stages(runoff, dim: int) -> dict:
     factors = runoff.estimate_development_factors(cum)
     sigmas = runoff.estimate_sigmas(cum, factors)
     priors = runoff.default_priors(cum, factors)
+    impacts = runoff.impact_reserve_total(cum, factors)
     return {
+        "validate": lambda: runoff.validate(inc),
         "cumulate": lambda: runoff.cumulate(inc),
+        "decumulate": lambda: runoff.decumulate(cum),
         "estimate_development_factors": lambda: runoff.estimate_development_factors(cum),
         "estimate_sigmas": lambda: runoff.estimate_sigmas(cum, factors),
         "fit": lambda: fit(runoff, cum, factors, sigmas),
@@ -116,6 +122,7 @@ def stages(runoff, dim: int) -> dict:
         "verify_reserve_impacts": lambda: runoff.verify_reserve_impacts(inc, "reserve-total"),
         "verify_mse_components": lambda: runoff.verify_mse_components(inc),
         "verify_quantile_impacts": lambda: runoff.verify_quantile_impacts(inc, QUANTILE_LEVEL),
+        "render_csv": lambda: runoff.cli.render_csv(impacts),
     }
 
 
@@ -154,7 +161,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(Path(args.src).resolve()))
-    import runoff
+    import runoff.cli  # binds runoff, with the cli module the render_csv stage times
 
     out = Path(args.out or ROOT / f"BENCH_{datetime.date.today():%Y%m%d}.json")
     doc = json.loads(out.read_text()) if out.exists() else {}

@@ -44,7 +44,7 @@ from runoff.oracle import (
     verify_reserve_impacts,
 )
 from runoff.quantile import _impact_quantile, fit_lognormal, lognormal_quantile
-from runoff.triangle import IncrementalTriangle, cumulate, validate
+from runoff.triangle import IncrementalTriangle, _cells, _records, cumulate, observed_mask, validate
 
 STATISTICS = (
     "reserve-ay",
@@ -99,9 +99,9 @@ def ingest(path: str) -> IncrementalTriangle:
             f"{path}: expected {dim} data rows after the header, got {len(lines) - 1}"
         )
     rows = []
-    for i in range(1, dim + 1):
-        tokens = [t.strip() for t in lines[i].split(",")]
-        want = dim - i + 1
+    for i, (line, observed) in enumerate(zip(lines[1:], observed_mask(dim)), start=1):
+        tokens = [t.strip() for t in line.split(",")]
+        want = np.count_nonzero(observed)
         if len(tokens) != want:
             raise DataError(
                 f"{path}: row {i}: expected {want} values, got {len(tokens)}"
@@ -184,11 +184,17 @@ def compute(stat: str, inc: IncrementalTriangle, year, q: float, priors_src: str
     raise UsageError(f"unknown statistic {stat!r}")
 
 
+def _columns(impacts: ImpactTriangle) -> tuple:
+    """k, j and the value of the observed cells, as lists in row-major
+    order, the cell layout of runoff.triangle."""
+    dim = impacts.dimension
+    k, j = _cells(dim)
+    return k.tolist(), j.tolist(), impacts.values[observed_mask(dim)].tolist()
+
+
 def render_csv(impacts: ImpactTriangle) -> str:
-    lines = ["k,j,value"]
-    for k, j in impacts.observed_cells():
-        lines.append(f"{k},{j},{impacts.cell(k, j):.10g}")
-    return "\n".join(lines) + "\n"
+    rows = map("{},{},{:.10g}".format, *_columns(impacts))
+    return "\n".join(("k,j,value", *rows)) + "\n"
 
 
 def render_json(impacts: ImpactTriangle, value: float) -> str:
@@ -196,10 +202,7 @@ def render_json(impacts: ImpactTriangle, value: float) -> str:
         "statistic": impacts.statistic,
         "target": impacts.target,
         "I": impacts.dimension,
-        "cells": [
-            {"k": k, "j": j, "value": impacts.cell(k, j)}
-            for k, j in impacts.observed_cells()
-        ],
+        "cells": _records(("k", "j", "value"), _columns(impacts)),
         "summary": {"value_of_statistic": value},
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -224,7 +227,7 @@ def render_svg(impacts: ImpactTriangle) -> str:
     cell_w, cell_h, margin = 66, 26, 40
     width = margin + dim * cell_w + 20
     height = margin + dim * cell_h + 58
-    vals = [impacts.cell(k, j) for k, j in impacts.observed_cells()]
+    ks, js, vals = _columns(impacts)
     lo, hi = min(vals), max(vals)
     scale = max(abs(lo), abs(hi))
     parts = [
@@ -238,22 +241,22 @@ def render_svg(impacts: ImpactTriangle) -> str:
     for j in range(1, dim + 1):
         x = margin + (j - 1) * cell_w + cell_w // 2
         parts.append(f'<text x="{x}" y="{margin - 6}" text-anchor="middle">{j}</text>')
-    for k in range(1, dim + 1):
-        y = margin + (k - 1) * cell_h + cell_h // 2 + 4
-        parts.append(f'<text x="{margin - 8}" y="{y}" text-anchor="end">{k}</text>')
-        for j in range(1, dim - k + 2):
-            v = impacts.cell(k, j)
-            fill, text = _diverging_color(v, scale)
-            x = margin + (j - 1) * cell_w
-            yy = margin + (k - 1) * cell_h
+    for k, j, v in zip(ks, js, vals):
+        yy = margin + (k - 1) * cell_h
+        if j == 1:  # row k starts with its label
             parts.append(
-                f'<rect x="{x}" y="{yy}" width="{cell_w}" height="{cell_h}" '
-                f'fill="{fill}" stroke="#cccccc"/>'
+                f'<text x="{margin - 8}" y="{yy + cell_h // 2 + 4}" text-anchor="end">{k}</text>'
             )
-            parts.append(
-                f'<text x="{x + cell_w // 2}" y="{yy + cell_h // 2 + 4}" '
-                f'text-anchor="middle" fill="{text}">{v:.4f}</text>'
-            )
+        fill, text = _diverging_color(v, scale)
+        x = margin + (j - 1) * cell_w
+        parts.append(
+            f'<rect x="{x}" y="{yy}" width="{cell_w}" height="{cell_h}" '
+            f'fill="{fill}" stroke="#cccccc"/>'
+        )
+        parts.append(
+            f'<text x="{x + cell_w // 2}" y="{yy + cell_h // 2 + 4}" '
+            f'text-anchor="middle" fill="{text}">{v:.4f}</text>'
+        )
     ly = margin + dim * cell_h + 30
     neg, _ = _diverging_color(-scale, scale)
     pos, _ = _diverging_color(scale, scale)
@@ -364,20 +367,11 @@ def cmd_reserves(args) -> int:
     fit = _fit(cum, factors, sigmas)
     priors = load_priors(args.priors, cum, factors)
     bf_by_year, bf_tot = bf_reserves(cum, factors, priors)
-    rmse = None if sigmas is None else np.sqrt(fit.mse_by_year)
     dim = inc.dimension
-    rows = []
-    for i in range(1, dim + 1):
-        rows.append(
-            {
-                "i": i,
-                "latest": float(fit.latest[i - 1]),
-                "ultimate": float(fit.ult[i - 1]),
-                "reserve": float(fit.reserves[i - 1]),
-                "rmse": None if rmse is None else float(rmse[i - 1]),
-                "bf_reserve": bf_by_year[i - 1],
-            }
-        )
+    keys = ("i", "latest", "ultimate", "reserve", "rmse", "bf_reserve")
+    rmse = np.full(dim, None) if sigmas is None else np.sqrt(fit.mse_by_year)
+    columns = (np.arange(1, dim + 1), fit.latest, fit.ult, fit.reserves, rmse, bf_by_year)
+    rows = _records(keys, [c.tolist() for c in columns])
     total = float(np.sum(fit.reserves))
     total_rmse = None if sigmas is None else math.sqrt(fit.mse_total)
     if args.format == "json":
@@ -393,7 +387,7 @@ def cmd_reserves(args) -> int:
         }
         _write(json.dumps(doc, indent=2) + "\n", args.out)
     else:
-        lines = ["i,latest,ultimate,reserve,rmse,bf_reserve"]
+        lines = [",".join(keys)]
         for r in rows:
             lines.append(
                 f"{r['i']},{r['latest']:.10g},{r['ultimate']:.10g},"
@@ -417,6 +411,8 @@ def cmd_impact(args) -> int:
 
 def cmd_verify(args) -> int:
     """Checks what impact computes, so refuses what impact refuses."""
+    if not args.tolerance >= 0.0:
+        raise UsageError(f"--tolerance must be a number >= 0, got {args.tolerance}")
     inc = _checked_input(args)
     compute(args.stat, inc, args.year, args.q, args.priors)
     if args.stat in RESERVE_STATISTICS:

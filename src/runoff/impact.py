@@ -8,7 +8,8 @@ development factors and cumulative cells they multiply.
 
 Each triangle is O(I^2) array algebra over one chainladder.Fit: the sums
 over accident years and development years collapse into one suffix sum
-over years and one prefix sum over development years (_kernel, _by_row).
+over years and one prefix sum over development years (_kernel), both
+taken by chainladder._ahead.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from runoff.bornhuetter import PriorUltimates, _prior_values
-from runoff.chainladder import DevelopmentFactors, Fit, SigmaEstimates, _fit
+from runoff.chainladder import DevelopmentFactors, Fit, SigmaEstimates, _ahead, _fit
 from runoff.triangle import (
     CumulativeTriangle,
     IncrementalTriangle,
@@ -58,21 +59,6 @@ def _impact(statistic: str, target, fit: Fit, values: np.ndarray) -> ImpactTrian
     return ImpactTriangle(statistic, target, dim, np.where(observed, values + 0.0, np.nan))
 
 
-def _by_row(per_s: np.ndarray) -> np.ndarray:
-    """(..., I, I) array whose row k is the sum of per_s[..., s-1, :] over
-    s <= I-k.
-
-    per_s holds one row per development year s = 1..I-1, on any leading
-    batch axes. Only rows k <= I-s enter the column sums of f_s, so a term
-    of year s reaches rows 1..I-s: a prefix sum over s, read at s = I-k
-    (an empty sum for k = I).
-    """
-    dim = per_s.shape[-2] + 1
-    out = np.zeros(per_s.shape[:-2] + (dim, dim))
-    out[..., :-1, :] = np.cumsum(per_s, axis=-2)[..., ::-1, :]
-    return out
-
-
 def _kernel(fit: Fit, c: np.ndarray) -> np.ndarray:
     """K(c)[k, j] = sum over q > k of c_q * sum over s = I-q+1..I-k of g[s, j].
 
@@ -81,9 +67,13 @@ def _kernel(fit: Fit, c: np.ndarray) -> np.ndarray:
     sum over s <= I-k of g[s, j] * (sum of c_q over q >= I-s+1): one suffix
     sum over q and one prefix sum over s, O(I^2). c_1 never enters. c may
     carry leading batch axes, (..., I), and so does the result.
+
+    Only rows k <= I-s enter the column sums of f_s, so a term of year s
+    reaches rows 1..I-s: the prefix sum over s read at s = I-k is _ahead
+    of the reversed years, reversed (an empty sum for k = I).
     """
-    ahead = np.cumsum(c[..., :0:-1], axis=-1)
-    return _by_row(fit.g * ahead[..., :, None])
+    ahead = _ahead(c[..., 1:])[..., 1:]
+    return _ahead((fit.g * ahead[..., :, None])[..., ::-1, :], axis=-2)[..., ::-1, :]
 
 
 def _one_year(fit: Fit, i: int, per_year: np.ndarray) -> np.ndarray:
@@ -277,11 +267,12 @@ def _mse_total(fit: Fit) -> np.ndarray:
     v = 2.0 * fit.w
     vu = v * fit.ult
     alpha = np.concatenate(([0.0], np.cumsum(vu)[:-1])) + v * later
-    u_ahead = np.cumsum((fit.ult * later)[:0:-1])
+    u_ahead = _ahead((fit.ult * later)[1:])[1:]
     scale = -2.0 * fit.sigma2 / (fit.factors**2 * fit.den**2) * u_ahead
     r = np.arange(1, dim)
     member = np.arange(1, dim + 1) <= r[:, None]
-    d_cross_v = _by_row(scale[:, None] * (member + 2.0 * fit.den[:, None] * fit.g))
+    per_r = scale[:, None] * (member + 2.0 * fit.den[:, None] * fit.g)
+    d_cross_v = _ahead(per_r[::-1], axis=0)[::-1]
     kernel = _kernel(fit, (_shrink(fit) + alpha) * fit.ult)
     return kernel + d_cross_v + (_mse_diagonal(fit) + alpha * fit.fprod)[:, None]
 

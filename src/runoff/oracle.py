@@ -11,12 +11,13 @@ the last step, where _to_cells maps each to the observed cells by the
 chain rule, with prefix sums over s. No triangle is perturbed or
 cumulated again. The step subtracts nothing, so there is no step size to
 choose and the derivative is exact to rounding. Over the cells the
-derivatives are held one entry per observed cell in row-major order
-(_cells). Reserve impacts are checked against the derivative of the refit
-reserve. MSE impacts cannot be checked that way: their estimation-error
-part substitutes an approximation after differentiation, so the raw
-derivative of the plug-in estimator is a different object. For those the
-oracle differentiates each building block and re-assembles the impact
+derivatives are held one entry per observed cell in row-major order,
+the cell layout of runoff.triangle (_cells). Reserve impacts are checked
+against the derivative of the refit reserve. MSE impacts cannot be
+checked that way: their estimation-error part substitutes an
+approximation after differentiation, so the raw derivative of the
+plug-in estimator is a different object. For those the oracle
+differentiates each building block and re-assembles the impact
 formula from the numerical blocks over the sums, holding the variance
 scales at their baseline values throughout.
 
@@ -48,7 +49,7 @@ from runoff.impact import (
     impact_reserve_total,
 )
 from runoff.quantile import _impact_quantile, fit_lognormal, lognormal_quantile
-from runoff.triangle import IncrementalTriangle, _read_only, cumulate, observed_mask
+from runoff.triangle import IncrementalTriangle, _cells, _observed, _read_only, _records, cumulate
 
 # The imaginary step h. Its square vanishes against any real part, and
 # times any derivative met here it stays far above the smallest double.
@@ -107,8 +108,7 @@ class VerificationReport:
     def cells(self) -> list:
         """One dict per checked cell, keyed by COLUMNS; built on the first
         read and kept, so every read returns the same list."""
-        columns = [getattr(self, name).tolist() for name in COLUMNS]
-        return [dict(zip(COLUMNS, row)) for row in zip(*columns)]
+        return _records(COLUMNS, [getattr(self, name).tolist() for name in COLUMNS])
 
     @property
     def max_rel_error(self) -> float:
@@ -171,18 +171,6 @@ def fd_derivative(
     up = statistic(inc.with_cell(k, j, x + h))
     down = statistic(inc.with_cell(k, j, x - h))
     return (up - down) / (2.0 * h)
-
-
-def _cells(dim: int) -> tuple:
-    """k and j, 1-based, of the observed cells in row-major order: the
-    cell layout of the oracle's derivatives, one entry per cell on the
-    last axis."""
-    return tuple(c + 1 for c in np.nonzero(observed_mask(dim)))
-
-
-def _observed(triangles: np.ndarray) -> np.ndarray:
-    """A (..., I, I) stack of triangles in the cell layout of _cells."""
-    return triangles[..., observed_mask(triangles.shape[-1])]
 
 
 def _partial(f: Callable, x):

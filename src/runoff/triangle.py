@@ -3,6 +3,8 @@
 Triangles are square arrays indexed 1-based by accident year i (rows)
 and development year j (columns). A cell (i, j) is observed iff
 i + j <= I + 1; unobserved cells are stored as NaN and never read.
+This module alone knows that region and its row-major order
+(observed_mask, _cells): every walk over the cells gathers through them.
 """
 
 from __future__ import annotations
@@ -24,6 +26,25 @@ def observed_mask(dimension: int) -> np.ndarray:
     Read-only and built once per I: every caller shares it."""
     rows = np.arange(dimension)
     return _read_only(rows[:, None] + rows <= dimension - 1)
+
+
+@lru_cache(maxsize=16)
+def _cells(dimension: int) -> tuple:
+    """k and j, 1-based, of the observed cells in row-major order: the one
+    cell layout, of observed_cells, the CLI's cell lists and the oracle's
+    derivatives. Read-only and built once per I, like observed_mask."""
+    return tuple(_read_only(c + 1) for c in np.nonzero(observed_mask(dimension)))
+
+
+def _observed(values: np.ndarray) -> np.ndarray:
+    """A (..., I, I) stack of triangles in the cell layout of _cells."""
+    return values[..., observed_mask(values.shape[-1])]
+
+
+def _records(names: tuple, columns) -> list:
+    """One dict per row of equal-length columns, keyed by names: the cell
+    and year lists of the JSON documents."""
+    return [dict(zip(names, row)) for row in zip(*columns)]
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -81,9 +102,7 @@ class Triangle:
 
     def observed_cells(self):
         """Iterate observed (i, j) pairs, row-major."""
-        for i in range(1, self.dimension + 1):
-            for j in range(1, self.dimension - i + 2):
-                yield i, j
+        return zip(*(c.tolist() for c in _cells(self.dimension)))
 
 
 @dataclass(frozen=True)
@@ -98,20 +117,18 @@ class IncrementalTriangle(Triangle):
         """Build from ragged rows; row i must hold I - i + 1 values."""
         dim = len(rows)
         arr = np.full((dim, dim), np.nan)
-        for idx, row in enumerate(rows):
-            expected = dim - idx
+        for idx, (row, observed) in enumerate(zip(rows, observed_mask(dim))):
+            expected = np.count_nonzero(observed)
             if len(row) != expected:
                 raise ValueError(
                     f"row {idx + 1} must have {expected} cells, got {len(row)}"
                 )
-            arr[idx, : len(row)] = row
+            arr[idx, observed] = row
         return cls(dim, arr)
 
     def to_rows(self) -> list:
-        return [
-            [float(self.values[i, j]) for j in range(self.dimension - i)]
-            for i in range(self.dimension)
-        ]
+        mask = observed_mask(self.dimension)
+        return [row[observed].tolist() for row, observed in zip(self.values, mask)]
 
     def with_cell(self, i: int, j: int, value: float) -> "IncrementalTriangle":
         """Copy with one observed cell replaced."""
@@ -142,18 +159,20 @@ def cumulate(inc: IncrementalTriangle) -> CumulativeTriangle:
 
 
 def decumulate(cum: CumulativeTriangle) -> IncrementalTriangle:
-    """Inverse of cumulate. Rejects rows that decrease."""
-    dim = cum.dimension
-    arr = np.array(cum.values)
-    for i in range(1, dim + 1):
-        for j in range(2, dim - i + 2):
-            if cum.values[i - 1, j - 1] < cum.values[i - 1, j - 2]:
-                raise ValueError(
-                    f"cumulative claims decrease at ({i}, {j}): "
-                    f"{cum.values[i - 1, j - 1]} < {cum.values[i - 1, j - 2]}"
-                )
-            arr[i - 1, j - 1] = cum.values[i - 1, j - 1] - cum.values[i - 1, j - 2]
-    return IncrementalTriangle(dim, arr)
+    """Inverse of cumulate. Rejects rows that decrease, naming the first
+    such cell in row-major order."""
+    values = cum.values
+    later = observed_mask(cum.dimension)[:, 1:]
+    falls = later & (values[:, 1:] < values[:, :-1])
+    if np.any(falls):
+        i, j = np.unravel_index(np.argmax(falls), falls.shape)
+        raise ValueError(
+            f"cumulative claims decrease at ({i + 1}, {j + 2}): "
+            f"{values[i, j + 1]} < {values[i, j]}"
+        )
+    arr = np.array(values)
+    np.subtract(values[:, 1:], values[:, :-1], out=arr[:, 1:], where=later)
+    return IncrementalTriangle(cum.dimension, arr)
 
 
 def validate(inc: IncrementalTriangle) -> list:
@@ -161,32 +180,32 @@ def validate(inc: IncrementalTriangle) -> list:
 
     Checks: missing, non-finite and negative observed cells, populated
     future cells, and zero column partial sums on the cumulated triangle (these
-    sums appear as denominators downstream).
+    sums appear as denominators downstream). Bad cells are reported in
+    row-major order; zero partial sums, sought only when no cell is bad,
+    column by column and down each column.
     """
-    dim = inc.dimension
-    problems = []
-    for i in range(1, dim + 1):
-        for j in range(1, dim + 1):
-            v = inc.values[i - 1, j - 1]
-            if i + j <= dim + 1:
-                if np.isnan(v):
-                    problems.append(f"missing observed cell ({i}, {j})")
-                elif not np.isfinite(v):
-                    problems.append(f"non-finite cell ({i}, {j}): {v}")
-                elif v < 0:
-                    problems.append(f"negative cell ({i}, {j}): {v}")
-            elif not np.isnan(v):
-                problems.append(f"unexpected future cell ({i}, {j}): {v}")
+    values = inc.values
+    observed = observed_mask(inc.dimension)
+    missing = np.isnan(values)
+    # each message takes i, j and the value; str.format drops what it does not show
+    checks = {
+        "missing observed cell ({}, {})": observed & missing,
+        "non-finite cell ({}, {}): {}": observed & np.isinf(values),
+        "negative cell ({}, {}): {}": observed & (values < 0),
+        "unexpected future cell ({}, {}): {}": ~observed & ~missing,
+    }
+    messages = list(checks)
+    kind = np.select(list(checks.values()), range(len(checks)), -1)  # a cell's first problem
+    rows, cols = np.nonzero(kind >= 0)
+    cells = zip(rows.tolist(), cols.tolist(), kind[rows, cols].tolist(), values[rows, cols])
+    problems = [messages[m].format(i + 1, j + 1, v) for i, j, m, v in cells]
     if not problems:
-        cum = cumulate(inc)
-        for j in range(1, dim + 1):
-            running = 0.0
-            for p in range(1, dim - j + 2):
-                running += cum.values[p - 1, j - 1]
-                if running == 0.0:
-                    problems.append(
-                        f"zero column partial sum: column {j}, rows 1..{p}"
-                    )
+        partial = np.cumsum(cumulate_values(values), axis=0)
+        cols, rows = np.nonzero((observed & (partial == 0.0)).T)
+        problems = [
+            f"zero column partial sum: column {j + 1}, rows 1..{p + 1}"
+            for j, p in zip(cols.tolist(), rows.tolist())
+        ]
     return problems
 
 

@@ -162,6 +162,17 @@ class TestVerifyCommand:
         assert code == 3
         assert "result: FAIL" in out
 
+    @pytest.mark.parametrize("tolerance", ["-1", "nan"])
+    def test_bad_tolerance_is_a_usage_error(self, capsys, tolerance):
+        """A tolerance no check can meet is a bad flag value (exit 1), not
+        a failed verification (exit 3)."""
+        code, out, err = run(
+            capsys, "verify", bundled_path(), "--stat", "reserve-total", "--tolerance", tolerance
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"usage error: --tolerance must be a number >= 0, got {float(tolerance)}\n"
+
     def test_mse_component_protocol(self, capsys):
         code, out, _ = run(capsys, "verify", bundled_path(), "--stat", "mse-total")
         assert code == 0

@@ -15,7 +15,6 @@ from runoff.oracle import (
     FdScheme,
     VerificationReport,
     _assemble_mse_from_blocks,
-    _cells,
     _mse_blocks,
     _to_cells,
     complex_step,
@@ -25,7 +24,14 @@ from runoff.oracle import (
     verify_quantile_impacts,
     verify_reserve_impacts,
 )
-from runoff.triangle import IncrementalTriangle, cumulate, cumulate_values, observed_mask, validate
+from runoff.triangle import (
+    IncrementalTriangle,
+    _cells,
+    cumulate,
+    cumulate_values,
+    observed_mask,
+    validate,
+)
 from test_acceptance import TABLE_TOL
 
 

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import runoff
 from runoff.triangle import (
@@ -181,6 +183,110 @@ class TestValidate:
             [[0.0, 1.0, 1.0], [1.0, 1.0], [1.0]]
         )
         assert "zero column partial sum: column 1, rows 1..1" in validate(tri)
+
+
+# The per-cell loops that observed_cells, to_rows, decumulate and validate
+# ran before they gathered through the observed mask, kept as the reference
+# the array forms must match message for message and bit for bit.
+
+
+def loop_observed_cells(dim):
+    for i in range(1, dim + 1):
+        for j in range(1, dim - i + 2):
+            yield i, j
+
+
+def loop_to_rows(tri):
+    return [[float(tri.values[i, j]) for j in range(tri.dimension - i)] for i in range(tri.dimension)]
+
+
+def loop_decumulate(cum):
+    dim = cum.dimension
+    arr = np.array(cum.values)
+    for i in range(1, dim + 1):
+        for j in range(2, dim - i + 2):
+            if cum.values[i - 1, j - 1] < cum.values[i - 1, j - 2]:
+                raise ValueError(
+                    f"cumulative claims decrease at ({i}, {j}): "
+                    f"{cum.values[i - 1, j - 1]} < {cum.values[i - 1, j - 2]}"
+                )
+            arr[i - 1, j - 1] = cum.values[i - 1, j - 1] - cum.values[i - 1, j - 2]
+    return arr
+
+
+def loop_validate(inc):
+    dim = inc.dimension
+    problems = []
+    for i in range(1, dim + 1):
+        for j in range(1, dim + 1):
+            v = inc.values[i - 1, j - 1]
+            if i + j <= dim + 1:
+                if np.isnan(v):
+                    problems.append(f"missing observed cell ({i}, {j})")
+                elif not np.isfinite(v):
+                    problems.append(f"non-finite cell ({i}, {j}): {v}")
+                elif v < 0:
+                    problems.append(f"negative cell ({i}, {j}): {v}")
+            elif not np.isnan(v):
+                problems.append(f"unexpected future cell ({i}, {j}): {v}")
+    if not problems:
+        cum = cumulate(inc)
+        for j in range(1, dim + 1):
+            running = 0.0
+            for p in range(1, dim - j + 2):
+                running += cum.values[p - 1, j - 1]
+                if running == 0.0:
+                    problems.append(f"zero column partial sum: column {j}, rows 1..{p}")
+    return problems
+
+
+ANY_CELL = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+    st.floats(1e-3, 1e6),
+    st.floats(-1e6, -1e-3),
+)
+# zeros often enough that whole column partial sums vanish
+CLEAN_CELL = st.one_of(st.just(0.0), st.floats(1e-3, 1e6))
+
+
+@st.composite
+def grids(draw):
+    """(I, values): I from 1 to 12 and an (I, I) grid, either of any cells
+    on and off the observed region or, half the time, of clean observed
+    cells (0 or positive) with NaN elsewhere, a few of them spoilt."""
+    dim = draw(st.integers(1, 12))
+    mask = observed_mask(dim)
+    if draw(st.booleans()):
+        cells = draw(st.lists(ANY_CELL, min_size=dim * dim, max_size=dim * dim))
+        return dim, np.array(cells).reshape(dim, dim)
+    values = np.where(mask, 0.0, np.nan)
+    n = dim * (dim + 1) // 2
+    values[mask] = draw(st.lists(CLEAN_CELL, min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        values[i, j] = draw(ANY_CELL)
+    return dim, values
+
+
+@given(grids())
+def test_gathers_match_the_cell_loops(grid):
+    """validate gives the loops' messages in their order, decumulate their
+    array or their error, observed_cells and to_rows their cells."""
+    dim, values = grid
+    inc = IncrementalTriangle(dim, values)
+    assert validate(inc) == loop_validate(inc)
+    assert list(inc.observed_cells()) == list(loop_observed_cells(dim))
+    assert repr(inc.to_rows()) == repr(loop_to_rows(inc))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN, as it was
+        for cum in (CumulativeTriangle(dim, values), cumulate(inc)):
+            try:
+                want = loop_decumulate(cum)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    decumulate(cum)
+                assert str(got.value) == str(exc)
+            else:
+                assert decumulate(cum).values.tobytes() == want.tobytes()
 
 
 class TestColumnPartialSum:
