@@ -12,13 +12,9 @@ the stage. After the timing, one more call runs under tracemalloc, and
 its peak of traced memory is the stage's peak_mb. The estimator and
 impact stages reuse one triangle and its factors and sigmas, so where
 runoff keeps a triangle's Fit they time only their own algebra over it.
-Where runoff also keeps the total impact triangles on that Fit, the
-impact_reserve_total, impact_mse_total and impact_quantile stages drop
-them before each call (unheld), so each times building its triangle:
-impact_quantile both totals and the chain rule over them. The fit stage
-times building that Fit with its d ln f kernel and Mack sums, and
-sensitivity_report a whole report (the perfbench api-report op) from the
-increments, where each total is built once and read by impact_quantile.
+The fit stage times building that Fit with its Mack sums, and
+sensitivity_report a whole report (the perfbench api-report op) from
+the increments.
 The validate stage checks the increments as ingest does, decumulate
 inverts the cumulated triangle, and render_csv writes the reserve-total
 impact triangle as the CLI's CSV.
@@ -78,22 +74,9 @@ def sensitivity_report(runoff, inc) -> tuple:
 
 def fit(runoff, cum, factors, sigmas) -> tuple:
     """A Fit with sigmas and what the impacts read of it beyond its sums:
-    g, and the Mack sums w and process, wherever the Fit computes them."""
+    the Mack sums w and process, wherever the Fit computes them."""
     built = runoff.Fit.of(cum.values, factors.values, sigmas.values)
-    return built.g, built.w, built.process
-
-
-# The names under which runoff.impact keeps a Fit's total impact triangles.
-HELD_TOTALS = ("_reserve_total", "_mse_total")
-
-
-def unheld(cum, call):
-    """call() after the Fit cum keeps drops the total impact triangles it
-    holds; a call that refits builds them on a new Fit anyway."""
-    fit = cum.__dict__["_fit"][2]
-    for name in HELD_TOTALS:
-        fit.__dict__.pop(name, None)
-    return call()
+    return built.w, built.process
 
 
 def stages(runoff, dim: int) -> dict:
@@ -112,12 +95,12 @@ def stages(runoff, dim: int) -> dict:
         "estimate_sigmas": lambda: runoff.estimate_sigmas(cum, factors),
         "fit": lambda: fit(runoff, cum, factors, sigmas),
         "impact_reserve_ay": lambda: runoff.impact_reserve_ay(cum, factors, dim),
-        "impact_reserve_total": lambda: unheld(cum, lambda: runoff.impact_reserve_total(cum, factors)),
+        "impact_reserve_total": lambda: runoff.impact_reserve_total(cum, factors),
         "impact_bf_ay": lambda: runoff.impact_bf_ay(cum, factors, priors, dim),
         "impact_bf_total": lambda: runoff.impact_bf_total(cum, factors, priors),
         "impact_mse_ay": lambda: runoff.impact_mse_ay(cum, factors, sigmas, dim),
-        "impact_mse_total": lambda: unheld(cum, lambda: runoff.impact_mse_total(cum, factors, sigmas)),
-        "impact_quantile": lambda: unheld(cum, lambda: runoff.impact_quantile(cum, factors, sigmas, QUANTILE_LEVEL)),
+        "impact_mse_total": lambda: runoff.impact_mse_total(cum, factors, sigmas),
+        "impact_quantile": lambda: runoff.impact_quantile(cum, factors, sigmas, QUANTILE_LEVEL),
         "sensitivity_report": lambda: sensitivity_report(runoff, inc),
         "verify_reserve_impacts": lambda: runoff.verify_reserve_impacts(inc, "reserve-total"),
         "verify_mse_components": lambda: runoff.verify_mse_components(inc),

@@ -114,11 +114,11 @@ class Fit:
     fprod:    F_i = f_{I-i+1} ... f_{I-1}, the factors still ahead of year i
     latest:   the latest diagonal C_{i,I-i+1}; ult = latest * F
     sigma2:   the variance scales, None when the fit has no sigmas
-    The d ln f kernel g, the Mack sums w and process, and the derived
-    reserves, later, mse_by_year and mse_total are computed on first read,
-    read-only: the impacts need g, refits do not, and a refit that carries
-    sigma2 pays for the Mack sums only if its statistic reads them.
-    runoff.impact keeps the total impact triangles on the fit the same way.
+    The Mack sums w and process, and the derived reserves, later,
+    mse_by_year and mse_total are computed on first read, read-only: a
+    refit that carries sigma2 pays for the Mack sums only if its statistic
+    reads them. Every statistic is a function of num, den and latest, the
+    3I-2 fitted sums, and runoff.impact differentiates it over them.
     """
 
     dimension: int
@@ -176,23 +176,12 @@ class Fit:
     def with_sigmas(self, sigma2: np.ndarray) -> "Fit":
         """This fit with the variance scales sigma2: the same read-only sums,
         factor products and ultimates, and the derived arrays that do not
-        read sigma2 (g, reserves, later, and the total reserve impact that
-        runoff.impact holds as _reserve_total) where this fit has computed
-        them."""
+        read sigma2 (reserves, later) where this fit has computed them."""
         fit = replace(self, sigma2=_read_only(np.array(sigma2)))
-        for name in ("g", "reserves", "later", "_reserve_total"):
+        for name in ("reserves", "later"):
             if name in self.__dict__:
                 fit.__dict__[name] = self.__dict__[name]
         return fit
-
-    @cached_property
-    def g(self) -> np.ndarray:
-        """d ln f_s / dX_{k,j} for every row k <= I-s (zero below):
-        g[s-1, j-1] = 1{j <= s+1} / A_s - 1{j <= s} / B_s."""
-        s = np.arange(1, self.dimension)[:, None]
-        j = np.arange(1, self.dimension + 1)
-        inv_num = np.where(j <= s + 1, 1.0 / self.num[..., None], 0.0)
-        return _read_only(inv_num - np.where(j <= s, 1.0 / self.den[..., None], 0.0))
 
     @cached_property
     def reserves(self) -> np.ndarray:
@@ -253,7 +242,7 @@ def _fit(
     keeps the last one built as (factors, sigmas, fit) in its __dict__, like
     a cached_property, and serves it to calls with the same (read-only, so
     unchanged) factors and sigmas objects. A fit with sigmas serves a call
-    without, and any fit serves factors None: the column sums and g. A
+    without, and any fit serves factors None: the column sums. A
     call with other sigmas for the held factors derives its fit from the
     held one (Fit.with_sigmas) instead of refitting. Factors or sigmas for
     another I raise ValueError."""

@@ -124,16 +124,16 @@ def ingest(path: str) -> IncrementalTriangle:
 
 def load_priors(source: str, cum, factors) -> PriorUltimates:
     """Priors either recomputed from the chain ladder ('cl') or read from
-    a CSV of i,mu lines."""
+    a CSV of i,mu lines, one per accident year at most."""
     if source == "cl":
         return default_priors(cum, factors)
     try:
         with open(source, encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
+            lines = [(n, ln.strip()) for n, ln in enumerate(fh.read().splitlines(), 1) if ln.strip()]
     except OSError as exc:
         raise DataError(f"cannot read priors {source}: {exc}") from exc
-    values = np.full(cum.dimension, np.nan)
-    for ln in lines:
+    values, given = np.full(cum.dimension, np.nan), {}  # given: year -> its line
+    for n, ln in lines:
         parts = [p.strip() for p in ln.split(",")]
         if len(parts) != 2:
             raise DataError(f"{source}: bad priors line {ln!r}")
@@ -144,6 +144,9 @@ def load_priors(source: str, cum, factors) -> PriorUltimates:
             raise DataError(f"{source}: bad priors line {ln!r}") from exc
         if not 1 <= i <= cum.dimension:
             raise DataError(f"{source}: accident year {i} out of range")
+        if i in given:
+            raise DataError(f"{source}: line {n}: accident year {i} given twice, first on line {given[i]}")
+        given[i] = n
         values[i - 1] = mu
     return PriorUltimates(cum.dimension, values)
 

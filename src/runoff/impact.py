@@ -6,10 +6,12 @@ indicator master formula built from d ln f; MSE impacts treat the
 variance scales sigma^2 as fixed constants and differentiate the
 development factors and cumulative cells they multiply.
 
-Each triangle is O(I^2) array algebra over one chainladder.Fit: the sums
-over accident years and development years collapse into one suffix sum
-over years and one prefix sum over development years (_kernel), both
-taken by chainladder._ahead.
+Every statistic reads the triangle only through the 3I-2 fitted sums of
+one chainladder.Fit (the column sums A_s, B_s and the latest diagonal
+L_i), so each impact is first its gradient over the sums, O(I) (_grad),
+then mapped to the cells by one chain rule (_to_cells): cell (k, j) gets
+a row effect of k less a column effect of j. The oracle maps its
+complex-step gradients by the same rule.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from runoff.triangle import (
     CumulativeTriangle,
     IncrementalTriangle,
     Triangle,
-    _read_only,
+    _cells,
     observed_mask,
 )
 
@@ -51,62 +53,70 @@ class ImpactTriangle(Triangle):
     values: np.ndarray
 
 
-def _impact(statistic: str, target, fit: Fit, values: np.ndarray) -> ImpactTriangle:
-    """ImpactTriangle of values on the observed region, NaN outside.
-    Adding 0.0 turns the -0.0 of a zero times a negative into 0.0."""
-    dim = fit.dimension
-    observed = observed_mask(dim)
-    return ImpactTriangle(statistic, target, dim, np.where(observed, values + 0.0, np.nan))
+def _to_cells(grad: np.ndarray) -> np.ndarray:
+    """The chain rule from the fitted sums to the cells: gradients
+    (..., 3I-2) over A_1..A_{I-1}, B_1..B_{I-1}, L_1..L_I as derivatives
+    over the observed cells, (..., n) in the layout of _cells.
+
+    X_{k,j} adds to C_{k,r} for r >= j alone, so it enters A_s for
+    s >= j-1, B_s for s >= j (both for s <= I-k only) and L_k. With P[m]
+    the sum of gA_s + gB_s over s <= m, cell (k, j) gets
+    P[I-k] + gL_k - (P[j-1] - gA_{j-1}), gA_0 = 0: a row term less a
+    column term, O(I) work per gradient before the n-cell gather. The
+    prefix sums start at +0.0, so no term, nor a difference of two, is
+    -0.0. The column term is subtracted into the gathered row term in
+    place, so two (..., n) arrays are alive at once, not three."""
+    dim = (grad.shape[-1] + 2) // 3
+    k, j = _cells(dim)
+    zero = np.zeros(grad.shape[:-1] + (1,))
+    g_a = np.concatenate((zero, grad[..., : dim - 1]), axis=-1)
+    prefix = np.cumsum(g_a + np.concatenate((zero, grad[..., dim - 1 : 2 * dim - 2]), axis=-1), axis=-1)
+    row = prefix[..., ::-1] + grad[..., 2 * dim - 2 :]
+    cells = row[..., k - 1]
+    cells -= (prefix - g_a)[..., j - 1]
+    return cells
 
 
-def _kernel(fit: Fit, c: np.ndarray) -> np.ndarray:
-    """K(c)[k, j] = sum over q > k of c_q * sum over s = I-q+1..I-k of g[s, j].
+def _impact(statistic: str, target, grad: np.ndarray) -> ImpactTriangle:
+    """ImpactTriangle of the gradient grad over the fitted sums: its
+    _to_cells on the observed region, NaN outside."""
+    dim = (grad.size + 2) // 3
+    values = np.full((dim, dim), np.nan)
+    values[observed_mask(dim)] = _to_cells(grad)
+    return ImpactTriangle(statistic, target, dim, values)
 
-    This is sum over q of c_q IF_{k,j}(R_q) / ult_q off the diagonal, the
-    shape every reserve-like total shares. Swapping the sums gives
-    sum over s <= I-k of g[s, j] * (sum of c_q over q >= I-s+1): one suffix
-    sum over q and one prefix sum over s, O(I^2). c_1 never enters. c may
-    carry leading batch axes, (..., I), and so does the result.
 
-    Only rows k <= I-s enter the column sums of f_s, so a term of year s
-    reaches rows 1..I-s: the prefix sum over s read at s = I-k is _ahead
-    of the reversed years, reversed (an empty sum for k = I).
+def _grad(fit: Fit, c: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """The gradient over the fitted sums of sum over years q of
+    c_q ln F_q + diagonal_q L_q, with c and diagonal held fixed.
+
+    ln F_q sums ln f_s over the years s = I-q+1..I-1 ahead of q, and
+    d ln f_s = dA_s / A_s - dB_s / B_s; swapping the sums, a_s = the sum of
+    c_q over q >= I-s+1 (one _ahead) goes on A_s as a_s / A_s and on B_s
+    as -a_s / B_s. c and diagonal may carry leading batch axes, (..., I),
+    and so does the result. With c = ult and diagonal = F - 1 it is the
+    gradient of the reserves, R_q = L_q F_q - L_q.
     """
-    ahead = _ahead(c[..., 1:])[..., 1:]
-    return _ahead((fit.g * ahead[..., :, None])[..., ::-1, :], axis=-2)[..., ::-1, :]
-
-
-def _one_year(fit: Fit, i: int, per_year: np.ndarray) -> np.ndarray:
-    """per_year with every accident year but i set to zero."""
-    if not 1 <= i <= fit.dimension:
-        raise IndexError(f"accident year {i} out of range 1..{fit.dimension}")
-    c = np.zeros(fit.dimension)
-    c[i - 1] = per_year[i - 1]
-    return c
+    a = _ahead(c[..., 1:])[..., 1:]
+    return np.concatenate((a / fit.num, -a / fit.den, diagonal), axis=-1)
 
 
 def _year(fit: Fit, i: int | None, per_year: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
-    """The kernel of per_year on accident year i alone, with row i set to
-    diagonal[i-1] (flat in j). For i None, every year's at once, (I, I, I):
-    the weights are the rows of diag(per_year), one batched kernel, and
-    slot [i-1] is year i's triangle bit for bit."""
+    """_grad of per_year and diagonal on accident year i alone; for i None,
+    every year's, (I, 3I-2), from the rows of diag(per_year) and
+    diag(diagonal), row i-1 year i's bit for bit."""
     if i is None:
-        values = _kernel(fit, np.diag(per_year))
-        rows = np.arange(fit.dimension)
-        values[rows, rows] = diagonal[:, None]
-    else:
-        values = _kernel(fit, _one_year(fit, i, per_year))
-        values[i - 1] = diagonal[i - 1]
-    return values
+        return _grad(fit, np.diag(per_year), np.diag(diagonal))
+    if not 1 <= i <= fit.dimension:
+        raise IndexError(f"accident year {i} out of range 1..{fit.dimension}")
+    alone = np.arange(1, fit.dimension + 1) == i
+    return _grad(fit, np.where(alone, per_year, 0.0), np.where(alone, diagonal, 0.0))
 
 
 def d_ln_f(cum: CumulativeTriangle, s: int, k: int, j: int) -> float:
-    """d ln f_s / dX_{k,j}, one cell of Fit.g, read from the fit cum holds.
-
-    Zero when k > I - s (the cell is outside both column sums); otherwise
-    the reciprocal of the numerator sum when j <= s+1 minus the
-    reciprocal of the denominator sum when j <= s.
-    """
+    """d ln f_s / dX_{k,j}, from the column sums of the fit cum holds: zero
+    when k > I - s (the cell is outside both sums); otherwise 1 / A_s when
+    j <= s+1 less 1 / B_s when j <= s."""
     dim = cum.dimension
     if not 1 <= s <= dim - 1:
         raise IndexError(f"factor index {s} out of range 1..{dim - 1}")
@@ -114,7 +124,8 @@ def d_ln_f(cum: CumulativeTriangle, s: int, k: int, j: int) -> float:
         raise IndexError(f"development year {j} out of range 1..{dim}")
     if k > dim - s:
         return 0.0
-    return float(_fit(cum).g[s - 1, j - 1])
+    fit = _fit(cum)
+    return float((j <= s + 1) / fit.num[s - 1] - (j <= s) / fit.den[s - 1])
 
 
 def impact_reserve_ay(
@@ -122,40 +133,25 @@ def impact_reserve_ay(
 ) -> ImpactTriangle:
     """IF_{k,j}(R_i): zero for k > i, flat (f-product - 1) for k = i,
     the ultimate times the d ln f sum over s = I-i+1..I-k for k < i."""
-    fit = _fit(cum, factors)
-    return _impact("reserve-ay", i, fit, _reserve_ay(fit, i))
+    return _impact("reserve-ay", i, _reserve_ay(_fit(cum, factors), i))
 
 
 def _reserve_ay(fit: Fit, i: int | None) -> np.ndarray:
-    """IF(R_i) as an (I, I) array, or every year's, (I, I, I), for i None."""
+    """The gradient of R_i over the fitted sums, or every year's, (I, 3I-2),
+    for i None."""
     return _year(fit, i, fit.ult, fit.fprod - 1.0)
 
 
-def _held(build):
-    """build(fit), an (I, I) total impact triangle, computed on the first
-    call for a fit and kept on it, read-only, in its __dict__ under build's
-    name, as functools.cached_property keeps a value; later calls return
-    the held array. Every impact that reads the total reads this one."""
-
-    def held(fit: Fit) -> np.ndarray:
-        if build.__name__ not in fit.__dict__:
-            fit.__dict__[build.__name__] = _read_only(build(fit))
-        return fit.__dict__[build.__name__]
-
-    return held
-
-
-@_held
 def _reserve_total(fit: Fit) -> np.ndarray:
-    return _kernel(fit, fit.ult) + (fit.fprod - 1.0)[:, None]
+    """The gradient of the total reserve over the fitted sums."""
+    return _grad(fit, fit.ult, fit.fprod - 1.0)
 
 
 def impact_reserve_total(
     cum: CumulativeTriangle, factors: DevelopmentFactors
 ) -> ImpactTriangle:
     """IF_{k,j}(R) = sum over accident years of IF_{k,j}(R_i)."""
-    fit = _fit(cum, factors)
-    return _impact("reserve-total", None, fit, _reserve_total(fit))
+    return _impact("reserve-total", None, _reserve_total(_fit(cum, factors)))
 
 
 def impact_bf_ay(
@@ -167,8 +163,8 @@ def impact_bf_ay(
     """IF_{k,j}(R_i^BF) with frozen priors: zero for k >= i, otherwise the
     prior discounted by the factor product times the d ln f sums."""
     fit = _fit(cum, factors)
-    c = _one_year(fit, i, _prior_values(cum, priors) / fit.fprod)
-    return _impact("bf-ay", i, fit, _kernel(fit, c))
+    c = _prior_values(cum, priors) / fit.fprod
+    return _impact("bf-ay", i, _year(fit, i, c, np.zeros(fit.dimension)))
 
 
 def impact_bf_total(
@@ -179,7 +175,7 @@ def impact_bf_total(
     """IF_{k,j}(R^BF) = sum over accident years of IF_{k,j}(R_i^BF)."""
     fit = _fit(cum, factors)
     mu = _prior_values(cum, priors)
-    return _impact("bf-total", None, fit, _kernel(fit, mu / fit.fprod))
+    return _impact("bf-total", None, _grad(fit, mu / fit.fprod, np.zeros(fit.dimension)))
 
 
 def _shrink(fit: Fit) -> np.ndarray:
@@ -206,12 +202,12 @@ def impact_mse_ay(
     negative constant times IF_{k,j}(R_i): the estimation error shrinks
     when the reserve impact grows.
     """
-    fit = _fit(cum, factors, sigmas)
-    return _impact("mse-ay", i, fit, _mse_ay(fit, i))
+    return _impact("mse-ay", i, _mse_ay(_fit(cum, factors, sigmas), i))
 
 
 def _mse_ay(fit: Fit, i: int | None) -> np.ndarray:
-    """IF(mse_i) as an (I, I) array, or every year's, (I, I, I), for i None."""
+    """The gradient of mse_i over the fitted sums, or every year's,
+    (I, 3I-2), for i None."""
     return _year(fit, i, _shrink(fit) * fit.ult, _mse_diagonal(fit))
 
 
@@ -247,34 +243,23 @@ def _check_mse(what: str, mse: float, zero_sigmas: bool):
         raise ValueError(f"{what} undefined: {cause}")
 
 
-@_held
 def _mse_total(fit: Fit) -> np.ndarray:
-    """Sum over years of the per-year MSE impacts plus, by the product
-    rule, of the cross covariances u_i v_i, with u_i = ult_i later_i and
-    v_i = 2 w_i.
+    """Sum over years of the per-year MSE gradients plus, by the product
+    rule, of the cross covariances u_i v_i, u_i = ult_i later_i, v_i = 2 w_i.
 
-    d(u_i) collects dChat_q = IF(R_q) + 1{k=q}; summed over i with the
-    weights v_i it is sum over q of alpha_q dChat_q, with
-    alpha_q = sum over i < q of v_i ult_i, plus v_q later_q, so it joins
-    the kernel as alpha * ult and adds alpha * F on the diagonal row. d(v_i)
-    is a sum over r >= I-i+1 of
-        -2 sigma^2_r (1{j <= r} + 2 B_r g[r, j]) / (f_r^2 B_r^2)
-    for rows k <= I-r; summed over i with the weights u_i it is a prefix
-    sum over r.
+    Summed over i with the weights v_i, d(u_i) is sum over q of alpha_q
+    dChat_q, alpha_q = v_q later_q + sum over i < q of v_i ult_i: alpha
+    joins the per-year weights as alpha * ult and the diagonal as
+    alpha * F. Summed with the weights u_i, d(v_i) is sum over r of
+    scale_r d(B_r f_r^2) / f_r^2 = scale_r (2 B_r / A_r dA_r - dB_r), with
+    scale_r = -2 sigma^2_r / (f_r^2 B_r^2) times the u_i of the years
+    i >= I-r+1 that have r ahead of them.
     """
-    dim = fit.dimension
-    later = fit.later
     v = 2.0 * fit.w
-    vu = v * fit.ult
-    alpha = np.concatenate(([0.0], np.cumsum(vu)[:-1])) + v * later
-    u_ahead = _ahead((fit.ult * later)[1:])[1:]
-    scale = -2.0 * fit.sigma2 / (fit.factors**2 * fit.den**2) * u_ahead
-    r = np.arange(1, dim)
-    member = np.arange(1, dim + 1) <= r[:, None]
-    per_r = scale[:, None] * (member + 2.0 * fit.den[:, None] * fit.g)
-    d_cross_v = _ahead(per_r[::-1], axis=0)[::-1]
-    kernel = _kernel(fit, (_shrink(fit) + alpha) * fit.ult)
-    return kernel + d_cross_v + (_mse_diagonal(fit) + alpha * fit.fprod)[:, None]
+    alpha = np.concatenate(([0.0], np.cumsum(v * fit.ult)[:-1])) + v * fit.later
+    scale = -2.0 * fit.sigma2 / (fit.factors**2 * fit.den**2) * _ahead((fit.ult * fit.later)[1:])[1:]
+    grad = _grad(fit, (_shrink(fit) + alpha) * fit.ult, _mse_diagonal(fit) + alpha * fit.fprod)
+    return grad + np.concatenate((2.0 * scale * fit.den / fit.num, -scale, np.zeros(fit.dimension)))
 
 
 def impact_mse_total(
@@ -282,17 +267,11 @@ def impact_mse_total(
     factors: DevelopmentFactors,
     sigmas: SigmaEstimates,
 ) -> ImpactTriangle:
-    """IF_{k,j}(mse(R)) with sigma^2 held constant.
-
-    Sum over accident years of the per-year MSE impact plus the product
-    rule applied to the cross covariance u_i * v_i, where
-    u_i = Chat_i * sum(Chat_q, q > i) and v_i collects the column-sum
-    weighted 2 sigma^2_r / f_r^2 terms. The derivative of v_i
-    differentiates both the factors and the column sums; the derivative
-    of u_i reduces to reserve impacts plus latest-diagonal indicators.
-    """
-    fit = _fit(cum, factors, sigmas)
-    return _impact("mse-total", None, fit, _mse_total(fit))
+    """IF_{k,j}(mse(R)) with sigma^2 held constant: the sum over accident
+    years of the per-year MSE impacts plus the product rule on the cross
+    covariances u_i v_i, u_i = Chat_i * sum(Chat_q, q > i) and v_i = 2 w_i,
+    differentiating both the factors and the column sums in w_i."""
+    return _impact("mse-total", None, _mse_total(_fit(cum, factors, sigmas)))
 
 
 def marginal_contributions(

@@ -7,12 +7,11 @@ through the 3I-2 fitted sums (the column sums A_s, B_s and the latest
 diagonal L_i), and X_{k,j} enters each of them with coefficient 1 or not
 at all; so the oracle steps each sum of the verifier's baseline Fit once,
 in one stack, and keeps the derivatives as gradients over the sums until
-the last step, where _to_cells maps each to the observed cells by the
-chain rule, with prefix sums over s. No triangle is perturbed or
-cumulated again. The step subtracts nothing, so there is no step size to
-choose and the derivative is exact to rounding. Over the cells the
-derivatives are held one entry per observed cell in row-major order,
-the cell layout of runoff.triangle (_cells). Reserve impacts are checked
+the last step, where runoff.impact's _to_cells, the chain rule the
+analytic impacts take too, maps each to the observed cells, in the cell
+layout of runoff.triangle (_cells). No triangle is perturbed or cumulated
+again. The step subtracts nothing, so there is no step size to choose
+and the derivative is exact to rounding. Reserve impacts are checked
 against the derivative of the refit reserve. MSE impacts cannot be
 checked that way: their estimation-error part substitutes an
 approximation after differentiation, so the raw derivative of the
@@ -43,6 +42,8 @@ from runoff.impact import (
     _mse_diagonal,
     _mse_total,
     _shrink,
+    _to_cells,
+    _year,
     impact_bf_ay,
     impact_bf_total,
     impact_reserve_ay,
@@ -201,29 +202,6 @@ def complex_step(fit: Fit, statistic: Callable) -> np.ndarray:
     return np.moveaxis(np.imag(statistic(stack)) / STEP, 0, -1)
 
 
-def _to_cells(grad: np.ndarray) -> np.ndarray:
-    """Gradients over the fitted sums, (..., 3I-2) in the order of
-    complex_step, as derivatives over the observed cells, (..., n) in the
-    layout of _cells, by the chain rule.
-
-    X_{k,j} adds to C_{k,r} for r >= j alone, so it enters A_s for
-    s >= j-1, B_s for s >= j (both for s <= I-k only) and L_k. With P[m]
-    the sum of gA_s + gB_s over s <= m, cell (k, j) gets
-    P[I-k] + gL_k - (P[j-1] - gA_{j-1}), gA_0 = 0: a row term less a
-    column term, O(I) work per gradient before the n-cell gather. The
-    column term is subtracted into the gathered row term in place, so two
-    (..., n) arrays are alive at once, not three."""
-    dim = (grad.shape[-1] + 2) // 3
-    k, j = _cells(dim)
-    zero = np.zeros(grad.shape[:-1] + (1,))
-    g_a = np.concatenate((zero, grad[..., : dim - 1]), axis=-1)
-    prefix = np.cumsum(g_a + np.concatenate((zero, grad[..., dim - 1 : 2 * dim - 2]), axis=-1), axis=-1)
-    row = prefix[..., ::-1] + grad[..., 2 * dim - 2 :]
-    cells = row[..., k - 1]
-    cells -= (prefix - g_a)[..., j - 1]
-    return cells
-
-
 def verify_reserve_impacts(
     inc: IncrementalTriangle,
     statistic: str = "reserve-total",
@@ -357,26 +335,26 @@ def verify_mse_components(
 
     # building blocks against their gradients over the sums:
     # d ln f_s = dA_s / A_s - dB_s / B_s, d(B_r f_r^2) = f_r^2 (dB_r + 2 B_r d ln f_r)
-    # and dChat_q = Chat_q (d ln f_s summed over the years s ahead of q) + F_q dL_q
-    s, q = np.arange(dim - 1), np.arange(dim)
+    # and dChat_q = Chat_q d ln F_q + F_q dL_q, the _grad of ult and F on year q
+    s = np.arange(dim - 1)
     d_lnf = np.zeros((dim - 1, 3 * dim - 2))
     d_lnf[s, s], d_lnf[s, dim - 1 + s] = 1.0 / fit.num, -1.0 / fit.den
     fsq = (fit.factors**2)[:, None]
     d_colsum_fsq = fsq * 2.0 * fit.den[:, None] * d_lnf
     d_colsum_fsq[s, dim - 1 + s] += fsq[:, 0]
-    d_ult = fit.ult[:, None] * _ahead(d_lnf, axis=0)
-    d_ult[q, 2 * dim - 2 + q] += fit.fprod
+    d_ult = _year(fit, None, fit.ult, fit.fprod)
     checked = {"d_ln_f": d_lnf, "d_ultimate": d_ult, "d_colsum_fsq": d_colsum_fsq}
     notes = {f"{name}_max_rel": _max_rel(a, blocks[name], dim) for name, a in checked.items()}
 
-    # assembled impacts vs analytic, over the observed cells: every year's
-    # and the total, or year's
+    # assembled impacts vs analytic, both over the sums until mapped to
+    # the observed cells: every year's and the total, or year's
     yearly, total = _assemble_mse_from_blocks(fit, blocks)
     if year is None:
-        analytic = np.concatenate((_observed(_mse_ay(fit, None)[1:]), _observed(_mse_total(fit))[None]))
+        analytic = np.concatenate((_mse_ay(fit, None)[1:], _mse_total(fit)[None]))
         numeric = np.concatenate((yearly[1:], total[None]))
     else:
-        analytic, numeric = _observed(_mse_ay(fit, year))[None], yearly[year - 1][None]
+        analytic, numeric = _mse_ay(fit, year)[None], yearly[year - 1][None]
+    analytic = _to_cells(analytic)
 
     # direct derivative of the plug-in value of the last checked statistic,
     # sigma^2 held at the baseline, from the blocks' stack; documented only

@@ -67,9 +67,8 @@ def impact_quantile(
         d(mu)     = IF(R) / R - d(sigma2) / 2
         IF(F^-1)  = (d(mu) + z_q * d(sigma2) / (2 sqrt(sigma2))) * F^-1(q)
 
-    evaluated cellwise from the reserve and MSE impact triangles that the
-    one fitted state holds, built once for it and shared with
-    impact_reserve_total and impact_mse_total.
+    taken over the fitted sums, from the gradients of the total reserve
+    and MSE, and mapped to the cells once.
     """
     return _impact_quantile(_fit(cum, factors, sigmas), q)
 
@@ -84,10 +83,9 @@ def _impact_quantile(state: Fit, q: float) -> ImpactTriangle:
     fit = fit_lognormal(total, mse)
     z = inv_std_normal_cdf(q)
     fq = lognormal_quantile(fit, q)
-    if_r = _reserve_total(state)
-    if_m = _mse_total(state)
+    d_r, d_m = _reserve_total(state), _mse_total(state)
     denom = mse + total**2
-    d_sigma2 = (if_m - 2.0 * mse * if_r / total) / denom
-    d_mu = if_r / total - d_sigma2 / 2.0
+    d_sigma2 = (d_m - 2.0 * mse * d_r / total) / denom
+    d_mu = d_r / total - d_sigma2 / 2.0
     d_sigma = d_sigma2 / (2.0 * np.sqrt(fit.sigma2))
-    return _impact("quantile", None, state, (d_mu + z * d_sigma) * fq)
+    return _impact("quantile", None, (d_mu + z * d_sigma) * fq)

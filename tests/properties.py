@@ -19,11 +19,14 @@ from runoff.chainladder import (
 )
 from runoff.impact import (
     impact_bf_ay,
+    impact_bf_total,
     impact_mse_ay,
+    impact_mse_total,
     impact_reserve_ay,
     impact_reserve_total,
     marginal_contributions,
 )
+from runoff.quantile import impact_quantile
 from runoff.oracle import relative_error, verify_reserve_impacts
 from runoff.triangle import IncrementalTriangle, column_partial_sum, cumulate
 
@@ -219,6 +222,40 @@ def check_p10_scaling(inc, t=3.7, tol=1e-12):
     assert worst <= tol, f"scaling moved the total impact by {worst}"
 
 
+def _every_impact(inc):
+    """Every impact triangle of every kind: each year's reserve, BF and MSE
+    impacts, their totals, and the 99.5% quantile impact."""
+    cum, factors = _state(inc)
+    sigmas = estimate_sigmas(cum, factors)
+    priors = default_priors(cum, factors)
+    for i in range(1, inc.dimension + 1):
+        yield impact_reserve_ay(cum, factors, i)
+        yield impact_bf_ay(cum, factors, priors, i)
+        yield impact_mse_ay(cum, factors, sigmas, i)
+    yield impact_reserve_total(cum, factors)
+    yield impact_bf_total(cum, factors, priors)
+    yield impact_mse_total(cum, factors, sigmas)
+    yield impact_quantile(cum, factors, sigmas, 0.995)
+
+
+def check_p12_row_minus_column(inc):
+    """impact(k, j+1) - impact(k, j) is the same for every row k that holds
+    both cells, within I eps S (S the triangle's largest |value|): each
+    cell's impact is a row effect less a column effect, since a cell moves
+    a statistic only through the column sums it enters, which its column
+    picks, and the latest diagonal and column sums its row reaches."""
+    dim = inc.dimension
+    for arr in _every_impact(inc):
+        steps = np.diff(arr.values, axis=1)  # NaN where (k, j+1) is not observed
+        spread = np.nanmax(steps, axis=0) - np.nanmin(steps, axis=0)
+        bound = dim * np.finfo(float).eps * np.nanmax(np.abs(arr.values))
+        worst = int(np.argmax(spread))
+        assert spread[worst] <= bound, (
+            f"{arr.statistic} (year {arr.target}): the step from column {worst + 1} "
+            f"differs across rows by {spread[worst]}, above {bound}"
+        )
+
+
 ALL_CHECKS = (
     check_p1_sign_region,
     check_p2_row_monotone,
@@ -230,4 +267,5 @@ ALL_CHECKS = (
     check_p8_bf_magnitude,
     check_p9_oracle,
     check_p10_scaling,
+    check_p12_row_minus_column,
 )

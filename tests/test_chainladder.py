@@ -23,6 +23,7 @@ from runoff import impact
 from runoff.impact import d_ln_f, impact_bf_total, impact_mse_total, impact_reserve_total
 from runoff.quantile import impact_quantile
 from runoff.triangle import IncrementalTriangle, column_partial_sum, cumulate
+from test_impact_reference import reference_g
 
 
 def naive_factors(cum):
@@ -337,26 +338,22 @@ class TestFitMemo:
         # the perfbench api-report op: the factors' fit, its sigma fit derived
         cum, factors, sigmas, _ = sensitivity_report(belgian)
         assert len(fit_builds) == 1
-        assert "g" in _fit(cum, factors, sigmas).__dict__  # one g, read by all four
 
     def test_a_sensitivity_report_builds_each_total_impact_once(self, belgian, monkeypatch):
-        kernels = []
-        kernel = impact._kernel
+        maps = []
+        to_cells = impact._to_cells
 
-        def counted(fit, c):
-            kernels.append(c)
-            return kernel(fit, c)
+        def counted(grad):
+            maps.append(grad)
+            return to_cells(grad)
 
-        monkeypatch.setattr(impact, "_kernel", counted)
+        monkeypatch.setattr(impact, "_to_cells", counted)
         cum, factors, sigmas, quantile = sensitivity_report(belgian)
-        # the reserve, BF and MSE totals; impact_quantile reads the fit's two
-        assert len(kernels) == 3
+        # the reserve, BF, MSE and quantile totals; impact_quantile combines
+        # the reserve and MSE gradients over the sums and maps once
+        assert [grad.shape for grad in maps] == [(3 * cum.dimension - 2,)] * 4
         fresh = impact_quantile(cumulate(belgian), factors, sigmas, 0.995)
         assert quantile.values.tobytes() == fresh.values.tobytes()
-        fit = _fit(cum, factors, sigmas)
-        for held in (impact._reserve_total(fit), impact._mse_total(fit)):
-            with pytest.raises(ValueError, match="read-only"):
-                held[0, 0] = 1.0
 
     def test_other_sigmas_get_their_own_mse_total_impact(self, belgian):
         cum, factors, sigmas, _ = sensitivity_report(belgian)
@@ -366,17 +363,18 @@ class TestFitMemo:
         fresh = impact_mse_total(cumulate(belgian), factors, other).values  # by Fit.of
         assert got.tobytes() == fresh.tobytes()
         assert not np.array_equal(got, impact_mse_total(cum, factors, sigmas).values, equal_nan=True)
-        assert impact._reserve_total(_fit(cum, factors, other)) is impact._reserve_total(held)
+        other_total = impact._reserve_total(_fit(cum, factors, other))
+        assert other_total.tobytes() == impact._reserve_total(held).tobytes()
 
     def test_the_sigma_fit_is_derived_from_the_held_fit(self, belgian, fit_builds):
         cum = cumulate(belgian)
         factors = estimate_development_factors(cum)
         held = _fit(cum, factors)
-        held.g, held.reserves
+        held.reserves
         sigmas = estimate_sigmas(cum, factors)
         fit = _fit(cum, factors, sigmas)
         assert len(fit_builds) == 1  # the factors' fit alone
-        for name in ("num", "den", "factors", "fprod", "latest", "ult", "g", "reserves"):
+        for name in ("num", "den", "factors", "fprod", "latest", "ult", "reserves"):
             assert getattr(fit, name) is getattr(held, name), name
         assert fit.sigma2.tolist() == sigmas.values.tolist() and not fit.sigma2.flags.writeable
         assert fit.mse_total == Fit.of(cum.values, factors.values, sigmas.values).mse_total
@@ -408,7 +406,7 @@ class TestFitMemo:
         cum = cumulate(random_triangle(np.random.default_rng([8, 6]), 6))
         g = [d_ln_f(cum, s, 1, j) for s in range(1, 6) for j in range(1, 7)]
         assert len(fit_builds) == 1
-        assert g == np.ravel(Fit.of(cum.values).g).tolist()
+        assert g == np.ravel(reference_g(Fit.of(cum.values))).tolist()
 
     def test_factor_values_are_read_only(self, belgian):
         cum = cumulate(belgian)

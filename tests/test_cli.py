@@ -384,6 +384,15 @@ class TestDataErrors:
         assert code == 2
         assert "bad priors line" in err
 
+    def test_priors_file_naming_a_year_twice_is_refused(self, capsys, tmp_path):
+        tri = tmp_path / "tri.csv"
+        tri.write_text("I=3\n100,50,10\n120,60\n130\n")
+        p = tmp_path / "priors.csv"
+        p.write_text("1,1000\n2,2000\n3,3000\n\n2,9000\n")
+        code, out, err = run(capsys, "impact", str(tri), "--stat", "bf-ay", "--year", "2", "--priors", str(p))
+        assert code == 2 and out == ""
+        assert f"{p}: line 5: accident year 2 given twice, first on line 2" in err
+
     def test_priors_file_happy_path(self, capsys, tmp_path):
         p = tmp_path / "priors.csv"
         p.write_text("".join(f"{i},6.0e8\n" for i in range(1, 11)))

@@ -20,6 +20,7 @@ from runoff.impact import (
     ImpactTriangle,
     _mse_ay,
     _reserve_ay,
+    _to_cells,
     d_ln_f,
     impact_bf_ay,
     impact_bf_total,
@@ -30,7 +31,8 @@ from runoff.impact import (
     impact_rmse,
     marginal_contributions,
 )
-from runoff.triangle import cumulate
+from runoff.triangle import _observed, cumulate
+from test_impact_reference import reference_g
 
 
 @pytest.fixture(scope="module")
@@ -116,14 +118,16 @@ class TestDLnF:
         cum, _, _ = state
         with pytest.raises(IndexError, match="factor index 10"):
             d_ln_f(cum, 10, 1, 1)
-        # j = 0 would wrap around to the last column of Fit.g
+        # j = 0 would wrap around to the last development year
         with pytest.raises(IndexError, match="development year 0"):
             d_ln_f(cum, 3, 1, 0)
 
     @pytest.mark.parametrize("dim", [5, 12])
     def test_matches_fit_g_on_every_cell(self, dim):
+        """d_ln_f against the reference kernel g, the per-cell form the
+        impacts were built on."""
         cum = cumulate(random_triangle(np.random.default_rng([7, dim]), dim))
-        g = Fit.of(cum.values).g
+        g = reference_g(Fit.of(cum.values))
         for s in range(1, dim):
             for k, j in cum.observed_cells():
                 want = g[s - 1, j - 1] if k <= dim - s else 0.0
@@ -206,20 +210,23 @@ class TestRmseTransform:
 
 @pytest.mark.parametrize("dim", [4, 12, 40])
 def test_batched_years_are_the_per_year_impacts(dim):
-    """_reserve_ay and _mse_ay for every year at once, in one batch, equal
-    each year's public impact triangle bit for bit."""
+    """_reserve_ay and _mse_ay for every year at once, one (I, 3I-2) batch
+    of gradients mapped to the cells by _to_cells, equal each year's
+    gradient and public impact triangle bit for bit."""
     cum = cumulate(random_triangle(np.random.default_rng([11, dim]), dim))
     factors = estimate_development_factors(cum)
     sigmas = estimate_sigmas(cum, factors)
     fit = _fit(cum, factors, sigmas)
-    observed = ~np.isnan(impact_reserve_total(cum, factors).values)
-    for batch, one in (
-        (_reserve_ay(fit, None), lambda i: impact_reserve_ay(cum, factors, i)),
-        (_mse_ay(fit, None), lambda i: impact_mse_ay(cum, factors, sigmas, i)),
+    for build, one in (
+        (_reserve_ay, lambda i: impact_reserve_ay(cum, factors, i)),
+        (_mse_ay, lambda i: impact_mse_ay(cum, factors, sigmas, i)),
     ):
-        assert batch.shape == (dim, dim, dim)
+        batch = build(fit, None)
+        assert batch.shape == (dim, 3 * dim - 2)
+        cells = _to_cells(batch)
         for i in range(1, dim + 1):
-            assert np.array_equal(batch[i - 1][observed] + 0.0, one(i).values[observed])
+            assert np.array_equal(batch[i - 1], build(fit, i))
+            assert np.array_equal(cells[i - 1], _observed(one(i).values))
 
 
 class TestMarginalContributions:

@@ -9,14 +9,14 @@ import golden
 from conftest import build_corpus, proportional_triangle, random_triangle
 from runoff.bornhuetter import bf_reserve_values, default_priors
 from runoff.chainladder import Fit, estimate_development_factors, estimate_sigmas
-from runoff.impact import impact_reserve_total
+from runoff import impact
+from runoff.impact import _to_cells, impact_reserve_total
 from runoff.oracle import (
     STEP,
     FdScheme,
     VerificationReport,
     _assemble_mse_from_blocks,
     _mse_blocks,
-    _to_cells,
     complex_step,
     fd_derivative,
     relative_error,
@@ -460,17 +460,19 @@ def test_planted_errors_fail_under_the_floor(dim):
 
 @pytest.mark.parametrize("s", [1, 20, 39])
 def test_a_dropped_term_of_g_fails(s, monkeypatch):
-    """Fit.g without its -1{j <= s}/B_s term for one s: every impact built
-    on it is wrong, and each of the four reports says so."""
-    inc = random_triangle(np.random.default_rng([6, 40]), 40)
-    g = Fit.__dict__["g"].func
+    """impact._grad without its -a_s/B_s term for one s, the d ln f_s term
+    -1{j <= s}/B_s of every cell: every impact built on it is wrong, and
+    each of the four reports says so."""
+    dim = 40
+    inc = random_triangle(np.random.default_rng([6, dim]), dim)
+    grad = impact._grad
 
-    def dropped(fit):
-        values = np.array(g(fit))
-        values[..., s - 1, :s] += 1.0 / fit.den[..., s - 1, None]
+    def dropped(fit, c, diagonal):
+        values = grad(fit, c, diagonal)
+        values[..., dim - 2 + s] = 0.0
         return values
 
-    monkeypatch.setattr(Fit, "g", property(dropped))
+    monkeypatch.setattr(impact, "_grad", dropped)
     assert not any(report.passed for report in benchmark_kinds(inc))
 
 
@@ -497,7 +499,9 @@ def incidence(dim):
 @pytest.mark.parametrize("dim", [4, 7, 20])
 def test_to_cells_maps_each_sum_to_its_cells(dim):
     """_to_cells of the unit gradient on sum m is row m of the incidence,
-    and a stack of gradients maps row by row."""
+    and a stack of gradients maps row by row. The analytic impacts and
+    the numeric side of every report share this map, so the oracle cannot
+    see an error in it: this test is its guard."""
     basis = np.eye(3 * dim - 2)
     assert np.array_equal(_to_cells(basis), incidence(dim))
     grad = np.random.default_rng([11, dim]).normal(size=(2, 3, 3 * dim - 2))
