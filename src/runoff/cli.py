@@ -152,21 +152,23 @@ def load_priors(source: str, cum, factors) -> PriorUltimates:
 
 
 def compute(stat: str, inc: IncrementalTriangle, year, q: float, priors_src: str):
-    """Selected statistic's impact triangle and scalar value."""
+    """Selected statistic's impact triangle, its scalar value, and the
+    priors loaded for a BF statistic (None for the others), so a caller
+    that needs them again reads a priors stream only once."""
     cum = cumulate(inc)
     factors = estimate_development_factors(cum)
     if stat == "reserve-ay":
         value = reserves(cum, factors)[0][year - 1]
-        return impact_reserve_ay(cum, factors, year), value
+        return impact_reserve_ay(cum, factors, year), value, None
     if stat == "reserve-total":
         value = reserves(cum, factors)[1]
-        return impact_reserve_total(cum, factors), value
+        return impact_reserve_total(cum, factors), value, None
     if stat in ("bf-ay", "bf-total"):
         priors = load_priors(priors_src, cum, factors)
         by_year, total = bf_reserves(cum, factors, priors)
         if stat == "bf-ay":
-            return impact_bf_ay(cum, factors, priors, year), by_year[year - 1]
-        return impact_bf_total(cum, factors, priors), total
+            return impact_bf_ay(cum, factors, priors, year), by_year[year - 1], priors
+        return impact_bf_total(cum, factors, priors), total, priors
     sigmas = estimate_sigmas(cum, factors)
     if stat in ("mse-ay", "rmse-ay"):
         impacts = impact_mse_ay(cum, factors, sigmas, year)
@@ -175,15 +177,15 @@ def compute(stat: str, inc: IncrementalTriangle, year, q: float, priors_src: str
         impacts = impact_mse_total(cum, factors, sigmas)
         m = mse_total(cum, factors, sigmas)
     if stat in ("mse-ay", "mse-total"):
-        return impacts, m
+        return impacts, m, None
     if stat in ("rmse-ay", "rmse-total"):
         _check_mse(f"{stat} impact", m, not np.any(sigmas.values))
-        return impact_rmse(m, impacts), math.sqrt(m)
+        return impact_rmse(m, impacts), math.sqrt(m), None
     if stat == "quantile":
         fit = _fit(cum, factors, sigmas)
         impacts = _impact_quantile(fit, q)
         matched = fit_lognormal(float(np.sum(fit.reserves)), float(fit.mse_total))
-        return impacts, lognormal_quantile(matched, q)
+        return impacts, lognormal_quantile(matched, q), None
     raise UsageError(f"unknown statistic {stat!r}")
 
 
@@ -222,10 +224,19 @@ def _diverging_color(value: float, scale: float):
     return f"#{r:02x}{g:02x}{b:02x}", text
 
 
+def _label(v: float) -> str:
+    """v to 4 decimals, or in e-notation to 5 significant digits where 4
+    decimals print more than the 17 significant digits of a double
+    (|v| >= 1e13)."""
+    text = f"{v:.4f}"
+    return text if len(text.lstrip("-")) <= 18 else f"{v:.4e}"
+
+
 def render_svg(impacts: ImpactTriangle) -> str:
     """Standalone heatmap of the observed cells: diverging scale symmetric
-    about zero, 4-dp labels, min/max legend. Output bytes depend only on
-    the impact values."""
+    about zero, min/max legend, every label to 4 decimals unless that
+    prints more than a double's 17 significant digits (see _label). Output
+    bytes depend only on the impact values."""
     dim = impacts.dimension
     cell_w, cell_h, margin = 66, 26, 40
     width = margin + dim * cell_w + 20
@@ -258,7 +269,7 @@ def render_svg(impacts: ImpactTriangle) -> str:
         )
         parts.append(
             f'<text x="{x + cell_w // 2}" y="{yy + cell_h // 2 + 4}" '
-            f'text-anchor="middle" fill="{text}">{v:.4f}</text>'
+            f'text-anchor="middle" fill="{text}">{_label(v)}</text>'
         )
     ly = margin + dim * cell_h + 30
     neg, _ = _diverging_color(-scale, scale)
@@ -267,12 +278,12 @@ def render_svg(impacts: ImpactTriangle) -> str:
         f'<rect x="{margin}" y="{ly - 12}" width="16" height="16" fill="{neg}" '
         'stroke="#cccccc"/>'
     )
-    parts.append(f'<text x="{margin + 22}" y="{ly}">min {lo:.4f}</text>')
+    parts.append(f'<text x="{margin + 22}" y="{ly}">min {_label(lo)}</text>')
     parts.append(
         f'<rect x="{margin + 140}" y="{ly - 12}" width="16" height="16" '
         f'fill="{pos}" stroke="#cccccc"/>'
     )
-    parts.append(f'<text x="{margin + 162}" y="{ly}">max {hi:.4f}</text>')
+    parts.append(f'<text x="{margin + 162}" y="{ly}">max {_label(hi)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -404,7 +415,7 @@ def cmd_reserves(args) -> int:
 def cmd_impact(args) -> int:
     """impact, marginal (the impacts times the increments) and heatmap."""
     inc = _checked_input(args)
-    impacts, value = compute(args.stat, inc, args.year, args.q, args.priors)
+    impacts, value, _ = compute(args.stat, inc, args.year, args.q, args.priors)
     if args.command == "marginal":
         expected = value if impacts.statistic in ORDER_ONE_STATISTICS else None
         impacts = marginal_contributions(impacts, inc, expected)
@@ -417,11 +428,8 @@ def cmd_verify(args) -> int:
     if not args.tolerance >= 0.0:
         raise UsageError(f"--tolerance must be a number >= 0, got {args.tolerance}")
     inc = _checked_input(args)
-    compute(args.stat, inc, args.year, args.q, args.priors)
+    priors = compute(args.stat, inc, args.year, args.q, args.priors)[2]
     if args.stat in RESERVE_STATISTICS:
-        cum = cumulate(inc)
-        bf = args.stat.startswith("bf")
-        priors = load_priors(args.priors, cum, estimate_development_factors(cum)) if bf else None
         report = verify_reserve_impacts(inc, args.stat, args.year, priors, args.tolerance)
     elif args.stat == "quantile":
         report = verify_quantile_impacts(inc, args.q, args.tolerance)

@@ -11,14 +11,14 @@ the last step, where runoff.impact's _to_cells, the chain rule the
 analytic impacts take too, maps each to the observed cells, in the cell
 layout of runoff.triangle (_cells). No triangle is perturbed or cumulated
 again. The step subtracts nothing, so there is no step size to choose
-and the derivative is exact to rounding. Reserve impacts are checked
-against the derivative of the refit reserve. MSE impacts cannot be
-checked that way: their estimation-error part substitutes an
-approximation after differentiation, so the raw derivative of the
-plug-in estimator is a different object. For those the oracle
-differentiates each building block and re-assembles the impact
-formula from the numerical blocks over the sums, holding the variance
-scales at their baseline values throughout.
+and the derivative is exact to rounding. Every verifier compares an
+analytic gradient with the complex step of the statistic it is the
+gradient of. Reserve impacts are checked against the derivative of the
+refit reserve. The MSE impacts hold sigma^2 fixed and substitute the
+estimation error after differentiation, so they are not the derivative
+of the plug-in estimator; but at the baseline each is the gradient of
+the MSE with the coefficients its formula holds fixed frozen there
+(_frozen_mse), and the oracle steps that statistic.
 
 A cell's rel_error is |a - n| / max(|a|, |n|, I eps S / TOLERANCE), S
 the largest |analytic| of the triangle the cell belongs to: a difference
@@ -247,10 +247,23 @@ def verify_reserve_impacts(
     return VerificationReport(statistic, tolerance, _observed(analytic.values), numeric, cum.dimension)
 
 
+def _frozen_mse(base: Fit, stack: Fit, ln_f: np.ndarray) -> np.ndarray:
+    """Every year's MSE, then the total's, of the stacked fit, with the
+    coefficients the MSE impacts hold fixed frozen at base; ln_f is the
+    stack's ln f. Year i is shrink_i Chat_i ln F_i + diagonal_i L_i, and the
+    total adds u_i 2 w_i + v_i Chat_i later_i over the years, u = Chat later
+    and v = 2 w of base: at base its gradient is that of _mse_ay and
+    _mse_total, so a complex step applies the chain and product rules."""
+    yearly = _shrink(base) * base.ult * _ahead(ln_f) + _mse_diagonal(base) * stack.latest
+    cross = base.ult * base.later * 2.0 * stack.w + 2.0 * base.w * stack.ult * stack.later
+    return np.concatenate((yearly, np.sum(yearly + cross, axis=-1, keepdims=True)), axis=-1)
+
+
 def _mse_blocks(fit: Fit, extra: Callable | None = None) -> dict:
     """Complex-step gradients over the fitted sums, stepped from the
-    baseline fit: d_ln_f[s-1] of ln f_s, d_colsum_fsq[r-1] of B_r f_r^2
-    and d_ultimate[q-1] of the ultimate Chat_q.
+    baseline fit, which has sigmas: d_ln_f[s-1] of ln f_s, d_colsum_fsq[r-1]
+    of B_r f_r^2, d_ultimate[q-1] of the ultimate Chat_q, and mse[i-1] of
+    year i's frozen MSE, mse[I] of the total's (_frozen_mse).
 
     extra, when given, maps the stacked fit (which carries the baseline's
     sigma2) to one more statistic per entry, differentiated in the same
@@ -258,43 +271,18 @@ def _mse_blocks(fit: Fit, extra: Callable | None = None) -> dict:
     dim = fit.dimension
 
     def blocks(stack):
-        values = [np.log(stack.factors), stack.den * stack.factors**2, stack.ult]
+        ln_f = np.log(stack.factors)
+        values = [ln_f, stack.den * stack.factors**2, stack.ult, _frozen_mse(fit, stack, ln_f)]
         if extra is not None:
             values.append(extra(stack)[..., None])
         return np.concatenate(values, axis=-1)
 
     d = complex_step(fit, blocks)
-    parts = np.split(d[: 3 * dim - 2], [dim - 1, 2 * dim - 2])
-    out = dict(zip(("d_ln_f", "d_colsum_fsq", "d_ultimate"), parts))
+    parts = np.split(d, [dim - 1, 2 * dim - 2, 3 * dim - 2, 4 * dim - 1])
+    out = dict(zip(("d_ln_f", "d_colsum_fsq", "d_ultimate", "mse"), parts))
     if extra is not None:
         out["extra"] = d[-1]
     return out
-
-
-def _assemble_mse_from_blocks(fit: Fit, blocks):
-    """Rebuild the MSE impacts from numerical blocks as (yearly, total),
-    gradients over the fitted sums like the blocks.
-
-    Same algebra as the analytic formulas, but every derivative factor
-    (d ln f, d(B f^2), dChat) is the complex-step value. Variance scales
-    and all non-differentiated quantities are read from the baseline fit.
-    yearly[i-1] is the impact on mse_i; total adds the cross covariances
-    u_i v_i, with u_i = ult_i later_i and v_i = 2 w_i, by the product rule.
-    """
-    dim = fit.dimension
-    dlnf, dcolsum_fsq, dult = (blocks[name] for name in ("d_ln_f", "d_colsum_fsq", "d_ultimate"))
-    # d(mse_i): the shrink constant times the reserve impact assembled from
-    # the d ln f_s ahead of i, which reach rows k < i alone, plus the
-    # diagonal constant times dL_i
-    yearly = (_shrink(fit) * fit.ult)[:, None] * _ahead(dlnf, axis=0)
-    yearly[:, 2 * dim - 2 :] += np.diag(_mse_diagonal(fit))
-    # d(v_i): the sum over r >= I-i+1 of -2 sigma^2_r d(B_r f_r^2) / (B_r f_r^2)^2
-    dv = _ahead((-2.0 * fit.sigma2 / (fit.den * fit.factors**2) ** 2)[:, None] * dcolsum_fsq, axis=0)
-    # d(u_i) = ult_i * (sum of dChat_q over q > i) + later_i * dChat_i
-    du = fit.ult[:, None] * _ahead(dult[1:], axis=0)[::-1] + fit.later[:, None] * dult
-    u, v = fit.ult * fit.later, 2.0 * fit.w
-    cross = u[:, None] * dv + v[:, None] * du
-    return yearly, np.sum(yearly + cross, axis=0)
 
 
 def _max_rel(analytic: np.ndarray, numeric: np.ndarray, dim: int) -> float:
@@ -312,11 +300,12 @@ def verify_mse_components(
     """Component-protocol verification of the MSE impact triangles.
 
     Differentiates the building blocks (d ln f_s, d(B_r f_r^2) and dChat_q)
-    by complex step over the fitted sums, checks each against its closed
-    form there, re-assembles the per-year and total MSE impacts from those
-    blocks, maps them to the cells, and compares against the analytic
-    triangles: every per-year triangle and the total, or year's triangle
-    alone when year is given. The direct derivative of the plug-in MSE
+    by complex step over the fitted sums and checks each against its
+    closed form there. In the same stack it differentiates the frozen MSE
+    (_frozen_mse) of every year and of the total, maps the gradients to the
+    cells, and compares them against the analytic triangles: every
+    per-year triangle and the total, or year's triangle alone when year
+    is given. The direct derivative of the plug-in MSE
     value (of year, or of the total) is reported in notes but deliberately
     not compared: it is a different object from the impact formula, whose
     estimation-error part arises by substitution after differentiation.
@@ -346,14 +335,13 @@ def verify_mse_components(
     checked = {"d_ln_f": d_lnf, "d_ultimate": d_ult, "d_colsum_fsq": d_colsum_fsq}
     notes = {f"{name}_max_rel": _max_rel(a, blocks[name], dim) for name, a in checked.items()}
 
-    # assembled impacts vs analytic, both over the sums until mapped to
-    # the observed cells: every year's and the total, or year's
-    yearly, total = _assemble_mse_from_blocks(fit, blocks)
+    # the frozen MSE's gradients vs analytic, both over the sums until
+    # mapped to the observed cells: every year's and the total, or year's
     if year is None:
         analytic = np.concatenate((_mse_ay(fit, None)[1:], _mse_total(fit)[None]))
-        numeric = np.concatenate((yearly[1:], total[None]))
+        numeric = blocks["mse"][1:]
     else:
-        analytic, numeric = _mse_ay(fit, year)[None], yearly[year - 1][None]
+        analytic, numeric = _mse_ay(fit, year)[None], blocks["mse"][year - 1 : year]
     analytic = _to_cells(analytic)
 
     # direct derivative of the plug-in value of the last checked statistic,
@@ -371,8 +359,9 @@ def verify_quantile_impacts(
 
     The closed-form quantile map F(R, m) is differentiated by complex step
     in its two scalar arguments; those partials are combined with the
-    complex-step reserve impacts and the component-assembled MSE impacts
-    and compared against the analytic quantile impact triangle.
+    complex-step gradients of the total reserve and of the total's frozen
+    MSE (_frozen_mse) and compared against the analytic quantile impact
+    triangle.
     """
     cum = cumulate(inc)
     factors = estimate_development_factors(cum)
@@ -383,6 +372,5 @@ def verify_quantile_impacts(
     df_dr = _partial(lambda r: lognormal_quantile(fit_lognormal(r, mse), q), total_reserve)
     df_dm = _partial(lambda m: lognormal_quantile(fit_lognormal(total_reserve, m), q), mse)
     blocks = _mse_blocks(fit, lambda refit: np.sum(refit.reserves, axis=-1))
-    if_m = _assemble_mse_from_blocks(fit, blocks)[1]
-    numeric = _to_cells(df_dr * blocks["extra"] + df_dm * if_m)
+    numeric = _to_cells(df_dr * blocks["extra"] + df_dm * blocks["mse"][-1])
     return VerificationReport("quantile", tolerance, _observed(analytic.values), numeric, fit.dimension)

@@ -1,10 +1,12 @@
 import json
+import os
+import re
 
 import numpy as np
 import pytest
 
 from conftest import bundled_path, proportional_triangle
-from runoff.cli import main
+from runoff.cli import PER_YEAR, STATISTICS, _label, main
 from runoff.oracle import verify_mse_components
 
 
@@ -208,6 +210,25 @@ class TestVerifyCommand:
         assert err == impact_err and "undefined" in err
         assert out == ""
 
+    @pytest.mark.parametrize("stat", ["bf-total", "bf-ay"])
+    def test_piped_priors_read_as_a_file(self, capsys, tmp_path, stat):
+        """verify reads the priors once, so a stream that can be read only
+        once gives what the same priors from a file give."""
+        priors = "".join(f"{i},6.0e8\n" for i in range(1, 11))
+        p = tmp_path / "priors.csv"
+        p.write_text(priors)
+        argv = ["verify", bundled_path(), "--stat", stat, *(["--year", "6"] if stat == "bf-ay" else [])]
+        want = run(capsys, *argv, "--priors", str(p))
+        read_end, write_end = os.pipe()
+        try:
+            with os.fdopen(write_end, "w") as fh:
+                fh.write(priors)
+            got = run(capsys, *argv, "--priors", f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert want[0] == 0 and "result: PASS" in want[1]
+        assert got == want
+
 
 class TestHeatmapCommand:
     def test_svg_structure(self, capsys, tmp_path):
@@ -254,6 +275,27 @@ class TestHeatmapCommand:
         code, _, err = run(capsys, "heatmap", bundled_path(), "--format", "csv")
         assert code == 1
         assert "--format" in err
+
+    def test_label_keeps_four_decimals_within_a_doubles_digits(self):
+        below = np.nextafter(1e13, 0.0)
+        assert _label(below) == "9999999999999.9980" and _label(-below) == "-9999999999999.9980"
+        assert _label(1e13) == "1.0000e+13" and _label(-1.8e15) == "-1.8000e+15"
+        assert _label(-0.17624) == "-0.1762" and _label(0.0) == "0.0000"
+
+    @pytest.mark.parametrize("command", ["impact", "marginal"])
+    def test_no_label_holds_more_digits_than_a_double(self, capsys, command):
+        """Every cell and legend label of every statistic's heatmap on the
+        bundled triangle (the MSE ones reach 1.8e15) holds at most 17
+        significant digits."""
+        for stat in STATISTICS:
+            for year in (2, 5, 10) if stat in PER_YEAR else (None,):
+                argv = [command, bundled_path(), "--stat", stat, "--format", "svg"]
+                code, out, _ = run(capsys, *argv, *(["--year", str(year)] if year else []))
+                assert code == 0
+                labels = re.findall(r">([^<]*)</text>", out)
+                numbers = [n for label in labels for n in re.findall(r"-?[\d.]+(?:e[+-]\d+)?", label)]
+                digits = [len(n.lstrip("-").split("e")[0].replace(".", "").lstrip("0")) for n in numbers]
+                assert len(numbers) > 55 and max(digits) <= 17, (stat, year)
 
 
 class TestUsageErrors:

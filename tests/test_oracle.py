@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 import golden
 from conftest import build_corpus, proportional_triangle, random_triangle
 from runoff.bornhuetter import bf_reserve_values, default_priors
-from runoff.chainladder import Fit, estimate_development_factors, estimate_sigmas
-from runoff import impact
+from runoff.chainladder import Fit, _ahead, estimate_development_factors, estimate_sigmas
+from runoff import impact, oracle, quantile
 from runoff.impact import _to_cells, impact_reserve_total
 from runoff.oracle import (
     STEP,
     FdScheme,
     VerificationReport,
-    _assemble_mse_from_blocks,
+    _frozen_mse,
     _mse_blocks,
     complex_step,
     fd_derivative,
@@ -238,9 +238,10 @@ def triangles(cells, dim):
 
 
 def loop_assembly(inc, blocks, per_year=False):
-    """The per-cell (i, k, j, r, n) loop the one-pass assembly replaced,
-    kept as its reference, on the blocks d ln f and dChat mapped to the
-    cells and the exact dC[n, r][k, j] = 1{n = k, j <= r}."""
+    """The MSE impacts by the per-cell (i, k, j, r, n) loop of the chain
+    and product rules, kept as the reference of the frozen MSE's complex
+    step, on the blocks d ln f and dChat mapped to the cells and the exact
+    dC[n, r][k, j] = 1{n = k, j <= r}."""
     cum = cumulate(inc)
     factors = estimate_development_factors(cum)
     dim = inc.dimension
@@ -301,7 +302,8 @@ def test_assembly_matches_the_loop_reference(dim):
     factors = estimate_development_factors(cum)
     fit = Fit.of(cum.values, factors.values, estimate_sigmas(cum, factors).values)
     blocks = _mse_blocks(fit)
-    yearly, total = (triangles(_to_cells(a), dim) for a in _assemble_mse_from_blocks(fit, blocks))
+    mse = triangles(_to_cells(blocks["mse"]), dim)
+    yearly, total = mse[:-1], mse[-1]
     rows = np.arange(dim)
     observed = rows[:, None] + rows <= dim - 1
 
@@ -476,6 +478,46 @@ def test_a_dropped_term_of_g_fails(s, monkeypatch):
     assert not any(report.passed for report in benchmark_kinds(inc))
 
 
+def planted_mse_total(drop):
+    """impact._mse_total with one of its five terms dropped: "v-later",
+    the v_q later_q part of alpha; "cumulative", alpha's sum over the
+    earlier years; "diagonal", alpha F on the diagonal; "scale-a" and
+    "scale-b", the scale term on A_r and on B_r. drop None keeps all."""
+
+    def mse_total(fit):
+        v = 2.0 * fit.w
+        alpha = np.zeros(fit.dimension)
+        if drop != "cumulative":
+            alpha += np.concatenate(([0.0], np.cumsum(v * fit.ult)[:-1]))
+        if drop != "v-later":
+            alpha += v * fit.later
+        scale = -2.0 * fit.sigma2 / (fit.factors**2 * fit.den**2) * _ahead((fit.ult * fit.later)[1:])[1:]
+        on_diagonal = 0.0 if drop == "diagonal" else alpha * fit.fprod
+        grad = impact._grad(fit, (impact._shrink(fit) + alpha) * fit.ult, impact._mse_diagonal(fit) + on_diagonal)
+        on_a = 0.0 * scale if drop == "scale-a" else 2.0 * scale * fit.den / fit.num
+        on_b = 0.0 * scale if drop == "scale-b" else -scale
+        return grad + np.concatenate((on_a, on_b, np.zeros(fit.dimension)))
+
+    return mse_total
+
+
+@pytest.mark.parametrize("drop", ["v-later", "cumulative", "diagonal", "scale-a", "scale-b"])
+@pytest.mark.parametrize("dim", [10, 40])
+def test_a_dropped_term_of_the_mse_total_fails(dim, drop, monkeypatch):
+    """The MSE total's product rule without one of its terms, where the
+    oracle and the quantile bind it: the MSE and quantile reports both
+    fail. The copy with every term is the library's, bit for bit."""
+    inc = random_triangle(np.random.default_rng([6, dim]), dim)
+    cum = cumulate(inc)
+    factors = estimate_development_factors(cum)
+    fit = Fit.of(cum.values, factors.values, estimate_sigmas(cum, factors).values)
+    assert np.array_equal(planted_mse_total(None)(fit), impact._mse_total(fit))
+    monkeypatch.setattr(oracle, "_mse_total", planted_mse_total(drop))
+    monkeypatch.setattr(quantile, "_mse_total", planted_mse_total(drop))
+    assert not verify_mse_components(inc).passed
+    assert not verify_quantile_impacts(inc, 0.995).passed
+
+
 def test_reserve_impacts_pass_at_i_100():
     inc = random_triangle(np.random.default_rng([6, 100]), 100)
     report = verify_reserve_impacts(inc, "reserve-total")
@@ -538,7 +580,8 @@ def assert_close_to(got, want, dim, name):
 def assert_row_update_is_the_full_refit(inc):
     """Stepped-sum derivatives mapped to the cells == full-stack derivatives
     to 2 I eps of each quantity's largest value, for the reserve total, the
-    BF total, the plug-in MSE and the three MSE blocks."""
+    BF total, the plug-in MSE, the three MSE blocks and the frozen MSE of
+    every year and the total, its coefficients frozen at the baseline."""
     dim = inc.dimension
     cum = cumulate(inc)
     factors = estimate_development_factors(cum)
@@ -558,18 +601,22 @@ def assert_row_update_is_the_full_refit(inc):
         got = _to_cells(complex_step(Fit.of(cum.values, sigma2=s2), statistic))
         assert_close_to(got, want, dim, name)
 
+    base = Fit.of(cum.values, sigma2=sigma2)
+
     def blocks(x):
-        fit = Fit.of(cumulate_values(x))
+        fit = full(x)
+        ln_f = np.log(fit.factors)
         return np.concatenate(
-            (np.log(fit.factors), fit.den * fit.factors**2, fit.ult), axis=-1
+            (ln_f, fit.den * fit.factors**2, fit.ult, _frozen_mse(base, fit, ln_f)), axis=-1
         )
 
     want = full_stack_complex_step(inc, blocks)
-    got = _mse_blocks(Fit.of(cum.values))
+    got = _mse_blocks(base)
     for name, rows in (
         ("d_ln_f", slice(0, dim - 1)),
         ("d_colsum_fsq", slice(dim - 1, 2 * dim - 2)),
-        ("d_ultimate", slice(2 * dim - 2, None)),
+        ("d_ultimate", slice(2 * dim - 2, 3 * dim - 2)),
+        ("mse", slice(3 * dim - 2, None)),
     ):
         assert_close_to(_to_cells(got[name]), want[rows], dim, name)
 

@@ -1,8 +1,9 @@
 """Guards for the tooling that reaches into runoff from outside.
 
 perfbench/tracing.py wraps runoff functions by name for the per-layer
-benchmark metrics, perfbench/gate.py reads the cells of an oracle report,
-and bench/layers.py calls the fit, impact and oracle layers directly. A
+benchmark metrics, perfbench/gate.py reads the cells of an oracle report
+and compares every op's output with perfbench/reference/, and
+bench/layers.py calls the fit, impact and oracle layers directly. A
 rename, deletion or signature change in runoff breaks only a benchmark
 run, silently, so what they need is pinned here.
 """
@@ -15,6 +16,7 @@ import sys
 from pathlib import Path
 
 import runoff
+from runoff.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -121,3 +123,25 @@ def test_gate_sees_an_edit_to_the_cells_of_a_copied_report():
     bad = copy.deepcopy(report)
     bad.cells[3]["analytic"] *= 1 + 1e-6
     assert gate.check_verdict(bad, 10, reference)
+
+
+def test_every_round_zero_op_meets_the_benchmark_reference(tmp_path, monkeypatch, capsys):
+    """The benchmark's correctness gate on every round-0 op of api-report
+    (5) and oracle-verify (12), and on the six cli-bundled commands run
+    in-process, the heatmap written under tmp_path: no problem, and every
+    oracle verdict passes. perfbench/selfcheck.py gates one op of each."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    gate, run, worker = (importlib.import_module(name) for name in ("gate", "run", "worker"))
+    for name, count in (("api-report", 5), ("oracle-verify", 12)):
+        ops = worker.Workload(runoff, name, 0, gate.load_reference(name)).round_ops(0)
+        assert len(ops) == count
+        for key, op, check in ops:
+            problems, passed = check(op())
+            assert problems == [] and passed, key
+    svg = tmp_path / "impacts.svg"
+    reference = gate.load_reference("cli-bundled")
+    for key, args in run.CLI_COMMANDS:
+        argv = [str(ROOT / a) if a == run.TRIANGLE else str(svg) if a == run.SVG_OUT else a for a in args]
+        code = main(argv)
+        text = capsys.readouterr().out + (svg.read_text() if "--out" in args else "")
+        assert gate.check_cli(code, text, reference[key]) == [], key
