@@ -34,9 +34,12 @@ class DevelopmentFactors(YearValues):
         return float(self.values[j - 1])
 
     def product(self, a: int, b: int) -> float:
-        """f_a * ... * f_b; empty products (a > b) are 1."""
+        """f_a * ... * f_b for 1 <= a <= b <= I-1; empty products (a > b)
+        are 1."""
         if a > b:
             return 1.0
+        if a < 1 or b > self.dimension - 1:
+            raise IndexError(f"factor product {a}..{b} out of range 1..{self.dimension - 1}")
         return float(np.prod(self.values[a - 1 : b]))
 
 

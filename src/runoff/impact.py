@@ -114,14 +114,15 @@ def _year(fit: Fit, i: int | None, per_year: np.ndarray, diagonal: np.ndarray) -
 
 
 def d_ln_f(cum: CumulativeTriangle, s: int, k: int, j: int) -> float:
-    """d ln f_s / dX_{k,j}, from the column sums of the fit cum holds: zero
-    when k > I - s (the cell is outside both sums); otherwise 1 / A_s when
-    j <= s+1 less 1 / B_s when j <= s."""
+    """d ln f_s / dX_{k,j} of an observed cell, from the column sums of the
+    fit cum holds: zero when k > I - s (the cell is outside both sums);
+    otherwise 1 / A_s when j <= s+1 less 1 / B_s when j <= s."""
     dim = cum.dimension
     if not 1 <= s <= dim - 1:
         raise IndexError(f"factor index {s} out of range 1..{dim - 1}")
     if not 1 <= j <= dim:
         raise IndexError(f"development year {j} out of range 1..{dim}")
+    cum._check_observed(k, j)
     if k > dim - s:
         return 0.0
     fit = _fit(cum)

@@ -18,7 +18,9 @@ refit reserve. The MSE impacts hold sigma^2 fixed and substitute the
 estimation error after differentiation, so they are not the derivative
 of the plug-in estimator; but at the baseline each is the gradient of
 the MSE with the coefficients its formula holds fixed frozen there
-(_frozen_mse), and the oracle steps that statistic.
+(_frozen_mse), and the oracle steps that statistic. The quantile impact
+chains the total reserve's and the total MSE's through the lognormal
+quantile map, and the oracle steps the map.
 
 A cell's rel_error is |a - n| / max(|a|, |n|, I eps S / TOLERANCE), S
 the largest |analytic| of the triangle the cell belongs to: a difference
@@ -174,11 +176,6 @@ def fd_derivative(
     return (up - down) / (2.0 * h)
 
 
-def _partial(f: Callable, x):
-    """df/dx at a real x by one complex step, Im f(x + ih) / h."""
-    return np.imag(f(x + STEP * 1j)) / STEP
-
-
 def complex_step(fit: Fit, statistic: Callable) -> np.ndarray:
     """d(statistic) over the 3I-2 fitted sums, on a trailing axis in the
     order A_1..A_{I-1}, B_1..B_{I-1}, L_1..L_I; _to_cells maps it to the
@@ -259,30 +256,22 @@ def _frozen_mse(base: Fit, stack: Fit, ln_f: np.ndarray) -> np.ndarray:
     return np.concatenate((yearly, np.sum(yearly + cross, axis=-1, keepdims=True)), axis=-1)
 
 
-def _mse_blocks(fit: Fit, extra: Callable | None = None) -> dict:
+def _mse_blocks(fit: Fit) -> dict:
     """Complex-step gradients over the fitted sums, stepped from the
     baseline fit, which has sigmas: d_ln_f[s-1] of ln f_s, d_colsum_fsq[r-1]
-    of B_r f_r^2, d_ultimate[q-1] of the ultimate Chat_q, and mse[i-1] of
-    year i's frozen MSE, mse[I] of the total's (_frozen_mse).
-
-    extra, when given, maps the stacked fit (which carries the baseline's
-    sigma2) to one more statistic per entry, differentiated in the same
-    stack: its gradient is under "extra"."""
+    of B_r f_r^2, d_ultimate[q-1] of the ultimate Chat_q, and of year i's
+    MSE mse[i-1] frozen (_frozen_mse) and plugin[i-1] plug-in, with the
+    baseline's sigma2; mse[I] and plugin[I] are the total's."""
     dim = fit.dimension
 
     def blocks(stack):
         ln_f = np.log(stack.factors)
-        values = [ln_f, stack.den * stack.factors**2, stack.ult, _frozen_mse(fit, stack, ln_f)]
-        if extra is not None:
-            values.append(extra(stack)[..., None])
-        return np.concatenate(values, axis=-1)
+        plugin = np.concatenate((stack.mse_by_year, stack.mse_total[..., None]), axis=-1)
+        frozen = _frozen_mse(fit, stack, ln_f)
+        return np.concatenate((ln_f, stack.den * stack.factors**2, stack.ult, frozen, plugin), axis=-1)
 
-    d = complex_step(fit, blocks)
-    parts = np.split(d, [dim - 1, 2 * dim - 2, 3 * dim - 2, 4 * dim - 1])
-    out = dict(zip(("d_ln_f", "d_colsum_fsq", "d_ultimate", "mse"), parts))
-    if extra is not None:
-        out["extra"] = d[-1]
-    return out
+    parts = np.split(complex_step(fit, blocks), [dim - 1, 2 * dim - 2, 3 * dim - 2, 4 * dim - 1])
+    return dict(zip(("d_ln_f", "d_colsum_fsq", "d_ultimate", "mse", "plugin"), parts))
 
 
 def _max_rel(analytic: np.ndarray, numeric: np.ndarray, dim: int) -> float:
@@ -316,11 +305,7 @@ def verify_mse_components(
     cum = cumulate(inc)
     factors = estimate_development_factors(cum)
     fit = _fit(cum, factors, estimate_sigmas(cum, factors))
-
-    def plugin(refit):
-        return refit.mse_total if year is None else refit.mse_by_year[..., year - 1]
-
-    blocks = _mse_blocks(fit, plugin)
+    blocks = _mse_blocks(fit)
 
     # building blocks against their gradients over the sums:
     # d ln f_s = dA_s / A_s - dB_s / B_s, d(B_r f_r^2) = f_r^2 (dB_r + 2 B_r d ln f_r)
@@ -346,7 +331,8 @@ def verify_mse_components(
 
     # direct derivative of the plug-in value of the last checked statistic,
     # sigma^2 held at the baseline, from the blocks' stack; documented only
-    notes["direct_fd_max_rel"] = _max_rel(analytic[-1], _to_cells(blocks["extra"]), dim)
+    direct = blocks["plugin"][-1 if year is None else year - 1]
+    notes["direct_fd_max_rel"] = _max_rel(analytic[-1], _to_cells(direct), dim)
     return VerificationReport("mse-components", tolerance, analytic, _to_cells(numeric), dim, notes)
 
 
@@ -355,22 +341,24 @@ def verify_quantile_impacts(
     q: float = 0.995,
     tolerance: float = TOLERANCE,
 ) -> VerificationReport:
-    """Chain-rule verification of the quantile impact triangle.
+    """Complex-step verification of the quantile impact triangle.
 
-    The closed-form quantile map F(R, m) is differentiated by complex step
-    in its two scalar arguments; those partials are combined with the
-    complex-step gradients of the total reserve and of the total's frozen
-    MSE (_frozen_mse) and compared against the analytic quantile impact
-    triangle.
+    Steps the closed-form quantile map F(R, m) of the lognormal fit once,
+    R the baseline's total reserve moved by the stack's and m its total
+    MSE moved by the total's frozen MSE (_frozen_mse), so the step applies
+    the chain rule through the map. The real parts are the baseline's
+    values, which the stack's sums round differently, so the map is
+    stepped at the baseline, against the analytic triangle.
     """
     cum = cumulate(inc)
     factors = estimate_development_factors(cum)
     fit = _fit(cum, factors, estimate_sigmas(cum, factors))
-    total_reserve = np.sum(fit.reserves)
-    mse = fit.mse_total
     analytic = _impact_quantile(fit, q)
-    df_dr = _partial(lambda r: lognormal_quantile(fit_lognormal(r, mse), q), total_reserve)
-    df_dm = _partial(lambda m: lognormal_quantile(fit_lognormal(total_reserve, m), q), mse)
-    blocks = _mse_blocks(fit, lambda refit: np.sum(refit.reserves, axis=-1))
-    numeric = _to_cells(df_dr * blocks["extra"] + df_dm * blocks["mse"][-1])
+
+    def quantile(stack):
+        reserve = np.sum(fit.reserves) + 1j * np.imag(np.sum(stack.reserves, axis=-1))
+        mse = fit.mse_total + 1j * np.imag(_frozen_mse(fit, stack, np.log(stack.factors))[..., -1])
+        return lognormal_quantile(fit_lognormal(reserve, mse), q)
+
+    numeric = _to_cells(complex_step(fit, quantile))
     return VerificationReport("quantile", tolerance, _observed(analytic.values), numeric, fit.dimension)

@@ -29,11 +29,11 @@ class LognormalFit:
 def fit_lognormal(reserve: float, mse: float) -> LognormalFit:
     """Match LN(mu, sigma2) moments to E = reserve, Var = mse.
 
-    Complex-safe, for a complex step through the map: the signs are read
-    from the real parts."""
-    if np.real(reserve) <= 0.0:
+    Complex-safe, for a complex step through the map, and elementwise
+    over arrays: the signs are read from the real parts of every entry."""
+    if np.any(np.real(reserve) <= 0.0):
         raise ValueError(f"reserve must be positive, got {reserve}")
-    if np.real(mse) <= 0.0:
+    if np.any(np.real(mse) <= 0.0):
         raise ValueError(f"mse must be positive, got {mse}")
     sigma2 = np.log1p(mse / reserve**2)
     mu = np.log(reserve) - sigma2 / 2.0

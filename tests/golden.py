@@ -42,13 +42,14 @@ IMPACT_RMSE_AY8 = [
 # IF_{k,j} of the 99.5% quantile of the lognormal total-reserve fit.
 # Derived by the oracle, not by impact_quantile: each value is the
 # `numeric` column of verify_quantile_impacts(belgian, 0.995) rounded to
-# 4 dp, i.e. the complex-step partials of the quantile map in (R, mse),
-# chained with the complex-step reserve impacts and the MSE impacts
-# re-assembled from complex-step building blocks. The central differences
-# the oracle used before round to the same 55 values.
+# 4 dp, i.e. one complex step of the quantile map, its reserve and MSE
+# arguments stepped with the total reserve and with the total's frozen
+# MSE, the MSE with the coefficients impact_mse_total holds fixed frozen
+# at the baseline. The hand chain of the map's two partials and the
+# central differences the oracle used before round to the same 55 values.
 # The MSE-total impact has no reference table of its own and its oracle
-# re-assembles the same formula as impact_mse_total, so this table also
-# fixes impact_mse_total on the bundled triangle.
+# steps the frozen MSE that impact_mse_total is the gradient of, so this
+# table also fixes impact_mse_total on the bundled triangle.
 IMPACT_QUANTILE_995 = [
     [-0.9761, -0.7198, -0.5064, -0.2924, -0.0581, 0.2372, 0.6981, 1.4126, 2.7622, 6.7779],
     [-0.7275, -0.4711, -0.2577, -0.0437, 0.1906, 0.4858, 0.9468, 1.6613, 3.0109],

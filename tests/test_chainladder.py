@@ -102,6 +102,13 @@ class TestDevelopmentFactors:
         assert factors.product(5, 4) == 1.0
         assert factors.product(10, 9) == 1.0
 
+    @pytest.mark.parametrize("a, b", [(0, 3), (-2, 2), (1, 100), (1, 10)])
+    def test_product_out_of_range(self, belgian, a, b):
+        # a slice would wrap or clip these to 1.0, 1.0 and every factor's product
+        factors = estimate_development_factors(cumulate(belgian))
+        with pytest.raises(IndexError, match=f"factor product {a}..{b} out of range 1..9"):
+            factors.product(a, b)
+
     def test_factor_bounds(self, belgian):
         factors = estimate_development_factors(cumulate(belgian))
         with pytest.raises(IndexError, match="factor index 10"):

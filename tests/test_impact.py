@@ -122,6 +122,13 @@ class TestDLnF:
         with pytest.raises(IndexError, match="development year 0"):
             d_ln_f(cum, 3, 1, 0)
 
+    @pytest.mark.parametrize("k, j", [(0, 1), (-3, 1), (11, 1), (2, 10)])
+    def test_unobserved_cell_is_refused(self, state, k, j):
+        # unchecked, rows 0 and -3 would read as row 1, row 11 and (2, 10) as 0.0
+        cum, _, _ = state
+        with pytest.raises(IndexError, match=rf"cell \({k}, {j}\) is not observed for I=10"):
+            d_ln_f(cum, 1, k, j)
+
     @pytest.mark.parametrize("dim", [5, 12])
     def test_matches_fit_g_on_every_cell(self, dim):
         """d_ln_f against the reference kernel g, the per-cell form the

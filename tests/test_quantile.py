@@ -62,6 +62,22 @@ class TestLognormalFit:
         with pytest.raises(ValueError, match="mse must be positive"):
             fit_lognormal(1.0, -1.0)
 
+    def test_arrays_are_fitted_entry_by_entry(self):
+        reserve = np.array([1.5e9, 2.0e3, 7.0])
+        mse = np.array([2.0e15, 1.0e-2, 40.0])
+        fit = fit_lognormal(reserve, mse)
+        for n, (r, m) in enumerate(zip(reserve, mse)):
+            one = fit_lognormal(float(r), float(m))
+            assert fit.mu[n] == one.mu and fit.sigma2[n] == one.sigma2
+
+    @pytest.mark.parametrize("bad", [[0.0, 2.0, 3.0], [1.0, 2.0, -3.0]])
+    def test_arrays_with_any_nonpositive_entry_are_refused(self, bad):
+        bad = np.array(bad)
+        with pytest.raises(ValueError, match="reserve must be positive"):
+            fit_lognormal(bad, np.ones(3))
+        with pytest.raises(ValueError, match="mse must be positive"):
+            fit_lognormal(np.ones(3), bad)
+
 
 class TestInverseNormal:
     @pytest.mark.parametrize(
