@@ -14,6 +14,8 @@ import numpy as np
 from runoff.chainladder import DevelopmentFactors, _fit, project_ultimates
 from runoff.triangle import CumulativeTriangle, YearValues
 
+__all__ = ["PriorUltimates", "bf_reserves", "default_priors"]
+
 
 @dataclass(frozen=True)
 class PriorUltimates(YearValues):

@@ -19,6 +19,10 @@ import numpy as np
 
 from runoff.triangle import CumulativeTriangle, ReadOnlyArrays, YearValues, _read_only, observed_mask
 
+__all__ = ["DevelopmentFactors", "Fit", "SigmaEstimates", "MackSummary",
+           "estimate_development_factors", "project_ultimates", "reserves", "estimate_sigmas",
+           "mse_accident_year", "mse_total", "mack_summary"]
+
 
 @dataclass(frozen=True)
 class DevelopmentFactors(YearValues):

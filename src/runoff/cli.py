@@ -1,8 +1,9 @@
 """Command line interface: triangle ingestion, statistic selection,
 impact computation, verification, and report emission.
 
-Exit codes: 0 success, 1 usage error, 2 data validation failure,
-3 verification failure.
+Exit codes: 0 success, 1 usage error, 2 data validation failure (a
+statistic that overflows double precision among them), 3 verification
+failure.
 """
 
 from __future__ import annotations
@@ -360,13 +361,23 @@ def _blank_none(value) -> str:
     return "" if value is None else f"{value:.10g}"
 
 
-def _checked_input(args) -> IncrementalTriangle:
-    """The ingested triangle, once --year and --q suit the statistic."""
+def _computed(args) -> tuple:
+    """The ingested triangle and compute's impacts, value and priors for
+    it, once --year and --q suit the statistic; a statistic or impact that
+    overflows double precision is refused as bad data."""
     inc = ingest(args.input)
     _check_target(args.stat, args.year, inc.dimension)
     if not 0.0 < args.q < 1.0:
         raise UsageError(f"--q must be in (0, 1), got {args.q}")
-    return inc
+    try:
+        impacts, value, priors = compute(args.stat, inc, args.year, args.q, args.priors)
+        cells = impacts.values[observed_mask(inc.dimension)]
+        finite = math.isfinite(value) and np.all(np.isfinite(cells))
+    except OverflowError:  # float arithmetic, such as the quantile's R^2
+        finite = False
+    if not finite:
+        raise DataError(f"{args.input}: --stat {args.stat} overflows double precision")
+    return inc, impacts, value, priors
 
 
 def cmd_reserves(args) -> int:
@@ -383,11 +394,13 @@ def cmd_reserves(args) -> int:
     bf_by_year, bf_tot = bf_reserves(cum, factors, priors)
     dim = inc.dimension
     keys = ("i", "latest", "ultimate", "reserve", "rmse", "bf_reserve")
-    rmse = np.full(dim, None) if sigmas is None else np.sqrt(fit.mse_by_year)
-    columns = (np.arange(1, dim + 1), fit.latest, fit.ult, fit.reserves, rmse, bf_by_year)
+    mse = [math.nan] * (dim + 1) if sigmas is None else [*fit.mse_by_year, fit.mse_total]
+    *rmse, total_rmse = (math.sqrt(m) if math.isfinite(m) else None for m in mse)
+    if sigmas is not None and None in (*rmse, total_rmse):
+        print("note: rmse left empty where the MSE overflows double precision", file=sys.stderr)
+    columns = (np.arange(1, dim + 1), fit.latest, fit.ult, fit.reserves, np.array(rmse), bf_by_year)
     rows = _records(keys, [c.tolist() for c in columns])
     total = float(np.sum(fit.reserves))
-    total_rmse = None if sigmas is None else math.sqrt(fit.mse_total)
     if args.format == "json":
         doc = {
             "statistic": "reserves",
@@ -414,8 +427,7 @@ def cmd_reserves(args) -> int:
 
 def cmd_impact(args) -> int:
     """impact, marginal (the impacts times the increments) and heatmap."""
-    inc = _checked_input(args)
-    impacts, value, _ = compute(args.stat, inc, args.year, args.q, args.priors)
+    inc, impacts, value, _ = _computed(args)
     if args.command == "marginal":
         expected = value if impacts.statistic in ORDER_ONE_STATISTICS else None
         impacts = marginal_contributions(impacts, inc, expected)
@@ -427,8 +439,7 @@ def cmd_verify(args) -> int:
     """Checks what impact computes, so refuses what impact refuses."""
     if not args.tolerance >= 0.0:
         raise UsageError(f"--tolerance must be a number >= 0, got {args.tolerance}")
-    inc = _checked_input(args)
-    priors = compute(args.stat, inc, args.year, args.q, args.priors)[2]
+    inc, _, _, priors = _computed(args)
     if args.stat in RESERVE_STATISTICS:
         report = verify_reserve_impacts(inc, args.stat, args.year, priors, args.tolerance)
     elif args.stat == "quantile":
@@ -463,7 +474,8 @@ def main(argv=None) -> int:
             "verify": cmd_verify,
             "heatmap": cmd_impact,
         }[args.command]
-        return handler(args)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused or left empty
+            return handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

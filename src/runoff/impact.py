@@ -30,6 +30,10 @@ from runoff.triangle import (
     observed_mask,
 )
 
+__all__ = ["ImpactTriangle", "d_ln_f", "impact_reserve_ay", "impact_reserve_total", "impact_bf_ay",
+           "impact_bf_total", "impact_mse_ay", "impact_rmse", "impact_mse_total",
+           "marginal_contributions"]
+
 # Statistics that are homogeneous of order 1 in the increments, for which
 # the Euler allocation sum(IF * X) equals the statistic exactly. BF with
 # frozen priors is excluded: mu does not scale with X.

@@ -1,36 +1,39 @@
 """Complex-step verification of the analytic impact triangles.
 
-Every numerical derivative is a complex step (Squire & Trapp, SIAM Review
-1998): dS/dX_{k,j} = Im S(X + ih e_{k,j}) / h with h = 1e-30, taken
-through the library's own Fit. Every statistic reads the triangle only
-through the 3I-2 fitted sums (the column sums A_s, B_s and the latest
-diagonal L_i), and X_{k,j} enters each of them with coefficient 1 or not
-at all; so the oracle steps each sum of the verifier's baseline Fit once,
-in one stack, and keeps the derivatives as gradients over the sums until
-the last step, where runoff.impact's _to_cells, the chain rule the
-analytic impacts take too, maps each to the observed cells, in the cell
-layout of runoff.triangle (_cells). No triangle is perturbed or cumulated
-again. The step subtracts nothing, so there is no step size to choose
-and the derivative is exact to rounding. Every verifier compares an
-analytic gradient with the complex step of the statistic it is the
-gradient of. Reserve impacts are checked against the derivative of the
-refit reserve. The MSE impacts hold sigma^2 fixed and substitute the
-estimation error after differentiation, so they are not the derivative
-of the plug-in estimator; but at the baseline each is the gradient of
-the MSE with the coefficients its formula holds fixed frozen there
-(_frozen_mse), and the oracle steps that statistic. The quantile impact
-chains the total reserve's and the total MSE's through the lognormal
-quantile map, and the oracle steps the map.
+Every numerical derivative is a complex step (Squire & Trapp, SIAM
+Review 1998): dS/dX_{k,j} = Im S(X + ih e_{k,j}) / h, h = 1e-30 at the
+scale of the data (complex_step), taken through the library's own Fit.
+Every statistic reads the triangle only through the 3I-2 fitted sums
+(the column sums A_s, B_s and the latest diagonal L_i), and X_{k,j}
+enters each of them with coefficient 1 or not at all; so the oracle
+steps each sum of the verifier's baseline Fit once, in one stack, and
+keeps the derivatives as gradients over the sums until the last step,
+where runoff.impact's _to_cells, the chain rule the analytic impacts
+take too, maps each to the observed cells, in the cell layout of
+runoff.triangle (_cells). No triangle is perturbed or cumulated again.
+The step subtracts nothing, so there is no step size to choose and the
+derivative is exact to rounding. Every verifier compares an analytic
+gradient with the complex step of the statistic it is the gradient of.
+Reserve impacts are checked against the derivative of the refit reserve.
+The MSE impacts hold sigma^2 fixed and substitute the estimation error
+after differentiation, so they are not the derivative of the plug-in
+estimator; but at the baseline each is the gradient of the MSE with the
+coefficients its formula holds fixed frozen there (_frozen_mse), and the
+oracle steps that statistic. The quantile impact chains the total
+reserve's and the total MSE's through the lognormal quantile map, and
+the oracle steps the map.
 
 A cell's rel_error is |a - n| / max(|a|, |n|, I eps S / TOLERANCE), S
 the largest |analytic| of the triangle the cell belongs to: a difference
 below I eps S, the rounding of an I-term sum at the triangle's scale,
 reads at most the default tolerance, and scaling X by a power of two
-leaves every rel_error as it is.
+leaves every rel_error as it is but the quantile's, whose log and exp
+round differently at another scale.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -54,8 +57,12 @@ from runoff.impact import (
 from runoff.quantile import _impact_quantile, fit_lognormal, lognormal_quantile
 from runoff.triangle import IncrementalTriangle, _cells, _observed, _read_only, _records, cumulate
 
-# The imaginary step h. Its square vanishes against any real part, and
-# times any derivative met here it stays far above the smallest double.
+__all__ = ["FdScheme", "VerificationReport", "fd_derivative", "verify_reserve_impacts",
+           "verify_mse_components", "verify_quantile_impacts"]
+
+# The imaginary step h relative to the data (see complex_step): h^2 vanishes
+# against every real part, h times any derivative met here stays far above
+# the smallest double at any scale, and X -> 2^m X steps by 2^m h exactly.
 STEP = 1e-30
 
 # The default tolerance of the verifiers, and the rel_error a difference of
@@ -185,18 +192,21 @@ def complex_step(fit: Fit, statistic: Callable) -> np.ndarray:
     (3I-2, ...) array and must be complex-safe, as the library's array
     forms are. Entry m of the stack is the baseline fit with ih added to
     sum m alone (real parts exactly the baseline's, sigma2 the
-    baseline's), so one stack gives the whole gradient. The Mack sums of
-    the stack are computed only if statistic reads them.
+    baseline's), so one stack gives the whole gradient. h is STEP times
+    the power of two of the largest latest cumulative, so the derivative
+    does not depend on the scale of the data. The Mack sums of the stack
+    are computed only if statistic reads them.
     """
     dim = fit.dimension
-    step = np.eye(3 * dim - 2) * (STEP * 1j)
+    h = math.ldexp(STEP, math.frexp(fit.latest.max())[1])
+    step = np.eye(3 * dim - 2) * (h * 1j)
     stack = Fit.of_sums(
         fit.num + step[:, : dim - 1],
         fit.den + step[:, dim - 1 : 2 * dim - 2],
         fit.latest + step[:, 2 * dim - 2 :],
         sigma2=fit.sigma2,
     )
-    return np.moveaxis(np.imag(statistic(stack)) / STEP, 0, -1)
+    return np.moveaxis(np.imag(statistic(stack)) / h, 0, -1)
 
 
 def verify_reserve_impacts(

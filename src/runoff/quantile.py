@@ -17,6 +17,9 @@ from runoff.chainladder import DevelopmentFactors, Fit, SigmaEstimates, _fit
 from runoff.impact import ImpactTriangle, _check_mse, _impact, _mse_total, _reserve_total
 from runoff.triangle import CumulativeTriangle
 
+__all__ = ["LognormalFit", "fit_lognormal", "inv_std_normal_cdf", "lognormal_quantile",
+           "impact_quantile"]
+
 
 @dataclass(frozen=True)
 class LognormalFit:
@@ -30,12 +33,17 @@ def fit_lognormal(reserve: float, mse: float) -> LognormalFit:
     """Match LN(mu, sigma2) moments to E = reserve, Var = mse.
 
     Complex-safe, for a complex step through the map, and elementwise
-    over arrays: the signs are read from the real parts of every entry."""
+    over arrays: the signs are read from the real parts of every entry.
+    numpy's complex log1p is log(1 + r), which drops any part of Re r
+    below eps; so a complex r = mse / reserve^2 takes log1p(Re r) +
+    i Im r / (1 + Re r), exact to first order in the step, with the real
+    part of the real path bit for bit."""
     if np.any(np.real(reserve) <= 0.0):
         raise ValueError(f"reserve must be positive, got {reserve}")
     if np.any(np.real(mse) <= 0.0):
         raise ValueError(f"mse must be positive, got {mse}")
-    sigma2 = np.log1p(mse / reserve**2)
+    r = mse / reserve**2
+    sigma2 = np.log1p(r.real) + 1j * r.imag / (1.0 + r.real) if np.iscomplexobj(r) else np.log1p(r)
     mu = np.log(reserve) - sigma2 / 2.0
     return LognormalFit(mu=mu, sigma2=sigma2)
 

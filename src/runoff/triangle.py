@@ -14,6 +14,9 @@ from functools import lru_cache
 
 import numpy as np
 
+__all__ = ["IncrementalTriangle", "CumulativeTriangle", "cumulate", "decumulate", "validate",
+           "column_partial_sum"]
+
 
 def is_observed(dimension: int, i: int, j: int) -> bool:
     """True iff (i, j) lies in the observed upper-left region."""
@@ -179,10 +182,11 @@ def validate(inc: IncrementalTriangle) -> list:
     """Diagnostics for an incremental triangle; empty list means valid.
 
     Checks: missing, non-finite and negative observed cells, populated
-    future cells, and zero column partial sums on the cumulated triangle (these
-    sums appear as denominators downstream). Bad cells are reported in
-    row-major order; zero partial sums, sought only when no cell is bad,
-    column by column and down each column.
+    future cells, and zero or overflowing column partial sums on the
+    cumulated triangle (these sums appear as denominators downstream, and
+    every fitted sum is one of them). Bad cells are reported in row-major
+    order; bad partial sums, sought only when no cell is bad, column by
+    column and down each column, an overflowing column at its first row.
     """
     values = inc.values
     observed = observed_mask(inc.dimension)
@@ -200,10 +204,13 @@ def validate(inc: IncrementalTriangle) -> list:
     cells = zip(rows.tolist(), cols.tolist(), kind[rows, cols].tolist(), values[rows, cols])
     problems = [messages[m].format(i + 1, j + 1, v) for i, j, m, v in cells]
     if not problems:
-        partial = np.cumsum(cumulate_values(values), axis=0)
-        cols, rows = np.nonzero((observed & (partial == 0.0)).T)
+        with np.errstate(over="ignore"):  # reported, at its first row
+            partial = np.cumsum(cumulate_values(values), axis=0)
+        over = np.isinf(partial) & (np.cumsum(np.isinf(partial), axis=0) == 1)
+        cols, rows = np.nonzero((observed & ((partial == 0.0) | over)).T)
         problems = [
-            f"zero column partial sum: column {j + 1}, rows 1..{p + 1}"
+            f"{'overflowing' if over[p, j] else 'zero'} column partial sum: "
+            f"column {j + 1}, rows 1..{p + 1}"
             for j, p in zip(cols.tolist(), rows.tolist())
         ]
     return problems

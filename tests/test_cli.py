@@ -455,6 +455,54 @@ class TestDataErrors:
         assert doc["summary"]["value_of_statistic"] > 0.0
 
 
+# Two triangles whose numbers overflow double precision: in the column
+# partial sums, which validate refuses, and in the Mack MSE alone.
+OVERFLOWING_SUMS = "I=4\n1e308,1e308,1,1\n1,1,1\n1,1\n1\n"
+OVERFLOWING_MSE = "I=4\n1e200,2e200,1e200,1e199\n1.1e200,2e200,1e200\n1.2e200,2.1e200\n1.3e200\n"
+STAT_COMMANDS = [
+    [command, "--stat", stat, *(["--year", "3"] if stat in PER_YEAR else [])]
+    for command in ("impact", "marginal", "verify", "heatmap")
+    for stat in STATISTICS
+]
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("argv", [["reserves"], *STAT_COMMANDS], ids=" ".join)
+    def test_overflowing_column_sums_are_refused(self, capsys, tmp_path, argv):
+        p = tmp_path / "sums.csv"
+        p.write_text(OVERFLOWING_SUMS)
+        code, out, err = run(capsys, *argv, str(p))
+        assert code == 2 and out == ""
+        assert "overflowing column partial sum: column 2, rows 1..1" in err
+
+    @pytest.mark.parametrize("argv", STAT_COMMANDS, ids=" ".join)
+    def test_an_overflowing_statistic_is_refused(self, capsys, tmp_path, argv):
+        """Every Mack statistic of the triangle overflows; its reserves and
+        BF reserves do not, and are computed."""
+        p = tmp_path / "mse.csv"
+        p.write_text(OVERFLOWING_MSE)
+        code, out, err = run(capsys, *argv, str(p))
+        stat = argv[2]
+        if stat.startswith(("reserve", "bf")):
+            assert code == 0 and err == ""
+            assert "nan" not in out.lower() and "inf" not in out.lower()
+        else:
+            assert code == 2 and out == ""
+            assert err == f"error: {p}: --stat {stat} overflows double precision\n"
+
+    def test_reserves_leave_an_overflowing_rmse_empty(self, capsys, tmp_path):
+        p = tmp_path / "mse.csv"
+        p.write_text(OVERFLOWING_MSE)
+        code, out, err = run(capsys, "reserves", str(p))
+        assert code == 0
+        assert [line.split(",")[4] for line in out.splitlines()[1:]] == [""] * 5
+        assert err == "note: rmse left empty where the MSE overflows double precision\n"
+        code, out, _ = run(capsys, "reserves", str(p), "--format", "json")
+        doc = json.loads(out)
+        assert code == 0 and doc["summary"]["rmse_total"] is None
+        assert [y["rmse"] for y in doc["years"]] == [None] * 4
+
+
 class TestHelp:
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

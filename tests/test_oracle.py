@@ -343,6 +343,38 @@ class TestVerifyQuantileImpacts:
         assert report.passed
 
 
+def near_proportional(dim, noise):
+    """Rows proportional to one decaying pattern up to a relative noise:
+    sigma^2 and the MSE are tiny against the reserve, but positive."""
+    rng = np.random.default_rng([dim, round(-math.log10(noise))])
+    pattern, scales = 1e3 * 0.6 ** np.arange(dim), rng.uniform(0.5, 2.0, size=dim)
+    rows = [s * pattern[: dim - i] * (1.0 + noise * rng.uniform(-1, 1, dim - i)) for i, s in enumerate(scales)]
+    return IncrementalTriangle.from_rows([r.tolist() for r in rows])
+
+
+LOW_VARIANCE = {
+    **{f"I={dim} noise={noise}": (dim, noise) for dim in (6, 10, 20) for noise in (1e-12, 1e-6)},
+    **{f"I={dim} all 0.01": (dim, None) for dim in (6, 11)},
+}
+
+
+@pytest.mark.parametrize("case", LOW_VARIANCE.values(), ids=LOW_VARIANCE.keys())
+def test_no_false_alarms_on_low_variance_triangles(case):
+    """mse / R^2 far below 1: numpy's complex log1p, log(1 + r), drops the
+    real part of r below eps, so the step took the map at the wrong sigma^2
+    (max_rel_error 1.0, or 5e-3 at noise 1e-6). sigma2 of the all-0.01
+    triangles is 0 but in one slot, about 2e-33."""
+    dim, noise = case
+    inc = (
+        IncrementalTriangle.from_rows([[0.01] * (dim - i) for i in range(dim)])
+        if noise is None
+        else near_proportional(dim, noise)
+    )
+    for q in (0.5, 0.995):
+        report = verify_quantile_impacts(inc, q)
+        assert report.passed, (q, report.max_rel_error, report.worst_cell)
+
+
 @pytest.mark.parametrize("dim", [15, 20, 30, 40])
 def test_no_false_alarms_at_large_dimension(dim):
     """The benchmark's four kinds pass the unchanged 1e-5 tolerance at sizes
@@ -388,9 +420,11 @@ def test_one_stack_of_the_fitted_sums(dim, fit_builds):
     num, den, latest = fit_builds[0][:3]
     assert num.shape == den.shape == (3 * dim - 2, dim - 1)
     assert latest.shape == (3 * dim - 2, dim)
-    # entry m steps sum m alone, and its real parts are the baseline's
+    # entry m steps sum m alone, by STEP times the power of two of the
+    # largest latest cumulative, and its real parts are the baseline's
     sums = np.concatenate((num, den, latest), axis=-1)
-    assert np.array_equal(np.imag(sums), STEP * np.eye(3 * dim - 2))
+    step = math.ldexp(STEP, math.frexp(np.max(fit.latest))[1])
+    assert np.array_equal(np.imag(sums), step * np.eye(3 * dim - 2))
     baseline = np.concatenate((fit.num, fit.den, fit.latest))
     assert np.array_equal(np.real(sums), np.broadcast_to(baseline, sums.shape))
 
@@ -427,6 +461,23 @@ def test_p11_rel_error_is_scale_free(m):
     scaled = IncrementalTriangle(inc.dimension, inc.values * 2.0**m)
     for want, got in zip(benchmark_kinds(inc), benchmark_kinds(scaled)):
         assert np.array_equal(got.rel_error, want.rel_error), want.statistic
+
+
+@pytest.mark.parametrize("dim", [10, 40])
+def test_verdicts_do_not_depend_on_the_scale_of_the_data(dim):
+    """P11 over m = -120..300: the step scales with the data, so the
+    reserve, BF and MSE reports keep every rel_error bit for bit. The
+    quantile map takes a log and an exp, whose rounding moves with the
+    scale; its rel_error may move by rounding alone, and its verdict not.
+    A fixed step of 1e-30 failed all four kinds from m = -100 on."""
+    inc = random_triangle(np.random.default_rng([6, dim]), dim)
+    *exact, quantile_report = benchmark_kinds(inc)
+    for m in range(-120, 301, 10):
+        *got, got_quantile = benchmark_kinds(IncrementalTriangle(dim, inc.values * 2.0**m))
+        for want, report in zip(exact, got):
+            assert np.array_equal(report.rel_error, want.rel_error), (m, want.statistic)
+        assert got_quantile.passed == quantile_report.passed, m
+        assert np.max(np.abs(got_quantile.rel_error - quantile_report.rel_error)) <= 1e-10, m
 
 
 def by_triangle(column, dim):

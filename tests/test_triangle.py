@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,18 @@ class TestValidate:
             [[0.0, 1.0, 1.0], [1.0, 1.0], [1.0]]
         )
         assert "zero column partial sum: column 1, rows 1..1" in validate(tri)
+
+    def test_overflowing_column_sum(self):
+        """A column partial sum past the largest double is reported once,
+        at its first row, and warns nothing: every fitted sum is one."""
+        tri = IncrementalTriangle.from_rows([[1e308, 1.0, 1.0], [1e308, 1.0], [1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            problems = validate(tri)
+        assert problems == [
+            "overflowing column partial sum: column 1, rows 1..2",
+            "overflowing column partial sum: column 2, rows 1..2",
+        ]
 
 
 # The per-cell loops that observed_cells, to_rows, decumulate and validate
