@@ -2,19 +2,29 @@
 
     python bench/layers.py                          # this checkout, after
     python bench/layers.py --src OTHER/src --label before --sizes 10 20 40 60
+    python bench/layers.py --src OTHER/src src --label before after
 
 Every stage runs on one random triangle per size I (the test suite's
-distribution, a fixed seed per size). A stage is timed in BATCHES
-batches, each repeating the call until BATCH_S has passed, and its entry
-is the least mean time per call over the batches (best_s), with the
-number of calls and batches made; a batch whose time passes SLOW_S ends
-the stage. After the timing, one more call runs under tracemalloc, and
-its peak of traced memory is the stage's peak_mb. The estimator and
+distribution, a fixed seed per size). Given two or more trees (--src,
+one --label each), they are loaded in one process, each package in its
+own set of sys.modules entries, and timed batch by batch in turn, the
+order reversed every batch, so drift of the host reads in every label
+alike and one record compares them.
+
+A stage is timed in BATCHES batches, each repeating the call until
+BATCH_S has passed, and its entry is the least mean time per call over
+the batches (best_s), with the number of calls and batches made; a
+batch whose time passes SLOW_S ends the stage. After the timing, one
+more call runs under tracemalloc, and its peak of traced memory is the
+stage's peak_mb. The estimator and
 impact stages reuse one triangle and its factors and sigmas, so where
 runoff keeps a triangle's Fit they time only their own algebra over it.
 The fit stage times building that Fit with its Mack sums, and
 sensitivity_report a whole report (the perfbench api-report op) from
-the increments.
+the increments. A triangle keeps what its verifiers fit, so each
+verify_* call checks a fresh IncrementalTriangle of the same values and
+times a first verification; verify_round makes the four perfbench
+oracle-verify ops on one fresh triangle.
 The validate stage checks the increments as ingest does, decumulate
 inverts the cumulated triangle, and render_csv writes the reserve-total
 impact triangle as the CLI's CSV.
@@ -27,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import importlib
 import json
 import os
 import platform
@@ -72,6 +83,16 @@ def sensitivity_report(runoff, inc) -> tuple:
     )
 
 
+def verify_round(runoff, inc) -> tuple:
+    """The four oracle-verify ops of perfbench on inc."""
+    return (
+        runoff.verify_reserve_impacts(inc, "reserve-total"),
+        runoff.verify_reserve_impacts(inc, "bf-total"),
+        runoff.verify_mse_components(inc),
+        runoff.verify_quantile_impacts(inc, QUANTILE_LEVEL),
+    )
+
+
 def fit(runoff, cum, factors, sigmas) -> tuple:
     """A Fit with sigmas and what the impacts read of it beyond its sums:
     the Mack sums w and process, wherever the Fit computes them."""
@@ -87,6 +108,10 @@ def stages(runoff, dim: int) -> dict:
     sigmas = runoff.estimate_sigmas(cum, factors)
     priors = runoff.default_priors(cum, factors)
     impacts = runoff.impact_reserve_total(cum, factors)
+
+    def fresh():
+        return runoff.IncrementalTriangle(dim, inc.values)
+
     return {
         "validate": lambda: runoff.validate(inc),
         "cumulate": lambda: runoff.cumulate(inc),
@@ -102,27 +127,63 @@ def stages(runoff, dim: int) -> dict:
         "impact_mse_total": lambda: runoff.impact_mse_total(cum, factors, sigmas),
         "impact_quantile": lambda: runoff.impact_quantile(cum, factors, sigmas, QUANTILE_LEVEL),
         "sensitivity_report": lambda: sensitivity_report(runoff, inc),
-        "verify_reserve_impacts": lambda: runoff.verify_reserve_impacts(inc, "reserve-total"),
-        "verify_mse_components": lambda: runoff.verify_mse_components(inc),
-        "verify_quantile_impacts": lambda: runoff.verify_quantile_impacts(inc, QUANTILE_LEVEL),
+        "verify_reserve_impacts": lambda: runoff.verify_reserve_impacts(fresh(), "reserve-total"),
+        "verify_mse_components": lambda: runoff.verify_mse_components(fresh()),
+        "verify_quantile_impacts": lambda: runoff.verify_quantile_impacts(fresh(), QUANTILE_LEVEL),
+        "verify_round": lambda: verify_round(runoff, fresh()),
         "render_csv": lambda: runoff.cli.render_csv(impacts),
     }
 
 
-def per_call(call) -> dict:
-    """Least mean time per call over BATCHES batches of calls, each batch
-    lasting at least BATCH_S, and how many calls and batches that took."""
-    means, calls = [], 0
-    while len(means) < BATCHES:
-        n, t0 = 0, time.perf_counter()
-        while (elapsed := time.perf_counter() - t0) < BATCH_S:
-            call()
-            n += 1
-        means.append(elapsed / n)
-        calls += n
-        if elapsed > SLOW_S:
+def packaged() -> dict:
+    """The sys.modules entries of the runoff package now in use."""
+    return {name: mod for name, mod in sys.modules.items() if name.split(".")[0] == "runoff"}
+
+
+def use(modules: dict):
+    """Make modules, from packaged, the runoff package of sys.modules."""
+    for name in packaged():
+        del sys.modules[name]
+    sys.modules.update(modules)
+
+
+def load(src: str) -> dict:
+    """The sys.modules entries of runoff and runoff.cli imported from the
+    directory src, in a set of their own: the package in use before is in
+    use again after."""
+    before = packaged()
+    use({})
+    sys.path.insert(0, str(Path(src).resolve()))
+    try:
+        importlib.import_module("runoff.cli")
+        return packaged()
+    finally:
+        del sys.path[0]
+        use(before)
+
+
+def per_call(trees: list, calls: list) -> list:
+    """Per call, each made with its tree's modules in use: the least mean
+    time per call over BATCHES batches of calls, each batch lasting at
+    least BATCH_S, and how many calls and batches that took. The calls
+    take their batches in turn, in reverse order every other batch."""
+    means, counts = [[] for _ in calls], [0] * len(calls)
+    order = list(range(len(calls)))
+    while len(means[0]) < BATCHES:
+        slow = False
+        for m in order:
+            use(trees[m])
+            n, t0 = 0, time.perf_counter()
+            while (elapsed := time.perf_counter() - t0) < BATCH_S:
+                calls[m]()
+                n += 1
+            means[m].append(elapsed / n)
+            counts[m] += n
+            slow |= elapsed > SLOW_S
+        order.reverse()
+        if slow:
             break
-    return {"best_s": min(means), "calls": calls, "batches": len(means)}
+    return [{"best_s": min(ms), "calls": n, "batches": len(ms)} for ms, n in zip(means, counts)]
 
 
 def peak_mb(call) -> float:
@@ -137,36 +198,57 @@ def peak_mb(call) -> float:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding runoff/")
-    parser.add_argument("--label", default="after", help="key under layers")
+    parser.add_argument("--src", nargs="+", default=[str(ROOT / "src")], help="directories holding runoff/")
+    parser.add_argument("--label", nargs="+", default=["after"], help="key under layers, one per --src")
     parser.add_argument("--sizes", type=int, nargs="+", default=list(SIZES))
     parser.add_argument("--out", default=None, help="default: BENCH_<yyyymmdd>.json in the root")
     args = parser.parse_args(argv)
+    if len(args.label) != len(args.src):
+        parser.error(f"{len(args.src)} trees need {len(args.src)} labels, got {len(args.label)}")
 
-    sys.path.insert(0, str(Path(args.src).resolve()))
-    import runoff.cli  # binds runoff, with the cli module the render_csv stage times
-
+    outer = packaged()
+    trees = [load(src) for src in args.src]
     out = Path(args.out or ROOT / f"BENCH_{datetime.date.today():%Y%m%d}.json")
     doc = json.loads(out.read_text()) if out.exists() else {}
-    section = {
-        "host": {
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
-        "batches": BATCHES,
-        "batch_s": BATCH_S,
-        "slow_s": SLOW_S,
-        "seconds": {},
-    }
-    for dim in args.sizes:
-        row = {}
-        for name, call in stages(runoff, dim).items():
-            row[name] = per_call(call) | {"peak_mb": peak_mb(call)}
-            print(f"I={dim:<4} {name:<30} {row[name]['best_s']:.6f} s {row[name]['peak_mb']:9.2f} MB", flush=True)
-        section["seconds"][f"I={dim}"] = row
-    doc.setdefault("layers", {})[args.label] = section
+    sections = [
+        {
+            "host": {
+                "machine": platform.machine(),
+                "cpus": os.cpu_count(),
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+            },
+            "batches": BATCHES,
+            "batch_s": BATCH_S,
+            "slow_s": SLOW_S,
+            "interleaved_with": [other for other in args.label if other != label],
+            "seconds": {},
+        }
+        for label in args.label
+    ]
+    try:
+        for dim in args.sizes:
+            rows = [{} for _ in trees]
+            per_tree = []
+            for tree in trees:
+                use(tree)
+                per_tree.append(stages(tree["runoff"], dim))
+            for name in per_tree[0]:
+                calls = [tree_stages[name] for tree_stages in per_tree]
+                for m, timing in enumerate(per_call(trees, calls)):
+                    use(trees[m])
+                    rows[m][name] = timing | {"peak_mb": peak_mb(calls[m])}
+                    print(
+                        f"I={dim:<4} {name:<30} {args.label[m]:<10} {timing['best_s']:.6f} s "
+                        f"{rows[m][name]['peak_mb']:9.2f} MB",
+                        flush=True,
+                    )
+            for section, row in zip(sections, rows):
+                section["seconds"][f"I={dim}"] = row
+    finally:
+        use(outer)
+    for label, section in zip(args.label, sections):
+        doc.setdefault("layers", {})[label] = section
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {out}")
     return 0

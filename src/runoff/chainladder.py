@@ -91,9 +91,9 @@ def sigma2_values(cum: np.ndarray, f: np.ndarray) -> np.ndarray:
         raise ValueError(f"sigma estimation needs I >= 4, got I={dim}")
     both = observed_mask(dim)[:, 1:-1]  # rows n <= I-k of columns k = 1..I-2
     c = cum[..., :-2]
-    zero = np.argwhere(np.swapaxes(both & (np.real(c) == 0.0), -1, -2))
-    if zero.size:
-        k, i = zero[0, -2:] + 1
+    zero = both & (np.real(c) == 0.0)
+    if zero.any():
+        k, i = np.argwhere(np.swapaxes(zero, -1, -2))[0, -2:] + 1
         raise ZeroDivisionError(f"zero cumulative cell ({i}, {k}) in sigma estimation")
     ratio = cum[..., 1:-1] / np.where(both, c, 1.0)
     residual = np.where(both, c * (ratio - f[..., None, :-1]) ** 2, 0.0)
@@ -163,21 +163,24 @@ class Fit:
     ) -> "Fit":
         """The fit from what it reads of the cumulative triangle: the column
         sums A_s and B_s, (..., I-1), and the latest diagonal, (..., I).
-        f and sigma2 as in of."""
+        f and sigma2 as in of; the fit freezes copies, not the caller's."""
+        return cls._frozen(*(None if x is None else np.array(x) for x in (num, den, latest, f, sigma2)))
+
+    @classmethod
+    def _frozen(cls, num, den, latest, f=None, sigma2=None) -> "Fit":
+        """of_sums over arrays nobody else holds, such as views of the
+        oracle's stack: they are frozen in place, not copied."""
         dim = latest.shape[-1]
         if f is None:
             zero = np.nonzero(np.real(den) == 0.0)[-1]
             if zero.size:
                 raise ZeroDivisionError(f"zero denominator for development factor {zero.min() + 1}")
             f = num / den
-        ahead = np.cumprod(f[..., ::-1], axis=-1)
-        fprod = np.concatenate((np.ones(ahead.shape[:-1] + (1,)), ahead), axis=-1)
-        arrays = dict(
-            num=np.array(num), den=np.array(den), factors=np.array(f), fprod=fprod,
-            latest=np.array(latest), ult=latest * fprod,
-        )
+        fprod = np.ones(f.shape[:-1] + (dim,), dtype=np.promote_types(f.dtype, float))
+        np.cumprod(f[..., ::-1], axis=-1, out=fprod[..., 1:])
+        arrays = dict(num=num, den=den, factors=f, fprod=fprod, latest=latest, ult=latest * fprod)
         if sigma2 is not None:
-            arrays["sigma2"] = np.array(sigma2)
+            arrays["sigma2"] = sigma2
         return cls(dim, **{k: _read_only(v) for k, v in arrays.items()})
 
     def with_sigmas(self, sigma2: np.ndarray) -> "Fit":

@@ -72,12 +72,12 @@ def _to_cells(grad: np.ndarray) -> np.ndarray:
     place, so two (..., n) arrays are alive at once, not three."""
     dim = (grad.shape[-1] + 2) // 3
     k, j = _cells(dim)
-    zero = np.zeros(grad.shape[:-1] + (1,))
-    g_a = np.concatenate((zero, grad[..., : dim - 1]), axis=-1)
-    prefix = np.cumsum(g_a + np.concatenate((zero, grad[..., dim - 1 : 2 * dim - 2]), axis=-1), axis=-1)
-    row = prefix[..., ::-1] + grad[..., 2 * dim - 2 :]
-    cells = row[..., k - 1]
-    cells -= (prefix - g_a)[..., j - 1]
+    prefix = np.zeros(grad.shape[:-1] + (dim,), dtype=np.promote_types(grad.dtype, float))
+    np.add(grad[..., : dim - 1], grad[..., dim - 1 : 2 * dim - 2], out=prefix[..., 1:])
+    prefix = np.cumsum(prefix, axis=-1)
+    cells = (prefix[..., ::-1] + grad[..., 2 * dim - 2 :])[..., k - 1]
+    prefix[..., 1:] -= grad[..., : dim - 1]  # the column terms
+    cells -= prefix[..., j - 1]
     return cells
 
 

@@ -6,11 +6,11 @@ scale of the data (complex_step), taken through the library's own Fit.
 Every statistic reads the triangle only through the 3I-2 fitted sums
 (the column sums A_s, B_s and the latest diagonal L_i), and X_{k,j}
 enters each of them with coefficient 1 or not at all; so the oracle
-steps each sum of the verifier's baseline Fit once, in one stack, and
-keeps the derivatives as gradients over the sums until the last step,
-where runoff.impact's _to_cells, the chain rule the analytic impacts
-take too, maps each to the observed cells, in the cell layout of
-runoff.triangle (_cells). No triangle is perturbed or cumulated again.
+steps each sum of the baseline Fit once, in one stack, and keeps the
+derivatives as gradients over the sums until runoff.impact's _to_cells,
+the chain rule the analytic impacts take too, maps them to the observed
+cells (_cells). A triangle keeps its baseline (_baseline), cumulated
+and fitted once for all its verifiers, and nothing is cumulated again.
 The step subtracts nothing, so there is no step size to choose and the
 derivative is exact to rounding. Every verifier compares an analytic
 gradient with the complex step of the statistic it is the gradient of.
@@ -68,6 +68,7 @@ STEP = 1e-30
 # The default tolerance of the verifiers, and the rel_error a difference of
 # I eps S reads (see _floor).
 TOLERANCE = 1e-5
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -109,8 +110,11 @@ class VerificationReport:
         # C-order copies: the caller's arrays stay theirs, rel comes out
         # C-order too, and ravel copies none of the three
         analytic, numeric = (np.array(x, dtype=float, order="C") for x in (self.analytic, self.numeric))
+        cells = _cells(dimension)
+        if analytic.shape[-1:] != cells[0].shape:
+            raise ValueError(f"shape {analytic.shape} is not a stack of the {cells[0].size} cells of I={dimension}")
         rel = relative_error(analytic, numeric, _floor(analytic, dimension))
-        k, j = (np.broadcast_to(c, analytic.shape) for c in _cells(dimension))
+        k, j = (np.tile(c, math.prod(analytic.shape[:-1])) for c in cells)
         for name, values in zip(COLUMNS, (k, j, analytic, numeric, rel)):
             object.__setattr__(self, name, _read_only(np.ravel(values)))
 
@@ -162,7 +166,7 @@ def _floor(analytic: np.ndarray, dim) -> np.ndarray:
     stays stricter. At least the smallest normal double, so a triangle of
     exact zeros reads 0."""
     scale = np.max(np.abs(analytic), axis=-1, keepdims=True, initial=0.0)
-    return np.maximum(dim * np.finfo(float).eps / TOLERANCE * scale, np.finfo(float).tiny)
+    return np.maximum(dim * _EPS / TOLERANCE * scale, _TINY)
 
 
 def fd_derivative(
@@ -194,19 +198,33 @@ def complex_step(fit: Fit, statistic: Callable) -> np.ndarray:
     sum m alone (real parts exactly the baseline's, sigma2 the
     baseline's), so one stack gives the whole gradient. h is STEP times
     the power of two of the largest latest cumulative, so the derivative
-    does not depend on the scale of the data. The Mack sums of the stack
-    are computed only if statistic reads them.
+    does not depend on the scale of the data. The stack is one complex
+    diagonal added to the concatenated sums; its fits are built on views
+    of it, frozen in place, and nothing holds it after the call. The Mack
+    sums of the stack are computed only if statistic reads them.
     """
     dim = fit.dimension
     h = math.ldexp(STEP, math.frexp(fit.latest.max())[1])
-    step = np.eye(3 * dim - 2) * (h * 1j)
-    stack = Fit.of_sums(
-        fit.num + step[:, : dim - 1],
-        fit.den + step[:, dim - 1 : 2 * dim - 2],
-        fit.latest + step[:, 2 * dim - 2 :],
-        sigma2=fit.sigma2,
-    )
+    sums = np.concatenate((fit.num, fit.den, fit.latest)) + np.diag(np.full(3 * dim - 2, h * 1j))
+    stack = Fit._frozen(*np.split(sums, [dim - 1, 2 * dim - 2], axis=1), sigma2=fit.sigma2)
     return np.moveaxis(np.imag(statistic(stack)) / h, 0, -1)
+
+
+def _baseline(inc: IncrementalTriangle, sigmas: bool = False) -> tuple:
+    """(cum, factors, fit) of inc, the fit with sigmas when asked: the
+    baseline every verifier steps. inc keeps {cum, factors[, sigmas]} in
+    its __dict__, like a cached_property, each built on first need and
+    nothing stored when a build raises; its values are read-only, so what
+    it keeps stays right. The fit is the one cum keeps (_fit), so the
+    verifiers of one triangle share it, and its Mack sums once computed."""
+    held = inc.__dict__.get("_baseline")
+    if held is None:
+        cum = cumulate(inc)
+        held = inc.__dict__["_baseline"] = {"cum": cum, "factors": estimate_development_factors(cum)}
+    cum, factors = held["cum"], held["factors"]
+    if sigmas and "sigmas" not in held:
+        held["sigmas"] = estimate_sigmas(cum, factors)
+    return cum, factors, _fit(cum, factors, held["sigmas"] if sigmas else None)
 
 
 def verify_reserve_impacts(
@@ -235,8 +253,7 @@ def verify_reserve_impacts(
         raise ValueError(f"{statistic} takes no accident year, got {year}")
     if not bf and priors is not None:
         raise ValueError(f"{statistic} takes no priors")
-    cum = cumulate(inc)
-    factors = estimate_development_factors(cum)
+    cum, factors, fit = _baseline(inc)
     if bf and priors is None:
         priors = default_priors(cum, factors)
     analytic = {
@@ -250,7 +267,7 @@ def verify_reserve_impacts(
         by_year = bf_reserve_values(fit.fprod, priors.values) if bf else fit.reserves
         return by_year[..., year - 1] if per_year else np.sum(by_year, axis=-1)
 
-    numeric = _to_cells(complex_step(_fit(cum, factors), refit))
+    numeric = _to_cells(complex_step(fit, refit))
     return VerificationReport(statistic, tolerance, _observed(analytic.values), numeric, cum.dimension)
 
 
@@ -266,22 +283,27 @@ def _frozen_mse(base: Fit, stack: Fit, ln_f: np.ndarray) -> np.ndarray:
     return np.concatenate((yearly, np.sum(yearly + cross, axis=-1, keepdims=True)), axis=-1)
 
 
+# The building blocks verify_mse_components checks, in the order of its notes.
+BLOCKS = ("d_ln_f", "d_ultimate", "d_colsum_fsq")
+
+
 def _mse_blocks(fit: Fit) -> dict:
     """Complex-step gradients over the fitted sums, stepped from the
-    baseline fit, which has sigmas: d_ln_f[s-1] of ln f_s, d_colsum_fsq[r-1]
-    of B_r f_r^2, d_ultimate[q-1] of the ultimate Chat_q, and of year i's
-    MSE mse[i-1] frozen (_frozen_mse) and plugin[i-1] plug-in, with the
-    baseline's sigma2; mse[I] and plugin[I] are the total's."""
+    baseline fit, which has sigmas: d_ln_f[s-1] of ln f_s, d_ultimate[q-1]
+    of the ultimate Chat_q, d_colsum_fsq[r-1] of B_r f_r^2, and of year
+    i's MSE mse[i-1] frozen (_frozen_mse) and plugin[i-1] plug-in, with
+    the baseline's sigma2; mse[I] and plugin[I] are the total's. The
+    building blocks are the first 3I-2 rows of one array, in that order."""
     dim = fit.dimension
 
     def blocks(stack):
         ln_f = np.log(stack.factors)
         plugin = np.concatenate((stack.mse_by_year, stack.mse_total[..., None]), axis=-1)
         frozen = _frozen_mse(fit, stack, ln_f)
-        return np.concatenate((ln_f, stack.den * stack.factors**2, stack.ult, frozen, plugin), axis=-1)
+        return np.concatenate((ln_f, stack.ult, stack.den * stack.factors**2, frozen, plugin), axis=-1)
 
-    parts = np.split(complex_step(fit, blocks), [dim - 1, 2 * dim - 2, 3 * dim - 2, 4 * dim - 1])
-    return dict(zip(("d_ln_f", "d_colsum_fsq", "d_ultimate", "mse", "plugin"), parts))
+    parts = np.split(complex_step(fit, blocks), [dim - 1, 2 * dim - 1, 3 * dim - 2, 4 * dim - 1])
+    return dict(zip(BLOCKS + ("mse", "plugin"), parts))
 
 
 def _max_rel(analytic: np.ndarray, numeric: np.ndarray, dim: int) -> float:
@@ -312,38 +334,36 @@ def verify_mse_components(
     dim = inc.dimension
     if year is not None and not 1 <= year <= dim:
         raise ValueError(f"accident year {year} out of range 1..{dim}")
-    cum = cumulate(inc)
-    factors = estimate_development_factors(cum)
-    fit = _fit(cum, factors, estimate_sigmas(cum, factors))
+    _, _, fit = _baseline(inc, sigmas=True)
     blocks = _mse_blocks(fit)
 
-    # building blocks against their gradients over the sums:
-    # d ln f_s = dA_s / A_s - dB_s / B_s, d(B_r f_r^2) = f_r^2 (dB_r + 2 B_r d ln f_r)
-    # and dChat_q = Chat_q d ln F_q + F_q dL_q, the _grad of ult and F on year q
+    # building blocks against their gradients over the sums, in one pass:
+    # d ln f_s = dA_s / A_s - dB_s / B_s, dChat_q = Chat_q d ln F_q + F_q dL_q
+    # (the _grad of ult and F on year q) and d(B_r f_r^2) = f_r^2 (dB_r + 2 B_r d ln f_r)
     s = np.arange(dim - 1)
     d_lnf = np.zeros((dim - 1, 3 * dim - 2))
     d_lnf[s, s], d_lnf[s, dim - 1 + s] = 1.0 / fit.num, -1.0 / fit.den
     fsq = (fit.factors**2)[:, None]
     d_colsum_fsq = fsq * 2.0 * fit.den[:, None] * d_lnf
     d_colsum_fsq[s, dim - 1 + s] += fsq[:, 0]
-    d_ult = _year(fit, None, fit.ult, fit.fprod)
-    checked = {"d_ln_f": d_lnf, "d_ultimate": d_ult, "d_colsum_fsq": d_colsum_fsq}
-    notes = {f"{name}_max_rel": _max_rel(a, blocks[name], dim) for name, a in checked.items()}
+    analytic = np.concatenate((d_lnf, _year(fit, None, fit.ult, fit.fprod), d_colsum_fsq))
+    numeric = np.concatenate([blocks[name] for name in BLOCKS])
+    rel = np.split(relative_error(analytic, numeric, _floor(analytic, dim)), [dim - 1, 2 * dim - 1])
+    notes = {f"{name}_max_rel": float(np.max(r, initial=0.0)) for name, r in zip(BLOCKS, rel)}
 
     # the frozen MSE's gradients vs analytic, both over the sums until
-    # mapped to the observed cells: every year's and the total, or year's
+    # mapped to the observed cells in one pass with the direct derivative
+    # of the plug-in value of the last checked statistic, sigma^2 held at
+    # the baseline, from the blocks' stack; that one is documented only
     if year is None:
-        analytic = np.concatenate((_mse_ay(fit, None)[1:], _mse_total(fit)[None]))
-        numeric = blocks["mse"][1:]
+        analytic, rows = np.concatenate((_mse_ay(fit, None)[1:], _mse_total(fit)[None])), slice(1, None)
     else:
-        analytic, numeric = _mse_ay(fit, year)[None], blocks["mse"][year - 1 : year]
-    analytic = _to_cells(analytic)
-
-    # direct derivative of the plug-in value of the last checked statistic,
-    # sigma^2 held at the baseline, from the blocks' stack; documented only
-    direct = blocks["plugin"][-1 if year is None else year - 1]
-    notes["direct_fd_max_rel"] = _max_rel(analytic[-1], _to_cells(direct), dim)
-    return VerificationReport("mse-components", tolerance, analytic, _to_cells(numeric), dim, notes)
+        analytic, rows = _mse_ay(fit, year)[None], slice(year - 1, year)
+    numeric, direct = blocks["mse"][rows], blocks["plugin"][rows][-1:]
+    cells = _to_cells(np.concatenate((analytic, numeric, direct)))
+    t = len(analytic)
+    notes["direct_fd_max_rel"] = _max_rel(cells[t - 1], cells[-1], dim)
+    return VerificationReport("mse-components", tolerance, cells[:t], cells[t : 2 * t], dim, notes)
 
 
 def verify_quantile_impacts(
@@ -360,9 +380,7 @@ def verify_quantile_impacts(
     values, which the stack's sums round differently, so the map is
     stepped at the baseline, against the analytic triangle.
     """
-    cum = cumulate(inc)
-    factors = estimate_development_factors(cum)
-    fit = _fit(cum, factors, estimate_sigmas(cum, factors))
+    _, _, fit = _baseline(inc, sigmas=True)
     analytic = _impact_quantile(fit, q)
 
     def quantile(stack):

@@ -58,15 +58,15 @@ def small_corpus() -> list:
 
 @pytest.fixture
 def fit_builds(monkeypatch):
-    """The Fit.of_sums calls made while the test runs, one entry each;
-    every Fit is built through it or derived from one that was
-    (Fit.with_sigmas)."""
+    """The Fit._frozen calls made while the test runs, one entry each;
+    every Fit is built through it, by Fit.of_sums or on the oracle's
+    stack, or derived from one that was (Fit.with_sigmas)."""
     calls = []
-    of_sums = Fit.of_sums.__func__
+    frozen = Fit._frozen.__func__
 
     def counted(cls, *args, **kwargs):
         calls.append(args)
-        return of_sums(cls, *args, **kwargs)
+        return frozen(cls, *args, **kwargs)
 
-    monkeypatch.setattr(Fit, "of_sums", classmethod(counted))
+    monkeypatch.setattr(Fit, "_frozen", classmethod(counted))
     return calls

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import golden
 from conftest import build_corpus, proportional_triangle, random_triangle
-from runoff.bornhuetter import bf_reserve_values, default_priors
+from runoff.bornhuetter import PriorUltimates, bf_reserve_values, default_priors
 from runoff.chainladder import Fit, _ahead, estimate_development_factors, estimate_sigmas
 from runoff import impact, oracle, quantile
 from runoff.impact import _to_cells, impact_reserve_total
@@ -16,6 +16,7 @@ from runoff.oracle import (
     FdScheme,
     VerificationReport,
     _frozen_mse,
+    _max_rel,
     _mse_blocks,
     complex_step,
     fd_derivative,
@@ -128,6 +129,12 @@ class TestVerificationReport:
         assert report.worst_cell == (2, 1)
         assert all(type(v) is int for v in report.worst_cell)
         assert not report.passed
+
+    def test_a_stack_of_another_layout_is_refused(self):
+        # three cells per triangle of I=2: a last axis of 4 or 6 is refused
+        for shape in ((2, 4), (2, 6), (4,)):
+            with pytest.raises(ValueError, match="is not a stack of the 3 cells of I=2"):
+                VerificationReport("x", 1e-5, np.ones(shape), np.ones(shape), 2)
 
     def test_a_nan_cell_fails_wherever_it_sits(self):
         for at, cell in enumerate(((1, 1), (1, 2), (2, 1))):
@@ -392,19 +399,135 @@ def test_no_false_alarms_at_large_dimension(dim):
 
 @pytest.mark.parametrize("dim", [10, 20])
 def test_one_baseline_fit_per_verifier(dim, fit_builds):
-    """Each verifier steps the Fit it already holds: the factors' fit (the
-    fit with sigmas where the MSE needs them is derived from it) and one
-    stack of stepped fits."""
+    """The verifiers of one triangle step the baseline it keeps: the first
+    builds the factors' fit (the fit with sigmas where the MSE needs them
+    is derived from it) and one stack of stepped fits, every later one its
+    stack alone."""
     inc = random_triangle(np.random.default_rng([9, dim]), dim)
-    for verify in (
+    for n, verify in enumerate((
         lambda: verify_reserve_impacts(inc, "reserve-total"),
         lambda: verify_reserve_impacts(inc, "bf-total"),
         lambda: verify_mse_components(inc),
         lambda: verify_quantile_impacts(inc, 0.995),
-    ):
+    )):
         fit_builds.clear()
         assert verify().passed
-        assert len(fit_builds) == 2
+        assert len(fit_builds) == (2 if n == 0 else 1)
+
+
+def every_verifier(inc):
+    """Name -> call of one verifier on a triangle of inc's dimension:
+    the per-year reserve, BF and MSE checks, both quantile levels, and
+    explicit priors and tolerances besides the benchmark's four kinds."""
+    dim, year = inc.dimension, inc.dimension // 2 + 1
+    cum = cumulate(inc)
+    priors = PriorUltimates(dim, default_priors(cum, estimate_development_factors(cum)).values * 1.1)
+    return {
+        "reserve-total": lambda t: verify_reserve_impacts(t, "reserve-total"),
+        "reserve-ay": lambda t: verify_reserve_impacts(t, "reserve-ay", year),
+        "bf-total": lambda t: verify_reserve_impacts(t, "bf-total"),
+        "bf-total priors": lambda t: verify_reserve_impacts(t, "bf-total", priors=priors, tolerance=1e-9),
+        "bf-ay priors": lambda t: verify_reserve_impacts(t, "bf-ay", year, priors),
+        "mse-components": lambda t: verify_mse_components(t),
+        "mse-components year": lambda t: verify_mse_components(t, 1e-9, year),
+        "quantile 0.5": lambda t: verify_quantile_impacts(t, 0.5),
+        "quantile 0.995": lambda t: verify_quantile_impacts(t, 0.995, 1e-9),
+    }
+
+
+def assert_same_report(got, want):
+    """Bit for bit: every column, the notes and the verdict."""
+    for name in ("k", "j", "analytic", "numeric", "rel_error"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert repr(got.notes) == repr(want.notes)
+    assert (got.statistic, got.tolerance, got.passed) == (want.statistic, want.tolerance, want.passed)
+
+
+@pytest.mark.parametrize("dim", [None, 6, 20])
+def test_verifiers_in_any_order_report_what_a_fresh_triangle_does(dim, belgian):
+    """A triangle keeps the baseline its first verifier fits, and every
+    later verifier on it, in either order, reports what it reports on a
+    fresh copy of the triangle."""
+    inc = belgian if dim is None else random_triangle(np.random.default_rng([12, dim]), dim)
+    calls = every_verifier(inc)
+    for order in (list(calls), list(reversed(calls))):
+        kept = IncrementalTriangle.from_rows(inc.to_rows())
+        for name in order:
+            fresh = IncrementalTriangle.from_rows(inc.to_rows())
+            assert_same_report(calls[name](kept), calls[name](fresh))
+        assert set(kept.__dict__["_baseline"]) == {"cum", "factors", "sigmas"}
+
+
+def test_a_failed_sigma_fit_is_not_kept():
+    """C_{1,1} = 0 leaves the factors defined but not the sigmas: the MSE
+    verifier raises each time, and the reserve verifiers still pass."""
+    rows = random_triangle(np.random.default_rng([13, 8]), 8).to_rows()
+    rows[0][0] = 0.0
+    inc = IncrementalTriangle.from_rows(rows)
+    refused = r"zero cumulative cell \(1, 1\) in sigma estimation"
+    with pytest.raises(ZeroDivisionError, match=refused):
+        verify_mse_components(inc)
+    assert verify_reserve_impacts(inc, "reserve-total").passed
+    assert verify_reserve_impacts(inc, "bf-total").passed
+    with pytest.raises(ZeroDivisionError, match=refused):
+        verify_mse_components(inc)
+
+
+def held_arrays(obj, seen=None):
+    """Every array reachable from obj through dicts, tuples, lists and the
+    __dict__ of objects."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from held_arrays(value, seen)
+    elif isinstance(obj, (tuple, list)):
+        for value in obj:
+            yield from held_arrays(value, seen)
+    elif hasattr(obj, "__dict__"):
+        yield from held_arrays(vars(obj), seen)
+
+
+def test_a_verified_triangle_keeps_no_stack():
+    """What a triangle keeps for its verifiers is O(I^2): the cumulated
+    triangle and the fits, no complex-step stack or report."""
+    dim = 200
+    inc = random_triangle(np.random.default_rng([6, dim]), dim)
+    benchmark_kinds(inc)
+    sizes = [a.size for a in held_arrays(inc.__dict__)]
+    assert dim * dim in sizes and max(sizes) <= dim * dim
+
+
+def building_blocks(fit):
+    """The closed forms of the three building blocks over the sums, by
+    name, as verify_mse_components computed them block by block."""
+    dim = fit.dimension
+    s = np.arange(dim - 1)
+    d_lnf = np.zeros((dim - 1, 3 * dim - 2))
+    d_lnf[s, s], d_lnf[s, dim - 1 + s] = 1.0 / fit.num, -1.0 / fit.den
+    fsq = (fit.factors**2)[:, None]
+    d_colsum_fsq = fsq * 2.0 * fit.den[:, None] * d_lnf
+    d_colsum_fsq[s, dim - 1 + s] += fsq[:, 0]
+    d_ult = impact._year(fit, None, fit.ult, fit.fprod)
+    return {"d_ln_f": d_lnf, "d_ultimate": d_ult, "d_colsum_fsq": d_colsum_fsq}
+
+
+@pytest.mark.parametrize("dim", [None, 7, 40])
+def test_each_block_note_is_its_blocks_max_rel(dim, belgian):
+    """The three building blocks are scored in one pass; each note is the
+    largest rel_error of its own block, bit for bit."""
+    inc = belgian if dim is None else random_triangle(np.random.default_rng([14, dim]), dim)
+    fit = quantile_fit(inc)[0]
+    numeric = _mse_blocks(fit)
+    notes = verify_mse_components(inc).notes
+    assert list(notes) == ["d_ln_f_max_rel", "d_ultimate_max_rel", "d_colsum_fsq_max_rel", "direct_fd_max_rel"]
+    for name, analytic in building_blocks(fit).items():
+        assert repr(notes[f"{name}_max_rel"]) == repr(_max_rel(analytic, numeric[name], fit.dimension)), name
 
 
 @pytest.mark.parametrize("dim", [4, 20, 100])

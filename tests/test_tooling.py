@@ -17,6 +17,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import runoff
 from runoff.cli import main
 
@@ -126,6 +128,37 @@ def test_layer_record_times_every_stage(tmp_path, monkeypatch):
     for stage in row.values():
         assert stage["best_s"] > 0.0
         assert stage["batches"] == layers.BATCHES and stage["calls"] >= stage["batches"]
+
+
+def test_layer_record_interleaves_two_trees(tmp_path, monkeypatch):
+    """Two trees, loaded in one process each in its own sys.modules
+    entries, time the same stages under their own labels; the runoff in
+    use before is in use after."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    layers = load(LAYERS, "bench_layers")
+    monkeypatch.setattr(layers, "BATCH_S", 1e-4)
+    out = tmp_path / "BENCH.json"
+    src, path = str(ROOT / "src"), list(sys.path)
+    assert layers.main(["--src", src, src, "--label", "before", "after", "--sizes", "5", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())["layers"]
+    assert record["before"]["interleaved_with"] == ["after"] and record["after"]["interleaved_with"] == ["before"]
+    assert set(record["before"]["seconds"]["I=5"]) == set(record["after"]["seconds"]["I=5"]) >= {"verify_round"}
+    assert sys.modules["runoff"] is runoff and sys.path == path
+    with pytest.raises(SystemExit):
+        layers.main(["--src", src, src, "--label", "after"])
+
+
+def test_layer_verify_stages_time_a_first_verification(fit_builds):
+    """A triangle keeps its verifiers' baseline, so every call of a
+    verify_* stage verifies a fresh triangle: each builds its baseline
+    fit and its stack, and verify_round the baseline once for four."""
+    layers = load(LAYERS, "bench_layers")
+    stages = layers.stages(runoff, 6)
+    for name, builds in (("verify_reserve_impacts", 2), ("verify_mse_components", 2), ("verify_round", 5)):
+        for _ in range(2):
+            fit_builds.clear()
+            stages[name]()
+            assert len(fit_builds) == builds, name
 
 
 def test_gate_sees_an_edit_to_the_cells_of_a_copied_report():
