@@ -12,6 +12,7 @@ triangles refits in one pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -84,6 +85,19 @@ def _ahead(per_s: np.ndarray, axis: int = -1) -> np.ndarray:
     return out
 
 
+def _scale(x) -> float:
+    """1, or past 2^500 the power of two near the largest |Re x|: the s at
+    which a product of values at the scale of x is taken (_product)."""
+    big = abs(x.real) if isinstance(x, float) else float(np.abs(x.real).max())
+    return 1.0 if big < 2.0**500 else math.ldexp(1.0, math.frexp(big)[1] - 1)
+
+
+def _product(x, y, z, s: float):
+    """x y z, as (x / s) (y / s) z s s past s = 1 (_scale): that overflows
+    only where the product does, and each factor scales exactly."""
+    return x * y * z if s == 1.0 else x * (1 / s) * (y * (1 / s)) * z * s * s
+
+
 def sigma2_values(cum: np.ndarray, f: np.ndarray) -> np.ndarray:
     """sigma^2_s for s = 1..I-1, the array form of estimate_sigmas."""
     dim = cum.shape[-1]
@@ -121,7 +135,7 @@ class Fit:
     fprod:    F_i = f_{I-i+1} ... f_{I-1}, the factors still ahead of year i
     latest:   the latest diagonal C_{i,I-i+1}; ult = latest * F
     sigma2:   the variance scales, None when the fit has no sigmas
-    The Mack sums w and process, and the derived reserves, later,
+    The Mack sums w and process, and the derived reserves, later, scale,
     mse_by_year and mse_total are computed on first read, read-only: a
     refit that carries sigma2 pays for the Mack sums only if its statistic
     reads them. Every statistic is a function of num, den and latest, the
@@ -186,9 +200,9 @@ class Fit:
     def with_sigmas(self, sigma2: np.ndarray) -> "Fit":
         """This fit with the variance scales sigma2: the same read-only sums,
         factor products and ultimates, and the derived arrays that do not
-        read sigma2 (reserves, later) where this fit has computed them."""
+        read sigma2 (reserves, later, scale) where this fit has computed them."""
         fit = replace(self, sigma2=_read_only(np.array(sigma2)))
-        for name in ("reserves", "later"):
+        for name in ("reserves", "later", "scale"):
             if name in self.__dict__:
                 fit.__dict__[name] = self.__dict__[name]
         return fit
@@ -202,6 +216,11 @@ class Fit:
     def later(self) -> np.ndarray:
         """Per year i, the sum of the ultimates of the years after it."""
         return _read_only(_ahead(self.ult[..., 1:])[..., ::-1])
+
+    @cached_property
+    def scale(self) -> float:
+        """_scale of the ultimates, one per batch: the s of the Mack sums' products."""
+        return _scale(self.ult)
 
     def _need_sigmas(self):
         if self.sigma2 is None:
@@ -225,13 +244,13 @@ class Fit:
     @cached_property
     def mse_by_year(self) -> np.ndarray:
         """latest * process + ult^2 * w: process variance plus estimation error."""
-        return _read_only(self.latest * self.process + self.ult**2 * self.w)
+        return _read_only(self.latest * self.process + _product(self.ult, self.ult, self.w, self.scale))
 
     @cached_property
     def mse_total(self):
         """Per-year MSEs plus the cross covariances ult_i * later_i * 2 w_i,
         one value per batch entry."""
-        cross = self.ult * self.later * 2.0 * self.w
+        cross = _product(self.ult, self.later * 2.0, self.w, self.scale)
         return _read_only(np.sum(self.mse_by_year, axis=-1) + np.sum(cross, axis=-1))
 
 

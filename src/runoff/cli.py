@@ -16,48 +16,13 @@ import sys
 import numpy as np
 
 from runoff.bornhuetter import PriorUltimates, bf_reserves, default_priors
-from runoff.chainladder import (
-    _fit,
-    estimate_development_factors,
-    estimate_sigmas,
-    mse_accident_year,
-    mse_total,
-    reserves,
-)
-from runoff.impact import (
-    ORDER_ONE_STATISTICS,
-    ImpactTriangle,
-    _check_mse,
-    impact_bf_ay,
-    impact_bf_total,
-    impact_mse_ay,
-    impact_mse_total,
-    impact_reserve_ay,
-    impact_reserve_total,
-    impact_rmse,
-    marginal_contributions,
-)
-from runoff.oracle import (
-    RESERVE_STATISTICS,
-    TOLERANCE,
-    verify_mse_components,
-    verify_quantile_impacts,
-    verify_reserve_impacts,
-)
-from runoff.quantile import _impact_quantile, fit_lognormal, lognormal_quantile
+from runoff.chainladder import _fit, estimate_development_factors, estimate_sigmas
+from runoff.impact import (ORDER_ONE_STATISTICS, ImpactTriangle, _check_mse, _impact, impact_rmse,
+                           marginal_contributions)
+from runoff.oracle import _STATISTICS, TOLERANCE, _verify, verify_mse_components
 from runoff.triangle import IncrementalTriangle, _cells, _records, cumulate, observed_mask, validate
 
-STATISTICS = (
-    "reserve-ay",
-    "reserve-total",
-    "bf-ay",
-    "bf-total",
-    "mse-ay",
-    "mse-total",
-    "rmse-ay",
-    "rmse-total",
-    "quantile",
-)
+STATISTICS = tuple(_STATISTICS)
 PER_YEAR = frozenset(s for s in STATISTICS if s.endswith("-ay"))
 
 
@@ -153,41 +118,21 @@ def load_priors(source: str, cum, factors) -> PriorUltimates:
 
 
 def compute(stat: str, inc: IncrementalTriangle, year, q: float, priors_src: str):
-    """Selected statistic's impact triangle, its scalar value, and the
-    priors loaded for a BF statistic (None for the others), so a caller
-    that needs them again reads a priors stream only once."""
+    """Selected statistic's impact triangle and scalar value, from its entry
+    of the oracle's _STATISTICS, and the values of the priors a BF statistic
+    loads (None for the others), so a caller reads a priors stream once."""
+    entry = _STATISTICS[stat]
     cum = cumulate(inc)
     factors = estimate_development_factors(cum)
-    if stat == "reserve-ay":
-        value = reserves(cum, factors)[0][year - 1]
-        return impact_reserve_ay(cum, factors, year), value, None
-    if stat == "reserve-total":
-        value = reserves(cum, factors)[1]
-        return impact_reserve_total(cum, factors), value, None
-    if stat in ("bf-ay", "bf-total"):
-        priors = load_priors(priors_src, cum, factors)
-        by_year, total = bf_reserves(cum, factors, priors)
-        if stat == "bf-ay":
-            return impact_bf_ay(cum, factors, priors, year), by_year[year - 1], priors
-        return impact_bf_total(cum, factors, priors), total, priors
-    sigmas = estimate_sigmas(cum, factors)
-    if stat in ("mse-ay", "rmse-ay"):
-        impacts = impact_mse_ay(cum, factors, sigmas, year)
-        m = mse_accident_year(cum, factors, sigmas, year)
-    elif stat in ("mse-total", "rmse-total"):
-        impacts = impact_mse_total(cum, factors, sigmas)
-        m = mse_total(cum, factors, sigmas)
-    if stat in ("mse-ay", "mse-total"):
-        return impacts, m, None
-    if stat in ("rmse-ay", "rmse-total"):
-        _check_mse(f"{stat} impact", m, not np.any(sigmas.values))
-        return impact_rmse(m, impacts), math.sqrt(m), None
-    if stat == "quantile":
-        fit = _fit(cum, factors, sigmas)
-        impacts = _impact_quantile(fit, q)
-        matched = fit_lognormal(float(np.sum(fit.reserves)), float(fit.mse_total))
-        return impacts, lognormal_quantile(matched, q), None
-    raise UsageError(f"unknown statistic {stat!r}")
+    fit = _fit(cum, factors, estimate_sigmas(cum, factors) if entry.sigmas else None)
+    mu = load_priors(priors_src, cum, factors).values if entry.priors else None
+    rmse = stat.startswith("rmse")
+    impacts = _impact(stat.removeprefix("r") if rmse else stat, year, entry.grad(fit, year, mu, q))
+    value = float(entry.value(fit, year, mu, q))
+    if rmse:
+        _check_mse(f"{stat} impact", value, not np.any(fit.sigma2))
+        return impact_rmse(value, impacts), math.sqrt(value), None
+    return impacts, value, mu
 
 
 def _columns(impacts: ImpactTriangle) -> tuple:
@@ -362,22 +307,22 @@ def _blank_none(value) -> str:
 
 
 def _computed(args) -> tuple:
-    """The ingested triangle and compute's impacts, value and priors for
-    it, once --year and --q suit the statistic; a statistic or impact that
+    """The ingested triangle and compute's impacts, value and prior values
+    for it, once --year and --q suit the statistic; a statistic or impact that
     overflows double precision is refused as bad data."""
     inc = ingest(args.input)
     _check_target(args.stat, args.year, inc.dimension)
     if not 0.0 < args.q < 1.0:
         raise UsageError(f"--q must be in (0, 1), got {args.q}")
     try:
-        impacts, value, priors = compute(args.stat, inc, args.year, args.q, args.priors)
+        impacts, value, mu = compute(args.stat, inc, args.year, args.q, args.priors)
         cells = impacts.values[observed_mask(inc.dimension)]
         finite = math.isfinite(value) and np.all(np.isfinite(cells))
     except OverflowError:  # float arithmetic, such as the quantile's R^2
         finite = False
     if not finite:
         raise DataError(f"{args.input}: --stat {args.stat} overflows double precision")
-    return inc, impacts, value, priors
+    return inc, impacts, value, mu
 
 
 def cmd_reserves(args) -> int:
@@ -439,13 +384,11 @@ def cmd_verify(args) -> int:
     """Checks what impact computes, so refuses what impact refuses."""
     if not args.tolerance >= 0.0:
         raise UsageError(f"--tolerance must be a number >= 0, got {args.tolerance}")
-    inc, _, _, priors = _computed(args)
-    if args.stat in RESERVE_STATISTICS:
-        report = verify_reserve_impacts(inc, args.stat, args.year, priors, args.tolerance)
-    elif args.stat == "quantile":
-        report = verify_quantile_impacts(inc, args.q, args.tolerance)
-    else:
+    inc, _, _, mu = _computed(args)
+    if "mse" in args.stat:
         report = verify_mse_components(inc, args.tolerance, args.year)
+    else:
+        report = _verify(inc, args.stat, args.year, mu, args.q, args.tolerance)
     if args.format == "json":
         _write(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
     else:

@@ -167,9 +167,14 @@ def impact_bf_ay(
 ) -> ImpactTriangle:
     """IF_{k,j}(R_i^BF) with frozen priors: zero for k >= i, otherwise the
     prior discounted by the factor product times the d ln f sums."""
-    fit = _fit(cum, factors)
-    c = _prior_values(cum, priors) / fit.fprod
-    return _impact("bf-ay", i, _year(fit, i, c, np.zeros(fit.dimension)))
+    return _impact("bf-ay", i, _bf(_fit(cum, factors), i, _prior_values(cum, priors)))
+
+
+def _bf(fit: Fit, i: int | None, mu: np.ndarray) -> np.ndarray:
+    """The gradient of the BF reserve R_i^BF over the fitted sums, the
+    priors mu frozen, or of the total for i None: mu_i / F_i on ln F_i."""
+    c, diagonal = mu / fit.fprod, np.zeros(fit.dimension)
+    return _grad(fit, c, diagonal) if i is None else _year(fit, i, c, diagonal)
 
 
 def impact_bf_total(
@@ -178,9 +183,7 @@ def impact_bf_total(
     priors: PriorUltimates,
 ) -> ImpactTriangle:
     """IF_{k,j}(R^BF) = sum over accident years of IF_{k,j}(R_i^BF)."""
-    fit = _fit(cum, factors)
-    mu = _prior_values(cum, priors)
-    return _impact("bf-total", None, _grad(fit, mu / fit.fprod, np.zeros(fit.dimension)))
+    return _impact("bf-total", None, _bf(_fit(cum, factors), None, _prior_values(cum, priors)))
 
 
 def _shrink(fit: Fit) -> np.ndarray:
@@ -262,7 +265,9 @@ def _mse_total(fit: Fit) -> np.ndarray:
     """
     v = 2.0 * fit.w
     alpha = np.concatenate(([0.0], np.cumsum(v * fit.ult)[:-1])) + v * fit.later
-    scale = -2.0 * fit.sigma2 / (fit.factors**2 * fit.den**2) * _ahead((fit.ult * fit.later)[1:])[1:]
+    s = fit.scale  # B_r^2 and u over s^2, so they overflow only with the MSE
+    u = _ahead((fit.ult / s * (fit.later / s))[1:])[1:]
+    scale = -2.0 * fit.sigma2 / (fit.factors**2 * (fit.den / s) ** 2) * u
     grad = _grad(fit, (_shrink(fit) + alpha) * fit.ult, _mse_diagonal(fit) + alpha * fit.fprod)
     return grad + np.concatenate((2.0 * scale * fit.den / fit.num, -scale, np.zeros(fit.dimension)))
 

@@ -13,15 +13,12 @@ cells (_cells). A triangle keeps its baseline (_baseline), cumulated
 and fitted once for all its verifiers, and nothing is cumulated again.
 The step subtracts nothing, so there is no step size to choose and the
 derivative is exact to rounding. Every verifier compares an analytic
-gradient with the complex step of the statistic it is the gradient of.
-Reserve impacts are checked against the derivative of the refit reserve.
-The MSE impacts hold sigma^2 fixed and substitute the estimation error
-after differentiation, so they are not the derivative of the plug-in
-estimator; but at the baseline each is the gradient of the MSE with the
-coefficients its formula holds fixed frozen there (_frozen_mse), and the
-oracle steps that statistic. The quantile impact chains the total
-reserve's and the total MSE's through the lognormal quantile map, and
-the oracle steps the map.
+gradient with the complex step of the statistic it is the gradient of,
+both read from the one table of the statistics (_STATISTICS), which the
+CLI computes them from too: the refit reserves; for the MSE impacts,
+which hold sigma^2 fixed and substitute the estimation error after
+differentiation, the MSE with the coefficients its formula holds fixed
+frozen at the baseline (_frozen_mse); and the lognormal quantile map.
 
 A cell's rel_error is |a - n| / max(|a|, |n|, I eps S / TOLERANCE), S
 the largest |analytic| of the triangle the cell belongs to: a difference
@@ -36,26 +33,16 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from runoff.bornhuetter import PriorUltimates, bf_reserve_values, default_priors
-from runoff.chainladder import Fit, _ahead, _fit, estimate_development_factors, estimate_sigmas
-from runoff.impact import (
-    _mse_ay,
-    _mse_diagonal,
-    _mse_total,
-    _shrink,
-    _to_cells,
-    _year,
-    impact_bf_ay,
-    impact_bf_total,
-    impact_reserve_ay,
-    impact_reserve_total,
-)
-from runoff.quantile import _impact_quantile, fit_lognormal, lognormal_quantile
-from runoff.triangle import IncrementalTriangle, _cells, _observed, _read_only, _records, cumulate
+from runoff.bornhuetter import PriorUltimates, _prior_values, bf_reserve_values, default_priors
+from runoff.chainladder import Fit, _ahead, _fit, _product, estimate_development_factors, estimate_sigmas
+from runoff.impact import (_bf, _mse_ay, _mse_diagonal, _mse_total, _reserve_ay, _reserve_total, _shrink,
+                           _to_cells, _year)
+from runoff.quantile import _quantile, fit_lognormal, lognormal_quantile
+from runoff.triangle import IncrementalTriangle, _cells, _read_only, _records, cumulate
 
 __all__ = ["FdScheme", "VerificationReport", "fd_derivative", "verify_reserve_impacts",
            "verify_mse_components", "verify_quantile_impacts"]
@@ -253,22 +240,19 @@ def verify_reserve_impacts(
         raise ValueError(f"{statistic} takes no accident year, got {year}")
     if not bf and priors is not None:
         raise ValueError(f"{statistic} takes no priors")
-    cum, factors, fit = _baseline(inc)
-    if bf and priors is None:
-        priors = default_priors(cum, factors)
-    analytic = {
-        "reserve-total": lambda: impact_reserve_total(cum, factors),
-        "reserve-ay": lambda: impact_reserve_ay(cum, factors, year),
-        "bf-total": lambda: impact_bf_total(cum, factors, priors),
-        "bf-ay": lambda: impact_bf_ay(cum, factors, priors, year),
-    }[statistic]()
+    cum, factors, _ = _baseline(inc)
+    mu = _prior_values(cum, default_priors(cum, factors) if priors is None else priors) if bf else None
+    return _verify(inc, statistic, year, mu, None, tolerance)
 
-    def refit(fit):
-        by_year = bf_reserve_values(fit.fprod, priors.values) if bf else fit.reserves
-        return by_year[..., year - 1] if per_year else np.sum(by_year, axis=-1)
 
-    numeric = _to_cells(complex_step(fit, refit))
-    return VerificationReport(statistic, tolerance, _observed(analytic.values), numeric, cum.dimension)
+def _verify(inc: IncrementalTriangle, name: str, year, mu, q, tolerance: float) -> VerificationReport:
+    """The report on statistic name of _STATISTICS at year (None: the total)
+    from inc's baseline: its grad against the complex step of its stepped."""
+    entry = _STATISTICS[name]
+    _, _, fit = _baseline(inc, entry.sigmas)
+    analytic = _to_cells(entry.grad(fit, year, mu, q))
+    numeric = _to_cells(complex_step(fit, lambda stack: entry.stepped(fit, stack, year, mu, q)))
+    return VerificationReport(name, tolerance, analytic, numeric, fit.dimension)
 
 
 def _frozen_mse(base: Fit, stack: Fit, ln_f: np.ndarray) -> np.ndarray:
@@ -279,7 +263,7 @@ def _frozen_mse(base: Fit, stack: Fit, ln_f: np.ndarray) -> np.ndarray:
     and v = 2 w of base: at base its gradient is that of _mse_ay and
     _mse_total, so a complex step applies the chain and product rules."""
     yearly = _shrink(base) * base.ult * _ahead(ln_f) + _mse_diagonal(base) * stack.latest
-    cross = base.ult * base.later * 2.0 * stack.w + 2.0 * base.w * stack.ult * stack.later
+    cross = _product(base.ult, base.later * 2.0, stack.w, base.scale) + 2.0 * base.w * stack.ult * stack.later
     return np.concatenate((yearly, np.sum(yearly + cross, axis=-1, keepdims=True)), axis=-1)
 
 
@@ -367,26 +351,64 @@ def verify_mse_components(
 
 
 def verify_quantile_impacts(
-    inc: IncrementalTriangle,
-    q: float = 0.995,
-    tolerance: float = TOLERANCE,
+    inc: IncrementalTriangle, q: float = 0.995, tolerance: float = TOLERANCE
 ) -> VerificationReport:
-    """Complex-step verification of the quantile impact triangle.
+    """Complex-step verification of the quantile impact triangle (see _stepped_quantile)."""
+    return _verify(inc, "quantile", None, None, q, tolerance)
 
-    Steps the closed-form quantile map F(R, m) of the lognormal fit once,
-    R the baseline's total reserve moved by the stack's and m its total
-    MSE moved by the total's frozen MSE (_frozen_mse), so the step applies
-    the chain rule through the map. The real parts are the baseline's
-    values, which the stack's sums round differently, so the map is
-    stepped at the baseline, against the analytic triangle.
-    """
-    _, _, fit = _baseline(inc, sigmas=True)
-    analytic = _impact_quantile(fit, q)
 
-    def quantile(stack):
-        reserve = np.sum(fit.reserves) + 1j * np.imag(np.sum(stack.reserves, axis=-1))
-        mse = fit.mse_total + 1j * np.imag(_frozen_mse(fit, stack, np.log(stack.factors))[..., -1])
-        return lognormal_quantile(fit_lognormal(reserve, mse), q)
+class _Statistic(NamedTuple):
+    """A statistic over a Fit: value(fit, year, mu, q), complex-safe over batch
+    axes, of year (None: the total) with priors mu and quantile level q; grad,
+    its gradient over the 3I-2 fitted sums; stepped(base, stack, year, mu, q),
+    what the oracle complex-steps on base's stack; whether it needs sigmas, priors."""
 
-    numeric = _to_cells(complex_step(fit, quantile))
-    return VerificationReport("quantile", tolerance, _observed(analytic.values), numeric, fit.dimension)
+    value: Callable
+    grad: Callable
+    stepped: Callable
+    sigmas: bool = False
+    priors: bool = False
+
+
+def _pick(by_year: np.ndarray, year: int | None):
+    """year's entry over leading batch axes, or for year None the sum."""
+    return np.sum(by_year, axis=-1) if year is None else by_year[..., year - 1]
+
+
+def _stepped_quantile(base: Fit, stack: Fit, year, mu, q: float) -> np.ndarray:
+    """The quantile map at the baseline's total reserve and MSE (the stack's
+    sums round them differently), stepped by the stack's reserve and the
+    total's frozen MSE, so the step applies the chain rule through the map."""
+    reserve = _RESERVE.value(base, None, mu, q) + 1j * np.imag(_RESERVE.value(stack, None, mu, q))
+    mse = _MSE.value(base, None, mu, q) + 1j * np.imag(_MSE.stepped(base, stack, None, mu, q))
+    return lognormal_quantile(fit_lognormal(reserve, mse), q)
+
+
+_RESERVE = _Statistic(
+    lambda fit, year, mu, q: _pick(fit.reserves, year),
+    lambda fit, year, mu, q: _reserve_total(fit) if year is None else _reserve_ay(fit, year),
+    lambda base, stack, *args: _RESERVE.value(stack, *args),  # the refit reserve
+)
+_BF = _Statistic(
+    lambda fit, year, mu, q: _pick(bf_reserve_values(fit.fprod, mu), year),
+    lambda fit, year, mu, q: _bf(fit, year, mu),
+    lambda base, stack, *args: _BF.value(stack, *args),
+    priors=True,
+)
+_MSE = _Statistic(
+    lambda fit, year, mu, q: fit.mse_total if year is None else fit.mse_by_year[..., year - 1],
+    lambda fit, year, mu, q: _mse_total(fit) if year is None else _mse_ay(fit, year),
+    lambda base, stack, year, mu, q: _frozen_mse(base, stack, np.log(stack.factors))[..., year - 1 if year else -1],
+    sigmas=True,
+)
+_QUANTILE = _Statistic(
+    lambda fit, year, mu, q: lognormal_quantile(
+        fit_lognormal(_RESERVE.value(fit, None, mu, q), _MSE.value(fit, None, mu, q)), q
+    ),
+    lambda fit, year, mu, q: _quantile(fit, q),
+    _stepped_quantile,
+    sigmas=True,
+)
+# keyed by the CLI's --stat, in its order; an RMSE statistic is its MSE's, mapped by impact_rmse
+_STATISTICS = {"reserve-ay": _RESERVE, "reserve-total": _RESERVE, "bf-ay": _BF, "bf-total": _BF, "mse-ay": _MSE,
+               "mse-total": _MSE, "rmse-ay": _MSE, "rmse-total": _MSE, "quantile": _QUANTILE}

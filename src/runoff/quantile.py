@@ -13,7 +13,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from runoff.chainladder import DevelopmentFactors, Fit, SigmaEstimates, _fit
+from runoff.chainladder import DevelopmentFactors, Fit, SigmaEstimates, _fit, _scale
 from runoff.impact import ImpactTriangle, _check_mse, _impact, _mse_total, _reserve_total
 from runoff.triangle import CumulativeTriangle
 
@@ -37,12 +37,13 @@ def fit_lognormal(reserve: float, mse: float) -> LognormalFit:
     numpy's complex log1p is log(1 + r), which drops any part of Re r
     below eps; so a complex r = mse / reserve^2 takes log1p(Re r) +
     i Im r / (1 + Re r), exact to first order in the step, with the real
-    part of the real path bit for bit."""
+    part of the real path bit for bit. reserve^2 is taken at _scale."""
     if np.any(np.real(reserve) <= 0.0):
         raise ValueError(f"reserve must be positive, got {reserve}")
     if np.any(np.real(mse) <= 0.0):
         raise ValueError(f"mse must be positive, got {mse}")
-    r = mse / reserve**2
+    s = _scale(reserve)
+    r = mse / s / s / (reserve / s) ** 2
     sigma2 = np.log1p(r.real) + 1j * r.imag / (1.0 + r.real) if np.iscomplexobj(r) else np.log1p(r)
     mu = np.log(reserve) - sigma2 / 2.0
     return LognormalFit(mu=mu, sigma2=sigma2)
@@ -78,11 +79,11 @@ def impact_quantile(
     taken over the fitted sums, from the gradients of the total reserve
     and MSE, and mapped to the cells once.
     """
-    return _impact_quantile(_fit(cum, factors, sigmas), q)
+    return _impact("quantile", None, _quantile(_fit(cum, factors, sigmas), q))
 
 
-def _impact_quantile(state: Fit, q: float) -> ImpactTriangle:
-    """impact_quantile over a fit built with sigmas."""
+def _quantile(state: Fit, q: float) -> np.ndarray:
+    """The gradient of the quantile over the fitted sums, of a fit with sigmas."""
     total = float(np.sum(state.reserves))
     mse = state.mse_total
     if total <= 0.0:
@@ -92,8 +93,8 @@ def _impact_quantile(state: Fit, q: float) -> ImpactTriangle:
     z = inv_std_normal_cdf(q)
     fq = lognormal_quantile(fit, q)
     d_r, d_m = _reserve_total(state), _mse_total(state)
-    denom = mse + total**2
-    d_sigma2 = (d_m - 2.0 * mse * d_r / total) / denom
+    s = state.scale
+    d_sigma2 = (d_m - 2.0 * mse * d_r / total) / (mse / s / s + (total / s) ** 2) / s / s
     d_mu = d_r / total - d_sigma2 / 2.0
     d_sigma = d_sigma2 / (2.0 * np.sqrt(fit.sigma2))
-    return _impact("quantile", None, (d_mu + z * d_sigma) * fq)
+    return (d_mu + z * d_sigma) * fq

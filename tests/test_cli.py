@@ -8,6 +8,7 @@ import pytest
 from conftest import bundled_path, proportional_triangle
 from runoff.cli import PER_YEAR, STATISTICS, _label, main
 from runoff.oracle import verify_mse_components
+from test_oracle import near_proportional
 
 
 def run(capsys, *argv):
@@ -465,6 +466,12 @@ STAT_COMMANDS = [
     for stat in STATISTICS
 ]
 
+SQUARES_COMMANDS = [  # year 6, whose ultimate squares past the largest double
+    [command, "--stat", stat, *(["--year", "6"] if stat in PER_YEAR else [])]
+    for command in ("impact", "verify")
+    for stat in ("mse-ay", "mse-total", "rmse-ay", "rmse-total", "quantile")
+]
+
 
 class TestOverflow:
     @pytest.mark.parametrize("argv", [["reserves"], *STAT_COMMANDS], ids=" ".join)
@@ -490,17 +497,31 @@ class TestOverflow:
             assert code == 2 and out == ""
             assert err == f"error: {p}: --stat {stat} overflows double precision\n"
 
+    @pytest.mark.parametrize("argv", SQUARES_COMMANDS, ids=" ".join)
+    def test_a_statistic_whose_squares_alone_overflow_is_computed(self, capsys, tmp_path, argv):
+        """A near proportional triangle times 2^500: its ultimates square
+        past the largest double, its MSE (3.5e283) does not, so every Mack
+        statistic is computed and verified, not refused as an overflow."""
+        rows = near_proportional(6, 1e-12).to_rows()
+        p = tmp_path / "p500.csv"
+        p.write_text("I=6\n" + "".join(",".join(repr(x * 2.0**500) for x in row) + "\n" for row in rows))
+        code, out, err = run(capsys, *argv, str(p))
+        assert code == 0 and err == ""
+        assert out.endswith("result: PASS\n") if argv[0] == "verify" else "nan" not in out and "inf" not in out
+
     def test_reserves_leave_an_overflowing_rmse_empty(self, capsys, tmp_path):
+        """Year 1 has no development ahead, so its MSE is exactly 0 and
+        does not overflow; every other year's does, and the total's."""
         p = tmp_path / "mse.csv"
         p.write_text(OVERFLOWING_MSE)
         code, out, err = run(capsys, "reserves", str(p))
         assert code == 0
-        assert [line.split(",")[4] for line in out.splitlines()[1:]] == [""] * 5
+        assert [line.split(",")[4] for line in out.splitlines()[1:]] == ["0"] + [""] * 4
         assert err == "note: rmse left empty where the MSE overflows double precision\n"
         code, out, _ = run(capsys, "reserves", str(p), "--format", "json")
         doc = json.loads(out)
         assert code == 0 and doc["summary"]["rmse_total"] is None
-        assert [y["rmse"] for y in doc["years"]] == [None] * 4
+        assert [y["rmse"] for y in doc["years"]] == [0.0] + [None] * 3
 
 
 class TestHelp:

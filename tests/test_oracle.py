@@ -7,19 +7,43 @@ from hypothesis import strategies as st
 
 import golden
 from conftest import build_corpus, proportional_triangle, random_triangle
-from runoff.bornhuetter import PriorUltimates, bf_reserve_values, default_priors
-from runoff.chainladder import Fit, _ahead, estimate_development_factors, estimate_sigmas
-from runoff import impact, oracle, quantile
-from runoff.impact import _to_cells, impact_reserve_total
+from runoff.bornhuetter import PriorUltimates, bf_reserve_values, bf_reserves, default_priors
+from runoff.chainladder import (
+    Fit,
+    SigmaEstimates,
+    _ahead,
+    estimate_development_factors,
+    estimate_sigmas,
+    mack_summary,
+    mse_accident_year,
+    mse_total,
+    reserves,
+)
+from runoff import cli, impact, oracle, quantile
+from runoff.impact import (
+    _impact,
+    _to_cells,
+    impact_bf_ay,
+    impact_bf_total,
+    impact_mse_ay,
+    impact_mse_total,
+    impact_reserve_ay,
+    impact_reserve_total,
+)
+from runoff.quantile import fit_lognormal, impact_quantile, lognormal_quantile
 from runoff.oracle import (
+    _STATISTICS,
     STEP,
+    TOLERANCE,
     FdScheme,
     VerificationReport,
+    _baseline,
     _frozen_mse,
     _max_rel,
     _mse_blocks,
     complex_step,
     fd_derivative,
+    _verify,
     relative_error,
     verify_mse_components,
     verify_quantile_impacts,
@@ -603,6 +627,110 @@ def test_verdicts_do_not_depend_on_the_scale_of_the_data(dim):
         assert np.max(np.abs(got_quantile.rel_error - quantile_report.rel_error)) <= 1e-10, m
 
 
+@pytest.mark.parametrize("m", [-100, 100, 300, 500])
+def test_the_mack_statistics_scale_exactly_with_the_data(m):
+    """X -> 2^m X scales every MSE by 4^m and each MSE impact by 2^m, bit
+    for bit, with no overflow. At m = 500 the largest ultimate, 1.5e154,
+    squares past the largest double, and the total MSE, 3.5e283, does
+    not: the Mack sums take the ultimates at a power of two (Fit.scale),
+    1 at the other m."""
+    base = near_proportional(6, 1e-12)
+
+    def mack(inc):
+        cum = cumulate(inc)
+        factors = estimate_development_factors(cum)
+        sigmas = estimate_sigmas(cum, factors)
+        summary = mack_summary(cum)
+        impacts = [impact_mse_ay(cum, factors, sigmas, i).values for i in range(1, 7)]
+        scaled = _baseline(inc, sigmas=True)[2].scale != 1.0
+        return summary.mse_by_year, summary.mse_total, impacts, impact_mse_total(cum, factors, sigmas).values, scaled
+
+    with np.errstate(over="raise", invalid="raise"):
+        by_year, total, per_year, of_total, _ = mack(base)
+        got = mack(IncrementalTriangle(6, base.values * 2.0**m))
+    assert np.array_equal(got[0], by_year * 4.0**m) and got[1] == total * 4.0**m
+    for want, impacts in zip(per_year + [of_total], got[2] + [got[3]]):
+        assert np.array_equal(impacts, want * 2.0**m, equal_nan=True)
+    assert got[4] == (m == 500)
+
+
+def table_case(dim, belgian):
+    """The bundled triangle for dim None, else a random one of dim, with
+    its baseline fit (with sigmas) and default priors' values."""
+    inc = belgian if dim is None else random_triangle(np.random.default_rng([21, dim]), dim)
+    cum, factors, fit = _baseline(inc, sigmas=True)
+    return inc, cum, factors, fit, default_priors(cum, factors)
+
+
+def table_targets(name, dim):
+    """The years a statistic of the table is read at: each for -ay, None
+    (the total) for the others."""
+    return range(1, dim + 1) if name.endswith("-ay") else [None]
+
+
+@pytest.mark.parametrize("dim", [None, 6, 20])
+def test_the_table_agrees_with_the_public_api(dim, belgian):
+    """Every name of the table at every year: _impact of its grad is the
+    public impact triangle, and its value the public statistic, bit for
+    bit; an RMSE name reads its MSE's. The names are the CLI's --stat
+    choices, in their order."""
+    inc, cum, factors, fit, priors = table_case(dim, belgian)
+    sigmas = SigmaEstimates(inc.dimension, fit.sigma2)
+    by_year, total = reserves(cum, factors)
+    bf_by_year, bf_total = bf_reserves(cum, factors, priors)
+    quantile_value = lognormal_quantile(fit_lognormal(total, mse_total(cum, factors, sigmas)), 0.995)
+    public = {
+        "reserve-ay": lambda i: (impact_reserve_ay(cum, factors, i), by_year[i - 1]),
+        "reserve-total": lambda _: (impact_reserve_total(cum, factors), total),
+        "bf-ay": lambda i: (impact_bf_ay(cum, factors, priors, i), bf_by_year[i - 1]),
+        "bf-total": lambda _: (impact_bf_total(cum, factors, priors), bf_total),
+        "mse-ay": lambda i: (impact_mse_ay(cum, factors, sigmas, i), mse_accident_year(cum, factors, sigmas, i)),
+        "mse-total": lambda _: (impact_mse_total(cum, factors, sigmas), mse_total(cum, factors, sigmas)),
+        "quantile": lambda _: (impact_quantile(cum, factors, sigmas, 0.995), quantile_value),
+    }
+    for name, entry in _STATISTICS.items():
+        kind = name.removeprefix("r") if name.startswith("rmse") else name
+        for year in table_targets(name, inc.dimension):
+            want_impacts, want_value = public[kind](year)
+            impacts = _impact(kind, year, entry.grad(fit, year, priors.values, 0.995))
+            assert impacts.values.tobytes() == want_impacts.values.tobytes(), (name, year)
+            assert float(entry.value(fit, year, priors.values, 0.995)) == want_value, (name, year)
+    stats = ("reserve-ay", "reserve-total", "bf-ay", "bf-total", "mse-ay", "mse-total", "rmse-ay", "rmse-total", "quantile")
+    assert tuple(_STATISTICS) == cli.STATISTICS == stats
+
+
+@pytest.mark.parametrize("dim", [None, 6, 20])
+def test_each_table_value_is_complex_safe_over_the_stack(dim, belgian):
+    """Every entry's value of the complex_step stack is one value per fitted
+    sum, whose real part is the baseline's value up to the rounding of the
+    stack's complex sums: I eps of the larger of the value and the sum of
+    the ultimates (a reserve, ult - latest, cancels at that scale)."""
+    inc, _, _, fit, priors = table_case(dim, belgian)
+    dim = inc.dimension
+    for name, entry in _STATISTICS.items():
+        for year in table_targets(name, dim):
+            stacked = []
+            complex_step(fit, lambda stack: stacked.append(entry.value(stack, year, priors.values, 0.5)) or stacked[0])
+            value = entry.value(fit, year, priors.values, 0.5)
+            assert stacked[0].shape == (3 * dim - 2,)
+            bound = dim * np.finfo(float).eps * max(abs(value), np.sum(np.abs(fit.ult)))
+            assert np.max(np.abs(np.real(stacked[0]) - value)) <= bound, (name, year)
+
+
+@pytest.mark.parametrize("year", [None, 1, 4, 10])
+def test_the_mse_entry_steps_the_frozen_mse_the_mse_verifier_steps(year, belgian):
+    """_verify of an MSE name, which steps the entry's frozen MSE, reports
+    the triangle verify_mse_components reports last for the same year (the
+    total for None), bit for bit; an RMSE name checks the same."""
+    full = verify_mse_components(belgian, year=year)
+    n = 55
+    for name in ("mse-ay", "rmse-ay") if year else ("mse-total", "rmse-total"):
+        report = _verify(belgian, name, year, None, None, TOLERANCE)
+        assert report.passed and report.statistic == name
+        for column in ("k", "j", "analytic", "numeric", "rel_error"):
+            assert np.array_equal(getattr(report, column), getattr(full, column)[-n:]), (name, column)
+
+
 def by_triangle(column, dim):
     """A report column as (triangles, n), one row per checked triangle."""
     return column.reshape(-1, dim * (dim + 1) // 2)
@@ -702,7 +830,7 @@ def quantile_fit(inc):
 
 
 def planted_quantile(drop):
-    """quantile._impact_quantile with one term of its chain rule dropped:
+    """quantile._quantile with one term of its chain rule dropped:
     "reserve-in-sigma2", the -2 mse d_r / total of d(sigma2); "half-sigma2",
     the d(sigma2) / 2 of d(mu); "z-sigma", the z d(sigma) term. drop None
     keeps all."""
@@ -716,7 +844,7 @@ def planted_quantile(drop):
         d_sigma2 = (d_m - on_r) / (mse + total**2)
         d_mu = d_r / total - (0.0 if drop == "half-sigma2" else d_sigma2 / 2.0)
         d_sigma = 0.0 if drop == "z-sigma" else d_sigma2 / (2.0 * np.sqrt(fit.sigma2))
-        return impact._impact("quantile", None, (d_mu + z * d_sigma) * quantile.lognormal_quantile(fit, q))
+        return (d_mu + z * d_sigma) * quantile.lognormal_quantile(fit, q)
 
     return impact_quantile
 
@@ -730,9 +858,9 @@ def test_a_dropped_term_of_the_quantile_chain_fails(dim, drop, belgian, monkeypa
     term is the library's, bit for bit."""
     inc = belgian if dim is None else random_triangle(np.random.default_rng([6, dim]), dim)
     fit, _, _ = quantile_fit(inc)
-    want = quantile._impact_quantile(fit, 0.995).values
-    assert np.array_equal(planted_quantile(None)(fit, 0.995).values, want, equal_nan=True)
-    monkeypatch.setattr(oracle, "_impact_quantile", planted_quantile(drop))
+    want = quantile._quantile(fit, 0.995)
+    assert np.array_equal(planted_quantile(None)(fit, 0.995), want)
+    monkeypatch.setattr(oracle, "_quantile", planted_quantile(drop))
     assert not verify_quantile_impacts(inc, 0.995).passed
 
 

@@ -20,7 +20,8 @@ from pathlib import Path
 import pytest
 
 import runoff
-from runoff.cli import main
+from conftest import bundled_path
+from runoff.cli import STATISTICS, main
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -194,3 +195,26 @@ def test_every_round_zero_op_meets_the_benchmark_reference(tmp_path, monkeypatch
         code = main(argv)
         text = capsys.readouterr().out + (svg.read_text() if "--out" in args else "")
         assert gate.check_cli(code, text, reference[key]) == [], key
+
+
+def test_cli_sweep_compares_two_trees_command_by_command(monkeypatch, capsys):
+    """bench/cli_sweep.py on one tree loaded twice, one of them with its
+    CSV rendering edited, on the bundled triangle (per-year statistics at
+    year 5 alone): exactly the commands that render a CSV differ, and the
+    runoff in use before is in use after."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    sweep = importlib.import_module("cli_sweep")
+    monkeypatch.setattr(sweep, "YEARS", (5,))
+    src, path = str(ROOT / "src"), bundled_path()
+    trees = [sweep.load(src), sweep.load(src)]
+    monkeypatch.setattr(trees[1]["runoff.cli"], "render_csv", lambda impacts: "edited\n")
+    count, differ = sweep.sweep(trees, [path])
+    assert sys.modules["runoff"] is runoff
+    got = {tuple(argv): outputs for argv, outputs in differ}
+    csv = {  # csv is the default --format
+        tuple(a) for a in sweep.commands(path, STATISTICS)
+        if a[0] in ("impact", "marginal") and dict(zip(a, a[1:])).get("--format", "csv") == "csv"
+    }
+    assert count == 4 + 9 * 10 + 5 and got and set(got) <= csv
+    assert all(outputs[1][:2] == (0, "edited\n") for outputs in got.values())
+    assert all(main(list(argv)) != 0 for argv in csv - set(got))  # the ones that render nothing
