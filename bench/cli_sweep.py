@@ -7,15 +7,18 @@ Both trees are loaded in one process, each runoff package in its own set
 of sys.modules entries (bench/layers.py's load and use), and every
 command goes through each tree's cli.main in turn, its stdout and stderr
 captured. The triangles are the bundled file, bench/layers.py's
-random_rows at I = 12 and 40, and an all-proportional I = 6 (every
-sigma^2 exactly 0). On each triangle the commands are `reserves` (csv,
-json); for every --stat, at years 1, 2, 5 and 10 for the per-year ones
-(a year past I is a usage error, and is compared too), `impact` and
-`marginal` in csv, json and svg, `heatmap`, and `verify` in text and
-json and with --tolerance 1e-14; `impact` and `verify` of the quantile
-at --q 0.5; and five usage errors. Each (exit code, stdout, stderr) that
-differs is printed, and the exit code is 1 on any difference, else 0.
-The triangle files go to a temporary directory outside the checkout.
+random_rows at I = 12 and 40, an all-proportional I = 6 (every sigma^2
+exactly 0), and the I = 3 triangle of tests/test_cli.py, too small for
+a variance scale: `reserves` leaves its RMSE column empty there, and
+the Mack statistics are refused. On each triangle the commands are
+`reserves` (csv, json); for every --stat, at years 1, 2, 5 and 10 for
+the per-year ones (a year past I is a usage error, and is compared too),
+`impact` and `marginal` in csv, json and svg, `heatmap`, and `verify` in
+text and json and with --tolerance 1e-14; `impact` and `verify` of the
+quantile at --q 0.5; and five usage errors. Each (exit code, stdout,
+stderr) that differs is printed, and the exit code is 1 on any
+difference, else 0. The triangle files go to a temporary directory
+outside the checkout.
 """
 
 from __future__ import annotations
@@ -93,6 +96,7 @@ def triangles(tree: dict, directory: Path) -> list:
         write_triangle(directory / "random12.csv", random_rows(12)),
         write_triangle(directory / "random40.csv", random_rows(40)),
         write_triangle(directory / "proportional6.csv", proportional_rows()),
+        write_triangle(directory / "small3.csv", [[100.0, 50.0, 10.0], [120.0, 60.0], [130.0]]),
     ]
 
 

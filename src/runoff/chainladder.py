@@ -18,7 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from runoff.triangle import CumulativeTriangle, ReadOnlyArrays, YearValues, _read_only, observed_mask
+from runoff.triangle import (CumulativeTriangle, IncrementalTriangle, ReadOnlyArrays, YearValues, _read_only,
+                             cumulate, observed_mask)
 
 __all__ = ["DevelopmentFactors", "Fit", "SigmaEstimates", "MackSummary",
            "estimate_development_factors", "project_ultimates", "reserves", "estimate_sigmas",
@@ -164,26 +165,15 @@ class Fit:
         both = observed_mask(dim)[:, 1:]
         num = np.sum(np.where(both, cum[..., 1:], 0.0), axis=-2)
         den = np.sum(np.where(both, cum[..., :-1], 0.0), axis=-2)
-        return cls.of_sums(num, den, cum[..., rows, dim - 1 - rows], f, sigma2)
-
-    @classmethod
-    def of_sums(
-        cls,
-        num: np.ndarray,
-        den: np.ndarray,
-        latest: np.ndarray,
-        f: np.ndarray | None = None,
-        sigma2: np.ndarray | None = None,
-    ) -> "Fit":
-        """The fit from what it reads of the cumulative triangle: the column
-        sums A_s and B_s, (..., I-1), and the latest diagonal, (..., I).
-        f and sigma2 as in of; the fit freezes copies, not the caller's."""
-        return cls._frozen(*(None if x is None else np.array(x) for x in (num, den, latest, f, sigma2)))
+        f, sigma2 = (None if x is None else np.array(x) for x in (f, sigma2))  # the caller's stay theirs
+        return cls._frozen(num, den, cum[..., rows, dim - 1 - rows], f, sigma2)
 
     @classmethod
     def _frozen(cls, num, den, latest, f=None, sigma2=None) -> "Fit":
-        """of_sums over arrays nobody else holds, such as views of the
-        oracle's stack: they are frozen in place, not copied."""
+        """The fit from what it reads of the cumulative triangle: the column
+        sums A_s and B_s, (..., I-1), and the latest diagonal, (..., I); f and
+        sigma2 as in of. It freezes the arrays in place, so they must be ones
+        nobody else holds, such as of's own sums or the oracle's stack."""
         dim = latest.shape[-1]
         if f is None:
             zero = np.nonzero(np.real(den) == 0.0)[-1]
@@ -287,6 +277,23 @@ def _fit(
         fit = Fit.of(cum.values, *values)
     cum.__dict__["_fit"] = (factors, sigmas, fit)
     return fit
+
+
+def _baseline(inc: IncrementalTriangle, sigmas: bool = False) -> tuple:
+    """(cum, factors, fit) of inc, the fit with sigmas when asked: the fit
+    the CLI and every verifier read. inc keeps {cum, factors[, sigmas]} in
+    its __dict__, like a cached_property, each built on first need and
+    nothing stored when a build raises; its values are read-only, so what
+    it keeps stays right. The fit is the one cum keeps (_fit), so every
+    reader of inc shares it, and its Mack sums once computed."""
+    held = inc.__dict__.get("_baseline")
+    if held is None:
+        cum = cumulate(inc)
+        held = inc.__dict__["_baseline"] = {"cum": cum, "factors": estimate_development_factors(cum)}
+    cum, factors = held["cum"], held["factors"]
+    if sigmas and "sigmas" not in held:
+        held["sigmas"] = estimate_sigmas(cum, factors)
+    return cum, factors, _fit(cum, factors, held["sigmas"] if sigmas else None)
 
 
 def estimate_development_factors(cum: CumulativeTriangle) -> DevelopmentFactors:

@@ -16,11 +16,11 @@ import sys
 import numpy as np
 
 from runoff.bornhuetter import PriorUltimates, bf_reserves, default_priors
-from runoff.chainladder import _fit, estimate_development_factors, estimate_sigmas
+from runoff.chainladder import _baseline
 from runoff.impact import (ORDER_ONE_STATISTICS, ImpactTriangle, _check_mse, _impact, impact_rmse,
                            marginal_contributions)
 from runoff.oracle import _STATISTICS, TOLERANCE, _verify, verify_mse_components
-from runoff.triangle import IncrementalTriangle, _cells, _records, cumulate, observed_mask, validate
+from runoff.triangle import IncrementalTriangle, _cells, _records, observed_mask, validate
 
 STATISTICS = tuple(_STATISTICS)
 PER_YEAR = frozenset(s for s in STATISTICS if s.endswith("-ay"))
@@ -118,13 +118,11 @@ def load_priors(source: str, cum, factors) -> PriorUltimates:
 
 
 def compute(stat: str, inc: IncrementalTriangle, year, q: float, priors_src: str):
-    """Selected statistic's impact triangle and scalar value, from its entry
-    of the oracle's _STATISTICS, and the values of the priors a BF statistic
-    loads (None for the others), so a caller reads a priors stream once."""
+    """Selected statistic's impact triangle and scalar value over inc's
+    baseline fit, from its entry of the oracle's _STATISTICS, and the prior
+    values a BF statistic loads (None for the others): read once per stream."""
     entry = _STATISTICS[stat]
-    cum = cumulate(inc)
-    factors = estimate_development_factors(cum)
-    fit = _fit(cum, factors, estimate_sigmas(cum, factors) if entry.sigmas else None)
+    cum, factors, fit = _baseline(inc, entry.sigmas)
     mu = load_priors(priors_src, cum, factors).values if entry.priors else None
     rmse = stat.startswith("rmse")
     impacts = _impact(stat.removeprefix("r") if rmse else stat, year, entry.grad(fit, year, mu, q))
@@ -327,21 +325,17 @@ def _computed(args) -> tuple:
 
 def cmd_reserves(args) -> int:
     inc = ingest(args.input)
-    cum = cumulate(inc)
-    factors = estimate_development_factors(cum)
     try:
-        sigmas = estimate_sigmas(cum, factors)
+        cum, factors, fit = _baseline(inc, sigmas=True)
     except ValueError as exc:  # too few accident years for a variance scale
-        sigmas = None
         print(f"note: rmse column left empty: {exc}", file=sys.stderr)
-    fit = _fit(cum, factors, sigmas)
-    priors = load_priors(args.priors, cum, factors)
-    bf_by_year, bf_tot = bf_reserves(cum, factors, priors)
+        cum, factors, fit = _baseline(inc)
+    bf_by_year, bf_tot = bf_reserves(cum, factors, load_priors(args.priors, cum, factors))
     dim = inc.dimension
     keys = ("i", "latest", "ultimate", "reserve", "rmse", "bf_reserve")
-    mse = [math.nan] * (dim + 1) if sigmas is None else [*fit.mse_by_year, fit.mse_total]
+    mse = [math.nan] * (dim + 1) if fit.sigma2 is None else [*fit.mse_by_year, fit.mse_total]
     *rmse, total_rmse = (math.sqrt(m) if math.isfinite(m) else None for m in mse)
-    if sigmas is not None and None in (*rmse, total_rmse):
+    if fit.sigma2 is not None and None in (*rmse, total_rmse):
         print("note: rmse left empty where the MSE overflows double precision", file=sys.stderr)
     columns = (np.arange(1, dim + 1), fit.latest, fit.ult, fit.reserves, np.array(rmse), bf_by_year)
     rows = _records(keys, [c.tolist() for c in columns])

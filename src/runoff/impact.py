@@ -226,7 +226,7 @@ def impact_rmse(mse_value: float, mse_impacts: ImpactTriangle) -> ImpactTriangle
     so their MSE impacts vanish on every cell exactly when each sigma^2
     is 0; a zero MSE with such impacts is refused with that cause.
     """
-    if mse_value <= 0.0:
+    if not mse_value > 0.0:
         reads_every_sigma = mse_impacts.target in (None, mse_impacts.dimension)
         if reads_every_sigma and not np.any(np.nan_to_num(mse_impacts.values)):
             _check_mse("impact_rmse", mse_value, zero_sigmas=True)
@@ -242,7 +242,7 @@ def _check_mse(what: str, mse: float, zero_sigmas: bool):
     """Raise ValueError when mse is not positive, since what divides by
     it; the message names the cause, every sigma^2 being 0 when
     zero_sigmas."""
-    if mse <= 0.0:
+    if not mse > 0.0:
         cause = (
             "all development ratios are proportional, every sigma^2 is 0"
             if zero_sigmas
@@ -297,7 +297,9 @@ def marginal_contributions(
     refused rather than silently reported. The allocation must then sum
     to expected_total within EULER_RTOL (1e-9) of the larger of
     |expected_total| and sum(|IF * X|), the scale of the rounding in the
-    sum; otherwise ValueError.
+    sum, plus I eps |latest|, the rounding of a reserve ult - latest (latest
+    the row sum of the target year's increments, or of every year's for the
+    total); otherwise ValueError.
     """
     if impacts.dimension != inc.dimension:
         raise ValueError("impact triangle and data triangle dimensions differ")
@@ -311,7 +313,9 @@ def marginal_contributions(
     if expected_total is not None:
         allocated = float(np.nansum(contributions))
         scale = max(abs(expected_total), float(np.nansum(np.abs(contributions))))
-        if not abs(allocated - expected_total) <= EULER_RTOL * scale:
+        rows = inc.values if impacts.target is None else inc.values[impacts.target - 1]
+        rounding = inc.dimension * np.finfo(float).eps * abs(float(np.nansum(rows)))
+        if not abs(allocated - expected_total) <= EULER_RTOL * scale + rounding:
             raise ValueError(
                 f"Euler identity broken: the allocation of {impacts.statistic!r} "
                 f"sums to {allocated!r}, expected {expected_total!r}"

@@ -9,8 +9,9 @@ enters each of them with coefficient 1 or not at all; so the oracle
 steps each sum of the baseline Fit once, in one stack, and keeps the
 derivatives as gradients over the sums until runoff.impact's _to_cells,
 the chain rule the analytic impacts take too, maps them to the observed
-cells (_cells). A triangle keeps its baseline (_baseline), cumulated
-and fitted once for all its verifiers, and nothing is cumulated again.
+cells (_cells). Each verifier steps the triangle's baseline
+(chainladder._baseline), cumulated and fitted once for the CLI and all
+its verifiers, and nothing is cumulated again.
 The step subtracts nothing, so there is no step size to choose and the
 derivative is exact to rounding. Every verifier compares an analytic
 gradient with the complex step of the statistic it is the gradient of,
@@ -38,11 +39,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from runoff.bornhuetter import PriorUltimates, _prior_values, bf_reserve_values, default_priors
-from runoff.chainladder import Fit, _ahead, _fit, _product, estimate_development_factors, estimate_sigmas
+from runoff.chainladder import Fit, _ahead, _baseline, _product
 from runoff.impact import (_bf, _mse_ay, _mse_diagonal, _mse_total, _reserve_ay, _reserve_total, _shrink,
                            _to_cells, _year)
 from runoff.quantile import _quantile, fit_lognormal, lognormal_quantile
-from runoff.triangle import IncrementalTriangle, _cells, _read_only, _records, cumulate
+from runoff.triangle import IncrementalTriangle, _cells, _read_only, _records
 
 __all__ = ["FdScheme", "VerificationReport", "fd_derivative", "verify_reserve_impacts",
            "verify_mse_components", "verify_quantile_impacts"]
@@ -195,23 +196,6 @@ def complex_step(fit: Fit, statistic: Callable) -> np.ndarray:
     sums = np.concatenate((fit.num, fit.den, fit.latest)) + np.diag(np.full(3 * dim - 2, h * 1j))
     stack = Fit._frozen(*np.split(sums, [dim - 1, 2 * dim - 2], axis=1), sigma2=fit.sigma2)
     return np.moveaxis(np.imag(statistic(stack)) / h, 0, -1)
-
-
-def _baseline(inc: IncrementalTriangle, sigmas: bool = False) -> tuple:
-    """(cum, factors, fit) of inc, the fit with sigmas when asked: the
-    baseline every verifier steps. inc keeps {cum, factors[, sigmas]} in
-    its __dict__, like a cached_property, each built on first need and
-    nothing stored when a build raises; its values are read-only, so what
-    it keeps stays right. The fit is the one cum keeps (_fit), so the
-    verifiers of one triangle share it, and its Mack sums once computed."""
-    held = inc.__dict__.get("_baseline")
-    if held is None:
-        cum = cumulate(inc)
-        held = inc.__dict__["_baseline"] = {"cum": cum, "factors": estimate_development_factors(cum)}
-    cum, factors = held["cum"], held["factors"]
-    if sigmas and "sigmas" not in held:
-        held["sigmas"] = estimate_sigmas(cum, factors)
-    return cum, factors, _fit(cum, factors, held["sigmas"] if sigmas else None)
 
 
 def verify_reserve_impacts(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import bundled_path, proportional_triangle
+from runoff import chainladder
 from runoff.cli import PER_YEAR, STATISTICS, _label, main
 from runoff.oracle import verify_mse_components
 from test_oracle import near_proportional
@@ -229,6 +230,29 @@ class TestVerifyCommand:
             os.close(read_end)
         assert want[0] == 0 and "result: PASS" in want[1]
         assert got == want
+
+
+ONE_FIT_COMMANDS = [
+    *(["verify", "--stat", stat] for stat in ("reserve-total", "bf-total", "quantile", "mse-total")),
+    ["verify", "--stat", "rmse-ay", "--year", "5"],
+    ["impact", "--stat", "reserve-total"],
+    ["impact", "--stat", "quantile"],
+    ["reserves"],
+]
+
+
+@pytest.mark.parametrize("argv", ONE_FIT_COMMANDS, ids=" ".join)
+def test_each_command_fits_the_triangle_once(capsys, monkeypatch, fit_builds, argv):
+    """A command reads one baseline fit of its triangle: one real Fit built
+    (the oracle's complex stack aside) and at most one sigma estimation, so
+    verify steps the very fit its impacts were computed from."""
+    sigma_fits = []
+    estimate = chainladder.sigma2_values
+    monkeypatch.setattr(chainladder, "sigma2_values", lambda *a: sigma_fits.append(a) or estimate(*a))
+    code, _, _ = run(capsys, argv[0], bundled_path(), *argv[1:])
+    assert code == 0
+    assert len([args for args in fit_builds if not np.iscomplexobj(args[0])]) == 1
+    assert len(sigma_fits) <= 1
 
 
 class TestHeatmapCommand:

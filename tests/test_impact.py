@@ -18,6 +18,7 @@ from runoff.chainladder import (
 )
 from runoff.impact import (
     ImpactTriangle,
+    _check_mse,
     _mse_ay,
     _reserve_ay,
     _to_cells,
@@ -195,6 +196,13 @@ class TestRmseTransform:
         with pytest.raises(ValueError, match="mse_value <= 0"):
             impact_rmse(0.0, arr)
 
+    def test_rejects_nan_mse(self):
+        arr = ImpactTriangle("mse-ay", 2, 2, np.array([[8.0, 0.0], [8.0, np.nan]]))
+        with pytest.raises(ValueError, match="mse_value <= 0"):
+            impact_rmse(math.nan, arr)
+        with pytest.raises(ValueError, match="impact_rmse undefined: mse = nan"):
+            _check_mse("impact_rmse", math.nan, zero_sigmas=False)
+
     def test_zero_sigmas_name_the_cause(self, belgian):
         # the total and year I read every sigma^2; year 1 reads none, so its
         # zero MSE keeps the plain message
@@ -285,6 +293,39 @@ class TestMarginalContributions:
         with pytest.raises(ValueError, match="dimensions differ"):
             marginal_contributions(impacts, tri)
         assert small.dimension == 2
+
+
+def reserve_allocations(inc):
+    """(impact triangle, reserve) of inc's total reserve, then of each year's."""
+    cum = cumulate(inc)
+    factors = estimate_development_factors(cum)
+    by_year, total = reserves(cum, factors)
+    yield impact_reserve_total(cum, factors), total
+    for i in range(1, inc.dimension + 1):
+        yield impact_reserve_ay(cum, factors, i), by_year[i - 1]
+
+
+@pytest.mark.parametrize("dim", [None, 12, 40, 100], ids=lambda d: "bundled" if d is None else f"I={d}")
+def test_every_reserve_allocation_passes_the_euler_check(dim, belgian):
+    """A reserve that nearly cancels, R_i = ult_i - latest_i with F_i near 1,
+    carries rounding of a few eps latest_i, far above 1e-9 of R_i: the
+    check allows for it. The random triangles are bench/layers.py's
+    random_rows."""
+    inc = belgian if dim is None else random_triangle(np.random.default_rng([20261018, dim]), dim)
+    for impacts, reserve in reserve_allocations(inc):
+        alloc = marginal_contributions(impacts, inc, reserve)
+        assert alloc.target == impacts.target
+
+
+def test_an_allocation_off_by_1e_7_of_the_reserve_is_refused(belgian):
+    checked = 0
+    for impacts, reserve in reserve_allocations(belgian):
+        if reserve != 0.0:
+            for moved in (reserve * (1 + 1e-7), reserve * (1 - 1e-7)):
+                with pytest.raises(ValueError, match="Euler identity broken"):
+                    marginal_contributions(impacts, belgian, moved)
+            checked += 1
+    assert checked == belgian.dimension  # the total and every year but the first
 
 
 class TestBfImpacts:

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import proportional_triangle
 from runoff.chainladder import (
+    Fit,
     estimate_development_factors,
     estimate_sigmas,
     mse_total,
@@ -13,6 +14,7 @@ from runoff.chainladder import (
 from runoff.impact import impact_mse_total, impact_reserve_total
 from runoff.quantile import (
     LognormalFit,
+    _quantile,
     fit_lognormal,
     impact_quantile,
     inv_std_normal_cdf,
@@ -62,6 +64,12 @@ class TestLognormalFit:
         with pytest.raises(ValueError, match="mse must be positive"):
             fit_lognormal(1.0, -1.0)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="reserve must be positive"):
+            fit_lognormal(math.nan, 1.0)
+        with pytest.raises(ValueError, match="mse must be positive"):
+            fit_lognormal(1.0, math.nan)
+
     def test_arrays_are_fitted_entry_by_entry(self):
         reserve = np.array([1.5e9, 2.0e3, 7.0])
         mse = np.array([2.0e15, 1.0e-2, 40.0])
@@ -70,7 +78,7 @@ class TestLognormalFit:
             one = fit_lognormal(float(r), float(m))
             assert fit.mu[n] == one.mu and fit.sigma2[n] == one.sigma2
 
-    @pytest.mark.parametrize("bad", [[0.0, 2.0, 3.0], [1.0, 2.0, -3.0]])
+    @pytest.mark.parametrize("bad", [[0.0, 2.0, 3.0], [1.0, 2.0, -3.0], [1.0, math.nan, 3.0]])
     def test_arrays_with_any_nonpositive_entry_are_refused(self, bad):
         bad = np.array(bad)
         with pytest.raises(ValueError, match="reserve must be positive"):
@@ -207,3 +215,10 @@ class TestImpactQuantile:
         sigmas = estimate_sigmas(cum, factors)
         with pytest.raises(ValueError, match="impact_quantile undefined"):
             impact_quantile(cum, factors, sigmas, 0.995)
+
+    def test_rejects_a_nan_total_reserve(self, belgian):
+        cum = cumulate(belgian)
+        factors = estimate_development_factors(cum)
+        sigmas = estimate_sigmas(cum, factors)
+        with pytest.raises(ValueError, match="total reserve must be positive, got nan"):
+            _quantile(Fit.of(cum.values * np.nan, sigma2=sigmas.values), 0.995)
