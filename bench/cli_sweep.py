@@ -7,10 +7,12 @@ Both trees are loaded in one process, each runoff package in its own set
 of sys.modules entries (bench/layers.py's load and use), and every
 command goes through each tree's cli.main in turn, its stdout and stderr
 captured. The triangles are the bundled file, bench/layers.py's
-random_rows at I = 12 and 40, an all-proportional I = 6 (every sigma^2
-exactly 0), and the I = 3 triangle of tests/test_cli.py, too small for
-a variance scale: `reserves` leaves its RMSE column empty there, and
-the Mack statistics are refused. On each triangle the commands are
+random_rows at I = 12, 40 and 100, an all-proportional I = 6 (every
+sigma^2 exactly 0), and the I = 3 triangle of tests/test_cli.py, too
+small for a variance scale: `reserves` leaves its RMSE column empty
+there, and the Mack statistics are refused. At I = 100 the reports of
+`verify --stat mse-total` and `rmse-total` hold 505k cells, and their
+JSON is about 69 MB per tree. On each triangle the commands are
 `reserves` (csv, json); for every --stat, at years 1, 2, 5 and 10 for
 the per-year ones (a year past I is a usage error, and is compared too),
 `impact` and `marginal` in csv, json and svg, `heatmap`, and `verify` in
@@ -95,6 +97,7 @@ def triangles(tree: dict, directory: Path) -> list:
         str(Path(tree["runoff"].__file__).parent / "data" / "belgian.csv"),
         write_triangle(directory / "random12.csv", random_rows(12)),
         write_triangle(directory / "random40.csv", random_rows(40)),
+        write_triangle(directory / "random100.csv", random_rows(100)),
         write_triangle(directory / "proportional6.csv", proportional_rows()),
         write_triangle(directory / "small3.csv", [[100.0, 50.0, 10.0], [120.0, 60.0], [130.0]]),
     ]

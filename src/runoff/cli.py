@@ -20,7 +20,7 @@ from runoff.chainladder import _baseline
 from runoff.impact import (ORDER_ONE_STATISTICS, ImpactTriangle, _check_mse, _impact, impact_rmse,
                            marginal_contributions)
 from runoff.oracle import _STATISTICS, TOLERANCE, _verify, verify_mse_components
-from runoff.triangle import IncrementalTriangle, _cells, _records, observed_mask, validate
+from runoff.triangle import IncrementalTriangle, _cells, _observed, _records, observed_mask, validate
 
 STATISTICS = tuple(_STATISTICS)
 PER_YEAR = frozenset(s for s in STATISTICS if s.endswith("-ay"))
@@ -45,7 +45,7 @@ def ingest(path: str) -> IncrementalTriangle:
     """Parse the triangle file: `I=<n>` header, then n ragged rows of
     incremental values, row i holding n-i+1 comma-separated numbers."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
@@ -94,7 +94,7 @@ def load_priors(source: str, cum, factors) -> PriorUltimates:
     if source == "cl":
         return default_priors(cum, factors)
     try:
-        with open(source, encoding="utf-8") as fh:
+        with open(source, encoding="utf-8-sig") as fh:
             lines = [(n, ln.strip()) for n, ln in enumerate(fh.read().splitlines(), 1) if ln.strip()]
     except OSError as exc:
         raise DataError(f"cannot read priors {source}: {exc}") from exc
@@ -136,9 +136,8 @@ def compute(stat: str, inc: IncrementalTriangle, year, q: float, priors_src: str
 def _columns(impacts: ImpactTriangle) -> tuple:
     """k, j and the value of the observed cells, as lists in row-major
     order, the cell layout of runoff.triangle."""
-    dim = impacts.dimension
-    k, j = _cells(dim)
-    return k.tolist(), j.tolist(), impacts.values[observed_mask(dim)].tolist()
+    k, j = _cells(impacts.dimension)
+    return k.tolist(), j.tolist(), _observed(impacts.values).tolist()
 
 
 def render_csv(impacts: ImpactTriangle) -> str:
@@ -314,8 +313,7 @@ def _computed(args) -> tuple:
         raise UsageError(f"--q must be in (0, 1), got {args.q}")
     try:
         impacts, value, mu = compute(args.stat, inc, args.year, args.q, args.priors)
-        cells = impacts.values[observed_mask(inc.dimension)]
-        finite = math.isfinite(value) and np.all(np.isfinite(cells))
+        finite = math.isfinite(value) and np.all(np.isfinite(_observed(impacts.values)))
     except OverflowError:  # float arithmetic, such as the quantile's R^2
         finite = False
     if not finite:

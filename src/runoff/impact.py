@@ -69,15 +69,16 @@ def _to_cells(grad: np.ndarray) -> np.ndarray:
     column term, O(I) work per gradient before the n-cell gather. The
     prefix sums start at +0.0, so no term, nor a difference of two, is
     -0.0. The column term is subtracted into the gathered row term in
-    place, so two (..., n) arrays are alive at once, not three."""
+    place, so two (..., n) arrays are alive at once, not three; np.take
+    gathers C-ordered, so a leading slice of the result ravels without a copy."""
     dim = (grad.shape[-1] + 2) // 3
     k, j = _cells(dim)
     prefix = np.zeros(grad.shape[:-1] + (dim,), dtype=np.promote_types(grad.dtype, float))
     np.add(grad[..., : dim - 1], grad[..., dim - 1 : 2 * dim - 2], out=prefix[..., 1:])
     prefix = np.cumsum(prefix, axis=-1)
-    cells = (prefix[..., ::-1] + grad[..., 2 * dim - 2 :])[..., k - 1]
+    cells = np.take(prefix[..., ::-1] + grad[..., 2 * dim - 2 :], k - 1, axis=-1)
     prefix[..., 1:] -= grad[..., : dim - 1]  # the column terms
-    cells -= prefix[..., j - 1]
+    cells -= np.take(prefix, j - 1, axis=-1)
     return cells
 
 

@@ -7,11 +7,11 @@ Every statistic reads the triangle only through the 3I-2 fitted sums
 (the column sums A_s, B_s and the latest diagonal L_i), and X_{k,j}
 enters each of them with coefficient 1 or not at all; so the oracle
 steps each sum of the baseline Fit once, in one stack, and keeps the
-derivatives as gradients over the sums until runoff.impact's _to_cells,
-the chain rule the analytic impacts take too, maps them to the observed
-cells (_cells). Each verifier steps the triangle's baseline
-(chainladder._baseline), cumulated and fitted once for the CLI and all
-its verifiers, and nothing is cumulated again.
+derivatives as gradients over the sums: a VerificationReport takes the
+analytic and numeric ones and maps both to the observed cells (_cells)
+by runoff.impact's _to_cells, the chain rule the analytic impacts take
+too. Each verifier steps the triangle's baseline (chainladder._baseline),
+cumulated and fitted once for the CLI and all its verifiers.
 The step subtracts nothing, so there is no step size to choose and the
 derivative is exact to rounding. Every verifier compares an analytic
 gradient with the complex step of the statistic it is the gradient of,
@@ -32,7 +32,7 @@ round differently at another scale.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -80,29 +80,30 @@ class VerificationReport:
     numeric and rel_error (float arrays), one entry per cell, triangle by
     triangle and row-major within each.
 
-    Built from the checked triangles of dimension I: analytic and numeric
-    derivatives in the cell layout of _cells, (..., I(I+1)/2). rel_error is
-    derived here, with each triangle's floor (see _floor)."""
+    Built from the analytic and numeric gradients of the checked
+    statistics over the 3I-2 fitted sums, (..., 3I-2) of one shape, I read
+    from the width: one _to_cells maps both to the cells, and the mapped
+    arrays are the columns as they are. rel_error is derived here, with
+    each triangle's floor (see _floor)."""
 
     statistic: str
     tolerance: float
     analytic: np.ndarray = field(repr=False)
     numeric: np.ndarray = field(repr=False)
-    dimension: InitVar[int]
     notes: dict = field(default_factory=dict)
     k: np.ndarray = field(init=False, repr=False)
     j: np.ndarray = field(init=False, repr=False)
     rel_error: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self, dimension):
-        # C-order copies: the caller's arrays stay theirs, rel comes out
-        # C-order too, and ravel copies none of the three
-        analytic, numeric = (np.array(x, dtype=float, order="C") for x in (self.analytic, self.numeric))
-        cells = _cells(dimension)
-        if analytic.shape[-1:] != cells[0].shape:
-            raise ValueError(f"shape {analytic.shape} is not a stack of the {cells[0].size} cells of I={dimension}")
-        rel = relative_error(analytic, numeric, _floor(analytic, dimension))
-        k, j = (np.tile(c, math.prod(analytic.shape[:-1])) for c in cells)
+    def __post_init__(self):
+        shape = np.shape(self.analytic)
+        if shape != np.shape(self.numeric) or not shape or shape[-1] % 3 != 1:
+            raise ValueError(f"analytic {shape} and numeric {np.shape(self.numeric)} are not "
+                             "gradients of one shape over the 3I-2 fitted sums")
+        dim = (shape[-1] + 2) // 3
+        analytic, numeric = _to_cells(np.stack((self.analytic, self.numeric)))
+        rel = relative_error(analytic, numeric, _floor(analytic, dim))
+        k, j = (np.tile(c, math.prod(shape[:-1])) for c in _cells(dim))
         for name, values in zip(COLUMNS, (k, j, analytic, numeric, rel)):
             object.__setattr__(self, name, _read_only(np.ravel(values)))
 
@@ -234,9 +235,8 @@ def _verify(inc: IncrementalTriangle, name: str, year, mu, q, tolerance: float) 
     from inc's baseline: its grad against the complex step of its stepped."""
     entry = _STATISTICS[name]
     _, _, fit = _baseline(inc, entry.sigmas)
-    analytic = _to_cells(entry.grad(fit, year, mu, q))
-    numeric = _to_cells(complex_step(fit, lambda stack: entry.stepped(fit, stack, year, mu, q)))
-    return VerificationReport(name, tolerance, analytic, numeric, fit.dimension)
+    numeric = complex_step(fit, lambda stack: entry.stepped(fit, stack, year, mu, q))
+    return VerificationReport(name, tolerance, entry.grad(fit, year, mu, q), numeric)
 
 
 def _frozen_mse(base: Fit, stack: Fit, ln_f: np.ndarray) -> np.ndarray:
@@ -291,8 +291,8 @@ def verify_mse_components(
     Differentiates the building blocks (d ln f_s, d(B_r f_r^2) and dChat_q)
     by complex step over the fitted sums and checks each against its
     closed form there. In the same stack it differentiates the frozen MSE
-    (_frozen_mse) of every year and of the total, maps the gradients to the
-    cells, and compares them against the analytic triangles: every
+    (_frozen_mse) of every year and of the total, and its report maps
+    them with the analytic gradients to the cells and compares them: every
     per-year triangle and the total, or year's triangle alone when year
     is given. The direct derivative of the plug-in MSE
     value (of year, or of the total) is reported in notes but deliberately
@@ -305,7 +305,7 @@ def verify_mse_components(
     _, _, fit = _baseline(inc, sigmas=True)
     blocks = _mse_blocks(fit)
 
-    # building blocks against their gradients over the sums, in one pass:
+    # building blocks against their gradients over the sums:
     # d ln f_s = dA_s / A_s - dB_s / B_s, dChat_q = Chat_q d ln F_q + F_q dL_q
     # (the _grad of ult and F on year q) and d(B_r f_r^2) = f_r^2 (dB_r + 2 B_r d ln f_r)
     s = np.arange(dim - 1)
@@ -314,24 +314,19 @@ def verify_mse_components(
     fsq = (fit.factors**2)[:, None]
     d_colsum_fsq = fsq * 2.0 * fit.den[:, None] * d_lnf
     d_colsum_fsq[s, dim - 1 + s] += fsq[:, 0]
-    analytic = np.concatenate((d_lnf, _year(fit, None, fit.ult, fit.fprod), d_colsum_fsq))
-    numeric = np.concatenate([blocks[name] for name in BLOCKS])
-    rel = np.split(relative_error(analytic, numeric, _floor(analytic, dim)), [dim - 1, 2 * dim - 1])
-    notes = {f"{name}_max_rel": float(np.max(r, initial=0.0)) for name, r in zip(BLOCKS, rel)}
+    closed = (d_lnf, _year(fit, None, fit.ult, fit.fprod), d_colsum_fsq)
+    notes = {f"{name}_max_rel": _max_rel(block, blocks[name], dim) for name, block in zip(BLOCKS, closed)}
 
-    # the frozen MSE's gradients vs analytic, both over the sums until
-    # mapped to the observed cells in one pass with the direct derivative
-    # of the plug-in value of the last checked statistic, sigma^2 held at
-    # the baseline, from the blocks' stack; that one is documented only
+    # the frozen MSE's gradients, mapped to the cells by the report; the
+    # direct derivative of the plug-in value of the last checked statistic,
+    # sigma^2 held at the baseline, from the blocks' stack, is noted only
     if year is None:
         analytic, rows = np.concatenate((_mse_ay(fit, None)[1:], _mse_total(fit)[None])), slice(1, None)
     else:
         analytic, rows = _mse_ay(fit, year)[None], slice(year - 1, year)
-    numeric, direct = blocks["mse"][rows], blocks["plugin"][rows][-1:]
-    cells = _to_cells(np.concatenate((analytic, numeric, direct)))
-    t = len(analytic)
-    notes["direct_fd_max_rel"] = _max_rel(cells[t - 1], cells[-1], dim)
-    return VerificationReport("mse-components", tolerance, cells[:t], cells[t : 2 * t], dim, notes)
+    direct = _to_cells(np.stack((analytic[-1], blocks["plugin"][rows][-1])))
+    notes["direct_fd_max_rel"] = _max_rel(*direct, dim)
+    return VerificationReport("mse-components", tolerance, analytic, blocks["mse"][rows], notes)
 
 
 def verify_quantile_impacts(

@@ -480,6 +480,29 @@ class TestDataErrors:
         assert doc["summary"]["value_of_statistic"] > 0.0
 
 
+class TestByteOrderMark:
+    """A file saved with a UTF-8 byte-order mark, as spreadsheet "CSV
+    UTF-8" exports are, reads as the same file without it."""
+
+    def test_triangle(self, capsys, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + open(bundled_path(), "rb").read())
+        for command in (["reserves"], ["impact", "--format", "json"]):
+            want = run(capsys, command[0], bundled_path(), *command[1:])
+            assert want[0] == 0
+            assert run(capsys, command[0], str(p), *command[1:]) == want, command
+
+    def test_priors(self, capsys, tmp_path):
+        priors = "".join(f"{i},6.0e8\n" for i in range(1, 11))
+        plain, bom = tmp_path / "priors.csv", tmp_path / "bom.csv"
+        plain.write_text(priors, encoding="utf-8")
+        bom.write_text(priors, encoding="utf-8-sig")
+        argv = ["impact", bundled_path(), "--stat", "bf-total", "--format", "json", "--priors"]
+        want = run(capsys, *argv, str(plain))
+        assert want[0] == 0
+        assert run(capsys, *argv, str(bom)) == want
+
+
 # Two triangles whose numbers overflow double precision: in the column
 # partial sums, which validate refuses, and in the Mack MSE alone.
 OVERFLOWING_SUMS = "I=4\n1e308,1e308,1,1\n1,1,1\n1,1\n1\n"

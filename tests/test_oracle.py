@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from runoff.oracle import (
     FdScheme,
     VerificationReport,
     _baseline,
+    _floor,
     _frozen_mse,
     _max_rel,
     _mse_blocks,
@@ -123,27 +125,33 @@ class TestFdDerivative:
 
 
 class TestVerificationReport:
+    # for I=2 the sums are A_1, B_1, L_1, L_2, and g maps to the cells (1, 1),
+    # (1, 2), (2, 1) as g_A1 + g_B1 + g_L1, g_A1 + g_L1 and g_L2
+
     def test_empty_report(self):
-        report = VerificationReport("x", 1e-5, np.zeros((0, 3)), np.zeros((0, 3)), 2)
+        report = VerificationReport("x", 1e-5, np.zeros((0, 4)), np.zeros((0, 4)))
         assert report.k.size == 0 and report.cells == []
         assert report.max_rel_error == 0.0
         assert report.worst_cell is None
         assert report.passed
 
     def test_to_dict_shape(self):
-        report = VerificationReport("x", 1e-5, [[1.0]], [[1.0]], 1)
+        report = VerificationReport("x", 1e-5, np.ones((1, 4)), np.ones((1, 4)))
         doc = report.to_dict()
         assert doc["statistic"] == "x"
         assert doc["passed"] is True
         assert doc["cells"][0]["rel_error"] == 0.0
 
     def test_columns_and_cells_agree(self):
-        # two triangles of I=2, each over the cells (1, 1), (1, 2), (2, 1)
+        # two triangles of I=2, with the cells [1, 2, 4] and [1, 1, 1]
+        # analytic against [1, 3, 2] and [2, 1, 1] numeric
         report = VerificationReport(
-            "x", 1e-5, [[1.0, 2.0, 4.0], [1.0, 1.0, 1.0]], [[1.0, 3.0, 2.0], [2.0, 1.0, 1.0]], 2
+            "x", 1e-5, [[0.0, -1.0, 2.0, 4.0], [0.0, 0.0, 1.0, 1.0]], [[0.0, -2.0, 3.0, 2.0], [0.0, 1.0, 1.0, 1.0]]
         )
         assert report.k.tolist() == [1, 1, 2, 1, 1, 2]
         assert report.j.tolist() == [1, 2, 1, 1, 2, 1]
+        assert report.analytic.tolist() == [1.0, 2.0, 4.0, 1.0, 1.0, 1.0]
+        assert report.numeric.tolist() == [1.0, 3.0, 2.0, 2.0, 1.0, 1.0]
         assert report.cells[1] == {
             "k": 1, "j": 2, "analytic": 2.0, "numeric": 3.0, "rel_error": 1 / 3
         }
@@ -155,18 +163,27 @@ class TestVerificationReport:
         assert not report.passed
 
     def test_a_stack_of_another_layout_is_refused(self):
-        # three cells per triangle of I=2: a last axis of 4 or 6 is refused
-        for shape in ((2, 4), (2, 6), (4,)):
-            with pytest.raises(ValueError, match="is not a stack of the 3 cells of I=2"):
-                VerificationReport("x", 1e-5, np.ones(shape), np.ones(shape), 2)
+        # a last axis of 3I-2 sums: 3, 6 or none at all is refused
+        for shape in ((2, 3), (2, 6), (5,), ()):
+            with pytest.raises(ValueError, match="not gradients of one shape over the 3I-2 fitted sums"):
+                VerificationReport("x", 1e-5, np.ones(shape), np.ones(shape))
+
+    def test_analytic_and_numeric_of_different_shapes_are_refused(self):
+        """Each cell's k, j, analytic and numeric come from one entry of
+        both gradients, so a numeric that would broadcast is refused."""
+        for shape in ((2, 4), (4, 1), (7,)):
+            with pytest.raises(ValueError, match=re.escape(f"analytic (4,) and numeric {shape} are not")):
+                VerificationReport("x", 1e-5, np.ones(4), np.ones(shape))
 
     def test_a_nan_cell_fails_wherever_it_sits(self):
-        for at, cell in enumerate(((1, 1), (1, 2), (2, 1))):
-            analytic = np.ones((1, 3))
-            analytic[0, at] = np.nan
-            report = VerificationReport("x", 1e-5, analytic, np.ones((1, 3)), 2)
+        # a NaN on L_k of I=3 reaches row k's cells alone: (k, 1) is the first
+        for k, at in ((1, 0), (2, 3), (3, 5)):
+            analytic = np.ones((1, 7))
+            analytic[0, 4 + k - 1] = np.nan
+            report = VerificationReport("x", 1e-5, analytic, np.ones((1, 7)))
+            assert math.isnan(report.rel_error[at]) and not np.any(np.isnan(report.rel_error[:at]))
             assert math.isnan(report.max_rel_error)
-            assert report.worst_cell == cell
+            assert report.worst_cell == (k, 1)
             assert not report.passed
 
 
@@ -699,6 +716,48 @@ def test_the_table_agrees_with_the_public_api(dim, belgian):
     assert tuple(_STATISTICS) == cli.STATISTICS == stats
 
 
+@pytest.mark.parametrize("dim", [None, 20])
+def test_a_report_maps_as_the_impacts_do(dim, belgian):
+    """The analytic column of _verify's report on every --stat name, at
+    years 1, I/2 and I for the per-year ones, is the observed cells of the
+    public impact triangle (an RMSE name's: its MSE's), and each triangle
+    of verify_mse_components is impact_mse_ay's of its year (2..I, or the
+    year given) and its last impact_mse_total's, bit for bit."""
+    inc, cum, factors, fit, priors = table_case(dim, belgian)
+    dim = inc.dimension
+    sigmas = SigmaEstimates(dim, fit.sigma2)
+    public = {
+        "reserve-ay": lambda i: impact_reserve_ay(cum, factors, i),
+        "reserve-total": lambda _: impact_reserve_total(cum, factors),
+        "bf-ay": lambda i: impact_bf_ay(cum, factors, priors, i),
+        "bf-total": lambda _: impact_bf_total(cum, factors, priors),
+        "mse-ay": lambda i: impact_mse_ay(cum, factors, sigmas, i),
+        "mse-total": lambda _: impact_mse_total(cum, factors, sigmas),
+        "quantile": lambda _: impact_quantile(cum, factors, sigmas, 0.995),
+    }
+    years = (1, dim // 2, dim)
+    for name in cli.STATISTICS:
+        kind = name.removeprefix("r") if name.startswith("rmse") else name
+        for year in years if name.endswith("-ay") else (None,):
+            report = _verify(inc, name, year, priors.values, 0.995, TOLERANCE)
+            want = public[kind](year).values[observed_mask(dim)]
+            assert report.analytic.tobytes() == want.tobytes(), (name, year)
+    reports = {None: range(2, dim + 1)} | {year: [year] for year in years}
+    for year, checked in reports.items():
+        got = by_triangle(verify_mse_components(inc, year=year).analytic, dim)
+        want = [public["mse-ay"](i) for i in checked] + ([public["mse-total"](None)] if year is None else [])
+        assert got.tobytes() == np.stack([w.values[observed_mask(dim)] for w in want]).tobytes(), year
+
+
+def test_a_report_keeps_its_mapped_cells_as_its_columns(belgian):
+    """A report's analytic and numeric columns are the two halves of its
+    one map of the two gradients, kept as they are: no cell-sized copy."""
+    for name, verify in every_verifier(belgian).items():
+        report = verify(belgian)
+        assert report.analytic.base is report.numeric.base, name
+        assert report.analytic.base.size == 2 * report.k.size, name
+
+
 @pytest.mark.parametrize("dim", [None, 6, 20])
 def test_each_table_value_is_complex_safe_over_the_stack(dim, belgian):
     """Every entry's value of the complex_step stack is one value per fitted
@@ -737,10 +796,10 @@ def by_triangle(column, dim):
 
 
 def replanted(report, analytic, dim):
-    """report's cells rechecked with analytic in place of its analytic
-    column, triangle by triangle."""
-    numeric = by_triangle(report.numeric, dim)
-    return VerificationReport(report.statistic, report.tolerance, by_triangle(analytic, dim), numeric, dim)
+    """The rel_error of report's cells rechecked with analytic in place of
+    its analytic column, under the report's measure, triangle by triangle."""
+    a = by_triangle(analytic, dim)
+    return relative_error(a, by_triangle(report.numeric, dim), _floor(a, dim)).ravel()
 
 
 @pytest.mark.parametrize("dim", [40, 100])
@@ -752,13 +811,13 @@ def test_planted_errors_fail_under_the_floor(dim):
     reports = benchmark_kinds(inc) + (verify_reserve_impacts(inc, "reserve-ay", dim // 2),)
     for report in reports:
         assert report.passed, report.statistic
-        assert np.array_equal(replanted(report, report.analytic, dim).rel_error, report.rel_error)
+        assert np.array_equal(replanted(report, report.analytic, dim), report.rel_error)
         a = by_triangle(report.analytic, dim)
         scale = np.broadcast_to(np.max(np.abs(a), axis=-1, keepdims=True), a.shape).ravel()
         zero = report.analytic == 0.0
         large = np.abs(report.analytic) > 1e-6 * scale
         moved = np.where(zero, 1e-6 * scale, report.analytic * np.where(large, 1.0 + 1e-4, 1.0))
-        rel = replanted(report, moved, dim).rel_error
+        rel = replanted(report, moved, dim)
         assert np.all(rel[zero | large] > report.tolerance), report.statistic
     assert np.any(reports[-1].analytic == 0.0)
 

@@ -324,7 +324,7 @@ def containers(caller):
     that caller(shape) hands out, by class name."""
     tri = caller((3, 3))
     tri[:] = [[100.0, 150.0, 175.0], [110.0, 160.0, np.nan], [120.0, np.nan, np.nan]]
-    report = runoff.VerificationReport("reserve-total", 1e-5, caller((1, 3)), caller((1, 3)), 2)
+    report = runoff.VerificationReport("reserve-total", 1e-5, caller((1, 4)), caller((1, 4)))
     factors = runoff.DevelopmentFactors(3, caller(2))
     sigmas = runoff.SigmaEstimates(3, caller(2))
     return {
