@@ -41,14 +41,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _lines(path: str, what: str) -> list:
+    """The non-blank lines of the file at path, stripped, as (line number,
+    text) pairs; a file that cannot be read is bad data, named what."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return [(n, ln.strip()) for n, ln in enumerate(fh.read().splitlines(), 1) if ln.strip()]
+    except OSError as exc:
+        raise DataError(f"cannot read {what}: {exc}") from exc
+
+
 def ingest(path: str) -> IncrementalTriangle:
     """Parse the triangle file: `I=<n>` header, then n ragged rows of
     incremental values, row i holding n-i+1 comma-separated numbers."""
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    lines = [ln for _, ln in _lines(path, path)]
     if not lines:
         raise DataError(f"{path}: empty input file")
     head = lines[0]
@@ -93,13 +99,8 @@ def load_priors(source: str, cum, factors) -> PriorUltimates:
     a CSV of i,mu lines, one per accident year at most."""
     if source == "cl":
         return default_priors(cum, factors)
-    try:
-        with open(source, encoding="utf-8-sig") as fh:
-            lines = [(n, ln.strip()) for n, ln in enumerate(fh.read().splitlines(), 1) if ln.strip()]
-    except OSError as exc:
-        raise DataError(f"cannot read priors {source}: {exc}") from exc
     values, given = np.full(cum.dimension, np.nan), {}  # given: year -> its line
-    for n, ln in lines:
+    for n, ln in _lines(source, f"priors {source}"):
         parts = [p.strip() for p in ln.split(",")]
         if len(parts) != 2:
             raise DataError(f"{source}: bad priors line {ln!r}")
@@ -414,10 +415,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ZeroDivisionError, IndexError) as exc:
+    except (DataError, ValueError, ZeroDivisionError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,9 @@ both read from the one table of the statistics (_STATISTICS), which the
 CLI computes them from too: the refit reserves; for the MSE impacts,
 which hold sigma^2 fixed and substitute the estimation error after
 differentiation, the MSE with the coefficients its formula holds fixed
-frozen at the baseline (_frozen_mse); and the lognormal quantile map.
+frozen at the baseline (_frozen_mse), which the MSE verifier steps with
+its building blocks and the plug-in MSE in one stack (_stepped_mse),
+picking its targets by one row slice; and the lognormal quantile map.
 
 A cell's rel_error is |a - n| / max(|a|, |n|, I eps S / TOLERANCE), S
 the largest |analytic| of the triangle the cell belongs to: a difference
@@ -255,32 +257,6 @@ def _frozen_mse(base: Fit, stack: Fit, ln_f: np.ndarray) -> np.ndarray:
 BLOCKS = ("d_ln_f", "d_ultimate", "d_colsum_fsq")
 
 
-def _mse_blocks(fit: Fit) -> dict:
-    """Complex-step gradients over the fitted sums, stepped from the
-    baseline fit, which has sigmas: d_ln_f[s-1] of ln f_s, d_ultimate[q-1]
-    of the ultimate Chat_q, d_colsum_fsq[r-1] of B_r f_r^2, and of year
-    i's MSE mse[i-1] frozen (_frozen_mse) and plugin[i-1] plug-in, with
-    the baseline's sigma2; mse[I] and plugin[I] are the total's. The
-    building blocks are the first 3I-2 rows of one array, in that order."""
-    dim = fit.dimension
-
-    def blocks(stack):
-        ln_f = np.log(stack.factors)
-        plugin = np.concatenate((stack.mse_by_year, stack.mse_total[..., None]), axis=-1)
-        frozen = _frozen_mse(fit, stack, ln_f)
-        return np.concatenate((ln_f, stack.ult, stack.den * stack.factors**2, frozen, plugin), axis=-1)
-
-    parts = np.split(complex_step(fit, blocks), [dim - 1, 2 * dim - 1, 3 * dim - 2, 4 * dim - 1])
-    return dict(zip(BLOCKS + ("mse", "plugin"), parts))
-
-
-def _max_rel(analytic: np.ndarray, numeric: np.ndarray, dim: int) -> float:
-    """The largest rel_error over stacked arrays, each last-axis row one
-    triangle of dimension dim."""
-    rel = relative_error(analytic, numeric, _floor(analytic, dim))
-    return float(np.max(rel, initial=0.0))
-
-
 def verify_mse_components(
     inc: IncrementalTriangle,
     tolerance: float = TOLERANCE,
@@ -288,24 +264,26 @@ def verify_mse_components(
 ) -> VerificationReport:
     """Component-protocol verification of the MSE impact triangles.
 
-    Differentiates the building blocks (d ln f_s, d(B_r f_r^2) and dChat_q)
-    by complex step over the fitted sums and checks each against its
-    closed form there. In the same stack it differentiates the frozen MSE
-    (_frozen_mse) of every year and of the total, and its report maps
-    them with the analytic gradients to the cells and compares them: every
-    per-year triangle and the total, or year's triangle alone when year
-    is given. The direct derivative of the plug-in MSE
-    value (of year, or of the total) is reported in notes but deliberately
-    not compared: it is a different object from the impact formula, whose
+    One complex step of _stepped_mse differentiates the building blocks
+    (d ln f_s, dChat_q and d(B_r f_r^2)), scored against their closed
+    forms over the fitted sums in one pass (each note the largest
+    rel_error over its block's rows), and the frozen MSE (_frozen_mse) of
+    every year and of the total. One row slice picks the checked targets,
+    every per-year triangle and the total or year's triangle alone, and
+    the report maps them with the analytic gradients to the cells and
+    compares them. The direct derivative of the plug-in MSE value (of
+    year, or of the total) is reported in notes but deliberately not
+    compared: it is a different object from the impact formula, whose
     estimation-error part arises by substitution after differentiation.
     """
     dim = inc.dimension
     if year is not None and not 1 <= year <= dim:
         raise ValueError(f"accident year {year} out of range 1..{dim}")
     _, _, fit = _baseline(inc, sigmas=True)
-    blocks = _mse_blocks(fit)
+    blocks, frozen, plugin = np.split(complex_step(fit, lambda stack: _stepped_mse(fit, stack)),
+                                      [3 * dim - 2, 4 * dim - 1])
 
-    # building blocks against their gradients over the sums:
+    # building blocks against their gradients over the sums, in the stack's rows:
     # d ln f_s = dA_s / A_s - dB_s / B_s, dChat_q = Chat_q d ln F_q + F_q dL_q
     # (the _grad of ult and F on year q) and d(B_r f_r^2) = f_r^2 (dB_r + 2 B_r d ln f_r)
     s = np.arange(dim - 1)
@@ -314,19 +292,19 @@ def verify_mse_components(
     fsq = (fit.factors**2)[:, None]
     d_colsum_fsq = fsq * 2.0 * fit.den[:, None] * d_lnf
     d_colsum_fsq[s, dim - 1 + s] += fsq[:, 0]
-    closed = (d_lnf, _year(fit, None, fit.ult, fit.fprod), d_colsum_fsq)
-    notes = {f"{name}_max_rel": _max_rel(block, blocks[name], dim) for name, block in zip(BLOCKS, closed)}
+    closed = np.concatenate((d_lnf, _year(fit, None, fit.ult, fit.fprod), d_colsum_fsq))
+    worst = np.max(relative_error(closed, blocks, _floor(closed, dim)), axis=-1)
+    notes = {f"{name}_max_rel": float(m)
+             for name, m in zip(BLOCKS, np.maximum.reduceat(worst, [0, dim - 1, 2 * dim - 1]))}
 
-    # the frozen MSE's gradients, mapped to the cells by the report; the
-    # direct derivative of the plug-in value of the last checked statistic,
-    # sigma^2 held at the baseline, from the blocks' stack, is noted only
-    if year is None:
-        analytic, rows = np.concatenate((_mse_ay(fit, None)[1:], _mse_total(fit)[None])), slice(1, None)
-    else:
-        analytic, rows = _mse_ay(fit, year)[None], slice(year - 1, year)
-    direct = _to_cells(np.stack((analytic[-1], blocks["plugin"][rows][-1])))
-    notes["direct_fd_max_rel"] = _max_rel(*direct, dim)
-    return VerificationReport("mse-components", tolerance, analytic, blocks["mse"][rows], notes)
+    # the checked targets, mapped to the cells by the report; the direct derivative
+    # of the last one's plug-in value, sigma^2 held at the baseline, is noted only
+    rows = slice(1, None) if year is None else slice(year - 1, year)
+    analytic = np.concatenate((_mse_ay(fit, None), _mse_total(fit)[None]))[rows]
+    direct, numeric = _to_cells(np.stack((analytic[-1], plugin[rows][-1])))
+    rel = relative_error(direct, numeric, _floor(direct, dim))
+    notes["direct_fd_max_rel"] = float(np.max(rel, initial=0.0))
+    return VerificationReport("mse-components", tolerance, analytic, frozen[rows], notes)
 
 
 def verify_quantile_impacts(
@@ -361,6 +339,18 @@ def _stepped_quantile(base: Fit, stack: Fit, year, mu, q: float) -> np.ndarray:
     reserve = _RESERVE.value(base, None, mu, q) + 1j * np.imag(_RESERVE.value(stack, None, mu, q))
     mse = _MSE.value(base, None, mu, q) + 1j * np.imag(_MSE.stepped(base, stack, None, mu, q))
     return lognormal_quantile(fit_lognormal(reserve, mse), q)
+
+
+def _stepped_mse(base: Fit, stack: Fit) -> np.ndarray:
+    """What verify_mse_components complex-steps, on the trailing axis: the
+    building blocks ln f_s, Chat_q and B_r f_r^2 (3I-2); every year's
+    frozen MSE, then the total's (_frozen_mse, I+1); and the same I+1 as
+    plug-in MSEs, with base's sigma2, which the stack has."""
+    ln_f = np.log(stack.factors)
+    plugin = np.concatenate((stack.mse_by_year, stack.mse_total[..., None]), axis=-1)
+    return np.concatenate(
+        (ln_f, stack.ult, stack.den * stack.factors**2, _frozen_mse(base, stack, ln_f), plugin), axis=-1
+    )
 
 
 _RESERVE = _Statistic(

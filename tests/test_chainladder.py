@@ -237,6 +237,10 @@ class TestSigmas:
         with pytest.raises(ValueError, match="needs I >= 4"):
             estimate_sigmas(cum, estimate_development_factors(cum))
 
+    def test_index_out_of_range(self):
+        with pytest.raises(IndexError, match=r"^sigma index 4 out of range 1\.\.3$"):
+            SigmaEstimates(4, np.ones(3)).sigma2(4)
+
     def test_zero_cumulative_cell(self):
         tri = IncrementalTriangle.from_rows(
             [[0.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0], [1.0]]

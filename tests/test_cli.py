@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -296,6 +297,14 @@ class TestHeatmapCommand:
         assert run(capsys, "impact", *argv, "--format", "svg", "--out", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_all_zero_impacts_are_white(self, capsys):
+        """Year 1's MSE impacts are all zero on the bundled triangle: with no
+        scale, every cell and both legend swatches are filled white."""
+        code, out, _ = run(capsys, "heatmap", bundled_path(), "--stat", "mse-ay", "--year", "1")
+        assert code == 0
+        fills = re.findall(r'<rect x="[^>]*fill="([^"]*)"', out)
+        assert len(fills) == 55 + 2 and set(fills) == {"#ffffff"}
+
     def test_takes_no_format(self, capsys):
         code, _, err = run(capsys, "heatmap", bundled_path(), "--format", "csv")
         assert code == 1
@@ -435,6 +444,34 @@ class TestDataErrors:
         code, _, err = run(capsys, "reserves", str(p))
         assert code == 2
         assert "expected 3 data rows" in err
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [("I=abc", "bad dimension 'abc'"), ("I=1", "dimension must be at least 2, got 1")],
+        ids=["not-a-number", "too-small"],
+    )
+    def test_bad_dimension(self, capsys, tmp_path, header, message):
+        p = tmp_path / "dim.csv"
+        p.write_text(f"{header}\n1\n")
+        code, out, err = run(capsys, "reserves", str(p))
+        assert (code, out, err) == (2, "", f"error: {p}: {message}\n")
+
+    def test_missing_priors_file(self, capsys, tmp_path):
+        p = tmp_path / "absent.csv"
+        code, out, err = run(capsys, "impact", bundled_path(), "--stat", "bf-total", "--priors", str(p))
+        cause = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(p))
+        assert (code, out, err) == (2, "", f"error: cannot read priors {p}: {cause}\n")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("1,abc", "bad priors line '1,abc'"), ("11,5", "accident year 11 out of range")],
+        ids=["not-a-number", "year-out-of-range"],
+    )
+    def test_bad_priors_line(self, capsys, tmp_path, line, message):
+        p = tmp_path / "priors.csv"
+        p.write_text(f"{line}\n")
+        code, out, err = run(capsys, "impact", bundled_path(), "--stat", "bf-total", "--priors", str(p))
+        assert (code, out, err) == (2, "", f"error: {p}: {message}\n")
 
     def test_bad_priors_file(self, capsys, tmp_path):
         p = tmp_path / "priors.csv"

@@ -41,8 +41,7 @@ from runoff.oracle import (
     _baseline,
     _floor,
     _frozen_mse,
-    _max_rel,
-    _mse_blocks,
+    _stepped_mse,
     complex_step,
     fd_derivative,
     _verify,
@@ -286,6 +285,16 @@ def triangles(cells, dim):
     return out
 
 
+def stepped_mse(fit):
+    """The complex step of _stepped_mse from fit, split by part: the three
+    building blocks of BLOCKS, "mse" (every year's frozen MSE, then the
+    total's) and "plugin" (the same as plug-in MSEs)."""
+    dim = fit.dimension
+    numeric = complex_step(fit, lambda stack: _stepped_mse(fit, stack))
+    parts = np.split(numeric, [dim - 1, 2 * dim - 1, 3 * dim - 2, 4 * dim - 1])
+    return dict(zip(oracle.BLOCKS + ("mse", "plugin"), parts))
+
+
 def loop_assembly(inc, blocks, per_year=False):
     """The MSE impacts by the per-cell (i, k, j, r, n) loop of the chain
     and product rules, kept as the reference of the frozen MSE's complex
@@ -350,7 +359,7 @@ def test_assembly_matches_the_loop_reference(dim):
     cum = cumulate(inc)
     factors = estimate_development_factors(cum)
     fit = Fit.of(cum.values, factors.values, estimate_sigmas(cum, factors).values)
-    blocks = _mse_blocks(fit)
+    blocks = stepped_mse(fit)
     mse = triangles(_to_cells(blocks["mse"]), dim)
     yearly, total = mse[:-1], mse[-1]
     rows = np.arange(dim)
@@ -564,11 +573,34 @@ def test_each_block_note_is_its_blocks_max_rel(dim, belgian):
     largest rel_error of its own block, bit for bit."""
     inc = belgian if dim is None else random_triangle(np.random.default_rng([14, dim]), dim)
     fit = quantile_fit(inc)[0]
-    numeric = _mse_blocks(fit)
+    numeric = stepped_mse(fit)
     notes = verify_mse_components(inc).notes
     assert list(notes) == ["d_ln_f_max_rel", "d_ultimate_max_rel", "d_colsum_fsq_max_rel", "direct_fd_max_rel"]
-    for name, analytic in building_blocks(fit).items():
-        assert repr(notes[f"{name}_max_rel"]) == repr(_max_rel(analytic, numeric[name], fit.dimension)), name
+    for name, a in building_blocks(fit).items():
+        want = float(np.max(relative_error(a, numeric[name], _floor(a, fit.dimension)), initial=0.0))
+        assert repr(notes[f"{name}_max_rel"]) == repr(want), name
+
+
+@pytest.mark.parametrize("year", [None, 3])
+def test_one_step_and_one_scoring_pass(year, belgian, monkeypatch):
+    """verify_mse_components makes one complex step, maps twice (the
+    direct note and the report) and scores three times: the building
+    blocks in one pass, the direct note and the report."""
+    calls = {}
+
+    def counted(name):
+        original = getattr(oracle, name)
+
+        def call(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, call)
+
+    for name in ("complex_step", "_to_cells", "relative_error"):
+        counted(name)
+    verify_mse_components(IncrementalTriangle(belgian.dimension, belgian.values), year=year)
+    assert calls == {"complex_step": 1, "_to_cells": 2, "relative_error": 3}
 
 
 @pytest.mark.parametrize("dim", [4, 20, 100])
@@ -943,7 +975,7 @@ def two_partial_chain(inc, q):
     df_dr = partial(lambda r: quantile.lognormal_quantile(quantile.fit_lognormal(r, mse), q), total)
     df_dm = partial(lambda m: quantile.lognormal_quantile(quantile.fit_lognormal(total, m), q), mse)
     d_r = _to_cells(complex_step(fit, lambda stack: np.sum(stack.reserves, axis=-1)))
-    d_m = _to_cells(_mse_blocks(fit)["mse"][-1])
+    d_m = _to_cells(stepped_mse(fit)["mse"][-1])
     on_sigma2 = (np.abs(d_m) + 2.0 * mse * np.abs(d_r) / total) / (mse + total**2)
     on_sigma = abs(quantile.inv_std_normal_cdf(q)) / (2.0 * np.sqrt(lognormal.sigma2))
     terms = np.abs(d_r) / total + (0.5 + on_sigma) * on_sigma2
@@ -1068,7 +1100,7 @@ def assert_row_update_is_the_full_refit(inc):
         )
 
     want = full_stack_complex_step(inc, blocks)
-    got = _mse_blocks(base)
+    got = stepped_mse(base)
     for name, rows in (
         ("d_ln_f", slice(0, dim - 1)),
         ("d_colsum_fsq", slice(dim - 1, 2 * dim - 2)),

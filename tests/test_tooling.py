@@ -155,7 +155,8 @@ def test_layer_verify_stages_time_a_first_verification(fit_builds):
     fit and its stack, and verify_round the baseline once for four."""
     layers = load(LAYERS, "bench_layers")
     stages = layers.stages(runoff, 6)
-    for name, builds in (("verify_reserve_impacts", 2), ("verify_mse_components", 2), ("verify_round", 5)):
+    for name, builds in (("verify_reserve_impacts", 2), ("verify_mse_components", 2),
+                         ("verify_mse_components_year", 2), ("verify_round", 5)):
         for _ in range(2):
             fit_builds.clear()
             stages[name]()
