@@ -8,19 +8,26 @@ of sys.modules entries (bench/layers.py's load and use), and every
 command goes through each tree's cli.main in turn, its stdout and stderr
 captured. The triangles are the bundled file, bench/layers.py's
 random_rows at I = 12, 40 and 100, an all-proportional I = 6 (every
-sigma^2 exactly 0), and the I = 3 triangle of tests/test_cli.py, too
+sigma^2 exactly 0), the I = 3 triangle of tests/test_cli.py, too
 small for a variance scale: `reserves` leaves its RMSE column empty
-there, and the Mack statistics are refused. At I = 100 the reports of
+there, and the Mack statistics are refused; an I = 4 triangle whose
+first factor overflows, so year 4's ultimate is infinite (`reserves`
+and the BF statistics on the chain-ladder priors are refused), and an
+I = 4 triangle with a zero first cell in row 2, which sigma^2 divides
+by (`reserves` leaves its RMSE column empty, the Mack statistics are
+refused). At I = 100 the reports of
 `verify --stat mse-total` and `rmse-total` hold 505k cells, and their
 JSON is about 69 MB per tree. On each triangle the commands are
 `reserves` (csv, json); for every --stat, at years 1, 2, 5 and 10 for
 the per-year ones (a year past I is a usage error, and is compared too),
 `impact` and `marginal` in csv, json and svg, `heatmap`, and `verify` in
 text and json and with --tolerance 1e-14; `impact` and `verify` of the
-quantile at --q 0.5; and five usage errors. Each (exit code, stdout,
-stderr) that differs is printed, and the exit code is 1 on any
-difference, else 0. The triangle files go to a temporary directory
-outside the checkout.
+quantile at --q 0.5; and five usage errors. On the bundled triangle
+every command runs a second time with --out naming a temporary file, one
+per tree, and `<command> --help` runs for each of the five commands.
+Each (exit code, stdout, stderr, bytes written to --out) that differs is
+printed, and the exit code is 1 on any difference, else 0. The triangle
+and --out files go to temporary directories outside the checkout.
 """
 
 from __future__ import annotations
@@ -43,6 +50,8 @@ USAGE_ERRORS = (
     ["verify", "--tolerance", "-1"],
     ["heatmap", "--stat", "mse-ay", "--year", "0"],
 )
+HELP = tuple([command, "--help"] for command in ("reserves", "impact", "marginal", "verify", "heatmap"))
+OUT = "<out>"  # in an argv, the tree's own --out file
 
 
 def proportional_rows(dim: int = 6) -> list:
@@ -76,18 +85,25 @@ def commands(path: str, stats: tuple) -> list:
     return argvs
 
 
-def run(tree: dict, argv: list) -> tuple:
-    """(exit code, stdout, stderr) of the tree's cli.main on argv; an
-    exception that escapes main reads as exit None with its traceback."""
+def run(tree: dict, argv: list, file: Path) -> tuple:
+    """(exit code, stdout, stderr, bytes written) of the tree's cli.main on
+    argv, OUT in argv naming file, whose bytes are read and removed (None
+    where it was not written or not named). --help's exit reads as its
+    code; any other exception that escapes main as exit None with its
+    traceback."""
     use(tree)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = tree["runoff.cli"].main(argv)
-        except (Exception, SystemExit):
+            code = tree["runoff.cli"].main([str(file) if a == OUT else a for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
             code = None
             traceback.print_exc(file=err)
-    return code, out.getvalue(), err.getvalue()
+    written = file.read_bytes() if file.exists() else None
+    file.unlink(missing_ok=True)
+    return code, out.getvalue(), err.getvalue(), written
 
 
 def triangles(tree: dict, directory: Path) -> list:
@@ -100,21 +116,26 @@ def triangles(tree: dict, directory: Path) -> list:
         write_triangle(directory / "random100.csv", random_rows(100)),
         write_triangle(directory / "proportional6.csv", proportional_rows()),
         write_triangle(directory / "small3.csv", [[100.0, 50.0, 10.0], [120.0, 60.0], [130.0]]),
+        write_triangle(directory / "overflow4.csv", [[1e-300, 1e300, 1, 1], [1e-300, 1e-300, 1], [1e-300, 1e-300], [1e100]]),
+        write_triangle(directory / "zerocell4.csv", [[100, 50, 10, 5], [0, 60, 12], [130, 70], [140]]),
     ]
 
 
 def sweep(trees: list, paths: list) -> tuple:
     """(commands run, the differing ones as (argv, outputs per tree)) of
-    the sweep on the triangles at paths; the runoff package in use before
-    is in use after."""
+    the sweep on the triangles at paths, paths[0]'s commands also with
+    --out; the runoff package in use before is in use after."""
     stats = trees[0]["runoff.cli"].STATISTICS
     argvs = [argv for path in paths for argv in commands(path, stats)]
+    argvs += [[*argv, "--out", OUT] for argv in commands(paths[0], stats)] + list(HELP)
     differ, outer = [], packaged()
     try:
-        for argv in argvs:
-            outputs = [run(tree, argv) for tree in trees]
-            if any(o != outputs[0] for o in outputs[1:]):
-                differ.append((argv, outputs))
+        with tempfile.TemporaryDirectory() as tmp:
+            files = [Path(tmp) / f"tree{n}.out" for n in range(len(trees))]
+            for argv in argvs:
+                outputs = [run(tree, argv, file) for tree, file in zip(trees, files)]
+                if any(o != outputs[0] for o in outputs[1:]):
+                    differ.append((argv, outputs))
     finally:
         use(outer)
     return len(argvs), differ
@@ -128,9 +149,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         count, differ = sweep(trees, triangles(trees[0], Path(tmp)))
     for argv, outputs in differ:
-        print(" ".join(argv[:1] + argv[2:]), f"on {Path(argv[1]).name}:")
-        for src, (code, out, err) in zip(args.src, outputs):
-            print(f"  {src}: exit {code}, {len(out)} chars out, stderr {err[-200:]!r}")
+        print(" ".join(Path(a).name for a in argv) + ":")  # a triangle by its file name
+        for src, (code, out, err, written) in zip(args.src, outputs):
+            wrote = "" if written is None else f", {len(written)} bytes to --out"
+            print(f"  {src}: exit {code}, {len(out)} chars out{wrote}, stderr {err[-200:]!r}")
     print(f"{count} commands, {len(differ)} differ")
     return 1 if differ else 0
 

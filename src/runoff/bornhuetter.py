@@ -31,8 +31,13 @@ class PriorUltimates(YearValues):
 
 
 def default_priors(cum: CumulativeTriangle, factors: DevelopmentFactors) -> PriorUltimates:
-    """Priors set to the chain-ladder ultimates, then frozen."""
-    return PriorUltimates(cum.dimension, project_ultimates(cum, factors))
+    """Priors set to the chain-ladder ultimates, then frozen; ValueError
+    names the first accident year whose ultimate overflows."""
+    ult = project_ultimates(cum, factors)
+    over = np.flatnonzero(~np.isfinite(ult))
+    if over.size:
+        raise ValueError(f"chain-ladder ultimate of accident year {over[0] + 1} overflows double precision")
+    return PriorUltimates(cum.dimension, ult)
 
 
 def bf_reserve_values(fprod: np.ndarray, mu: np.ndarray) -> np.ndarray:

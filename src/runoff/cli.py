@@ -1,5 +1,7 @@
 """Command line interface: triangle ingestion, statistic selection,
-impact computation, verification, and report emission.
+impact computation, verification, and report emission. Each command
+returns its whole document and exit code; main writes the document once,
+to stdout or --out, so a command that exits 1 or 2 writes no document.
 
 Exit codes: 0 success, 1 usage error, 2 data validation failure (a
 statistic that overflows double precision among them), 3 verification
@@ -141,9 +143,23 @@ def _columns(impacts: ImpactTriangle) -> tuple:
     return k.tolist(), j.tolist(), _observed(impacts.values).tolist()
 
 
+def _field(value) -> str:
+    """A CSV field: a number to 10 significant digits, None empty, text as is."""
+    return "" if value is None else value if isinstance(value, str) else f"{value:.10g}"
+
+
+def _csv(header: tuple, rows) -> str:
+    """The header line, then one line of _field per row."""
+    return "\n".join([",".join(header), *(",".join([_field(v) for v in row]) for row in rows)]) + "\n"
+
+
+def _json(doc) -> str:
+    """Every JSON document of the CLI: indented by 2, one trailing newline."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def render_csv(impacts: ImpactTriangle) -> str:
-    rows = map("{},{},{:.10g}".format, *_columns(impacts))
-    return "\n".join(("k,j,value", *rows)) + "\n"
+    return _csv(("k", "j", "value"), zip(*_columns(impacts)))
 
 
 def render_json(impacts: ImpactTriangle, value: float) -> str:
@@ -154,7 +170,7 @@ def render_json(impacts: ImpactTriangle, value: float) -> str:
         "cells": _records(("k", "j", "value"), _columns(impacts)),
         "summary": {"value_of_statistic": value},
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _json(doc)
 
 
 def _diverging_color(value: float, scale: float):
@@ -243,15 +259,6 @@ def _write(text: str, out: str | None):
         raise UsageError(f"cannot write {out}: {exc}") from exc
 
 
-def _emit(impacts: ImpactTriangle, value: float, fmt: str, out: str | None):
-    if fmt == "csv":
-        _write(render_csv(impacts), out)
-    elif fmt == "json":
-        _write(render_json(impacts, value), out)
-    else:
-        _write(render_svg(impacts), out)
-
-
 def _check_target(stat: str, year, inc_dim: int):
     if stat in PER_YEAR:
         if year is None:
@@ -299,11 +306,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _blank_none(value) -> str:
-    """A CSV field: the value to 10 significant digits, empty for None."""
-    return "" if value is None else f"{value:.10g}"
-
-
 def _computed(args) -> tuple:
     """The ingested triangle and compute's impacts, value and prior values
     for it, once --year and --q suit the statistic; a statistic or impact that
@@ -322,13 +324,16 @@ def _computed(args) -> tuple:
     return inc, impacts, value, mu
 
 
-def cmd_reserves(args) -> int:
+def cmd_reserves(args) -> tuple:
     inc = ingest(args.input)
     try:
         cum, factors, fit = _baseline(inc, sigmas=True)
-    except ValueError as exc:  # too few accident years for a variance scale
+    except (ValueError, ZeroDivisionError) as exc:  # too few accident years, or a zero C_{i,k} in sigma^2
         print(f"note: rmse column left empty: {exc}", file=sys.stderr)
         cum, factors, fit = _baseline(inc)
+    total = float(np.sum(fit.reserves))
+    if not math.isfinite(total):  # nor is it where an ultimate is not finite
+        raise DataError(f"{args.input}: the chain-ladder reserves overflow double precision")
     bf_by_year, bf_tot = bf_reserves(cum, factors, load_priors(args.priors, cum, factors))
     dim = inc.dimension
     keys = ("i", "latest", "ultimate", "reserve", "rmse", "bf_reserve")
@@ -337,43 +342,25 @@ def cmd_reserves(args) -> int:
     if fit.sigma2 is not None and None in (*rmse, total_rmse):
         print("note: rmse left empty where the MSE overflows double precision", file=sys.stderr)
     columns = (np.arange(1, dim + 1), fit.latest, fit.ult, fit.reserves, np.array(rmse), bf_by_year)
-    rows = _records(keys, [c.tolist() for c in columns])
-    total = float(np.sum(fit.reserves))
+    columns = [c.tolist() for c in columns]
+    summary = {"reserve_total": total, "rmse_total": total_rmse, "bf_total": bf_tot}
     if args.format == "json":
-        doc = {
-            "statistic": "reserves",
-            "I": dim,
-            "years": rows,
-            "summary": {
-                "reserve_total": total,
-                "rmse_total": total_rmse,
-                "bf_total": bf_tot,
-            },
-        }
-        _write(json.dumps(doc, indent=2) + "\n", args.out)
-    else:
-        lines = [",".join(keys)]
-        for r in rows:
-            lines.append(
-                f"{r['i']},{r['latest']:.10g},{r['ultimate']:.10g},"
-                f"{r['reserve']:.10g},{_blank_none(r['rmse'])},{r['bf_reserve']:.10g}"
-            )
-        lines.append(f"total,,,{total:.10g},{_blank_none(total_rmse)},{bf_tot:.10g}")
-        _write("\n".join(lines) + "\n", args.out)
-    return 0
+        return _json({"statistic": "reserves", "I": dim, "years": _records(keys, columns), "summary": summary}), 0
+    return _csv(keys, [*zip(*columns), ("total", None, None, *summary.values())]), 0
 
 
-def cmd_impact(args) -> int:
+def cmd_impact(args) -> tuple:
     """impact, marginal (the impacts times the increments) and heatmap."""
     inc, impacts, value, _ = _computed(args)
     if args.command == "marginal":
         expected = value if impacts.statistic in ORDER_ONE_STATISTICS else None
         impacts = marginal_contributions(impacts, inc, expected)
-    _emit(impacts, value, args.format, args.out)
-    return 0
+    if args.format == "json":
+        return render_json(impacts, value), 0
+    return (render_csv if args.format == "csv" else render_svg)(impacts), 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     """Checks what impact computes, so refuses what impact refuses."""
     if not args.tolerance >= 0.0:
         raise UsageError(f"--tolerance must be a number >= 0, got {args.tolerance}")
@@ -382,21 +369,19 @@ def cmd_verify(args) -> int:
         report = verify_mse_components(inc, args.tolerance, args.year)
     else:
         report = _verify(inc, args.stat, args.year, mu, args.q, args.tolerance)
+    code = 0 if report.passed else 3
     if args.format == "json":
-        _write(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
-    else:
-        lines = [
-            f"statistic: {report.statistic}",
-            f"cells checked: {report.k.size}",
-            f"max relative error: {report.max_rel_error:.3e}",
-            f"worst cell: {report.worst_cell}",
-            f"tolerance: {report.tolerance:.1e}",
-        ]
-        for key, val in report.notes.items():
-            lines.append(f"{key}: {val:.3e}")
-        lines.append("result: PASS" if report.passed else "result: FAIL")
-        _write("\n".join(lines) + "\n", args.out)
-    return 0 if report.passed else 3
+        return _json(report.to_dict()), code
+    lines = [
+        f"statistic: {report.statistic}",
+        f"cells checked: {report.k.size}",
+        f"max relative error: {report.max_rel_error:.3e}",
+        f"worst cell: {report.worst_cell}",
+        f"tolerance: {report.tolerance:.1e}",
+        *(f"{key}: {val:.3e}" for key, val in report.notes.items()),
+        "result: PASS" if report.passed else "result: FAIL",
+    ]
+    return "\n".join(lines) + "\n", code
 
 
 def main(argv=None) -> int:
@@ -411,7 +396,9 @@ def main(argv=None) -> int:
             "heatmap": cmd_impact,
         }[args.command]
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused or left empty
-            return handler(args)
+            text, code = handler(args)
+        _write(text, args.out)
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

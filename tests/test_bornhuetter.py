@@ -7,7 +7,7 @@ from runoff.bornhuetter import PriorUltimates, bf_reserves, default_priors
 from runoff.chainladder import estimate_development_factors, project_ultimates, reserves
 from runoff.impact import impact_bf_ay, impact_bf_total
 from runoff.oracle import verify_reserve_impacts
-from runoff.triangle import cumulate
+from runoff.triangle import IncrementalTriangle, cumulate
 
 
 class TestPriors:
@@ -24,6 +24,17 @@ class TestPriors:
         priors = PriorUltimates(10, np.array(source))
         source[:] = 0.0
         assert priors.prior(1) > 0.0
+
+    def test_an_overflowing_ultimate_is_refused_by_year(self):
+        """f_1 ~ 3e599, so year 4's ultimate is infinite; the verifier's
+        default priors are refused the same way."""
+        inc = IncrementalTriangle.from_rows([[1e-300, 1e300, 1, 1], [1e-300, 1e-300, 1], [1e-300, 1e-300], [1e100]])
+        cum = cumulate(inc)
+        message = "chain-ladder ultimate of accident year 4 overflows double precision"
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
+            default_priors(cum, estimate_development_factors(cum))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
+            verify_reserve_impacts(inc, "bf-total")
 
     def test_prior_bounds(self):
         priors = PriorUltimates(3, np.array([1.0, 2.0, 3.0]))

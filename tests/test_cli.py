@@ -58,6 +58,27 @@ class TestReservesCommand:
         assert [y["rmse"] for y in doc["years"]] == [None, None, None]
         assert doc["summary"] == {"reserve_total": 90.0, "rmse_total": None, "bf_total": 90.0}
 
+    def test_a_zero_cell_sigma_divides_by_leaves_rmse_empty(self, capsys, tmp_path):
+        """Row 2 starts at 0, a C_{i,k} of sigma^2's ratios: the reserves
+        need no sigmas and are printed; the Mack statistics are refused."""
+        p = tmp_path / "zero.csv"
+        p.write_text("I=4\n100,50,10,5\n0,60,12\n130,70\n140\n")
+        cause = "zero cumulative cell (2, 1) in sigma estimation"
+        assert run(capsys, "reserves", str(p)) == (0, (
+            "i,latest,ultimate,reserve,rmse,bf_reserve\n"
+            "1,165,165,0,,0\n"
+            "2,72,74.25,2.25,,2.25\n"
+            "3,200,227.8571429,27.85714286,,27.85714286\n"
+            "4,140,284.326087,144.326087,,144.326087\n"
+            "total,,,174.4332298,,174.4332298\n"
+        ), f"note: rmse column left empty: {cause}\n")
+        code, out, err = run(capsys, "reserves", str(p), "--format", "json")
+        doc = json.loads(out)
+        assert (code, err) == (0, f"note: rmse column left empty: {cause}\n")
+        assert [y["rmse"] for y in doc["years"]] == [None] * 4 and doc["summary"]["rmse_total"] is None
+        for stat in ("mse-total", "rmse-total", "quantile"):
+            assert run(capsys, "impact", str(p), "--stat", stat) == (2, "", f"error: {cause}\n")
+
 
 class TestImpactCommand:
     def test_csv_output(self, capsys):
@@ -557,6 +578,13 @@ SQUARES_COMMANDS = [  # year 6, whose ultimate squares past the largest double
 ]
 
 
+# An I = 4 triangle whose first factor overflows (f_1 ~ 3e599), so year
+# 4's ultimate is infinite; and one whose ultimates are finite but whose
+# reserves (1.2e308 for each of years 2 to 4) sum past the largest double.
+OVERFLOWING_ULTIMATE = "I=4\n1e-300,1e300,1,1\n1e-300,1e-300,1\n1e-300,1e-300\n1e100\n"
+OVERFLOWING_RESERVE_TOTAL = "I=4\n1,1,1,1.2e308\n1,1,1\n1,1\n1\n"
+
+
 class TestOverflow:
     @pytest.mark.parametrize("argv", [["reserves"], *STAT_COMMANDS], ids=" ".join)
     def test_overflowing_column_sums_are_refused(self, capsys, tmp_path, argv):
@@ -606,6 +634,57 @@ class TestOverflow:
         doc = json.loads(out)
         assert code == 0 and doc["summary"]["rmse_total"] is None
         assert [y["rmse"] for y in doc["years"]] == [0.0] + [None] * 3
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("priors", [False, True], ids=["cl-priors", "priors-file"])
+    @pytest.mark.parametrize("triangle", [OVERFLOWING_ULTIMATE, OVERFLOWING_RESERVE_TOTAL], ids=["ultimate", "total"])
+    def test_reserves_refuse_overflowing_reserves(self, capsys, tmp_path, triangle, priors, fmt):
+        p = tmp_path / "t.csv"
+        p.write_text(triangle)
+        argv = ["reserves", str(p), "--format", fmt]
+        if priors:
+            (tmp_path / "priors.csv").write_text("".join(f"{i},1\n" for i in range(1, 5)))
+            argv += ["--priors", str(tmp_path / "priors.csv")]
+        assert run(capsys, *argv) == (2, "", f"error: {p}: the chain-ladder reserves overflow double precision\n")
+
+    @pytest.mark.parametrize("command", ["impact", "marginal", "verify", "heatmap"])
+    @pytest.mark.parametrize("target", [["bf-total"], ["bf-ay", "--year", "2"]], ids=" ".join)
+    def test_an_infinite_ultimate_is_no_prior(self, capsys, tmp_path, command, target):
+        """Year 2's BF reserve needs year 2's prior alone, but the priors
+        are the chain-ladder ultimates, refused as a whole."""
+        p = tmp_path / "t.csv"
+        p.write_text(OVERFLOWING_ULTIMATE)
+        assert run(capsys, command, str(p), "--stat", *target) == (
+            2, "", "error: chain-ladder ultimate of accident year 4 overflows double precision\n"
+        )
+
+
+OUT_COMMANDS = [
+    ["reserves"],
+    ["reserves", "--format", "json"],
+    *(["impact", "--stat", "reserve-ay", "--year", "8", "--format", fmt] for fmt in ("csv", "json", "svg")),
+    ["marginal", "--stat", "bf-total"],
+    ["heatmap", "--stat", "mse-total"],
+    ["verify"],
+    ["verify", "--stat", "mse-ay", "--year", "4", "--format", "json"],
+    ["verify", "--tolerance", "0"],  # fails, exit 3, and still writes its report
+]
+
+
+class TestOutputFile:
+    @pytest.mark.parametrize("argv", OUT_COMMANDS, ids=" ".join)
+    def test_out_holds_what_stdout_would(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, argv[0], bundled_path(), *argv[1:])
+        assert code == (3 if "--tolerance" in argv else 0) and out
+        target = tmp_path / "out"
+        assert run(capsys, argv[0], bundled_path(), *argv[1:], "--out", str(target)) == (code, "", err)
+        assert target.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("command", ["reserves", "verify"])
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path, command):
+        target = tmp_path / "missing" / "out"
+        code, out, err = run(capsys, command, bundled_path(), "--out", str(target))
+        assert (code, out) == (1, "") and err.startswith(f"usage error: cannot write {target}: ")
 
 
 class TestHelp:

@@ -201,8 +201,9 @@ def test_every_round_zero_op_meets_the_benchmark_reference(tmp_path, monkeypatch
 def test_cli_sweep_compares_two_trees_command_by_command(monkeypatch, capsys):
     """bench/cli_sweep.py on one tree loaded twice, one of them with its
     CSV rendering edited, on the bundled triangle (per-year statistics at
-    year 5 alone): exactly the commands that render a CSV differ, and the
-    runoff in use before is in use after."""
+    year 5 alone): exactly the commands that render a CSV differ, on
+    stdout and with --out in the file, and the runoff in use before is in
+    use after."""
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     sweep = importlib.import_module("cli_sweep")
     monkeypatch.setattr(sweep, "YEARS", (5,))
@@ -216,6 +217,9 @@ def test_cli_sweep_compares_two_trees_command_by_command(monkeypatch, capsys):
         tuple(a) for a in sweep.commands(path, STATISTICS)
         if a[0] in ("impact", "marginal") and dict(zip(a, a[1:])).get("--format", "csv") == "csv"
     }
-    assert count == 4 + 9 * 10 + 5 and got and set(got) <= csv
-    assert all(outputs[1][:2] == (0, "edited\n") for outputs in got.values())
+    to_file = {(*a, "--out", sweep.OUT) for a in csv}
+    assert count == 2 * (4 + 9 * 10 + 5) + 5 and got and set(got) <= csv | to_file
+    assert {a for a in got if sweep.OUT not in a} == {a[:-2] for a in got if sweep.OUT in a}
+    edited = {False: (0, "edited\n", None), True: (0, "", b"edited\n")}  # (exit, stdout, file) by --out
+    assert all((o[0], o[1], o[3]) == edited[sweep.OUT in argv] for argv, (_, o) in got.items())
     assert all(main(list(argv)) != 0 for argv in csv - set(got))  # the ones that render nothing
