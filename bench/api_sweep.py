@@ -1,0 +1,102 @@
+"""Compute every public impact triangle and verifier report with two
+runoff source trees and report every result that differs.
+
+    python bench/api_sweep.py --src OTHER/src src
+
+Both trees are loaded in one process, each runoff package in its own set
+of sys.modules entries (bench/layers.py's load and use), and each result
+is computed by one tree, then the other. The triangles are bench/layers.py's
+random_rows at I = 4, 10, 40 and 100. On each, the results are the impact
+triangles of every statistic, the per-year ones at every accident year and
+the quantile at q = 0.995, and the reports of verify_reserve_impacts (its
+four statistics) and verify_mse_components, each at year None, 1, I//2
+and I where it takes a year, and of verify_quantile_impacts. A result is
+the bytes of each array it holds and the repr of every other field, or the
+type and message of what it raised; a result that differs is printed, and
+the exit code is 1 on any difference, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+
+import numpy as np
+
+from layers import load, packaged, random_rows, use
+
+SIZES = (4, 10, 40, 100)
+QUANTILE_LEVEL = 0.995
+
+
+def calls(runoff, dim: int) -> dict:
+    """Name -> zero-argument call, every one of the sweep on random_rows(dim)."""
+    inc = runoff.IncrementalTriangle.from_rows(random_rows(dim))
+    cum = runoff.cumulate(inc)
+    factors = runoff.estimate_development_factors(cum)
+    sigmas = runoff.estimate_sigmas(cum, factors)
+    priors = runoff.default_priors(cum, factors)
+    out = {
+        "impact_reserve_total": lambda: runoff.impact_reserve_total(cum, factors),
+        "impact_bf_total": lambda: runoff.impact_bf_total(cum, factors, priors),
+        "impact_mse_total": lambda: runoff.impact_mse_total(cum, factors, sigmas),
+        "impact_quantile": lambda: runoff.impact_quantile(cum, factors, sigmas, QUANTILE_LEVEL),
+        "verify_quantile_impacts": lambda: runoff.verify_quantile_impacts(inc, QUANTILE_LEVEL),
+    }
+    for i in range(1, dim + 1):
+        out[f"impact_reserve_ay {i}"] = lambda i=i: runoff.impact_reserve_ay(cum, factors, i)
+        out[f"impact_bf_ay {i}"] = lambda i=i: runoff.impact_bf_ay(cum, factors, priors, i)
+        out[f"impact_mse_ay {i}"] = lambda i=i: runoff.impact_mse_ay(cum, factors, sigmas, i)
+    for year in (None, 1, dim // 2, dim):
+        out[f"verify_mse_components {year}"] = lambda y=year: runoff.verify_mse_components(inc, year=y)
+        for stat in ("reserve-total", "bf-total") if year is None else ("reserve-ay", "bf-ay"):
+            out[f"verify_reserve_impacts {stat} {year}"] = (
+                lambda s=stat, y=year: runoff.verify_reserve_impacts(inc, s, y))
+    return out
+
+
+def outcome(call) -> tuple:
+    """The result of call, its fields as array bytes or reprs, or what it raised."""
+    try:
+        value = call()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return tuple(v.tobytes() if isinstance(v, np.ndarray) else repr(v) for v in vars(value).values())
+
+
+def sweep(trees: list, sizes=SIZES) -> tuple:
+    """(results computed per tree, the names of the differing ones); the
+    runoff package in use before is in use after."""
+    count, differ, outer = 0, [], packaged()
+    try:
+        for dim in sizes:
+            per_tree = []
+            for tree in trees:
+                use(tree)
+                per_tree.append(calls(tree["runoff"], dim))
+            for name in per_tree[0]:
+                results = []
+                for tree, tree_calls in zip(trees, per_tree):
+                    use(tree)
+                    results.append(outcome(tree_calls[name]))
+                count += 1
+                if any(r != results[0] for r in results[1:]):
+                    differ.append(f"I={dim} {name}")
+    finally:
+        use(outer)
+    return count, differ
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", nargs=2, required=True, help="two directories holding runoff/")
+    args = parser.parse_args(argv)
+    count, differ = sweep([load(src) for src in args.src])
+    for name in differ:
+        print(f"{name} differs")
+    print(f"{count} results, {len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -23,9 +23,10 @@ The fit stage times building that Fit with its Mack sums, and
 sensitivity_report a whole report (the perfbench api-report op) from
 the increments. A triangle keeps what its verifiers fit, so each
 verify_* call checks a fresh IncrementalTriangle of the same values and
-times a first verification; verify_mse_components_year checks year
-I//2 alone, the single-year path, and verify_round makes the four
-perfbench oracle-verify ops on one fresh triangle.
+times a first verification; verify_reserve_impacts_year checks the
+reserve of year I//2 and verify_mse_components_year the MSE of year I//2
+alone, the single-year paths, and verify_round makes the four perfbench
+oracle-verify ops on one fresh triangle.
 The validate stage checks the increments as ingest does, decumulate
 inverts the cumulated triangle, and render_csv writes the reserve-total
 impact triangle as the CLI's CSV.
@@ -129,6 +130,7 @@ def stages(runoff, dim: int) -> dict:
         "impact_quantile": lambda: runoff.impact_quantile(cum, factors, sigmas, QUANTILE_LEVEL),
         "sensitivity_report": lambda: sensitivity_report(runoff, inc),
         "verify_reserve_impacts": lambda: runoff.verify_reserve_impacts(fresh(), "reserve-total"),
+        "verify_reserve_impacts_year": lambda: runoff.verify_reserve_impacts(fresh(), "reserve-ay", dim // 2),
         "verify_mse_components": lambda: runoff.verify_mse_components(fresh()),
         "verify_mse_components_year": lambda: runoff.verify_mse_components(fresh(), year=dim // 2),
         "verify_quantile_impacts": lambda: runoff.verify_quantile_impacts(fresh(), QUANTILE_LEVEL),

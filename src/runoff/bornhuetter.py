@@ -40,17 +40,20 @@ def default_priors(cum: CumulativeTriangle, factors: DevelopmentFactors) -> Prio
     return PriorUltimates(cum.dimension, ult)
 
 
+def _usable_priors(fprod: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """The priors mu, 0 where missing, over the leading batch axes of fprod;
+    ValueError names the first year with F_i != 1 and no finite positive prior."""
+    finite = np.isfinite(mu)
+    missing = np.nonzero((np.real(fprod) != 1.0) & ~(finite & (mu > 0)))[-1]
+    if missing.size:
+        raise ValueError(f"missing or non-positive prior for accident year {missing.min() + 1}")
+    return np.where(finite, mu, 0.0)
+
+
 def bf_reserve_values(fprod: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Per-year BF reserves mu_i (1 - 1/F_i) over the leading batch axes of
-    the factor products F_i = f_{I-i+1} ... f_{I-1}; a year with F_i = 1
-    needs no prior."""
-    finite = np.isfinite(mu)
-    ahead = np.real(fprod) != 1.0
-    missing = np.nonzero(ahead & ~(finite & (mu > 0)))[-1]
-    if missing.size:
-        year = missing.min() + 1
-        raise ValueError(f"missing or non-positive prior for accident year {year}")
-    mu = np.where(finite, mu, 0.0)
+    F_i = f_{I-i+1} ... f_{I-1}, of the priors _usable_priors accepts."""
+    mu = _usable_priors(fprod, mu)
     return mu - mu / fprod
 
 

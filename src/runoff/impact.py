@@ -11,7 +11,8 @@ one chainladder.Fit (the column sums A_s, B_s and the latest diagonal
 L_i), so each impact is first its gradient over the sums, O(I) (_grad),
 then mapped to the cells by one chain rule (_to_cells): cell (k, j) gets
 a row effect of k less a column effect of j. The oracle maps its
-complex-step gradients by the same rule.
+complex-step gradients by the same rule. Each statistic has one gradient,
+_reserve, _bf and _mse, of its total for year None, else of that year.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from runoff.bornhuetter import PriorUltimates, _prior_values
+from runoff.bornhuetter import PriorUltimates, _prior_values, _usable_priors
 from runoff.chainladder import DevelopmentFactors, Fit, SigmaEstimates, _ahead, _fit
 from runoff.triangle import (
     CumulativeTriangle,
@@ -91,31 +92,26 @@ def _impact(statistic: str, target, grad: np.ndarray) -> ImpactTriangle:
     return ImpactTriangle(statistic, target, dim, values)
 
 
-def _grad(fit: Fit, c: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
-    """The gradient over the fitted sums of sum over years q of
-    c_q ln F_q + diagonal_q L_q, with c and diagonal held fixed.
+def _grad(fit: Fit, c: np.ndarray, diagonal: np.ndarray, year=None) -> np.ndarray:
+    """The gradient over the fitted sums of c_q ln F_q + diagonal_q L_q,
+    c and diagonal held fixed: summed over the years q for year None, of q =
+    year alone for an accident year, one row per year for a 1-D array of them.
 
     ln F_q sums ln f_s over the years s = I-q+1..I-1 ahead of q, and
     d ln f_s = dA_s / A_s - dB_s / B_s; swapping the sums, a_s = the sum of
     c_q over q >= I-s+1 (one _ahead) goes on A_s as a_s / A_s and on B_s
     as -a_s / B_s. c and diagonal may carry leading batch axes, (..., I),
-    and so does the result. With c = ult and diagonal = F - 1 it is the
-    gradient of the reserves, R_q = L_q F_q - L_q.
+    and so does the result (an array of years takes them unbatched). With
+    c = ult and diagonal = F - 1 it is the gradient of the reserves,
+    R_q = L_q F_q - L_q.
     """
+    if year is not None:
+        if np.ndim(year) == 0 and not 1 <= year <= fit.dimension:
+            raise IndexError(f"accident year {year} out of range 1..{fit.dimension}")
+        alone = np.arange(1, fit.dimension + 1) == np.asarray(year)[..., None]
+        c, diagonal = np.where(alone, c, 0.0), np.where(alone, diagonal, 0.0)
     a = _ahead(c[..., 1:])[..., 1:]
     return np.concatenate((a / fit.num, -a / fit.den, diagonal), axis=-1)
-
-
-def _year(fit: Fit, i: int | None, per_year: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
-    """_grad of per_year and diagonal on accident year i alone; for i None,
-    every year's, (I, 3I-2), from the rows of diag(per_year) and
-    diag(diagonal), row i-1 year i's bit for bit."""
-    if i is None:
-        return _grad(fit, np.diag(per_year), np.diag(diagonal))
-    if not 1 <= i <= fit.dimension:
-        raise IndexError(f"accident year {i} out of range 1..{fit.dimension}")
-    alone = np.arange(1, fit.dimension + 1) == i
-    return _grad(fit, np.where(alone, per_year, 0.0), np.where(alone, diagonal, 0.0))
 
 
 def d_ln_f(cum: CumulativeTriangle, s: int, k: int, j: int) -> float:
@@ -139,25 +135,19 @@ def impact_reserve_ay(
 ) -> ImpactTriangle:
     """IF_{k,j}(R_i): zero for k > i, flat (f-product - 1) for k = i,
     the ultimate times the d ln f sum over s = I-i+1..I-k for k < i."""
-    return _impact("reserve-ay", i, _reserve_ay(_fit(cum, factors), i))
+    return _impact("reserve-ay", i, _reserve(_fit(cum, factors), i))
 
 
-def _reserve_ay(fit: Fit, i: int | None) -> np.ndarray:
-    """The gradient of R_i over the fitted sums, or every year's, (I, 3I-2),
-    for i None."""
-    return _year(fit, i, fit.ult, fit.fprod - 1.0)
-
-
-def _reserve_total(fit: Fit) -> np.ndarray:
-    """The gradient of the total reserve over the fitted sums."""
-    return _grad(fit, fit.ult, fit.fprod - 1.0)
+def _reserve(fit: Fit, year=None) -> np.ndarray:
+    """The gradient of the reserve R_year over the fitted sums (see _grad)."""
+    return _grad(fit, fit.ult, fit.fprod - 1.0, year)
 
 
 def impact_reserve_total(
     cum: CumulativeTriangle, factors: DevelopmentFactors
 ) -> ImpactTriangle:
     """IF_{k,j}(R) = sum over accident years of IF_{k,j}(R_i)."""
-    return _impact("reserve-total", None, _reserve_total(_fit(cum, factors)))
+    return _impact("reserve-total", None, _reserve(_fit(cum, factors)))
 
 
 def impact_bf_ay(
@@ -171,11 +161,11 @@ def impact_bf_ay(
     return _impact("bf-ay", i, _bf(_fit(cum, factors), i, _prior_values(cum, priors)))
 
 
-def _bf(fit: Fit, i: int | None, mu: np.ndarray) -> np.ndarray:
-    """The gradient of the BF reserve R_i^BF over the fitted sums, the
-    priors mu frozen, or of the total for i None: mu_i / F_i on ln F_i."""
-    c, diagonal = mu / fit.fprod, np.zeros(fit.dimension)
-    return _grad(fit, c, diagonal) if i is None else _year(fit, i, c, diagonal)
+def _bf(fit: Fit, year, mu: np.ndarray) -> np.ndarray:
+    """The gradient of the BF reserve R_year^BF over the fitted sums (see _grad),
+    the priors mu frozen and checked (_usable_priors): mu_i / F_i on ln F_i."""
+    c = _usable_priors(fit.fprod, mu) / fit.fprod
+    return _grad(fit, c, np.zeros_like(c), year)
 
 
 def impact_bf_total(
@@ -211,13 +201,7 @@ def impact_mse_ay(
     negative constant times IF_{k,j}(R_i): the estimation error shrinks
     when the reserve impact grows.
     """
-    return _impact("mse-ay", i, _mse_ay(_fit(cum, factors, sigmas), i))
-
-
-def _mse_ay(fit: Fit, i: int | None) -> np.ndarray:
-    """The gradient of mse_i over the fitted sums, or every year's,
-    (I, 3I-2), for i None."""
-    return _year(fit, i, _shrink(fit) * fit.ult, _mse_diagonal(fit))
+    return _impact("mse-ay", i, _mse(_fit(cum, factors, sigmas), i))
 
 
 def impact_rmse(mse_value: float, mse_impacts: ImpactTriangle) -> ImpactTriangle:
@@ -252,9 +236,10 @@ def _check_mse(what: str, mse: float, zero_sigmas: bool):
         raise ValueError(f"{what} undefined: {cause}")
 
 
-def _mse_total(fit: Fit) -> np.ndarray:
-    """Sum over years of the per-year MSE gradients plus, by the product
-    rule, of the cross covariances u_i v_i, u_i = ult_i later_i, v_i = 2 w_i.
+def _mse(fit: Fit, year=None) -> np.ndarray:
+    """The gradient of mse_year over the fitted sums (see _grad); for year
+    None, of the total MSE: the per-year gradients summed, plus by the product
+    rule those of the cross covariances u_i v_i, u_i = ult_i later_i, v_i = 2 w_i.
 
     Summed over i with the weights v_i, d(u_i) is sum over q of alpha_q
     dChat_q, alpha_q = v_q later_q + sum over i < q of v_i ult_i: alpha
@@ -264,6 +249,8 @@ def _mse_total(fit: Fit) -> np.ndarray:
     scale_r = -2 sigma^2_r / (f_r^2 B_r^2) times the u_i of the years
     i >= I-r+1 that have r ahead of them.
     """
+    if year is not None:
+        return _grad(fit, _shrink(fit) * fit.ult, _mse_diagonal(fit), year)
     v = 2.0 * fit.w
     alpha = np.concatenate(([0.0], np.cumsum(v * fit.ult)[:-1])) + v * fit.later
     s = fit.scale  # B_r^2 and u over s^2, so they overflow only with the MSE
@@ -282,7 +269,7 @@ def impact_mse_total(
     years of the per-year MSE impacts plus the product rule on the cross
     covariances u_i v_i, u_i = Chat_i * sum(Chat_q, q > i) and v_i = 2 w_i,
     differentiating both the factors and the column sums in w_i."""
-    return _impact("mse-total", None, _mse_total(_fit(cum, factors, sigmas)))
+    return _impact("mse-total", None, _mse(_fit(cum, factors, sigmas)))
 
 
 def marginal_contributions(

@@ -15,13 +15,14 @@ cumulated and fitted once for the CLI and all its verifiers.
 The step subtracts nothing, so there is no step size to choose and the
 derivative is exact to rounding. Every verifier compares an analytic
 gradient with the complex step of the statistic it is the gradient of,
-both read from the one table of the statistics (_STATISTICS), which the
-CLI computes them from too: the refit reserves; for the MSE impacts,
-which hold sigma^2 fixed and substitute the estimation error after
-differentiation, the MSE with the coefficients its formula holds fixed
-frozen at the baseline (_frozen_mse), which the MSE verifier steps with
-its building blocks and the plug-in MSE in one stack (_stepped_mse),
-picking its targets by one row slice; and the lognormal quantile map.
+both read from the one table of the statistics (_STATISTICS, year None
+the total), which the CLI computes them from too: the refit reserves;
+for the MSE impacts, which hold sigma^2 fixed and substitute the
+estimation error after differentiation, the MSE with the coefficients
+its formula holds fixed frozen at the baseline (_frozen_mse), which the
+MSE verifier steps with its building blocks and the plug-in MSE in one
+stack (_stepped_mse), picking its targets by one row slice; and the
+lognormal quantile map.
 
 A cell's rel_error is |a - n| / max(|a|, |n|, I eps S / TOLERANCE), S
 the largest |analytic| of the triangle the cell belongs to: a difference
@@ -42,8 +43,7 @@ import numpy as np
 
 from runoff.bornhuetter import PriorUltimates, _prior_values, bf_reserve_values, default_priors
 from runoff.chainladder import Fit, _ahead, _baseline, _product
-from runoff.impact import (_bf, _mse_ay, _mse_diagonal, _mse_total, _reserve_ay, _reserve_total, _shrink,
-                           _to_cells, _year)
+from runoff.impact import _bf, _grad, _mse, _mse_diagonal, _reserve, _shrink, _to_cells
 from runoff.quantile import _quantile, fit_lognormal, lognormal_quantile
 from runoff.triangle import IncrementalTriangle, _cells, _read_only, _records
 
@@ -237,8 +237,9 @@ def _verify(inc: IncrementalTriangle, name: str, year, mu, q, tolerance: float) 
     from inc's baseline: its grad against the complex step of its stepped."""
     entry = _STATISTICS[name]
     _, _, fit = _baseline(inc, entry.sigmas)
+    analytic = entry.grad(fit, year, mu, q)  # first, to refuse a year or priors before any step
     numeric = complex_step(fit, lambda stack: entry.stepped(fit, stack, year, mu, q))
-    return VerificationReport(name, tolerance, entry.grad(fit, year, mu, q), numeric)
+    return VerificationReport(name, tolerance, analytic, numeric)
 
 
 def _frozen_mse(base: Fit, stack: Fit, ln_f: np.ndarray) -> np.ndarray:
@@ -246,8 +247,8 @@ def _frozen_mse(base: Fit, stack: Fit, ln_f: np.ndarray) -> np.ndarray:
     coefficients the MSE impacts hold fixed frozen at base; ln_f is the
     stack's ln f. Year i is shrink_i Chat_i ln F_i + diagonal_i L_i, and the
     total adds u_i 2 w_i + v_i Chat_i later_i over the years, u = Chat later
-    and v = 2 w of base: at base its gradient is that of _mse_ay and
-    _mse_total, so a complex step applies the chain and product rules."""
+    and v = 2 w of base: at base its gradient is that of _mse, of each year
+    and of the total, so a complex step applies the chain and product rules."""
     yearly = _shrink(base) * base.ult * _ahead(ln_f) + _mse_diagonal(base) * stack.latest
     cross = _product(base.ult, base.later * 2.0, stack.w, base.scale) + 2.0 * base.w * stack.ult * stack.later
     return np.concatenate((yearly, np.sum(yearly + cross, axis=-1, keepdims=True)), axis=-1)
@@ -292,7 +293,7 @@ def verify_mse_components(
     fsq = (fit.factors**2)[:, None]
     d_colsum_fsq = fsq * 2.0 * fit.den[:, None] * d_lnf
     d_colsum_fsq[s, dim - 1 + s] += fsq[:, 0]
-    closed = np.concatenate((d_lnf, _year(fit, None, fit.ult, fit.fprod), d_colsum_fsq))
+    closed = np.concatenate((d_lnf, _grad(fit, np.diag(fit.ult), np.diag(fit.fprod)), d_colsum_fsq))
     worst = np.max(relative_error(closed, blocks, _floor(closed, dim)), axis=-1)
     notes = {f"{name}_max_rel": float(m)
              for name, m in zip(BLOCKS, np.maximum.reduceat(worst, [0, dim - 1, 2 * dim - 1]))}
@@ -300,7 +301,7 @@ def verify_mse_components(
     # the checked targets, mapped to the cells by the report; the direct derivative
     # of the last one's plug-in value, sigma^2 held at the baseline, is noted only
     rows = slice(1, None) if year is None else slice(year - 1, year)
-    analytic = np.concatenate((_mse_ay(fit, None), _mse_total(fit)[None]))[rows]
+    analytic = np.concatenate((_mse(fit, np.arange(1, dim + 1)), _mse(fit)[None]))[rows]
     direct, numeric = _to_cells(np.stack((analytic[-1], plugin[rows][-1])))
     rel = relative_error(direct, numeric, _floor(direct, dim))
     notes["direct_fd_max_rel"] = float(np.max(rel, initial=0.0))
@@ -355,7 +356,7 @@ def _stepped_mse(base: Fit, stack: Fit) -> np.ndarray:
 
 _RESERVE = _Statistic(
     lambda fit, year, mu, q: _pick(fit.reserves, year),
-    lambda fit, year, mu, q: _reserve_total(fit) if year is None else _reserve_ay(fit, year),
+    lambda fit, year, mu, q: _reserve(fit, year),
     lambda base, stack, *args: _RESERVE.value(stack, *args),  # the refit reserve
 )
 _BF = _Statistic(
@@ -366,8 +367,9 @@ _BF = _Statistic(
 )
 _MSE = _Statistic(
     lambda fit, year, mu, q: fit.mse_total if year is None else fit.mse_by_year[..., year - 1],
-    lambda fit, year, mu, q: _mse_total(fit) if year is None else _mse_ay(fit, year),
-    lambda base, stack, year, mu, q: _frozen_mse(base, stack, np.log(stack.factors))[..., year - 1 if year else -1],
+    lambda fit, year, mu, q: _mse(fit, year),
+    lambda base, stack, year, *_: _frozen_mse(base, stack, np.log(stack.factors))[
+        ..., -1 if year is None else year - 1],
     sigmas=True,
 )
 _QUANTILE = _Statistic(

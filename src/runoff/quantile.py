@@ -14,7 +14,7 @@ from statistics import NormalDist
 import numpy as np
 
 from runoff.chainladder import DevelopmentFactors, Fit, SigmaEstimates, _fit, _scale
-from runoff.impact import ImpactTriangle, _check_mse, _impact, _mse_total, _reserve_total
+from runoff.impact import ImpactTriangle, _check_mse, _impact, _mse, _reserve
 from runoff.triangle import CumulativeTriangle
 
 __all__ = ["LognormalFit", "fit_lognormal", "inv_std_normal_cdf", "lognormal_quantile",
@@ -92,7 +92,7 @@ def _quantile(state: Fit, q: float) -> np.ndarray:
     fit = fit_lognormal(total, mse)
     z = inv_std_normal_cdf(q)
     fq = lognormal_quantile(fit, q)
-    d_r, d_m = _reserve_total(state), _mse_total(state)
+    d_r, d_m = _reserve(state), _mse(state)
     s = state.scale
     d_sigma2 = (d_m - 2.0 * mse * d_r / total) / (mse / s / s + (total / s) ** 2) / s / s
     d_mu = d_r / total - d_sigma2 / 2.0

@@ -71,6 +71,38 @@ class TestBfReserves:
         by_year, _ = bf_reserves(cum, factors, PriorUltimates(10, mu))
         assert by_year[0] == 0.0
 
+    def test_first_year_needs_no_prior_in_the_impacts(self, belgian):
+        cum = cumulate(belgian)
+        factors = estimate_development_factors(cum)
+        priors = default_priors(cum, factors)
+        mu = priors.values.copy()
+        mu[0] = np.nan
+        given = PriorUltimates(10, mu)
+        assert impact_bf_total(cum, factors, given).values.tobytes() == \
+            impact_bf_total(cum, factors, priors).values.tobytes()
+        for i in (1, 2, 10):
+            assert impact_bf_ay(cum, factors, given, i).values.tobytes() == \
+                impact_bf_ay(cum, factors, priors, i).values.tobytes()
+
+    @staticmethod
+    def refused_by_every_bf_statistic(belgian, year, prior, want):
+        """The five BF callables refuse the chain-ladder priors with year's
+        prior replaced, each with the message want."""
+        cum = cumulate(belgian)
+        factors = estimate_development_factors(cum)
+        mu = default_priors(cum, factors).values.copy()
+        mu[year - 1] = prior
+        priors = PriorUltimates(10, mu)
+        for call in (
+            lambda: bf_reserves(cum, factors, priors),
+            lambda: impact_bf_total(cum, factors, priors),
+            lambda: impact_bf_ay(cum, factors, priors, year),
+            lambda: verify_reserve_impacts(belgian, "bf-total", priors=priors),
+            lambda: verify_reserve_impacts(belgian, "bf-ay", year, priors),
+        ):
+            with pytest.raises(ValueError, match=want):
+                call()
+
     def test_missing_prior_rejected(self, belgian):
         cum = cumulate(belgian)
         factors = estimate_development_factors(cum)
@@ -78,6 +110,7 @@ class TestBfReserves:
         mu[4] = np.nan
         with pytest.raises(ValueError, match="missing or non-positive prior for accident year 5"):
             bf_reserves(cum, factors, PriorUltimates(10, mu))
+        self.refused_by_every_bf_statistic(belgian, 5, np.nan, "missing or non-positive prior for accident year 5")
 
     def test_negative_prior_rejected(self, belgian):
         cum = cumulate(belgian)
@@ -86,6 +119,10 @@ class TestBfReserves:
         mu[9] = -1.0
         with pytest.raises(ValueError, match="accident year 10"):
             bf_reserves(cum, factors, PriorUltimates(10, mu))
+        self.refused_by_every_bf_statistic(belgian, 5, -1e8, "missing or non-positive prior for accident year 5")
+
+    def test_zero_prior_rejected(self, belgian):
+        self.refused_by_every_bf_statistic(belgian, 5, 0.0, "missing or non-positive prior for accident year 5")
 
     def test_dimension_mismatch(self, belgian):
         """Every BF statistic refuses priors for another number of years,

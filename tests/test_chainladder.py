@@ -374,8 +374,8 @@ class TestFitMemo:
         fresh = impact_mse_total(cumulate(belgian), factors, other).values  # by Fit.of
         assert got.tobytes() == fresh.tobytes()
         assert not np.array_equal(got, impact_mse_total(cum, factors, sigmas).values, equal_nan=True)
-        other_total = impact._reserve_total(_fit(cum, factors, other))
-        assert other_total.tobytes() == impact._reserve_total(held).tobytes()
+        other_total = impact._reserve(_fit(cum, factors, other))
+        assert other_total.tobytes() == impact._reserve(held).tobytes()
 
     def test_the_sigma_fit_is_derived_from_the_held_fit(self, belgian, fit_builds):
         cum = cumulate(belgian)

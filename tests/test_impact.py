@@ -18,9 +18,10 @@ from runoff.chainladder import (
 )
 from runoff.impact import (
     ImpactTriangle,
+    _bf,
     _check_mse,
-    _mse_ay,
-    _reserve_ay,
+    _mse,
+    _reserve,
     _to_cells,
     d_ln_f,
     impact_bf_ay,
@@ -32,6 +33,7 @@ from runoff.impact import (
     impact_rmse,
     marginal_contributions,
 )
+from runoff.oracle import complex_step
 from runoff.triangle import _observed, cumulate
 from test_impact_reference import reference_g
 
@@ -225,23 +227,53 @@ class TestRmseTransform:
 
 @pytest.mark.parametrize("dim", [4, 12, 40])
 def test_batched_years_are_the_per_year_impacts(dim):
-    """_reserve_ay and _mse_ay for every year at once, one (I, 3I-2) batch
-    of gradients mapped to the cells by _to_cells, equal each year's
-    gradient and public impact triangle bit for bit."""
+    """_reserve, _bf and _mse of an array of years, every year or a subset,
+    one (years, 3I-2) batch of gradients mapped to the cells by _to_cells,
+    equal each year's gradient and public impact triangle bit for bit."""
     cum = cumulate(random_triangle(np.random.default_rng([11, dim]), dim))
     factors = estimate_development_factors(cum)
     sigmas = estimate_sigmas(cum, factors)
+    priors = default_priors(cum, factors)
     fit = _fit(cum, factors, sigmas)
     for build, one in (
-        (_reserve_ay, lambda i: impact_reserve_ay(cum, factors, i)),
-        (_mse_ay, lambda i: impact_mse_ay(cum, factors, sigmas, i)),
+        (_reserve, lambda i: impact_reserve_ay(cum, factors, i)),
+        (lambda fit, year: _bf(fit, year, priors.values), lambda i: impact_bf_ay(cum, factors, priors, i)),
+        (_mse, lambda i: impact_mse_ay(cum, factors, sigmas, i)),
     ):
-        batch = build(fit, None)
-        assert batch.shape == (dim, 3 * dim - 2)
-        cells = _to_cells(batch)
-        for i in range(1, dim + 1):
-            assert np.array_equal(batch[i - 1], build(fit, i))
-            assert np.array_equal(cells[i - 1], _observed(one(i).values))
+        for years in (np.arange(1, dim + 1), np.array([2, dim])):
+            batch = build(fit, years)
+            assert batch.shape == (years.size, 3 * dim - 2)
+            cells = _to_cells(batch)
+            for row, i in enumerate(years.tolist()):
+                assert np.array_equal(batch[row], build(fit, i))
+                assert np.array_equal(cells[row], _observed(one(i).values))
+
+
+@pytest.mark.parametrize("dim", [4, 12, 40])
+def test_each_reserve_gradient_steps_over_a_stacked_fit(dim):
+    """_reserve and _bf, per year and total, take the stacked fit of a
+    complex step: the step of each gradient is (3I-2, 3I-2), the Hessian
+    over the fitted sums, symmetric to I eps of its largest entry, and
+    every real part of the stepped gradient is the unstepped one to I eps
+    of its largest entry."""
+    cum = cumulate(random_triangle(np.random.default_rng([12, dim]), dim))
+    factors = estimate_development_factors(cum)
+    fit = _fit(cum, factors)
+    mu = default_priors(cum, factors).values
+    eps = np.finfo(float).eps
+    for name, g in (("reserve", _reserve), ("bf", lambda f, year: _bf(f, year, mu))):
+        for year in (None, 1, dim // 2, dim):
+            stepped = []
+
+            def gradient(stack):
+                stepped.append(g(stack, year))
+                return stepped[-1]
+
+            hessian = complex_step(fit, gradient)
+            assert hessian.shape == (3 * dim - 2, 3 * dim - 2), (name, year)
+            assert np.all(np.abs(hessian - hessian.T) <= dim * eps * np.max(np.abs(hessian))), (name, year)
+            want = g(fit, year)
+            assert np.all(np.abs(stepped[0].real - want) <= dim * eps * np.max(np.abs(want))), (name, year)
 
 
 class TestMarginalContributions:

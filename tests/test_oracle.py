@@ -209,6 +209,14 @@ class TestVerifyReserveImpacts:
         with pytest.raises(ValueError, match="needs an accident year"):
             verify_reserve_impacts(belgian, "reserve-ay")
 
+    @pytest.mark.parametrize("stat", ["reserve-ay", "bf-ay"])
+    @pytest.mark.parametrize("year", [0, -1, 11, 12])
+    def test_a_year_out_of_range_is_named(self, belgian, stat, year):
+        """A year below 1 or past I is refused by the analytic gradient,
+        before the complex step would index past the stack's reserves."""
+        with pytest.raises(IndexError, match=f"accident year {year} out of range 1..10"):
+            verify_reserve_impacts(belgian, stat, year)
+
     def test_unknown_statistic_names_the_four(self, belgian, fit_builds):
         want = "'mse-total'; expected one of reserve-total, reserve-ay, bf-total, bf-ay"
         with pytest.raises(ValueError, match=want):
@@ -563,7 +571,7 @@ def building_blocks(fit):
     fsq = (fit.factors**2)[:, None]
     d_colsum_fsq = fsq * 2.0 * fit.den[:, None] * d_lnf
     d_colsum_fsq[s, dim - 1 + s] += fsq[:, 0]
-    d_ult = impact._year(fit, None, fit.ult, fit.fprod)
+    d_ult = impact._grad(fit, np.diag(fit.ult), np.diag(fit.fprod))
     return {"d_ln_f": d_lnf, "d_ultimate": d_ult, "d_colsum_fsq": d_colsum_fsq}
 
 
@@ -863,8 +871,8 @@ def test_a_dropped_term_of_g_fails(s, monkeypatch):
     inc = random_triangle(np.random.default_rng([6, dim]), dim)
     grad = impact._grad
 
-    def dropped(fit, c, diagonal):
-        values = grad(fit, c, diagonal)
+    def dropped(fit, c, diagonal, year=None):
+        values = grad(fit, c, diagonal, year)
         values[..., dim - 2 + s] = 0.0
         return values
 
@@ -873,12 +881,15 @@ def test_a_dropped_term_of_g_fails(s, monkeypatch):
 
 
 def planted_mse_total(drop):
-    """impact._mse_total with one of its five terms dropped: "v-later",
-    the v_q later_q part of alpha; "cumulative", alpha's sum over the
-    earlier years; "diagonal", alpha F on the diagonal; "scale-a" and
-    "scale-b", the scale term on A_r and on B_r. drop None keeps all."""
+    """impact._mse with one of the five terms of its total dropped:
+    "v-later", the v_q later_q part of alpha; "cumulative", alpha's sum over
+    the earlier years; "diagonal", alpha F on the diagonal; "scale-a" and
+    "scale-b", the scale term on A_r and on B_r. drop None keeps all. A
+    year's gradient is the library's."""
 
-    def mse_total(fit):
+    def mse_total(fit, year=None):
+        if year is not None:
+            return impact._mse(fit, year)
         v = 2.0 * fit.w
         alpha = np.zeros(fit.dimension)
         if drop != "cumulative":
@@ -905,9 +916,9 @@ def test_a_dropped_term_of_the_mse_total_fails(dim, drop, monkeypatch):
     cum = cumulate(inc)
     factors = estimate_development_factors(cum)
     fit = Fit.of(cum.values, factors.values, estimate_sigmas(cum, factors).values)
-    assert np.array_equal(planted_mse_total(None)(fit), impact._mse_total(fit))
-    monkeypatch.setattr(oracle, "_mse_total", planted_mse_total(drop))
-    monkeypatch.setattr(quantile, "_mse_total", planted_mse_total(drop))
+    assert np.array_equal(planted_mse_total(None)(fit), impact._mse(fit))
+    monkeypatch.setattr(oracle, "_mse", planted_mse_total(drop))
+    monkeypatch.setattr(quantile, "_mse", planted_mse_total(drop))
     assert not verify_mse_components(inc).passed
     assert not verify_quantile_impacts(inc, 0.995).passed
 
@@ -930,7 +941,7 @@ def planted_quantile(drop):
         total, mse = float(np.sum(state.reserves)), state.mse_total
         fit = quantile.fit_lognormal(total, mse)
         z = quantile.inv_std_normal_cdf(q)
-        d_r, d_m = impact._reserve_total(state), impact._mse_total(state)
+        d_r, d_m = impact._reserve(state), impact._mse(state)
         on_r = 0.0 if drop == "reserve-in-sigma2" else 2.0 * mse * d_r / total
         d_sigma2 = (d_m - on_r) / (mse + total**2)
         d_mu = d_r / total - (0.0 if drop == "half-sigma2" else d_sigma2 / 2.0)

@@ -155,8 +155,8 @@ def test_layer_verify_stages_time_a_first_verification(fit_builds):
     fit and its stack, and verify_round the baseline once for four."""
     layers = load(LAYERS, "bench_layers")
     stages = layers.stages(runoff, 6)
-    for name, builds in (("verify_reserve_impacts", 2), ("verify_mse_components", 2),
-                         ("verify_mse_components_year", 2), ("verify_round", 5)):
+    for name, builds in (("verify_reserve_impacts", 2), ("verify_reserve_impacts_year", 2),
+                         ("verify_mse_components", 2), ("verify_mse_components_year", 2), ("verify_round", 5)):
         for _ in range(2):
             fit_builds.clear()
             stages[name]()
@@ -196,6 +196,23 @@ def test_every_round_zero_op_meets_the_benchmark_reference(tmp_path, monkeypatch
         code = main(argv)
         text = capsys.readouterr().out + (svg.read_text() if "--out" in args else "")
         assert gate.check_cli(code, text, reference[key]) == [], key
+
+
+def test_api_sweep_compares_two_trees_result_by_result(monkeypatch):
+    """bench/api_sweep.py on one tree loaded twice, one of them with the
+    diagonal of its MSE gradients moved: exactly the MSE and quantile
+    results differ, and the runoff in use before is in use after."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    sweep = importlib.import_module("api_sweep")
+    src = str(ROOT / "src")
+    trees = [sweep.load(src), sweep.load(src)]
+    moved = trees[1]["runoff.impact"]
+    monkeypatch.setattr(moved, "_mse_diagonal", lambda fit, original=moved._mse_diagonal: original(fit) + 1.0)
+    count, differ = sweep.sweep(trees, (4,))
+    assert sys.modules["runoff"] is runoff
+    names = list(sweep.calls(runoff, 4))
+    assert count == len(names) == 17 + 3 * 4
+    assert differ == [f"I=4 {name}" for name in names if "mse" in name or "quantile" in name]
 
 
 def test_cli_sweep_compares_two_trees_command_by_command(monkeypatch, capsys):
