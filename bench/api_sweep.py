@@ -10,7 +10,11 @@ random_rows at I = 4, 10, 40 and 100. On each, the results are the impact
 triangles of every statistic, the per-year ones at every accident year and
 the quantile at q = 0.995, and the reports of verify_reserve_impacts (its
 four statistics) and verify_mse_components, each at year None, 1, I//2
-and I where it takes a year, and of verify_quantile_impacts. A result is
+and I where it takes a year, and of verify_quantile_impacts. Then, on the
+same cumulative triangle and in this order: the total MSE impact with the
+sigmas x1.5, then with the factors x1.01 and the estimated sigmas, the
+total reserve impact with those factors, the quantile impact with both
+changed, and with the estimates again. A result is
 the bytes of each array it holds and the repr of every other field, or the
 type and message of what it raised; a result that differs is printed, and
 the exit code is 1 on any difference, else 0.
@@ -52,6 +56,19 @@ def calls(runoff, dim: int) -> dict:
         for stat in ("reserve-total", "bf-total") if year is None else ("reserve-ay", "bf-ay"):
             out[f"verify_reserve_impacts {stat} {year}"] = (
                 lambda s=stat, y=year: runoff.verify_reserve_impacts(inc, s, y))
+    # other factors and sigmas on the same cum, in this order: each call finds
+    # the fit the one before it left, so sigmas are attached to a held fit,
+    # other factors build one, and the estimates come back to a rebuild
+    factors_up = runoff.DevelopmentFactors(dim, factors.values * 1.01)
+    sigmas_up = runoff.SigmaEstimates(dim, sigmas.values * 1.5)
+    out.update({
+        "impact_mse_total sigmas x1.5": lambda: runoff.impact_mse_total(cum, factors, sigmas_up),
+        "impact_mse_total factors x1.01": lambda: runoff.impact_mse_total(cum, factors_up, sigmas),
+        "impact_reserve_total factors x1.01": lambda: runoff.impact_reserve_total(cum, factors_up),
+        "impact_quantile factors x1.01 sigmas x1.5": (
+            lambda: runoff.impact_quantile(cum, factors_up, sigmas_up, QUANTILE_LEVEL)),
+        "impact_quantile again": lambda: runoff.impact_quantile(cum, factors, sigmas, QUANTILE_LEVEL),
+    })
     return out
 
 

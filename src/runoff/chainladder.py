@@ -13,6 +13,7 @@ triangles refits in one pass.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -187,16 +188,6 @@ class Fit:
             arrays["sigma2"] = sigma2
         return cls(dim, **{k: _read_only(v) for k, v in arrays.items()})
 
-    def with_sigmas(self, sigma2: np.ndarray) -> "Fit":
-        """This fit with the variance scales sigma2: the same read-only sums,
-        factor products and ultimates, and the derived arrays that do not
-        read sigma2 (reserves, later, scale) where this fit has computed them."""
-        fit = replace(self, sigma2=_read_only(np.array(sigma2)))
-        for name in ("reserves", "later", "scale"):
-            if name in self.__dict__:
-                fit.__dict__[name] = self.__dict__[name]
-        return fit
-
     @cached_property
     def reserves(self) -> np.ndarray:
         """Per-year chain-ladder reserves, ultimate minus latest."""
@@ -258,24 +249,23 @@ def _fit(
     sigmas: SigmaEstimates | None = None,
 ) -> Fit:
     """The Fit of cum under factors and sigmas, built once per triangle: cum
-    keeps the last one built as (factors, sigmas, fit) in its __dict__, like
-    a cached_property, and serves it to calls with the same (read-only, so
-    unchanged) factors and sigmas objects. A fit with sigmas serves a call
-    without, and any fit serves factors None: the column sums. A
-    call with other sigmas for the held factors derives its fit from the
-    held one (Fit.with_sigmas) instead of refitting. Factors or sigmas for
-    another I raise ValueError."""
+    keeps the last one built as (factors, sigmas, fit) in its __dict__ and
+    serves it to the same (read-only) factors and sigmas objects. Other
+    factors (None takes any held fit) build a fit without sigmas; other
+    sigmas are then attached by dataclasses.replace, which keeps the fit's
+    arrays and its reserves, later and scale. Factors or sigmas for another
+    I raise ValueError before the record, written last, changes."""
     held = cum.__dict__.get("_fit")
-    if held and (factors is None or factors is held[0]):
-        if sigmas is None or sigmas is held[1]:
-            return held[2]
+    if held is None or (factors is not None and factors is not held[0]):
+        _check_dimension(cum, factors)
+        held = (factors, None, Fit.of(cum.values, None if factors is None else factors.values))
+    kept, attached, fit = held
+    if sigmas is not None and sigmas is not attached:
         _check_dimension(cum, sigmas)
-        factors, fit = held[0], held[2].with_sigmas(sigmas.values)
-    else:
-        _check_dimension(cum, factors, sigmas)
-        values = (None if x is None else x.values for x in (factors, sigmas))
-        fit = Fit.of(cum.values, *values)
-    cum.__dict__["_fit"] = (factors, sigmas, fit)
+        derived = replace(fit, sigma2=_read_only(np.array(sigmas.values)))
+        derived.__dict__.update({k: v for k, v in vars(fit).items() if k in ("reserves", "later", "scale")})
+        attached, fit = sigmas, derived
+    cum.__dict__["_fit"] = (kept, attached, fit)
     return fit
 
 
@@ -342,7 +332,7 @@ def mse_accident_year(
     two-reciprocal estimator (asserted in tests).
     """
     dim = cum.dimension
-    if not 1 <= i <= dim:
+    if not 1 <= operator.index(i) <= dim:
         raise IndexError(f"accident year {i} out of range 1..{dim}")
     return float(_fit(cum, factors, sigmas).mse_by_year[i - 1])
 

@@ -17,6 +17,7 @@ _reserve, _bf and _mse, of its total for year None, else of that year.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,7 +107,7 @@ def _grad(fit: Fit, c: np.ndarray, diagonal: np.ndarray, year=None) -> np.ndarra
     R_q = L_q F_q - L_q.
     """
     if year is not None:
-        if np.ndim(year) == 0 and not 1 <= year <= fit.dimension:
+        if np.ndim(year) == 0 and not 1 <= operator.index(year) <= fit.dimension:
             raise IndexError(f"accident year {year} out of range 1..{fit.dimension}")
         alone = np.arange(1, fit.dimension + 1) == np.asarray(year)[..., None]
         c, diagonal = np.where(alone, c, 0.0), np.where(alone, diagonal, 0.0)
@@ -205,12 +206,14 @@ def impact_mse_ay(
 
 
 def impact_rmse(mse_value: float, mse_impacts: ImpactTriangle) -> ImpactTriangle:
-    """Map MSE impacts to RMSE impacts: v -> v / (2 sqrt(mse)).
+    """Map MSE impacts to RMSE impacts, v -> v / (2 sqrt(mse)); other tags raise.
 
     mse_value must be positive. The total and year I read every sigma^2,
     so their MSE impacts vanish on every cell exactly when each sigma^2
     is 0; a zero MSE with such impacts is refused with that cause.
     """
+    if not mse_impacts.statistic.startswith("mse"):
+        raise ValueError(f"impact_rmse maps MSE impacts, got {mse_impacts.statistic!r}")
     if not mse_value > 0.0:
         reads_every_sigma = mse_impacts.target in (None, mse_impacts.dimension)
         if reads_every_sigma and not np.any(np.nan_to_num(mse_impacts.values)):

@@ -35,6 +35,7 @@ round differently at another scale.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -278,7 +279,7 @@ def verify_mse_components(
     estimation-error part arises by substitution after differentiation.
     """
     dim = inc.dimension
-    if year is not None and not 1 <= year <= dim:
+    if year is not None and not 1 <= operator.index(year) <= dim:
         raise ValueError(f"accident year {year} out of range 1..{dim}")
     _, _, fit = _baseline(inc, sigmas=True)
     blocks, frozen, plugin = np.split(complex_step(fit, lambda stack: _stepped_mse(fit, stack)),
@@ -302,9 +303,8 @@ def verify_mse_components(
     # of the last one's plug-in value, sigma^2 held at the baseline, is noted only
     rows = slice(1, None) if year is None else slice(year - 1, year)
     analytic = np.concatenate((_mse(fit, np.arange(1, dim + 1)), _mse(fit)[None]))[rows]
-    direct, numeric = _to_cells(np.stack((analytic[-1], plugin[rows][-1])))
-    rel = relative_error(direct, numeric, _floor(direct, dim))
-    notes["direct_fd_max_rel"] = float(np.max(rel, initial=0.0))
+    direct = VerificationReport("mse-plugin", tolerance, analytic[-1], plugin[rows][-1])
+    notes["direct_fd_max_rel"] = direct.max_rel_error
     return VerificationReport("mse-components", tolerance, analytic, frozen[rows], notes)
 
 

@@ -59,8 +59,8 @@ def small_corpus() -> list:
 @pytest.fixture
 def fit_builds(monkeypatch):
     """The Fit._frozen calls made while the test runs, one entry each;
-    every Fit is built through it, by Fit.of or on the oracle's
-    stack, or derived from one that was (Fit.with_sigmas)."""
+    every Fit is built through it, by Fit.of or on the oracle's stack, or
+    is one that was with sigmas attached (dataclasses.replace in _fit)."""
     calls = []
     frozen = Fit._frozen.__func__
 

@@ -401,6 +401,26 @@ class TestFitMemo:
         assert _fit(cum, other) is not _fit(cum, factors)
         assert reserves(cum, factors)[1] == base
 
+    def test_new_factors_with_sigmas_build_one_fit(self, belgian, fit_builds):
+        # a factors miss builds the fit without sigmas, then attaches them
+        cum = cumulate(belgian)
+        factors = estimate_development_factors(cum)
+        sigmas = estimate_sigmas(cum, factors)
+        other = DevelopmentFactors(factors.dimension, factors.values * 1.01)
+        fit_builds.clear()
+        fit = _fit(cum, other, sigmas)
+        assert len(fit_builds) == 1
+        fresh = Fit.of(cum.values, other.values, sigmas.values)
+        for name in ("num", "den", "factors", "fprod", "latest", "ult", "sigma2", "reserves", "later",
+                     "scale", "w", "process", "mse_by_year", "mse_total"):
+            assert np.asarray(getattr(fit, name)).tobytes() == np.asarray(getattr(fresh, name)).tobytes(), name
+        fit_builds.clear()
+        assert _fit(cum, other) is fit
+        more = SigmaEstimates(sigmas.dimension, sigmas.values * 1.5)
+        attached = _fit(cum, other, more)
+        assert not fit_builds
+        assert attached.num is fit.num and attached.sigma2.tolist() == more.values.tolist()
+
     def test_fit_with_sigmas_serves_reserves(self, belgian, fit_builds):
         cum = cumulate(belgian)
         factors = estimate_development_factors(cum)

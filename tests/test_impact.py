@@ -34,6 +34,7 @@ from runoff.impact import (
     marginal_contributions,
 )
 from runoff.oracle import complex_step
+from runoff.quantile import impact_quantile
 from runoff.triangle import _observed, cumulate
 from test_impact_reference import reference_g
 
@@ -192,6 +193,23 @@ class TestRmseTransform:
         out = impact_rmse(4.0, arr)
         assert out.cell(1, 1) == 2.0
         assert out.cell(1, 2) == 0.0
+
+    @pytest.mark.parametrize("build", [
+        lambda cum, f, s, mu: impact_reserve_total(cum, f),
+        lambda cum, f, s, mu: impact_reserve_ay(cum, f, 8),
+        lambda cum, f, s, mu: impact_bf_total(cum, f, mu),
+        lambda cum, f, s, mu: impact_bf_ay(cum, f, mu, 8),
+        lambda cum, f, s, mu: impact_quantile(cum, f, s, 0.995),
+    ], ids=["reserve-total", "reserve-ay", "bf-total", "bf-ay", "quantile"])
+    def test_rejects_impacts_that_are_not_an_mse(self, state, build):
+        cum, factors, sigmas = state
+        impacts = build(cum, factors, sigmas, default_priors(cum, factors))
+        with pytest.raises(ValueError, match=f"impact_rmse maps MSE impacts, got '{impacts.statistic}'"):
+            impact_rmse(4.0, impacts)
+
+    def test_maps_an_mse_contribution(self):
+        arr = ImpactTriangle("mse-total-contribution", None, 2, np.array([[8.0, 0.0], [8.0, np.nan]]))
+        assert impact_rmse(4.0, arr).statistic == "rmse-total-contribution"
 
     def test_rejects_nonpositive_mse(self):
         arr = ImpactTriangle("mse-ay", 2, 2, np.array([[8.0, 0.0], [8.0, np.nan]]))

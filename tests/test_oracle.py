@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -283,6 +284,40 @@ class TestVerifyMseComponents:
     def test_year_out_of_range(self, belgian):
         with pytest.raises(ValueError, match="out of range"):
             verify_mse_components(belgian, year=11)
+
+
+def outcome(result) -> tuple:
+    """The bytes of each array result holds and the repr of every other field."""
+    if isinstance(result, float):
+        return (repr(result),)
+    return tuple(v.tobytes() if isinstance(v, np.ndarray) else repr(v) for v in vars(result).values()
+                 if not isinstance(v, (int, np.integer)))  # the target is the year as given
+
+
+@pytest.mark.parametrize("call", [
+    lambda inc, cum, f, s, mu, year: impact_reserve_ay(cum, f, year),
+    lambda inc, cum, f, s, mu, year: impact_bf_ay(cum, f, mu, year),
+    lambda inc, cum, f, s, mu, year: impact_mse_ay(cum, f, s, year),
+    lambda inc, cum, f, s, mu, year: mse_accident_year(cum, f, s, year),
+    lambda inc, cum, f, s, mu, year: verify_reserve_impacts(inc, "reserve-ay", year),
+    lambda inc, cum, f, s, mu, year: verify_reserve_impacts(inc, "bf-ay", year),
+    lambda inc, cum, f, s, mu, year: verify_mse_components(inc, year=year),
+], ids=["impact_reserve_ay", "impact_bf_ay", "impact_mse_ay", "mse_accident_year",
+        "verify_reserve_impacts reserve-ay", "verify_reserve_impacts bf-ay", "verify_mse_components"])
+def test_a_year_that_is_not_an_integer_is_refused(belgian, call):
+    """An accident year is taken through operator.index, as a list index
+    is: a float raises TypeError even when it is whole, where 2.5 gave an
+    all-zero impact triangle; a numpy int or a bool is the int."""
+    inc = IncrementalTriangle(belgian.dimension, belgian.values)
+    cum = cumulate(inc)
+    factors = estimate_development_factors(cum)
+    sigmas = estimate_sigmas(cum, factors)
+    at = functools.partial(call, inc, cum, factors, sigmas, default_priors(cum, factors))
+    for year in (2.5, 3.0):
+        with pytest.raises(TypeError):
+            at(year)
+    assert outcome(at(np.int64(3))) == outcome(at(3))
+    assert outcome(at(True)) == outcome(at(1))
 
 
 def triangles(cells, dim):
