@@ -19,9 +19,13 @@ more call runs under tracemalloc, and its peak of traced memory is the
 stage's peak_mb. The estimator and
 impact stages reuse one triangle and its factors and sigmas, so where
 runoff keeps a triangle's Fit they time only their own algebra over it.
-The fit stage times building that Fit with its Mack sums, and
-sensitivity_report a whole report (the perfbench api-report op) from
-the increments. A triangle keeps what its verifiers fit, so each
+Where runoff also holds the total reserve and MSE gradients on that Fit,
+the impact_reserve_total, impact_mse_total and impact_quantile stages
+drop them before each call (unheld), so each times its gradients over
+the sums as well as its triangle. The fit stage times building that Fit
+with its Mack sums, and sensitivity_report a whole report (the perfbench
+api-report op) from the increments, where the impacts of one fit share
+its held gradients. A triangle keeps what its verifiers fit, so each
 verify_* call checks a fresh IncrementalTriangle of the same values and
 times a first verification; verify_reserve_impacts_year checks the
 reserve of year I//2 and verify_mse_components_year the MSE of year I//2
@@ -102,6 +106,20 @@ def fit(runoff, cum, factors, sigmas) -> tuple:
     return built.w, built.process
 
 
+# The names under which runoff.impact holds a Fit's total gradients.
+HELD = ("_reserve", "_mse")
+
+
+def unheld(cum, call):
+    """call() after the Fit cum keeps drops the total gradients it holds
+    (HELD), so call computes them again; nothing to drop where runoff
+    holds none."""
+    fit = cum.__dict__["_fit"][2]
+    for name in HELD:
+        fit.__dict__.pop(name, None)
+    return call()
+
+
 def stages(runoff, dim: int) -> dict:
     """Name -> zero-argument call, each on the fitted state of one triangle."""
     inc = runoff.IncrementalTriangle.from_rows(random_rows(dim))
@@ -122,12 +140,12 @@ def stages(runoff, dim: int) -> dict:
         "estimate_sigmas": lambda: runoff.estimate_sigmas(cum, factors),
         "fit": lambda: fit(runoff, cum, factors, sigmas),
         "impact_reserve_ay": lambda: runoff.impact_reserve_ay(cum, factors, dim),
-        "impact_reserve_total": lambda: runoff.impact_reserve_total(cum, factors),
+        "impact_reserve_total": lambda: unheld(cum, lambda: runoff.impact_reserve_total(cum, factors)),
         "impact_bf_ay": lambda: runoff.impact_bf_ay(cum, factors, priors, dim),
         "impact_bf_total": lambda: runoff.impact_bf_total(cum, factors, priors),
         "impact_mse_ay": lambda: runoff.impact_mse_ay(cum, factors, sigmas, dim),
-        "impact_mse_total": lambda: runoff.impact_mse_total(cum, factors, sigmas),
-        "impact_quantile": lambda: runoff.impact_quantile(cum, factors, sigmas, QUANTILE_LEVEL),
+        "impact_mse_total": lambda: unheld(cum, lambda: runoff.impact_mse_total(cum, factors, sigmas)),
+        "impact_quantile": lambda: unheld(cum, lambda: runoff.impact_quantile(cum, factors, sigmas, QUANTILE_LEVEL)),
         "sensitivity_report": lambda: sensitivity_report(runoff, inc),
         "verify_reserve_impacts": lambda: runoff.verify_reserve_impacts(fresh(), "reserve-total"),
         "verify_reserve_impacts_year": lambda: runoff.verify_reserve_impacts(fresh(), "reserve-ay", dim // 2),

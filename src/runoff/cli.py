@@ -143,14 +143,23 @@ def _columns(impacts: ImpactTriangle) -> tuple:
     return k.tolist(), j.tolist(), _observed(impacts.values).tolist()
 
 
+_number = "{:.10g}".format  # a number to 10 significant digits
+
+
 def _field(value) -> str:
-    """A CSV field: a number to 10 significant digits, None empty, text as is."""
-    return "" if value is None else value if isinstance(value, str) else f"{value:.10g}"
+    """A CSV field: a number by _number, None empty, text as is."""
+    return "" if value is None else value if isinstance(value, str) else _number(value)
 
 
-def _csv(header: tuple, rows) -> str:
-    """The header line, then one line of _field per row."""
-    return "\n".join([",".join(header), *(",".join([_field(v) for v in row]) for row in rows)]) + "\n"
+def _csv(header: tuple, columns, last: tuple = ()) -> str:
+    """The header line, one line per row of the columns, then the row last
+    if given. A column of numbers is formatted at once by _number; one that
+    holds None, and last, field by field by _field."""
+    body = (map(_field if None in column else _number, column) for column in columns)
+    lines = [",".join(header), *map(",".join, zip(*body))]
+    if last:
+        lines.append(",".join(map(_field, last)))
+    return "\n".join(lines) + "\n"
 
 
 def _json(doc) -> str:
@@ -159,7 +168,7 @@ def _json(doc) -> str:
 
 
 def render_csv(impacts: ImpactTriangle) -> str:
-    return _csv(("k", "j", "value"), zip(*_columns(impacts)))
+    return _csv(("k", "j", "value"), _columns(impacts))
 
 
 def render_json(impacts: ImpactTriangle, value: float) -> str:
@@ -346,7 +355,7 @@ def cmd_reserves(args) -> tuple:
     summary = {"reserve_total": total, "rmse_total": total_rmse, "bf_total": bf_tot}
     if args.format == "json":
         return _json({"statistic": "reserves", "I": dim, "years": _records(keys, columns), "summary": summary}), 0
-    return _csv(keys, [*zip(*columns), ("total", None, None, *summary.values())]), 0
+    return _csv(keys, columns, ("total", None, None, *summary.values())), 0
 
 
 def cmd_impact(args) -> tuple:

@@ -9,14 +9,17 @@ development factors and cumulative cells they multiply.
 Every statistic reads the triangle only through the 3I-2 fitted sums of
 one chainladder.Fit (the column sums A_s, B_s and the latest diagonal
 L_i), so each impact is first its gradient over the sums, O(I) (_grad),
-then mapped to the cells by one chain rule (_to_cells): cell (k, j) gets
-a row effect of k less a column effect of j. The oracle maps its
-complex-step gradients by the same rule. Each statistic has one gradient,
-_reserve, _bf and _mse, of its total for year None, else of that year.
+then mapped to the cells by one chain rule (_effects): cell (k, j) gets
+a row effect of k less a column effect of j. An impact triangle is
+written from the effects (_impact); the oracle gathers its complex-step
+gradients from them (_to_cells). Each statistic has one gradient,
+_reserve, _bf and _mse, of its total for year None, else of that year;
+a Fit holds the total reserve and MSE gradients (_held_total).
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -29,6 +32,7 @@ from runoff.triangle import (
     IncrementalTriangle,
     Triangle,
     _cells,
+    _read_only,
     observed_mask,
 )
 
@@ -49,7 +53,7 @@ class ImpactTriangle(Triangle):
     """Per-cell derivative values for one statistic.
 
     statistic: tag such as "reserve-total" or "mse-ay".
-    target: accident year for per-year statistics, else None.
+    target: accident year (an int) for per-year statistics, else None.
     values: (I, I) array, NaN outside the observed region.
     """
 
@@ -59,38 +63,67 @@ class ImpactTriangle(Triangle):
     values: np.ndarray
 
 
-def _to_cells(grad: np.ndarray) -> np.ndarray:
-    """The chain rule from the fitted sums to the cells: gradients
-    (..., 3I-2) over A_1..A_{I-1}, B_1..B_{I-1}, L_1..L_I as derivatives
-    over the observed cells, (..., n) in the layout of _cells.
+def _effects(grad: np.ndarray) -> tuple:
+    """The chain rule from the fitted sums to the cells: for gradients
+    (..., 3I-2) over A_1..A_{I-1}, B_1..B_{I-1}, L_1..L_I, the row and
+    column effects (row, col), (..., I) each; cell (k, j) gets
+    row[k-1] - col[j-1].
 
     X_{k,j} adds to C_{k,r} for r >= j alone, so it enters A_s for
     s >= j-1, B_s for s >= j (both for s <= I-k only) and L_k. With P[m]
     the sum of gA_s + gB_s over s <= m, cell (k, j) gets
     P[I-k] + gL_k - (P[j-1] - gA_{j-1}), gA_0 = 0: a row term less a
-    column term, O(I) work per gradient before the n-cell gather. The
-    prefix sums start at +0.0, so no term, nor a difference of two, is
-    -0.0. The column term is subtracted into the gathered row term in
-    place, so two (..., n) arrays are alive at once, not three; np.take
-    gathers C-ordered, so a leading slice of the result ravels without a copy."""
+    column term, O(I) work per gradient. The prefix sums start at +0.0,
+    so no term, nor a difference of two, is -0.0."""
     dim = (grad.shape[-1] + 2) // 3
-    k, j = _cells(dim)
     prefix = np.zeros(grad.shape[:-1] + (dim,), dtype=np.promote_types(grad.dtype, float))
     np.add(grad[..., : dim - 1], grad[..., dim - 1 : 2 * dim - 2], out=prefix[..., 1:])
     prefix = np.cumsum(prefix, axis=-1)
-    cells = np.take(prefix[..., ::-1] + grad[..., 2 * dim - 2 :], k - 1, axis=-1)
+    row = prefix[..., ::-1] + grad[..., 2 * dim - 2 :]
     prefix[..., 1:] -= grad[..., : dim - 1]  # the column terms
-    cells -= np.take(prefix, j - 1, axis=-1)
+    return row, prefix
+
+
+def _to_cells(grad: np.ndarray) -> np.ndarray:
+    """Gradients (..., 3I-2) over the fitted sums as derivatives over the
+    observed cells, (..., n) in the layout of _cells, gathered from
+    _effects. The column effect is subtracted into the gathered row effect
+    in place, so two (..., n) arrays are alive at once, not three; np.take
+    gathers C-ordered, so a leading slice of the result ravels without a copy."""
+    row, col = _effects(grad)
+    k, j = _cells(row.shape[-1])
+    cells = np.take(row, k - 1, axis=-1)
+    cells -= np.take(col, j - 1, axis=-1)
     return cells
 
 
 def _impact(statistic: str, target, grad: np.ndarray) -> ImpactTriangle:
-    """ImpactTriangle of the gradient grad over the fitted sums: its
-    _to_cells on the observed region, NaN outside."""
-    dim = (grad.size + 2) // 3
+    """ImpactTriangle of the gradient grad over the fitted sums, target an
+    int or None: the row effects less the column effects (_effects) on the
+    observed region, _to_cells's subtraction of the same doubles, and NaN
+    outside, where nothing is computed."""
+    row, col = _effects(grad)
+    dim, year = row.size, None if target is None else operator.index(target)
     values = np.full((dim, dim), np.nan)
-    values[observed_mask(dim)] = _to_cells(grad)
-    return ImpactTriangle(statistic, target, dim, values)
+    np.subtract(row[:, None], col, out=values, where=observed_mask(dim))
+    return ImpactTriangle(statistic, year, dim, values)
+
+
+def _held_total(gradient):
+    """gradient(fit, year), its total (year None) computed once per Fit and
+    kept read-only in the fit's __dict__ under gradient's name, as a Fit
+    keeps its Mack sums, so every impact and verifier of a fit reads one.
+    Per-year and batched-year gradients are computed on every call."""
+
+    @functools.wraps(gradient)
+    def held(fit: Fit, year=None) -> np.ndarray:
+        if year is not None:
+            return gradient(fit, year)
+        if gradient.__name__ not in fit.__dict__:
+            fit.__dict__[gradient.__name__] = _read_only(gradient(fit))
+        return fit.__dict__[gradient.__name__]
+
+    return held
 
 
 def _grad(fit: Fit, c: np.ndarray, diagonal: np.ndarray, year=None) -> np.ndarray:
@@ -139,8 +172,10 @@ def impact_reserve_ay(
     return _impact("reserve-ay", i, _reserve(_fit(cum, factors), i))
 
 
+@_held_total
 def _reserve(fit: Fit, year=None) -> np.ndarray:
-    """The gradient of the reserve R_year over the fitted sums (see _grad)."""
+    """The gradient of the reserve R_year over the fitted sums (see _grad),
+    the total's held on the fit."""
     return _grad(fit, fit.ult, fit.fprod - 1.0, year)
 
 
@@ -239,10 +274,12 @@ def _check_mse(what: str, mse: float, zero_sigmas: bool):
         raise ValueError(f"{what} undefined: {cause}")
 
 
+@_held_total
 def _mse(fit: Fit, year=None) -> np.ndarray:
     """The gradient of mse_year over the fitted sums (see _grad); for year
-    None, of the total MSE: the per-year gradients summed, plus by the product
-    rule those of the cross covariances u_i v_i, u_i = ult_i later_i, v_i = 2 w_i.
+    None, held on the fit, of the total MSE: the per-year gradients summed,
+    plus by the product rule those of the cross covariances u_i v_i,
+    u_i = ult_i later_i, v_i = 2 w_i.
 
     Summed over i with the weights v_i, d(u_i) is sum over q of alpha_q
     dChat_q, alpha_q = v_q later_q + sum over i < q of v_i ult_i: alpha

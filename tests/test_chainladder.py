@@ -352,19 +352,46 @@ class TestFitMemo:
 
     def test_a_sensitivity_report_builds_each_total_impact_once(self, belgian, monkeypatch):
         maps = []
-        to_cells = impact._to_cells
+        effects = impact._effects
 
         def counted(grad):
             maps.append(grad)
-            return to_cells(grad)
+            return effects(grad)
 
-        monkeypatch.setattr(impact, "_to_cells", counted)
+        monkeypatch.setattr(impact, "_effects", counted)
         cum, factors, sigmas, quantile = sensitivity_report(belgian)
         # the reserve, BF, MSE and quantile totals; impact_quantile combines
         # the reserve and MSE gradients over the sums and maps once
         assert [grad.shape for grad in maps] == [(3 * cum.dimension - 2,)] * 4
         fresh = impact_quantile(cumulate(belgian), factors, sigmas, 0.995)
         assert quantile.values.tobytes() == fresh.values.tobytes()
+
+    def test_a_sensitivity_report_computes_each_total_gradient_once(self, belgian, monkeypatch):
+        grads = []
+        grad = impact._grad
+
+        def counted(*args):
+            grads.append(args)
+            return grad(*args)
+
+        monkeypatch.setattr(impact, "_grad", counted)
+        sensitivity_report(belgian)
+        # the reserve, BF and MSE totals; impact_quantile reads the held
+        # reserve and MSE gradients of the same fit
+        assert len(grads) == 3
+
+    def test_the_held_gradients_are_read_only_and_a_fresh_fits(self, belgian):
+        cum, factors, sigmas, _ = sensitivity_report(belgian)
+        fit = _fit(cum, factors, sigmas)
+        fresh = Fit.of(cumulate(belgian).values, factors.values, sigmas.values)
+        for gradient in (impact._reserve, impact._mse):
+            held = gradient(fit)
+            assert gradient(fit) is held and not held.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = 0.0
+            assert held.tobytes() == gradient(fresh).tobytes()
+            # per-year gradients are computed on every call, not held
+            assert gradient(fit, 2) is not gradient(fit, 2)
 
     def test_other_sigmas_get_their_own_mse_total_impact(self, belgian):
         cum, factors, sigmas, _ = sensitivity_report(belgian)

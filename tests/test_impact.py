@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,10 +17,12 @@ from runoff.chainladder import (
     project_ultimates,
     reserves,
 )
+from runoff.cli import render_json
 from runoff.impact import (
     ImpactTriangle,
     _bf,
     _check_mse,
+    _impact,
     _mse,
     _reserve,
     _to_cells,
@@ -33,10 +36,12 @@ from runoff.impact import (
     impact_rmse,
     marginal_contributions,
 )
-from runoff.oracle import complex_step
+from runoff.oracle import _STATISTICS, complex_step
 from runoff.quantile import impact_quantile
-from runoff.triangle import _observed, cumulate
+from runoff.triangle import IncrementalTriangle, _observed, cumulate, observed_mask
+from test_cli import OVERFLOWING_MSE, OVERFLOWING_RESERVE_TOTAL, OVERFLOWING_SUMS, OVERFLOWING_ULTIMATE
 from test_impact_reference import reference_g
+from test_oracle import near_proportional
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +71,20 @@ class TestImpactTriangle:
         assert impact_reserve_ay(cum, factors, 8).target == 8
         assert impact_reserve_total(cum, factors).target is None
         assert impact_mse_total(cum, factors, sigmas).statistic == "mse-total"
+
+    @pytest.mark.parametrize("name", ["reserve-ay", "bf-ay", "mse-ay", "marginal"])
+    def test_a_numpy_int_year_is_kept_as_an_int(self, belgian, state, name):
+        cum, factors, sigmas = state
+        priors = default_priors(cum, factors)
+        build = {
+            "reserve-ay": lambda i: impact_reserve_ay(cum, factors, i),
+            "bf-ay": lambda i: impact_bf_ay(cum, factors, priors, i),
+            "mse-ay": lambda i: impact_mse_ay(cum, factors, sigmas, i),
+            "marginal": lambda i: marginal_contributions(impact_reserve_ay(cum, factors, i), belgian),
+        }[name]
+        got = build(np.int64(3))
+        assert type(got.target) is int
+        assert render_json(got, 1.0) == render_json(build(3), 1.0)
 
 
 class TestReserveImpacts:
@@ -241,6 +260,64 @@ class TestRmseTransform:
         sigmas = estimate_sigmas(cum, factors)
         with pytest.raises(ValueError, match="mse_value <= 0"):
             impact_rmse(0.0, impact_mse_ay(cum, factors, sigmas, 1))
+
+
+def _text_triangle(text: str) -> IncrementalTriangle:
+    """The triangle of a CLI input text: an I= line, then one row per line."""
+    return IncrementalTriangle.from_rows([[float(x) for x in ln.split(",")] for ln in text.splitlines()[1:]])
+
+
+# test_cli.py's TestOverflow triangles: the column sums, the Mack sums, an
+# ultimate, the total reserve and the squares of the ultimates past the
+# largest double
+OVERFLOWING = {
+    "sums": _text_triangle(OVERFLOWING_SUMS),
+    "mse": _text_triangle(OVERFLOWING_MSE),
+    "ultimate": _text_triangle(OVERFLOWING_ULTIMATE),
+    "reserve-total": _text_triangle(OVERFLOWING_RESERVE_TOTAL),
+    "squares": IncrementalTriangle.from_rows([[x * 2.0**500 for x in row]
+                                              for row in near_proportional(6, 1e-12).to_rows()]),
+}
+
+
+@pytest.mark.parametrize(
+    "inc",
+    [*(random_triangle(np.random.default_rng([20261018, dim]), dim) for dim in (4, 10, 40)), *OVERFLOWING.values()],
+    ids=[*(f"I={dim}" for dim in (4, 10, 40)), *OVERFLOWING],
+)
+def test_an_impact_triangle_is_the_scatter_of_its_cells(inc):
+    """_impact, the row effects less the column effects on the observed
+    region, is the _to_cells gather scattered into observed_mask, NaN
+    elsewhere, bit for bit, for every statistic and year; the unobserved
+    cells raise no numpy warning the scatter does not. The random
+    triangles are bench/layers.py's random_rows."""
+    with np.errstate(all="ignore"):
+        cum = cumulate(inc)
+        factors = estimate_development_factors(cum)
+        sigmas = estimate_sigmas(cum, factors)
+        fit = _fit(cum, factors, sigmas)
+    mu = default_priors(cum, factors).values if np.all(np.isfinite(fit.ult)) else None
+    dim, checked = inc.dimension, 0
+    for name, entry in _STATISTICS.items():
+        if name.startswith("rmse") or (entry.priors and mu is None):
+            continue
+        for year in range(1, dim + 1) if name.endswith("-ay") else [None]:
+            try:
+                with np.errstate(all="ignore"):
+                    grad = entry.grad(fit, year, mu, 0.995)
+            except ValueError:  # a quantile of a total or MSE that is not positive
+                continue
+            with warnings.catch_warnings(record=True) as scattered, np.errstate(all="warn"):
+                warnings.simplefilter("always")
+                want = np.full((dim, dim), np.nan)
+                want[observed_mask(dim)] = _to_cells(grad)
+            with warnings.catch_warnings(record=True) as written, np.errstate(all="warn"):
+                warnings.simplefilter("always")
+                got = _impact(name, year, grad)
+            assert got.values.tobytes() == want.tobytes(), (name, year)
+            assert [str(w.message) for w in written] == [str(w.message) for w in scattered], (name, year)
+            checked += 1
+    assert checked >= 2 * (dim + 1)  # every reserve and MSE gradient at least
 
 
 @pytest.mark.parametrize("dim", [4, 12, 40])

@@ -163,6 +163,22 @@ def test_layer_verify_stages_time_a_first_verification(fit_builds):
             assert len(fit_builds) == builds, name
 
 
+def test_layer_total_impact_stages_compute_their_gradients(monkeypatch):
+    """A fit holds its total reserve and MSE gradients, so the stages that
+    read them drop them first (unheld): every call computes its gradients,
+    impact_quantile both."""
+    layers = load(LAYERS, "bench_layers")
+    stages = layers.stages(runoff, 6)
+    grads = []
+    grad = runoff.impact._grad
+    monkeypatch.setattr(runoff.impact, "_grad", lambda *args: grads.append(args) or grad(*args))
+    for name, per_call in (("impact_reserve_total", 1), ("impact_mse_total", 1), ("impact_quantile", 2)):
+        for _ in range(2):
+            grads.clear()
+            stages[name]()
+            assert len(grads) == per_call, name
+
+
 def test_gate_sees_an_edit_to_the_cells_of_a_copied_report():
     """The oracle-verify gate reads report.cells, and its self-check edits
     cells[3] of a deep copy: cells must be one list, kept across reads."""
