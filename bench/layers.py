@@ -110,13 +110,14 @@ def fit(runoff, cum, factors, sigmas) -> tuple:
 HELD = ("_reserve", "_mse")
 
 
-def unheld(cum, call):
-    """call() after the Fit cum keeps drops the total gradients it holds
-    (HELD), so call computes them again; nothing to drop where runoff
-    holds none."""
-    fit = cum.__dict__["_fit"][2]
-    for name in HELD:
-        fit.__dict__.pop(name, None)
+def unheld(runoff, cum, call):
+    """call() after every Fit cum keeps, with sigmas and without, drops the
+    total gradients it holds (HELD), so call computes them again; nothing
+    to drop where runoff holds none."""
+    for fit in cum.__dict__["_fit"]:
+        if isinstance(fit, runoff.Fit):
+            for name in HELD:
+                fit.__dict__.pop(name, None)
     return call()
 
 
@@ -140,12 +141,12 @@ def stages(runoff, dim: int) -> dict:
         "estimate_sigmas": lambda: runoff.estimate_sigmas(cum, factors),
         "fit": lambda: fit(runoff, cum, factors, sigmas),
         "impact_reserve_ay": lambda: runoff.impact_reserve_ay(cum, factors, dim),
-        "impact_reserve_total": lambda: unheld(cum, lambda: runoff.impact_reserve_total(cum, factors)),
+        "impact_reserve_total": lambda: unheld(runoff, cum, lambda: runoff.impact_reserve_total(cum, factors)),
         "impact_bf_ay": lambda: runoff.impact_bf_ay(cum, factors, priors, dim),
         "impact_bf_total": lambda: runoff.impact_bf_total(cum, factors, priors),
         "impact_mse_ay": lambda: runoff.impact_mse_ay(cum, factors, sigmas, dim),
-        "impact_mse_total": lambda: unheld(cum, lambda: runoff.impact_mse_total(cum, factors, sigmas)),
-        "impact_quantile": lambda: unheld(cum, lambda: runoff.impact_quantile(cum, factors, sigmas, QUANTILE_LEVEL)),
+        "impact_mse_total": lambda: unheld(runoff, cum, lambda: runoff.impact_mse_total(cum, factors, sigmas)),
+        "impact_quantile": lambda: unheld(runoff, cum, lambda: runoff.impact_quantile(cum, factors, sigmas, QUANTILE_LEVEL)),
         "sensitivity_report": lambda: sensitivity_report(runoff, inc),
         "verify_reserve_impacts": lambda: runoff.verify_reserve_impacts(fresh(), "reserve-total"),
         "verify_reserve_impacts_year": lambda: runoff.verify_reserve_impacts(fresh(), "reserve-ay", dim // 2),

@@ -12,22 +12,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from runoff.chainladder import DevelopmentFactors, _fit, project_ultimates
-from runoff.triangle import CumulativeTriangle, YearValues
+from runoff.triangle import Container, CumulativeTriangle, _one_based
 
 __all__ = ["PriorUltimates", "bf_reserves", "default_priors"]
 
 
 @dataclass(frozen=True)
-class PriorUltimates(YearValues):
+class PriorUltimates(Container):
     """Exogenous prior ultimates mu_i > 0, one per accident year."""
 
     dimension: int
     values: np.ndarray
 
     def prior(self, i: int) -> float:
-        if not 1 <= i <= self.dimension:
-            raise IndexError(f"accident year {i} out of range 1..{self.dimension}")
-        return float(self.values[i - 1])
+        return float(self.values[_one_based(i, self.dimension, "accident year") - 1])
 
 
 def default_priors(cum: CumulativeTriangle, factors: DevelopmentFactors) -> PriorUltimates:

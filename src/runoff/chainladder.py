@@ -19,8 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from runoff.triangle import (CumulativeTriangle, IncrementalTriangle, ReadOnlyArrays, YearValues, _read_only,
-                             cumulate, observed_mask)
+from runoff.triangle import (Container, CumulativeTriangle, IncrementalTriangle, ReadOnlyArrays, _one_based,
+                             _read_only, cumulate, observed_mask)
 
 __all__ = ["DevelopmentFactors", "Fit", "SigmaEstimates", "MackSummary",
            "estimate_development_factors", "project_ultimates", "reserves", "estimate_sigmas",
@@ -28,7 +28,7 @@ __all__ = ["DevelopmentFactors", "Fit", "SigmaEstimates", "MackSummary",
 
 
 @dataclass(frozen=True)
-class DevelopmentFactors(YearValues):
+class DevelopmentFactors(Container):
     """Estimated factors f_j for j = 1..I-1."""
 
     dimension: int
@@ -36,13 +36,12 @@ class DevelopmentFactors(YearValues):
     SHORT = 1
 
     def factor(self, j: int) -> float:
-        if not 1 <= j <= self.dimension - 1:
-            raise IndexError(f"factor index {j} out of range 1..{self.dimension - 1}")
-        return float(self.values[j - 1])
+        return float(self.values[_one_based(j, self.dimension - 1, "factor index") - 1])
 
     def product(self, a: int, b: int) -> float:
         """f_a * ... * f_b for 1 <= a <= b <= I-1; empty products (a > b)
         are 1."""
+        a, b = operator.index(a), operator.index(b)
         if a > b:
             return 1.0
         if a < 1 or b > self.dimension - 1:
@@ -51,7 +50,7 @@ class DevelopmentFactors(YearValues):
 
 
 @dataclass(frozen=True)
-class SigmaEstimates(YearValues):
+class SigmaEstimates(Container):
     """Variance scales sigma^2_j for j = 1..I-1."""
 
     dimension: int
@@ -59,9 +58,7 @@ class SigmaEstimates(YearValues):
     SHORT = 1
 
     def sigma2(self, j: int) -> float:
-        if not 1 <= j <= self.dimension - 1:
-            raise IndexError(f"sigma index {j} out of range 1..{self.dimension - 1}")
-        return float(self.values[j - 1])
+        return float(self.values[_one_based(j, self.dimension - 1, "sigma index") - 1])
 
 
 @dataclass(frozen=True)
@@ -249,23 +246,25 @@ def _fit(
     sigmas: SigmaEstimates | None = None,
 ) -> Fit:
     """The Fit of cum under factors and sigmas, built once per triangle: cum
-    keeps the last one built as (factors, sigmas, fit) in its __dict__ and
-    serves it to the same (read-only) factors and sigmas objects. Other
-    factors (None takes any held fit) build a fit without sigmas; other
-    sigmas are then attached by dataclasses.replace, which keeps the fit's
-    arrays and its reserves, later and scale. Factors or sigmas for another
-    I raise ValueError before the record, written last, changes."""
+    keeps the last one built in its __dict__ as (factors, base, sigmas,
+    fit), base the fit without sigmas, and serves fit to the same
+    (read-only) factors and sigmas objects. Other factors (None takes any
+    held fit) build a base; other sigmas are then attached to it by
+    dataclasses.replace, which keeps its arrays and every value it has
+    computed: none of them reads sigma2, whose readers raise on a base.
+    Factors or sigmas for another I raise ValueError before the record,
+    written last, changes."""
     held = cum.__dict__.get("_fit")
     if held is None or (factors is not None and factors is not held[0]):
         _check_dimension(cum, factors)
-        held = (factors, None, Fit.of(cum.values, None if factors is None else factors.values))
-    kept, attached, fit = held
+        base = Fit.of(cum.values, None if factors is None else factors.values)
+        held = (factors, base, None, base)
+    kept, base, attached, fit = held
     if sigmas is not None and sigmas is not attached:
         _check_dimension(cum, sigmas)
-        derived = replace(fit, sigma2=_read_only(np.array(sigmas.values)))
-        derived.__dict__.update({k: v for k, v in vars(fit).items() if k in ("reserves", "later", "scale")})
-        attached, fit = sigmas, derived
-    cum.__dict__["_fit"] = (kept, attached, fit)
+        attached, fit = sigmas, replace(base, sigma2=_read_only(np.array(sigmas.values)))
+        fit.__dict__.update({k: v for k, v in vars(base).items() if k not in vars(fit)})
+    cum.__dict__["_fit"] = (kept, base, attached, fit)
     return fit
 
 
@@ -290,7 +289,7 @@ def estimate_development_factors(cum: CumulativeTriangle) -> DevelopmentFactors:
     """f_j = sum(C_{i,j+1}, i<=I-j) / sum(C_{i,j}, i<=I-j)."""
     fit = Fit.of(cum.values)
     factors = DevelopmentFactors(cum.dimension, fit.factors)
-    cum.__dict__["_fit"] = (factors, None, fit)  # its factors are num / den
+    cum.__dict__["_fit"] = (factors, fit, None, fit)  # its factors are num / den
     return factors
 
 
@@ -331,9 +330,7 @@ def mse_accident_year(
     sum of sigma^2/f^2. Algebraically identical to the standard
     two-reciprocal estimator (asserted in tests).
     """
-    dim = cum.dimension
-    if not 1 <= operator.index(i) <= dim:
-        raise IndexError(f"accident year {i} out of range 1..{dim}")
+    i = _one_based(i, cum.dimension, "accident year")
     return float(_fit(cum, factors, sigmas).mse_by_year[i - 1])
 
 

@@ -32,6 +32,7 @@ from runoff.triangle import (
     IncrementalTriangle,
     Triangle,
     _cells,
+    _one_based,
     _read_only,
     observed_mask,
 )
@@ -140,8 +141,8 @@ def _grad(fit: Fit, c: np.ndarray, diagonal: np.ndarray, year=None) -> np.ndarra
     R_q = L_q F_q - L_q.
     """
     if year is not None:
-        if np.ndim(year) == 0 and not 1 <= operator.index(year) <= fit.dimension:
-            raise IndexError(f"accident year {year} out of range 1..{fit.dimension}")
+        if np.ndim(year) == 0:
+            year = _one_based(year, fit.dimension, "accident year")
         alone = np.arange(1, fit.dimension + 1) == np.asarray(year)[..., None]
         c, diagonal = np.where(alone, c, 0.0), np.where(alone, diagonal, 0.0)
     a = _ahead(c[..., 1:])[..., 1:]
@@ -153,10 +154,7 @@ def d_ln_f(cum: CumulativeTriangle, s: int, k: int, j: int) -> float:
     fit cum holds: zero when k > I - s (the cell is outside both sums);
     otherwise 1 / A_s when j <= s+1 less 1 / B_s when j <= s."""
     dim = cum.dimension
-    if not 1 <= s <= dim - 1:
-        raise IndexError(f"factor index {s} out of range 1..{dim - 1}")
-    if not 1 <= j <= dim:
-        raise IndexError(f"development year {j} out of range 1..{dim}")
+    s, j = _one_based(s, dim - 1, "factor index"), _one_based(j, dim, "development year")
     cum._check_observed(k, j)
     if k > dim - s:
         return 0.0

@@ -35,7 +35,6 @@ round differently at another scale.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -270,18 +269,22 @@ def verify_mse_components(
     (d ln f_s, dChat_q and d(B_r f_r^2)), scored against their closed
     forms over the fitted sums in one pass (each note the largest
     rel_error over its block's rows), and the frozen MSE (_frozen_mse) of
-    every year and of the total. One row slice picks the checked targets,
-    every per-year triangle and the total or year's triangle alone, and
-    the report maps them with the analytic gradients to the cells and
-    compares them. The direct derivative of the plug-in MSE value (of
-    year, or of the total) is reported in notes but deliberately not
-    compared: it is a different object from the impact formula, whose
-    estimation-error part arises by substitution after differentiation.
+    every year and of the total. The checked targets are every per-year
+    triangle and the total, or year's triangle alone: their analytic
+    gradients come first, so a bad year is refused (IndexError, TypeError)
+    before any step, and one row slice picks their steps; the report maps
+    both to the cells and compares them. The direct derivative of the
+    plug-in MSE value (of year, or of the total) is reported in notes but
+    deliberately not compared: it is a different object from the impact
+    formula, whose estimation-error part arises by substitution after
+    differentiation.
     """
-    dim = inc.dimension
-    if year is not None and not 1 <= operator.index(year) <= dim:
-        raise ValueError(f"accident year {year} out of range 1..{dim}")
     _, _, fit = _baseline(inc, sigmas=True)
+    dim = fit.dimension
+    if year is None:  # year 1's triangle is zero
+        analytic, rows = np.concatenate((_mse(fit, np.arange(2, dim + 1)), _mse(fit)[None])), slice(1, None)
+    else:
+        analytic, rows = _mse(fit, year)[None], slice(year - 1, year)
     blocks, frozen, plugin = np.split(complex_step(fit, lambda stack: _stepped_mse(fit, stack)),
                                       [3 * dim - 2, 4 * dim - 1])
 
@@ -299,10 +302,8 @@ def verify_mse_components(
     notes = {f"{name}_max_rel": float(m)
              for name, m in zip(BLOCKS, np.maximum.reduceat(worst, [0, dim - 1, 2 * dim - 1]))}
 
-    # the checked targets, mapped to the cells by the report; the direct derivative
-    # of the last one's plug-in value, sigma^2 held at the baseline, is noted only
-    rows = slice(1, None) if year is None else slice(year - 1, year)
-    analytic = np.concatenate((_mse(fit, np.arange(1, dim + 1)), _mse(fit)[None]))[rows]
+    # the direct derivative of the last target's plug-in value, sigma^2 held at
+    # the baseline, is noted only
     direct = VerificationReport("mse-plugin", tolerance, analytic[-1], plugin[rows][-1])
     notes["direct_fd_max_rel"] = direct.max_rel_error
     return VerificationReport("mse-components", tolerance, analytic, frozen[rows], notes)

@@ -5,10 +5,14 @@ and development year j (columns). A cell (i, j) is observed iff
 i + j <= I + 1; unobserved cells are stored as NaN and never read.
 This module alone knows that region and its row-major order
 (observed_mask, _cells): every walk over the cells gathers through them.
+It also owns the index contract: every 1-based index is taken as a list
+index is (operator.index), and one outside 1..M raises IndexError
+"<what> <value> out of range 1..M" (_one_based).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -16,6 +20,15 @@ import numpy as np
 
 __all__ = ["IncrementalTriangle", "CumulativeTriangle", "cumulate", "decumulate", "validate",
            "column_partial_sum"]
+
+
+def _one_based(value, last: int, what: str) -> int:
+    """value as an index (operator.index: a float raises TypeError), or
+    IndexError unless it lies in 1..last."""
+    index = operator.index(value)
+    if not 1 <= index <= last:
+        raise IndexError(f"{what} {value} out of range 1..{last}")
+    return index
 
 
 def is_observed(dimension: int, i: int, j: int) -> bool:
@@ -56,46 +69,39 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 class ReadOnlyArrays:
-    """Base of the frozen dataclasses: each field annotated np.ndarray
-    holds a read-only copy of what the caller passed."""
+    """Base of MackSummary: each field annotated np.ndarray holds a
+    read-only float64 copy of what the caller passed, as in a Container."""
 
     def __post_init__(self):
         for f in fields(self):
             if f.type == "np.ndarray":
-                object.__setattr__(self, f.name, _read_only(np.array(getattr(self, f.name))))
+                object.__setattr__(self, f.name, _read_only(np.array(getattr(self, f.name), dtype=float)))
 
 
-class YearValues(ReadOnlyArrays):
-    """Base of the per-year containers: values holds one entry per year,
-    dimension - SHORT of them (I - 1 development years or I accident
-    years). The subclasses are frozen dataclasses with dimension and
-    values fields."""
+class Container:
+    """Base of the triangles and per-year containers, frozen dataclasses with
+    dimension and values fields: values is a read-only float64 copy of what
+    the caller passed, AXES axes of dimension - SHORT entries: (I, I) for a
+    triangle, (I - 1,) per development year, (I,) per accident year."""
 
-    SHORT = 0
-
-    def __post_init__(self):
-        super().__post_init__()
-        want = (self.dimension - self.SHORT,)
-        if self.values.shape != want:
-            raise ValueError(f"values must have shape {want}, got {self.values.shape}")
-
-
-class Triangle:
-    """What every triangle shares: a read-only (I, I) float copy of its
-    values, NaN outside the observed region, read cell by cell. The
-    subclasses are frozen dataclasses with dimension and values fields."""
+    SHORT, AXES = 0, 1
 
     def __post_init__(self):
-        arr = _read_only(np.array(self.values, dtype=float))
-        if arr.shape != (self.dimension, self.dimension):
-            raise ValueError(
-                f"values must have shape ({self.dimension}, {self.dimension}), "
-                f"got {arr.shape}"
-            )
-        object.__setattr__(self, "values", arr)
+        values = _read_only(np.array(self.values, dtype=float))
+        want = (self.dimension - self.SHORT,) * self.AXES
+        if values.shape != want:
+            raise ValueError(f"values must have shape {want}, got {values.shape}")
+        object.__setattr__(self, "values", values)
+
+
+class Triangle(Container):
+    """What every triangle shares: (I, I) values, NaN outside the observed
+    region, read cell by cell."""
+
+    AXES = 2
 
     def _check_observed(self, i: int, j: int):
-        if not is_observed(self.dimension, i, j):
+        if not is_observed(self.dimension, operator.index(i), operator.index(j)):
             raise IndexError(f"cell ({i}, {j}) is not observed for I={self.dimension}")
 
     def cell(self, i: int, j: int) -> float:
@@ -218,10 +224,8 @@ def validate(inc: IncrementalTriangle) -> list:
 
 def column_partial_sum(cum: CumulativeTriangle, j: int, p: int) -> float:
     """Sum of C_{q,j} over q = 1..p. Empty sums (p = 0) are 0."""
-    dim = cum.dimension
-    if not 1 <= j <= dim:
-        raise IndexError(f"development year {j} out of range 1..{dim}")
-    if not 0 <= p <= dim - j + 1:
+    dim, j = cum.dimension, _one_based(j, cum.dimension, "development year")
+    if not 0 <= operator.index(p) <= dim - j + 1:
         raise IndexError(f"row bound {p} out of range 0..{dim - j + 1} for column {j}")
     if p == 0:
         return 0.0

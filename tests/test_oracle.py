@@ -282,7 +282,7 @@ class TestVerifyMseComponents:
         assert one.passed
 
     def test_year_out_of_range(self, belgian):
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(IndexError, match="out of range"):
             verify_mse_components(belgian, year=11)
 
 

@@ -8,6 +8,7 @@ rename, deletion or signature change in runoff breaks only a benchmark
 run, silently, so what they need is pinned here.
 """
 
+import ast
 import copy
 import importlib
 import importlib.util
@@ -177,6 +178,57 @@ def test_layer_total_impact_stages_compute_their_gradients(monkeypatch):
             grads.clear()
             stages[name]()
             assert len(grads) == per_call, name
+
+
+@pytest.mark.parametrize("dim", [10, 20])
+def test_a_verify_round_computes_each_total_gradient_once(monkeypatch, dim):
+    """The reserve and MSE verifiers hold the total reserve and MSE
+    gradients on the baseline fits, without sigmas and with them, and the
+    attach of the sigmas carries the held reserve gradient: a verify_round
+    makes 5 _grad calls (the reserve and BF totals; the MSE verifier's
+    dChat closed form, per-year and total gradients), the quantile
+    verifier none, and its report is the one a fresh triangle gives alone."""
+    layers = load(LAYERS, "bench_layers")
+    rows = layers.random_rows(dim)
+    alone = runoff.verify_quantile_impacts(runoff.IncrementalTriangle.from_rows(rows), layers.QUANTILE_LEVEL)
+    grads = []
+    grad = runoff.impact._grad
+
+    def counted(*args):
+        grads.append(args)
+        return grad(*args)
+
+    monkeypatch.setattr(runoff.impact, "_grad", counted)
+    monkeypatch.setattr(runoff.oracle, "_grad", counted)
+    quantile = layers.verify_round(runoff, runoff.IncrementalTriangle.from_rows(rows))[-1]
+    assert len(grads) == 5
+    for name in ("analytic", "numeric", "rel_error"):
+        assert getattr(quantile, name).tobytes() == getattr(alone, name).tobytes(), name
+
+
+def test_one_based_ranges_are_formatted_in_one_place():
+    """Every "out of range 1..M" message of the library is formatted by
+    runoff.triangle._one_based, so the index checks cannot drift apart
+    again; DevelopmentFactors.product names its range of two indices, and
+    the CLI words its usage and data errors its own way. Each message is
+    found as (module, enclosing function, the call it is an argument of)."""
+    found = set()
+    for path in sorted((ROOT / "src" / "runoff").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and "out of range 1.." in str(node.value)
+                    and not isinstance(parents[node], ast.Expr)):  # a docstring formats nothing
+                enclosing = []
+                while node in parents:
+                    node = parents[node]
+                    enclosing.append(node)
+                function = next((n.name for n in enclosing if isinstance(n, ast.FunctionDef)), None)
+                call = next((ast.unparse(n.func) for n in enclosing if isinstance(n, ast.Call)), None)
+                found.add((path.name, function, call))
+    assert ("triangle.py", "_one_based", "IndexError") in found
+    others = found - {("triangle.py", "_one_based", "IndexError"), ("chainladder.py", "product", "IndexError")}
+    assert all(name == "cli.py" and call in ("UsageError", "DataError") for name, _, call in others), others
 
 
 def test_gate_sees_an_edit_to_the_cells_of_a_copied_report():

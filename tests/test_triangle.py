@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -357,6 +358,19 @@ def test_per_year_containers_check_their_length(cls, count):
             cls(6, np.ones(shape))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: runoff.DevelopmentFactors(3, [1, 2]),
+    lambda: runoff.SigmaEstimates(3, [1, 2]),
+    lambda: runoff.PriorUltimates(3, [1, 2, 3]),
+    lambda: IncrementalTriangle(2, [[1, 2], [3, 4]]),
+], ids=["DevelopmentFactors", "SigmaEstimates", "PriorUltimates", "IncrementalTriangle"])
+def test_every_container_holds_float64(build):
+    """One base copies every container's values: read-only float64, from
+    a list of ints too, as a triangle's always were."""
+    values = build().values
+    assert values.dtype == np.float64 and not values.flags.writeable
+
+
 def test_every_container_holds_read_only_copies():
     """README: the containers are frozen dataclasses over read-only arrays,
     and building one neither freezes nor aliases the caller's arrays."""
@@ -378,3 +392,75 @@ def test_every_container_holds_read_only_copies():
         assert all(not a.flags.writeable for a in arrays), name
         assert not any(np.shares_memory(a, c) for a in arrays for c in handed_out), name
     assert all(c.flags.writeable for c in handed_out)
+
+
+def total_reserve(inc: IncrementalTriangle) -> float:
+    cum = cumulate(inc)
+    return runoff.reserves(cum, runoff.estimate_development_factors(cum))[1]
+
+
+# Every public call that takes a 1-based index of the 10x10 belgian
+# triangle, one entry per index argument: the call of the fitted state and
+# the index, the last valid index, and the message of a bad index.
+INDEXED = {
+    "factor": (lambda b, v: b.factors.factor(v), 9, "factor index {} out of range 1..9"),
+    "product": (lambda b, v: b.factors.product(v, v), 9, "factor product {0}..{0} out of range 1..9"),
+    "sigma2": (lambda b, v: b.sigmas.sigma2(v), 9, "sigma index {} out of range 1..9"),
+    "prior": (lambda b, v: b.priors.prior(v), 10, "accident year {} out of range 1..10"),
+    "cell k": (lambda b, v: b.inc.cell(v, 1), 10, "cell ({}, 1) is not observed for I=10"),
+    "cell j": (lambda b, v: b.cum.cell(1, v), 10, "cell (1, {}) is not observed for I=10"),
+    "with_cell": (lambda b, v: b.inc.with_cell(v, 1, 5.0), 10, "cell ({}, 1) is not observed for I=10"),
+    "column_partial_sum": (lambda b, v: column_partial_sum(b.cum, v, 1), 10,
+                           "development year {} out of range 1..10"),
+    "d_ln_f s": (lambda b, v: runoff.d_ln_f(b.cum, v, 1, 1), 9, "factor index {} out of range 1..9"),
+    "d_ln_f k": (lambda b, v: runoff.d_ln_f(b.cum, 2, v, 1), 10, "cell ({}, 1) is not observed for I=10"),
+    "d_ln_f j": (lambda b, v: runoff.d_ln_f(b.cum, 2, 1, v), 10, "development year {} out of range 1..10"),
+    "fd_derivative": (lambda b, v: runoff.fd_derivative(total_reserve, b.inc, v, 1), 10,
+                      "cell ({}, 1) is not observed for I=10"),
+    "mse_accident_year": (lambda b, v: runoff.mse_accident_year(b.cum, b.factors, b.sigmas, v), 10,
+                          "accident year {} out of range 1..10"),
+    "impact_reserve_ay": (lambda b, v: runoff.impact_reserve_ay(b.cum, b.factors, v), 10,
+                          "accident year {} out of range 1..10"),
+    "impact_bf_ay": (lambda b, v: runoff.impact_bf_ay(b.cum, b.factors, b.priors, v), 10,
+                     "accident year {} out of range 1..10"),
+    "impact_mse_ay": (lambda b, v: runoff.impact_mse_ay(b.cum, b.factors, b.sigmas, v), 10,
+                      "accident year {} out of range 1..10"),
+    "verify_reserve_impacts": (lambda b, v: runoff.verify_reserve_impacts(b.inc, "reserve-ay", v), 10,
+                               "accident year {} out of range 1..10"),
+    "verify_mse_components": (lambda b, v: runoff.verify_mse_components(b.inc, year=v), 10,
+                              "accident year {} out of range 1..10"),
+}
+
+
+@pytest.fixture(scope="module")
+def fitted(belgian):
+    inc = IncrementalTriangle(belgian.dimension, belgian.values)
+    cum = cumulate(inc)
+    factors = runoff.estimate_development_factors(cum)
+    return SimpleNamespace(inc=inc, cum=cum, factors=factors, sigmas=runoff.estimate_sigmas(cum, factors),
+                           priors=runoff.default_priors(cum, factors))
+
+
+def outcome(result) -> tuple:
+    """What a result holds, bit for bit, with the repr of its target."""
+    if isinstance(result, runoff.VerificationReport):
+        return (repr(result.to_dict()),)
+    if isinstance(result, float):
+        return (repr(result),)
+    return result.values.tobytes(), repr(vars(result).get("target"))
+
+
+@pytest.mark.parametrize("name", INDEXED)
+def test_every_one_based_index_is_checked_alike(fitted, name):
+    """Every 1-based index is taken as a list index is (operator.index): a
+    float raises TypeError even when it is whole, and a numpy integer is
+    that integer; one outside 1..last raises IndexError with the call's
+    message."""
+    call, last, message = INDEXED[name]
+    for value in (2.5, 3.0):
+        with pytest.raises(TypeError):
+            call(fitted, value)
+    assert outcome(call(fitted, np.int64(3))) == outcome(call(fitted, 3))
+    for value in (0, last + 1):
+        with pytest.raises(IndexError, match=f"^{re.escape(message.format(value))}$"):
+            call(fitted, value)
