@@ -6,12 +6,12 @@ output that differs.
 Both trees are loaded in one process, each runoff package in its own set
 of sys.modules entries (bench/layers.py's load and use), and every
 command goes through each tree's cli.main in turn, its stdout and stderr
-captured. The triangles are the bundled file, bench/layers.py's
-random_rows at I = 12, 40 and 100, an all-proportional I = 6 (every
-sigma^2 exactly 0), the I = 3 triangle of tests/test_cli.py, too
-small for a variance scale: `reserves` leaves its RMSE column empty
-there, and the Mack statistics are refused; an I = 4 triangle whose
-first factor overflows, so year 4's ultimate is infinite (`reserves`
+captured. The triangles are the bundled file and, written by
+bench/layers.py's write_triangle, its random_rows at I = 12, 40 and
+100, an all-proportional I = 6 (every sigma^2 exactly 0), the I = 3
+triangle of tests/test_cli.py, too small for a variance scale:
+`reserves` leaves its RMSE column empty there, and the Mack statistics
+are refused; an I = 4 triangle whose first factor overflows, so year 4's ultimate is infinite (`reserves`
 and the BF statistics on the chain-ladder priors are refused), and an
 I = 4 triangle with a zero first cell in row 2, which sigma^2 divides
 by (`reserves` leaves its RMSE column empty, the Mack statistics are
@@ -40,7 +40,7 @@ import tempfile
 import traceback
 from pathlib import Path
 
-from layers import load, packaged, random_rows, use
+from layers import load, packaged, random_rows, use, write_triangle
 
 YEARS = (1, 2, 5, 10)
 USAGE_ERRORS = (
@@ -60,13 +60,6 @@ def proportional_rows(dim: int = 6) -> list:
     sigma^2 is 0."""
     pattern = [1000.0, 600.0, 300.0, 100.0, 50.0, 20.0, 10.0, 5.0][:dim]
     return [[2.0 ** (i % 3 - 1) * x for x in pattern[: dim - i]] for i in range(dim)]
-
-
-def write_triangle(path: Path, rows: list) -> str:
-    """The rows in the CLI's input format, I=<n> then one row per line,
-    each number as its repr, so the file holds the values bit for bit."""
-    path.write_text("\n".join([f"I={len(rows)}", *(",".join(repr(float(x)) for x in row) for row in rows)]) + "\n")
-    return str(path)
 
 
 def commands(path: str, stats: tuple) -> list:

@@ -31,9 +31,11 @@ times a first verification; verify_reserve_impacts_year checks the
 reserve of year I//2 and verify_mse_components_year the MSE of year I//2
 alone, the single-year paths, and verify_round makes the four perfbench
 oracle-verify ops on one fresh triangle.
-The validate stage checks the increments as ingest does, decumulate
-inverts the cumulated triangle, and render_csv writes the reserve-total
-impact triangle as the CLI's CSV.
+The ingest stage reads the triangle through runoff.cli.ingest from a
+file in the CLI's input format, written into a temporary directory by
+write_triangle (which bench/cli_sweep.py uses too); validate checks the
+increments as ingest does, decumulate inverts the cumulated triangle,
+and render_csv writes the reserve-total impact triangle as the CLI's CSV.
 The result goes under layers[label] of
 BENCH_<yyyymmdd>.json in the repository root, merged with what the file
 already holds, so a before and an after run share one file.
@@ -48,6 +50,7 @@ import json
 import os
 import platform
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -71,6 +74,13 @@ def random_rows(dim: int) -> list:
         [base[i - 1] * decay ** (j - 1) * rng.uniform(0.7, 1.3) for j in range(1, dim - i + 2)]
         for i in range(1, dim + 1)
     ]
+
+
+def write_triangle(path: Path, rows: list) -> str:
+    """The rows in the CLI's input format, I=<n> then one row per line,
+    each number as its repr, so the file holds the values bit for bit."""
+    path.write_text("\n".join([f"I={len(rows)}", *(",".join(repr(float(x)) for x in row) for row in rows)]) + "\n")
+    return str(path)
 
 
 def sensitivity_report(runoff, inc) -> tuple:
@@ -121,9 +131,12 @@ def unheld(runoff, cum, call):
     return call()
 
 
-def stages(runoff, dim: int) -> dict:
-    """Name -> zero-argument call, each on the fitted state of one triangle."""
-    inc = runoff.IncrementalTriangle.from_rows(random_rows(dim))
+def stages(runoff, dim: int, directory: Path) -> dict:
+    """Name -> zero-argument call, each on the fitted state of one triangle,
+    written into directory for the ingest stage."""
+    rows = random_rows(dim)
+    path = write_triangle(directory / f"random{dim}.csv", rows)
+    inc = runoff.IncrementalTriangle.from_rows(rows)
     cum = runoff.cumulate(inc)
     factors = runoff.estimate_development_factors(cum)
     sigmas = runoff.estimate_sigmas(cum, factors)
@@ -134,6 +147,7 @@ def stages(runoff, dim: int) -> dict:
         return runoff.IncrementalTriangle(dim, inc.values)
 
     return {
+        "ingest": lambda: runoff.cli.ingest(path),
         "validate": lambda: runoff.validate(inc),
         "cumulate": lambda: runoff.cumulate(inc),
         "decumulate": lambda: runoff.decumulate(cum),
@@ -249,13 +263,14 @@ def main(argv=None) -> int:
         }
         for label in args.label
     ]
+    tmp = tempfile.TemporaryDirectory()
     try:
         for dim in args.sizes:
             rows = [{} for _ in trees]
             per_tree = []
             for tree in trees:
                 use(tree)
-                per_tree.append(stages(tree["runoff"], dim))
+                per_tree.append(stages(tree["runoff"], dim, Path(tmp.name)))
             for name in per_tree[0]:
                 calls = [tree_stages[name] for tree_stages in per_tree]
                 for m, timing in enumerate(per_call(trees, calls)):
@@ -270,6 +285,7 @@ def main(argv=None) -> int:
                 section["seconds"][f"I={dim}"] = row
     finally:
         use(outer)
+        tmp.cleanup()
     for label, section in zip(args.label, sections):
         doc.setdefault("layers", {})[label] = section
     out.write_text(json.dumps(doc, indent=1) + "\n")

@@ -4,10 +4,11 @@ Development factors are volume-weighted column ratios; prediction MSE
 splits into process variance and estimation error, with the usual
 minimum rule supplying the variance scale for the last development year.
 
-The Triangle-typed functions wrap array forms that take (..., I, I)
-cumulative values with any leading batch axes. Their arithmetic is
-complex-safe (comparisons read real parts), so a stack of perturbed
-triangles refits in one pass.
+The Triangle-typed functions wrap array forms. Fit._frozen and the Fit
+properties take the oracle's complex stack of fitted sums too, reading
+real parts in comparisons; Fit.of keeps leading axes of (..., I, I)
+values, as cumulate_values does, for the tests' whole-triangle refits.
+sigma2_values reads one real triangle: the oracle holds sigma^2 fixed.
 """
 
 from __future__ import annotations
@@ -98,27 +99,22 @@ def _product(x, y, z, s: float):
 
 
 def sigma2_values(cum: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """sigma^2_s for s = 1..I-1, the array form of estimate_sigmas."""
-    dim = cum.shape[-1]
+    """sigma^2_s for s = 1..I-1 of one real (I, I) cumulative triangle under
+    its I-1 factors, the array form of estimate_sigmas."""
+    dim = len(cum)
     if dim < 4:
         raise ValueError(f"sigma estimation needs I >= 4, got I={dim}")
     both = observed_mask(dim)[:, 1:-1]  # rows n <= I-k of columns k = 1..I-2
-    c = cum[..., :-2]
-    zero = both & (np.real(c) == 0.0)
+    c = cum[:, :-2]
+    zero = both & (c == 0.0)
     if zero.any():
-        k, i = np.argwhere(np.swapaxes(zero, -1, -2))[0, -2:] + 1
+        k, i = np.argwhere(zero.T)[0] + 1  # the first zero column by column
         raise ZeroDivisionError(f"zero cumulative cell ({i}, {k}) in sigma estimation")
-    ratio = cum[..., 1:-1] / np.where(both, c, 1.0)
-    residual = np.where(both, c * (ratio - f[..., None, :-1]) ** 2, 0.0)
-    head = np.sum(residual, axis=-2) / np.arange(dim - 2, 0, -1)
-    # min(sigma^4_{I-2}/sigma^2_{I-3}, sigma^2_{I-3}, sigma^2_{I-2}), first
-    # minimum by real part; a zero sigma^2_{I-3} makes min(a, b) = 0 win
-    a, b = head[..., -2], head[..., -1]
-    positive = np.real(a) > 0.0
-    rule = np.stack((b * b / np.where(positive, a, 1.0), a, b), axis=-1)
-    pick = np.argmin(np.real(rule), axis=-1)[..., None]
-    last = np.where(positive, np.take_along_axis(rule, pick, axis=-1)[..., 0], 0.0)
-    return np.concatenate((head, last[..., None]), axis=-1)
+    ratio = cum[:, 1:-1] / np.where(both, c, 1.0)
+    residual = np.where(both, c * (ratio - f[:-1]) ** 2, 0.0)
+    head = np.sum(residual, axis=0) / np.arange(dim - 2, 0, -1)
+    a, b = head[-2:]  # sigma^2_{I-3}, sigma^2_{I-2}; a zero a gives min(a, b) = 0
+    return np.append(head, min(b * b / a, a, b) if a > 0.0 else 0.0)
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,8 @@ def _lines(path: str, what: str) -> list:
 
 def ingest(path: str) -> IncrementalTriangle:
     """Parse the triangle file: `I=<n>` header, then n ragged rows of
-    incremental values, row i holding n-i+1 comma-separated numbers."""
+    incremental values, row i holding n-i+1 comma-separated numbers,
+    written onto its observed cells (observed_mask) of an (n, n) NaN array."""
     lines = [ln for _, ln in _lines(path, path)]
     if not lines:
         raise DataError(f"{path}: empty input file")
@@ -72,7 +73,7 @@ def ingest(path: str) -> IncrementalTriangle:
         raise DataError(
             f"{path}: expected {dim} data rows after the header, got {len(lines) - 1}"
         )
-    rows = []
+    values = np.full((dim, dim), np.nan)
     for i, (line, observed) in enumerate(zip(lines[1:], observed_mask(dim)), start=1):
         tokens = [t.strip() for t in line.split(",")]
         want = np.count_nonzero(observed)
@@ -88,8 +89,8 @@ def ingest(path: str) -> IncrementalTriangle:
                 raise DataError(
                     f"{path}: row {i}, column {j}: not a number: {tok!r}"
                 ) from exc
-        rows.append(row)
-    inc = IncrementalTriangle.from_rows(rows)
+        values[i - 1, observed] = row
+    inc = IncrementalTriangle(dim, values)
     problems = validate(inc)
     if problems:
         raise DataError(f"{path}: " + "; ".join(problems))
@@ -282,7 +283,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="runoff", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_stat=True):
+    def common(p, handler, with_stat=True):
+        p.set_defaults(handler=handler)
         p.add_argument("input", help="triangle file (I=<n> header, ragged rows)")
         if with_stat:
             p.add_argument("--stat", choices=STATISTICS, default="reserve-total")
@@ -292,25 +294,25 @@ def build_parser() -> _Parser:
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("reserves", help="reserve summary per accident year")
-    common(p, with_stat=False)
+    common(p, cmd_reserves, with_stat=False)
     p.add_argument("--priors", default="cl", help="priors file or 'cl'")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("impact", help="per-cell impact triangle of a statistic")
-    common(p)
+    common(p, cmd_impact)
     p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
 
     p = sub.add_parser("marginal", help="cellwise impact times increment")
-    common(p)
+    common(p, cmd_impact)
     p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
 
     p = sub.add_parser("verify", help="complex-step check of the impacts")
-    common(p)
+    common(p, cmd_verify)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--tolerance", type=float, default=TOLERANCE)
 
     p = sub.add_parser("heatmap", help="SVG heatmap of an impact triangle")
-    common(p)
+    common(p, cmd_impact)
     p.set_defaults(format="svg")  # impact --format svg under its own name
     return parser
 
@@ -397,15 +399,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        handler = {
-            "reserves": cmd_reserves,
-            "impact": cmd_impact,
-            "marginal": cmd_impact,
-            "verify": cmd_verify,
-            "heatmap": cmd_impact,
-        }[args.command]
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused or left empty
-            text, code = handler(args)
+            text, code = args.handler(args)
         _write(text, args.out)
         return code
     except UsageError as exc:

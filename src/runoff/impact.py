@@ -10,9 +10,10 @@ Every statistic reads the triangle only through the 3I-2 fitted sums of
 one chainladder.Fit (the column sums A_s, B_s and the latest diagonal
 L_i), so each impact is first its gradient over the sums, O(I) (_grad),
 then mapped to the cells by one chain rule (_effects): cell (k, j) gets
-a row effect of k less a column effect of j. An impact triangle is
-written from the effects (_impact); the oracle gathers its complex-step
-gradients from them (_to_cells). Each statistic has one gradient,
+a row effect of k less a column effect of j. _to_cells gathers that
+difference cell by cell, the one writer of cells: an impact triangle is
+its gather scattered onto the observed region (_impact), and the oracle
+maps its complex-step gradients with it. Each statistic has one gradient,
 _reserve, _bf and _mse, of its total for year None, else of that year;
 a Fit holds the total reserve and MSE gradients (_held_total).
 """
@@ -20,7 +21,6 @@ a Fit holds the total reserve and MSE gradients (_held_total).
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +54,8 @@ class ImpactTriangle(Triangle):
     """Per-cell derivative values for one statistic.
 
     statistic: tag such as "reserve-total" or "mse-ay".
-    target: accident year (an int) for per-year statistics, else None.
+    target: accident year for per-year statistics, checked and stored as
+        an int (_one_based), else None.
     values: (I, I) array, NaN outside the observed region.
     """
 
@@ -62,6 +63,11 @@ class ImpactTriangle(Triangle):
     target: int | None
     dimension: int
     values: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.target is not None:
+            object.__setattr__(self, "target", _one_based(self.target, self.dimension, "accident year"))
 
 
 def _effects(grad: np.ndarray) -> tuple:
@@ -87,10 +93,11 @@ def _effects(grad: np.ndarray) -> tuple:
 
 def _to_cells(grad: np.ndarray) -> np.ndarray:
     """Gradients (..., 3I-2) over the fitted sums as derivatives over the
-    observed cells, (..., n) in the layout of _cells, gathered from
-    _effects. The column effect is subtracted into the gathered row effect
-    in place, so two (..., n) arrays are alive at once, not three; np.take
-    gathers C-ordered, so a leading slice of the result ravels without a copy."""
+    observed cells, (..., n) in the layout of _cells, gathered from _effects
+    for every impact triangle (_impact) and oracle report. The column effect
+    is subtracted into the gathered row effect in place, so two (..., n)
+    arrays are alive at once, not three; np.take gathers C-ordered, so a
+    leading slice of the result ravels without a copy."""
     row, col = _effects(grad)
     k, j = _cells(row.shape[-1])
     cells = np.take(row, k - 1, axis=-1)
@@ -100,14 +107,12 @@ def _to_cells(grad: np.ndarray) -> np.ndarray:
 
 def _impact(statistic: str, target, grad: np.ndarray) -> ImpactTriangle:
     """ImpactTriangle of the gradient grad over the fitted sums, target an
-    int or None: the row effects less the column effects (_effects) on the
-    observed region, _to_cells's subtraction of the same doubles, and NaN
-    outside, where nothing is computed."""
-    row, col = _effects(grad)
-    dim, year = row.size, None if target is None else operator.index(target)
+    accident year or None: _to_cells scattered onto the observed region,
+    NaN outside, where nothing is computed."""
+    dim = (grad.size + 2) // 3
     values = np.full((dim, dim), np.nan)
-    np.subtract(row[:, None], col, out=values, where=observed_mask(dim))
-    return ImpactTriangle(statistic, year, dim, values)
+    values[observed_mask(dim)] = _to_cells(grad)
+    return ImpactTriangle(statistic, target, dim, values)
 
 
 def _held_total(gradient):

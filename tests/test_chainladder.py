@@ -37,7 +37,10 @@ def naive_factors(cum):
 
 
 def standard_sigma2(cum, factors):
-    """Weighted residual variances written out the long way."""
+    """Weighted residual variances written out the long way, then Mack's
+    last scale: 0 when sigma^2_{I-3} is 0, else sigma^4_{I-2}/sigma^2_{I-3}
+    when sigma^2_{I-2} is the smaller of the two (then it is the least of
+    the three), else sigma^2_{I-3}."""
     dim = cum.dimension
     out = []
     for k in range(1, dim - 1):
@@ -47,6 +50,13 @@ def standard_sigma2(cum, factors):
             for i in range(1, dim - k + 1)
         )
         out.append(acc / (dim - k - 1))
+    a, b = out[-2], out[-1]
+    if a == 0.0:
+        out.append(0.0)
+    elif b < a:
+        out.append(b * b / a)
+    else:
+        out.append(a)
     return out
 
 
@@ -214,7 +224,7 @@ class TestSigmas:
         cum = cumulate(belgian)
         factors = estimate_development_factors(cum)
         sigmas = estimate_sigmas(cum, factors)
-        assert np.allclose(sigmas.values[:-1], standard_sigma2(cum, factors), rtol=1e-12)
+        assert np.allclose(sigmas.values, standard_sigma2(cum, factors), rtol=1e-12)
 
     def test_min_rule_last_value(self, belgian):
         cum = cumulate(belgian)
@@ -224,6 +234,32 @@ class TestSigmas:
         a, b = sigmas.sigma2(7), sigmas.sigma2(8)
         assert sigmas.sigma2(9) == min(b**2 / a, a, b)
         assert sigmas.sigma2(9) == a  # the bundled data picks the two-back scale
+
+    # Increments whose last scale takes each branch of the min rule over
+    # a = sigma^2_{I-3} and b = sigma^2_{I-2}; in "b" the rows of the last
+    # two columns are proportional in powers of two, so b is exactly 0.
+    MIN_RULE = {
+        "b*b/a": [[100, 50, 20, 5], [100, 90, 25], [100, 20], [100]],
+        "b*b/a, I=5": [[100, 50, 20, 5, 2], [100, 90, 25, 4], [100, 20, 6], [100, 40], [100]],
+        "a": [[100, 60, 10, 5], [100, 62, 40], [100, 61], [100]],
+        "b": [[64, 64, 64, 5], [32, 32, 32], [100, 20], [100]],
+        "a = 0": [[100, 50, 10, 5], [200, 100, 50], [50, 25], [100]],
+    }
+
+    @pytest.mark.parametrize("branch", MIN_RULE)
+    def test_min_rule_branches(self, branch):
+        """Each branch of the min rule on a small triangle: the last scale
+        is the named one of a and b bit for bit, and every scale is the
+        per-cell loop's (standard_sigma2) to a few rounding errors."""
+        cum = cumulate(IncrementalTriangle.from_rows(self.MIN_RULE[branch]))
+        factors = estimate_development_factors(cum)
+        values = estimate_sigmas(cum, factors).values
+        a, b = values[-3], values[-2]
+        ratio = b * b / a if a else 0.0
+        assert values[-1] == {"a": a, "b": b, "a = 0": 0.0}.get(branch, ratio)
+        assert (a == 0.0) == (branch == "a = 0") and (b == 0.0) == (branch == "b")
+        assert branch in ("b", "a = 0") or len({ratio, a, b}) == 3  # the pick is told apart
+        np.testing.assert_allclose(values, standard_sigma2(cum, factors), rtol=8 * np.finfo(float).eps, atol=0.0)
 
     def test_proportional_triangle_all_zero(self):
         tri = proportional_triangle()
@@ -249,6 +285,15 @@ class TestSigmas:
         factors = estimate_development_factors(cum)
         with pytest.raises(ZeroDivisionError, match=r"\(1, 1\) in sigma estimation"):
             estimate_sigmas(cum, factors)
+
+    def test_zero_cumulative_cells_are_named_column_by_column(self):
+        """C(1,2) = 0 (an increment of -1) comes first row by row, C(2,1)
+        = 0 column by column: the message names (2, 1)."""
+        tri = IncrementalTriangle.from_rows([[1.0, -1.0, 1.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0], [1.0]])
+        cum = cumulate(tri)
+        assert cum.cell(1, 2) == cum.cell(2, 1) == 0.0
+        with pytest.raises(ZeroDivisionError, match=r"^zero cumulative cell \(2, 1\) in sigma estimation$"):
+            estimate_sigmas(cum, estimate_development_factors(cum))
 
 
 class TestMse:

@@ -126,7 +126,10 @@ def test_layer_record_times_every_stage(tmp_path, monkeypatch):
     out = tmp_path / "BENCH.json"
     assert layers.main(["--sizes", "5", "--out", str(out)]) == 0
     row = json.loads(out.read_text())["layers"]["after"]["seconds"]["I=5"]
-    assert set(row) == set(layers.stages(runoff, 5)) >= {"fit", "sensitivity_report"}
+    stages = layers.stages(runoff, 5, tmp_path)
+    assert set(row) == set(stages) >= {"fit", "sensitivity_report", "ingest"}
+    rows = runoff.IncrementalTriangle.from_rows(layers.random_rows(5))
+    assert stages["ingest"]().values.tobytes() == rows.values.tobytes()
     for stage in row.values():
         assert stage["best_s"] > 0.0
         assert stage["batches"] == layers.BATCHES and stage["calls"] >= stage["batches"]
@@ -150,12 +153,12 @@ def test_layer_record_interleaves_two_trees(tmp_path, monkeypatch):
         layers.main(["--src", src, src, "--label", "after"])
 
 
-def test_layer_verify_stages_time_a_first_verification(fit_builds):
+def test_layer_verify_stages_time_a_first_verification(fit_builds, tmp_path):
     """A triangle keeps its verifiers' baseline, so every call of a
     verify_* stage verifies a fresh triangle: each builds its baseline
     fit and its stack, and verify_round the baseline once for four."""
     layers = load(LAYERS, "bench_layers")
-    stages = layers.stages(runoff, 6)
+    stages = layers.stages(runoff, 6, tmp_path)
     for name, builds in (("verify_reserve_impacts", 2), ("verify_reserve_impacts_year", 2),
                          ("verify_mse_components", 2), ("verify_mse_components_year", 2), ("verify_round", 5)):
         for _ in range(2):
@@ -164,12 +167,12 @@ def test_layer_verify_stages_time_a_first_verification(fit_builds):
             assert len(fit_builds) == builds, name
 
 
-def test_layer_total_impact_stages_compute_their_gradients(monkeypatch):
+def test_layer_total_impact_stages_compute_their_gradients(monkeypatch, tmp_path):
     """A fit holds its total reserve and MSE gradients, so the stages that
     read them drop them first (unheld): every call computes its gradients,
     impact_quantile both."""
     layers = load(LAYERS, "bench_layers")
-    stages = layers.stages(runoff, 6)
+    stages = layers.stages(runoff, 6, tmp_path)
     grads = []
     grad = runoff.impact._grad
     monkeypatch.setattr(runoff.impact, "_grad", lambda *args: grads.append(args) or grad(*args))

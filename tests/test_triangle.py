@@ -429,6 +429,13 @@ INDEXED = {
                                "accident year {} out of range 1..10"),
     "verify_mse_components": (lambda b, v: runoff.verify_mse_components(b.inc, year=v), 10,
                               "accident year {} out of range 1..10"),
+    "ImpactTriangle": (lambda b, v: ImpactTriangle("mse-ay", v, 10, b.cum.values), 10,
+                       "accident year {} out of range 1..10"),
+    "impact_rmse": (lambda b, v: runoff.impact_rmse(4.0, ImpactTriangle("mse-ay", v, 10, b.cum.values)), 10,
+                    "accident year {} out of range 1..10"),
+    "marginal_contributions": (lambda b, v: runoff.marginal_contributions(
+        ImpactTriangle("reserve-ay", v, 10, runoff.impact_reserve_ay(b.cum, b.factors, 3).values), b.inc,
+        runoff.reserves(b.cum, b.factors)[0][2]), 10, "accident year {} out of range 1..10"),
 }
 
 
@@ -454,13 +461,15 @@ def outcome(result) -> tuple:
 def test_every_one_based_index_is_checked_alike(fitted, name):
     """Every 1-based index is taken as a list index is (operator.index): a
     float raises TypeError even when it is whole, and a numpy integer is
-    that integer; one outside 1..last raises IndexError with the call's
-    message."""
+    that integer; one outside 1..last, a negative one too, raises
+    IndexError with the call's message. An impact triangle's target is
+    checked where it is built, so marginal_contributions reads no row of
+    another year (target 0 read row -1)."""
     call, last, message = INDEXED[name]
     for value in (2.5, 3.0):
         with pytest.raises(TypeError):
             call(fitted, value)
     assert outcome(call(fitted, np.int64(3))) == outcome(call(fitted, 3))
-    for value in (0, last + 1):
+    for value in (0, -1, last + 1):
         with pytest.raises(IndexError, match=f"^{re.escape(message.format(value))}$"):
             call(fitted, value)
