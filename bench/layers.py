@@ -21,8 +21,9 @@ impact stages reuse one triangle and its factors and sigmas, so where
 runoff keeps a triangle's Fit they time only their own algebra over it.
 Where runoff also holds the total reserve and MSE gradients on that Fit,
 the impact_reserve_total, impact_mse_total and impact_quantile stages
-drop them before each call (unheld), so each times its gradients over
-the sums as well as its triangle. The fit stage times building that Fit
+drop them, and the stepped totals the oracle holds beside them, before
+each call (unheld), so each times its gradients over the sums as well as
+its triangle. The fit stage times building that Fit
 with its Mack sums, and sensitivity_report a whole report (the perfbench
 api-report op) from the increments, where the impacts of one fit share
 its held gradients. A triangle keeps what its verifiers fit, so each
@@ -30,7 +31,11 @@ verify_* call checks a fresh IncrementalTriangle of the same values and
 times a first verification; verify_reserve_impacts_year checks the
 reserve of year I//2 and verify_mse_components_year the MSE of year I//2
 alone, the single-year paths, and verify_round makes the four perfbench
-oracle-verify ops on one fresh triangle.
+oracle-verify ops on one fresh triangle, where each total is stepped
+once: the quantile verifier steps the map by the stepped total reserve
+and total MSE the reserve and MSE verifiers hold on the fit, with no
+stack of its own, and verify_quantile_impacts, on a fresh triangle,
+steps both in one stack.
 The ingest stage reads the triangle through runoff.cli.ingest from a
 file in the CLI's input format, written into a temporary directory by
 write_triangle (which bench/cli_sweep.py uses too); validate checks the
@@ -116,14 +121,15 @@ def fit(runoff, cum, factors, sigmas) -> tuple:
     return built.w, built.process
 
 
-# The names under which runoff.impact holds a Fit's total gradients.
-HELD = ("_reserve", "_mse")
+# The names under which runoff holds a Fit's total gradients (runoff.impact)
+# and the raw imaginary parts of its stepped totals (runoff.oracle).
+HELD = ("_reserve", "_mse", "_im_reserve_total", "_im_mse_total")
 
 
 def unheld(runoff, cum, call):
     """call() after every Fit cum keeps, with sigmas and without, drops the
-    total gradients it holds (HELD), so call computes them again; nothing
-    to drop where runoff holds none."""
+    totals it holds (HELD), so call computes them again; nothing to drop
+    where runoff holds none."""
     for fit in cum.__dict__["_fit"]:
         if isinstance(fit, runoff.Fit):
             for name in HELD:

@@ -154,10 +154,14 @@ def _field(value) -> str:
 
 def _csv(header: tuple, columns, last: tuple = ()) -> str:
     """The header line, one line per row of the columns, then the row last
-    if given. A column of numbers is formatted at once by _number; one that
-    holds None, and last, field by field by _field."""
-    body = (map(_field if None in column else _number, column) for column in columns)
-    lines = [",".join(header), *map(",".join, zip(*body))]
+    if given. Where every column holds numbers, each row is written by one
+    format, an int column's fields by str and a float column's as _number
+    writes them; columns that hold None, and last, field by field by _field."""
+    if any(None in column for column in columns):
+        rows = map(",".join, zip(*(map(_field, column) for column in columns)))
+    else:
+        rows = map(",".join("{}" if isinstance(c[0], int) else "{:.10g}" for c in columns).format, *columns)
+    lines = [",".join(header), *rows]
     if last:
         lines.append(",".join(map(_field, last)))
     return "\n".join(lines) + "\n"

@@ -15,7 +15,8 @@ difference cell by cell, the one writer of cells: an impact triangle is
 its gather scattered onto the observed region (_impact), and the oracle
 maps its complex-step gradients with it. Each statistic has one gradient,
 _reserve, _bf and _mse, of its total for year None, else of that year;
-a Fit holds the total reserve and MSE gradients (_held_total).
+a Fit holds the total reserve and MSE gradients (_held_total), and what
+else is kept on it goes through the same _hold.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from runoff.triangle import (
     CumulativeTriangle,
     IncrementalTriangle,
     Triangle,
-    _cells,
+    _cell_index,
     _one_based,
     _read_only,
     observed_mask,
@@ -93,15 +94,16 @@ def _effects(grad: np.ndarray) -> tuple:
 
 def _to_cells(grad: np.ndarray) -> np.ndarray:
     """Gradients (..., 3I-2) over the fitted sums as derivatives over the
-    observed cells, (..., n) in the layout of _cells, gathered from _effects
-    for every impact triangle (_impact) and oracle report. The column effect
-    is subtracted into the gathered row effect in place, so two (..., n)
-    arrays are alive at once, not three; np.take gathers C-ordered, so a
-    leading slice of the result ravels without a copy."""
+    observed cells, (..., n) in the layout of _cell_index, gathered from
+    _effects by its 0-based indices for every impact triangle (_impact) and
+    oracle report. The column effect is subtracted into the gathered row
+    effect in place, so two (..., n) arrays are alive at once, not three;
+    np.take gathers C-ordered, so a leading slice of the result ravels
+    without a copy."""
     row, col = _effects(grad)
-    k, j = _cells(row.shape[-1])
-    cells = np.take(row, k - 1, axis=-1)
-    cells -= np.take(col, j - 1, axis=-1)
+    k, j = _cell_index(row.shape[-1])
+    cells = np.take(row, k, axis=-1)
+    cells -= np.take(col, j, axis=-1)
     return cells
 
 
@@ -115,18 +117,24 @@ def _impact(statistic: str, target, grad: np.ndarray) -> ImpactTriangle:
     return ImpactTriangle(statistic, target, dim, values)
 
 
+def _hold(fit: Fit, name: str, values: np.ndarray):
+    """Keep values read-only in fit's __dict__ under name, as a Fit keeps
+    its Mack sums: the attach of sigmas (chainladder._fit) carries it."""
+    fit.__dict__[name] = _read_only(values)
+
+
 def _held_total(gradient):
     """gradient(fit, year), its total (year None) computed once per Fit and
-    kept read-only in the fit's __dict__ under gradient's name, as a Fit
-    keeps its Mack sums, so every impact and verifier of a fit reads one.
-    Per-year and batched-year gradients are computed on every call."""
+    held (_hold) under gradient's name, so every impact and verifier of a
+    fit reads one. Per-year and batched-year gradients are computed on
+    every call."""
 
     @functools.wraps(gradient)
     def held(fit: Fit, year=None) -> np.ndarray:
         if year is not None:
             return gradient(fit, year)
         if gradient.__name__ not in fit.__dict__:
-            fit.__dict__[gradient.__name__] = _read_only(gradient(fit))
+            _hold(fit, gradient.__name__, gradient(fit))
         return fit.__dict__[gradient.__name__]
 
     return held

@@ -22,7 +22,13 @@ estimation error after differentiation, the MSE with the coefficients
 its formula holds fixed frozen at the baseline (_frozen_mse), which the
 MSE verifier steps with its building blocks and the plug-in MSE in one
 stack (_stepped_mse), picking its targets by one row slice; and the
-lognormal quantile map.
+lognormal quantile map. The quantile reads the triangle only through the
+total reserve and the total MSE, so its verifier steps no stack of its
+own: the baseline Fit holds the raw imaginary parts of the stack's total
+reserve and of the total's frozen MSE (_IM_RESERVE, _IM_MSE), (3I-2,)
+each, as the reserve and MSE verifiers step them, and it steps the
+quantile map by them alone (_stepped_quantile); on a fit that holds
+neither or one of them, one stack steps both.
 
 A cell's rel_error is |a - n| / max(|a|, |n|, I eps S / TOLERANCE), S
 the largest |analytic| of the triangle the cell belongs to: a difference
@@ -43,7 +49,7 @@ import numpy as np
 
 from runoff.bornhuetter import PriorUltimates, _prior_values, bf_reserve_values, default_priors
 from runoff.chainladder import Fit, _ahead, _baseline, _product
-from runoff.impact import _bf, _grad, _mse, _mse_diagonal, _reserve, _shrink, _to_cells
+from runoff.impact import _bf, _grad, _hold, _mse, _mse_diagonal, _reserve, _shrink, _to_cells
 from runoff.quantile import _quantile, fit_lognormal, lognormal_quantile
 from runoff.triangle import IncrementalTriangle, _cells, _read_only, _records
 
@@ -103,7 +109,7 @@ class VerificationReport:
             raise ValueError(f"analytic {shape} and numeric {np.shape(self.numeric)} are not "
                              "gradients of one shape over the 3I-2 fitted sums")
         dim = (shape[-1] + 2) // 3
-        analytic, numeric = _to_cells(np.stack((self.analytic, self.numeric)))
+        analytic, numeric = _to_cells(np.array((self.analytic, self.numeric)))
         rel = relative_error(analytic, numeric, _floor(analytic, dim))
         k, j = (np.tile(c, math.prod(shape[:-1])) for c in _cells(dim))
         for name, values in zip(COLUMNS, (k, j, analytic, numeric, rel)):
@@ -183,22 +189,32 @@ def complex_step(fit: Fit, statistic: Callable) -> np.ndarray:
     order A_1..A_{I-1}, B_1..B_{I-1}, L_1..L_I; _to_cells maps it to the
     cells.
 
-    statistic maps a Fit stacked on a leading axis of 3I-2 entries to a
-    (3I-2, ...) array and must be complex-safe, as the library's array
-    forms are. Entry m of the stack is the baseline fit with ih added to
-    sum m alone (real parts exactly the baseline's, sigma2 the
-    baseline's), so one stack gives the whole gradient. h is STEP times
-    the power of two of the largest latest cumulative, so the derivative
-    does not depend on the scale of the data. The stack is one complex
-    diagonal added to the concatenated sums; its fits are built on views
-    of it, frozen in place, and nothing holds it after the call. The Mack
-    sums of the stack are computed only if statistic reads them.
+    statistic maps fit's stack (_stack) to a (3I-2,) or (3I-2, m) array
+    and must be complex-safe, as the library's array forms are: entry m
+    of the stack steps sum m alone by ih (_step), so one stack gives the
+    whole gradient, and nothing holds the stack after the call: the
+    reserve and MSE verifiers hold only the raw imaginary parts of their
+    totals on fit (_refit_reserve, _stepped_frozen).
     """
+    h = _step(fit)
+    return (statistic(_stack(fit, h)).imag / h).T
+
+
+def _step(fit: Fit) -> float:
+    """h: STEP times the power of two of the largest latest cumulative, so
+    the derivative does not depend on the scale of the data."""
+    return math.ldexp(STEP, math.frexp(fit.latest.max())[1])
+
+
+def _stack(fit: Fit, h: float) -> Fit:
+    """fit stacked on a leading axis of 3I-2 entries, entry m with ih added
+    to sum m alone (real parts exactly the baseline's, sigma2 the
+    baseline's). It is one complex diagonal added to the concatenated sums,
+    its fits built on views of it and frozen in place; its Mack sums are
+    computed only if a statistic reads them."""
     dim = fit.dimension
-    h = math.ldexp(STEP, math.frexp(fit.latest.max())[1])
     sums = np.concatenate((fit.num, fit.den, fit.latest)) + np.diag(np.full(3 * dim - 2, h * 1j))
-    stack = Fit._frozen(*np.split(sums, [dim - 1, 2 * dim - 2], axis=1), sigma2=fit.sigma2)
-    return np.moveaxis(np.imag(statistic(stack)) / h, 0, -1)
+    return Fit._frozen(sums[:, : dim - 1], sums[:, dim - 1 : 2 * dim - 2], sums[:, 2 * dim - 2 :], sigma2=fit.sigma2)
 
 
 def verify_reserve_impacts(
@@ -238,8 +254,7 @@ def _verify(inc: IncrementalTriangle, name: str, year, mu, q, tolerance: float) 
     entry = _STATISTICS[name]
     _, _, fit = _baseline(inc, entry.sigmas)
     analytic = entry.grad(fit, year, mu, q)  # first, to refuse a year or priors before any step
-    numeric = complex_step(fit, lambda stack: entry.stepped(fit, stack, year, mu, q))
-    return VerificationReport(name, tolerance, analytic, numeric)
+    return VerificationReport(name, tolerance, analytic, entry.numeric(fit, year, mu, q))
 
 
 def _frozen_mse(base: Fit, stack: Fit, ln_f: np.ndarray) -> np.ndarray:
@@ -285,8 +300,8 @@ def verify_mse_components(
         analytic, rows = np.concatenate((_mse(fit, np.arange(2, dim + 1)), _mse(fit)[None])), slice(1, None)
     else:
         analytic, rows = _mse(fit, year)[None], slice(year - 1, year)
-    blocks, frozen, plugin = np.split(complex_step(fit, lambda stack: _stepped_mse(fit, stack)),
-                                      [3 * dim - 2, 4 * dim - 1])
+    numeric = complex_step(fit, lambda stack: _stepped_mse(fit, stack))
+    blocks, frozen, plugin = numeric[: 3 * dim - 2], numeric[3 * dim - 2 : 4 * dim - 1], numeric[4 * dim - 1 :]
 
     # building blocks against their gradients over the sums, in the stack's rows:
     # d ln f_s = dA_s / A_s - dB_s / B_s, dChat_q = Chat_q d ln F_q + F_q dL_q
@@ -312,19 +327,21 @@ def verify_mse_components(
 def verify_quantile_impacts(
     inc: IncrementalTriangle, q: float = 0.995, tolerance: float = TOLERANCE
 ) -> VerificationReport:
-    """Complex-step verification of the quantile impact triangle (see _stepped_quantile)."""
+    """Complex-step verification of the quantile impact triangle (see
+    _stepped_quantile): no stack once the reserve-total and MSE verifiers
+    have run on inc, one otherwise."""
     return _verify(inc, "quantile", None, None, q, tolerance)
 
 
 class _Statistic(NamedTuple):
     """A statistic over a Fit: value(fit, year, mu, q), complex-safe over batch
-    axes, of year (None: the total) with priors mu and quantile level q; grad,
-    its gradient over the 3I-2 fitted sums; stepped(base, stack, year, mu, q),
-    what the oracle complex-steps on base's stack; whether it needs sigmas, priors."""
+    axes, of year (None: the total) with priors mu and quantile level q; grad
+    and numeric(fit, year, mu, q), its gradient over the 3I-2 fitted sums and
+    the oracle's complex step of it; whether it needs sigmas, priors."""
 
     value: Callable
     grad: Callable
-    stepped: Callable
+    numeric: Callable
     sigmas: bool = False
     priors: bool = False
 
@@ -334,43 +351,74 @@ def _pick(by_year: np.ndarray, year: int | None):
     return np.sum(by_year, axis=-1) if year is None else by_year[..., year - 1]
 
 
-def _stepped_quantile(base: Fit, stack: Fit, year, mu, q: float) -> np.ndarray:
-    """The quantile map at the baseline's total reserve and MSE (the stack's
-    sums round them differently), stepped by the stack's reserve and the
-    total's frozen MSE, so the step applies the chain rule through the map."""
-    reserve = _RESERVE.value(base, None, mu, q) + 1j * np.imag(_RESERVE.value(stack, None, mu, q))
-    mse = _MSE.value(base, None, mu, q) + 1j * np.imag(_MSE.stepped(base, stack, None, mu, q))
-    return lognormal_quantile(fit_lognormal(reserve, mse), q)
+# The keys under which a Fit holds (impact._hold) the raw imaginary parts of
+# the totals _stepped_quantile steps the map by, each as the fit's stack
+# gives it, (3I-2,): the total reserve and the total's frozen MSE.
+_IM_RESERVE, _IM_MSE = "_im_reserve_total", "_im_mse_total"
+
+
+def _refit_reserve(base: Fit, stack: Fit, year) -> np.ndarray:
+    """The refit reserve of year on base's stack; the total's raw imaginary
+    parts are held on base (_IM_RESERVE)."""
+    reserve = _pick(stack.reserves, year)
+    if year is None:
+        _hold(base, _IM_RESERVE, reserve.imag.copy())
+    return reserve
+
+
+def _stepped_frozen(base: Fit, stack: Fit, ln_f: np.ndarray) -> np.ndarray:
+    """_frozen_mse on base's stack; the total's raw imaginary parts are held
+    on base (_IM_MSE)."""
+    frozen = _frozen_mse(base, stack, ln_f)
+    _hold(base, _IM_MSE, frozen[:, -1].imag.copy())
+    return frozen
+
+
+def _stepped_quantile(fit: Fit, q: float) -> np.ndarray:
+    """The complex step of the quantile map over the fitted sums, with no
+    stack: the map at the fit's total reserve and MSE (a stack's sums round
+    them differently), stepped by the raw imaginary parts of the stack's
+    total reserve and of the total's frozen MSE that fit holds (_IM_RESERVE,
+    _IM_MSE), so the step applies the chain rule through the map. Where fit
+    holds neither or one of them, one stack steps both and fit holds them."""
+    held = fit.__dict__
+    if _IM_RESERVE not in held or _IM_MSE not in held:
+        stack = _stack(fit, _step(fit))
+        _refit_reserve(fit, stack, None)
+        _stepped_frozen(fit, stack, np.log(stack.factors))
+    reserve = _RESERVE.value(fit, None, None, q) + 1j * held[_IM_RESERVE]
+    mse = _MSE.value(fit, None, None, q) + 1j * held[_IM_MSE]
+    return lognormal_quantile(fit_lognormal(reserve, mse), q).imag / _step(fit)
 
 
 def _stepped_mse(base: Fit, stack: Fit) -> np.ndarray:
     """What verify_mse_components complex-steps, on the trailing axis: the
     building blocks ln f_s, Chat_q and B_r f_r^2 (3I-2); every year's
-    frozen MSE, then the total's (_frozen_mse, I+1); and the same I+1 as
-    plug-in MSEs, with base's sigma2, which the stack has."""
+    frozen MSE, then the total's (_stepped_frozen, I+1); and the same I+1
+    as plug-in MSEs, with base's sigma2, which the stack has."""
     ln_f = np.log(stack.factors)
     plugin = np.concatenate((stack.mse_by_year, stack.mse_total[..., None]), axis=-1)
     return np.concatenate(
-        (ln_f, stack.ult, stack.den * stack.factors**2, _frozen_mse(base, stack, ln_f), plugin), axis=-1
+        (ln_f, stack.ult, stack.den * stack.factors**2, _stepped_frozen(base, stack, ln_f), plugin), axis=-1
     )
 
 
 _RESERVE = _Statistic(
     lambda fit, year, mu, q: _pick(fit.reserves, year),
     lambda fit, year, mu, q: _reserve(fit, year),
-    lambda base, stack, *args: _RESERVE.value(stack, *args),  # the refit reserve
+    lambda fit, year, mu, q: complex_step(fit, lambda stack: _refit_reserve(fit, stack, year)),
 )
 _BF = _Statistic(
     lambda fit, year, mu, q: _pick(bf_reserve_values(fit.fprod, mu), year),
     lambda fit, year, mu, q: _bf(fit, year, mu),
-    lambda base, stack, *args: _BF.value(stack, *args),
+    lambda fit, *args: complex_step(fit, lambda stack: _BF.value(stack, *args)),
     priors=True,
 )
 _MSE = _Statistic(
     lambda fit, year, mu, q: fit.mse_total if year is None else fit.mse_by_year[..., year - 1],
     lambda fit, year, mu, q: _mse(fit, year),
-    lambda base, stack, year, *_: _frozen_mse(base, stack, np.log(stack.factors))[
-        ..., -1 if year is None else year - 1],
+    lambda fit, year, mu, q: complex_step(fit, lambda stack: _stepped_frozen(fit, stack, np.log(stack.factors))[
+        :, -1 if year is None else year - 1]),
     sigmas=True,
 )
 _QUANTILE = _Statistic(
@@ -378,7 +426,7 @@ _QUANTILE = _Statistic(
         fit_lognormal(_RESERVE.value(fit, None, mu, q), _MSE.value(fit, None, mu, q)), q
     ),
     lambda fit, year, mu, q: _quantile(fit, q),
-    _stepped_quantile,
+    lambda fit, year, mu, q: _stepped_quantile(fit, q),
     sigmas=True,
 )
 # keyed by the CLI's --stat, in its order; an RMSE statistic is its MSE's, mapped by impact_rmse

@@ -4,7 +4,8 @@ Triangles are square arrays indexed 1-based by accident year i (rows)
 and development year j (columns). A cell (i, j) is observed iff
 i + j <= I + 1; unobserved cells are stored as NaN and never read.
 This module alone knows that region and its row-major order
-(observed_mask, _cells): every walk over the cells gathers through them.
+(observed_mask, _cell_index, _cells): every walk over the cells gathers
+through them.
 It also owns the index contract: every 1-based index is taken as a list
 index is (operator.index), and one outside 1..M raises IndexError
 "<what> <value> out of range 1..M" (_one_based).
@@ -45,11 +46,20 @@ def observed_mask(dimension: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
+def _cell_index(dimension: int) -> tuple:
+    """Row and column, 0-based, of the observed cells in row-major order:
+    the one cell layout, which impact._to_cells gathers by. Read-only,
+    contiguous (np.nonzero gives strided views, slower to gather by) and
+    built once per I, like observed_mask."""
+    return tuple(_read_only(np.ascontiguousarray(c)) for c in np.nonzero(observed_mask(dimension)))
+
+
+@lru_cache(maxsize=16)
 def _cells(dimension: int) -> tuple:
-    """k and j, 1-based, of the observed cells in row-major order: the one
-    cell layout, of observed_cells, the CLI's cell lists and the oracle's
-    derivatives. Read-only and built once per I, like observed_mask."""
-    return tuple(_read_only(c + 1) for c in np.nonzero(observed_mask(dimension)))
+    """k and j, 1-based, of the observed cells in the layout of _cell_index:
+    the cells of observed_cells, the CLI's cell lists and the oracle's
+    reports. Read-only and built once per I."""
+    return tuple(_read_only(c + 1) for c in _cell_index(dimension))
 
 
 def _observed(values: np.ndarray) -> np.ndarray:

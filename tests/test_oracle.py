@@ -494,8 +494,9 @@ def test_no_false_alarms_at_large_dimension(dim):
 def test_one_baseline_fit_per_verifier(dim, fit_builds):
     """The verifiers of one triangle step the baseline it keeps: the first
     builds the factors' fit (the fit with sigmas where the MSE needs them
-    is derived from it) and one stack of stepped fits, every later one its
-    stack alone."""
+    is derived from it) and one stack of stepped fits, the BF and MSE
+    verifiers their stack alone, and the quantile verifier, which steps
+    the map by the totals the reserve and MSE verifiers hold, none."""
     inc = random_triangle(np.random.default_rng([9, dim]), dim)
     for n, verify in enumerate((
         lambda: verify_reserve_impacts(inc, "reserve-total"),
@@ -505,7 +506,7 @@ def test_one_baseline_fit_per_verifier(dim, fit_builds):
     )):
         fit_builds.clear()
         assert verify().passed
-        assert len(fit_builds) == (2 if n == 0 else 1)
+        assert len(fit_builds) == (2 if n == 0 else 0 if n == 3 else 1)
 
 
 def every_verifier(inc):
@@ -676,6 +677,69 @@ def benchmark_kinds(inc):
         verify_mse_components(inc),
         verify_quantile_impacts(inc, 0.995),
     )
+
+
+# The benchmark's four oracle-verify ops by name, and orders to make them
+# in on one triangle: each leaves the fit holding another set of stepped
+# totals when the quantile verifier runs (none, the MSE's alone, the
+# reserve's alone, both).
+BENCHMARK_KINDS = {
+    "reserve-total": lambda inc: verify_reserve_impacts(inc, "reserve-total"),
+    "bf-total": lambda inc: verify_reserve_impacts(inc, "bf-total"),
+    "mse-components": lambda inc: verify_mse_components(inc),
+    "quantile": lambda inc: verify_quantile_impacts(inc, 0.995),
+}
+KIND_ORDERS = {
+    "quantile first": ("quantile", "mse-components", "bf-total", "reserve-total"),
+    "mse first": ("mse-components", "quantile", "reserve-total", "bf-total"),
+    "reserve last": ("bf-total", "mse-components", "quantile", "reserve-total"),
+    "reserve then quantile": ("reserve-total", "quantile", "mse-components", "bf-total"),
+    "benchmark": tuple(BENCHMARK_KINDS),
+}
+
+
+@pytest.mark.parametrize("order", KIND_ORDERS.values(), ids=KIND_ORDERS.keys())
+@pytest.mark.parametrize("dim", [None, 10, 40])
+def test_the_benchmark_kinds_in_any_order_report_what_a_fresh_triangle_does(dim, order, belgian):
+    """Whichever stepped totals the reserve and MSE verifiers have left on
+    a triangle's fit, each of the benchmark's four reports on it is the
+    report a fresh triangle gives, bit for bit, notes included. The random
+    triangles are bench/layers.py's random_rows."""
+    rows = belgian.to_rows() if dim is None else load(LAYERS, "bench_layers").random_rows(dim)
+    kept = IncrementalTriangle.from_rows(rows)
+    for name in order:
+        verify = BENCHMARK_KINDS[name]
+        assert_same_report(verify(kept), verify(IncrementalTriangle.from_rows(rows)))
+
+
+def stacks(fit_builds) -> int:
+    """How many of the Fit builds are complex-step stacks: those on a
+    leading axis of 3I-2 entries."""
+    return sum(np.ndim(latest) == 2 for _, _, latest, *_ in fit_builds)
+
+
+@pytest.mark.parametrize("dim", [10, 20])
+def test_the_quantile_verifier_steps_the_totals_the_fit_holds(dim, fit_builds):
+    """On a fresh triangle the quantile verifier steps the total reserve and
+    the total MSE in one stack. After the reserve-total and MSE verifiers
+    it builds nothing: the baseline fit holds the raw imaginary parts of
+    both stepped totals, read-only and 3I-2 long, and it steps the
+    quantile map by them to the report a fresh triangle gives."""
+    rows = random_triangle(np.random.default_rng([15, dim]), dim).to_rows()
+    fit_builds.clear()
+    fresh = verify_quantile_impacts(IncrementalTriangle.from_rows(rows), 0.995)
+    assert stacks(fit_builds) == 1 and len(fit_builds) == 2  # the baseline fit and the stack
+
+    inc = IncrementalTriangle.from_rows(rows)
+    verify_reserve_impacts(inc, "reserve-total")
+    verify_mse_components(inc)
+    fit_builds.clear()
+    assert_same_report(verify_quantile_impacts(inc, 0.995), fresh)
+    assert fit_builds == []
+    fit = _baseline(inc, sigmas=True)[2]
+    for name in (oracle._IM_RESERVE, oracle._IM_MSE):
+        held = fit.__dict__[name]
+        assert held.shape == (3 * dim - 2,) and held.dtype == float and not held.flags.writeable, name
 
 
 def test_no_false_alarms_on_any_year_at_i_100():

@@ -156,11 +156,12 @@ def test_layer_record_interleaves_two_trees(tmp_path, monkeypatch):
 def test_layer_verify_stages_time_a_first_verification(fit_builds, tmp_path):
     """A triangle keeps its verifiers' baseline, so every call of a
     verify_* stage verifies a fresh triangle: each builds its baseline
-    fit and its stack, and verify_round the baseline once for four."""
+    fit and its stack, and verify_round the baseline once and a stack for
+    each of the three verifiers before the quantile's, which steps none."""
     layers = load(LAYERS, "bench_layers")
     stages = layers.stages(runoff, 6, tmp_path)
     for name, builds in (("verify_reserve_impacts", 2), ("verify_reserve_impacts_year", 2),
-                         ("verify_mse_components", 2), ("verify_mse_components_year", 2), ("verify_round", 5)):
+                         ("verify_mse_components", 2), ("verify_mse_components_year", 2), ("verify_round", 4)):
         for _ in range(2):
             fit_builds.clear()
             stages[name]()
