@@ -10,7 +10,8 @@ random_rows at I = 4, 10, 40 and 100. On each, the results are the impact
 triangles of every statistic, the per-year ones at every accident year and
 the quantile at q = 0.995, and the reports of verify_reserve_impacts (its
 four statistics) and verify_mse_components, each at year None, 1, I//2
-and I where it takes a year, and of verify_quantile_impacts. Then, on the
+and I where it takes a year, and of verify_quantile_impacts, on that
+triangle and on a fresh one after verify_mse_components alone. Then, on the
 same cumulative triangle and in this order: the total MSE impact with the
 sigmas x1.5, then with the factors x1.01 and the estimated sigmas, the
 total reserve impact with those factors, the quantile impact with both
@@ -46,6 +47,7 @@ def calls(runoff, dim: int) -> dict:
         "impact_mse_total": lambda: runoff.impact_mse_total(cum, factors, sigmas),
         "impact_quantile": lambda: runoff.impact_quantile(cum, factors, sigmas, QUANTILE_LEVEL),
         "verify_quantile_impacts": lambda: runoff.verify_quantile_impacts(inc, QUANTILE_LEVEL),
+        "verify_quantile_impacts after verify_mse_components": lambda: after_mse(runoff, dim),
     }
     for i in range(1, dim + 1):
         out[f"impact_reserve_ay {i}"] = lambda i=i: runoff.impact_reserve_ay(cum, factors, i)
@@ -70,6 +72,14 @@ def calls(runoff, dim: int) -> dict:
         "impact_quantile again": lambda: runoff.impact_quantile(cum, factors, sigmas, QUANTILE_LEVEL),
     })
     return out
+
+
+def after_mse(runoff, dim: int):
+    """verify_quantile_impacts on a fresh random_rows(dim) triangle that
+    verify_mse_components alone has checked."""
+    inc = runoff.IncrementalTriangle.from_rows(random_rows(dim))
+    runoff.verify_mse_components(inc)
+    return runoff.verify_quantile_impacts(inc, QUANTILE_LEVEL)
 
 
 def outcome(call) -> tuple:

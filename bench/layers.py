@@ -33,7 +33,7 @@ reserve of year I//2 and verify_mse_components_year the MSE of year I//2
 alone, the single-year paths, and verify_round makes the four perfbench
 oracle-verify ops on one fresh triangle, where each total is stepped
 once: the quantile verifier steps the map by the stepped total reserve
-and total MSE the reserve and MSE verifiers hold on the fit, with no
+and total MSE that the MSE verifier's stack holds on the fit, with no
 stack of its own, and verify_quantile_impacts, on a fresh triangle,
 steps both in one stack.
 The ingest stage reads the triangle through runoff.cli.ingest from a

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from runoff.triangle import (Container, CumulativeTriangle, IncrementalTriangle, ReadOnlyArrays, _one_based,
+from runoff.triangle import (Container, CumulativeTriangle, IncrementalTriangle, _one_based,
                              _read_only, cumulate, observed_mask)
 
 __all__ = ["DevelopmentFactors", "Fit", "SigmaEstimates", "MackSummary",
@@ -52,18 +52,26 @@ class DevelopmentFactors(Container):
 
 @dataclass(frozen=True)
 class SigmaEstimates(Container):
-    """Variance scales sigma^2_j for j = 1..I-1."""
+    """Variance scales sigma^2_j for j = 1..I-1: none negative (NaN passes)."""
 
     dimension: int
     values: np.ndarray
     SHORT = 1
+
+    def __post_init__(self):
+        super().__post_init__()
+        if (negative := self.values < 0.0).any():
+            j = int(np.argmax(negative)) + 1
+            raise ValueError(f"sigma^2 of development year {j} must be >= 0, got {self.values[j - 1]}")
 
     def sigma2(self, j: int) -> float:
         return float(self.values[_one_based(j, self.dimension - 1, "sigma index") - 1])
 
 
 @dataclass(frozen=True)
-class MackSummary(ReadOnlyArrays):
+class MackSummary:
+    """Its arrays are read-only float64 copies of what the caller passed."""
+
     factors: DevelopmentFactors
     sigmas: SigmaEstimates
     ultimates: np.ndarray
@@ -71,6 +79,10 @@ class MackSummary(ReadOnlyArrays):
     reserve_total: float
     mse_by_year: np.ndarray
     mse_total: float
+
+    def __post_init__(self):
+        for name in ("ultimates", "reserves_by_year", "mse_by_year"):
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=float)))
 
 
 def _ahead(per_s: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -144,24 +144,19 @@ def _columns(impacts: ImpactTriangle) -> tuple:
     return k.tolist(), j.tolist(), _observed(impacts.values).tolist()
 
 
-_number = "{:.10g}".format  # a number to 10 significant digits
-
-
 def _field(value) -> str:
-    """A CSV field: a number by _number, None empty, text as is."""
-    return "" if value is None else value if isinstance(value, str) else _number(value)
+    """A CSV field: a number to 10 significant digits, None empty, text as is."""
+    return "" if value is None else value if isinstance(value, str) else f"{value:.10g}"
 
 
 def _csv(header: tuple, columns, last: tuple = ()) -> str:
     """The header line, one line per row of the columns, then the row last
-    if given. Where every column holds numbers, each row is written by one
-    format, an int column's fields by str and a float column's as _number
-    writes them; columns that hold None, and last, field by field by _field."""
-    if any(None in column for column in columns):
-        rows = map(",".join, zip(*(map(_field, column) for column in columns)))
-    else:
-        rows = map(",".join("{}" if isinstance(c[0], int) else "{:.10g}" for c in columns).format, *columns)
-    lines = [",".join(header), *rows]
+    if given. A column that holds None is first written field by field by
+    _field; then each row is written by one format, an int or text column's
+    fields as they are and a float column's as _field writes a number."""
+    columns = [list(map(_field, column)) if None in column else column for column in columns]
+    row = ",".join("{}" if isinstance(c[0], (int, str)) else "{:.10g}" for c in columns)
+    lines = [",".join(header), *map(row.format, *columns)]
     if last:
         lines.append(",".join(map(_field, last)))
     return "\n".join(lines) + "\n"

@@ -15,20 +15,19 @@ cumulated and fitted once for the CLI and all its verifiers.
 The step subtracts nothing, so there is no step size to choose and the
 derivative is exact to rounding. Every verifier compares an analytic
 gradient with the complex step of the statistic it is the gradient of,
-both read from the one table of the statistics (_STATISTICS, year None
-the total), which the CLI computes them from too: the refit reserves;
-for the MSE impacts, which hold sigma^2 fixed and substitute the
-estimation error after differentiation, the MSE with the coefficients
-its formula holds fixed frozen at the baseline (_frozen_mse), which the
-MSE verifier steps with its building blocks and the plug-in MSE in one
-stack (_stepped_mse), picking its targets by one row slice; and the
-lognormal quantile map. The quantile reads the triangle only through the
-total reserve and the total MSE, so its verifier steps no stack of its
-own: the baseline Fit holds the raw imaginary parts of the stack's total
-reserve and of the total's frozen MSE (_IM_RESERVE, _IM_MSE), (3I-2,)
-each, as the reserve and MSE verifiers step them, and it steps the
-quantile map by them alone (_stepped_quantile); on a fit that holds
-neither or one of them, one stack steps both.
+the gradient read from the one table of the statistics (_STATISTICS,
+year None the total), which the CLI computes them from too, and so is
+the step of the refit reserves and of the lognormal quantile map (_verify).
+The MSE impacts hold sigma^2 fixed and substitute the estimation error
+after differentiation, so the MSE verifier alone steps the MSE with the
+coefficients its formula holds fixed frozen at the baseline
+(_frozen_mse), with its building blocks and the plug-in MSE in one stack
+(_stepped_mse), picking its targets by one row slice. That stack also
+holds the raw imaginary parts of its total reserve and of the total's
+frozen MSE on the baseline Fit (_stepped_frozen), (3I-2,) each: the
+quantile reads the triangle only through those two totals, so its
+verifier steps the map by them alone (_stepped_quantile), with no stack
+of its own where the fit holds them, and that one stack where not.
 
 A cell's rel_error is |a - n| / max(|a|, |n|, I eps S / TOLERANCE), S
 the largest |analytic| of the triangle the cell belongs to: a difference
@@ -41,6 +40,7 @@ round differently at another scale.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -92,7 +92,8 @@ class VerificationReport:
     statistics over the 3I-2 fitted sums, (..., 3I-2) of one shape, I read
     from the width: one _to_cells maps both to the cells, and the mapped
     arrays are the columns as they are. rel_error is derived here, with
-    each triangle's floor (see _floor)."""
+    each triangle's floor (see _floor). A tolerance that is not a number
+    >= 0 (NaN, negative, text) raises ValueError."""
 
     statistic: str
     tolerance: float
@@ -104,6 +105,8 @@ class VerificationReport:
     rel_error: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not (isinstance(self.tolerance, numbers.Real) and self.tolerance >= 0.0):
+            raise ValueError(f"tolerance must be a number >= 0, got {self.tolerance!r}")
         shape = np.shape(self.analytic)
         if shape != np.shape(self.numeric) or not shape or shape[-1] % 3 != 1:
             raise ValueError(f"analytic {shape} and numeric {np.shape(self.numeric)} are not "
@@ -192,9 +195,9 @@ def complex_step(fit: Fit, statistic: Callable) -> np.ndarray:
     statistic maps fit's stack (_stack) to a (3I-2,) or (3I-2, m) array
     and must be complex-safe, as the library's array forms are: entry m
     of the stack steps sum m alone by ih (_step), so one stack gives the
-    whole gradient, and nothing holds the stack after the call: the
-    reserve and MSE verifiers hold only the raw imaginary parts of their
-    totals on fit (_refit_reserve, _stepped_frozen).
+    whole gradient, and nothing holds the stack after the call: the MSE
+    verifier holds only the raw imaginary parts of the stack's total
+    reserve and total frozen MSE on fit (_stepped_frozen).
     """
     h = _step(fit)
     return (statistic(_stack(fit, h)).imag / h).T
@@ -250,7 +253,9 @@ def verify_reserve_impacts(
 
 def _verify(inc: IncrementalTriangle, name: str, year, mu, q, tolerance: float) -> VerificationReport:
     """The report on statistic name of _STATISTICS at year (None: the total)
-    from inc's baseline: its grad against the complex step of its stepped."""
+    from inc's baseline: its grad against its numeric. It serves the
+    reserve, BF and quantile names; an MSE or RMSE one has no numeric
+    (verify_mse_components checks those)."""
     entry = _STATISTICS[name]
     _, _, fit = _baseline(inc, entry.sigmas)
     analytic = entry.grad(fit, year, mu, q)  # first, to refuse a year or priors before any step
@@ -328,8 +333,8 @@ def verify_quantile_impacts(
     inc: IncrementalTriangle, q: float = 0.995, tolerance: float = TOLERANCE
 ) -> VerificationReport:
     """Complex-step verification of the quantile impact triangle (see
-    _stepped_quantile): no stack once the reserve-total and MSE verifiers
-    have run on inc, one otherwise."""
+    _stepped_quantile): no stack once the MSE verifier has run on inc, one
+    otherwise."""
     return _verify(inc, "quantile", None, None, q, tolerance)
 
 
@@ -337,11 +342,12 @@ class _Statistic(NamedTuple):
     """A statistic over a Fit: value(fit, year, mu, q), complex-safe over batch
     axes, of year (None: the total) with priors mu and quantile level q; grad
     and numeric(fit, year, mu, q), its gradient over the 3I-2 fitted sums and
-    the oracle's complex step of it; whether it needs sigmas, priors."""
+    the oracle's complex step of it (None for the MSE: verify_mse_components
+    checks its impacts); whether it needs sigmas, priors."""
 
     value: Callable
     grad: Callable
-    numeric: Callable
+    numeric: Callable | None = None
     sigmas: bool = False
     priors: bool = False
 
@@ -357,19 +363,12 @@ def _pick(by_year: np.ndarray, year: int | None):
 _IM_RESERVE, _IM_MSE = "_im_reserve_total", "_im_mse_total"
 
 
-def _refit_reserve(base: Fit, stack: Fit, year) -> np.ndarray:
-    """The refit reserve of year on base's stack; the total's raw imaginary
-    parts are held on base (_IM_RESERVE)."""
-    reserve = _pick(stack.reserves, year)
-    if year is None:
-        _hold(base, _IM_RESERVE, reserve.imag.copy())
-    return reserve
-
-
 def _stepped_frozen(base: Fit, stack: Fit, ln_f: np.ndarray) -> np.ndarray:
-    """_frozen_mse on base's stack; the total's raw imaginary parts are held
-    on base (_IM_MSE)."""
+    """_frozen_mse on base's stack. base holds the raw imaginary parts of
+    the stack's total reserve (_IM_RESERVE), which reads no sigma^2, and of
+    the total's frozen MSE (_IM_MSE): the one writer of both."""
     frozen = _frozen_mse(base, stack, ln_f)
+    _hold(base, _IM_RESERVE, _pick(stack.reserves, None).imag.copy())
     _hold(base, _IM_MSE, frozen[:, -1].imag.copy())
     return frozen
 
@@ -380,11 +379,11 @@ def _stepped_quantile(fit: Fit, q: float) -> np.ndarray:
     them differently), stepped by the raw imaginary parts of the stack's
     total reserve and of the total's frozen MSE that fit holds (_IM_RESERVE,
     _IM_MSE), so the step applies the chain rule through the map. Where fit
-    holds neither or one of them, one stack steps both and fit holds them."""
+    holds neither (no MSE verifier has run on it), one stack steps both and
+    fit holds them (_stepped_frozen)."""
     held = fit.__dict__
-    if _IM_RESERVE not in held or _IM_MSE not in held:
+    if _IM_MSE not in held:
         stack = _stack(fit, _step(fit))
-        _refit_reserve(fit, stack, None)
         _stepped_frozen(fit, stack, np.log(stack.factors))
     reserve = _RESERVE.value(fit, None, None, q) + 1j * held[_IM_RESERVE]
     mse = _MSE.value(fit, None, None, q) + 1j * held[_IM_MSE]
@@ -406,7 +405,7 @@ def _stepped_mse(base: Fit, stack: Fit) -> np.ndarray:
 _RESERVE = _Statistic(
     lambda fit, year, mu, q: _pick(fit.reserves, year),
     lambda fit, year, mu, q: _reserve(fit, year),
-    lambda fit, year, mu, q: complex_step(fit, lambda stack: _refit_reserve(fit, stack, year)),
+    lambda fit, *args: complex_step(fit, lambda stack: _RESERVE.value(stack, *args)),
 )
 _BF = _Statistic(
     lambda fit, year, mu, q: _pick(bf_reserve_values(fit.fprod, mu), year),
@@ -417,8 +416,6 @@ _BF = _Statistic(
 _MSE = _Statistic(
     lambda fit, year, mu, q: fit.mse_total if year is None else fit.mse_by_year[..., year - 1],
     lambda fit, year, mu, q: _mse(fit, year),
-    lambda fit, year, mu, q: complex_step(fit, lambda stack: _stepped_frozen(fit, stack, np.log(stack.factors))[
-        :, -1 if year is None else year - 1]),
     sigmas=True,
 )
 _QUANTILE = _Statistic(

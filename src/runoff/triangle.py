@@ -14,7 +14,7 @@ index is (operator.index), and one outside 1..M raises IndexError
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -76,16 +76,6 @@ def _records(names: tuple, columns) -> list:
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
-
-
-class ReadOnlyArrays:
-    """Base of MackSummary: each field annotated np.ndarray holds a
-    read-only float64 copy of what the caller passed, as in a Container."""
-
-    def __post_init__(self):
-        for f in fields(self):
-            if f.type == "np.ndarray":
-                object.__setattr__(self, f.name, _read_only(np.array(getattr(self, f.name), dtype=float)))
 
 
 class Container:

@@ -277,6 +277,17 @@ class TestSigmas:
         with pytest.raises(IndexError, match=r"^sigma index 4 out of range 1\.\.3$"):
             SigmaEstimates(4, np.ones(3)).sigma2(4)
 
+    def test_a_negative_sigma2_is_refused(self, belgian):
+        """A negative sigma^2 makes a negative MSE (every sigma^2 = -1 gave
+        the bundled triangle an mse_total of -1.06e11): it is refused by
+        its development year and value. 0, -0.0 and NaN pass."""
+        with pytest.raises(ValueError, match=r"^sigma\^2 of development year 3 must be >= 0, got -0\.5$"):
+            SigmaEstimates(4, [1.0, 0.0, -0.5])
+        cum = cumulate(belgian)
+        with pytest.raises(ValueError, match=r"^sigma\^2 of development year 1 must be >= 0, got -1\.0$"):
+            mse_total(cum, estimate_development_factors(cum), SigmaEstimates(10, -np.ones(9)))
+        assert math.isnan(SigmaEstimates(4, [0.0, -0.0, math.nan]).sigma2(3))
+
     def test_zero_cumulative_cell(self):
         tri = IncrementalTriangle.from_rows(
             [[0.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0], [1.0]]

@@ -175,6 +175,14 @@ class TestVerificationReport:
             with pytest.raises(ValueError, match=re.escape(f"analytic (4,) and numeric {shape} are not")):
                 VerificationReport("x", 1e-5, np.ones(4), np.ones(shape))
 
+    @pytest.mark.parametrize("tolerance", [math.nan, -1, -1e-300, "x", None])
+    def test_a_tolerance_that_is_not_a_number_at_least_0_is_refused(self, tolerance):
+        """NaN or a negative number would fail every report, and text would
+        raise only when passed is read: each is refused at construction."""
+        with pytest.raises(ValueError, match=re.escape(f"tolerance must be a number >= 0, got {tolerance!r}")):
+            VerificationReport("x", tolerance, np.ones(4), np.ones(4))
+        assert VerificationReport("x", 0, np.ones(4), np.ones(4)).passed
+
     def test_a_nan_cell_fails_wherever_it_sits(self):
         # a NaN on L_k of I=3 reaches row k's cells alone: (k, 1) is the first
         for k, at in ((1, 0), (2, 3), (3, 5)):
@@ -185,6 +193,19 @@ class TestVerificationReport:
             assert math.isnan(report.max_rel_error)
             assert report.worst_cell == (k, 1)
             assert not report.passed
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, -1, "x"])
+def test_every_verifier_refuses_a_tolerance_no_report_can_hold(tolerance, belgian):
+    """The reserve, MSE and quantile verifiers refuse what their reports
+    refuse, before they report."""
+    for verify in (
+        lambda: verify_reserve_impacts(belgian, "reserve-ay", 3, tolerance=tolerance),
+        lambda: verify_mse_components(belgian, tolerance),
+        lambda: verify_quantile_impacts(belgian, 0.995, tolerance),
+    ):
+        with pytest.raises(ValueError, match="tolerance must be a number >= 0"):
+            verify()
 
 
 class TestVerifyReserveImpacts:
@@ -496,7 +517,7 @@ def test_one_baseline_fit_per_verifier(dim, fit_builds):
     builds the factors' fit (the fit with sigmas where the MSE needs them
     is derived from it) and one stack of stepped fits, the BF and MSE
     verifiers their stack alone, and the quantile verifier, which steps
-    the map by the totals the reserve and MSE verifiers hold, none."""
+    the map by the totals the MSE verifier's stack holds, none."""
     inc = random_triangle(np.random.default_rng([9, dim]), dim)
     for n, verify in enumerate((
         lambda: verify_reserve_impacts(inc, "reserve-total"),
@@ -701,8 +722,8 @@ KIND_ORDERS = {
 @pytest.mark.parametrize("order", KIND_ORDERS.values(), ids=KIND_ORDERS.keys())
 @pytest.mark.parametrize("dim", [None, 10, 40])
 def test_the_benchmark_kinds_in_any_order_report_what_a_fresh_triangle_does(dim, order, belgian):
-    """Whichever stepped totals the reserve and MSE verifiers have left on
-    a triangle's fit, each of the benchmark's four reports on it is the
+    """Whether or not the MSE verifier has left the stepped totals on a
+    triangle's fit, each of the benchmark's four reports on it is the
     report a fresh triangle gives, bit for bit, notes included. The random
     triangles are bench/layers.py's random_rows."""
     rows = belgian.to_rows() if dim is None else load(LAYERS, "bench_layers").random_rows(dim)
@@ -721,25 +742,27 @@ def stacks(fit_builds) -> int:
 @pytest.mark.parametrize("dim", [10, 20])
 def test_the_quantile_verifier_steps_the_totals_the_fit_holds(dim, fit_builds):
     """On a fresh triangle the quantile verifier steps the total reserve and
-    the total MSE in one stack. After the reserve-total and MSE verifiers
-    it builds nothing: the baseline fit holds the raw imaginary parts of
-    both stepped totals, read-only and 3I-2 long, and it steps the
-    quantile map by them to the report a fresh triangle gives."""
+    the total MSE in one stack. After the MSE verifier, alone or after the
+    reserve-total verifier, it builds nothing: the MSE verifier's stack
+    holds the raw imaginary parts of both stepped totals on the baseline
+    fit, read-only and 3I-2 long, and the quantile verifier steps the map
+    by them to the report a fresh triangle gives."""
     rows = random_triangle(np.random.default_rng([15, dim]), dim).to_rows()
     fit_builds.clear()
     fresh = verify_quantile_impacts(IncrementalTriangle.from_rows(rows), 0.995)
     assert stacks(fit_builds) == 1 and len(fit_builds) == 2  # the baseline fit and the stack
 
-    inc = IncrementalTriangle.from_rows(rows)
-    verify_reserve_impacts(inc, "reserve-total")
-    verify_mse_components(inc)
-    fit_builds.clear()
-    assert_same_report(verify_quantile_impacts(inc, 0.995), fresh)
-    assert fit_builds == []
-    fit = _baseline(inc, sigmas=True)[2]
-    for name in (oracle._IM_RESERVE, oracle._IM_MSE):
-        held = fit.__dict__[name]
-        assert held.shape == (3 * dim - 2,) and held.dtype == float and not held.flags.writeable, name
+    for before in (("reserve-total", "mse-components"), ("mse-components",)):
+        inc = IncrementalTriangle.from_rows(rows)
+        for name in before:
+            BENCHMARK_KINDS[name](inc)
+        fit_builds.clear()
+        assert_same_report(verify_quantile_impacts(inc, 0.995), fresh)
+        assert fit_builds == [], before
+        fit = _baseline(inc, sigmas=True)[2]
+        for name in (oracle._IM_RESERVE, oracle._IM_MSE):
+            held = fit.__dict__[name]
+            assert held.shape == (3 * dim - 2,) and held.dtype == float and not held.flags.writeable, name
 
 
 def test_no_false_alarms_on_any_year_at_i_100():
@@ -857,11 +880,12 @@ def test_the_table_agrees_with_the_public_api(dim, belgian):
 
 @pytest.mark.parametrize("dim", [None, 20])
 def test_a_report_maps_as_the_impacts_do(dim, belgian):
-    """The analytic column of _verify's report on every --stat name, at
-    years 1, I/2 and I for the per-year ones, is the observed cells of the
-    public impact triangle (an RMSE name's: its MSE's), and each triangle
-    of verify_mse_components is impact_mse_ay's of its year (2..I, or the
-    year given) and its last impact_mse_total's, bit for bit."""
+    """The analytic column of _verify's report on every --stat name it
+    serves (reserve, BF, quantile), at years 1, I/2 and I for the per-year
+    ones, is the observed cells of the public impact triangle, and each
+    triangle of verify_mse_components, which checks the MSE and RMSE
+    names, is impact_mse_ay's of its year (2..I, or the year given) and
+    its last impact_mse_total's, bit for bit."""
     inc, cum, factors, fit, priors = table_case(dim, belgian)
     dim = inc.dimension
     sigmas = SigmaEstimates(dim, fit.sigma2)
@@ -875,11 +899,10 @@ def test_a_report_maps_as_the_impacts_do(dim, belgian):
         "quantile": lambda _: impact_quantile(cum, factors, sigmas, 0.995),
     }
     years = (1, dim // 2, dim)
-    for name in cli.STATISTICS:
-        kind = name.removeprefix("r") if name.startswith("rmse") else name
+    for name in (name for name, entry in _STATISTICS.items() if entry.numeric):
         for year in years if name.endswith("-ay") else (None,):
             report = _verify(inc, name, year, priors.values, 0.995, TOLERANCE)
-            want = public[kind](year).values[observed_mask(dim)]
+            want = public[name](year).values[observed_mask(dim)]
             assert report.analytic.tobytes() == want.tobytes(), (name, year)
     reports = {None: range(2, dim + 1)} | {year: [year] for year in years}
     for year, checked in reports.items():
@@ -913,20 +936,6 @@ def test_each_table_value_is_complex_safe_over_the_stack(dim, belgian):
             assert stacked[0].shape == (3 * dim - 2,)
             bound = dim * np.finfo(float).eps * max(abs(value), np.sum(np.abs(fit.ult)))
             assert np.max(np.abs(np.real(stacked[0]) - value)) <= bound, (name, year)
-
-
-@pytest.mark.parametrize("year", [None, 1, 4, 10])
-def test_the_mse_entry_steps_the_frozen_mse_the_mse_verifier_steps(year, belgian):
-    """_verify of an MSE name, which steps the entry's frozen MSE, reports
-    the triangle verify_mse_components reports last for the same year (the
-    total for None), bit for bit; an RMSE name checks the same."""
-    full = verify_mse_components(belgian, year=year)
-    n = 55
-    for name in ("mse-ay", "rmse-ay") if year else ("mse-total", "rmse-total"):
-        report = _verify(belgian, name, year, None, None, TOLERANCE)
-        assert report.passed and report.statistic == name
-        for column in ("k", "j", "analytic", "numeric", "rel_error"):
-            assert np.array_equal(getattr(report, column), getattr(full, column)[-n:]), (name, column)
 
 
 def by_triangle(column, dim):
