@@ -16,8 +16,9 @@ same cumulative triangle and in this order: the total MSE impact with the
 sigmas x1.5, then with the factors x1.01 and the estimated sigmas, the
 total reserve impact with those factors, the quantile impact with both
 changed, and with the estimates again. A result is
-the bytes of each array it holds and the repr of every other field, or the
-type and message of what it raised; a result that differs is printed, and
+the bytes of each array it holds and the repr of every other field (a
+verifier report's to_dict() and its cell columns), or the type and
+message of what it raised; a result that differs is printed, and
 the exit code is 1 on any difference, else 0.
 """
 
@@ -82,13 +83,24 @@ def after_mse(runoff, dim: int):
     return runoff.verify_quantile_impacts(inc, QUANTILE_LEVEL)
 
 
+# The cell columns of a verifier report.
+REPORT_COLUMNS = ("k", "j", "analytic", "numeric", "rel_error")
+
+
 def outcome(call) -> tuple:
-    """The result of call, its fields as array bytes or reprs, or what it raised."""
+    """The result of call, its fields as array bytes or reprs, or what it
+    raised. A verifier report is the repr of its to_dict() and the bytes
+    of its cell columns, read in that order, so two trees compare by what
+    a report gives its reader, whatever it holds inside."""
     try:
         value = call()
     except Exception as exc:
         return type(exc).__name__, str(exc)
-    return tuple(v.tobytes() if isinstance(v, np.ndarray) else repr(v) for v in vars(value).values())
+    if hasattr(value, "to_dict"):
+        fields = [value.to_dict(), *(getattr(value, name) for name in REPORT_COLUMNS)]
+    else:
+        fields = vars(value).values()
+    return tuple(v.tobytes() if isinstance(v, np.ndarray) else repr(v) for v in fields)
 
 
 def sweep(trees: list, sizes=SIZES) -> tuple:

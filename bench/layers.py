@@ -11,10 +11,12 @@ own set of sys.modules entries, and timed batch by batch in turn, the
 order reversed every batch, so drift of the host reads in every label
 alike and one record compares them.
 
-A stage is timed in BATCHES batches, each repeating the call until
-BATCH_S has passed, and its entry is the least mean time per call over
-the batches (best_s), with the number of calls and batches made; a
-batch whose time passes SLOW_S ends the stage. After the timing, one
+A stage is first called once per tree, untimed, so that the first batch
+of a run reads as the later ones do; then it is timed in BATCHES
+batches, each repeating the call until BATCH_S has passed, and its entry
+is the least mean time per call over the batches (best_s), with the
+number of calls and batches made; a batch whose time passes SLOW_S ends
+the stage. After the timing, one
 more call runs under tracemalloc, and its peak of traced memory is the
 stage's peak_mb. The estimator and
 impact stages reuse one triangle and its factors and sigmas, so where
@@ -41,6 +43,10 @@ file in the CLI's input format, written into a temporary directory by
 write_triangle (which bench/cli_sweep.py uses too); validate checks the
 increments as ingest does, decumulate inverts the cumulated triangle,
 and render_csv writes the reserve-total impact triangle as the CLI's CSV.
+Beside the stages, each tree runs CLI_COMMAND (the MSE verifier's text
+report) on the ingest stage's file once per size, in a fresh process,
+and records its wall time, start-up included, and its peak RSS (its
+VmHWM, Linux) under cli[I=<n>].
 The result goes under layers[label] of
 BENCH_<yyyymmdd>.json in the repository root, merged with what the file
 already holds, so a before and an after run share one file.
@@ -54,6 +60,7 @@ import importlib
 import json
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 import time
@@ -63,11 +70,13 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-SIZES = (10, 20, 40, 60, 100, 200)
+SIZES = (10, 20, 40, 60, 100, 200, 400)
 BATCHES = 5
 BATCH_S = 0.05
 SLOW_S = 5.0
 QUANTILE_LEVEL = 0.995
+# The CLI command each tree runs in a fresh process per size, after the input file.
+CLI_COMMAND = ("verify", "--stat", "mse-total", "--format", "text")
 
 
 def random_rows(dim: int) -> list:
@@ -212,6 +221,9 @@ def per_call(trees: list, calls: list) -> list:
     take their batches in turn, in reverse order every other batch."""
     means, counts = [[] for _ in calls], [0] * len(calls)
     order = list(range(len(calls)))
+    for m in order:  # untimed: the first batch then reads as the later ones
+        use(trees[m])
+        calls[m]()
     while len(means[0]) < BATCHES:
         slow = False
         for m in order:
@@ -237,6 +249,22 @@ def peak_mb(call) -> float:
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
+
+
+def cli_run(src: str, path: str) -> dict:
+    """One fresh process running the runoff CLI of the tree src on path with
+    CLI_COMMAND: its exit code, wall time and peak RSS in MB (2^20 bytes),
+    which the process reports of itself as its VmHWM. Its ru_maxrss would
+    not do: Linux starts it at the RSS of this process, which forked it."""
+    code = ("import sys; from runoff.cli import main; code = main(sys.argv[1:]); "
+            "print(*(ln.split()[1] for ln in open('/proc/self/status') if ln.startswith('VmHWM:')), "
+            "file=sys.stderr); sys.exit(code)")
+    argv = [sys.executable, "-c", code, CLI_COMMAND[0], path, *CLI_COMMAND[1:]]
+    t0 = time.perf_counter()
+    done = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=str(Path(src).resolve())),
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    wall = time.perf_counter() - t0
+    return {"exit": done.returncode, "wall_s": wall, "peak_rss_mb": int(done.stderr.split()[-1]) / 1024}
 
 
 def main(argv=None) -> int:
@@ -266,6 +294,7 @@ def main(argv=None) -> int:
             "slow_s": SLOW_S,
             "interleaved_with": [other for other in args.label if other != label],
             "seconds": {},
+            "cli": {"command": " ".join(CLI_COMMAND)},
         }
         for label in args.label
     ]
@@ -287,8 +316,11 @@ def main(argv=None) -> int:
                         f"{rows[m][name]['peak_mb']:9.2f} MB",
                         flush=True,
                     )
-            for section, row in zip(sections, rows):
+            for src, label, section, row in zip(args.src, args.label, sections, rows):
                 section["seconds"][f"I={dim}"] = row
+                run = section["cli"][f"I={dim}"] = cli_run(src, str(Path(tmp.name) / f"random{dim}.csv"))
+                print(f"I={dim:<4} {'cli ' + ' '.join(CLI_COMMAND[:3]):<30} {label:<10} {run['wall_s']:.6f} s "
+                      f"{run['peak_rss_mb']:9.2f} MB RSS, exit {run['exit']}", flush=True)
     finally:
         use(outer)
         tmp.cleanup()

@@ -53,10 +53,27 @@ def _lines(path: str, what: str) -> list:
         raise DataError(f"cannot read {what}: {exc}") from exc
 
 
+def _bad_row(path: str, rows: list) -> DataError:
+    """The error of the first of the data rows that holds a wrong count of
+    values (row i of n holds n-i+1) or a token float() refuses, by row and
+    column."""
+    for i, row in enumerate(rows, start=1):
+        tokens = row.split(",")
+        if len(tokens) != len(rows) - i + 1:
+            return DataError(f"{path}: row {i}: expected {len(rows) - i + 1} values, got {len(tokens)}")
+        for j, tok in enumerate(tokens, start=1):
+            try:
+                float(tok)
+            except ValueError:
+                return DataError(f"{path}: row {i}, column {j}: not a number: {tok.strip()!r}")
+
+
 def ingest(path: str) -> IncrementalTriangle:
     """Parse the triangle file: `I=<n>` header, then n ragged rows of
     incremental values, row i holding n-i+1 comma-separated numbers,
-    written onto its observed cells (observed_mask) of an (n, n) NaN array."""
+    written onto its observed cells (observed_mask) of an (n, n) NaN array
+    from one numpy conversion of every token; a bad row is named by
+    _bad_row."""
     lines = [ln for _, ln in _lines(path, path)]
     if not lines:
         raise DataError(f"{path}: empty input file")
@@ -73,23 +90,15 @@ def ingest(path: str) -> IncrementalTriangle:
         raise DataError(
             f"{path}: expected {dim} data rows after the header, got {len(lines) - 1}"
         )
+    rows = lines[1:]
+    try:  # numpy converts each token as float() does
+        numbers = np.array(",".join(rows).split(","), dtype=float)
+    except ValueError:
+        numbers = None
+    if numbers is None or any(row.count(",") != dim - i for i, row in enumerate(rows, start=1)):
+        raise _bad_row(path, rows)
     values = np.full((dim, dim), np.nan)
-    for i, (line, observed) in enumerate(zip(lines[1:], observed_mask(dim)), start=1):
-        tokens = [t.strip() for t in line.split(",")]
-        want = np.count_nonzero(observed)
-        if len(tokens) != want:
-            raise DataError(
-                f"{path}: row {i}: expected {want} values, got {len(tokens)}"
-            )
-        row = []
-        for j, tok in enumerate(tokens, start=1):
-            try:
-                row.append(float(tok))
-            except ValueError as exc:
-                raise DataError(
-                    f"{path}: row {i}, column {j}: not a number: {tok!r}"
-                ) from exc
-        values[i - 1, observed] = row
+    values[observed_mask(dim)] = numbers
     inc = IncrementalTriangle(dim, values)
     problems = validate(inc)
     if problems:
@@ -384,7 +393,7 @@ def cmd_verify(args) -> tuple:
         return _json(report.to_dict()), code
     lines = [
         f"statistic: {report.statistic}",
-        f"cells checked: {report.k.size}",
+        f"cells checked: {report.size}",
         f"max relative error: {report.max_rel_error:.3e}",
         f"worst cell: {report.worst_cell}",
         f"tolerance: {report.tolerance:.1e}",

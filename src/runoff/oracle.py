@@ -10,8 +10,10 @@ steps each sum of the baseline Fit once, in one stack, and keeps the
 derivatives as gradients over the sums: a VerificationReport takes the
 analytic and numeric ones and maps both to the observed cells (_cells)
 by runoff.impact's _to_cells, the chain rule the analytic impacts take
-too. Each verifier steps the triangle's baseline (chainladder._baseline),
-cumulated and fitted once for the CLI and all its verifiers.
+too, a few triangles at a time for its verdict (_verdict) and whole
+only when its cell columns are read. Each verifier steps the triangle's
+baseline (chainladder._baseline), cumulated and fitted once for the CLI
+and all its verifiers.
 The step subtracts nothing, so there is no step size to choose and the
 derivative is exact to rounding. Every verifier compares an analytic
 gradient with the complex step of the statistic it is the gradient of,
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -84,58 +86,61 @@ COLUMNS = ("k", "j", "analytic", "numeric", "rel_error")
 
 @dataclass(frozen=True, eq=False)
 class VerificationReport:
-    """The checked cells as read-only columns: k, j (int arrays), analytic,
-    numeric and rel_error (float arrays), one entry per cell, triangle by
-    triangle and row-major within each.
+    """The verdict on the checked cells, and the cells as read-only columns:
+    k, j (int arrays), analytic, numeric and rel_error (float arrays), one
+    entry per cell, triangle by triangle and row-major within each.
 
     Built from the analytic and numeric gradients of the checked
     statistics over the 3I-2 fitted sums, (..., 3I-2) of one shape, I read
-    from the width: one _to_cells maps both to the cells, and the mapped
-    arrays are the columns as they are. rel_error is derived here, with
-    each triangle's floor (see _floor). A tolerance that is not a number
-    >= 0 (NaN, negative, text) raises ValueError."""
+    from the width. The verdict (max_rel_error, worst_cell) is scored
+    here a few triangles at a time (_verdict), and size counts the cells.
+    The report holds a read-only copy of both gradients, (T, 3I-2) each
+    for T triangles, until the first read of any column builds all five
+    from it, which it then holds in its place: one _to_cells maps both
+    gradients to the cells, the mapped arrays are the columns as they are,
+    and rel_error is derived with each triangle's floor (see _floor). A
+    tolerance that is not a number >= 0 (NaN, negative, text) raises
+    ValueError."""
 
     statistic: str
     tolerance: float
-    analytic: np.ndarray = field(repr=False)
-    numeric: np.ndarray = field(repr=False)
+    analytic: InitVar[np.ndarray]
+    numeric: InitVar[np.ndarray]
     notes: dict = field(default_factory=dict)
-    k: np.ndarray = field(init=False, repr=False)
-    j: np.ndarray = field(init=False, repr=False)
-    rel_error: np.ndarray = field(init=False, repr=False)
+    max_rel_error: float = field(init=False, repr=False)
+    worst_cell: tuple | None = field(init=False, repr=False)
+    size: int = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, analytic, numeric):
         if not (isinstance(self.tolerance, numbers.Real) and self.tolerance >= 0.0):
             raise ValueError(f"tolerance must be a number >= 0, got {self.tolerance!r}")
-        shape = np.shape(self.analytic)
-        if shape != np.shape(self.numeric) or not shape or shape[-1] % 3 != 1:
-            raise ValueError(f"analytic {shape} and numeric {np.shape(self.numeric)} are not "
+        shape = np.shape(analytic)
+        if shape != np.shape(numeric) or not shape or shape[-1] % 3 != 1:
+            raise ValueError(f"analytic {shape} and numeric {np.shape(numeric)} are not "
                              "gradients of one shape over the 3I-2 fitted sums")
-        dim = (shape[-1] + 2) // 3
-        analytic, numeric = _to_cells(np.array((self.analytic, self.numeric)))
-        rel = relative_error(analytic, numeric, _floor(analytic, dim))
-        k, j = (np.tile(c, math.prod(shape[:-1])) for c in _cells(dim))
-        for name, values in zip(COLUMNS, (k, j, analytic, numeric, rel)):
-            object.__setattr__(self, name, _read_only(np.ravel(values)))
+        count, dim = math.prod(shape[:-1]), (shape[-1] + 2) // 3
+        grads = _read_only(np.array((analytic, numeric)).reshape(2, count, shape[-1]))
+        held = (*_verdict(grads, dim), count * dim * (dim + 1) // 2, grads)
+        for name, value in zip(("max_rel_error", "worst_cell", "size", "_gradients"), held):
+            object.__setattr__(self, name, value)
+
+    def __getattr__(self, name):
+        """A column (COLUMNS): the first read of any builds all five from
+        the gradients, which the report then drops."""
+        if name not in COLUMNS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        grads = self.__dict__.pop("_gradients")
+        dim = (grads.shape[-1] + 2) // 3
+        k, j = (np.tile(c, grads.shape[1]) for c in _cells(dim))
+        for column, values in zip(COLUMNS, (k, j, *_scored(grads, dim))):
+            object.__setattr__(self, column, _read_only(np.ravel(values)))
+        return getattr(self, name)
 
     @cached_property
     def cells(self) -> list:
         """One dict per checked cell, keyed by COLUMNS; built on the first
         read and kept, so every read returns the same list."""
         return _records(COLUMNS, [getattr(self, name).tolist() for name in COLUMNS])
-
-    @property
-    def max_rel_error(self) -> float:
-        """The largest rel_error, 0.0 for no cells; NaN if any cell's is."""
-        return float(np.max(self.rel_error, initial=0.0))
-
-    @property
-    def worst_cell(self):
-        """(k, j) of the first cell with the largest rel_error, or None."""
-        if not self.rel_error.size:
-            return None
-        m = np.argmax(self.rel_error)
-        return int(self.k[m]), int(self.j[m])
 
     @property
     def passed(self) -> bool:
@@ -151,6 +156,40 @@ class VerificationReport:
             "cells": self.cells,
             "notes": self.notes,
         }
+
+
+# The most cells _verdict maps and scores at once, in whole triangles (one
+# if a triangle is larger): every report of the benchmark sizes, the MSE
+# verifier's 25 triangles of 325 cells at I=25 the largest, fits in one pass.
+_VERDICT_CELLS = 1 << 15
+
+
+def _scored(grads: np.ndarray, dim: int) -> tuple:
+    """The analytic and numeric cells of gradients grads, (2, T, 3I-2), and
+    their rel_error (T, n each), with each triangle's floor."""
+    analytic, numeric = _to_cells(grads)
+    return analytic, numeric, relative_error(analytic, numeric, _floor(analytic, dim))
+
+
+def _verdict(grads: np.ndarray, dim: int) -> tuple:
+    """The largest rel_error of the cells of grads, (2, T, 3I-2), 0.0 for no
+    cells, and the (k, j) of the first cell that reads it, or None: scored
+    in whole triangles, at most _VERDICT_CELLS cells at a time, so only one
+    chunk's cells are alive at once. A NaN rel_error is the verdict and its
+    first cell the worst; the scan stops there. A later chunk's largest
+    replaces the one held only if larger, so ties keep the first cell."""
+    n = dim * (dim + 1) // 2
+    step = max(1, _VERDICT_CELLS // n)
+    worst, cell = 0.0, None
+    for t in range(0, grads.shape[1], step):
+        rel = _scored(grads[:, t : t + step], dim)[2].ravel()
+        m = int(np.argmax(rel))
+        if cell is None or not rel[m] <= worst:  # the first chunk, a larger one, or NaN
+            worst, cell = float(rel[m]), m % n
+            if math.isnan(worst):
+                break
+    k, j = _cells(dim)
+    return worst, None if cell is None else (int(k[cell]), int(j[cell]))
 
 
 def relative_error(a, b, floor):
@@ -324,8 +363,7 @@ def verify_mse_components(
 
     # the direct derivative of the last target's plug-in value, sigma^2 held at
     # the baseline, is noted only
-    direct = VerificationReport("mse-plugin", tolerance, analytic[-1], plugin[rows][-1])
-    notes["direct_fd_max_rel"] = direct.max_rel_error
+    notes["direct_fd_max_rel"] = _verdict(np.array((analytic[-1:], plugin[rows][-1:])), dim)[0]
     return VerificationReport("mse-components", tolerance, analytic, frozen[rows], notes)
 
 

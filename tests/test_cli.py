@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import bundled_path, proportional_triangle
-from runoff import chainladder
+from runoff import chainladder, cli
 from runoff.cli import PER_YEAR, STATISTICS, _label, main
-from runoff.oracle import verify_mse_components
+from runoff.oracle import COLUMNS, verify_mse_components
+from runoff.triangle import observed_mask
 from test_oracle import near_proportional
 
 
@@ -203,6 +204,19 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", bundled_path(), "--stat", "mse-total")
         assert code == 0
         assert "direct_fd_max_rel" in out
+
+    @pytest.mark.parametrize("stat", [["mse-total"], ["mse-ay", "--year", "5"], ["reserve-total"], ["quantile"]])
+    def test_text_builds_no_cell_column(self, capsys, monkeypatch, stat):
+        """The text report prints the verdict and the count of cells, and
+        builds none of the report's cell columns nor its cells."""
+        reports = []
+        for name in ("verify_mse_components", "_verify"):
+            verify = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, verify=verify: reports.append(verify(*a)) or reports[-1])
+        code, out, _ = run(capsys, "verify", bundled_path(), "--stat", *stat)
+        assert code == 0 and len(reports) == 1
+        assert not {*COLUMNS, "cells"} & set(vars(reports[0]))
+        assert f"cells checked: {reports[0].k.size}\n" in out
 
     def test_per_year_protocol_checks_that_year(self, capsys):
         code, out, _ = run(capsys, "verify", bundled_path(), "--stat", "mse-ay", "--year", "5")
@@ -434,6 +448,30 @@ class TestDataErrors:
         code, _, err = run(capsys, "reserves", str(p))
         assert code == 2
         assert "row 1, column 2" in err
+
+    @pytest.mark.parametrize("rows, message", [
+        ("1, x ,3\n4,5\n6,7", "row 1, column 2: not a number: 'x'"),
+        ("1,2,3\n4,0x10\n6,7", "row 2, column 2: not a number: '0x10'"),
+        ("1,2\n4,1.5e\n6", "row 1: expected 3 values, got 2"),
+        ("1,2,3\n4,5\n", "expected 3 data rows after the header, got 2"),
+        ("1,2,3\n4,,\n6", "row 2: expected 2 values, got 3"),
+        ("1,2,3\n4,\n6", "row 2, column 2: not a number: ''"),
+    ], ids=["token", "hex", "count-first", "rows", "count-after-empty", "empty"])
+    def test_the_first_bad_row_is_named(self, capsys, tmp_path, rows, message):
+        """The first row in file order with a wrong count of values or a
+        token float() refuses is named, by column for a token, and later
+        rows are not read for it."""
+        p = tmp_path / "bad.csv"
+        p.write_text(f"I=3\n{rows}\n")
+        code, _, err = run(capsys, "reserves", str(p))
+        assert (code, err) == (2, f"error: {p}: {message}\n")
+
+    def test_every_value_reads_as_float_reads_it(self, tmp_path):
+        tokens = ["1_000", " 2.5 ", "\u0661\u0662", "-0.0", "1e-400", "+.5"]
+        p = tmp_path / "float.csv"
+        p.write_text("I=3\n" + ",".join(tokens[:3]) + "\n" + ",".join(tokens[3:5]) + "\n" + tokens[5] + "\n")
+        got = cli.ingest(str(p)).values[observed_mask(3)]
+        assert got.tobytes() == np.array([float(t) for t in tokens]).tobytes()
 
     def test_negative_cell_rejected(self, capsys, tmp_path):
         p = tmp_path / "neg.csv"

@@ -1,6 +1,7 @@
 import functools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from runoff.impact import (
 from runoff.quantile import fit_lognormal, impact_quantile, lognormal_quantile
 from runoff.oracle import (
     _STATISTICS,
+    COLUMNS,
     STEP,
     TOLERANCE,
     FdScheme,
@@ -193,6 +195,106 @@ class TestVerificationReport:
             assert math.isnan(report.max_rel_error)
             assert report.worst_cell == (k, 1)
             assert not report.passed
+
+
+def column_verdict(report) -> tuple:
+    """max_rel_error and worst_cell read off the report's columns in one
+    pass: the largest rel_error (NaN if any is), and the first cell of it."""
+    if not report.rel_error.size:
+        return 0.0, None
+    m = int(np.argmax(report.rel_error))
+    return float(np.max(report.rel_error)), (int(report.k[m]), int(report.j[m]))
+
+
+def verdict(report) -> str:
+    """The verdict as text, so NaN equals NaN."""
+    return repr((report.max_rel_error, report.worst_cell))
+
+
+class TestStreamedVerdict:
+    """_verdict scores whole triangles, at most _VERDICT_CELLS cells at a
+    time; with the budget cut to one or two triangles, a stack's verdict is
+    the one it reads in one pass and the one its columns give."""
+
+    # I=2 gradients (A_1, B_1, L_1, L_2), one (analytic, numeric) pair per
+    # triangle: rel_error 0.5 at (2, 1) alone, 0.5 at (1, 1) and (1, 2),
+    # about 1e-3 everywhere, and NaN at (1, 1) and (1, 2)
+    LATE = ([0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 2.0])
+    EARLY = ([0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 2.0, 1.0])
+    SMALL = ([0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.001, 1.001])
+    NAN = ([0.0, 0.0, np.nan, 1.0], [0.0, 0.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("stack, per_chunk, want", [
+        (("SMALL", "LATE", "EARLY"), 1, (0.5, (2, 1))),  # a tie across chunks keeps the first
+        (("SMALL", "EARLY", "LATE"), 1, (0.5, (1, 1))),
+        (("LATE", "SMALL", "NAN", "EARLY"), 1, (math.nan, (1, 1))),  # NaN in a later chunk
+        (("NAN", "LATE", "NAN"), 1, (math.nan, (1, 1))),
+        (("SMALL",) * 4 + ("EARLY",), 2, (0.5, (1, 1))),  # 5 triangles in chunks of 2
+        (("SMALL", "SMALL", "LATE", "SMALL", "EARLY"), 2, (0.5, (2, 1))),
+        ((), 1, (0.0, None)),
+    ])
+    def test_chunks_read_as_one_pass(self, monkeypatch, stack, per_chunk, want):
+        analytic = np.array([getattr(self, name)[0] for name in stack]).reshape(-1, 4)
+        numeric = np.array([getattr(self, name)[1] for name in stack]).reshape(-1, 4)
+        whole = VerificationReport("x", 1e-5, analytic, numeric)
+        assert oracle._VERDICT_CELLS >= analytic.size  # one pass
+        monkeypatch.setattr(oracle, "_VERDICT_CELLS", 3 * per_chunk)
+        chunked = VerificationReport("x", 1e-5, analytic, numeric)
+        assert verdict(chunked) == verdict(whole) == repr(column_verdict(chunked)) == repr(want)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_stacks_read_as_one_pass(self, monkeypatch, seed):
+        """Stacks of 1..9 triangles of I = 2..6, their numeric rounded to
+        two digits so cells tie, some with a NaN, in chunks of 1..3."""
+        rng = np.random.default_rng([36, seed])
+        dim, count = rng.integers(2, 7), rng.integers(1, 10)
+        analytic = rng.uniform(-1.0, 1.0, (count, 3 * dim - 2))
+        numeric = np.round(analytic * rng.uniform(0.9, 1.1, analytic.shape), 2)
+        if seed % 3 == 0:
+            analytic[rng.integers(count), rng.integers(3 * dim - 2)] = np.nan
+        whole = VerificationReport("x", 1e-5, analytic, numeric)
+        monkeypatch.setattr(oracle, "_VERDICT_CELLS", int(rng.integers(1, 4)) * dim * (dim + 1) // 2)
+        chunked = VerificationReport("x", 1e-5, analytic, numeric)
+        assert verdict(chunked) == verdict(whole) == repr(column_verdict(chunked))
+
+    def test_a_triangle_larger_than_the_budget_is_one_chunk(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_VERDICT_CELLS", 1)
+        report = VerificationReport("x", 1e-5, [self.SMALL[0], self.LATE[0]], [self.SMALL[1], self.LATE[1]])
+        assert verdict(report) == repr(column_verdict(report)) == repr((0.5, (2, 1)))
+
+
+@pytest.mark.parametrize("dim", [None, 40])
+def test_every_verifier_s_verdict_is_its_columns(monkeypatch, belgian, dim):
+    """Each verifier's max_rel_error and worst_cell, scored before any
+    column is built, are what its columns read once built; with the MSE
+    reports' triangles scored 1 and 3 at a time too."""
+    inc = belgian if dim is None else random_triangle(np.random.default_rng([36, dim]), dim)
+    n = inc.dimension * (inc.dimension + 1) // 2
+    for name, verify in every_verifier(inc).items():
+        for per_chunk in (None, 1, 3) if name.startswith("mse") else (None,):
+            if per_chunk:
+                monkeypatch.setattr(oracle, "_VERDICT_CELLS", per_chunk * n)
+            report = verify(IncrementalTriangle(inc.dimension, inc.values))
+            assert not set(COLUMNS) & set(vars(report)), name
+            assert report.size == report.k.size, name
+            assert verdict(report) == repr(column_verdict(report)), (name, per_chunk)
+            monkeypatch.undo()
+
+
+def test_a_summary_of_the_mse_verifier_holds_no_cell_columns():
+    """Read for its verdict alone, verify_mse_components at I=100 (100
+    triangles of 5050 cells, 4 MB per column) peaks under 16 MB of traced
+    memory: it read 26 MB while every report built its five columns."""
+    inc = random_triangle(np.random.default_rng([36, 100]), 100)
+    tracemalloc.start()
+    try:
+        report = verify_mse_components(inc)
+        summary = report.passed, report.max_rel_error, report.worst_cell, report.size
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary[0] and summary[3] == 100 * 5050
+    assert peak < 16 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("tolerance", [math.nan, -1, "x"])

@@ -133,6 +133,19 @@ def test_layer_record_times_every_stage(tmp_path, monkeypatch):
     for stage in row.values():
         assert stage["best_s"] > 0.0
         assert stage["batches"] == layers.BATCHES and stage["calls"] >= stage["batches"]
+    run = json.loads(out.read_text())["layers"]["after"]["cli"]["I=5"]
+    assert run["exit"] == 0 and run["wall_s"] > 0.0 and run["peak_rss_mb"] > 0.0
+
+
+def test_each_stage_is_called_once_before_its_timed_batches(monkeypatch):
+    """The warm-up call of every tree's stage is made and not counted."""
+    layers = load(LAYERS, "bench_layers")
+    monkeypatch.setattr(layers, "BATCH_S", 1e-4)
+    made = [0, 0]
+    calls = [lambda m=m: made.__setitem__(m, made[m] + 1) for m in range(2)]
+    timings = layers.per_call([layers.packaged()] * 2, calls)
+    assert made == [t["calls"] + 1 for t in timings]
+    assert sys.modules["runoff"] is runoff
 
 
 def test_layer_record_interleaves_two_trees(tmp_path, monkeypatch):
