@@ -32,7 +32,7 @@ def default_priors(cum: CumulativeTriangle, factors: DevelopmentFactors) -> Prio
     """Priors set to the chain-ladder ultimates, then frozen; ValueError
     names the first accident year whose ultimate overflows."""
     ult = project_ultimates(cum, factors)
-    over = np.flatnonzero(~np.isfinite(ult))
+    over = (~np.isfinite(ult)).nonzero()[0]
     if over.size:
         raise ValueError(f"chain-ladder ultimate of accident year {over[0] + 1} overflows double precision")
     return PriorUltimates(cum.dimension, ult)
@@ -42,7 +42,7 @@ def _usable_priors(fprod: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """The priors mu, 0 where missing, over the leading batch axes of fprod;
     ValueError names the first year with F_i != 1 and no finite positive prior."""
     finite = np.isfinite(mu)
-    missing = np.nonzero((np.real(fprod) != 1.0) & ~(finite & (mu > 0)))[-1]
+    missing = ((fprod.real != 1.0) & ~(finite & (mu > 0))).nonzero()[-1]
     if missing.size:
         raise ValueError(f"missing or non-positive prior for accident year {missing.min() + 1}")
     return np.where(finite, mu, 0.0)
@@ -71,4 +71,4 @@ def bf_reserves(
 ):
     """Per-year BF reserves mu_i (1 - 1/(f_{I-i+1} ... f_{I-1})) and their total."""
     by_year = bf_reserve_values(_fit(cum, factors).fprod, _prior_values(cum, priors))
-    return by_year, float(np.sum(by_year))
+    return by_year, float(np.add.reduce(by_year))

@@ -40,14 +40,12 @@ class DevelopmentFactors(Container):
         return float(self.values[_one_based(j, self.dimension - 1, "factor index") - 1])
 
     def product(self, a: int, b: int) -> float:
-        """f_a * ... * f_b for 1 <= a <= b <= I-1; empty products (a > b)
-        are 1."""
+        """f_a * ... * f_b for 1 <= a <= b <= I-1; empty products (a > b,
+        with a <= I and b >= 0) are 1."""
         a, b = operator.index(a), operator.index(b)
-        if a > b:
-            return 1.0
-        if a < 1 or b > self.dimension - 1:
+        if not (1 <= a <= self.dimension and 0 <= b <= self.dimension - 1):
             raise IndexError(f"factor product {a}..{b} out of range 1..{self.dimension - 1}")
-        return float(np.prod(self.values[a - 1 : b]))
+        return float(np.multiply.reduce(self.values[a - 1 : b])) if a <= b else 1.0
 
 
 @dataclass(frozen=True)
@@ -60,8 +58,8 @@ class SigmaEstimates(Container):
 
     def __post_init__(self):
         super().__post_init__()
-        if (negative := self.values < 0.0).any():
-            j = int(np.argmax(negative)) + 1
+        if np.logical_or.reduce(negative := self.values < 0.0):
+            j = int(negative.argmax()) + 1
             raise ValueError(f"sigma^2 of development year {j} must be >= 0, got {self.values[j - 1]}")
 
     def sigma2(self, j: int) -> float:
@@ -93,14 +91,14 @@ def _ahead(per_s: np.ndarray, axis: int = -1) -> np.ndarray:
     shape = list(per_s.shape)
     shape[axis] += 1
     out = np.zeros(shape, dtype=np.result_type(per_s, 0.0))
-    np.cumsum(per_s[lead + (slice(None, None, -1),)], axis=axis, out=out[lead + (slice(1, None),)])
+    per_s[lead + (slice(None, None, -1),)].cumsum(axis=axis, out=out[lead + (slice(1, None),)])
     return out
 
 
 def _scale(x) -> float:
     """1, or past 2^500 the power of two near the largest |Re x|: the s at
     which a product of values at the scale of x is taken (_product)."""
-    big = abs(x.real) if isinstance(x, float) else float(np.abs(x.real).max())
+    big = abs(x.real) if isinstance(x, float) else float(np.maximum.reduce(np.abs(x.real), axis=None))
     return 1.0 if big < 2.0**500 else math.ldexp(1.0, math.frexp(big)[1] - 1)
 
 
@@ -119,14 +117,14 @@ def sigma2_values(cum: np.ndarray, f: np.ndarray) -> np.ndarray:
     both = observed_mask(dim)[:, 1:-1]  # rows n <= I-k of columns k = 1..I-2
     c = cum[:, :-2]
     zero = both & (c == 0.0)
-    if zero.any():
+    if np.logical_or.reduce(zero, axis=None):
         k, i = np.argwhere(zero.T)[0] + 1  # the first zero column by column
         raise ZeroDivisionError(f"zero cumulative cell ({i}, {k}) in sigma estimation")
     ratio = cum[:, 1:-1] / np.where(both, c, 1.0)
     residual = np.where(both, c * (ratio - f[:-1]) ** 2, 0.0)
-    head = np.sum(residual, axis=0) / np.arange(dim - 2, 0, -1)
+    head = np.add.reduce(residual, axis=0) / np.arange(dim - 2, 0, -1)
     a, b = head[-2:]  # sigma^2_{I-3}, sigma^2_{I-2}; a zero a gives min(a, b) = 0
-    return np.append(head, min(b * b / a, a, b) if a > 0.0 else 0.0)
+    return np.concatenate((head, [min(b * b / a, a, b) if a > 0.0 else 0.0]))
 
 
 @dataclass(frozen=True)
@@ -169,8 +167,8 @@ class Fit:
         rows = np.arange(dim)
         # one masked reduction over the rows n <= I-s that hold both columns
         both = observed_mask(dim)[:, 1:]
-        num = np.sum(np.where(both, cum[..., 1:], 0.0), axis=-2)
-        den = np.sum(np.where(both, cum[..., :-1], 0.0), axis=-2)
+        num = np.add.reduce(np.where(both, cum[..., 1:], 0.0), axis=-2)
+        den = np.add.reduce(np.where(both, cum[..., :-1], 0.0), axis=-2)
         f, sigma2 = (None if x is None else np.array(x) for x in (f, sigma2))  # the caller's stay theirs
         return cls._frozen(num, den, cum[..., rows, dim - 1 - rows], f, sigma2)
 
@@ -182,12 +180,13 @@ class Fit:
         nobody else holds, such as of's own sums or the oracle's stack."""
         dim = latest.shape[-1]
         if f is None:
-            zero = np.nonzero(np.real(den) == 0.0)[-1]
+            zero = (den.real == 0.0).nonzero()[-1]
             if zero.size:
                 raise ZeroDivisionError(f"zero denominator for development factor {zero.min() + 1}")
             f = num / den
-        fprod = np.ones(f.shape[:-1] + (dim,), dtype=np.promote_types(f.dtype, float))
-        np.cumprod(f[..., ::-1], axis=-1, out=fprod[..., 1:])
+        fprod = np.empty(f.shape[:-1] + (dim,), dtype=np.promote_types(f.dtype, float))
+        fprod[..., 0] = 1.0
+        f[..., ::-1].cumprod(axis=-1, out=fprod[..., 1:])
         arrays = dict(num=num, den=den, factors=f, fprod=fprod, latest=latest, ult=latest * fprod)
         if sigma2 is not None:
             arrays["sigma2"] = sigma2
@@ -237,7 +236,7 @@ class Fit:
         """Per-year MSEs plus the cross covariances ult_i * later_i * 2 w_i,
         one value per batch entry."""
         cross = _product(self.ult, self.later * 2.0, self.w, self.scale)
-        return _read_only(np.sum(self.mse_by_year, axis=-1) + np.sum(cross, axis=-1))
+        return _read_only(np.add.reduce(self.mse_by_year, axis=-1) + np.add.reduce(cross, axis=-1))
 
 
 def _check_dimension(cum: CumulativeTriangle, *given):
@@ -309,7 +308,7 @@ def project_ultimates(cum: CumulativeTriangle, factors: DevelopmentFactors) -> n
 def reserves(cum: CumulativeTriangle, factors: DevelopmentFactors):
     """Per-year reserves (ultimate minus latest cumulative) and their total."""
     by_year = np.array(_fit(cum, factors).reserves)
-    return by_year, float(np.sum(by_year))
+    return by_year, float(np.add.reduce(by_year))
 
 
 def estimate_sigmas(cum: CumulativeTriangle, factors: DevelopmentFactors) -> SigmaEstimates:
@@ -361,7 +360,7 @@ def mack_summary(cum: CumulativeTriangle) -> MackSummary:
         sigmas=sigmas,
         ultimates=fit.ult,
         reserves_by_year=fit.reserves,
-        reserve_total=float(np.sum(fit.reserves)),
+        reserve_total=float(np.add.reduce(fit.reserves)),
         mse_by_year=fit.mse_by_year,
         mse_total=float(fit.mse_total),
     )

@@ -86,7 +86,7 @@ def _effects(grad: np.ndarray) -> tuple:
     dim = (grad.shape[-1] + 2) // 3
     prefix = np.zeros(grad.shape[:-1] + (dim,), dtype=np.promote_types(grad.dtype, float))
     np.add(grad[..., : dim - 1], grad[..., dim - 1 : 2 * dim - 2], out=prefix[..., 1:])
-    prefix = np.cumsum(prefix, axis=-1)
+    prefix = prefix.cumsum(axis=-1)
     row = prefix[..., ::-1] + grad[..., 2 * dim - 2 :]
     prefix[..., 1:] -= grad[..., : dim - 1]  # the column terms
     return row, prefix
@@ -98,12 +98,12 @@ def _to_cells(grad: np.ndarray) -> np.ndarray:
     _effects by its 0-based indices for every impact triangle (_impact) and
     oracle report. The column effect is subtracted into the gathered row
     effect in place, so two (..., n) arrays are alive at once, not three;
-    np.take gathers C-ordered, so a leading slice of the result ravels
+    ndarray.take gathers C-ordered, so a leading slice of the result ravels
     without a copy."""
     row, col = _effects(grad)
     k, j = _cell_index(row.shape[-1])
-    cells = np.take(row, k, axis=-1)
-    cells -= np.take(col, j, axis=-1)
+    cells = row.take(k, axis=-1)
+    cells -= col.take(j, axis=-1)
     return cells
 
 
@@ -112,7 +112,8 @@ def _impact(statistic: str, target, grad: np.ndarray) -> ImpactTriangle:
     accident year or None: _to_cells scattered onto the observed region,
     NaN outside, where nothing is computed."""
     dim = (grad.size + 2) // 3
-    values = np.full((dim, dim), np.nan)
+    values = np.empty((dim, dim))
+    values.fill(np.nan)
     values[observed_mask(dim)] = _to_cells(grad)
     return ImpactTriangle(statistic, target, dim, values)
 
@@ -154,7 +155,7 @@ def _grad(fit: Fit, c: np.ndarray, diagonal: np.ndarray, year=None) -> np.ndarra
     R_q = L_q F_q - L_q.
     """
     if year is not None:
-        if np.ndim(year) == 0:
+        if np.asarray(year).ndim == 0:
             year = _one_based(year, fit.dimension, "accident year")
         alone = np.arange(1, fit.dimension + 1) == np.asarray(year)[..., None]
         c, diagonal = np.where(alone, c, 0.0), np.where(alone, diagonal, 0.0)
@@ -212,7 +213,7 @@ def _bf(fit: Fit, year, mu: np.ndarray) -> np.ndarray:
     """The gradient of the BF reserve R_year^BF over the fitted sums (see _grad),
     the priors mu frozen and checked (_usable_priors): mu_i / F_i on ln F_i."""
     c = _usable_priors(fit.fprod, mu) / fit.fprod
-    return _grad(fit, c, np.zeros_like(c), year)
+    return _grad(fit, c, np.zeros(c.shape, c.dtype), year)
 
 
 def impact_bf_total(
@@ -303,7 +304,7 @@ def _mse(fit: Fit, year=None) -> np.ndarray:
     if year is not None:
         return _grad(fit, _shrink(fit) * fit.ult, _mse_diagonal(fit), year)
     v = 2.0 * fit.w
-    alpha = np.concatenate(([0.0], np.cumsum(v * fit.ult)[:-1])) + v * fit.later
+    alpha = np.concatenate(([0.0], (v * fit.ult).cumsum()[:-1])) + v * fit.later
     s = fit.scale  # B_r^2 and u over s^2, so they overflow only with the MSE
     u = _ahead((fit.ult / s * (fit.later / s))[1:])[1:]
     scale = -2.0 * fit.sigma2 / (fit.factors**2 * (fit.den / s) ** 2) * u

@@ -71,10 +71,19 @@ _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 @dataclass(frozen=True)
 class FdScheme:
-    """Central differences with step max(relative_step * |X|, absolute_floor)."""
+    """Central differences with step max(relative_step * |X|, absolute_floor):
+    relative_step a finite number >= 0 and absolute_floor a finite number
+    > 0, so every step is finite and forward, or ValueError names the field."""
 
     relative_step: float = 1e-6
     absolute_floor: float = 1e-2
+
+    def __post_init__(self):
+        step, floor = self.relative_step, self.absolute_floor
+        if not (isinstance(step, numbers.Real) and 0.0 <= step < math.inf):
+            raise ValueError(f"relative_step must be a finite number >= 0, got {step!r}")
+        if not (isinstance(floor, numbers.Real) and 0.0 < floor < math.inf):
+            raise ValueError(f"absolute_floor must be a finite number > 0, got {floor!r}")
 
 
 # The statistics verify_reserve_impacts checks.
@@ -114,9 +123,10 @@ class VerificationReport:
     def __post_init__(self, analytic, numeric):
         if not (isinstance(self.tolerance, numbers.Real) and self.tolerance >= 0.0):
             raise ValueError(f"tolerance must be a number >= 0, got {self.tolerance!r}")
-        shape = np.shape(analytic)
-        if shape != np.shape(numeric) or not shape or shape[-1] % 3 != 1:
-            raise ValueError(f"analytic {shape} and numeric {np.shape(numeric)} are not "
+        analytic, numeric = np.asarray(analytic), np.asarray(numeric)
+        shape = analytic.shape
+        if shape != numeric.shape or not shape or shape[-1] % 3 != 1:
+            raise ValueError(f"analytic {shape} and numeric {numeric.shape} are not "
                              "gradients of one shape over the 3I-2 fitted sums")
         count, dim = math.prod(shape[:-1]), (shape[-1] + 2) // 3
         grads = _read_only(np.array((analytic, numeric)).reshape(2, count, shape[-1]))
@@ -133,7 +143,7 @@ class VerificationReport:
         dim = (grads.shape[-1] + 2) // 3
         k, j = (np.tile(c, grads.shape[1]) for c in _cells(dim))
         for column, values in zip(COLUMNS, (k, j, *_scored(grads, dim))):
-            object.__setattr__(self, column, _read_only(np.ravel(values)))
+            object.__setattr__(self, column, _read_only(values.ravel()))
         return getattr(self, name)
 
     @cached_property
@@ -183,7 +193,7 @@ def _verdict(grads: np.ndarray, dim: int) -> tuple:
     worst, cell = 0.0, None
     for t in range(0, grads.shape[1], step):
         rel = _scored(grads[:, t : t + step], dim)[2].ravel()
-        m = int(np.argmax(rel))
+        m = int(rel.argmax())
         if cell is None or not rel[m] <= worst:  # the first chunk, a larger one, or NaN
             worst, cell = float(rel[m]), m % n
             if math.isnan(worst):
@@ -204,7 +214,7 @@ def _floor(analytic: np.ndarray, dim) -> np.ndarray:
     tolerance, not by the one a report asks for, so a stricter tolerance
     stays stricter. At least the smallest normal double, so a triangle of
     exact zeros reads 0."""
-    scale = np.max(np.abs(analytic), axis=-1, keepdims=True, initial=0.0)
+    scale = np.maximum.reduce(np.abs(analytic), axis=-1, keepdims=True, initial=0.0)
     return np.maximum(dim * _EPS / TOLERANCE * scale, _TINY)
 
 
@@ -245,7 +255,7 @@ def complex_step(fit: Fit, statistic: Callable) -> np.ndarray:
 def _step(fit: Fit) -> float:
     """h: STEP times the power of two of the largest latest cumulative, so
     the derivative does not depend on the scale of the data."""
-    return math.ldexp(STEP, math.frexp(fit.latest.max())[1])
+    return math.ldexp(STEP, math.frexp(np.maximum.reduce(fit.latest, axis=None))[1])
 
 
 def _stack(fit: Fit, h: float) -> Fit:
@@ -255,7 +265,9 @@ def _stack(fit: Fit, h: float) -> Fit:
     its fits built on views of it and frozen in place; its Mack sums are
     computed only if a statistic reads them."""
     dim = fit.dimension
-    sums = np.concatenate((fit.num, fit.den, fit.latest)) + np.diag(np.full(3 * dim - 2, h * 1j))
+    steps = np.zeros((3 * dim - 2,) * 2, complex)
+    steps.flat[:: 3 * dim - 1] = h * 1j
+    sums = np.concatenate((fit.num, fit.den, fit.latest)) + steps
     return Fit._frozen(sums[:, : dim - 1], sums[:, dim - 1 : 2 * dim - 2], sums[:, 2 * dim - 2 :], sigma2=fit.sigma2)
 
 
@@ -310,7 +322,7 @@ def _frozen_mse(base: Fit, stack: Fit, ln_f: np.ndarray) -> np.ndarray:
     and of the total, so a complex step applies the chain and product rules."""
     yearly = _shrink(base) * base.ult * _ahead(ln_f) + _mse_diagonal(base) * stack.latest
     cross = _product(base.ult, base.later * 2.0, stack.w, base.scale) + 2.0 * base.w * stack.ult * stack.later
-    return np.concatenate((yearly, np.sum(yearly + cross, axis=-1, keepdims=True)), axis=-1)
+    return np.concatenate((yearly, np.add.reduce(yearly + cross, axis=-1, keepdims=True)), axis=-1)
 
 
 # The building blocks verify_mse_components checks, in the order of its notes.
@@ -357,7 +369,7 @@ def verify_mse_components(
     d_colsum_fsq = fsq * 2.0 * fit.den[:, None] * d_lnf
     d_colsum_fsq[s, dim - 1 + s] += fsq[:, 0]
     closed = np.concatenate((d_lnf, _grad(fit, np.diag(fit.ult), np.diag(fit.fprod)), d_colsum_fsq))
-    worst = np.max(relative_error(closed, blocks, _floor(closed, dim)), axis=-1)
+    worst = np.maximum.reduce(relative_error(closed, blocks, _floor(closed, dim)), axis=-1)
     notes = {f"{name}_max_rel": float(m)
              for name, m in zip(BLOCKS, np.maximum.reduceat(worst, [0, dim - 1, 2 * dim - 1]))}
 
@@ -392,7 +404,7 @@ class _Statistic(NamedTuple):
 
 def _pick(by_year: np.ndarray, year: int | None):
     """year's entry over leading batch axes, or for year None the sum."""
-    return np.sum(by_year, axis=-1) if year is None else by_year[..., year - 1]
+    return np.add.reduce(by_year, axis=-1) if year is None else by_year[..., year - 1]
 
 
 # The keys under which a Fit holds (impact._hold) the raw imaginary parts of

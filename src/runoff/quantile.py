@@ -38,9 +38,9 @@ def fit_lognormal(reserve: float, mse: float) -> LognormalFit:
     below eps; so a complex r = mse / reserve^2 takes log1p(Re r) +
     i Im r / (1 + Re r), exact to first order in the step, with the real
     part of the real path bit for bit. reserve^2 is taken at _scale."""
-    if not np.all(np.real(reserve) > 0.0):
+    if not np.logical_and.reduce(reserve.real > 0.0, axis=None):
         raise ValueError(f"reserve must be positive, got {reserve}")
-    if not np.all(np.real(mse) > 0.0):
+    if not np.logical_and.reduce(mse.real > 0.0, axis=None):
         raise ValueError(f"mse must be positive, got {mse}")
     s = _scale(reserve)
     r = mse / s / s / (reserve / s) ** 2
@@ -84,11 +84,11 @@ def impact_quantile(
 
 def _quantile(state: Fit, q: float) -> np.ndarray:
     """The gradient of the quantile over the fitted sums, of a fit with sigmas."""
-    total = float(np.sum(state.reserves))
+    total = float(np.add.reduce(state.reserves))
     mse = state.mse_total
     if not total > 0.0:
         raise ValueError(f"total reserve must be positive, got {total}")
-    _check_mse("impact_quantile", mse, not np.any(state.sigma2))
+    _check_mse("impact_quantile", mse, not np.logical_or.reduce(state.sigma2))
     fit = fit_lognormal(total, mse)
     z = inv_std_normal_cdf(q)
     fq = lognormal_quantile(fit, q)

@@ -125,9 +125,10 @@ class IncrementalTriangle(Triangle):
     def from_rows(cls, rows: list) -> "IncrementalTriangle":
         """Build from ragged rows; row i must hold I - i + 1 values."""
         dim = len(rows)
-        arr = np.full((dim, dim), np.nan)
+        arr = np.empty((dim, dim))
+        arr.fill(np.nan)
         for idx, (row, observed) in enumerate(zip(rows, observed_mask(dim))):
-            expected = np.count_nonzero(observed)
+            expected = dim - idx
             if len(row) != expected:
                 raise ValueError(
                     f"row {idx + 1} must have {expected} cells, got {len(row)}"
@@ -159,7 +160,7 @@ def cumulate_values(values: np.ndarray) -> np.ndarray:
     """Row partial sums of (..., I, I) incremental values over any leading
     batch axes, NaN where the increments are NaN."""
     missing = np.isnan(values)
-    return np.where(missing, np.nan, np.cumsum(np.where(missing, 0.0, values), axis=-1))
+    return np.where(missing, np.nan, np.where(missing, 0.0, values).cumsum(axis=-1))
 
 
 def cumulate(inc: IncrementalTriangle) -> CumulativeTriangle:
@@ -173,8 +174,8 @@ def decumulate(cum: CumulativeTriangle) -> IncrementalTriangle:
     values = cum.values
     later = observed_mask(cum.dimension)[:, 1:]
     falls = later & (values[:, 1:] < values[:, :-1])
-    if np.any(falls):
-        i, j = np.unravel_index(np.argmax(falls), falls.shape)
+    if np.logical_or.reduce(falls, axis=None):
+        i, j = np.unravel_index(falls.argmax(), falls.shape)
         raise ValueError(
             f"cumulative claims decrease at ({i + 1}, {j + 2}): "
             f"{values[i, j + 1]} < {values[i, j]}"
@@ -206,14 +207,14 @@ def validate(inc: IncrementalTriangle) -> list:
     }
     messages = list(checks)
     kind = np.select(list(checks.values()), range(len(checks)), -1)  # a cell's first problem
-    rows, cols = np.nonzero(kind >= 0)
+    rows, cols = (kind >= 0).nonzero()
     cells = zip(rows.tolist(), cols.tolist(), kind[rows, cols].tolist(), values[rows, cols])
     problems = [messages[m].format(i + 1, j + 1, v) for i, j, m, v in cells]
     if not problems:
         with np.errstate(over="ignore"):  # reported, at its first row
-            partial = np.cumsum(cumulate_values(values), axis=0)
-        over = np.isinf(partial) & (np.cumsum(np.isinf(partial), axis=0) == 1)
-        cols, rows = np.nonzero((observed & ((partial == 0.0) | over)).T)
+            partial = cumulate_values(values).cumsum(axis=0)
+        over = np.isinf(partial) & (np.isinf(partial).cumsum(axis=0) == 1)
+        cols, rows = (observed & ((partial == 0.0) | over)).T.nonzero()
         problems = [
             f"{'overflowing' if over[p, j] else 'zero'} column partial sum: "
             f"column {j + 1}, rows 1..{p + 1}"
@@ -229,4 +230,4 @@ def column_partial_sum(cum: CumulativeTriangle, j: int, p: int) -> float:
         raise IndexError(f"row bound {p} out of range 0..{dim - j + 1} for column {j}")
     if p == 0:
         return 0.0
-    return float(np.sum(cum.values[:p, j - 1]))
+    return float(np.add.reduce(cum.values[:p, j - 1]))

@@ -112,9 +112,10 @@ class TestDevelopmentFactors:
         assert factors.product(5, 4) == 1.0
         assert factors.product(10, 9) == 1.0
 
-    @pytest.mark.parametrize("a, b", [(0, 3), (-2, 2), (1, 100), (1, 10)])
+    @pytest.mark.parametrize("a, b", [(0, 3), (-2, 2), (1, 100), (1, 10), (100, 50), (0, -5)])
     def test_product_out_of_range(self, belgian, a, b):
-        # a slice would wrap or clip these to 1.0, 1.0 and every factor's product
+        # a slice would wrap or clip the first four to 1.0, 1.0 and every
+        # factor's product, and the empty-product rule read the last two as 1.0
         factors = estimate_development_factors(cumulate(belgian))
         with pytest.raises(IndexError, match=f"factor product {a}..{b} out of range 1..9"):
             factors.product(a, b)

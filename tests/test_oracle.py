@@ -118,6 +118,24 @@ class TestFdDerivative:
             errors.append(abs(got - exact))
         assert errors[0] > errors[1] > errors[2]
 
+    @pytest.mark.parametrize("field, scheme", [
+        ("absolute_floor", dict(relative_step=0.0, absolute_floor=0.0)),  # h = 0 divides by zero
+        ("relative_step", dict(relative_step=math.nan)),  # h = NaN
+        ("absolute_floor", dict(absolute_floor=math.inf)),  # h = inf
+        ("absolute_floor", dict(relative_step=0.0, absolute_floor=-1e-2)),  # h < 0 steps backwards
+        ("absolute_floor", dict(absolute_floor=math.nan)),
+        ("relative_step", dict(relative_step=-1e-6)),
+        ("relative_step", dict(relative_step=math.inf)),
+        ("relative_step", dict(relative_step="1e-6")),
+    ])
+    def test_scheme_refuses_a_step_that_breaks_the_difference(self, field, scheme):
+        with pytest.raises(ValueError, match=field):
+            FdScheme(**scheme)
+
+    def test_zero_relative_step_steps_by_the_floor(self, belgian):
+        got = fd_derivative(lambda t: 3.0 * t.cell(3, 2), belgian, 3, 2, FdScheme(0.0, 1.0))
+        assert math.isclose(got, 3.0, rel_tol=1e-9)
+
     def test_does_not_mutate_input(self, belgian):
         before = np.array(belgian.values)
         fd_derivative(lambda t: t.cell(1, 1) ** 2, belgian, 1, 1)

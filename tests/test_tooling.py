@@ -223,6 +223,37 @@ def test_a_verify_round_computes_each_total_gradient_once(monkeypatch, dim):
         assert getattr(quantile, name).tobytes() == getattr(alone, name).tobytes(), name
 
 
+def test_the_op_path_stays_off_numpys_python_wrappers():
+    """A sensitivity report and a verify round at I=10 call numpy's C entry
+    points, ufunc reductions and ndarray methods, and no frame of numpy's
+    fromnumeric.py or _methods.py runs: those wrappers dispatch in Python
+    to the same reduction, and at the benchmark sizes that dispatch, not
+    the arithmetic, sets the op time. Matched by file name, so numpy 1.x
+    (numpy/core) and 2.x (numpy/_core) both count."""
+    layers = load(LAYERS, "bench_layers")
+    rows = layers.random_rows(10)
+
+    def ops():
+        layers.sensitivity_report(runoff, runoff.IncrementalTriangle.from_rows(rows))
+        layers.verify_round(runoff, runoff.IncrementalTriangle.from_rows(rows))
+
+    ops()  # the cell layouts and masks are built once per I
+    wrappers = set()
+
+    def profile(frame, event, arg):
+        name = os.path.basename(frame.f_code.co_filename)
+        if event == "call" and name in ("fromnumeric.py", "_methods.py"):
+            wrappers.add(f"{name}:{frame.f_code.co_name}")
+
+    held = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        ops()
+    finally:
+        sys.setprofile(held)
+    assert not wrappers
+
+
 def test_one_based_ranges_are_formatted_in_one_place():
     """Every "out of range 1..M" message of the library is formatted by
     runoff.triangle._one_based, so the index checks cannot drift apart
