@@ -18,7 +18,11 @@ is the least mean time per call over the batches (best_s), with the
 number of calls and batches made; a batch whose time passes SLOW_S ends
 the stage. After the timing, one
 more call runs under tracemalloc, and its peak of traced memory is the
-stage's peak_mb. The estimator and
+stage's peak_mb, and one more under sys.settrace, and the bytecodes it
+executes (f_trace_opcodes on every frame, the stage's own call included)
+are its bytecodes: a perfbench worker runs only 5 or 12 ops, so most of
+their code runs too few times for the interpreter to specialize it, and
+the count tracks the interpreter's share of an op. The estimator and
 impact stages reuse one triangle and its factors and sigmas, so where
 runoff keeps a triangle's Fit they time only their own algebra over it.
 Where runoff also holds the total reserve and MSE gradients on that Fit,
@@ -251,6 +255,27 @@ def peak_mb(call) -> float:
         tracemalloc.stop()
 
 
+def bytecodes(call) -> int:
+    """The bytecodes one call executes, in every Python frame it runs."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        if event == "call":
+            frame.f_trace_opcodes = True
+        elif event == "opcode":
+            count += 1
+        return trace
+
+    held = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        call()
+    finally:
+        sys.settrace(held)
+    return count
+
+
 def cli_run(src: str, path: str) -> dict:
     """One fresh process running the runoff CLI of the tree src on path with
     CLI_COMMAND: its exit code, wall time and peak RSS in MB (2^20 bytes),
@@ -310,10 +335,10 @@ def main(argv=None) -> int:
                 calls = [tree_stages[name] for tree_stages in per_tree]
                 for m, timing in enumerate(per_call(trees, calls)):
                     use(trees[m])
-                    rows[m][name] = timing | {"peak_mb": peak_mb(calls[m])}
+                    row = rows[m][name] = timing | {"peak_mb": peak_mb(calls[m]), "bytecodes": bytecodes(calls[m])}
                     print(
                         f"I={dim:<4} {name:<30} {args.label[m]:<10} {timing['best_s']:.6f} s "
-                        f"{rows[m][name]['peak_mb']:9.2f} MB",
+                        f"{row['peak_mb']:9.2f} MB {row['bytecodes']:8d} bytecodes",
                         flush=True,
                     )
             for src, label, section, row in zip(args.src, args.label, sections, rows):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from runoff.chainladder import DevelopmentFactors, _fit, project_ultimates
+from runoff.chainladder import DevelopmentFactors, _fit
 from runoff.triangle import Container, CumulativeTriangle, _one_based
 
 __all__ = ["PriorUltimates", "bf_reserves", "default_priors"]
@@ -30,8 +30,9 @@ class PriorUltimates(Container):
 
 def default_priors(cum: CumulativeTriangle, factors: DevelopmentFactors) -> PriorUltimates:
     """Priors set to the chain-ladder ultimates, then frozen; ValueError
-    names the first accident year whose ultimate overflows."""
-    ult = project_ultimates(cum, factors)
+    names the first accident year whose ultimate overflows. The fit's
+    read-only ultimates go to PriorUltimates, which copies them once."""
+    ult = _fit(cum, factors).ult
     over = (~np.isfinite(ult)).nonzero()[0]
     if over.size:
         raise ValueError(f"chain-ladder ultimate of accident year {over[0] + 1} overflows double precision")

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
-from runoff.triangle import (Container, CumulativeTriangle, IncrementalTriangle, _one_based,
+from runoff.triangle import (Container, CumulativeTriangle, IncrementalTriangle, _cached, _one_based,
                              _read_only, cumulate, observed_mask)
 
 __all__ = ["DevelopmentFactors", "Fit", "SigmaEstimates", "MackSummary",
@@ -86,11 +85,18 @@ class MackSummary:
 def _ahead(per_s: np.ndarray, axis: int = -1) -> np.ndarray:
     """Per accident year i, per_s summed along axis over the development
     years s = I-i+1..I-1 still ahead of it; year 1 gets zeros. One
-    allocation: the sums of the reversed input are written into its tail."""
+    allocation: the sums of the reversed input are written into its tail.
+    The last axis, the one every library caller sums along, is indexed
+    directly; another builds its index tuples."""
+    dtype = np.promote_types(per_s.dtype, float)
+    if axis == -1:
+        out = np.zeros(per_s.shape[:-1] + (per_s.shape[-1] + 1,), dtype)
+        per_s[..., ::-1].cumsum(axis=-1, out=out[..., 1:])
+        return out
     lead = (slice(None),) * (axis % per_s.ndim)
     shape = list(per_s.shape)
     shape[axis] += 1
-    out = np.zeros(shape, dtype=np.result_type(per_s, 0.0))
+    out = np.zeros(shape, dtype)
     per_s[lead + (slice(None, None, -1),)].cumsum(axis=axis, out=out[lead + (slice(1, None),)])
     return out
 
@@ -169,7 +175,9 @@ class Fit:
         both = observed_mask(dim)[:, 1:]
         num = np.add.reduce(np.where(both, cum[..., 1:], 0.0), axis=-2)
         den = np.add.reduce(np.where(both, cum[..., :-1], 0.0), axis=-2)
-        f, sigma2 = (None if x is None else np.array(x) for x in (f, sigma2))  # the caller's stay theirs
+        # copies, which _frozen freezes: the caller's arrays stay theirs
+        f = None if f is None else np.array(f)
+        sigma2 = None if sigma2 is None else np.array(sigma2)
         return cls._frozen(num, den, cum[..., rows, dim - 1 - rows], f, sigma2)
 
     @classmethod
@@ -187,22 +195,20 @@ class Fit:
         fprod = np.empty(f.shape[:-1] + (dim,), dtype=np.promote_types(f.dtype, float))
         fprod[..., 0] = 1.0
         f[..., ::-1].cumprod(axis=-1, out=fprod[..., 1:])
-        arrays = dict(num=num, den=den, factors=f, fprod=fprod, latest=latest, ult=latest * fprod)
-        if sigma2 is not None:
-            arrays["sigma2"] = sigma2
-        return cls(dim, **{k: _read_only(v) for k, v in arrays.items()})
+        return cls(dim, _read_only(num), _read_only(den), _read_only(f), _read_only(fprod), _read_only(latest),
+                   _read_only(latest * fprod), None if sigma2 is None else _read_only(sigma2))
 
-    @cached_property
+    @_cached
     def reserves(self) -> np.ndarray:
         """Per-year chain-ladder reserves, ultimate minus latest."""
         return _read_only(self.ult - self.latest)
 
-    @cached_property
+    @_cached
     def later(self) -> np.ndarray:
         """Per year i, the sum of the ultimates of the years after it."""
         return _read_only(_ahead(self.ult[..., 1:])[..., ::-1])
 
-    @cached_property
+    @_cached
     def scale(self) -> float:
         """_scale of the ultimates, one per batch: the s of the Mack sums' products."""
         return _scale(self.ult)
@@ -211,13 +217,13 @@ class Fit:
         if self.sigma2 is None:
             raise ValueError("the fit has no sigmas; build it with SigmaEstimates")
 
-    @cached_property
+    @_cached
     def w(self) -> np.ndarray:
         """Sum of sigma^2_s / (f_s^2 B_s) over the years s ahead of i."""
         self._need_sigmas()
         return _read_only(_ahead(self.sigma2 / (self.factors**2 * self.den)))
 
-    @cached_property
+    @_cached
     def process(self) -> np.ndarray:
         """Sum of f_{I-i+1}..f_{s-1} sigma^2_s (f_{s+1}..f_{I-1})^2 over the
         years s ahead of i."""
@@ -226,12 +232,12 @@ class Fit:
         trail = self.fprod[..., self.dimension - 1 - np.arange(1, self.dimension)]
         return _read_only(self.fprod * _ahead(self.sigma2 * trail / self.factors))
 
-    @cached_property
+    @_cached
     def mse_by_year(self) -> np.ndarray:
         """latest * process + ult^2 * w: process variance plus estimation error."""
         return _read_only(self.latest * self.process + _product(self.ult, self.ult, self.w, self.scale))
 
-    @cached_property
+    @_cached
     def mse_total(self):
         """Per-year MSEs plus the cross covariances ult_i * later_i * 2 w_i,
         one value per batch entry."""
@@ -255,22 +261,26 @@ def _fit(
     """The Fit of cum under factors and sigmas, built once per triangle: cum
     keeps the last one built in its __dict__ as (factors, base, sigmas,
     fit), base the fit without sigmas, and serves fit to the same
-    (read-only) factors and sigmas objects. Other factors (None takes any
-    held fit) build a base; other sigmas are then attached to it by
-    dataclasses.replace, which keeps its arrays and every value it has
-    computed: none of them reads sigma2, whose readers raise on a base.
-    Factors or sigmas for another I raise ValueError before the record,
-    written last, changes."""
+    (read-only) factors and sigmas objects, or to None for either. Other
+    factors build a base; other sigmas are then attached to it: the fit
+    with them is one copy of the base's __dict__ with sigma2 the sigmas'
+    read-only values, so it shares the base's arrays and every value the
+    base has computed, none of which reads sigma2 (its readers raise on a
+    base). Factors or sigmas for another I raise ValueError before the
+    record changes; it is written last, and only when what it holds
+    changes."""
     held = cum.__dict__.get("_fit")
+    if held is not None and (factors is None or factors is held[0]) and (sigmas is None or sigmas is held[2]):
+        return held[3]
     if held is None or (factors is not None and factors is not held[0]):
         _check_dimension(cum, factors)
         base = Fit.of(cum.values, None if factors is None else factors.values)
         held = (factors, base, None, base)
     kept, base, attached, fit = held
-    if sigmas is not None and sigmas is not attached:
+    if sigmas is not None:
         _check_dimension(cum, sigmas)
-        attached, fit = sigmas, replace(base, sigma2=_read_only(np.array(sigmas.values)))
-        fit.__dict__.update({k: v for k, v in vars(base).items() if k not in vars(fit)})
+        attached, fit = sigmas, object.__new__(Fit)
+        vars(fit).update(vars(base), sigma2=sigmas.values)
     cum.__dict__["_fit"] = (kept, base, attached, fit)
     return fit
 

@@ -97,7 +97,8 @@ def ingest(path: str) -> IncrementalTriangle:
         numbers = None
     if numbers is None or any(row.count(",") != dim - i for i, row in enumerate(rows, start=1)):
         raise _bad_row(path, rows)
-    values = np.full((dim, dim), np.nan)
+    values = np.empty((dim, dim))
+    values.fill(np.nan)
     values[observed_mask(dim)] = numbers
     inc = IncrementalTriangle(dim, values)
     problems = validate(inc)
@@ -111,7 +112,8 @@ def load_priors(source: str, cum, factors) -> PriorUltimates:
     a CSV of i,mu lines, one per accident year at most."""
     if source == "cl":
         return default_priors(cum, factors)
-    values, given = np.full(cum.dimension, np.nan), {}  # given: year -> its line
+    values, given = np.empty(cum.dimension), {}  # given: year -> its line
+    values.fill(np.nan)
     for n, ln in _lines(source, f"priors {source}"):
         parts = [p.strip() for p in ln.split(",")]
         if len(parts) != 2:
@@ -141,7 +143,7 @@ def compute(stat: str, inc: IncrementalTriangle, year, q: float, priors_src: str
     impacts = _impact(stat.removeprefix("r") if rmse else stat, year, entry.grad(fit, year, mu, q))
     value = float(entry.value(fit, year, mu, q))
     if rmse:
-        _check_mse(f"{stat} impact", value, not np.any(fit.sigma2))
+        _check_mse(f"{stat} impact", value, not np.logical_or.reduce(fit.sigma2))
         return impact_rmse(value, impacts), math.sqrt(value), None
     return impacts, value, mu
 
@@ -335,7 +337,7 @@ def _computed(args) -> tuple:
         raise UsageError(f"--q must be in (0, 1), got {args.q}")
     try:
         impacts, value, mu = compute(args.stat, inc, args.year, args.q, args.priors)
-        finite = math.isfinite(value) and np.all(np.isfinite(_observed(impacts.values)))
+        finite = math.isfinite(value) and np.logical_and.reduce(np.isfinite(_observed(impacts.values)))
     except OverflowError:  # float arithmetic, such as the quantile's R^2
         finite = False
     if not finite:
@@ -350,7 +352,7 @@ def cmd_reserves(args) -> tuple:
     except (ValueError, ZeroDivisionError) as exc:  # too few accident years, or a zero C_{i,k} in sigma^2
         print(f"note: rmse column left empty: {exc}", file=sys.stderr)
         cum, factors, fit = _baseline(inc)
-    total = float(np.sum(fit.reserves))
+    total = float(np.add.reduce(fit.reserves))
     if not math.isfinite(total):  # nor is it where an ultimate is not finite
         raise DataError(f"{args.input}: the chain-ladder reserves overflow double precision")
     bf_by_year, bf_tot = bf_reserves(cum, factors, load_priors(args.priors, cum, factors))

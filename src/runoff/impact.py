@@ -84,11 +84,12 @@ def _effects(grad: np.ndarray) -> tuple:
     column term, O(I) work per gradient. The prefix sums start at +0.0,
     so no term, nor a difference of two, is -0.0."""
     dim = (grad.shape[-1] + 2) // 3
-    prefix = np.zeros(grad.shape[:-1] + (dim,), dtype=np.promote_types(grad.dtype, float))
-    np.add(grad[..., : dim - 1], grad[..., dim - 1 : 2 * dim - 2], out=prefix[..., 1:])
+    g_a, g_b, g_l = grad[..., : dim - 1], grad[..., dim - 1 : 2 * dim - 2], grad[..., 2 * dim - 2 :]
+    prefix = np.zeros(g_l.shape, dtype=np.promote_types(grad.dtype, float))
+    np.add(g_a, g_b, out=prefix[..., 1:])
     prefix = prefix.cumsum(axis=-1)
-    row = prefix[..., ::-1] + grad[..., 2 * dim - 2 :]
-    prefix[..., 1:] -= grad[..., : dim - 1]  # the column terms
+    row = prefix[..., ::-1] + g_l
+    prefix[..., 1:] -= g_a  # the column terms
     return row, prefix
 
 
@@ -129,14 +130,15 @@ def _held_total(gradient):
     held (_hold) under gradient's name, so every impact and verifier of a
     fit reads one. Per-year and batched-year gradients are computed on
     every call."""
+    name = gradient.__name__
 
     @functools.wraps(gradient)
     def held(fit: Fit, year=None) -> np.ndarray:
         if year is not None:
             return gradient(fit, year)
-        if gradient.__name__ not in fit.__dict__:
-            _hold(fit, gradient.__name__, gradient(fit))
-        return fit.__dict__[gradient.__name__]
+        if name not in fit.__dict__:
+            _hold(fit, name, gradient(fit))
+        return fit.__dict__[name]
 
     return held
 

@@ -44,7 +44,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -53,7 +52,7 @@ from runoff.bornhuetter import PriorUltimates, _prior_values, bf_reserve_values,
 from runoff.chainladder import Fit, _ahead, _baseline, _product
 from runoff.impact import _bf, _grad, _hold, _mse, _mse_diagonal, _reserve, _shrink, _to_cells
 from runoff.quantile import _quantile, fit_lognormal, lognormal_quantile
-from runoff.triangle import IncrementalTriangle, _cells, _read_only, _records
+from runoff.triangle import IncrementalTriangle, _cached, _cells, _read_only, _records
 
 __all__ = ["FdScheme", "VerificationReport", "fd_derivative", "verify_reserve_impacts",
            "verify_mse_components", "verify_quantile_impacts"]
@@ -130,9 +129,8 @@ class VerificationReport:
                              "gradients of one shape over the 3I-2 fitted sums")
         count, dim = math.prod(shape[:-1]), (shape[-1] + 2) // 3
         grads = _read_only(np.array((analytic, numeric)).reshape(2, count, shape[-1]))
-        held = (*_verdict(grads, dim), count * dim * (dim + 1) // 2, grads)
-        for name, value in zip(("max_rel_error", "worst_cell", "size", "_gradients"), held):
-            object.__setattr__(self, name, value)
+        worst, cell = _verdict(grads, dim)
+        vars(self).update(max_rel_error=worst, worst_cell=cell, size=count * dim * (dim + 1) // 2, _gradients=grads)
 
     def __getattr__(self, name):
         """A column (COLUMNS): the first read of any builds all five from
@@ -146,7 +144,7 @@ class VerificationReport:
             object.__setattr__(self, column, _read_only(values.ravel()))
         return getattr(self, name)
 
-    @cached_property
+    @_cached
     def cells(self) -> list:
         """One dict per checked cell, keyed by COLUMNS; built on the first
         read and kept, so every read returns the same list."""
@@ -368,7 +366,9 @@ def verify_mse_components(
     fsq = (fit.factors**2)[:, None]
     d_colsum_fsq = fsq * 2.0 * fit.den[:, None] * d_lnf
     d_colsum_fsq[s, dim - 1 + s] += fsq[:, 0]
-    closed = np.concatenate((d_lnf, _grad(fit, np.diag(fit.ult), np.diag(fit.fprod)), d_colsum_fsq))
+    diagonals = np.zeros((2, dim * dim))  # np.diag of ult and of F
+    diagonals[:, :: dim + 1] = fit.ult, fit.fprod
+    closed = np.concatenate((d_lnf, _grad(fit, *diagonals.reshape(2, dim, dim)), d_colsum_fsq))
     worst = np.maximum.reduce(relative_error(closed, blocks, _floor(closed, dim)), axis=-1)
     notes = {f"{name}_max_rel": float(m)
              for name, m in zip(BLOCKS, np.maximum.reduceat(worst, [0, dim - 1, 2 * dim - 1]))}
@@ -446,9 +446,9 @@ def _stepped_mse(base: Fit, stack: Fit) -> np.ndarray:
     frozen MSE, then the total's (_stepped_frozen, I+1); and the same I+1
     as plug-in MSEs, with base's sigma2, which the stack has."""
     ln_f = np.log(stack.factors)
-    plugin = np.concatenate((stack.mse_by_year, stack.mse_total[..., None]), axis=-1)
+    frozen = _stepped_frozen(base, stack, ln_f)
     return np.concatenate(
-        (ln_f, stack.ult, stack.den * stack.factors**2, _stepped_frozen(base, stack, ln_f), plugin), axis=-1
+        (ln_f, stack.ult, stack.den * stack.factors**2, frozen, stack.mse_by_year, stack.mse_total[..., None]), axis=-1
     )
 
 

@@ -44,9 +44,14 @@ def fit_lognormal(reserve: float, mse: float) -> LognormalFit:
         raise ValueError(f"mse must be positive, got {mse}")
     s = _scale(reserve)
     r = mse / s / s / (reserve / s) ** 2
-    sigma2 = np.log1p(r.real) + 1j * r.imag / (1.0 + r.real) if np.iscomplexobj(r) else np.log1p(r)
+    complex_r = np.asarray(r).dtype.kind == "c"
+    sigma2 = np.log1p(r.real) + 1j * r.imag / (1.0 + r.real) if complex_r else np.log1p(r)
     mu = np.log(reserve) - sigma2 / 2.0
     return LognormalFit(mu=mu, sigma2=sigma2)
+
+
+# The standard normal; a NormalDist holds nothing that a call changes.
+_STANDARD_NORMAL = NormalDist()
 
 
 def inv_std_normal_cdf(q: float) -> float:
@@ -54,7 +59,7 @@ def inv_std_normal_cdf(q: float) -> float:
     Wichura's algorithm AS 241, accurate to about 1e-16 relative."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile level must lie in (0, 1), got {q}")
-    return NormalDist().inv_cdf(q)
+    return _STANDARD_NORMAL.inv_cdf(q)
 
 
 def lognormal_quantile(fit: LognormalFit, q: float) -> float:

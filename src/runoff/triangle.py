@@ -78,6 +78,24 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+class _cached:
+    """A value computed on the first read and kept in the instance __dict__
+    under the attribute's own name, where later reads find it first, as
+    functools.cached_property keeps it (deepcopy and vars() see it), but
+    without the lock Python 3.11's takes on every first read. Two threads
+    may each compute a value on a first read; the values are equal, and
+    the last one stored stays."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 class Container:
     """Base of the triangles and per-year containers, frozen dataclasses with
     dimension and values fields: values is a read-only float64 copy of what

@@ -60,7 +60,7 @@ def small_corpus() -> list:
 def fit_builds(monkeypatch):
     """The Fit._frozen calls made while the test runs, one entry each;
     every Fit is built through it, by Fit.of or on the oracle's stack, or
-    is one that was with sigmas attached (dataclasses.replace in _fit)."""
+    is a copy of one with sigmas attached (chainladder._fit)."""
     calls = []
     frozen = Fit._frozen.__func__
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from runoff.chainladder import (
     project_ultimates,
     reserves,
 )
-from runoff import impact
+from runoff import chainladder, impact
 from runoff.impact import d_ln_f, impact_bf_total, impact_mse_total, impact_reserve_total
 from runoff.quantile import impact_quantile
 from runoff.triangle import IncrementalTriangle, column_partial_sum, cumulate
@@ -474,6 +475,54 @@ class TestFitMemo:
         assert fit.sigma2.tolist() == sigmas.values.tolist() and not fit.sigma2.flags.writeable
         assert fit.mse_total == Fit.of(cum.values, factors.values, sigmas.values).mse_total
         assert held.sigma2 is None
+
+    def test_the_sigma_fit_shares_what_the_base_computed(self, belgian):
+        # one copy of the base's __dict__: every value it computed, its held
+        # total reserve gradient among them, is the same object on both
+        cum = cumulate(belgian)
+        factors = estimate_development_factors(cum)
+        base = _fit(cum, factors)
+        computed = {name: getattr(base, name) for name in ("reserves", "later", "scale")}
+        held = impact._reserve(base)
+        fit = _fit(cum, factors, estimate_sigmas(cum, factors))
+        assert fit is not base and base.sigma2 is None and "sigma2" not in computed
+        for name, value in computed.items():
+            assert getattr(fit, name) is value, name
+        assert impact._reserve(fit) is held
+
+    def test_a_served_fit_leaves_the_record_as_it_was(self, belgian):
+        cum = cumulate(belgian)
+        factors = estimate_development_factors(cum)
+        sigmas = estimate_sigmas(cum, factors)
+        fit = _fit(cum, factors, sigmas)
+        record = cum.__dict__["_fit"]
+        for given in ((factors, sigmas), (None, sigmas), (factors, None), (None, None)):
+            assert _fit(cum, *given) is fit
+        assert cum.__dict__["_fit"] is record
+
+    def test_a_cached_value_is_computed_once(self, belgian, monkeypatch):
+        cum = cumulate(belgian)
+        factors = estimate_development_factors(cum)
+        fit = Fit.of(cum.values, factors.values, estimate_sigmas(cum, factors).values)
+        sums = []
+        ahead = chainladder._ahead
+        monkeypatch.setattr(chainladder, "_ahead", lambda per_s: sums.append(per_s) or ahead(per_s))
+        for _ in range(2):
+            for name in ("reserves", "later", "scale", "w", "process", "mse_by_year", "mse_total"):
+                value = getattr(fit, name)
+                assert getattr(fit, name) is value and vars(fit)[name] is value, name
+        assert len(sums) == 3  # later, w and process, once each
+        assert Fit.reserves.__doc__ == "Per-year chain-ladder reserves, ultimate minus latest."
+
+    def test_fields_and_cached_values_stay_frozen(self, belgian):
+        cum = cumulate(belgian)
+        factors = estimate_development_factors(cum)
+        base = _fit(cum, factors)
+        fit = _fit(cum, factors, estimate_sigmas(cum, factors))
+        for held, name in ((base, "num"), (base, "sigma2"), (fit, "sigma2"), (fit, "ult"), (fit, "reserves"),
+                           (fit, "mse_total")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(held, name, None)
 
     def test_new_factors_object_gets_a_new_fit(self, belgian):
         cum = cumulate(belgian)

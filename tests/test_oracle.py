@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import re
@@ -181,6 +182,13 @@ class TestVerificationReport:
         assert report.worst_cell == (2, 1)
         assert all(type(v) is int for v in report.worst_cell)
         assert not report.passed
+
+    def test_fields_and_cells_stay_frozen(self):
+        report = VerificationReport("x", 1e-5, np.ones((1, 4)), np.ones((1, 4)))
+        for name in ("statistic", "tolerance", "max_rel_error", "worst_cell", "size", "analytic", "cells"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(report, name, None)
+        assert report.cells is report.cells and vars(report)["cells"] is report.cells
 
     def test_a_stack_of_another_layout_is_refused(self):
         # a last axis of 3I-2 sums: 3, 6 or none at all is refused
