@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from runoff.chainladder import DevelopmentFactors, _fit
-from runoff.triangle import Container, CumulativeTriangle, _one_based
+from runoff.triangle import Container, CumulativeTriangle, _one_based, _owned, _read_only
 
 __all__ = ["PriorUltimates", "bf_reserves", "default_priors"]
 
@@ -30,13 +30,13 @@ class PriorUltimates(Container):
 
 def default_priors(cum: CumulativeTriangle, factors: DevelopmentFactors) -> PriorUltimates:
     """Priors set to the chain-ladder ultimates, then frozen; ValueError
-    names the first accident year whose ultimate overflows. The fit's
-    read-only ultimates go to PriorUltimates, which copies them once."""
+    names the first accident year whose ultimate overflows. The priors
+    hold one copy of the fit's read-only ultimates."""
     ult = _fit(cum, factors).ult
     over = (~np.isfinite(ult)).nonzero()[0]
     if over.size:
         raise ValueError(f"chain-ladder ultimate of accident year {over[0] + 1} overflows double precision")
-    return PriorUltimates(cum.dimension, ult)
+    return _owned(PriorUltimates, dimension=cum.dimension, values=_read_only(ult.copy()))
 
 
 def _usable_priors(fprod: np.ndarray, mu: np.ndarray) -> np.ndarray:

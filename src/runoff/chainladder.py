@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from runoff.triangle import (Container, CumulativeTriangle, IncrementalTriangle, _cached, _one_based,
-                             _read_only, cumulate, observed_mask)
+                             _owned, _read_only, cumulate, observed_mask)
 
 __all__ = ["DevelopmentFactors", "Fit", "SigmaEstimates", "MackSummary",
            "estimate_development_factors", "project_ultimates", "reserves", "estimate_sigmas",
@@ -47,6 +47,13 @@ class DevelopmentFactors(Container):
         return float(np.multiply.reduce(self.values[a - 1 : b])) if a <= b else 1.0
 
 
+def _check_sigmas(values: np.ndarray):
+    """ValueError naming the first development year whose sigma^2 is negative."""
+    if np.logical_or.reduce(negative := values < 0.0):
+        j = int(negative.argmax()) + 1
+        raise ValueError(f"sigma^2 of development year {j} must be >= 0, got {values[j - 1]}")
+
+
 @dataclass(frozen=True)
 class SigmaEstimates(Container):
     """Variance scales sigma^2_j for j = 1..I-1: none negative (NaN passes)."""
@@ -57,9 +64,7 @@ class SigmaEstimates(Container):
 
     def __post_init__(self):
         super().__post_init__()
-        if np.logical_or.reduce(negative := self.values < 0.0):
-            j = int(negative.argmax()) + 1
-            raise ValueError(f"sigma^2 of development year {j} must be >= 0, got {self.values[j - 1]}")
+        _check_sigmas(self.values)
 
     def sigma2(self, j: int) -> float:
         return float(self.values[_one_based(j, self.dimension - 1, "sigma index") - 1])
@@ -184,8 +189,11 @@ class Fit:
     def _frozen(cls, num, den, latest, f=None, sigma2=None) -> "Fit":
         """The fit from what it reads of the cumulative triangle: the column
         sums A_s and B_s, (..., I-1), and the latest diagonal, (..., I); f and
-        sigma2 as in of. It freezes the arrays in place, so they must be ones
-        nobody else holds, such as of's own sums or the oracle's stack."""
+        sigma2 as in of. It freezes the arrays in place and holds them
+        (_owned), so they must be ones nobody else holds, such as of's own
+        sums or the oracle's stack. Only factors it divides for itself are
+        checked for a zero denominator: given ones are the caller's, or the
+        oracle's quotients of sums Fit.of checked (oracle._stack)."""
         dim = latest.shape[-1]
         if f is None:
             zero = (den.real == 0.0).nonzero()[-1]
@@ -195,8 +203,9 @@ class Fit:
         fprod = np.empty(f.shape[:-1] + (dim,), dtype=np.promote_types(f.dtype, float))
         fprod[..., 0] = 1.0
         f[..., ::-1].cumprod(axis=-1, out=fprod[..., 1:])
-        return cls(dim, _read_only(num), _read_only(den), _read_only(f), _read_only(fprod), _read_only(latest),
-                   _read_only(latest * fprod), None if sigma2 is None else _read_only(sigma2))
+        return _owned(cls, dimension=dim, num=_read_only(num), den=_read_only(den), factors=_read_only(f),
+                      fprod=_read_only(fprod), latest=_read_only(latest), ult=_read_only(latest * fprod),
+                      sigma2=None if sigma2 is None else _read_only(sigma2))
 
     @_cached
     def reserves(self) -> np.ndarray:
@@ -305,7 +314,7 @@ def _baseline(inc: IncrementalTriangle, sigmas: bool = False) -> tuple:
 def estimate_development_factors(cum: CumulativeTriangle) -> DevelopmentFactors:
     """f_j = sum(C_{i,j+1}, i<=I-j) / sum(C_{i,j}, i<=I-j)."""
     fit = Fit.of(cum.values)
-    factors = DevelopmentFactors(cum.dimension, fit.factors)
+    factors = _owned(DevelopmentFactors, dimension=cum.dimension, values=_read_only(fit.factors.copy()))
     cum.__dict__["_fit"] = (factors, fit, None, fit)  # its factors are num / den
     return factors
 
@@ -330,7 +339,9 @@ def estimate_sigmas(cum: CumulativeTriangle, factors: DevelopmentFactors) -> Sig
     reading 0/0 as 0 so all-proportional triangles yield zero throughout.
     """
     _check_dimension(cum, factors)
-    return SigmaEstimates(cum.dimension, sigma2_values(cum.values, factors.values))
+    values = sigma2_values(cum.values, factors.values)
+    _check_sigmas(values)
+    return _owned(SigmaEstimates, dimension=cum.dimension, values=_read_only(values))
 
 
 def mse_accident_year(

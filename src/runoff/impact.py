@@ -10,10 +10,13 @@ Every statistic reads the triangle only through the 3I-2 fitted sums of
 one chainladder.Fit (the column sums A_s, B_s and the latest diagonal
 L_i), so each impact is first its gradient over the sums, O(I) (_grad),
 then mapped to the cells by one chain rule (_effects): cell (k, j) gets
-a row effect of k less a column effect of j. _to_cells gathers that
-difference cell by cell, the one writer of cells: an impact triangle is
-its gather scattered onto the observed region (_impact), and the oracle
-maps its complex-step gradients with it. Each statistic has one gradient,
+a row effect of k less a column effect of j. That difference has two
+layouts, each taken by one call: an impact triangle writes it onto the
+observed cells of an (I, I) NaN array with one masked subtract (_impact),
+and _to_cells gathers it into the row-major cell columns (_cell_index) by
+which the oracle maps its complex-step gradients and lays out its
+reports; cell by cell, both are the same subtraction of the same two
+effects, bit for bit. Each statistic has one gradient,
 _reserve, _bf and _mse, of its total for year None, else of that year;
 a Fit holds the total reserve and MSE gradients (_held_total), and what
 else is kept on it goes through the same _hold.
@@ -34,6 +37,7 @@ from runoff.triangle import (
     Triangle,
     _cell_index,
     _one_based,
+    _owned,
     _read_only,
     observed_mask,
 )
@@ -96,11 +100,10 @@ def _effects(grad: np.ndarray) -> tuple:
 def _to_cells(grad: np.ndarray) -> np.ndarray:
     """Gradients (..., 3I-2) over the fitted sums as derivatives over the
     observed cells, (..., n) in the layout of _cell_index, gathered from
-    _effects by its 0-based indices for every impact triangle (_impact) and
-    oracle report. The column effect is subtracted into the gathered row
-    effect in place, so two (..., n) arrays are alive at once, not three;
-    ndarray.take gathers C-ordered, so a leading slice of the result ravels
-    without a copy."""
+    _effects by its 0-based indices for the oracle's reports. The column
+    effect is subtracted into the gathered row effect in place, so two
+    (..., n) arrays are alive at once, not three; ndarray.take gathers
+    C-ordered, so a leading slice of the result ravels without a copy."""
     row, col = _effects(grad)
     k, j = _cell_index(row.shape[-1])
     cells = row.take(k, axis=-1)
@@ -110,13 +113,18 @@ def _to_cells(grad: np.ndarray) -> np.ndarray:
 
 def _impact(statistic: str, target, grad: np.ndarray) -> ImpactTriangle:
     """ImpactTriangle of the gradient grad over the fitted sums, target an
-    accident year or None: _to_cells scattered onto the observed region,
-    NaN outside, where nothing is computed."""
+    accident year (checked, _one_based) or None: the row effect less the
+    column effect (_effects) on the observed cells, one masked subtract,
+    NaN outside, where nothing is computed. Each cell is the difference
+    _to_cells takes for it, bit for bit."""
     dim = (grad.size + 2) // 3
+    if target is not None:
+        target = _one_based(target, dim, "accident year")
+    row, col = _effects(grad)
     values = np.empty((dim, dim))
     values.fill(np.nan)
-    values[observed_mask(dim)] = _to_cells(grad)
-    return ImpactTriangle(statistic, target, dim, values)
+    np.subtract(row[:, None], col, out=values, where=observed_mask(dim))
+    return _owned(ImpactTriangle, statistic=statistic, target=target, dimension=dim, values=_read_only(values))
 
 
 def _hold(fit: Fit, name: str, values: np.ndarray):

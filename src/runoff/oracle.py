@@ -9,8 +9,8 @@ enters each of them with coefficient 1 or not at all; so the oracle
 steps each sum of the baseline Fit once, in one stack, and keeps the
 derivatives as gradients over the sums: a VerificationReport takes the
 analytic and numeric ones and maps both to the observed cells (_cells)
-by runoff.impact's _to_cells, the chain rule the analytic impacts take
-too, a few triangles at a time for its verdict (_verdict) and whole
+by runoff.impact's _to_cells, the gather of the chain rule (_effects)
+the analytic impacts take too, a few triangles at a time for its verdict (_verdict) and whole
 only when its cell columns are read. Each verifier steps the triangle's
 baseline (chainladder._baseline), cumulated and fitted once for the CLI
 and all its verifiers.
@@ -261,12 +261,15 @@ def _stack(fit: Fit, h: float) -> Fit:
     to sum m alone (real parts exactly the baseline's, sigma2 the
     baseline's). It is one complex diagonal added to the concatenated sums,
     its fits built on views of it and frozen in place; its Mack sums are
-    computed only if a statistic reads them."""
+    computed only if a statistic reads them. Its factors are num / den,
+    given to Fit._frozen, which checks no denominator: the real parts are
+    the baseline's, which Fit.of checked."""
     dim = fit.dimension
     steps = np.zeros((3 * dim - 2,) * 2, complex)
     steps.flat[:: 3 * dim - 1] = h * 1j
     sums = np.concatenate((fit.num, fit.den, fit.latest)) + steps
-    return Fit._frozen(sums[:, : dim - 1], sums[:, dim - 1 : 2 * dim - 2], sums[:, 2 * dim - 2 :], sigma2=fit.sigma2)
+    num, den = sums[:, : dim - 1], sums[:, dim - 1 : 2 * dim - 2]
+    return Fit._frozen(num, den, sums[:, 2 * dim - 2 :], num / den, fit.sigma2)
 
 
 def verify_reserve_impacts(

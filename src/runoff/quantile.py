@@ -15,7 +15,7 @@ import numpy as np
 
 from runoff.chainladder import DevelopmentFactors, Fit, SigmaEstimates, _fit, _scale
 from runoff.impact import ImpactTriangle, _check_mse, _impact, _mse, _reserve
-from runoff.triangle import CumulativeTriangle
+from runoff.triangle import CumulativeTriangle, _owned
 
 __all__ = ["LognormalFit", "fit_lognormal", "inv_std_normal_cdf", "lognormal_quantile",
            "impact_quantile"]
@@ -47,7 +47,7 @@ def fit_lognormal(reserve: float, mse: float) -> LognormalFit:
     complex_r = np.asarray(r).dtype.kind == "c"
     sigma2 = np.log1p(r.real) + 1j * r.imag / (1.0 + r.real) if complex_r else np.log1p(r)
     mu = np.log(reserve) - sigma2 / 2.0
-    return LognormalFit(mu=mu, sigma2=sigma2)
+    return _owned(LognormalFit, mu=mu, sigma2=sigma2)
 
 
 # The standard normal; a NormalDist holds nothing that a call changes.

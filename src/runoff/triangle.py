@@ -78,6 +78,19 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _owned(cls, **fields):
+    """A frozen dataclass cls holding fields, given in field order, built
+    without its __init__ or __post_init__: the fields go straight into the
+    instance __dict__, as the attach of sigmas builds a fit. For what the
+    library has just built: its arrays must be ones nobody else holds,
+    frozen by the caller (_read_only), float64 and of the documented shape,
+    as nothing copies or checks them. Public constructors still copy and
+    check what the caller passes."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 class _cached:
     """A value computed on the first read and kept in the instance __dict__
     under the attribute's own name, where later reads find it first, as
@@ -100,7 +113,8 @@ class Container:
     """Base of the triangles and per-year containers, frozen dataclasses with
     dimension and values fields: values is a read-only float64 copy of what
     the caller passed, AXES axes of dimension - SHORT entries: (I, I) for a
-    triangle, (I - 1,) per development year, (I,) per accident year."""
+    triangle, (I - 1,) per development year, (I,) per accident year. The
+    library builds its own in place (_owned), over arrays it has just made."""
 
     SHORT, AXES = 0, 1
 
@@ -152,7 +166,7 @@ class IncrementalTriangle(Triangle):
                     f"row {idx + 1} must have {expected} cells, got {len(row)}"
                 )
             arr[idx, observed] = row
-        return cls(dim, arr)
+        return _owned(cls, dimension=dim, values=_read_only(arr))
 
     def to_rows(self) -> list:
         mask = observed_mask(self.dimension)
@@ -183,7 +197,8 @@ def cumulate_values(values: np.ndarray) -> np.ndarray:
 
 def cumulate(inc: IncrementalTriangle) -> CumulativeTriangle:
     """Row partial sums of the incremental triangle."""
-    return CumulativeTriangle(inc.dimension, cumulate_values(inc.values))
+    values = _read_only(cumulate_values(inc.values))
+    return _owned(CumulativeTriangle, dimension=inc.dimension, values=values)
 
 
 def decumulate(cum: CumulativeTriangle) -> IncrementalTriangle:
@@ -206,13 +221,17 @@ def decumulate(cum: CumulativeTriangle) -> IncrementalTriangle:
 def validate(inc: IncrementalTriangle) -> list:
     """Diagnostics for an incremental triangle; empty list means valid.
 
-    Checks: missing, non-finite and negative observed cells, populated
-    future cells, and zero or overflowing column partial sums on the
-    cumulated triangle (these sums appear as denominators downstream, and
-    every fitted sum is one of them). Bad cells are reported in row-major
-    order; bad partial sums, sought only when no cell is bad, column by
-    column and down each column, an overflowing column at its first row.
+    Checks: a dimension below 2, alone (no factor can be estimated, as
+    the CLI's ingest refuses it too); missing, non-finite and negative
+    observed cells, populated future cells, and zero or overflowing column
+    partial sums on the cumulated triangle (these sums appear as
+    denominators downstream, and every fitted sum is one of them). Bad
+    cells are reported in row-major order; bad partial sums, sought only
+    when no cell is bad, column by column and down each column, an
+    overflowing column at its first row.
     """
+    if inc.dimension < 2:
+        return [f"dimension must be at least 2, got {inc.dimension}"]
     values = inc.values
     observed = observed_mask(inc.dimension)
     missing = np.isnan(values)

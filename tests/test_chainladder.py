@@ -23,7 +23,7 @@ from runoff.chainladder import (
 from runoff import chainladder, impact
 from runoff.impact import d_ln_f, impact_bf_total, impact_mse_total, impact_reserve_total
 from runoff.quantile import impact_quantile
-from runoff.triangle import IncrementalTriangle, column_partial_sum, cumulate
+from runoff.triangle import CumulativeTriangle, IncrementalTriangle, column_partial_sum, cumulate
 from test_impact_reference import reference_g
 
 
@@ -289,6 +289,20 @@ class TestSigmas:
         with pytest.raises(ValueError, match=r"^sigma\^2 of development year 1 must be >= 0, got -1\.0$"):
             mse_total(cum, estimate_development_factors(cum), SigmaEstimates(10, -np.ones(9)))
         assert math.isnan(SigmaEstimates(4, [0.0, -0.0, math.nan]).sigma2(3))
+
+    def test_estimated_sigmas_keep_the_refusal(self):
+        """estimate_sigmas builds its SigmaEstimates in place, with no
+        __post_init__, and refuses a negative sigma^2 in the same words:
+        a cumulative triangle of negative cells weighs its squared
+        residuals negatively."""
+        cum = CumulativeTriangle(4, [[-4.0, -6.0, -7.0, -9.0], [-5.0, -9.0, -8.0, math.nan],
+                                     [-6.0, -7.0, math.nan, math.nan], [-3.0] + [math.nan] * 3])
+        factors = estimate_development_factors(cum)
+        with pytest.raises(ValueError) as want:
+            SigmaEstimates(4, chainladder.sigma2_values(cum.values, factors.values))
+        with pytest.raises(ValueError, match=r"^sigma\^2 of development year 1 must be >= 0, got -0\.54") as got:
+            estimate_sigmas(cum, factors)
+        assert str(got.value) == str(want.value)
 
     def test_zero_cumulative_cell(self):
         tri = IncrementalTriangle.from_rows(

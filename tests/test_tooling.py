@@ -263,6 +263,33 @@ def test_the_op_path_stays_off_numpys_python_wrappers():
     assert not wrappers
 
 
+def test_a_report_builds_its_objects_in_place():
+    """A sensitivity report at I=10, from the increments on, builds its
+    triangles, per-year containers, fit and lognormal fit in place
+    (runoff.triangle._owned): no dataclass-generated __init__ (compiled
+    from a string, so its frame's file is "<string>") and no
+    Container.__post_init__ runs, where each copied an array the library
+    had just built (10 and 8 of them per report). Container.__post_init__
+    is the one __post_init__ of triangle.py."""
+    layers = load(LAYERS, "bench_layers")
+    rows = layers.random_rows(10)
+    layers.sensitivity_report(runoff, runoff.IncrementalTriangle.from_rows(rows))
+    ran = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name in ("__init__", "__post_init__"):
+            ran.append(f"{os.path.basename(code.co_filename)}:{code.co_name}")
+
+    held = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        layers.sensitivity_report(runoff, runoff.IncrementalTriangle.from_rows(rows))
+    finally:
+        sys.setprofile(held)
+    assert not {"<string>:__init__", "triangle.py:__post_init__"} & set(ran), ran
+
+
 def test_one_based_ranges_are_formatted_in_one_place():
     """Every "out of range 1..M" message of the library is formatted by
     runoff.triangle._one_based, so the index checks cannot drift apart

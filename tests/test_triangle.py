@@ -155,6 +155,14 @@ class TestValidate:
     def test_bundled_is_clean(self, belgian):
         assert validate(belgian) == []
 
+    @pytest.mark.parametrize("rows", [[], [[5.0]]], ids=["I=0", "I=1"])
+    def test_dimension_below_two(self, rows):
+        """No factor can be estimated below I = 2 (estimate_development_factors
+        raised IndexError at I = 0), so validate refuses it, alone and in the
+        words of the CLI's ingest."""
+        inc = IncrementalTriangle.from_rows(rows)
+        assert validate(inc) == [f"dimension must be at least 2, got {len(rows)}"]
+
     def test_missing_observed_cell(self):
         arr = np.full((3, 3), np.nan)
         arr[0, :] = [1.0, 2.0, 3.0]
@@ -230,6 +238,8 @@ def loop_decumulate(cum):
 
 def loop_validate(inc):
     dim = inc.dimension
+    if dim < 2:
+        return [f"dimension must be at least 2, got {dim}"]
     problems = []
     for i in range(1, dim + 1):
         for j in range(1, dim + 1):
@@ -392,6 +402,79 @@ def test_every_container_holds_read_only_copies():
         assert all(not a.flags.writeable for a in arrays), name
         assert not any(np.shares_memory(a, c) for a in arrays for c in handed_out), name
     assert all(c.flags.writeable for c in handed_out)
+
+
+@pytest.mark.parametrize("build, shape", [
+    (lambda a: IncrementalTriangle(3, a), (3, 3)),
+    (lambda a: runoff.SigmaEstimates(3, a), (2,)),
+    (lambda a: runoff.PriorUltimates(3, a), (3,)),
+    (lambda a: ImpactTriangle("reserve-total", None, 3, a), (3, 3)),
+], ids=["IncrementalTriangle", "SigmaEstimates", "PriorUltimates", "ImpactTriangle"])
+def test_a_public_constructor_copies_what_it_is_given(build, shape):
+    """Only the library's own builds hold their arrays in place (_owned): a
+    caller's array, written after the build, leaves values as they were."""
+    given = np.ones(shape)
+    built = build(given)
+    given.fill(7.0)
+    assert built.values.tobytes() == np.ones(shape).tobytes()
+
+
+def library_builds(inc: IncrementalTriangle) -> dict:
+    """Every frozen object a sensitivity report builds from inc, and the
+    per-year impacts, by what built it."""
+    cum = cumulate(inc)
+    factors = runoff.estimate_development_factors(cum)
+    sigmas = runoff.estimate_sigmas(cum, factors)
+    priors = runoff.default_priors(cum, factors)
+    fit = runoff.chainladder._fit(cum, factors, sigmas)
+    return {
+        "from_rows": IncrementalTriangle.from_rows(inc.to_rows()),
+        "cumulate": cum,
+        "factors": factors,
+        "sigmas": sigmas,
+        "priors": priors,
+        "fit": fit,
+        "lognormal": runoff.fit_lognormal(float(fit.reserves.sum()), float(fit.mse_total)),
+        "reserve-ay": runoff.impact_reserve_ay(cum, factors, np.int64(3)),
+        "reserve-total": runoff.impact_reserve_total(cum, factors),
+        "bf-ay": runoff.impact_bf_ay(cum, factors, priors, 4),
+        "bf-total": runoff.impact_bf_total(cum, factors, priors),
+        "mse-ay": runoff.impact_mse_ay(cum, factors, sigmas, 5),
+        "mse-total": runoff.impact_mse_total(cum, factors, sigmas),
+        "quantile": runoff.impact_quantile(cum, factors, sigmas, 0.995),
+    }
+
+
+def test_what_the_library_builds_is_what_its_constructor_would_build(belgian):
+    """The library builds its containers, fits and lognormal fits in place
+    (_owned), with no __init__ to copy and check: each holds read-only
+    float64 arrays of its documented shape, nobody else's, and equals,
+    field by field and in repr, the object its public constructor builds
+    from the same fields."""
+    built = library_builds(belgian)
+    dim = belgian.dimension
+    for name, obj in built.items():
+        fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        assert list(vars(obj))[: len(fields)] == list(fields), name  # then what it keeps
+        again = type(obj)(**fields)
+        for field, value in fields.items():
+            other = getattr(again, field)
+            if isinstance(value, np.ndarray):
+                assert value.dtype == np.float64 and not value.flags.writeable, (name, field)
+                assert value.shape == other.shape and value.tobytes() == other.tobytes(), (name, field)
+            else:
+                assert type(value) is type(other) and value == other, (name, field)
+        assert repr(obj) == repr(again), name
+        if isinstance(obj, runoff.triangle.Container):
+            assert obj.values.shape == (dim - obj.SHORT,) * obj.AXES, name
+    shapes = [getattr(built["fit"], k).shape for k in ("num", "den", "factors", "sigma2", "fprod", "latest", "ult")]
+    assert shapes == [(dim - 1,)] * 4 + [(dim,)] * 3
+    assert built["reserve-ay"].target == 3 and type(built["reserve-ay"].target) is int
+    arrays = [v for obj in built.values() for v in vars(obj).values() if isinstance(v, np.ndarray)]
+    held = runoff.chainladder._fit(built["cumulate"], built["factors"])
+    for own in (built["factors"].values, built["priors"].values):
+        assert not any(np.shares_memory(own, a) for a in vars(held).values() if isinstance(a, np.ndarray))
+    assert not any(np.shares_memory(a, belgian.values) for a in arrays)
 
 
 def total_reserve(inc: IncrementalTriangle) -> float:
