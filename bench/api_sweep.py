@@ -6,7 +6,9 @@ runoff source trees and report every result that differs.
 Both trees are loaded in one process, each runoff package in its own set
 of sys.modules entries (bench/layers.py's load and use), and each result
 is computed by one tree, then the other. The triangles are bench/layers.py's
-random_rows at I = 4, 10, 40 and 100. On each, the results are the impact
+random_rows at I = 4, 10, 40 and 100. On each, the results are
+IncrementalTriangle.from_rows of its rows as ints, as float32 arrays and
+with the last row short, and of no rows; the impact
 triangles of every statistic, the per-year ones at every accident year and
 the quantile at q = 0.995, and the reports of verify_reserve_impacts (its
 four statistics) and verify_mse_components, each at year None, 1, I//2
@@ -42,7 +44,12 @@ def calls(runoff, dim: int) -> dict:
     factors = runoff.estimate_development_factors(cum)
     sigmas = runoff.estimate_sigmas(cum, factors)
     priors = runoff.default_priors(cum, factors)
+    rows = random_rows(dim)
     out = {
+        "from_rows int rows": lambda: runoff.IncrementalTriangle.from_rows([[int(x) for x in r] for r in rows]),
+        "from_rows float32 rows": lambda: runoff.IncrementalTriangle.from_rows([np.float32(r) for r in rows]),
+        "from_rows []": lambda: runoff.IncrementalTriangle.from_rows([]),
+        "from_rows short row": lambda: runoff.IncrementalTriangle.from_rows([*rows[:-1], []]),
         "impact_reserve_total": lambda: runoff.impact_reserve_total(cum, factors),
         "impact_bf_total": lambda: runoff.impact_bf_total(cum, factors, priors),
         "impact_mse_total": lambda: runoff.impact_mse_total(cum, factors, sigmas),

@@ -15,6 +15,8 @@ are refused; an I = 4 triangle whose first factor overflows, so year 4's ultimat
 and the BF statistics on the chain-ladder priors are refused), and an
 I = 4 triangle with a zero first cell in row 2, which sigma^2 divides
 by (`reserves` leaves its RMSE column empty, the Mack statistics are
+refused); and an I = 3 triangle whose impacts are finite but whose
+complex step overflows (`verify` of the reserve and BF statistics is
 refused). At I = 100 the reports of
 `verify --stat mse-total` and `rmse-total` hold 505k cells, and their
 JSON is about 69 MB per tree. On each triangle the commands are
@@ -111,6 +113,7 @@ def triangles(tree: dict, directory: Path) -> list:
         write_triangle(directory / "small3.csv", [[100.0, 50.0, 10.0], [120.0, 60.0], [130.0]]),
         write_triangle(directory / "overflow4.csv", [[1e-300, 1e300, 1, 1], [1e-300, 1e-300, 1], [1e-300, 1e-300], [1e100]]),
         write_triangle(directory / "zerocell4.csv", [[100, 50, 10, 5], [0, 60, 12], [130, 70], [140]]),
+        write_triangle(directory / "overflowstep3.csv", [[1e6, 1.0, 1.0], [0.0, 1e308], [5e-324]]),
     ]
 
 

@@ -87,22 +87,13 @@ class MackSummary:
             object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=float)))
 
 
-def _ahead(per_s: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Per accident year i, per_s summed along axis over the development
-    years s = I-i+1..I-1 still ahead of it; year 1 gets zeros. One
-    allocation: the sums of the reversed input are written into its tail.
-    The last axis, the one every library caller sums along, is indexed
-    directly; another builds its index tuples."""
-    dtype = np.promote_types(per_s.dtype, float)
-    if axis == -1:
-        out = np.zeros(per_s.shape[:-1] + (per_s.shape[-1] + 1,), dtype)
-        per_s[..., ::-1].cumsum(axis=-1, out=out[..., 1:])
-        return out
-    lead = (slice(None),) * (axis % per_s.ndim)
-    shape = list(per_s.shape)
-    shape[axis] += 1
-    out = np.zeros(shape, dtype)
-    per_s[lead + (slice(None, None, -1),)].cumsum(axis=axis, out=out[lead + (slice(1, None),)])
+def _ahead(per_s: np.ndarray) -> np.ndarray:
+    """Per accident year i, per_s summed along the last axis over the
+    development years s = I-i+1..I-1 still ahead of it; year 1 gets zeros.
+    One allocation: the sums of the reversed input are written into its
+    tail."""
+    out = np.zeros(per_s.shape[:-1] + (per_s.shape[-1] + 1,), np.promote_types(per_s.dtype, float))
+    per_s[..., ::-1].cumsum(axis=-1, out=out[..., 1:])
     return out
 
 
@@ -151,11 +142,12 @@ class Fit:
     fprod:    F_i = f_{I-i+1} ... f_{I-1}, the factors still ahead of year i
     latest:   the latest diagonal C_{i,I-i+1}; ult = latest * F
     sigma2:   the variance scales, None when the fit has no sigmas
-    The Mack sums w and process, and the derived reserves, later, scale,
-    mse_by_year and mse_total are computed on first read, read-only: a
-    refit that carries sigma2 pays for the Mack sums only if its statistic
-    reads them. Every statistic is a function of num, den and latest, the
-    3I-2 fitted sums, and runoff.impact differentiates it over them.
+    The Mack sums w and process, and the derived reserves, reserve_total,
+    later, scale, mse_by_year and mse_total are computed on first read,
+    read-only, the totals one value per batch entry: a refit that carries
+    sigma2 pays for the Mack sums only if its statistic reads them. Every
+    statistic is a function of num, den and latest, the 3I-2 fitted sums,
+    and runoff.impact differentiates it over them.
     """
 
     dimension: int
@@ -211,6 +203,11 @@ class Fit:
     def reserves(self) -> np.ndarray:
         """Per-year chain-ladder reserves, ultimate minus latest."""
         return _read_only(self.ult - self.latest)
+
+    @_cached
+    def reserve_total(self):
+        """The total reserve: the one sum of the per-year reserves."""
+        return _read_only(np.add.reduce(self.reserves, axis=-1))
 
     @_cached
     def later(self) -> np.ndarray:
@@ -326,8 +323,8 @@ def project_ultimates(cum: CumulativeTriangle, factors: DevelopmentFactors) -> n
 
 def reserves(cum: CumulativeTriangle, factors: DevelopmentFactors):
     """Per-year reserves (ultimate minus latest cumulative) and their total."""
-    by_year = np.array(_fit(cum, factors).reserves)
-    return by_year, float(np.add.reduce(by_year))
+    fit = _fit(cum, factors)
+    return np.array(fit.reserves), float(fit.reserve_total)
 
 
 def estimate_sigmas(cum: CumulativeTriangle, factors: DevelopmentFactors) -> SigmaEstimates:
@@ -381,7 +378,7 @@ def mack_summary(cum: CumulativeTriangle) -> MackSummary:
         sigmas=sigmas,
         ultimates=fit.ult,
         reserves_by_year=fit.reserves,
-        reserve_total=float(np.add.reduce(fit.reserves)),
+        reserve_total=float(fit.reserve_total),
         mse_by_year=fit.mse_by_year,
         mse_total=float(fit.mse_total),
     )

@@ -4,8 +4,8 @@ returns its whole document and exit code; main writes the document once,
 to stdout or --out, so a command that exits 1 or 2 writes no document.
 
 Exit codes: 0 success, 1 usage error, 2 data validation failure (a
-statistic that overflows double precision among them), 3 verification
-failure.
+statistic, or a verifier's complex step, that overflows double precision
+among them), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from runoff.chainladder import _baseline
 from runoff.impact import (ORDER_ONE_STATISTICS, ImpactTriangle, _check_mse, _impact, impact_rmse,
                            marginal_contributions)
 from runoff.oracle import _STATISTICS, TOLERANCE, _verify, verify_mse_components
-from runoff.triangle import IncrementalTriangle, _cells, _observed, _records, observed_mask, validate
+from runoff.triangle import IncrementalTriangle, _cells, _from_cells, _observed, _records, validate
 
 STATISTICS = tuple(_STATISTICS)
 PER_YEAR = frozenset(s for s in STATISTICS if s.endswith("-ay"))
@@ -71,8 +71,8 @@ def _bad_row(path: str, rows: list) -> DataError:
 def ingest(path: str) -> IncrementalTriangle:
     """Parse the triangle file: `I=<n>` header, then n ragged rows of
     incremental values, row i holding n-i+1 comma-separated numbers,
-    written onto its observed cells (observed_mask) of an (n, n) NaN array
-    from one numpy conversion of every token; a bad row is named by
+    converted by numpy at once and written onto the observed cells of the
+    triangle it builds in place (_from_cells); a bad row is named by
     _bad_row."""
     lines = [ln for _, ln in _lines(path, path)]
     if not lines:
@@ -97,10 +97,7 @@ def ingest(path: str) -> IncrementalTriangle:
         numbers = None
     if numbers is None or any(row.count(",") != dim - i for i, row in enumerate(rows, start=1)):
         raise _bad_row(path, rows)
-    values = np.empty((dim, dim))
-    values.fill(np.nan)
-    values[observed_mask(dim)] = numbers
-    inc = IncrementalTriangle(dim, values)
+    inc = _from_cells(numbers, dim)
     problems = validate(inc)
     if problems:
         raise DataError(f"{path}: " + "; ".join(problems))
@@ -352,7 +349,7 @@ def cmd_reserves(args) -> tuple:
     except (ValueError, ZeroDivisionError) as exc:  # too few accident years, or a zero C_{i,k} in sigma^2
         print(f"note: rmse column left empty: {exc}", file=sys.stderr)
         cum, factors, fit = _baseline(inc)
-    total = float(np.add.reduce(fit.reserves))
+    total = float(fit.reserve_total)
     if not math.isfinite(total):  # nor is it where an ultimate is not finite
         raise DataError(f"{args.input}: the chain-ladder reserves overflow double precision")
     bf_by_year, bf_tot = bf_reserves(cum, factors, load_priors(args.priors, cum, factors))
@@ -386,7 +383,7 @@ def cmd_verify(args) -> tuple:
     if not args.tolerance >= 0.0:
         raise UsageError(f"--tolerance must be a number >= 0, got {args.tolerance}")
     inc, _, _, mu = _computed(args)
-    if "mse" in args.stat:
+    if _STATISTICS[args.stat].numeric is None:
         report = verify_mse_components(inc, args.tolerance, args.year)
     else:
         report = _verify(inc, args.stat, args.year, mu, args.q, args.tolerance)

@@ -15,11 +15,13 @@ only when its cell columns are read. Each verifier steps the triangle's
 baseline (chainladder._baseline), cumulated and fitted once for the CLI
 and all its verifiers.
 The step subtracts nothing, so there is no step size to choose and the
-derivative is exact to rounding. Every verifier compares an analytic
-gradient with the complex step of the statistic it is the gradient of,
-the gradient read from the one table of the statistics (_STATISTICS,
-year None the total), which the CLI computes them from too, and so is
-the step of the refit reserves and of the lognormal quantile map (_verify).
+derivative is exact to rounding, unless a stacked intermediate overflows:
+a NaN verdict from a step that is not finite raises ValueError (_report).
+Every verifier compares an analytic gradient with the complex step of
+the statistic it is the gradient of, the gradient read from the one
+table of the statistics (_STATISTICS, year None the total), which the
+CLI computes them from too, and so is the step of the refit reserves
+and of the lognormal quantile map (_verify).
 The MSE impacts hold sigma^2 fixed and substitute the estimation error
 after differentiation, so the MSE verifier alone steps the MSE with the
 coefficients its formula holds fixed frozen at the baseline
@@ -291,27 +293,36 @@ def verify_reserve_impacts(
         raise ValueError(
             f"unknown statistic {statistic!r}; expected one of {', '.join(RESERVE_STATISTICS)}"
         )
-    per_year, bf = statistic.endswith("-ay"), statistic.startswith("bf")
+    per_year, takes_priors = statistic.endswith("-ay"), _STATISTICS[statistic].priors
     if per_year and year is None:
         raise ValueError(f"{statistic} needs an accident year")
     if not per_year and year is not None:
         raise ValueError(f"{statistic} takes no accident year, got {year}")
-    if not bf and priors is not None:
+    if not takes_priors and priors is not None:
         raise ValueError(f"{statistic} takes no priors")
     cum, factors, _ = _baseline(inc)
-    mu = _prior_values(cum, default_priors(cum, factors) if priors is None else priors) if bf else None
+    mu = _prior_values(cum, default_priors(cum, factors) if priors is None else priors) if takes_priors else None
     return _verify(inc, statistic, year, mu, None, tolerance)
 
 
 def _verify(inc: IncrementalTriangle, name: str, year, mu, q, tolerance: float) -> VerificationReport:
     """The report on statistic name of _STATISTICS at year (None: the total)
-    from inc's baseline: its grad against its numeric. It serves the
-    reserve, BF and quantile names; an MSE or RMSE one has no numeric
+    from inc's baseline: its grad against its numeric (_report). It serves
+    the reserve, BF and quantile names; an MSE or RMSE one has no numeric
     (verify_mse_components checks those)."""
     entry = _STATISTICS[name]
     _, _, fit = _baseline(inc, entry.sigmas)
     analytic = entry.grad(fit, year, mu, q)  # first, to refuse a year or priors before any step
-    return VerificationReport(name, tolerance, analytic, entry.numeric(fit, year, mu, q))
+    return _report(name, tolerance, analytic, entry.numeric(fit, year, mu, q))
+
+
+def _report(name: str, tolerance: float, analytic, numeric, notes=None) -> VerificationReport:
+    """The VerificationReport, or ValueError naming the statistic where its
+    verdict is NaN and the complex step is not finite but the analytic is."""
+    report = VerificationReport(name, tolerance, analytic, numeric, notes or {})
+    if math.isnan(report.max_rel_error) and (np.isfinite(analytic) & ~np.isfinite(numeric)).any():
+        raise ValueError(f"{name}: the complex step is not finite where the analytic gradient is")
+    return report
 
 
 def _frozen_mse(base: Fit, stack: Fit, ln_f: np.ndarray) -> np.ndarray:
@@ -379,7 +390,7 @@ def verify_mse_components(
     # the direct derivative of the last target's plug-in value, sigma^2 held at
     # the baseline, is noted only
     notes["direct_fd_max_rel"] = _verdict(np.array((analytic[-1:], plugin[rows][-1:])), dim)[0]
-    return VerificationReport("mse-components", tolerance, analytic, frozen[rows], notes)
+    return _report("mse-components", tolerance, analytic, frozen[rows], notes)
 
 
 def verify_quantile_impacts(
@@ -421,7 +432,7 @@ def _stepped_frozen(base: Fit, stack: Fit, ln_f: np.ndarray) -> np.ndarray:
     the stack's total reserve (_IM_RESERVE), which reads no sigma^2, and of
     the total's frozen MSE (_IM_MSE): the one writer of both."""
     frozen = _frozen_mse(base, stack, ln_f)
-    _hold(base, _IM_RESERVE, _pick(stack.reserves, None).imag.copy())
+    _hold(base, _IM_RESERVE, stack.reserve_total.imag.copy())
     _hold(base, _IM_MSE, frozen[:, -1].imag.copy())
     return frozen
 
@@ -438,8 +449,7 @@ def _stepped_quantile(fit: Fit, q: float) -> np.ndarray:
     if _IM_MSE not in held:
         stack = _stack(fit, _step(fit))
         _stepped_frozen(fit, stack, np.log(stack.factors))
-    reserve = _RESERVE.value(fit, None, None, q) + 1j * held[_IM_RESERVE]
-    mse = _MSE.value(fit, None, None, q) + 1j * held[_IM_MSE]
+    reserve, mse = fit.reserve_total + 1j * held[_IM_RESERVE], fit.mse_total + 1j * held[_IM_MSE]
     return lognormal_quantile(fit_lognormal(reserve, mse), q).imag / _step(fit)
 
 
@@ -456,7 +466,7 @@ def _stepped_mse(base: Fit, stack: Fit) -> np.ndarray:
 
 
 _RESERVE = _Statistic(
-    lambda fit, year, mu, q: _pick(fit.reserves, year),
+    lambda fit, year, mu, q: fit.reserve_total if year is None else fit.reserves[..., year - 1],
     lambda fit, year, mu, q: _reserve(fit, year),
     lambda fit, *args: complex_step(fit, lambda stack: _RESERVE.value(stack, *args)),
 )
@@ -472,9 +482,7 @@ _MSE = _Statistic(
     sigmas=True,
 )
 _QUANTILE = _Statistic(
-    lambda fit, year, mu, q: lognormal_quantile(
-        fit_lognormal(_RESERVE.value(fit, None, mu, q), _MSE.value(fit, None, mu, q)), q
-    ),
+    lambda fit, year, mu, q: lognormal_quantile(fit_lognormal(fit.reserve_total, fit.mse_total), q),
     lambda fit, year, mu, q: _quantile(fit, q),
     lambda fit, year, mu, q: _stepped_quantile(fit, q),
     sigmas=True,

@@ -89,7 +89,7 @@ def impact_quantile(
 
 def _quantile(state: Fit, q: float) -> np.ndarray:
     """The gradient of the quantile over the fitted sums, of a fit with sigmas."""
-    total = float(np.add.reduce(state.reserves))
+    total = float(state.reserve_total)
     mse = state.mse_total
     if not total > 0.0:
         raise ValueError(f"total reserve must be positive, got {total}")

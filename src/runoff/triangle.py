@@ -13,6 +13,7 @@ index is (operator.index), and one outside 1..M raises IndexError
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -155,18 +156,14 @@ class IncrementalTriangle(Triangle):
 
     @classmethod
     def from_rows(cls, rows: list) -> "IncrementalTriangle":
-        """Build from ragged rows; row i must hold I - i + 1 values."""
+        """Build from ragged rows; row i must hold I - i + 1 values. Every cell is
+        written at once (_from_cells); a bad cell before a short row is refused first."""
         dim = len(rows)
-        arr = np.empty((dim, dim))
-        arr.fill(np.nan)
-        for idx, (row, observed) in enumerate(zip(rows, observed_mask(dim))):
-            expected = dim - idx
-            if len(row) != expected:
-                raise ValueError(
-                    f"row {idx + 1} must have {expected} cells, got {len(row)}"
-                )
-            arr[idx, observed] = row
-        return _owned(cls, dimension=dim, values=_read_only(arr))
+        for idx, row in enumerate(rows):
+            if len(row) != dim - idx:
+                np.array(list(itertools.chain.from_iterable(itertools.islice(rows, idx))), dtype=float)
+                raise ValueError(f"row {idx + 1} must have {dim - idx} cells, got {len(row)}")
+        return _from_cells(list(itertools.chain.from_iterable(rows)), dim)
 
     def to_rows(self) -> list:
         mask = observed_mask(self.dimension)
@@ -178,6 +175,16 @@ class IncrementalTriangle(Triangle):
         arr = np.array(self.values)
         arr[i - 1, j - 1] = value
         return IncrementalTriangle(self.dimension, arr)
+
+
+def _from_cells(cells, dimension: int) -> IncrementalTriangle:
+    """The incremental triangle whose observed cells hold cells, in the
+    layout of _cells, on a NaN (I, I) array built in place (_owned): the one
+    writer of observed values, for from_rows and the CLI's ingest."""
+    values = np.empty((dimension, dimension))
+    values.fill(np.nan)
+    values[observed_mask(dimension)] = cells
+    return _owned(IncrementalTriangle, dimension=dimension, values=_read_only(values))
 
 
 @dataclass(frozen=True)

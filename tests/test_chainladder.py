@@ -20,7 +20,7 @@ from runoff.chainladder import (
     project_ultimates,
     reserves,
 )
-from runoff import chainladder, impact
+from runoff import chainladder, impact, oracle
 from runoff.impact import d_ln_f, impact_bf_total, impact_mse_total, impact_reserve_total
 from runoff.quantile import impact_quantile
 from runoff.triangle import CumulativeTriangle, IncrementalTriangle, column_partial_sum, cumulate
@@ -193,28 +193,23 @@ def test_refits_are_bit_identical_to_the_reference(dim):
     close(total, np.sum(bf), np.sum(mu))
 
 
-def ahead_reference(per_s, axis=-1):
+def ahead_reference(per_s):
     """_ahead written with flip, cumsum and concatenate."""
-    ahead = np.cumsum(np.flip(per_s, axis), axis=axis)
-    return np.concatenate((np.zeros_like(np.take(ahead, [0], axis=axis)), ahead), axis=axis)
+    ahead = np.cumsum(np.flip(per_s, -1), axis=-1)
+    return np.concatenate((np.zeros_like(ahead, shape=ahead.shape[:-1] + (1,)), ahead), axis=-1)
 
 
 @pytest.mark.parametrize("shape", [(7,), (6, 9), (3, 5, 4), (0, 5)])
-@pytest.mark.parametrize("axis", [0, -1])
 @pytest.mark.parametrize("dtype", [float, complex])
-def test_ahead_matches_the_reference(shape, axis, dtype):
+def test_ahead_matches_the_reference(shape, dtype):
     rng = np.random.default_rng([13, len(shape)])
     per_s = rng.uniform(-1e6, 1e6, shape).astype(dtype)
     if dtype is complex:
         per_s += 1j * rng.uniform(-1.0, 1.0, shape)
-    # C-ordered, and transposed as the oracle's gradients are
+    # C-ordered, and transposed (a strided last axis) as the oracle's gradients are
     for x in (per_s, per_s.T):
-        if x.shape[axis] == 0:
-            # nothing ahead of any year: the reference cannot take slot 0 of an empty axis
-            want = np.zeros(tuple(n + (a == axis % x.ndim) for a, n in enumerate(x.shape)), dtype)
-        else:
-            want = ahead_reference(x, axis)
-        got = _ahead(x, axis)
+        want = ahead_reference(x)
+        got = _ahead(x)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert got.flags.writeable and got.flags.owndata
         got[...] = 1.0
@@ -490,13 +485,31 @@ class TestFitMemo:
         assert fit.mse_total == Fit.of(cum.values, factors.values, sigmas.values).mse_total
         assert held.sigma2 is None
 
+    def test_reserve_total_is_the_sum_of_the_reserves(self, belgian):
+        """Bit for bit, read-only, one value per batch entry: on a fit, and
+        on the oracle's complex stack of 3I-2 fits; reserves and
+        mack_summary report it."""
+        cum = cumulate(belgian)
+        factors = estimate_development_factors(cum)
+        fit = _fit(cum, factors)
+        stack = oracle._stack(fit, oracle._step(fit))
+        for f in (fit, stack):
+            want = np.add.reduce(f.reserves, axis=-1)
+            assert np.shape(f.reserve_total) == np.shape(want) == f.reserves.shape[:-1]
+            assert np.asarray(f.reserve_total).tobytes() == np.asarray(want).tobytes()
+            assert f.reserve_total is f.reserve_total  # computed once
+            # a scalar cannot be written to; an array is read-only
+            assert np.isscalar(f.reserve_total) if f is fit else not f.reserve_total.flags.writeable
+        total = float(np.add.reduce(reserves(cum, factors)[0]))
+        assert reserves(cum, factors)[1] == mack_summary(cum).reserve_total == total == fit.reserve_total
+
     def test_the_sigma_fit_shares_what_the_base_computed(self, belgian):
         # one copy of the base's __dict__: every value it computed, its held
         # total reserve gradient among them, is the same object on both
         cum = cumulate(belgian)
         factors = estimate_development_factors(cum)
         base = _fit(cum, factors)
-        computed = {name: getattr(base, name) for name in ("reserves", "later", "scale")}
+        computed = {name: getattr(base, name) for name in ("reserves", "reserve_total", "later", "scale")}
         held = impact._reserve(base)
         fit = _fit(cum, factors, estimate_sigmas(cum, factors))
         assert fit is not base and base.sigma2 is None and "sigma2" not in computed

@@ -10,8 +10,8 @@ from conftest import bundled_path, proportional_triangle
 from runoff import chainladder, cli
 from runoff.cli import PER_YEAR, STATISTICS, _label, main
 from runoff.oracle import COLUMNS, verify_mse_components
-from runoff.triangle import observed_mask
-from test_oracle import near_proportional
+from runoff.triangle import Container, IncrementalTriangle, observed_mask
+from test_oracle import OVERFLOWING_STEP, near_proportional
 
 
 def run(capsys, *argv):
@@ -20,12 +20,16 @@ def run(capsys, *argv):
     return code, out, err
 
 
-def proportional_file(tmp_path) -> str:
-    """conftest.proportional_triangle as a triangle file: every sigma^2 is 0."""
-    p = tmp_path / "proportional.csv"
-    rows = proportional_triangle().to_rows()
+def rows_file(tmp_path, rows, name="rows.csv") -> str:
+    """rows as a triangle file, each value written by repr."""
+    p = tmp_path / name
     p.write_text(f"I={len(rows)}\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows))
     return str(p)
+
+
+def proportional_file(tmp_path) -> str:
+    """conftest.proportional_triangle as a triangle file: every sigma^2 is 0."""
+    return rows_file(tmp_path, proportional_triangle().to_rows(), "proportional.csv")
 
 
 class TestReservesCommand:
@@ -247,6 +251,39 @@ class TestVerifyCommand:
         assert code == impact_code == 2
         assert err == impact_err and "undefined" in err
         assert out == ""
+
+    @pytest.mark.parametrize("stat", ["reserve-total", "bf-total"])
+    def test_a_complex_step_that_overflows_exits_two(self, capsys, tmp_path, stat):
+        """impact computes finite cells; verify refuses the step that
+        overflows, naming the statistic, and writes no report."""
+        path = rows_file(tmp_path, OVERFLOWING_STEP)
+        assert run(capsys, "impact", path, "--stat", stat)[0] == 0
+        code, out, err = run(capsys, "verify", path, "--stat", stat)
+        assert (code, out) == (2, "")
+        assert err == f"error: {stat}: the complex step is not finite where the analytic gradient is\n"
+
+    def test_a_statistic_with_no_numeric_goes_to_the_mse_verifier(self, capsys, monkeypatch):
+        """The route is the entry's numeric field of _STATISTICS, not the name."""
+        monkeypatch.setitem(cli._STATISTICS, "quantile", cli._STATISTICS["quantile"]._replace(numeric=None))
+        code, out, _ = run(capsys, "verify", bundled_path(), "--stat", "quantile")
+        assert code == 0 and out.startswith("statistic: mse-components\n")
+
+    def test_no_extreme_triangle_reads_a_nan_verdict(self, capsys, tmp_path):
+        """40 seeded triangles, I = 2..8, of cells log-uniform over 1e-300..1e300
+        or drawn from {0, 1, 1e6, 5e-324, 1e308}, through verify for every
+        --stat: a verification may fail (exit 3), but never on a NaN max
+        relative error, which is a step that overflowed and is refused."""
+        rng = np.random.default_rng(40)
+        for t in range(40):
+            dim = int(rng.integers(2, 9))
+            n = dim * (dim + 1) // 2
+            cells = iter((10.0 ** rng.uniform(-300, 300, n) if rng.random() < 0.5
+                          else rng.choice([0.0, 1.0, 1e6, 5e-324, 1e308], n)).tolist())
+            path = rows_file(tmp_path, [[next(cells) for _ in range(dim - i)] for i in range(dim)], f"t{t}.csv")
+            for stat in STATISTICS:
+                year = ["--year", str(dim)] if stat in PER_YEAR else []
+                code, out, _ = run(capsys, "verify", path, "--stat", stat, *year)
+                assert not (code == 3 and "max relative error: nan" in out), (t, stat)
 
     @pytest.mark.parametrize("stat", ["bf-total", "bf-ay"])
     def test_piped_priors_read_as_a_file(self, capsys, tmp_path, stat):
@@ -472,6 +509,17 @@ class TestDataErrors:
         p.write_text("I=3\n" + ",".join(tokens[:3]) + "\n" + ",".join(tokens[3:5]) + "\n" + tokens[5] + "\n")
         got = cli.ingest(str(p)).values[observed_mask(3)]
         assert got.tobytes() == np.array([float(t) for t in tokens]).tobytes()
+
+    def test_ingest_builds_its_triangle_in_place(self, monkeypatch, belgian):
+        """The parsed numbers are written once, onto the triangle's own
+        array: no public constructor copies them (Container.__post_init__)."""
+        def copy(self):
+            raise AssertionError("a public constructor copied the triangle")
+
+        monkeypatch.setattr(Container, "__post_init__", copy)
+        inc = cli.ingest(bundled_path())
+        assert type(inc) is IncrementalTriangle and inc.values.tobytes() == belgian.values.tobytes()
+        assert inc.values.flags.owndata and not inc.values.flags.writeable
 
     def test_negative_cell_rejected(self, capsys, tmp_path):
         p = tmp_path / "neg.csv"

@@ -49,7 +49,8 @@ def reference_kernel(fit, c: np.ndarray) -> np.ndarray:
     q >= I-s+1, for c of shape (..., I): one suffix sum over q and one
     prefix sum over s."""
     ahead = _ahead(c[..., 1:])[..., 1:]
-    return _ahead((reference_g(fit) * ahead[..., :, None])[..., ::-1, :], axis=-2)[..., ::-1, :]
+    per_s = (reference_g(fit) * ahead[..., :, None])[..., ::-1, :]
+    return _ahead(per_s.swapaxes(-1, -2)).swapaxes(-1, -2)[..., ::-1, :]
 
 
 def reference_years(fit, per_year: np.ndarray, diagonal: np.ndarray | None) -> np.ndarray:
@@ -76,7 +77,7 @@ def reference_mse_total(fit) -> np.ndarray:
     r = np.arange(1, dim)
     member = np.arange(1, dim + 1) <= r[:, None]
     per_r = scale[:, None] * (member + 2.0 * fit.den[:, None] * reference_g(fit))
-    d_cross_v = _ahead(per_r[::-1], axis=0)[::-1]
+    d_cross_v = _ahead(per_r[::-1].T).T[::-1]
     kernel = reference_kernel(fit, (_shrink(fit) + alpha) * fit.ult)
     return kernel + d_cross_v + (_mse_diagonal(fit) + alpha * fit.fprod)[:, None]
 

@@ -387,6 +387,19 @@ class TestVerifyReserveImpacts:
                 verify_reserve_impacts(belgian, stat, year, given)
         assert not fit_builds  # refused before any work
 
+    @pytest.mark.parametrize("stat, priors", [("bf-total", False), ("reserve-total", True)])
+    def test_the_priors_rule_is_read_from_the_table(self, belgian, monkeypatch, stat, priors):
+        """Whether priors apply is the entry's priors field of _STATISTICS,
+        not a guess from the statistic's name."""
+        cum = cumulate(belgian)
+        given = default_priors(cum, estimate_development_factors(cum))
+        monkeypatch.setitem(_STATISTICS, stat, _STATISTICS[stat]._replace(priors=priors))
+        if priors:
+            assert verify_reserve_impacts(belgian, stat, priors=given).passed
+        else:
+            with pytest.raises(ValueError, match=f"^{stat} takes no priors$"):
+                verify_reserve_impacts(belgian, stat, priors=given)
+
     def test_proportional_triangle(self):
         report = verify_reserve_impacts(proportional_triangle(), "reserve-total")
         assert report.passed
@@ -395,6 +408,25 @@ class TestVerifyReserveImpacts:
         before = np.nan_to_num(np.array(belgian.values))
         verify_reserve_impacts(belgian, "reserve-ay", year=3)
         assert np.array_equal(before, np.nan_to_num(belgian.values))
+
+
+# I=3 rows that validate accepts and whose impacts are finite (up to 1e302),
+# but whose complex step, h about 1e278, overflows the stack's factor products
+OVERFLOWING_STEP = [[1e6, 1.0, 1.0], [0.0, 1e308], [5e-324]]
+
+
+@pytest.mark.parametrize("stat", ["reserve-total", "bf-total"])
+def test_a_complex_step_that_overflows_is_refused(stat):
+    """Not a NaN verdict: ValueError names the statistic and the step."""
+    inc = IncrementalTriangle.from_rows(OVERFLOWING_STEP)
+    cum = cumulate(inc)
+    factors = estimate_development_factors(cum)
+    with np.errstate(over="ignore", invalid="ignore"):  # as the CLI runs it
+        impacts = {"reserve-total": lambda: impact_reserve_total(cum, factors),
+                   "bf-total": lambda: impact_bf_total(cum, factors, default_priors(cum, factors))}[stat]()
+        assert not validate(inc) and np.isfinite(impacts.values[observed_mask(3)]).all()
+        with pytest.raises(ValueError, match=f"^{stat}: the complex step is not finite"):
+            verify_reserve_impacts(inc, stat)
 
 
 class TestVerifyMseComponents:

@@ -363,7 +363,8 @@ def test_api_sweep_compares_two_trees_result_by_result(monkeypatch):
     count, differ = sweep.sweep(trees, (4,))
     assert sys.modules["runoff"] is runoff
     names = list(sweep.calls(runoff, 4))
-    assert count == len(names) == 23 + 3 * 4  # 23: the quantile on a fresh triangle after the MSE verifier too
+    # 27: the quantile on a fresh triangle after the MSE verifier too, and four from_rows results
+    assert count == len(names) == 27 + 3 * 4
     assert differ == [f"I=4 {name}" for name in names if "mse" in name or "quantile" in name]
 
 

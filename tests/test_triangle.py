@@ -61,6 +61,72 @@ class TestFromRows:
         tri = small()
         assert tri.to_rows() == [[100.0, 50.0, 25.0], [110.0, 55.0], [120.0]]
 
+    def test_a_bad_cell_before_a_short_row_is_refused_first(self):
+        with pytest.raises(ValueError, match="^could not convert string to float: 'x'$"):
+            IncrementalTriangle.from_rows([["x", 1.0, 2.0], [3.0], [4.0]])
+
+    def test_a_nested_cell_is_refused(self):
+        # numpy's message counts the cells it was given: all of them at once
+        with pytest.raises(ValueError, match="setting an array element with a sequence"):
+            IncrementalTriangle.from_rows([[[1.0, 2.0], 3.0], [4.0]])
+
+
+def loop_from_rows(rows):
+    """from_rows as it wrote its cells, row by row: each row's length is
+    checked, then the row converted onto its observed cells."""
+    dim = len(rows)
+    arr = np.empty((dim, dim))
+    arr.fill(np.nan)
+    for idx, (row, observed) in enumerate(zip(rows, observed_mask(dim))):
+        if len(row) != dim - idx:
+            raise ValueError(f"row {idx + 1} must have {dim - idx} cells, got {len(row)}")
+        arr[idx, observed] = row
+    return arr
+
+
+# what a caller may put in a row: numbers of any kind, text float() reads or
+# refuses, None (NaN) and a complex number (refused)
+ROW_CELL = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(2**70), 2**70),
+    st.floats(width=32).map(np.float32),
+    st.booleans(),
+    st.floats(allow_nan=False).map(repr),
+    st.sampled_from(["x", "", " 2.5 ", "1e400", None, 1 + 2j]),
+)
+
+
+@st.composite
+def ragged_rows(draw):
+    """0..8 rows, row i of I - i + 1 cells as a list, a tuple or a float32
+    array, and now and then a row one cell short or long."""
+    dim = draw(st.integers(0, 8))
+    rows = []
+    for i in range(dim):
+        n = max(dim - i + draw(st.sampled_from([0] * 8 + [-1, 1])), 0)
+        kind = draw(st.sampled_from([list, tuple, np.float32]))
+        if kind is np.float32:
+            rows.append(np.array(draw(st.lists(st.floats(width=32), min_size=n, max_size=n)), np.float32))
+        else:
+            rows.append(kind(draw(st.lists(ROW_CELL, min_size=n, max_size=n))))
+    return rows
+
+
+@given(ragged_rows())
+def test_from_rows_writes_what_the_row_loop_wrote(rows):
+    """from_rows writes every cell at once: the loop's values to the byte,
+    or its refusal, type and message."""
+    try:
+        want = loop_from_rows(rows)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            IncrementalTriangle.from_rows(rows)
+        assert str(got.value) == str(exc)
+    else:
+        got = IncrementalTriangle.from_rows(rows)
+        assert got.dimension == len(rows) and got.values.tobytes() == want.tobytes()
+        assert not got.values.flags.writeable
+
 
 class TestCellAccess:
     def test_unobserved_cell_raises(self):
