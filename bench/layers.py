@@ -26,13 +26,14 @@ the count tracks the interpreter's share of an op. The estimator and
 impact stages reuse one triangle and its factors and sigmas, so where
 runoff keeps a triangle's Fit they time only their own algebra over it.
 Where runoff also holds the total reserve and MSE gradients on that Fit,
-the impact_reserve_total, impact_mse_total and impact_quantile stages
-drop them, and the stepped totals the oracle holds beside them, before
-each call (unheld), so each times its gradients over the sums as well as
-its triangle. The fit stage times building that Fit
-with its Mack sums, and sensitivity_report a whole report (the perfbench
-api-report op) from the increments, where the impacts of one fit share
-its held gradients. A triangle keeps what its verifiers fit, so each
+the impact_reserve_total, impact_mse_ay, impact_mse_total and
+impact_quantile stages drop them, the stepped totals the oracle holds
+beside them and the MSE impacts' coefficients before each call (HELD,
+unheld), so each times its gradients over the sums as well as its
+triangle. The fit stage times building that Fit with its Mack sums and
+the values derived from them (FIT_VALUES), and sensitivity_report a
+whole report (the perfbench api-report op) from the increments, where
+the impacts of one fit share its held gradients. A triangle keeps what its verifiers fit, so each
 verify_* call checks a fresh IncrementalTriangle of the same values and
 times a first verification; verify_reserve_impacts_year checks the
 reserve of year I//2 and verify_mse_components_year the MSE of year I//2
@@ -128,21 +129,25 @@ def verify_round(runoff, inc) -> tuple:
 
 
 def fit(runoff, cum, factors, sigmas) -> tuple:
-    """A Fit with sigmas and what the impacts read of it beyond its sums:
-    the Mack sums w and process, wherever the Fit computes them."""
+    """A Fit with sigmas and what the statistics read of it beyond its
+    fields (FIT_VALUES), wherever the Fit computes them."""
     built = runoff.Fit.of(cum.values, factors.values, sigmas.values)
-    return built.w, built.process
+    return tuple(getattr(built, name) for name in FIT_VALUES)
 
 
-# The names under which runoff holds a Fit's total gradients (runoff.impact)
-# and the raw imaginary parts of its stepped totals (runoff.oracle).
-HELD = ("_reserve", "_mse", "_im_reserve_total", "_im_mse_total")
+# The names under which runoff holds a Fit's total gradients (runoff.impact),
+# the raw imaginary parts of its stepped totals (runoff.oracle) and the MSE
+# impacts' coefficients (runoff.chainladder): the impact stages compute them.
+HELD = ("_reserve", "_mse", "_im_reserve_total", "_im_mse_total", "shrink", "mse_diagonal")
+# The values of a Fit the fit stage computes beside its fields: the Mack sums
+# and what the statistics derive from them and the ultimates.
+FIT_VALUES = ("w", "process", "reserves", "reserve_total", "later", "scale", "mse_by_year", "mse_total")
 
 
 def unheld(runoff, cum, call):
-    """call() after every Fit cum keeps, with sigmas and without, drops the
-    totals it holds (HELD), so call computes them again; nothing to drop
-    where runoff holds none."""
+    """call() after every Fit cum keeps, with sigmas and without, drops what
+    it holds for the impacts (HELD), so call computes it again; nothing to
+    drop where runoff holds none."""
     for fit in cum.__dict__["_fit"]:
         if isinstance(fit, runoff.Fit):
             for name in HELD:
@@ -177,7 +182,7 @@ def stages(runoff, dim: int, directory: Path) -> dict:
         "impact_reserve_total": lambda: unheld(runoff, cum, lambda: runoff.impact_reserve_total(cum, factors)),
         "impact_bf_ay": lambda: runoff.impact_bf_ay(cum, factors, priors, dim),
         "impact_bf_total": lambda: runoff.impact_bf_total(cum, factors, priors),
-        "impact_mse_ay": lambda: runoff.impact_mse_ay(cum, factors, sigmas, dim),
+        "impact_mse_ay": lambda: unheld(runoff, cum, lambda: runoff.impact_mse_ay(cum, factors, sigmas, dim)),
         "impact_mse_total": lambda: unheld(runoff, cum, lambda: runoff.impact_mse_total(cum, factors, sigmas)),
         "impact_quantile": lambda: unheld(runoff, cum, lambda: runoff.impact_quantile(cum, factors, sigmas, QUANTILE_LEVEL)),
         "sensitivity_report": lambda: sensitivity_report(runoff, inc),

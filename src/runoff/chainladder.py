@@ -142,12 +142,13 @@ class Fit:
     fprod:    F_i = f_{I-i+1} ... f_{I-1}, the factors still ahead of year i
     latest:   the latest diagonal C_{i,I-i+1}; ult = latest * F
     sigma2:   the variance scales, None when the fit has no sigmas
-    The Mack sums w and process, and the derived reserves, reserve_total,
-    later, scale, mse_by_year and mse_total are computed on first read,
-    read-only, the totals one value per batch entry: a refit that carries
-    sigma2 pays for the Mack sums only if its statistic reads them. Every
-    statistic is a function of num, den and latest, the 3I-2 fitted sums,
-    and runoff.impact differentiates it over them.
+    The Mack sums w and process, the MSE impacts' coefficients shrink and
+    mse_diagonal, and the derived reserves, reserve_total, later, scale,
+    mse_by_year and mse_total are computed on first read, read-only, the
+    totals one value per batch entry: a refit that carries sigma2 pays for
+    the Mack sums only if its statistic reads them. Every statistic is a
+    function of num, den and latest, the 3I-2 fitted sums, and
+    runoff.impact differentiates it over them.
     """
 
     dimension: int
@@ -237,6 +238,16 @@ class Fit:
         # F_i / (f_{I-i+1}..f_s) * (f_{s+1}..f_{I-1})^2 = F_i (f_{s+1}..f_{I-1}) / f_s
         trail = self.fprod[..., self.dimension - 1 - np.arange(1, self.dimension)]
         return _read_only(self.fprod * _ahead(self.sigma2 * trail / self.factors))
+
+    @_cached
+    def shrink(self) -> np.ndarray:
+        """Per year, d(mse_i) / d(R_i) off the diagonal: -2 latest F sqrt(w)."""
+        return _read_only(-2.0 * self.latest * self.fprod * np.sqrt(self.w))
+
+    @_cached
+    def mse_diagonal(self) -> np.ndarray:
+        """Per year, d(mse_i) / dX_{i,j}: process plus twice the estimation term over latest."""
+        return _read_only(self.process + 2.0 * self.latest * self.fprod**2 * self.w)
 
     @_cached
     def mse_by_year(self) -> np.ndarray:

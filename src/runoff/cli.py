@@ -21,7 +21,7 @@ from runoff.bornhuetter import PriorUltimates, bf_reserves, default_priors
 from runoff.chainladder import _baseline
 from runoff.impact import (ORDER_ONE_STATISTICS, ImpactTriangle, _check_mse, _impact, impact_rmse,
                            marginal_contributions)
-from runoff.oracle import _STATISTICS, TOLERANCE, _verify, verify_mse_components
+from runoff.oracle import _STATISTICS, TOLERANCE, _verify
 from runoff.triangle import IncrementalTriangle, _cells, _from_cells, _observed, _records, validate
 
 STATISTICS = tuple(_STATISTICS)
@@ -383,10 +383,7 @@ def cmd_verify(args) -> tuple:
     if not args.tolerance >= 0.0:
         raise UsageError(f"--tolerance must be a number >= 0, got {args.tolerance}")
     inc, _, _, mu = _computed(args)
-    if _STATISTICS[args.stat].numeric is None:
-        report = verify_mse_components(inc, args.tolerance, args.year)
-    else:
-        report = _verify(inc, args.stat, args.year, mu, args.q, args.tolerance)
+    report = _verify(inc, args.stat, args.year, mu, args.q, args.tolerance)
     code = 0 if report.passed else 3
     if args.format == "json":
         return _json(report.to_dict()), code

@@ -165,9 +165,8 @@ def _grad(fit: Fit, c: np.ndarray, diagonal: np.ndarray, year=None) -> np.ndarra
     R_q = L_q F_q - L_q.
     """
     if year is not None:
-        if np.asarray(year).ndim == 0:
-            year = _one_based(year, fit.dimension, "accident year")
-        alone = np.arange(1, fit.dimension + 1) == np.asarray(year)[..., None]
+        years = year[..., None] if getattr(year, "ndim", 0) else _one_based(year, fit.dimension, "accident year")
+        alone = np.arange(1, fit.dimension + 1) == years
         c, diagonal = np.where(alone, c, 0.0), np.where(alone, diagonal, 0.0)
     a = _ahead(c[..., 1:])[..., 1:]
     return np.concatenate((a / fit.num, -a / fit.den, diagonal), axis=-1)
@@ -233,17 +232,6 @@ def impact_bf_total(
 ) -> ImpactTriangle:
     """IF_{k,j}(R^BF) = sum over accident years of IF_{k,j}(R_i^BF)."""
     return _impact("bf-total", None, _bf(_fit(cum, factors), None, _prior_values(cum, priors)))
-
-
-def _shrink(fit: Fit) -> np.ndarray:
-    """Per year, d(mse_i) / d(R_i) off the diagonal: -2 latest F sqrt(w)."""
-    return -2.0 * fit.latest * fit.fprod * np.sqrt(fit.w)
-
-
-def _mse_diagonal(fit: Fit) -> np.ndarray:
-    """Per year, d(mse_i) / dX_{i,j}: the process sum plus twice the
-    estimation term over the latest cumulative."""
-    return fit.process + 2.0 * fit.latest * fit.fprod**2 * fit.w
 
 
 def impact_mse_ay(
@@ -312,13 +300,13 @@ def _mse(fit: Fit, year=None) -> np.ndarray:
     i >= I-r+1 that have r ahead of them.
     """
     if year is not None:
-        return _grad(fit, _shrink(fit) * fit.ult, _mse_diagonal(fit), year)
+        return _grad(fit, fit.shrink * fit.ult, fit.mse_diagonal, year)
     v = 2.0 * fit.w
     alpha = np.concatenate(([0.0], (v * fit.ult).cumsum()[:-1])) + v * fit.later
     s = fit.scale  # B_r^2 and u over s^2, so they overflow only with the MSE
     u = _ahead((fit.ult / s * (fit.later / s))[1:])[1:]
     scale = -2.0 * fit.sigma2 / (fit.factors**2 * (fit.den / s) ** 2) * u
-    grad = _grad(fit, (_shrink(fit) + alpha) * fit.ult, _mse_diagonal(fit) + alpha * fit.fprod)
+    grad = _grad(fit, (fit.shrink + alpha) * fit.ult, fit.mse_diagonal + alpha * fit.fprod)
     return grad + np.concatenate((2.0 * scale * fit.den / fit.num, -scale, np.zeros(fit.dimension)))
 
 

@@ -16,12 +16,13 @@ baseline (chainladder._baseline), cumulated and fitted once for the CLI
 and all its verifiers.
 The step subtracts nothing, so there is no step size to choose and the
 derivative is exact to rounding, unless a stacked intermediate overflows:
-a NaN verdict from a step that is not finite raises ValueError (_report).
+a NaN verdict from a step that is not finite raises ValueError (_verify).
 Every verifier compares an analytic gradient with the complex step of
 the statistic it is the gradient of, the gradient read from the one
 table of the statistics (_STATISTICS, year None the total), which the
-CLI computes them from too, and so is the step of the refit reserves
-and of the lognormal quantile map (_verify).
+CLI computes them from too, on one path (_verify): the step of the
+refit reserves, of the lognormal quantile map, or for the MSE and RMSE
+the MSE verifier's (_mse_components).
 The MSE impacts hold sigma^2 fixed and substitute the estimation error
 after differentiation, so the MSE verifier alone steps the MSE with the
 coefficients its formula holds fixed frozen at the baseline
@@ -52,7 +53,7 @@ import numpy as np
 
 from runoff.bornhuetter import PriorUltimates, _prior_values, bf_reserve_values, default_priors
 from runoff.chainladder import Fit, _ahead, _baseline, _product
-from runoff.impact import _bf, _grad, _hold, _mse, _mse_diagonal, _reserve, _shrink, _to_cells
+from runoff.impact import _bf, _grad, _hold, _mse, _reserve, _to_cells
 from runoff.quantile import _quantile, fit_lognormal, lognormal_quantile
 from runoff.triangle import IncrementalTriangle, _cached, _cells, _read_only, _records
 
@@ -307,19 +308,18 @@ def verify_reserve_impacts(
 
 def _verify(inc: IncrementalTriangle, name: str, year, mu, q, tolerance: float) -> VerificationReport:
     """The report on statistic name of _STATISTICS at year (None: the total)
-    from inc's baseline: its grad against its numeric (_report). It serves
-    the reserve, BF and quantile names; an MSE or RMSE one has no numeric
-    (verify_mse_components checks those)."""
+    from inc's baseline: its grad against its numeric, or where the entry
+    has none (the MSE and RMSE) the MSE verifier's (_mse_components),
+    labelled mse-components. A NaN verdict where the step is not finite
+    but the analytic is raises ValueError naming name."""
     entry = _STATISTICS[name]
     _, _, fit = _baseline(inc, entry.sigmas)
-    analytic = entry.grad(fit, year, mu, q)  # first, to refuse a year or priors before any step
-    return _report(name, tolerance, analytic, entry.numeric(fit, year, mu, q))
-
-
-def _report(name: str, tolerance: float, analytic, numeric, notes=None) -> VerificationReport:
-    """The VerificationReport, or ValueError naming the statistic where its
-    verdict is NaN and the complex step is not finite but the analytic is."""
-    report = VerificationReport(name, tolerance, analytic, numeric, notes or {})
+    if entry.numeric is None:
+        label, (analytic, numeric, notes) = "mse-components", _mse_components(fit, year)
+    else:
+        analytic = entry.grad(fit, year, mu, q)  # first, to refuse a year or priors before any step
+        label, numeric, notes = name, entry.numeric(fit, year, mu, q), {}
+    report = VerificationReport(label, tolerance, analytic, numeric, notes)
     if math.isnan(report.max_rel_error) and (np.isfinite(analytic) & ~np.isfinite(numeric)).any():
         raise ValueError(f"{name}: the complex step is not finite where the analytic gradient is")
     return report
@@ -328,25 +328,26 @@ def _report(name: str, tolerance: float, analytic, numeric, notes=None) -> Verif
 def _frozen_mse(base: Fit, stack: Fit, ln_f: np.ndarray) -> np.ndarray:
     """Every year's MSE, then the total's, of the stacked fit, with the
     coefficients the MSE impacts hold fixed frozen at base; ln_f is the
-    stack's ln f. Year i is shrink_i Chat_i ln F_i + diagonal_i L_i, and the
-    total adds u_i 2 w_i + v_i Chat_i later_i over the years, u = Chat later
-    and v = 2 w of base: at base its gradient is that of _mse, of each year
-    and of the total, so a complex step applies the chain and product rules."""
-    yearly = _shrink(base) * base.ult * _ahead(ln_f) + _mse_diagonal(base) * stack.latest
+    stack's ln f. Year i is shrink_i Chat_i ln F_i + mse_diagonal_i L_i,
+    and the total adds u_i 2 w_i + v_i Chat_i later_i over the years,
+    u = Chat later and v = 2 w of base: at base its gradient is that of
+    _mse, of each year and of the total, so a complex step applies the
+    chain and product rules."""
+    yearly = base.shrink * base.ult * _ahead(ln_f) + base.mse_diagonal * stack.latest
     cross = _product(base.ult, base.later * 2.0, stack.w, base.scale) + 2.0 * base.w * stack.ult * stack.later
     return np.concatenate((yearly, np.add.reduce(yearly + cross, axis=-1, keepdims=True)), axis=-1)
 
 
 # The building blocks verify_mse_components checks, in the order of its notes.
 BLOCKS = ("d_ln_f", "d_ultimate", "d_colsum_fsq")
+_BLOCK_NOTES = tuple(f"{name}_max_rel" for name in BLOCKS)
 
 
 def verify_mse_components(
-    inc: IncrementalTriangle,
-    tolerance: float = TOLERANCE,
-    year: int | None = None,
+    inc: IncrementalTriangle, tolerance: float = TOLERANCE, year: int | None = None
 ) -> VerificationReport:
-    """Component-protocol verification of the MSE impact triangles.
+    """Component-protocol verification of the MSE impact triangles, the
+    report _verify gives for mse-total, or for mse-ay at year.
 
     One complex step of _stepped_mse differentiates the building blocks
     (d ln f_s, dChat_q and d(B_r f_r^2)), scored against their closed
@@ -360,9 +361,14 @@ def verify_mse_components(
     plug-in MSE value (of year, or of the total) is reported in notes but
     deliberately not compared: it is a different object from the impact
     formula, whose estimation-error part arises by substitution after
-    differentiation.
+    differentiation. A step that is not finite where the analytic
+    gradient is raises ValueError naming mse-total or mse-ay.
     """
-    _, _, fit = _baseline(inc, sigmas=True)
+    return _verify(inc, "mse-total" if year is None else "mse-ay", year, None, None, tolerance)
+
+
+def _mse_components(fit: Fit, year) -> tuple:
+    """The analytic gradients, complex steps and notes of verify_mse_components on its baseline fit."""
     dim = fit.dimension
     if year is None:  # year 1's triangle is zero
         analytic, rows = np.concatenate((_mse(fit, np.arange(2, dim + 1)), _mse(fit)[None])), slice(1, None)
@@ -373,24 +379,21 @@ def verify_mse_components(
 
     # building blocks against their gradients over the sums, in the stack's rows:
     # d ln f_s = dA_s / A_s - dB_s / B_s, dChat_q = Chat_q d ln F_q + F_q dL_q
-    # (the _grad of ult and F on year q) and d(B_r f_r^2) = f_r^2 (dB_r + 2 B_r d ln f_r)
+    # (the _grad of ult and F, one row per year q) and d(B_r f_r^2) = f_r^2 (dB_r + 2 B_r d ln f_r)
     s = np.arange(dim - 1)
     d_lnf = np.zeros((dim - 1, 3 * dim - 2))
     d_lnf[s, s], d_lnf[s, dim - 1 + s] = 1.0 / fit.num, -1.0 / fit.den
     fsq = (fit.factors**2)[:, None]
     d_colsum_fsq = fsq * 2.0 * fit.den[:, None] * d_lnf
     d_colsum_fsq[s, dim - 1 + s] += fsq[:, 0]
-    diagonals = np.zeros((2, dim * dim))  # np.diag of ult and of F
-    diagonals[:, :: dim + 1] = fit.ult, fit.fprod
-    closed = np.concatenate((d_lnf, _grad(fit, *diagonals.reshape(2, dim, dim)), d_colsum_fsq))
+    closed = np.concatenate((d_lnf, _grad(fit, fit.ult, fit.fprod, np.arange(1, dim + 1)), d_colsum_fsq))
     worst = np.maximum.reduce(relative_error(closed, blocks, _floor(closed, dim)), axis=-1)
-    notes = {f"{name}_max_rel": float(m)
-             for name, m in zip(BLOCKS, np.maximum.reduceat(worst, [0, dim - 1, 2 * dim - 1]))}
+    notes = dict(zip(_BLOCK_NOTES, np.maximum.reduceat(worst, [0, dim - 1, 2 * dim - 1]).tolist()))
 
     # the direct derivative of the last target's plug-in value, sigma^2 held at
     # the baseline, is noted only
     notes["direct_fd_max_rel"] = _verdict(np.array((analytic[-1:], plugin[rows][-1:])), dim)[0]
-    return _report("mse-components", tolerance, analytic, frozen[rows], notes)
+    return analytic, frozen[rows], notes
 
 
 def verify_quantile_impacts(
@@ -406,8 +409,8 @@ class _Statistic(NamedTuple):
     """A statistic over a Fit: value(fit, year, mu, q), complex-safe over batch
     axes, of year (None: the total) with priors mu and quantile level q; grad
     and numeric(fit, year, mu, q), its gradient over the 3I-2 fitted sums and
-    the oracle's complex step of it (None for the MSE: verify_mse_components
-    checks its impacts); whether it needs sigmas, priors."""
+    the oracle's complex step of it (None for the MSE: _verify checks its
+    impacts by _mse_components); whether it needs sigmas, priors."""
 
     value: Callable
     grad: Callable

@@ -1,4 +1,5 @@
 import errno
+import itertools
 import json
 import os
 import re
@@ -11,7 +12,7 @@ from runoff import chainladder, cli
 from runoff.cli import PER_YEAR, STATISTICS, _label, main
 from runoff.oracle import COLUMNS, verify_mse_components
 from runoff.triangle import Container, IncrementalTriangle, observed_mask
-from test_oracle import OVERFLOWING_STEP, near_proportional
+from test_oracle import OVERFLOWING_MSE_STEP, OVERFLOWING_STEP, near_proportional
 
 
 def run(capsys, *argv):
@@ -214,9 +215,8 @@ class TestVerifyCommand:
         """The text report prints the verdict and the count of cells, and
         builds none of the report's cell columns nor its cells."""
         reports = []
-        for name in ("verify_mse_components", "_verify"):
-            verify = getattr(cli, name)
-            monkeypatch.setattr(cli, name, lambda *a, verify=verify: reports.append(verify(*a)) or reports[-1])
+        verify = cli._verify
+        monkeypatch.setattr(cli, "_verify", lambda *a: reports.append(verify(*a)) or reports[-1])
         code, out, _ = run(capsys, "verify", bundled_path(), "--stat", *stat)
         assert code == 0 and len(reports) == 1
         assert not {*COLUMNS, "cells"} & set(vars(reports[0]))
@@ -262,6 +262,14 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert err == f"error: {stat}: the complex step is not finite where the analytic gradient is\n"
 
+    @pytest.mark.parametrize("stat", [["mse-total"], ["rmse-total"], ["mse-ay", "--year", "4"], ["rmse-ay", "--year", "4"]])
+    def test_an_mse_step_that_overflows_names_the_given_stat(self, capsys, tmp_path, stat):
+        """The MSE verifier's refusal names the --stat given, not the label
+        of its report."""
+        code, out, err = run(capsys, "verify", rows_file(tmp_path, OVERFLOWING_MSE_STEP), "--stat", *stat)
+        assert (code, out) == (2, "")
+        assert err == f"error: {stat[0]}: the complex step is not finite where the analytic gradient is\n"
+
     def test_a_statistic_with_no_numeric_goes_to_the_mse_verifier(self, capsys, monkeypatch):
         """The route is the entry's numeric field of _STATISTICS, not the name."""
         monkeypatch.setitem(cli._STATISTICS, "quantile", cli._STATISTICS["quantile"]._replace(numeric=None))
@@ -271,8 +279,10 @@ class TestVerifyCommand:
     def test_no_extreme_triangle_reads_a_nan_verdict(self, capsys, tmp_path):
         """40 seeded triangles, I = 2..8, of cells log-uniform over 1e-300..1e300
         or drawn from {0, 1, 1e6, 5e-324, 1e308}, through verify for every
-        --stat: a verification may fail (exit 3), but never on a NaN max
-        relative error, which is a step that overflowed and is refused."""
+        --stat, in text and JSON: a verification may fail (exit 3), but never
+        on a NaN max relative error, which is a step that overflowed and is
+        refused by the --stat given; a pass (exit 0) writes no NaN and no
+        infinity."""
         rng = np.random.default_rng(40)
         for t in range(40):
             dim = int(rng.integers(2, 9))
@@ -280,10 +290,13 @@ class TestVerifyCommand:
             cells = iter((10.0 ** rng.uniform(-300, 300, n) if rng.random() < 0.5
                           else rng.choice([0.0, 1.0, 1e6, 5e-324, 1e308], n)).tolist())
             path = rows_file(tmp_path, [[next(cells) for _ in range(dim - i)] for i in range(dim)], f"t{t}.csv")
-            for stat in STATISTICS:
+            for stat, fmt in itertools.product(STATISTICS, ("text", "json")):
                 year = ["--year", str(dim)] if stat in PER_YEAR else []
-                code, out, _ = run(capsys, "verify", path, "--stat", stat, *year)
-                assert not (code == 3 and "max relative error: nan" in out), (t, stat)
+                code, out, err = run(capsys, "verify", path, "--stat", stat, *year, "--format", fmt)
+                nan_verdict = "max relative error: nan" in out or '"max_rel_error": NaN' in out
+                assert not (code == 3 and nan_verdict), (t, stat, fmt)
+                assert not (code == 0 and re.search(r"\b(nan|inf|infinity)\b", out, re.IGNORECASE)), (t, stat, fmt)
+                assert "mse-components" not in err, (t, stat, fmt)
 
     @pytest.mark.parametrize("stat", ["bf-total", "bf-ay"])
     def test_piped_priors_read_as_a_file(self, capsys, tmp_path, stat):

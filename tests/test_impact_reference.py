@@ -19,8 +19,6 @@ from conftest import random_triangle
 from runoff.bornhuetter import _prior_values, default_priors
 from runoff.chainladder import _ahead, _fit, estimate_development_factors, estimate_sigmas
 from runoff.impact import (
-    _mse_diagonal,
-    _shrink,
     impact_bf_ay,
     impact_bf_total,
     impact_mse_ay,
@@ -78,8 +76,8 @@ def reference_mse_total(fit) -> np.ndarray:
     member = np.arange(1, dim + 1) <= r[:, None]
     per_r = scale[:, None] * (member + 2.0 * fit.den[:, None] * reference_g(fit))
     d_cross_v = _ahead(per_r[::-1].T).T[::-1]
-    kernel = reference_kernel(fit, (_shrink(fit) + alpha) * fit.ult)
-    return kernel + d_cross_v + (_mse_diagonal(fit) + alpha * fit.fprod)[:, None]
+    kernel = reference_kernel(fit, (fit.shrink + alpha) * fit.ult)
+    return kernel + d_cross_v + (fit.mse_diagonal + alpha * fit.fprod)[:, None]
 
 
 def reference_impacts(inc) -> dict:
@@ -97,7 +95,7 @@ def reference_impacts(inc) -> dict:
         "reserve-total": reserve_total[None],
         "bf-ay": reference_years(fit, mu / fit.fprod, None),
         "bf-total": reference_kernel(fit, mu / fit.fprod)[None],
-        "mse-ay": reference_years(fit, _shrink(fit) * fit.ult, _mse_diagonal(fit)),
+        "mse-ay": reference_years(fit, fit.shrink * fit.ult, fit.mse_diagonal),
         "mse-total": mse_total[None],
     }
     total, mse = float(np.sum(fit.reserves)), fit.mse_total

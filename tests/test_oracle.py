@@ -429,6 +429,31 @@ def test_a_complex_step_that_overflows_is_refused(stat):
             verify_reserve_impacts(inc, stat)
 
 
+# I=4 rows that validate accepts and whose MSE impacts are finite, but whose
+# MSE verifier's complex step overflows
+OVERFLOWING_MSE_STEP = [
+    [5.879004911697649e251, 2.158080385555088e-152, 1.461337629720628e168, 3.0814950304988734e191],
+    [2.194201534023881e194, 1.1036197015079454e87, 3.0103979611513923e22],
+    [1.8104839159951462e-87, 1.1418058484820854e24],
+    [6.560333988001438e-58],
+]
+
+
+@pytest.mark.parametrize("year, stat", [(None, "mse-total"), (4, "mse-ay")])
+def test_an_mse_step_that_overflows_is_refused(year, stat):
+    """verify_mse_components refuses the step by the statistic it checks,
+    mse-total for every year and the total, mse-ay for one year."""
+    inc = IncrementalTriangle.from_rows(OVERFLOWING_MSE_STEP)
+    cum = cumulate(inc)
+    factors = estimate_development_factors(cum)
+    with np.errstate(over="ignore", invalid="ignore"):  # as the CLI runs it
+        sigmas = estimate_sigmas(cum, factors)
+        impacts = impact_mse_total(cum, factors, sigmas) if year is None else impact_mse_ay(cum, factors, sigmas, year)
+        assert not validate(inc) and np.isfinite(impacts.values[observed_mask(4)]).all()
+        with pytest.raises(ValueError, match=f"^{stat}: the complex step is not finite"):
+            verify_mse_components(inc, year=year)
+
+
 class TestVerifyMseComponents:
     def test_bundled(self, belgian):
         report = verify_mse_components(belgian)
@@ -1166,7 +1191,7 @@ def planted_mse_total(drop):
             alpha += v * fit.later
         scale = -2.0 * fit.sigma2 / (fit.factors**2 * fit.den**2) * _ahead((fit.ult * fit.later)[1:])[1:]
         on_diagonal = 0.0 if drop == "diagonal" else alpha * fit.fprod
-        grad = impact._grad(fit, (impact._shrink(fit) + alpha) * fit.ult, impact._mse_diagonal(fit) + on_diagonal)
+        grad = impact._grad(fit, (fit.shrink + alpha) * fit.ult, fit.mse_diagonal + on_diagonal)
         on_a = 0.0 * scale if drop == "scale-a" else 2.0 * scale * fit.den / fit.num
         on_b = 0.0 * scale if drop == "scale-b" else -scale
         return grad + np.concatenate((on_a, on_b, np.zeros(fit.dimension)))

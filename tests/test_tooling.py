@@ -10,12 +10,14 @@ run, silently, so what they need is pinned here.
 
 import ast
 import copy
+import dataclasses
 import importlib
 import importlib.util
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -223,6 +225,46 @@ def test_a_verify_round_computes_each_total_gradient_once(monkeypatch, dim):
         assert getattr(quantile, name).tobytes() == getattr(alone, name).tobytes(), name
 
 
+@pytest.mark.parametrize("name", ["shrink", "mse_diagonal"])
+def test_a_verify_round_computes_each_mse_coefficient_once(monkeypatch, name):
+    """The MSE impacts' coefficients are values of the baseline fit with
+    sigmas: a verify_round computes each once, where the MSE verifier's
+    per-year and total gradients and its frozen MSE each read it."""
+    layers = load(LAYERS, "bench_layers")
+    cached = vars(runoff.Fit)[name]
+    fits = []
+
+    def counted(fit):
+        fits.append(fit)
+        return cached.func(fit)
+
+    counted.__name__ = name
+    monkeypatch.setattr(runoff.Fit, name, type(cached)(counted))
+    layers.verify_round(runoff, runoff.IncrementalTriangle.from_rows(layers.random_rows(10)))
+    assert len(fits) == 1
+
+
+def test_every_value_a_fit_keeps_is_timed_by_a_layer_stage():
+    """After a sensitivity report and a verify round, each fit their
+    triangles keep holds in its __dict__ only fields of Fit, values the
+    fit stage computes (FIT_VALUES) and values the impact stages drop
+    before each call (HELD): nothing an impact computes is kept where no
+    stage of bench/layers.py times it."""
+    layers = load(LAYERS, "bench_layers")
+    rows = layers.random_rows(10)
+    cums = []
+    recording = types.SimpleNamespace(**vars(runoff))
+    recording.cumulate = lambda inc: cums.append(runoff.cumulate(inc)) or cums[-1]
+    layers.sensitivity_report(recording, runoff.IncrementalTriangle.from_rows(rows))
+    inc = runoff.IncrementalTriangle.from_rows(rows)
+    layers.verify_round(runoff, inc)
+    cums.append(inc.__dict__["_baseline"]["cum"])
+    fits = [fit for cum in cums for fit in cum.__dict__["_fit"] if isinstance(fit, runoff.Fit)]
+    allowed = {f.name for f in dataclasses.fields(runoff.Fit)} | {*layers.FIT_VALUES, *layers.HELD}
+    assert len(fits) == 4 and all(fit.sigma2 is not None for fit in fits[1::2])
+    assert {key for fit in fits for key in vars(fit)} - allowed == set()
+
+
 # The files whose frames may not run on the op path: numpy's Python wrappers
 # of reductions, np.diag and np.iscomplexobj (numpy 2.x names, then 1.x), and
 # the stdlib's functools (cached_property.__get__) and dataclasses (replace).
@@ -358,8 +400,13 @@ def test_api_sweep_compares_two_trees_result_by_result(monkeypatch):
     sweep = importlib.import_module("api_sweep")
     src = str(ROOT / "src")
     trees = [sweep.load(src), sweep.load(src)]
-    moved = trees[1]["runoff.impact"]
-    monkeypatch.setattr(moved, "_mse_diagonal", lambda fit, original=moved._mse_diagonal: original(fit) + 1.0)
+    moved = trees[1]["runoff.chainladder"].Fit
+    original = moved.mse_diagonal.func
+
+    def mse_diagonal(fit):
+        return original(fit) + 1.0
+
+    monkeypatch.setattr(moved, "mse_diagonal", type(moved.mse_diagonal)(mse_diagonal))
     count, differ = sweep.sweep(trees, (4,))
     assert sys.modules["runoff"] is runoff
     names = list(sweep.calls(runoff, 4))
