@@ -14,9 +14,11 @@ alike and one record compares them.
 A stage is first called once per tree, untimed, so that the first batch
 of a run reads as the later ones do; then it is timed in BATCHES
 batches, each repeating the call until BATCH_S has passed, and its entry
-is the least mean time per call over the batches (best_s), with the
-number of calls and batches made; a batch whose time passes SLOW_S ends
-the stage. After the timing, one
+is the least mean time per call over the batches (best_s) and their
+median (median_s), with the number of calls and batches made; a batch
+whose time passes SLOW_S ends the stage. At I >= 100 a batch holds a few
+calls, and best_s reads host and allocator state as much as code, so
+compare median_s there. After the timing, one
 more call runs under tracemalloc, and its peak of traced memory is the
 stage's peak_mb, and one more under sys.settrace, and the bytecodes it
 executes (f_trace_opcodes on every frame, the stage's own call included)
@@ -49,9 +51,13 @@ write_triangle (which bench/cli_sweep.py uses too); validate checks the
 increments as ingest does, decumulate inverts the cumulated triangle,
 and render_csv writes the reserve-total impact triangle as the CLI's CSV.
 Beside the stages, each tree runs CLI_COMMAND (the MSE verifier's text
-report) on the ingest stage's file once per size, in a fresh process,
-and records its wall time, start-up included, and its peak RSS (its
-VmHWM, Linux) under cli[I=<n>].
+report) on the ingest stage's file once per size, in a fresh process
+started as `python -m runoff.cli` starts it (cli_run), and records its
+wall time, start-up and exit included, and its peak RSS (its VmHWM,
+Linux) under cli[I=<n>]. After the sizes, each tree runs each of the
+README quick-start commands (README_COMMANDS) on the bundled triangle
+CLI_RUNS times, the trees in turn, the order reversed every run, and
+records the median wall time and peak RSS of each under readme.
 The result goes under layers[label] of
 BENCH_<yyyymmdd>.json in the repository root, merged with what the file
 already holds, so a before and an after run share one file.
@@ -65,6 +71,7 @@ import importlib
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -82,6 +89,18 @@ SLOW_S = 5.0
 QUANTILE_LEVEL = 0.995
 # The CLI command each tree runs in a fresh process per size, after the input file.
 CLI_COMMAND = ("verify", "--stat", "mse-total", "--format", "text")
+# The README quick-start commands, TRIANGLE and SVG standing for the bundled
+# triangle's path and the heatmap's file, and how often each tree runs each.
+TRIANGLE, SVG = "<triangle>", "<svg>"
+README_COMMANDS = {
+    "reserves": ("reserves", TRIANGLE),
+    "impact-reserve-ay": ("impact", TRIANGLE, "--stat", "reserve-ay", "--year", "8"),
+    "impact-quantile-json": ("impact", TRIANGLE, "--stat", "quantile", "--q", "0.995", "--format", "json"),
+    "marginal-reserve-total": ("marginal", TRIANGLE, "--stat", "reserve-total"),
+    "verify-reserve-total": ("verify", TRIANGLE, "--stat", "reserve-total"),
+    "heatmap-reserve-ay": ("heatmap", TRIANGLE, "--stat", "reserve-ay", "--year", "8", "--out", SVG),
+}
+CLI_RUNS = 11
 
 
 def random_rows(dim: int) -> list:
@@ -247,7 +266,10 @@ def per_call(trees: list, calls: list) -> list:
         order.reverse()
         if slow:
             break
-    return [{"best_s": min(ms), "calls": n, "batches": len(ms)} for ms, n in zip(means, counts)]
+    return [
+        {"best_s": min(ms), "median_s": statistics.median(ms), "calls": n, "batches": len(ms)}
+        for ms, n in zip(means, counts)
+    ]
 
 
 def peak_mb(call) -> float:
@@ -281,20 +303,50 @@ def bytecodes(call) -> int:
     return count
 
 
-def cli_run(src: str, path: str) -> dict:
-    """One fresh process running the runoff CLI of the tree src on path with
-    CLI_COMMAND: its exit code, wall time and peak RSS in MB (2^20 bytes),
-    which the process reports of itself as its VmHWM. Its ru_maxrss would
-    not do: Linux starts it at the RSS of this process, which forked it."""
-    code = ("import sys; from runoff.cli import main; code = main(sys.argv[1:]); "
-            "print(*(ln.split()[1] for ln in open('/proc/self/status') if ln.startswith('VmHWM:')), "
-            "file=sys.stderr); sys.exit(code)")
-    argv = [sys.executable, "-c", code, CLI_COMMAND[0], path, *CLI_COMMAND[1:]]
+def cli_run(src: str, argv: list) -> dict:
+    """One fresh process running the runoff CLI of the tree src on argv, its
+    module run as `python -m runoff.cli` runs it, so it ends as the CLI does
+    (through runoff.cli.run, where the tree has it): its exit code, wall
+    time and peak RSS in MB (2^20 bytes), which an atexit handler registered
+    before the CLI reads as the process's VmHWM. Its ru_maxrss would not do:
+    Linux starts it at the RSS of this process, which forked it."""
+    code = ("import atexit, runpy, sys; "
+            "atexit.register(lambda: print(*(ln.split()[1] for ln in open('/proc/self/status') "
+            "if ln.startswith('VmHWM:')), file=sys.stderr)); "
+            "runpy.run_module('runoff.cli', run_name='__main__', alter_sys=True)")
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
     t0 = time.perf_counter()
-    done = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=str(Path(src).resolve())),
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     wall = time.perf_counter() - t0
     return {"exit": done.returncode, "wall_s": wall, "peak_rss_mb": int(done.stderr.split()[-1]) / 1024}
+
+
+def readme_runs(srcs: list, directory: Path) -> list:
+    """Per tree of srcs, README command name -> the median wall time and
+    peak RSS of its CLI_RUNS runs, and their exit codes: the trees take each
+    command in turn, in reverse order every other run."""
+    tri = str(ROOT / "src" / "runoff" / "data" / "belgian.csv")
+    runs = [{name: [] for name in README_COMMANDS} for _ in srcs]
+    order = list(range(len(srcs)))
+    for _ in range(CLI_RUNS):
+        for name, argv in README_COMMANDS.items():
+            argv = [tri if a == TRIANGLE else str(directory / "impacts.svg") if a == SVG else a for a in argv]
+            for m in order:
+                runs[m][name].append(cli_run(srcs[m], argv))
+        order.reverse()
+    return [
+        {
+            name: {
+                "median_s": statistics.median(run["wall_s"] for run in tree_runs[name]),
+                "peak_rss_mb": statistics.median(run["peak_rss_mb"] for run in tree_runs[name]),
+                "exits": sorted({run["exit"] for run in tree_runs[name]}),
+                "runs": len(tree_runs[name]),
+            }
+            for name in README_COMMANDS
+        }
+        for tree_runs in runs
+    ]
 
 
 def main(argv=None) -> int:
@@ -325,6 +377,7 @@ def main(argv=None) -> int:
             "interleaved_with": [other for other in args.label if other != label],
             "seconds": {},
             "cli": {"command": " ".join(CLI_COMMAND)},
+            "readme": {},
         }
         for label in args.label
     ]
@@ -348,9 +401,15 @@ def main(argv=None) -> int:
                     )
             for src, label, section, row in zip(args.src, args.label, sections, rows):
                 section["seconds"][f"I={dim}"] = row
-                run = section["cli"][f"I={dim}"] = cli_run(src, str(Path(tmp.name) / f"random{dim}.csv"))
+                argv = [CLI_COMMAND[0], str(Path(tmp.name) / f"random{dim}.csv"), *CLI_COMMAND[1:]]
+                run = section["cli"][f"I={dim}"] = cli_run(src, argv)
                 print(f"I={dim:<4} {'cli ' + ' '.join(CLI_COMMAND[:3]):<30} {label:<10} {run['wall_s']:.6f} s "
                       f"{run['peak_rss_mb']:9.2f} MB RSS, exit {run['exit']}", flush=True)
+        for label, section, readme in zip(args.label, sections, readme_runs(args.src, Path(tmp.name))):
+            section["readme"] = readme
+            for name, run in readme.items():
+                print(f"     {'cli ' + name:<30} {label:<10} {run['median_s']:.6f} s "
+                      f"{run['peak_rss_mb']:9.2f} MB RSS, exits {run['exits']}, median of {run['runs']}", flush=True)
     finally:
         use(outer)
         tmp.cleanup()

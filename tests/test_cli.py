@@ -793,3 +793,12 @@ class TestHelp:
         assert exc.value.code == 0
         out, _ = capsys.readouterr()
         assert "reserves" in out and "heatmap" in out
+
+    def test_help_describes_the_commands_and_exit_codes_alone(self, capsys):
+        """The description is the module docstring's first two paragraphs,
+        not what it says of main and run."""
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        words = " ".join(capsys.readouterr()[0].split())
+        assert " ".join(" ".join(cli.__doc__.split("\n\n")[:2]).split()) in words
+        assert "Exit codes: 0 success" in words and "process entry" not in words

@@ -1,0 +1,150 @@
+"""The CLI as users start it: `python -m runoff.cli` in a fresh process,
+which ends through runoff.cli.run.
+
+Every run is a fresh interpreter with runoff importable from src. The
+README quick-start commands, --help and one command per failing exit
+code must write what in-process main writes: stdout, stderr, the --out
+bytes and the exit code. All the runs of this module are started by one
+module fixture, two at a time, the largest (15.8 MB of JSON at I=60)
+first, so the module adds about the wall time of its runs over two.
+"""
+
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conftest import bundled_path, random_triangle
+from runoff.cli import ingest, main
+from runoff.oracle import verify_mse_components
+from test_cli import rows_file
+
+ROOT = Path(__file__).resolve().parent.parent
+# COLUMNS fixes argparse's help width, in the children and in-process alike.
+ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1", "COLUMNS": "80"}
+TRI = bundled_path()
+OUT = "<out>"  # in an argv, a file of the run's own
+LARGE = "<large>"  # in an argv, the I=60 triangle file
+# name -> (exit code, argv): the README quick-start commands in README order,
+# --help, and a command for each failing exit code.
+COMMANDS = {
+    "reserves": (0, ["reserves", TRI]),
+    "impact-reserve-ay": (0, ["impact", TRI, "--stat", "reserve-ay", "--year", "8"]),
+    "impact-quantile-json": (0, ["impact", TRI, "--stat", "quantile", "--q", "0.995", "--format", "json"]),
+    "marginal-reserve-total": (0, ["marginal", TRI, "--stat", "reserve-total"]),
+    "verify-reserve-total": (0, ["verify", TRI, "--stat", "reserve-total"]),
+    "heatmap-reserve-ay": (0, ["heatmap", TRI, "--stat", "reserve-ay", "--year", "8", "--out", OUT]),
+    "help": (0, ["--help"]),
+    "usage-error": (1, ["impact", TRI, "--stat", "reserve-ay"]),
+    "data-error": (2, ["reserves", str(ROOT / "tests" / "no-such-triangle.csv")]),
+    "verify-fails": (3, ["verify", TRI, "--tolerance", "0"]),
+}
+# A child that registers an atexit handler, then runs the CLI as -m does.
+ATEXIT = (
+    "import atexit, runpy, sys; "
+    "atexit.register(lambda: print('atexit: json', 'json' in sys.modules, file=sys.stderr)); "
+    "runpy.run_module('runoff.cli', run_name='__main__', alter_sys=True)"
+)
+# name -> (argv, keyword arguments of child): every run of this module. A
+# closed run's stdout is closed before the command writes, as `| head -c 10`
+# does; the buffered one's document is still in stdout's buffer when the
+# command returns, the unbuffered one's is written at once.
+RUNS = {
+    "large-json": (["verify", LARGE, "--stat", "mse-total", "--format", "json"], {}),
+    **{name: (argv, {}) for name, (_, argv) in COMMANDS.items()},
+    "closed-buffered-text": (["verify", TRI, "--tolerance", "0"], {"unbuffered": False, "close_stdout": True}),
+    "closed-unbuffered-json": (["verify", TRI, "--format", "json"], {"close_stdout": True}),
+    "atexit-csv": (["reserves", TRI], {"code": ATEXIT}),
+    "atexit-json": (["reserves", TRI, "--format", "json"], {"code": ATEXIT}),
+}
+
+
+def child(argv, unbuffered=True, close_stdout=False, code=None) -> tuple:
+    """(exit code, stdout, stderr) of a fresh interpreter running
+    `python -m runoff.cli argv`, or `python -c code argv`."""
+    env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"} | ({"PYTHONUNBUFFERED": "1"} if unbuffered else {})
+    head = ["-m", "runoff.cli"] if code is None else ["-c", code]
+    proc = subprocess.Popen([sys.executable, *head, *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    if close_stdout:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        return proc.wait(timeout=120), b"", err
+    out, err = proc.communicate(timeout=120)
+    return proc.returncode, out, err
+
+
+@pytest.fixture(scope="module")
+def large(tmp_path_factory) -> str:
+    """A random I=60 triangle file: its MSE verification is 15.8 MB of JSON."""
+    rows = random_triangle(np.random.default_rng(60), 60).to_rows()
+    return rows_file(tmp_path_factory.mktemp("large"), rows, "large60.csv")
+
+
+@pytest.fixture(scope="module")
+def processes(tmp_path_factory, large) -> dict:
+    """name -> (exit code, stdout, stderr, bytes of its --out file or None)
+    of every run of RUNS, two at a time, in the order of RUNS."""
+    outs = tmp_path_factory.mktemp("process-out")
+
+    def one(name):
+        argv, kwargs = RUNS[name]
+        out = outs / name
+        code, stdout, stderr = child([str(out) if a == OUT else large if a == LARGE else a for a in argv], **kwargs)
+        return code, stdout, stderr, out.read_bytes() if out.exists() else None
+
+    with ThreadPoolExecutor(2) as pool:
+        return dict(zip(RUNS, pool.map(one, RUNS)))
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_a_process_writes_what_main_writes(name, processes, capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, argv = COMMANDS[name]
+    out = tmp_path / "out"
+    try:
+        got = main([str(out) if a == OUT else a for a in argv])
+    except SystemExit as exc:  # --help
+        got = exc.code
+    stdout, stderr = capsys.readouterr()
+    assert got == code
+    assert processes[name] == (code, stdout.encode(), stderr.encode(), out.read_bytes() if out.exists() else None)
+
+
+def test_a_large_document_is_piped_whole(processes, large):
+    """Every cell's dict and the notes after them arrive."""
+    code, stdout, stderr, _ = processes["large-json"]
+    assert (code, stderr) == (0, b"") and len(stdout) > 15_000_000
+    report = verify_mse_components(ingest(large))
+    assert stdout.count(b'"rel_error": ') == report.size
+    assert stdout.startswith(b'{\n  "statistic": "mse-components",\n  "tolerance": 1e-05,\n  "max_rel_error": '
+                             + repr(report.max_rel_error).encode())
+    assert stdout.endswith(b"\n  }\n}\n") and b'"notes": {' in stdout[-1000:]
+
+
+@pytest.mark.parametrize("name, code", [("closed-buffered-text", 3), ("closed-unbuffered-json", 0)])
+def test_a_closed_stdout_exits_with_the_commands_code_and_prints_nothing(processes, name, code):
+    assert processes[name] == (code, b"", b"", None)
+
+
+def test_main_raises_on_a_closed_stdout_with_the_commands_code(monkeypatch):
+    class Closed:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    with pytest.raises(BrokenPipeError) as exc:
+        main(["verify", TRI, "--tolerance", "0"])
+    assert exc.value.exit_code == 3
+
+
+@pytest.mark.parametrize("name, loaded", [("atexit-csv", False), ("atexit-json", True)])
+def test_an_atexit_handler_registered_before_the_cli_runs_still_runs(processes, name, loaded):
+    """The handler also reports whether json was imported: only by a
+    command that writes JSON."""
+    code, stdout, stderr, _ = processes[name]
+    assert code == 0 and stdout.startswith(b"i,latest" if not loaded else b"{")
+    assert stderr == f"atexit: json {loaded}\n".encode()

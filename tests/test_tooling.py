@@ -11,10 +11,12 @@ run, silently, so what they need is pinned here.
 import ast
 import copy
 import dataclasses
+import gc
 import importlib
 import importlib.util
 import json
 import os
+import shlex
 import subprocess
 import sys
 import types
@@ -121,10 +123,22 @@ def test_import_loads_every_library_module():
     assert out.stdout == "True\n"
 
 
+def readme_quick_start() -> list:
+    """The argv of each `runoff` line of the README's CLI quick start."""
+    text = (ROOT / "README.md").read_text()
+    block = text[text.index("## Quick start (CLI)"):text.index("## Quick start (API)")]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("runoff ")]
+
+
 def test_layer_record_times_every_stage(tmp_path, monkeypatch):
+    """One tree: every stage at I=5, and one process each of CLI_COMMAND at
+    I=5 and of the first README command, each ending with exit 0 (every
+    README command runs as a process in tests/test_cli_process.py)."""
     monkeypatch.setattr(sys, "path", list(sys.path))  # layers.main prepends --src
     layers = load(LAYERS, "bench_layers")
     monkeypatch.setattr(layers, "BATCH_S", 1e-4)
+    monkeypatch.setattr(layers, "CLI_RUNS", 1)
+    monkeypatch.setattr(layers, "README_COMMANDS", dict(list(layers.README_COMMANDS.items())[:1]))
     out = tmp_path / "BENCH.json"
     assert layers.main(["--sizes", "5", "--out", str(out)]) == 0
     row = json.loads(out.read_text())["layers"]["after"]["seconds"]["I=5"]
@@ -133,10 +147,51 @@ def test_layer_record_times_every_stage(tmp_path, monkeypatch):
     rows = runoff.IncrementalTriangle.from_rows(layers.random_rows(5))
     assert stages["ingest"]().values.tobytes() == rows.values.tobytes()
     for stage in row.values():
-        assert stage["best_s"] > 0.0 and stage["bytecodes"] > 0
+        assert stage["median_s"] >= stage["best_s"] > 0.0 and stage["bytecodes"] > 0
         assert stage["batches"] == layers.BATCHES and stage["calls"] >= stage["batches"]
-    run = json.loads(out.read_text())["layers"]["after"]["cli"]["I=5"]
+    record = json.loads(out.read_text())["layers"]["after"]
+    run = record["cli"]["I=5"]
     assert run["exit"] == 0 and run["wall_s"] > 0.0 and run["peak_rss_mb"] > 0.0
+    assert list(record["readme"]) == list(layers.README_COMMANDS)
+    for run in record["readme"].values():
+        assert run["exits"] == [0] and run["runs"] == 1 and run["median_s"] > 0.0 and run["peak_rss_mb"] > 0.0
+
+
+def test_the_layer_record_times_the_readme_commands():
+    layers = load(LAYERS, "bench_layers")
+    tri, svg = "$TRI", "impacts.svg"
+    assert readme_quick_start() == [
+        [tri if a == layers.TRIANGLE else svg if a == layers.SVG else a for a in argv]
+        for argv in layers.README_COMMANDS.values()
+    ]
+
+
+def test_the_process_tests_run_the_readme_commands():
+    from test_cli_process import COMMANDS, TRI
+
+    assert readme_quick_start() == [
+        ["$TRI" if a == TRI else "impacts.svg" if a == "<out>" else a for a in argv]
+        for _, argv in list(COMMANDS.values())[:6]
+    ]
+
+
+def test_the_readme_commands_are_timed_in_turn(tmp_path, monkeypatch):
+    """Each README command runs CLI_RUNS times per tree, the trees in
+    turn, in reverse order every other run; each tree's median is its own."""
+    layers = load(LAYERS, "bench_layers")
+    monkeypatch.setattr(layers, "CLI_RUNS", 3)
+    made = []
+
+    def cli_run(src, argv):
+        made.append((src, argv[0]))
+        return {"exit": 0, "wall_s": float(len(made)), "peak_rss_mb": 1.0}
+
+    monkeypatch.setattr(layers, "cli_run", cli_run)
+    first, second = layers.readme_runs(["a", "b"], tmp_path)
+    names = [argv[0] for argv in layers.README_COMMANDS.values()]
+    assert made == [(src, name) for order in ("ab", "ba", "ab") for name in names for src in order]
+    assert first["reserves"] == {"median_s": 14.0, "peak_rss_mb": 1.0, "exits": [0], "runs": 3}
+    assert second["reserves"]["median_s"] == 13.0
 
 
 def test_each_stage_is_called_once_before_its_timed_batches(monkeypatch):
@@ -157,6 +212,7 @@ def test_layer_record_interleaves_two_trees(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))
     layers = load(LAYERS, "bench_layers")
     monkeypatch.setattr(layers, "BATCH_S", 1e-4)
+    monkeypatch.setattr(layers, "cli_run", lambda src, argv: {"exit": 0, "wall_s": 1.0, "peak_rss_mb": 1.0})
     out = tmp_path / "BENCH.json"
     src, path = str(ROOT / "src"), list(sys.path)
     assert layers.main(["--src", src, src, "--label", "before", "after", "--sizes", "5", "--out", str(out)]) == 0
@@ -166,6 +222,22 @@ def test_layer_record_interleaves_two_trees(tmp_path, monkeypatch):
     assert sys.modules["runoff"] is runoff and sys.path == path
     with pytest.raises(SystemExit):
         layers.main(["--src", src, src, "--label", "after"])
+
+
+def test_the_console_script_is_the_process_entry():
+    """`runoff` ends its process through runoff.cli.run, as `python -m
+    runoff.cli` does."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["scripts"] == {"runoff": "runoff.cli:run"}
+
+
+def test_main_in_process_freezes_nothing(capsys):
+    """Only run, the process entry, moves objects to the permanent
+    generation; main leaves the caller's collector as it was."""
+    assert main(["reserves", bundled_path()]) == 0
+    assert main(["verify", bundled_path(), "--format", "json"]) == 0
+    assert gc.get_freeze_count() == 0
 
 
 def test_layer_verify_stages_time_a_first_verification(fit_builds, tmp_path):
