@@ -57,7 +57,13 @@ wall time, start-up and exit included, and its peak RSS (its VmHWM,
 Linux) under cli[I=<n>]. After the sizes, each tree runs each of the
 README quick-start commands (README_COMMANDS) on the bundled triangle
 CLI_RUNS times, the trees in turn, the order reversed every run, and
-records the median wall time and peak RSS of each under readme.
+records the median wall time and peak RSS of each under readme. Last,
+each tree times `import runoff` after `import numpy` in CLI_RUNS fresh
+processes (import_run), the trees in turn, the order reversed every
+run, and records the median and interquartile range under import: each
+imports a copy of the tree's package without its __pycache__, under
+PYTHONDONTWRITEBYTECODE=1, so it compiles runoff's source, as every
+perfbench worker does in its fresh checkout.
 The result goes under layers[label] of
 BENCH_<yyyymmdd>.json in the repository root, merged with what the file
 already holds, so a before and an after run share one file.
@@ -71,6 +77,7 @@ import importlib
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -322,6 +329,41 @@ def cli_run(src: str, argv: list) -> dict:
     return {"exit": done.returncode, "wall_s": wall, "peak_rss_mb": int(done.stderr.split()[-1]) / 1024}
 
 
+# A child that prints the wall time of `import runoff` after `import numpy`.
+IMPORT = "import time, numpy; t0 = time.perf_counter(); import runoff; print(time.perf_counter() - t0)"
+
+
+def import_run(src: Path) -> float:
+    """The wall time of `import runoff` from the tree src, after `import
+    numpy`, in a fresh process that writes no bytecode
+    (PYTHONDONTWRITEBYTECODE=1)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-c", IMPORT], env=env, capture_output=True, text=True, check=True)
+    return float(done.stdout)
+
+
+def import_runs(srcs: list, directory: Path) -> list:
+    """Per tree of srcs, the median and interquartile range of CLI_RUNS
+    import_run times of a copy of its package without __pycache__, made
+    in directory, so every run compiles the source; the trees take turns,
+    in reverse order every other run."""
+    copies = []
+    for m, src in enumerate(srcs):
+        copies.append(directory / f"import{m}")
+        shutil.copytree(Path(src) / "runoff", copies[-1] / "runoff", ignore=shutil.ignore_patterns("__pycache__"))
+    runs = [[] for _ in srcs]
+    order = list(range(len(srcs)))
+    for _ in range(CLI_RUNS):
+        for m in order:
+            runs[m].append(import_run(copies[m]))
+        order.reverse()
+    return [
+        {"median_s": statistics.median(times), "iqr_s": float(np.subtract(*np.percentile(times, [75, 25]))),
+         "runs": len(times)}
+        for times in runs
+    ]
+
+
 def readme_runs(srcs: list, directory: Path) -> list:
     """Per tree of srcs, README command name -> the median wall time and
     peak RSS of its CLI_RUNS runs, and their exit codes: the trees take each
@@ -378,6 +420,7 @@ def main(argv=None) -> int:
             "seconds": {},
             "cli": {"command": " ".join(CLI_COMMAND)},
             "readme": {},
+            "import": {},
         }
         for label in args.label
     ]
@@ -410,6 +453,10 @@ def main(argv=None) -> int:
             for name, run in readme.items():
                 print(f"     {'cli ' + name:<30} {label:<10} {run['median_s']:.6f} s "
                       f"{run['peak_rss_mb']:9.2f} MB RSS, exits {run['exits']}, median of {run['runs']}", flush=True)
+        for label, section, imported in zip(args.label, sections, import_runs(args.src, Path(tmp.name))):
+            section["import"] = imported
+            print(f"     {'import runoff':<30} {label:<10} {imported['median_s']:.6f} s "
+                  f"IQR {imported['iqr_s']:.6f} s, median of {imported['runs']}", flush=True)
     finally:
         use(outer)
         tmp.cleanup()

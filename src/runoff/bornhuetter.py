@@ -17,7 +17,7 @@ from runoff.triangle import Container, CumulativeTriangle, _one_based, _owned, _
 __all__ = ["PriorUltimates", "bf_reserves", "default_priors"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriorUltimates(Container):
     """Exogenous prior ultimates mu_i > 0, one per accident year."""
 

@@ -27,7 +27,7 @@ __all__ = ["DevelopmentFactors", "Fit", "SigmaEstimates", "MackSummary",
            "mse_accident_year", "mse_total", "mack_summary"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DevelopmentFactors(Container):
     """Estimated factors f_j for j = 1..I-1."""
 
@@ -54,7 +54,7 @@ def _check_sigmas(values: np.ndarray):
         raise ValueError(f"sigma^2 of development year {j} must be >= 0, got {values[j - 1]}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SigmaEstimates(Container):
     """Variance scales sigma^2_j for j = 1..I-1: none negative (NaN passes)."""
 
@@ -70,7 +70,7 @@ class SigmaEstimates(Container):
         return float(self.values[_one_based(j, self.dimension - 1, "sigma index") - 1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MackSummary:
     """Its arrays are read-only float64 copies of what the caller passed."""
 
@@ -129,7 +129,7 @@ def sigma2_values(cum: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.concatenate((head, [min(b * b / a, a, b) if a > 0.0 else 0.0]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Fit:
     """The fitted chain-ladder state every statistic and impact reads.
 

@@ -454,18 +454,32 @@ def run():
 
     Where stdout's reader has closed, os.devnull takes stdout's
     descriptor, as Python's documentation advises for SIGPIPE, so nothing
-    more is printed, and the process exits with the command's code.
+    more is printed, and the process exits with the command's code. That
+    holds for argparse's exit after --help too: its text, which may still
+    sit in stdout's buffer, is flushed here, and the exit code is
+    argparse's.
     """
     try:
         code = main()
+    except SystemExit as exc:  # --help
+        code = exc.code
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            _to_devnull()
     except BrokenPipeError as exc:
         if not hasattr(exc, "exit_code"):  # not main's write to stdout
             raise
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _to_devnull()
         code = exc.exit_code
     finally:
         gc.freeze()
     sys.exit(code)
+
+
+def _to_devnull():
+    """Point stdout's descriptor at os.devnull: its reader has closed."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 if __name__ == "__main__":

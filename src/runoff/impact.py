@@ -54,7 +54,7 @@ ORDER_ONE_STATISTICS = ("reserve-ay", "reserve-total")
 EULER_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImpactTriangle(Triangle):
     """Per-cell derivative values for one statistic.
 

@@ -21,7 +21,7 @@ __all__ = ["LognormalFit", "fit_lognormal", "inv_std_normal_cdf", "lognormal_qua
            "impact_quantile"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LognormalFit:
     """Log-scale parameters matched to a mean and variance."""
 

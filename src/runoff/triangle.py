@@ -115,7 +115,10 @@ class Container:
     dimension and values fields: values is a read-only float64 copy of what
     the caller passed, AXES axes of dimension - SHORT entries: (I, I) for a
     triangle, (I - 1,) per development year, (I,) per accident year. The
-    library builds its own in place (_owned), over arrays it has just made."""
+    library builds its own in place (_owned), over arrays it has just made.
+    Like every object over arrays, they are declared eq=False and compare
+    by identity: NaN cells and float arrays give no one value equality,
+    and a fit is held for the same factors object (chainladder._fit)."""
 
     SHORT, AXES = 0, 1
 
@@ -147,7 +150,7 @@ class Triangle(Container):
         return zip(*(c.tolist() for c in _cells(self.dimension)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IncrementalTriangle(Triangle):
     """Incremental claims X_{i,j} on the observed region."""
 
@@ -187,7 +190,7 @@ def _from_cells(cells, dimension: int) -> IncrementalTriangle:
     return _owned(IncrementalTriangle, dimension=dimension, values=_read_only(values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CumulativeTriangle(Triangle):
     """Cumulative claims C_{i,j} = sum of X_{i,1..j} on the observed region."""
 

@@ -58,6 +58,8 @@ RUNS = {
     **{name: (argv, {}) for name, (_, argv) in COMMANDS.items()},
     "closed-buffered-text": (["verify", TRI, "--tolerance", "0"], {"unbuffered": False, "close_stdout": True}),
     "closed-unbuffered-json": (["verify", TRI, "--format", "json"], {"close_stdout": True}),
+    "closed-buffered-help": (["--help"], {"unbuffered": False, "close_stdout": True}),
+    "closed-buffered-command-help": (["reserves", "--help"], {"unbuffered": False, "close_stdout": True}),
     "atexit-csv": (["reserves", TRI], {"code": ATEXIT}),
     "atexit-json": (["reserves", TRI, "--format", "json"], {"code": ATEXIT}),
 }
@@ -125,7 +127,10 @@ def test_a_large_document_is_piped_whole(processes, large):
     assert stdout.endswith(b"\n  }\n}\n") and b'"notes": {' in stdout[-1000:]
 
 
-@pytest.mark.parametrize("name, code", [("closed-buffered-text", 3), ("closed-unbuffered-json", 0)])
+@pytest.mark.parametrize("name, code", [
+    ("closed-buffered-text", 3), ("closed-unbuffered-json", 0),
+    ("closed-buffered-help", 0), ("closed-buffered-command-help", 0),
+])
 def test_a_closed_stdout_exits_with_the_commands_code_and_prints_nothing(processes, name, code):
     assert processes[name] == (code, b"", b"", None)
 

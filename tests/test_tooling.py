@@ -155,6 +155,7 @@ def test_layer_record_times_every_stage(tmp_path, monkeypatch):
     assert list(record["readme"]) == list(layers.README_COMMANDS)
     for run in record["readme"].values():
         assert run["exits"] == [0] and run["runs"] == 1 and run["median_s"] > 0.0 and run["peak_rss_mb"] > 0.0
+    assert record["import"]["runs"] == 1 and record["import"]["median_s"] > 0.0 and record["import"]["iqr_s"] == 0.0
 
 
 def test_the_layer_record_times_the_readme_commands():
@@ -194,6 +195,27 @@ def test_the_readme_commands_are_timed_in_turn(tmp_path, monkeypatch):
     assert second["reserves"]["median_s"] == 13.0
 
 
+def test_the_import_is_timed_in_turn_on_copies_without_bytecode(tmp_path, monkeypatch):
+    """Each tree's package is copied without __pycache__, and imported
+    CLI_RUNS times, the trees in turn, in reverse order every other run;
+    each tree's median and IQR are its own."""
+    layers = load(LAYERS, "bench_layers")
+    monkeypatch.setattr(layers, "CLI_RUNS", 4)
+    made = []
+
+    def import_run(src):
+        made.append(src.name)
+        assert not list(src.rglob("__pycache__")) and (src / "runoff" / "__init__.py").exists()
+        return float(len(made))
+
+    monkeypatch.setattr(layers, "import_run", import_run)
+    src = str(ROOT / "src")
+    first, second = layers.import_runs([src, src], tmp_path)
+    assert made == ["import0", "import1", "import1", "import0"] * 2
+    assert first == {"median_s": 4.5, "iqr_s": 2.5, "runs": 4}  # 1, 4, 5, 8
+    assert second == {"median_s": 4.5, "iqr_s": 3.5, "runs": 4}  # 2, 3, 6, 7
+
+
 def test_each_stage_is_called_once_before_its_timed_batches(monkeypatch):
     """The warm-up call of every tree's stage is made and not counted."""
     layers = load(LAYERS, "bench_layers")
@@ -213,12 +235,14 @@ def test_layer_record_interleaves_two_trees(tmp_path, monkeypatch):
     layers = load(LAYERS, "bench_layers")
     monkeypatch.setattr(layers, "BATCH_S", 1e-4)
     monkeypatch.setattr(layers, "cli_run", lambda src, argv: {"exit": 0, "wall_s": 1.0, "peak_rss_mb": 1.0})
+    monkeypatch.setattr(layers, "import_run", lambda src: 1.0)
     out = tmp_path / "BENCH.json"
     src, path = str(ROOT / "src"), list(sys.path)
     assert layers.main(["--src", src, src, "--label", "before", "after", "--sizes", "5", "--out", str(out)]) == 0
     record = json.loads(out.read_text())["layers"]
     assert record["before"]["interleaved_with"] == ["after"] and record["after"]["interleaved_with"] == ["before"]
     assert set(record["before"]["seconds"]["I=5"]) == set(record["after"]["seconds"]["I=5"]) >= {"verify_round"}
+    assert record["before"]["import"] == record["after"]["import"] == {"median_s": 1.0, "iqr_s": 0.0, "runs": 11}
     assert sys.modules["runoff"] is runoff and sys.path == path
     with pytest.raises(SystemExit):
         layers.main(["--src", src, src, "--label", "after"])
@@ -230,6 +254,18 @@ def test_the_console_script_is_the_process_entry():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:
         assert tomllib.load(fh)["project"]["scripts"] == {"runoff": "runoff.cli:run"}
+
+
+def test_the_numpy_floor_has_the_warning_pytest_turns_into_an_error():
+    """The pytest configuration names numpy.exceptions.ComplexWarning, and
+    numpy.exceptions first shipped in numpy 1.25: an older floor would
+    declare a numpy the tests cannot start on."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        config = tomllib.load(fh)
+    assert config["project"]["dependencies"] == ["numpy>=1.25"]
+    assert config["tool"]["pytest"]["ini_options"]["filterwarnings"] == ["error::numpy.exceptions.ComplexWarning"]
+    assert "numpy 1.25+" in (ROOT / "README.md").read_text()
 
 
 def test_main_in_process_freezes_nothing(capsys):

@@ -470,6 +470,43 @@ def test_every_container_holds_read_only_copies():
     assert all(c.flags.writeable for c in handed_out)
 
 
+# The fields of every dataclass runoff exports, in field order.
+FIELDS = {
+    "IncrementalTriangle": ("dimension", "values"),
+    "CumulativeTriangle": ("dimension", "values"),
+    "ImpactTriangle": ("statistic", "target", "dimension", "values"),
+    "DevelopmentFactors": ("dimension", "values"),
+    "SigmaEstimates": ("dimension", "values"),
+    "PriorUltimates": ("dimension", "values"),
+    "MackSummary": ("factors", "sigmas", "ultimates", "reserves_by_year", "reserve_total", "mse_by_year",
+                    "mse_total"),
+    "Fit": ("dimension", "num", "den", "factors", "fprod", "latest", "ult", "sigma2"),
+    "LognormalFit": ("mu", "sigma2"),
+    "FdScheme": ("relative_step", "absolute_floor"),
+    "VerificationReport": ("statistic", "tolerance", "notes", "max_rel_error", "worst_cell", "size"),
+}
+
+
+def test_every_object_over_arrays_compares_by_identity():
+    """README: every exported dataclass but FdScheme compares by identity,
+    as NaN cells and float arrays give no one value equality: two built
+    from equal values differ without raising, and each equals itself,
+    hashes and is a set member. FdScheme, two checked numbers, compares by
+    value. Fields, the frozen flag and the value repr are kept."""
+    first, second = containers(np.ones), containers(np.ones)
+    assert set(first) == set(FIELDS)
+    for name, a in first.items():
+        b, cls = second[name], type(a)
+        assert tuple(f.name for f in dataclasses.fields(cls)) == FIELDS[name], name
+        assert cls.__dataclass_params__.frozen and repr(a) == repr(b), name
+        assert a == a and hash(a) == hash(a), name
+        if name == "FdScheme":
+            assert a == b and len({a, b}) == 1
+        else:
+            assert not a == b and a != b and len({a, b}) == 2, name
+            assert cls.__hash__ is object.__hash__, name
+
+
 @pytest.mark.parametrize("build, shape", [
     (lambda a: IncrementalTriangle(3, a), (3, 3)),
     (lambda a: runoff.SigmaEstimates(3, a), (2,)),
