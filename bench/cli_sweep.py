@@ -15,9 +15,11 @@ are refused; an I = 4 triangle whose first factor overflows, so year 4's ultimat
 and the BF statistics on the chain-ladder priors are refused), and an
 I = 4 triangle with a zero first cell in row 2, which sigma^2 divides
 by (`reserves` leaves its RMSE column empty, the Mack statistics are
-refused); and an I = 3 triangle whose impacts are finite but whose
+refused); an I = 3 triangle whose impacts are finite but whose
 complex step overflows (`verify` of the reserve and BF statistics is
-refused). At I = 100 the reports of
+refused); and an I = 4 triangle whose sigma^2_1 overflows, so its total
+MSE is NaN (the Mack statistics are refused as overflows), and where one
+complex step h for every fitted sum misreads B_1, far below it. At I = 100 the reports of
 `verify --stat mse-total` and `rmse-total` hold 505k cells, and their
 JSON is about 69 MB per tree. On each triangle the commands are
 `reserves` (csv, json); for every --stat, at years 1, 2, 5 and 10 for
@@ -27,6 +29,9 @@ text and json and with --tolerance 1e-14; `impact` and `verify` of the
 quantile at --q 0.5; and five usage errors. On the bundled triangle
 every command runs a second time with --out naming a temporary file, one
 per tree, and `<command> --help` runs for each of the five commands.
+A handful more (singles) run once: `verify --stat reserve-ay --year 4`
+on the last triangle above, which that h fails, and commands reading a
+triangle and a priors file that are not UTF-8.
 Each (exit code, stdout, stderr, bytes written to --out) that differs is
 printed, and the exit code is 1 on any difference, else 0. The triangle
 and --out files go to temporary directories outside the checkout.
@@ -45,6 +50,13 @@ from pathlib import Path
 from layers import load, packaged, random_rows, use, write_triangle
 
 YEARS = (1, 2, 5, 10)
+# The rows of an I = 4 triangle whose sigma^2_1 overflows (see the module docstring).
+OVERFLOWING_SIGMA = [
+    [3.317885548114321e+68, 2.458815192647783e+116, 1.9397754402600403e+51, 5.390711814568673e+139],
+    [1035510060857.5759, 5.256364548785121e-23, 1.1516467043564973e-128],
+    [3.0974335492989166e-163, 1.517971630576952e+117],
+    [2.671847629323428e+117],
+]
 USAGE_ERRORS = (
     ["impact", "--stat", "reserve-ay"],
     ["impact", "--stat", "reserve-total", "--year", "1"],
@@ -114,16 +126,31 @@ def triangles(tree: dict, directory: Path) -> list:
         write_triangle(directory / "overflow4.csv", [[1e-300, 1e300, 1, 1], [1e-300, 1e-300, 1], [1e-300, 1e-300], [1e100]]),
         write_triangle(directory / "zerocell4.csv", [[100, 50, 10, 5], [0, 60, 12], [130, 70], [140]]),
         write_triangle(directory / "overflowstep3.csv", [[1e6, 1.0, 1.0], [0.0, 1e308], [5e-324]]),
+        write_triangle(directory / "overflowsigma4.csv", OVERFLOWING_SIGMA),
     ]
 
 
-def sweep(trees: list, paths: list) -> tuple:
+def singles(paths: list, directory: Path) -> list:
+    """The argvs run once: on paths as triangles gives them (the bundled
+    file first, the overflowing sigma^2 triangle last), and on a triangle
+    and a priors file written into directory in Latin-1, not UTF-8."""
+    triangle, priors = directory / "latin1.csv", directory / "latin1-priors.csv"
+    triangle.write_bytes(b"I=2\n1,2\n3\xe9\n")
+    priors.write_bytes(b"1,6.0e8\xe9\n")
+    latin = [[command, str(triangle)] for command in ("reserves", "impact", "verify")]
+    with_priors = [[*argv, "--priors", str(priors)] for argv in (["reserves", paths[0]],
+                                                                 ["impact", paths[0], "--stat", "bf-total"])]
+    return [["verify", paths[-1], "--stat", "reserve-ay", "--year", "4"], *latin, *with_priors]
+
+
+def sweep(trees: list, paths: list, once: list = ()) -> tuple:
     """(commands run, the differing ones as (argv, outputs per tree)) of
     the sweep on the triangles at paths, paths[0]'s commands also with
-    --out; the runoff package in use before is in use after."""
+    --out, and of the argvs once; the runoff package in use before is in
+    use after."""
     stats = trees[0]["runoff.cli"].STATISTICS
     argvs = [argv for path in paths for argv in commands(path, stats)]
-    argvs += [[*argv, "--out", OUT] for argv in commands(paths[0], stats)] + list(HELP)
+    argvs += [[*argv, "--out", OUT] for argv in commands(paths[0], stats)] + list(HELP) + list(once)
     differ, outer = [], packaged()
     try:
         with tempfile.TemporaryDirectory() as tmp:
@@ -143,7 +170,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     trees = [load(src) for src in args.src]
     with tempfile.TemporaryDirectory() as tmp:
-        count, differ = sweep(trees, triangles(trees[0], Path(tmp)))
+        paths = triangles(trees[0], Path(tmp))
+        count, differ = sweep(trees, paths, singles(paths, Path(tmp)))
     for argv, outputs in differ:
         print(" ".join(Path(a).name for a in argv) + ":")  # a triangle by its file name
         for src, (code, out, err, written) in zip(args.src, outputs):

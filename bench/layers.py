@@ -27,15 +27,15 @@ their code runs too few times for the interpreter to specialize it, and
 the count tracks the interpreter's share of an op. The estimator and
 impact stages reuse one triangle and its factors and sigmas, so where
 runoff keeps a triangle's Fit they time only their own algebra over it.
-Where runoff also holds the total reserve and MSE gradients on that Fit,
-the impact_reserve_total, impact_mse_ay, impact_mse_total and
-impact_quantile stages drop them, the stepped totals the oracle holds
-beside them and the MSE impacts' coefficients before each call (HELD,
-unheld), so each times its gradients over the sums as well as its
-triangle. The fit stage times building that Fit with its Mack sums and
-the values derived from them (FIT_VALUES), and sensitivity_report a
-whole report (the perfbench api-report op) from the increments, where
-the impacts of one fit share its held gradients. A triangle keeps what its verifiers fit, so each
+Where runoff also holds values for the impacts on that Fit (its total
+gradients and MSE coefficients, the oracle's stepped totals), the
+impact_reserve_total, impact_mse_ay, impact_mse_total and
+impact_quantile stages drop whatever it holds beyond its fields and
+FIT_VALUES before each call (unheld), so each times its gradients over
+the sums as well as its triangle. The fit stage times building that Fit
+with its Mack sums and the values derived from them (FIT_VALUES), and
+sensitivity_report a whole report (the perfbench api-report op) from
+the increments, where the impacts of one fit share its held gradients. A triangle keeps what its verifiers fit, so each
 verify_* call checks a fresh IncrementalTriangle of the same values and
 times a first verification; verify_reserve_impacts_year checks the
 reserve of year I//2 and verify_mse_components_year the MSE of year I//2
@@ -72,7 +72,9 @@ already holds, so a before and an after run share one file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
+import functools
 import importlib
 import json
 import os
@@ -161,23 +163,18 @@ def fit(runoff, cum, factors, sigmas) -> tuple:
     return tuple(getattr(built, name) for name in FIT_VALUES)
 
 
-# The names under which runoff holds a Fit's total gradients (runoff.impact),
-# the raw imaginary parts of its stepped totals (runoff.oracle) and the MSE
-# impacts' coefficients (runoff.chainladder): the impact stages compute them.
-HELD = ("_reserve", "_mse", "_im_reserve_total", "_im_mse_total", "shrink", "mse_diagonal")
-# The values of a Fit the fit stage computes beside its fields: the Mack sums
-# and what the statistics derive from them and the ultimates.
+# What the fit stage computes of a Fit beside its fields: the Mack sums and what derives from them and ult.
 FIT_VALUES = ("w", "process", "reserves", "reserve_total", "later", "scale", "mse_by_year", "mse_total")
 
 
-def unheld(runoff, cum, call):
-    """call() after every Fit cum keeps, with sigmas and without, drops what
-    it holds for the impacts (HELD), so call computes it again; nothing to
-    drop where runoff holds none."""
+def unheld(runoff, cum, kept, call):
+    """call() after every Fit cum keeps, with sigmas and without, drops
+    whatever it holds beyond the names kept (its fields and FIT_VALUES),
+    so call computes again what runoff holds on it for the impacts."""
     for fit in cum.__dict__["_fit"]:
         if isinstance(fit, runoff.Fit):
-            for name in HELD:
-                fit.__dict__.pop(name, None)
+            for name in vars(fit).keys() - kept:
+                del vars(fit)[name]
     return call()
 
 
@@ -192,6 +189,8 @@ def stages(runoff, dim: int, directory: Path) -> dict:
     sigmas = runoff.estimate_sigmas(cum, factors)
     priors = runoff.default_priors(cum, factors)
     impacts = runoff.impact_reserve_total(cum, factors)
+    kept = {f.name for f in dataclasses.fields(runoff.Fit)}.union(FIT_VALUES)  # built once, untimed
+    unheld_fits = functools.partial(unheld, runoff, cum, kept)
 
     def fresh():
         return runoff.IncrementalTriangle(dim, inc.values)
@@ -205,12 +204,12 @@ def stages(runoff, dim: int, directory: Path) -> dict:
         "estimate_sigmas": lambda: runoff.estimate_sigmas(cum, factors),
         "fit": lambda: fit(runoff, cum, factors, sigmas),
         "impact_reserve_ay": lambda: runoff.impact_reserve_ay(cum, factors, dim),
-        "impact_reserve_total": lambda: unheld(runoff, cum, lambda: runoff.impact_reserve_total(cum, factors)),
+        "impact_reserve_total": lambda: unheld_fits(lambda: runoff.impact_reserve_total(cum, factors)),
         "impact_bf_ay": lambda: runoff.impact_bf_ay(cum, factors, priors, dim),
         "impact_bf_total": lambda: runoff.impact_bf_total(cum, factors, priors),
-        "impact_mse_ay": lambda: unheld(runoff, cum, lambda: runoff.impact_mse_ay(cum, factors, sigmas, dim)),
-        "impact_mse_total": lambda: unheld(runoff, cum, lambda: runoff.impact_mse_total(cum, factors, sigmas)),
-        "impact_quantile": lambda: unheld(runoff, cum, lambda: runoff.impact_quantile(cum, factors, sigmas, QUANTILE_LEVEL)),
+        "impact_mse_ay": lambda: unheld_fits(lambda: runoff.impact_mse_ay(cum, factors, sigmas, dim)),
+        "impact_mse_total": lambda: unheld_fits(lambda: runoff.impact_mse_total(cum, factors, sigmas)),
+        "impact_quantile": lambda: unheld_fits(lambda: runoff.impact_quantile(cum, factors, sigmas, QUANTILE_LEVEL)),
         "sensitivity_report": lambda: sensitivity_report(runoff, inc),
         "verify_reserve_impacts": lambda: runoff.verify_reserve_impacts(fresh(), "reserve-total"),
         "verify_reserve_impacts_year": lambda: runoff.verify_reserve_impacts(fresh(), "reserve-ay", dim // 2),

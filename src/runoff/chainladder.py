@@ -304,19 +304,20 @@ def _fit(
 
 def _baseline(inc: IncrementalTriangle, sigmas: bool = False) -> tuple:
     """(cum, factors, fit) of inc, the fit with sigmas when asked: the fit
-    the CLI and every verifier read. inc keeps {cum, factors[, sigmas]} in
-    its __dict__, like a cached_property, each built on first need and
-    nothing stored when a build raises; its values are read-only, so what
-    it keeps stays right. The fit is the one cum keeps (_fit), so every
-    reader of inc shares it, and its Mack sums once computed."""
-    held = inc.__dict__.get("_baseline")
-    if held is None:
+    the CLI and every verifier read. inc keeps only cum in its __dict__,
+    like a cached_property, once its factors are estimated; they and the
+    sigmas, estimated on first need, are read from the record cum keeps
+    (_fit), so every reader of inc shares one fit and its Mack sums, and
+    nothing is stored when a build raises."""
+    cum = inc.__dict__.get("_cum")
+    if cum is None:
         cum = cumulate(inc)
-        held = inc.__dict__["_baseline"] = {"cum": cum, "factors": estimate_development_factors(cum)}
-    cum, factors = held["cum"], held["factors"]
-    if sigmas and "sigmas" not in held:
-        held["sigmas"] = estimate_sigmas(cum, factors)
-    return cum, factors, _fit(cum, factors, held["sigmas"] if sigmas else None)
+        estimate_development_factors(cum)
+        inc.__dict__["_cum"] = cum
+    factors, _, held, fit = cum.__dict__["_fit"]
+    if sigmas and held is None:
+        fit = _fit(cum, factors, estimate_sigmas(cum, factors))
+    return cum, factors, fit
 
 
 def estimate_development_factors(cum: CumulativeTriangle) -> DevelopmentFactors:

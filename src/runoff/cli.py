@@ -52,11 +52,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _lines(path: str, what: str) -> list:
     """The non-blank lines of the file at path, stripped, as (line number,
-    text) pairs; a file that cannot be read is bad data, named what."""
+    text) pairs; a file that cannot be read, or is not UTF-8, is bad data, named what."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             return [(n, ln.strip()) for n, ln in enumerate(fh.read().splitlines(), 1) if ln.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {what}: {exc}") from exc
 
 
@@ -139,9 +139,12 @@ def load_priors(source: str, cum, factors) -> PriorUltimates:
 def compute(stat: str, inc: IncrementalTriangle, year, q: float, priors_src: str):
     """Selected statistic's impact triangle and scalar value over inc's
     baseline fit, from its entry of the oracle's _STATISTICS, and the prior
-    values a BF statistic loads (None for the others): read once per stream."""
+    values a BF statistic loads (None for the others): read once per stream.
+    A Mack statistic whose MSE is not finite, so overflows, raises OverflowError."""
     entry = _STATISTICS[stat]
     cum, factors, fit = _baseline(inc, entry.sigmas)
+    if entry.sigmas and not math.isfinite(_STATISTICS["mse-total"].value(fit, year, None, q)):
+        raise OverflowError(f"the MSE of --stat {stat} is not finite")
     mu = load_priors(priors_src, cum, factors).values if entry.priors else None
     rmse = stat.startswith("rmse")
     impacts = _impact(stat.removeprefix("r") if rmse else stat, year, entry.grad(fit, year, mu, q))
@@ -341,8 +344,8 @@ def build_parser() -> _Parser:
 
 def _computed(args) -> tuple:
     """The ingested triangle and compute's impacts, value and prior values
-    for it, once --year and --q suit the statistic; a statistic or impact that
-    overflows double precision is refused as bad data."""
+    for it, once --year and --q suit the statistic; a statistic, its MSE or
+    an impact that overflows double precision is refused as bad data."""
     inc = ingest(args.input)
     _check_target(args.stat, args.year, inc.dimension)
     if not 0.0 < args.q < 1.0:
@@ -350,7 +353,7 @@ def _computed(args) -> tuple:
     try:
         impacts, value, mu = compute(args.stat, inc, args.year, args.q, args.priors)
         finite = math.isfinite(value) and np.logical_and.reduce(np.isfinite(_observed(impacts.values)))
-    except OverflowError:  # float arithmetic, such as the quantile's R^2
+    except OverflowError:  # float arithmetic, such as the quantile's R^2, or compute's MSE check
         finite = False
     if not finite:
         raise DataError(f"{args.input}: --stat {args.stat} overflows double precision")

@@ -18,8 +18,8 @@ which the oracle maps its complex-step gradients and lays out its
 reports; cell by cell, both are the same subtraction of the same two
 effects, bit for bit. Each statistic has one gradient,
 _reserve, _bf and _mse, of its total for year None, else of that year;
-a Fit holds the total reserve and MSE gradients (_held_total), and what
-else is kept on it goes through the same _hold.
+a Fit holds the total reserve and MSE gradients, each written read-only
+into its __dict__ by _held_total, as a Fit keeps its Mack sums.
 """
 
 from __future__ import annotations
@@ -127,17 +127,12 @@ def _impact(statistic: str, target, grad: np.ndarray) -> ImpactTriangle:
     return _owned(ImpactTriangle, statistic=statistic, target=target, dimension=dim, values=_read_only(values))
 
 
-def _hold(fit: Fit, name: str, values: np.ndarray):
-    """Keep values read-only in fit's __dict__ under name, as a Fit keeps
-    its Mack sums: the attach of sigmas (chainladder._fit) carries it."""
-    fit.__dict__[name] = _read_only(values)
-
-
 def _held_total(gradient):
     """gradient(fit, year), its total (year None) computed once per Fit and
-    held (_hold) under gradient's name, so every impact and verifier of a
-    fit reads one. Per-year and batched-year gradients are computed on
-    every call."""
+    held read-only in its __dict__ under gradient's name, as a Fit keeps
+    its Mack sums, so every impact and verifier of a fit reads one and the
+    attach of sigmas (chainladder._fit) carries it. Per-year and
+    batched-year gradients are computed on every call."""
     name = gradient.__name__
 
     @functools.wraps(gradient)
@@ -145,7 +140,7 @@ def _held_total(gradient):
         if year is not None:
             return gradient(fit, year)
         if name not in fit.__dict__:
-            _hold(fit, name, gradient(fit))
+            fit.__dict__[name] = _read_only(gradient(fit))
         return fit.__dict__[name]
 
     return held

@@ -29,10 +29,11 @@ coefficients its formula holds fixed frozen at the baseline
 (_frozen_mse), with its building blocks and the plug-in MSE in one stack
 (_stepped_mse), picking its targets by one row slice. That stack also
 holds the raw imaginary parts of its total reserve and of the total's
-frozen MSE on the baseline Fit (_stepped_frozen), (3I-2,) each: the
-quantile reads the triangle only through those two totals, so its
-verifier steps the map by them alone (_stepped_quantile), with no stack
-of its own where the fit holds them, and that one stack where not.
+frozen MSE on the baseline Fit, one (2, 3I-2) record (_STEPPED) that
+_stepped_frozen alone writes: the quantile reads the triangle only
+through those two totals, so its verifier steps the map by them alone
+(_stepped_quantile), with no stack of its own where the fit holds them,
+and that one stack where not.
 
 A cell's rel_error is |a - n| / max(|a|, |n|, I eps S / TOLERANCE), S
 the largest |analytic| of the triangle the cell belongs to: a difference
@@ -53,7 +54,7 @@ import numpy as np
 
 from runoff.bornhuetter import PriorUltimates, _prior_values, bf_reserve_values, default_priors
 from runoff.chainladder import Fit, _ahead, _baseline, _product
-from runoff.impact import _bf, _grad, _hold, _mse, _reserve, _to_cells
+from runoff.impact import _bf, _grad, _mse, _reserve, _to_cells
 from runoff.quantile import _quantile, fit_lognormal, lognormal_quantile
 from runoff.triangle import IncrementalTriangle, _cached, _cells, _read_only, _records
 
@@ -247,7 +248,7 @@ def complex_step(fit: Fit, statistic: Callable) -> np.ndarray:
     of the stack steps sum m alone by ih (_step), so one stack gives the
     whole gradient, and nothing holds the stack after the call: the MSE
     verifier holds only the raw imaginary parts of the stack's total
-    reserve and total frozen MSE on fit (_stepped_frozen).
+    reserve and total frozen MSE on fit (_STEPPED).
     """
     h = _step(fit)
     return (statistic(_stack(fit, h)).imag / h).T
@@ -424,19 +425,17 @@ def _pick(by_year: np.ndarray, year: int | None):
     return np.add.reduce(by_year, axis=-1) if year is None else by_year[..., year - 1]
 
 
-# The keys under which a Fit holds (impact._hold) the raw imaginary parts of
-# the totals _stepped_quantile steps the map by, each as the fit's stack
-# gives it, (3I-2,): the total reserve and the total's frozen MSE.
-_IM_RESERVE, _IM_MSE = "_im_reserve_total", "_im_mse_total"
+# The key of a Fit's one read-only (2, 3I-2) record of its stack's stepped totals: the
+# raw imaginary parts of the total reserve, then of the total's frozen MSE.
+_STEPPED = "_stepped_totals"
 
 
 def _stepped_frozen(base: Fit, stack: Fit, ln_f: np.ndarray) -> np.ndarray:
     """_frozen_mse on base's stack. base holds the raw imaginary parts of
-    the stack's total reserve (_IM_RESERVE), which reads no sigma^2, and of
-    the total's frozen MSE (_IM_MSE): the one writer of both."""
+    the stack's total reserve, which reads no sigma^2, and of the total's
+    frozen MSE, one (2, 3I-2) record (_STEPPED): its one writer."""
     frozen = _frozen_mse(base, stack, ln_f)
-    _hold(base, _IM_RESERVE, stack.reserve_total.imag.copy())
-    _hold(base, _IM_MSE, frozen[:, -1].imag.copy())
+    base.__dict__[_STEPPED] = _read_only(np.array((stack.reserve_total.imag, frozen[:, -1].imag)))
     return frozen
 
 
@@ -444,16 +443,15 @@ def _stepped_quantile(fit: Fit, q: float) -> np.ndarray:
     """The complex step of the quantile map over the fitted sums, with no
     stack: the map at the fit's total reserve and MSE (a stack's sums round
     them differently), stepped by the raw imaginary parts of the stack's
-    total reserve and of the total's frozen MSE that fit holds (_IM_RESERVE,
-    _IM_MSE), so the step applies the chain rule through the map. Where fit
-    holds neither (no MSE verifier has run on it), one stack steps both and
-    fit holds them (_stepped_frozen)."""
-    held = fit.__dict__
-    if _IM_MSE not in held:
-        stack = _stack(fit, _step(fit))
+    total reserve and of the total's frozen MSE that fit holds (_STEPPED, its
+    one reader), so the step applies the chain rule through the map. Where
+    fit holds no record (no MSE verifier has run on it), one stack writes it."""
+    h = _step(fit)
+    if _STEPPED not in fit.__dict__:
+        stack = _stack(fit, h)
         _stepped_frozen(fit, stack, np.log(stack.factors))
-    reserve, mse = fit.reserve_total + 1j * held[_IM_RESERVE], fit.mse_total + 1j * held[_IM_MSE]
-    return lognormal_quantile(fit_lognormal(reserve, mse), q).imag / _step(fit)
+    reserve, mse = fit.__dict__[_STEPPED]
+    return lognormal_quantile(fit_lognormal(fit.reserve_total + 1j * reserve, fit.mse_total + 1j * mse), q).imag / h
 
 
 def _stepped_mse(base: Fit, stack: Fit) -> np.ndarray:

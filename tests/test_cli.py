@@ -637,6 +637,27 @@ class TestDataErrors:
         assert doc["summary"]["value_of_statistic"] > 0.0
 
 
+class TestNotUtf8:
+    """A triangle or priors file that is not UTF-8 (here Latin-1, its
+    \xe9 an 'e' with an acute accent) is bad data, refused by its role and
+    name with the decoder's cause, as a file that cannot be read is."""
+
+    @pytest.mark.parametrize("command", [["reserves"], ["impact"], ["verify", "--stat", "quantile"]], ids=" ".join)
+    def test_triangle(self, capsys, tmp_path, command):
+        p = tmp_path / "latin.csv"
+        p.write_bytes(b"I=2\n1,2\n3\xe9\n")
+        cause = "'utf-8' codec can't decode byte 0xe9 in position 9: invalid continuation byte"
+        assert run(capsys, command[0], str(p), *command[1:]) == (2, "", f"error: cannot read {p}: {cause}\n")
+
+    @pytest.mark.parametrize("command", [["reserves"], ["impact", "--stat", "bf-total"]], ids=" ".join)
+    def test_priors(self, capsys, tmp_path, command):
+        p = tmp_path / "latin.csv"
+        p.write_bytes(b"1,6.0e8\xe9\n")
+        cause = "'utf-8' codec can't decode byte 0xe9 in position 7: invalid continuation byte"
+        got = run(capsys, command[0], bundled_path(), *command[1:], "--priors", str(p))
+        assert got == (2, "", f"error: cannot read priors {p}: {cause}\n")
+
+
 class TestByteOrderMark:
     """A file saved with a UTF-8 byte-order mark, as spreadsheet "CSV
     UTF-8" exports are, reads as the same file without it."""
@@ -682,6 +703,15 @@ SQUARES_COMMANDS = [  # year 6, whose ultimate squares past the largest double
 # reserves (1.2e308 for each of years 2 to 4) sum past the largest double.
 OVERFLOWING_ULTIMATE = "I=4\n1e-300,1e300,1,1\n1e-300,1e-300,1\n1e-300,1e-300\n1e100\n"
 OVERFLOWING_RESERVE_TOTAL = "I=4\n1,1,1,1.2e308\n1,1,1\n1,1\n1\n"
+# An I = 4 triangle whose sigma^2_1 overflows to inf, so year 4's MSE is
+# inf and the total's inf * 0 = NaN (and where one complex step h for
+# every fitted sum misreads B_1, far below it: verify --stat reserve-ay
+# --year 4 exits 3 on impacts that are right).
+OVERFLOWING_SIGMA = (
+    "I=4\n3.317885548114321e+68,2.458815192647783e+116,1.9397754402600403e+51,5.390711814568673e+139\n"
+    "1035510060857.5759,5.256364548785121e-23,1.1516467043564973e-128\n"
+    "3.0974335492989166e-163,1.517971630576952e+117\n2.671847629323428e+117\n"
+)
 
 
 class TestOverflow:
@@ -745,6 +775,21 @@ class TestOverflow:
             (tmp_path / "priors.csv").write_text("".join(f"{i},1\n" for i in range(1, 5)))
             argv += ["--priors", str(tmp_path / "priors.csv")]
         assert run(capsys, *argv) == (2, "", f"error: {p}: the chain-ladder reserves overflow double precision\n")
+
+    @pytest.mark.parametrize("command", ["impact", "verify"])
+    @pytest.mark.parametrize("target", [["quantile"], ["rmse-total"], ["mse-total"], ["rmse-ay", "--year", "4"],
+                                        ["mse-ay", "--year", "4"]], ids=" ".join)
+    @pytest.mark.parametrize("triangle", [OVERFLOWING_ULTIMATE, OVERFLOWING_SIGMA], ids=["ultimate", "sigma"])
+    def test_a_mack_statistic_whose_mse_overflows_names_the_overflow(self, capsys, tmp_path, triangle, target,
+                                                                     command):
+        """The total MSE of both triangles is NaN, and year 4's MSE NaN on
+        the first and inf on the second: on a triangle validate accepts,
+        only an overflow makes an MSE so, and every Mack statistic that
+        reads it is refused as one, the quantile and the RMSE as the MSE."""
+        p = tmp_path / "t.csv"
+        p.write_text(triangle)
+        want = f"error: {p}: --stat {target[0]} overflows double precision\n"
+        assert run(capsys, command, str(p), "--stat", *target) == (2, "", want)
 
     @pytest.mark.parametrize("command", ["impact", "marginal", "verify", "heatmap"])
     @pytest.mark.parametrize("target", [["bf-total"], ["bf-ay", "--year", "2"]], ids=" ".join)

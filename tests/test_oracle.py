@@ -13,6 +13,7 @@ import golden
 from conftest import build_corpus, proportional_triangle, random_triangle
 from runoff.bornhuetter import PriorUltimates, bf_reserve_values, bf_reserves, default_priors
 from runoff.chainladder import (
+    DevelopmentFactors,
     Fit,
     SigmaEstimates,
     _ahead,
@@ -746,9 +747,10 @@ def assert_same_report(got, want):
 
 @pytest.mark.parametrize("dim", [None, 6, 20])
 def test_verifiers_in_any_order_report_what_a_fresh_triangle_does(dim, belgian):
-    """A triangle keeps the baseline its first verifier fits, and every
-    later verifier on it, in either order, reports what it reports on a
-    fresh copy of the triangle."""
+    """A triangle keeps the baseline its first verifier fits, its
+    cumulated triangle alone, whose fit record holds the factors and
+    sigmas, and every later verifier on it, in either order, reports what
+    it reports on a fresh copy of the triangle."""
     inc = belgian if dim is None else random_triangle(np.random.default_rng([12, dim]), dim)
     calls = every_verifier(inc)
     for order in (list(calls), list(reversed(calls))):
@@ -756,7 +758,9 @@ def test_verifiers_in_any_order_report_what_a_fresh_triangle_does(dim, belgian):
         for name in order:
             fresh = IncrementalTriangle.from_rows(inc.to_rows())
             assert_same_report(calls[name](kept), calls[name](fresh))
-        assert set(kept.__dict__["_baseline"]) == {"cum", "factors", "sigmas"}
+        assert set(vars(kept)) == {"dimension", "values", "_cum"}
+        factors, _, sigmas, _ = kept.__dict__["_cum"].__dict__["_fit"]
+        assert isinstance(factors, DevelopmentFactors) and isinstance(sigmas, SigmaEstimates)
 
 
 def test_a_failed_sigma_fit_is_not_kept():
@@ -930,8 +934,8 @@ def test_the_quantile_verifier_steps_the_totals_the_fit_holds(dim, fit_builds):
     the total MSE in one stack. After the MSE verifier, alone or after the
     reserve-total verifier, it builds nothing: the MSE verifier's stack
     holds the raw imaginary parts of both stepped totals on the baseline
-    fit, read-only and 3I-2 long, and the quantile verifier steps the map
-    by them to the report a fresh triangle gives."""
+    fit, one read-only (2, 3I-2) record, and the quantile verifier steps
+    the map by them to the report a fresh triangle gives."""
     rows = random_triangle(np.random.default_rng([15, dim]), dim).to_rows()
     fit_builds.clear()
     fresh = verify_quantile_impacts(IncrementalTriangle.from_rows(rows), 0.995)
@@ -944,10 +948,8 @@ def test_the_quantile_verifier_steps_the_totals_the_fit_holds(dim, fit_builds):
         fit_builds.clear()
         assert_same_report(verify_quantile_impacts(inc, 0.995), fresh)
         assert fit_builds == [], before
-        fit = _baseline(inc, sigmas=True)[2]
-        for name in (oracle._IM_RESERVE, oracle._IM_MSE):
-            held = fit.__dict__[name]
-            assert held.shape == (3 * dim - 2,) and held.dtype == float and not held.flags.writeable, name
+        held = _baseline(inc, sigmas=True)[2].__dict__[oracle._STEPPED]
+        assert held.shape == (2, 3 * dim - 2) and held.dtype == float and not held.flags.writeable
 
 
 def test_no_false_alarms_on_any_year_at_i_100():

@@ -353,11 +353,12 @@ def test_a_verify_round_computes_each_mse_coefficient_once(monkeypatch, name):
 
 
 def test_every_value_a_fit_keeps_is_timed_by_a_layer_stage():
-    """After a sensitivity report and a verify round, each fit their
-    triangles keep holds in its __dict__ only fields of Fit, values the
-    fit stage computes (FIT_VALUES) and values the impact stages drop
-    before each call (HELD): nothing an impact computes is kept where no
-    stage of bench/layers.py times it."""
+    """After a sensitivity report and a verify round, unheld leaves each
+    fit their triangles keep exactly its fields of Fit and the values of
+    FIT_VALUES it held, which the fit stage computes, and drops all else,
+    the held gradients, coefficients and stepped totals among them:
+    nothing an impact computes is kept where no stage of bench/layers.py
+    times it."""
     layers = load(LAYERS, "bench_layers")
     rows = layers.random_rows(10)
     cums = []
@@ -366,11 +367,19 @@ def test_every_value_a_fit_keeps_is_timed_by_a_layer_stage():
     layers.sensitivity_report(recording, runoff.IncrementalTriangle.from_rows(rows))
     inc = runoff.IncrementalTriangle.from_rows(rows)
     layers.verify_round(runoff, inc)
-    cums.append(inc.__dict__["_baseline"]["cum"])
+    cums.append(inc.__dict__["_cum"])
     fits = [fit for cum in cums for fit in cum.__dict__["_fit"] if isinstance(fit, runoff.Fit)]
-    allowed = {f.name for f in dataclasses.fields(runoff.Fit)} | {*layers.FIT_VALUES, *layers.HELD}
     assert len(fits) == 4 and all(fit.sigma2 is not None for fit in fits[1::2])
-    assert {key for fit in fits for key in vars(fit)} - allowed == set()
+    fields = {f.name for f in dataclasses.fields(runoff.Fit)}
+    kept = fields.union(layers.FIT_VALUES)
+    before = [set(vars(fit)) for fit in fits]
+    assert all({"_reserve", "_mse", "shrink", "mse_diagonal"} <= names for names in before[1::2])
+    assert runoff.oracle._STEPPED in before[3]
+    for cum in cums:
+        assert layers.unheld(runoff, cum, kept, lambda: "called") == "called"
+    assert [set(vars(fit)) for fit in fits] == [names & kept for names in before]
+    assert all(set(vars(fit)) == kept for fit in fits[1::2])
+    assert all(fields <= set(vars(fit)) for fit in fits)
 
 
 # The files whose frames may not run on the op path: numpy's Python wrappers
