@@ -7,8 +7,9 @@ Both trees are loaded in one process, each runoff package in its own set
 of sys.modules entries (bench/layers.py's load and use), and every
 command goes through each tree's cli.main in turn, its stdout and stderr
 captured. The triangles are the bundled file and, written by
-bench/layers.py's write_triangle, its random_rows at I = 12, 40 and
-100, an all-proportional I = 6 (every sigma^2 exactly 0), the I = 3
+bench/layers.py's write_triangle, the Taylor-Ashe example of Mack (1993)
+(tests/published.py), random_rows at I = 12, 40 and 100, an
+all-proportional I = 6 (every sigma^2 exactly 0), the I = 3
 triangle of tests/test_cli.py, too small for a variance scale:
 `reserves` leaves its RMSE column empty there, and the Mack statistics
 are refused; an I = 4 triangle whose first factor overflows, so year 4's ultimate is infinite (`reserves`
@@ -30,8 +31,11 @@ quantile at --q 0.5; and five usage errors. On the bundled triangle
 every command runs a second time with --out naming a temporary file, one
 per tree, and `<command> --help` runs for each of the five commands.
 A handful more (singles) run once: `verify --stat reserve-ay --year 4`
-on the last triangle above, which that h fails, and commands reading a
-triangle and a priors file that are not UTF-8.
+on the last triangle above, which that h fails; commands reading a
+triangle and a priors file that are not UTF-8; `reserves` and `verify
+--stat reserve-total` of the RAA example of Mack (1994), which `validate`
+refuses for its negative increment; and --priors or --q given to a
+statistic that does not read it, on the bundled file.
 Each (exit code, stdout, stderr, bytes written to --out) that differs is
 printed, and the exit code is 1 on any difference, else 0. The triangle
 and --out files go to temporary directories outside the checkout.
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib.util
 import io
 import sys
 import tempfile
@@ -64,7 +69,17 @@ USAGE_ERRORS = (
     ["verify", "--tolerance", "-1"],
     ["heatmap", "--stat", "mse-ay", "--year", "0"],
 )
+# --priors or --q given to a statistic that does not read it.
+UNREAD_FLAGS = (
+    ["impact", "--stat", "reserve-total", "--priors", "/nonexistent.csv"],
+    ["verify", "--stat", "mse-total", "--priors", "/nonexistent.csv"],
+    ["marginal", "--stat", "quantile", "--priors", "cl"],
+    ["impact", "--stat", "reserve-total", "--q", "0.5"],
+    ["verify", "--stat", "bf-total", "--q", "2"],
+    ["heatmap", "--stat", "rmse-ay", "--year", "3", "--q", "0.995"],
+)
 HELP = tuple([command, "--help"] for command in ("reserves", "impact", "marginal", "verify", "heatmap"))
+PUBLISHED = Path(__file__).resolve().parents[1] / "tests" / "published.py"
 OUT = "<out>"  # in an argv, the tree's own --out file
 
 
@@ -113,11 +128,20 @@ def run(tree: dict, argv: list, file: Path) -> tuple:
     return code, out.getvalue(), err.getvalue(), written
 
 
+def published():
+    """tests/published.py of this checkout: the two published Mack examples."""
+    spec = importlib.util.spec_from_file_location("published", PUBLISHED)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def triangles(tree: dict, directory: Path) -> list:
     """The paths of the sweep's triangles: the tree's bundled file, and
     the others written into directory."""
     return [
         str(Path(tree["runoff"].__file__).parent / "data" / "belgian.csv"),
+        write_triangle(directory / "taylorashe10.csv", published().TAYLOR_ASHE.rows()),
         write_triangle(directory / "random12.csv", random_rows(12)),
         write_triangle(directory / "random40.csv", random_rows(40)),
         write_triangle(directory / "random100.csv", random_rows(100)),
@@ -132,15 +156,19 @@ def triangles(tree: dict, directory: Path) -> list:
 
 def singles(paths: list, directory: Path) -> list:
     """The argvs run once: on paths as triangles gives them (the bundled
-    file first, the overflowing sigma^2 triangle last), and on a triangle
-    and a priors file written into directory in Latin-1, not UTF-8."""
+    file first, the overflowing sigma^2 triangle last), on a triangle and a
+    priors file written into directory in Latin-1, not UTF-8, and on RAA
+    written there."""
     triangle, priors = directory / "latin1.csv", directory / "latin1-priors.csv"
     triangle.write_bytes(b"I=2\n1,2\n3\xe9\n")
     priors.write_bytes(b"1,6.0e8\xe9\n")
     latin = [[command, str(triangle)] for command in ("reserves", "impact", "verify")]
     with_priors = [[*argv, "--priors", str(priors)] for argv in (["reserves", paths[0]],
                                                                  ["impact", paths[0], "--stat", "bf-total"])]
-    return [["verify", paths[-1], "--stat", "reserve-ay", "--year", "4"], *latin, *with_priors]
+    raa = write_triangle(directory / "raa10.csv", published().RAA.rows())
+    unread = [[argv[0], paths[0], *argv[1:]] for argv in UNREAD_FLAGS]
+    return [["verify", paths[-1], "--stat", "reserve-ay", "--year", "4"], *latin, *with_priors,
+            ["reserves", raa], ["verify", raa, "--stat", "reserve-total"], *unread]
 
 
 def sweep(trees: list, paths: list, once: list = ()) -> tuple:

@@ -44,7 +44,8 @@ oracle-verify ops on one fresh triangle, where each total is stepped
 once: the quantile verifier steps the map by the stepped total reserve
 and total MSE that the MSE verifier's stack holds on the fit, with no
 stack of its own, and verify_quantile_impacts, on a fresh triangle,
-steps both in one stack.
+steps both in the MSE verifier's stack, whose building blocks and
+plug-in MSEs it does not read.
 The ingest stage reads the triangle through runoff.cli.ingest from a
 file in the CLI's input format, written into a temporary directory by
 write_triangle (which bench/cli_sweep.py uses too); validate checks the

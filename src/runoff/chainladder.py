@@ -98,9 +98,13 @@ def _ahead(per_s: np.ndarray) -> np.ndarray:
 
 
 def _scale(x) -> float:
-    """1, or past 2^500 the power of two near the largest |Re x|: the s at
-    which a product of values at the scale of x is taken (_product)."""
+    """1, or past 2^500 the power of two near the largest finite |Re x|: the
+    s at which a product of values at the scale of x is taken (_product).
+    An entry that is inf or NaN is passed over, so s is at least 1."""
     big = abs(x.real) if isinstance(x, float) else float(np.maximum.reduce(np.abs(x.real), axis=None))
+    if not big < math.inf:  # inf or NaN
+        values = np.abs(np.asarray(x).real)
+        big = float(np.maximum.reduce(values[np.isfinite(values)], initial=0.0))
     return 1.0 if big < 2.0**500 else math.ldexp(1.0, math.frexp(big)[1] - 1)
 
 

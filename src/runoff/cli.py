@@ -292,14 +292,22 @@ def _write(text: str, out: str | None):
         raise UsageError(f"cannot write {out}: {exc}") from exc
 
 
-def _check_target(stat: str, year, inc_dim: int):
-    if stat in PER_YEAR:
-        if year is None:
-            raise UsageError(f"--stat {stat} requires --year")
-        if not 1 <= year <= inc_dim:
-            raise UsageError(f"--year {year} out of range 1..{inc_dim}")
-    elif year is not None:
-        raise UsageError(f"--stat {stat} does not take --year")
+def _check_flags(args, dim: int):
+    """Refuse a --year, --q or --priors that --stat does not read, a missing
+    or out-of-range --year and a --q outside (0, 1); then give --q and
+    --priors, where not given, their defaults 0.995 and cl."""
+    stat, year, q = args.stat, args.year, args.q
+    for flag, given, reads in (("--year", year, stat in PER_YEAR), ("--q", q, stat == "quantile"),
+                               ("--priors", args.priors, _STATISTICS[stat].priors)):
+        if given is not None and not reads:
+            raise UsageError(f"--stat {stat} does not take {flag}")
+    if stat in PER_YEAR and year is None:
+        raise UsageError(f"--stat {stat} requires --year")
+    if year is not None and not 1 <= year <= dim:
+        raise UsageError(f"--year {year} out of range 1..{dim}")
+    if q is not None and not 0.0 < q < 1.0:
+        raise UsageError(f"--q must be in (0, 1), got {q}")
+    args.q, args.priors = 0.995 if q is None else q, "cl" if args.priors is None else args.priors
 
 
 def build_parser() -> _Parser:
@@ -314,8 +322,9 @@ def build_parser() -> _Parser:
         if with_stat:
             p.add_argument("--stat", choices=STATISTICS, default="reserve-total")
             p.add_argument("--year", type=int, default=None)
-            p.add_argument("--q", type=float, default=0.995)
-            p.add_argument("--priors", default="cl", help="priors file or 'cl'")
+            # None where not given, so that one given to a statistic that does not read it is refused
+            p.add_argument("--q", type=float)
+            p.add_argument("--priors", help="priors file or 'cl'")
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("reserves", help="reserve summary per accident year")
@@ -344,12 +353,11 @@ def build_parser() -> _Parser:
 
 def _computed(args) -> tuple:
     """The ingested triangle and compute's impacts, value and prior values
-    for it, once --year and --q suit the statistic; a statistic, its MSE or
-    an impact that overflows double precision is refused as bad data."""
+    for it, once --year, --q and --priors suit the statistic (_check_flags);
+    a statistic, its MSE or an impact that overflows double precision is
+    refused as bad data."""
     inc = ingest(args.input)
-    _check_target(args.stat, args.year, inc.dimension)
-    if not 0.0 < args.q < 1.0:
-        raise UsageError(f"--q must be in (0, 1), got {args.q}")
+    _check_flags(args, inc.dimension)
     try:
         impacts, value, mu = compute(args.stat, inc, args.year, args.q, args.priors)
         finite = math.isfinite(value) and np.logical_and.reduce(np.isfinite(_observed(impacts.values)))

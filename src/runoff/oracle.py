@@ -30,10 +30,10 @@ coefficients its formula holds fixed frozen at the baseline
 (_stepped_mse), picking its targets by one row slice. That stack also
 holds the raw imaginary parts of its total reserve and of the total's
 frozen MSE on the baseline Fit, one (2, 3I-2) record (_STEPPED) that
-_stepped_frozen alone writes: the quantile reads the triangle only
-through those two totals, so its verifier steps the map by them alone
-(_stepped_quantile), with no stack of its own where the fit holds them,
-and that one stack where not.
+_stepped_mse alone writes: the quantile reads the triangle only through
+those two totals, so its verifier steps the map by them alone
+(_stepped_quantile), with no stack of its own where the fit holds them
+and the MSE verifier's where not: every Mack verifier steps that stack.
 
 A cell's rel_error is |a - n| / max(|a|, |n|, I eps S / TOLERANCE), S
 the largest |analytic| of the triangle the cell belongs to: a difference
@@ -247,8 +247,8 @@ def complex_step(fit: Fit, statistic: Callable) -> np.ndarray:
     and must be complex-safe, as the library's array forms are: entry m
     of the stack steps sum m alone by ih (_step), so one stack gives the
     whole gradient, and nothing holds the stack after the call: the MSE
-    verifier holds only the raw imaginary parts of the stack's total
-    reserve and total frozen MSE on fit (_STEPPED).
+    verifier's stack (_stepped_mse) holds only the raw imaginary parts of
+    its total reserve and total frozen MSE on fit (_STEPPED).
     """
     h = _step(fit)
     return (statistic(_stack(fit, h)).imag / h).T
@@ -401,8 +401,8 @@ def verify_quantile_impacts(
     inc: IncrementalTriangle, q: float = 0.995, tolerance: float = TOLERANCE
 ) -> VerificationReport:
     """Complex-step verification of the quantile impact triangle (see
-    _stepped_quantile): no stack once the MSE verifier has run on inc, one
-    otherwise."""
+    _stepped_quantile): no stack once the MSE verifier has run on inc, the
+    MSE verifier's one otherwise."""
     return _verify(inc, "quantile", None, None, q, tolerance)
 
 
@@ -430,26 +430,17 @@ def _pick(by_year: np.ndarray, year: int | None):
 _STEPPED = "_stepped_totals"
 
 
-def _stepped_frozen(base: Fit, stack: Fit, ln_f: np.ndarray) -> np.ndarray:
-    """_frozen_mse on base's stack. base holds the raw imaginary parts of
-    the stack's total reserve, which reads no sigma^2, and of the total's
-    frozen MSE, one (2, 3I-2) record (_STEPPED): its one writer."""
-    frozen = _frozen_mse(base, stack, ln_f)
-    base.__dict__[_STEPPED] = _read_only(np.array((stack.reserve_total.imag, frozen[:, -1].imag)))
-    return frozen
-
-
 def _stepped_quantile(fit: Fit, q: float) -> np.ndarray:
     """The complex step of the quantile map over the fitted sums, with no
     stack: the map at the fit's total reserve and MSE (a stack's sums round
     them differently), stepped by the raw imaginary parts of the stack's
     total reserve and of the total's frozen MSE that fit holds (_STEPPED, its
     one reader), so the step applies the chain rule through the map. Where
-    fit holds no record (no MSE verifier has run on it), one stack writes it."""
+    fit holds no record (no MSE verifier has run on it), the MSE verifier's
+    stack (_stepped_mse) writes it, and what else it steps is dropped."""
     h = _step(fit)
     if _STEPPED not in fit.__dict__:
-        stack = _stack(fit, h)
-        _stepped_frozen(fit, stack, np.log(stack.factors))
+        _stepped_mse(fit, _stack(fit, h))
     reserve, mse = fit.__dict__[_STEPPED]
     return lognormal_quantile(fit_lognormal(fit.reserve_total + 1j * reserve, fit.mse_total + 1j * mse), q).imag / h
 
@@ -457,10 +448,13 @@ def _stepped_quantile(fit: Fit, q: float) -> np.ndarray:
 def _stepped_mse(base: Fit, stack: Fit) -> np.ndarray:
     """What verify_mse_components complex-steps, on the trailing axis: the
     building blocks ln f_s, Chat_q and B_r f_r^2 (3I-2); every year's
-    frozen MSE, then the total's (_stepped_frozen, I+1); and the same I+1
-    as plug-in MSEs, with base's sigma2, which the stack has."""
+    frozen MSE, then the total's (_frozen_mse, I+1); and the same I+1 as
+    plug-in MSEs, with base's sigma2, which the stack has. It alone writes
+    base's record (_STEPPED) of the stack's total reserve, which reads no
+    sigma^2, and the total's frozen MSE."""
     ln_f = np.log(stack.factors)
-    frozen = _stepped_frozen(base, stack, ln_f)
+    frozen = _frozen_mse(base, stack, ln_f)
+    base.__dict__[_STEPPED] = _read_only(np.array((stack.reserve_total.imag, frozen[:, -1].imag)))
     return np.concatenate(
         (ln_f, stack.ult, stack.den * stack.factors**2, frozen, stack.mse_by_year, stack.mse_total[..., None]), axis=-1
     )

@@ -376,6 +376,32 @@ class TestMse:
         with pytest.raises(IndexError, match=r"accident year 0 out of range 1\.\.10$"):
             mse_accident_year(cum, factors, sigmas, 0)
 
+    @pytest.mark.parametrize("values", [math.inf, math.nan, np.array([math.inf, 1.0]), np.array([math.nan, -math.inf])],
+                             ids=["inf", "nan", "inf-and-one", "no-finite"])
+    def test_the_product_scale_of_a_value_that_is_not_finite_is_at_least_one(self, values):
+        """frexp(inf) is (inf, 0), which read as the scale 0.5."""
+        assert chainladder._scale(values) == 1.0
+
+    def test_the_product_scale_passes_over_what_is_not_finite(self):
+        finite = np.array([1e300, 1.0, 2e-300])
+        assert chainladder._scale(np.append(finite, math.inf)) == chainladder._scale(finite) == 2.0**996
+        assert chainladder._scale(np.append(finite, math.nan) + 1j) == 2.0**996
+
+    def test_year_one_of_an_overflowing_ultimate_reads_zero(self):
+        """Year 4's ultimate is inf, so the scale of the Mack products once
+        read 0.5 and ult_1 (1/s) ult_1 (1/s) overflowed before it met w_1 = 0:
+        year 1, with no development ahead, read NaN where its MSE is 0."""
+        inc = IncrementalTriangle.from_rows([[1e-300, 1e300, 1, 1], [1e-300, 1e-300, 1], [1e-300, 1e-300], [1e100]])
+        cum = cumulate(inc)
+        with np.errstate(over="ignore", invalid="ignore"):
+            factors = estimate_development_factors(cum)
+            sigmas = estimate_sigmas(cum, factors)
+            fit = Fit.of(cum.values, factors.values, sigmas.values)
+            by_year = fit.mse_by_year
+            assert mse_accident_year(cum, factors, sigmas, 1) == 0.0
+        assert fit.ult[-1] == math.inf and fit.scale == 2.0**996
+        assert by_year[:2].tolist() == [0.0, 0.0] and np.isnan(by_year[2:]).all()
+
 
 class TestMackSummary:
     def test_bundle_is_consistent(self, belgian):

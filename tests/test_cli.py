@@ -443,6 +443,28 @@ class TestUsageErrors:
         assert code == 1
         assert "--q" in err
 
+    @pytest.mark.parametrize("command", ["impact", "marginal", "verify", "heatmap"])
+    @pytest.mark.parametrize("stat", ["reserve-total", "mse-total", "rmse-ay", "quantile"])
+    def test_priors_on_a_statistic_that_reads_none(self, capsys, command, stat):
+        """Refused like --year on a total, before the file is opened."""
+        year = ["--year", "3"] if stat in PER_YEAR else []
+        got = run(capsys, command, bundled_path(), "--stat", stat, *year, "--priors", "/nonexistent.csv")
+        assert got == (1, "", f"usage error: --stat {stat} does not take --priors\n")
+
+    @pytest.mark.parametrize("command", ["impact", "marginal", "verify", "heatmap"])
+    @pytest.mark.parametrize("stat", ["reserve-total", "bf-ay", "mse-total", "rmse-total"])
+    @pytest.mark.parametrize("q", ["0.5", "2"])
+    def test_q_on_a_statistic_other_than_the_quantile(self, capsys, command, stat, q):
+        """A level nothing reads is refused, in range or not."""
+        year = ["--year", "3"] if stat in PER_YEAR else []
+        got = run(capsys, command, bundled_path(), "--stat", stat, *year, "--q", q)
+        assert got == (1, "", f"usage error: --stat {stat} does not take --q\n")
+
+    def test_the_defaults_of_q_and_priors_are_the_given_ones(self, capsys):
+        for argv in (["--stat", "quantile", "--q", "0.995"], ["--stat", "bf-ay", "--year", "4", "--priors", "cl"]):
+            want = run(capsys, "verify", bundled_path(), *argv[:-2], "--format", "json")
+            assert want[0] == 0 and run(capsys, "verify", bundled_path(), *argv, "--format", "json") == want
+
     def test_unknown_statistic(self, capsys):
         code, _, err = run(capsys, "impact", bundled_path(), "--stat", "nope")
         assert code == 1
@@ -763,6 +785,24 @@ class TestOverflow:
         doc = json.loads(out)
         assert code == 0 and doc["summary"]["rmse_total"] is None
         assert [y["rmse"] for y in doc["years"]] == [0.0] + [None] * 3
+
+    @pytest.mark.parametrize("year", ["1", "2"])
+    def test_a_year_with_no_development_ahead_reads_a_zero_mse(self, capsys, tmp_path, year):
+        """Year 4's ultimate is inf, so years 3 and 4 overflow. Year 1, with
+        no development ahead, and year 2, whose sigma^2 ahead is 0, read an
+        MSE of 0: its impacts are 0, they pass the oracle, and the RMSE is
+        refused by its own rule. Year 1 once read NaN here, and was refused
+        as an overflow."""
+        p = tmp_path / "t.csv"
+        p.write_text(OVERFLOWING_ULTIMATE)
+        code, out, err = run(capsys, "impact", str(p), "--stat", "mse-ay", "--year", year)
+        cells = [f"{k},{j},0" for k in range(1, 5) for j in range(1, 6 - k)]
+        assert code == 0 and err == "" and out.splitlines()[1:] == cells
+        code, out, err = run(capsys, "verify", str(p), "--stat", "mse-ay", "--year", year)
+        assert code == 0 and err == "" and out.endswith("result: PASS\n")
+        for command in ("impact", "verify"):
+            got = run(capsys, command, str(p), "--stat", "rmse-ay", "--year", year)
+            assert got == (2, "", "error: rmse-ay impact undefined: mse = 0.0\n")
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("priors", [False, True], ids=["cl-priors", "priors-file"])

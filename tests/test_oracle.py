@@ -931,15 +931,22 @@ def stacks(fit_builds) -> int:
 @pytest.mark.parametrize("dim", [10, 20])
 def test_the_quantile_verifier_steps_the_totals_the_fit_holds(dim, fit_builds):
     """On a fresh triangle the quantile verifier steps the total reserve and
-    the total MSE in one stack. After the MSE verifier, alone or after the
-    reserve-total verifier, it builds nothing: the MSE verifier's stack
-    holds the raw imaginary parts of both stepped totals on the baseline
-    fit, one read-only (2, 3I-2) record, and the quantile verifier steps
-    the map by them to the report a fresh triangle gives."""
+    the total MSE in one stack, the MSE verifier's: it leaves, bit for bit,
+    the record the MSE verifier leaves on a fresh copy. After the MSE
+    verifier, alone or after the reserve-total verifier, it builds nothing:
+    the MSE verifier's stack holds the raw imaginary parts of both stepped
+    totals on the baseline fit, one read-only (2, 3I-2) record, and the
+    quantile verifier steps the map by them to the report a fresh triangle
+    gives."""
     rows = random_triangle(np.random.default_rng([15, dim]), dim).to_rows()
     fit_builds.clear()
-    fresh = verify_quantile_impacts(IncrementalTriangle.from_rows(rows), 0.995)
+    inc = IncrementalTriangle.from_rows(rows)
+    fresh = verify_quantile_impacts(inc, 0.995)
     assert stacks(fit_builds) == 1 and len(fit_builds) == 2  # the baseline fit and the stack
+    copy = IncrementalTriangle.from_rows(rows)
+    verify_mse_components(copy)
+    got, want = (_baseline(t, sigmas=True)[2].__dict__[oracle._STEPPED] for t in (inc, copy))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     for before in (("reserve-total", "mse-components"), ("mse-components",)):
         inc = IncrementalTriangle.from_rows(rows)
