@@ -28,11 +28,11 @@ from runoff.bornhuetter import PriorUltimates, bf_reserves, default_priors
 from runoff.chainladder import _baseline
 from runoff.impact import (ORDER_ONE_STATISTICS, ImpactTriangle, _check_mse, _impact, impact_rmse,
                            marginal_contributions)
-from runoff.oracle import _STATISTICS, TOLERANCE, _verify
+from runoff.oracle import _STATISTICS, TOLERANCE, _per_year, _verify
 from runoff.triangle import IncrementalTriangle, _cells, _from_cells, _observed, _records, validate
 
 STATISTICS = tuple(_STATISTICS)
-PER_YEAR = frozenset(s for s in STATISTICS if s.endswith("-ay"))
+PER_YEAR = frozenset(filter(_per_year, STATISTICS))
 
 
 class UsageError(Exception):
@@ -146,10 +146,9 @@ def compute(stat: str, inc: IncrementalTriangle, year, q: float, priors_src: str
     if entry.sigmas and not math.isfinite(_STATISTICS["mse-total"].value(fit, year, None, q)):
         raise OverflowError(f"the MSE of --stat {stat} is not finite")
     mu = load_priors(priors_src, cum, factors).values if entry.priors else None
-    rmse = stat.startswith("rmse")
-    impacts = _impact(stat.removeprefix("r") if rmse else stat, year, entry.grad(fit, year, mu, q))
+    impacts = _impact(entry.root or stat, year, entry.grad(fit, year, mu, q))
     value = float(entry.value(fit, year, mu, q))
-    if rmse:
+    if entry.root:
         _check_mse(f"{stat} impact", value, not np.logical_or.reduce(fit.sigma2))
         return impact_rmse(value, impacts), math.sqrt(value), None
     return impacts, value, mu
@@ -293,15 +292,15 @@ def _write(text: str, out: str | None):
 
 
 def _check_flags(args, dim: int):
-    """Refuse a --year, --q or --priors that --stat does not read, a missing
-    or out-of-range --year and a --q outside (0, 1); then give --q and
-    --priors, where not given, their defaults 0.995 and cl."""
-    stat, year, q = args.stat, args.year, args.q
-    for flag, given, reads in (("--year", year, stat in PER_YEAR), ("--q", q, stat == "quantile"),
-                               ("--priors", args.priors, _STATISTICS[stat].priors)):
+    """Refuse a --year, --q or --priors that --stat does not read (its entry
+    of _STATISTICS, and _per_year), a missing or out-of-range --year and a
+    --q outside (0, 1); then default --q to 0.995 and --priors to cl."""
+    stat, year, q, entry = args.stat, args.year, args.q, _STATISTICS[args.stat]
+    for flag, given, reads in (("--year", year, _per_year(stat)), ("--q", q, entry.quantile),
+                               ("--priors", args.priors, entry.priors)):
         if given is not None and not reads:
             raise UsageError(f"--stat {stat} does not take {flag}")
-    if stat in PER_YEAR and year is None:
+    if _per_year(stat) and year is None:
         raise UsageError(f"--stat {stat} requires --year")
     if year is not None and not 1 <= year <= dim:
         raise UsageError(f"--year {year} out of range 1..{dim}")
@@ -320,7 +319,7 @@ def build_parser() -> _Parser:
         p.set_defaults(handler=handler)
         p.add_argument("input", help="triangle file (I=<n> header, ragged rows)")
         if with_stat:
-            p.add_argument("--stat", choices=STATISTICS, default="reserve-total")
+            p.add_argument("--stat", choices=tuple(_STATISTICS), default="reserve-total")
             p.add_argument("--year", type=int, default=None)
             # None where not given, so that one given to a statistic that does not read it is refused
             p.add_argument("--q", type=float)

@@ -20,9 +20,9 @@ a NaN verdict from a step that is not finite raises ValueError (_verify).
 Every verifier compares an analytic gradient with the complex step of
 the statistic it is the gradient of, the gradient read from the one
 table of the statistics (_STATISTICS, year None the total), which the
-CLI computes them from too, on one path (_verify): the step of the
-refit reserves, of the lognormal quantile map, or for the MSE and RMSE
-the MSE verifier's (_mse_components).
+CLI computes them from too, on one path (_verify): the complex step of
+its value (the refit reserves), its own numeric (the quantile map's), or
+for the MSE and RMSE the MSE verifier's (_mse_components).
 The MSE impacts hold sigma^2 fixed and substitute the estimation error
 after differentiation, so the MSE verifier alone steps the MSE with the
 coefficients its formula holds fixed frozen at the baseline
@@ -47,8 +47,9 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
+from collections.abc import Callable
 from dataclasses import InitVar, dataclass, field
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -295,7 +296,7 @@ def verify_reserve_impacts(
         raise ValueError(
             f"unknown statistic {statistic!r}; expected one of {', '.join(RESERVE_STATISTICS)}"
         )
-    per_year, takes_priors = statistic.endswith("-ay"), _STATISTICS[statistic].priors
+    per_year, takes_priors = _per_year(statistic), _STATISTICS[statistic].priors
     if per_year and year is None:
         raise ValueError(f"{statistic} needs an accident year")
     if not per_year and year is not None:
@@ -309,20 +310,24 @@ def verify_reserve_impacts(
 
 def _verify(inc: IncrementalTriangle, name: str, year, mu, q, tolerance: float) -> VerificationReport:
     """The report on statistic name of _STATISTICS at year (None: the total)
-    from inc's baseline: its grad against its numeric, or where the entry
-    has none (the MSE and RMSE) the MSE verifier's (_mse_components),
-    labelled mse-components. A NaN verdict where the step is not finite
-    but the analytic is raises ValueError naming name."""
+    from inc's baseline: its grad against its numeric (None: the complex step
+    of its value), or for the MSE's component protocol the MSE verifier's
+    (_mse_components), labelled mse-components. A NaN verdict where the step
+    is not finite but the analytic is, or a note not finite, raises ValueError naming name."""
     entry = _STATISTICS[name]
     _, _, fit = _baseline(inc, entry.sigmas)
-    if entry.numeric is None:
+    if entry.components:
         label, (analytic, numeric, notes) = "mse-components", _mse_components(fit, year)
-    else:
-        analytic = entry.grad(fit, year, mu, q)  # first, to refuse a year or priors before any step
-        label, numeric, notes = name, entry.numeric(fit, year, mu, q), {}
+    else:  # grad first, to refuse a year or priors before any step
+        label, analytic, notes = name, entry.grad(fit, year, mu, q), {}
+        numeric = (entry.numeric(fit, year, mu, q) if entry.numeric
+                   else complex_step(fit, lambda stack: entry.value(stack, year, mu, q)))
     report = VerificationReport(label, tolerance, analytic, numeric, notes)
     if math.isnan(report.max_rel_error) and (np.isfinite(analytic) & ~np.isfinite(numeric)).any():
         raise ValueError(f"{name}: the complex step is not finite where the analytic gradient is")
+    for note, value in notes.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name}: the note {note} is not finite")
     return report
 
 
@@ -406,18 +411,13 @@ def verify_quantile_impacts(
     return _verify(inc, "quantile", None, None, q, tolerance)
 
 
-class _Statistic(NamedTuple):
-    """A statistic over a Fit: value(fit, year, mu, q), complex-safe over batch
-    axes, of year (None: the total) with priors mu and quantile level q; grad
-    and numeric(fit, year, mu, q), its gradient over the 3I-2 fitted sums and
-    the oracle's complex step of it (None for the MSE: _verify checks its
-    impacts by _mse_components); whether it needs sigmas, priors."""
-
-    value: Callable
-    grad: Callable
-    numeric: Callable | None = None
-    sigmas: bool = False
-    priors: bool = False
+# A statistic over a Fit: value(fit, year, mu, q), complex-safe over batch axes, of year (None: the
+# total) with priors mu and quantile level q; grad and numeric(fit, year, mu, q), its gradient over the
+# 3I-2 fitted sums and the oracle's step of it (None: the complex step of value); whether _verify checks
+# it by the MSE's component protocol (_mse_components) and it reads sigmas, priors and q (--q); and for
+# an RMSE root, the name of its MSE, whose value it reads and whose impacts the CLI maps by impact_rmse.
+_Statistic = namedtuple("_Statistic", "value grad numeric components sigmas priors quantile root",
+                        defaults=(None, False, False, False, False, None))
 
 
 def _pick(by_year: np.ndarray, year: int | None):
@@ -463,25 +463,29 @@ def _stepped_mse(base: Fit, stack: Fit) -> np.ndarray:
 _RESERVE = _Statistic(
     lambda fit, year, mu, q: fit.reserve_total if year is None else fit.reserves[..., year - 1],
     lambda fit, year, mu, q: _reserve(fit, year),
-    lambda fit, *args: complex_step(fit, lambda stack: _RESERVE.value(stack, *args)),
 )
 _BF = _Statistic(
     lambda fit, year, mu, q: _pick(bf_reserve_values(fit.fprod, mu), year),
     lambda fit, year, mu, q: _bf(fit, year, mu),
-    lambda fit, *args: complex_step(fit, lambda stack: _BF.value(stack, *args)),
     priors=True,
 )
 _MSE = _Statistic(
     lambda fit, year, mu, q: fit.mse_total if year is None else fit.mse_by_year[..., year - 1],
     lambda fit, year, mu, q: _mse(fit, year),
-    sigmas=True,
+    components=True, sigmas=True,
 )
 _QUANTILE = _Statistic(
     lambda fit, year, mu, q: lognormal_quantile(fit_lognormal(fit.reserve_total, fit.mse_total), q),
     lambda fit, year, mu, q: _quantile(fit, q),
     lambda fit, year, mu, q: _stepped_quantile(fit, q),
-    sigmas=True,
+    sigmas=True, quantile=True,
 )
-# keyed by the CLI's --stat, in its order; an RMSE statistic is its MSE's, mapped by impact_rmse
+# keyed by the CLI's --stat, in its order
 _STATISTICS = {"reserve-ay": _RESERVE, "reserve-total": _RESERVE, "bf-ay": _BF, "bf-total": _BF, "mse-ay": _MSE,
-               "mse-total": _MSE, "rmse-ay": _MSE, "rmse-total": _MSE, "quantile": _QUANTILE}
+               "mse-total": _MSE, "rmse-ay": _MSE._replace(root="mse-ay"),
+               "rmse-total": _MSE._replace(root="mse-total"), "quantile": _QUANTILE}
+
+
+def _per_year(name: str) -> bool:
+    """Whether the statistic of _STATISTICS named name is of one accident year (--year): its name ends in -ay."""
+    return name.endswith("-ay")

@@ -212,19 +212,15 @@ def cumulate(inc: IncrementalTriangle) -> CumulativeTriangle:
 
 
 def decumulate(cum: CumulativeTriangle) -> IncrementalTriangle:
-    """Inverse of cumulate. Rejects rows that decrease, naming the first
-    such cell in row-major order."""
+    """Inverse of cumulate. A row may fall; a negative cumulative value is
+    rejected, naming the first such cell in row-major order."""
     values = cum.values
-    later = observed_mask(cum.dimension)[:, 1:]
-    falls = later & (values[:, 1:] < values[:, :-1])
-    if np.logical_or.reduce(falls, axis=None):
-        i, j = np.unravel_index(falls.argmax(), falls.shape)
-        raise ValueError(
-            f"cumulative claims decrease at ({i + 1}, {j + 2}): "
-            f"{values[i, j + 1]} < {values[i, j]}"
-        )
+    negative = observed_mask(cum.dimension) & (values < 0)
+    if np.logical_or.reduce(negative, axis=None):
+        i, j = np.unravel_index(negative.argmax(), negative.shape)
+        raise ValueError(f"negative cumulative claims at ({i + 1}, {j + 1}): {values[i, j]}")
     arr = np.array(values)
-    np.subtract(values[:, 1:], values[:, :-1], out=arr[:, 1:], where=later)
+    np.subtract(values[:, 1:], values[:, :-1], out=arr[:, 1:], where=observed_mask(cum.dimension)[:, 1:])
     return IncrementalTriangle(cum.dimension, arr)
 
 
@@ -232,13 +228,16 @@ def validate(inc: IncrementalTriangle) -> list:
     """Diagnostics for an incremental triangle; empty list means valid.
 
     Checks: a dimension below 2, alone (no factor can be estimated, as
-    the CLI's ingest refuses it too); missing, non-finite and negative
-    observed cells, populated future cells, and zero or overflowing column
-    partial sums on the cumulated triangle (these sums appear as
-    denominators downstream, and every fitted sum is one of them). Bad
-    cells are reported in row-major order; bad partial sums, sought only
-    when no cell is bad, column by column and down each column, an
-    overflowing column at its first row.
+    the CLI's ingest refuses it too); missing and non-finite observed
+    cells and populated future cells; then negative cumulative cells,
+    sought only when no cell is bad (an increment may be negative, as
+    long as its row's claims to date are not: the variance weights and
+    every column sum stay >= 0); then zero or overflowing column partial
+    sums on the cumulated triangle, sought only when none is negative
+    (these sums appear as denominators downstream, and every fitted sum
+    is one of them). Bad cells are reported in row-major order; bad
+    partial sums column by column and down each column, an overflowing
+    column at its first row.
     """
     if inc.dimension < 2:
         return [f"dimension must be at least 2, got {inc.dimension}"]
@@ -249,7 +248,6 @@ def validate(inc: IncrementalTriangle) -> list:
     checks = {
         "missing observed cell ({}, {})": observed & missing,
         "non-finite cell ({}, {}): {}": observed & np.isinf(values),
-        "negative cell ({}, {}): {}": observed & (values < 0),
         "unexpected future cell ({}, {}): {}": ~observed & ~missing,
     }
     messages = list(checks)
@@ -257,17 +255,23 @@ def validate(inc: IncrementalTriangle) -> list:
     rows, cols = (kind >= 0).nonzero()
     cells = zip(rows.tolist(), cols.tolist(), kind[rows, cols].tolist(), values[rows, cols])
     problems = [messages[m].format(i + 1, j + 1, v) for i, j, m, v in cells]
-    if not problems:
-        with np.errstate(over="ignore"):  # reported, at its first row
-            partial = cumulate_values(values).cumsum(axis=0)
-        over = np.isinf(partial) & (np.isinf(partial).cumsum(axis=0) == 1)
-        cols, rows = (observed & ((partial == 0.0) | over)).T.nonzero()
-        problems = [
-            f"{'overflowing' if over[p, j] else 'zero'} column partial sum: "
-            f"column {j + 1}, rows 1..{p + 1}"
-            for j, p in zip(cols.tolist(), rows.tolist())
-        ]
-    return problems
+    if problems:
+        return problems
+    with np.errstate(over="ignore"):  # reported, at its first row
+        cum = cumulate_values(values)
+        partial = cum.cumsum(axis=0)
+    rows, cols = (observed & (cum < 0)).nonzero()
+    problems = [f"negative cumulative cell ({i + 1}, {k + 1}): {v}"
+                for i, k, v in zip(rows.tolist(), cols.tolist(), cum[rows, cols])]
+    if problems:
+        return problems
+    over = np.isinf(partial) & (np.isinf(partial).cumsum(axis=0) == 1)
+    cols, rows = (observed & ((partial == 0.0) | over)).T.nonzero()
+    return [
+        f"{'overflowing' if over[p, j] else 'zero'} column partial sum: "
+        f"column {j + 1}, rows 1..{p + 1}"
+        for j, p in zip(cols.tolist(), rows.tolist())
+    ]
 
 
 def column_partial_sum(cum: CumulativeTriangle, j: int, p: int) -> float:

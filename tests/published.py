@@ -11,9 +11,8 @@ and standard errors, 0.1 for sigma, 3 decimals for factors), and it
 equals the published figure as recalled. A figure found to differ from
 a printed table is a finding to report, not a bound to loosen.
 
-RAA holds one negative increment, row 2's -103 at development year 7, so
-validate refuses it and the CLI with it; IncrementalTriangle.from_rows
-builds it as it is.
+RAA holds one negative increment, row 2's -103 at development year 7,
+and no negative cumulative cell, so validate and the CLI take it.
 """
 
 from typing import NamedTuple

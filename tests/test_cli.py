@@ -10,7 +10,7 @@ import pytest
 from conftest import bundled_path, proportional_triangle
 from runoff import chainladder, cli
 from runoff.cli import PER_YEAR, STATISTICS, _label, main
-from runoff.oracle import COLUMNS, verify_mse_components
+from runoff.oracle import _RESERVE, COLUMNS, _Statistic, verify_mse_components
 from runoff.triangle import Container, IncrementalTriangle, observed_mask
 from test_oracle import OVERFLOWING_MSE_STEP, OVERFLOWING_STEP, near_proportional
 
@@ -270,9 +270,9 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert err == f"error: {stat[0]}: the complex step is not finite where the analytic gradient is\n"
 
-    def test_a_statistic_with_no_numeric_goes_to_the_mse_verifier(self, capsys, monkeypatch):
-        """The route is the entry's numeric field of _STATISTICS, not the name."""
-        monkeypatch.setitem(cli._STATISTICS, "quantile", cli._STATISTICS["quantile"]._replace(numeric=None))
+    def test_a_statistic_of_the_component_protocol_goes_to_the_mse_verifier(self, capsys, monkeypatch):
+        """The route is the entry's components field of _STATISTICS, not the name."""
+        monkeypatch.setitem(cli._STATISTICS, "quantile", cli._STATISTICS["quantile"]._replace(components=True))
         code, out, _ = run(capsys, "verify", bundled_path(), "--stat", "quantile")
         assert code == 0 and out.startswith("statistic: mse-components\n")
 
@@ -487,6 +487,41 @@ class TestUsageErrors:
         assert "cannot write" in err
 
 
+class TestANewEntry:
+    """Entries added to the oracle's _STATISTICS run through main with no
+    other edit, each as its fields and its name say: the choices, the flag
+    checks and the verifier all read the table."""
+
+    @pytest.fixture(autouse=True)
+    def table(self, monkeypatch):
+        monkeypatch.setitem(cli._STATISTICS, "q-alias", cli._STATISTICS["quantile"])
+        monkeypatch.setitem(cli._STATISTICS, "alias-ay", cli._STATISTICS["reserve-ay"])
+        monkeypatch.setitem(cli._STATISTICS, "stepped-total", _Statistic(_RESERVE.value, _RESERVE.grad))
+
+    def same_as(self, capsys, stat, like, *flags):
+        """impact of stat writes what like's does, and verify's report is
+        like's under stat's label; both exit 0."""
+        for command in ("impact", "verify"):
+            got = run(capsys, command, bundled_path(), "--stat", stat, *flags)
+            want = run(capsys, command, bundled_path(), "--stat", like, *flags)
+            assert got == (0, want[1].replace(f"statistic: {like}\n", f"statistic: {stat}\n"), ""), command
+
+    def test_an_alias_of_the_quantile_takes_q(self, capsys):
+        self.same_as(capsys, "q-alias", "quantile", "--q", "0.9")
+        got = run(capsys, "impact", bundled_path(), "--stat", "stepped-total", "--q", "0.9")
+        assert got == (1, "", "usage error: --stat stepped-total does not take --q\n")
+
+    def test_an_alias_named_per_year_requires_year(self, capsys):
+        self.same_as(capsys, "alias-ay", "reserve-ay", "--year", "3")
+        got = run(capsys, "impact", bundled_path(), "--stat", "alias-ay")
+        assert got == (1, "", "usage error: --stat alias-ay requires --year\n")
+
+    def test_an_entry_of_value_and_grad_is_verified_by_the_step_of_its_value(self, capsys):
+        self.same_as(capsys, "stepped-total", "reserve-total")
+        code, out, _ = run(capsys, "verify", bundled_path(), "--stat", "stepped-total")
+        assert code == 0 and out.startswith("statistic: stepped-total\n") and out.endswith("result: PASS\n")
+
+
 class TestDataErrors:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "reserves", "/no/such/file.csv")
@@ -557,11 +592,13 @@ class TestDataErrors:
         assert inc.values.flags.owndata and not inc.values.flags.writeable
 
     def test_negative_cell_rejected(self, capsys, tmp_path):
+        """A negative cumulative cell is refused by name; a negative
+        increment whose row stays >= 0 is not."""
         p = tmp_path / "neg.csv"
-        p.write_text("I=3\n1,2,3\n-4,5\n6\n")
-        code, _, err = run(capsys, "reserves", str(p))
-        assert code == 2
-        assert "negative cell" in err
+        p.write_text("I=3\n1,2,3\n4,-5\n6\n")
+        assert run(capsys, "reserves", str(p)) == (2, "", f"error: {p}: negative cumulative cell (2, 2): -1.0\n")
+        p.write_text("I=3\n1,2,3\n4,-3\n6\n")
+        assert run(capsys, "reserves", str(p))[0] == 0
 
     def test_non_finite_cell_rejected(self, capsys, tmp_path):
         p = tmp_path / "inf.csv"
@@ -790,16 +827,18 @@ class TestOverflow:
     def test_a_year_with_no_development_ahead_reads_a_zero_mse(self, capsys, tmp_path, year):
         """Year 4's ultimate is inf, so years 3 and 4 overflow. Year 1, with
         no development ahead, and year 2, whose sigma^2 ahead is 0, read an
-        MSE of 0: its impacts are 0, they pass the oracle, and the RMSE is
-        refused by its own rule. Year 1 once read NaN here, and was refused
-        as an overflow."""
+        MSE of 0: its impacts are 0, and the RMSE is refused by its own rule.
+        Year 1 once read NaN here, and was refused as an overflow. Their
+        verification reads a verdict of 0, but the building blocks' steps
+        overflow, so a note is NaN and the verification is refused; it
+        once passed with that NaN note."""
         p = tmp_path / "t.csv"
         p.write_text(OVERFLOWING_ULTIMATE)
         code, out, err = run(capsys, "impact", str(p), "--stat", "mse-ay", "--year", year)
         cells = [f"{k},{j},0" for k in range(1, 5) for j in range(1, 6 - k)]
         assert code == 0 and err == "" and out.splitlines()[1:] == cells
-        code, out, err = run(capsys, "verify", str(p), "--stat", "mse-ay", "--year", year)
-        assert code == 0 and err == "" and out.endswith("result: PASS\n")
+        got = run(capsys, "verify", str(p), "--stat", "mse-ay", "--year", year)
+        assert got == (2, "", "error: mse-ay: the note d_ultimate_max_rel is not finite\n")
         for command in ("impact", "verify"):
             got = run(capsys, command, str(p), "--stat", "rmse-ay", "--year", year)
             assert got == (2, "", "error: rmse-ay impact undefined: mse = 0.0\n")

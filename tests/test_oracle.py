@@ -455,6 +455,21 @@ def test_an_mse_step_that_overflows_is_refused(year, stat):
             verify_mse_components(inc, year=year)
 
 
+# I=4 rows whose year 4 ultimate overflows: years 1 and 2 read an MSE of 0
+# and a verdict of 0, but the building blocks' steps overflow
+OVERFLOWING_ULTIMATE = [[1e-300, 1e300, 1.0, 1.0], [1e-300, 1e-300, 1.0], [1e-300, 1e-300], [1e100]]
+
+
+@pytest.mark.parametrize("year", [1, 2])
+def test_a_note_that_is_not_finite_is_refused(year):
+    """Not a pass on a NaN note: ValueError names the statistic and the
+    first note that is not finite."""
+    inc = IncrementalTriangle.from_rows(OVERFLOWING_ULTIMATE)
+    with np.errstate(over="ignore", invalid="ignore"):  # as the CLI runs it
+        with pytest.raises(ValueError, match="^mse-ay: the note d_ultimate_max_rel is not finite$"):
+            verify_mse_components(inc, year=year)
+
+
 class TestVerifyMseComponents:
     def test_bundled(self, belgian):
         report = verify_mse_components(belgian)
@@ -1093,7 +1108,7 @@ def test_a_report_maps_as_the_impacts_do(dim, belgian):
         "quantile": lambda _: impact_quantile(cum, factors, sigmas, 0.995),
     }
     years = (1, dim // 2, dim)
-    for name in (name for name, entry in _STATISTICS.items() if entry.numeric):
+    for name in (name for name, entry in _STATISTICS.items() if not entry.components):
         for year in years if name.endswith("-ay") else (None,):
             report = _verify(inc, name, year, priors.values, 0.995, TOLERANCE)
             want = public[name](year).values[observed_mask(dim)]

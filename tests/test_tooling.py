@@ -123,6 +123,20 @@ def test_import_loads_every_library_module():
     assert out.stdout == "True\n"
 
 
+def test_the_library_imports_no_typing():
+    """No runoff module imports typing: its annotations are strings, and
+    its named tuple is collections.namedtuple. numpy 2 loads typing
+    itself, so this saves import time only beside a numpy that does not."""
+    imported = set()
+    for path in (ROOT / "src" / "runoff").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module.partition(".")[0])
+    assert "collections" in imported and "typing" not in imported
+
+
 def readme_quick_start() -> list:
     """The argv of each `runoff` line of the README's CLI quick start."""
     text = (ROOT / "README.md").read_text()

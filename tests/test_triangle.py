@@ -206,11 +206,13 @@ class TestCumulate:
             np.nan_to_num(back.values), np.nan_to_num(tri.values)
         )
 
-    def test_decumulate_rejects_decreasing(self):
-        cum = CumulativeTriangle(
-            2, np.array([[10.0, 5.0], [3.0, np.nan]])
-        )
-        with pytest.raises(ValueError, match=r"decrease at \(1, 2\)"):
+    def test_decumulate_accepts_a_falling_row(self):
+        cum = CumulativeTriangle(2, np.array([[10.0, 5.0], [3.0, np.nan]]))
+        assert decumulate(cum).to_rows() == [[10.0, -5.0], [3.0]]
+
+    def test_decumulate_rejects_a_negative_cumulative_value(self):
+        cum = CumulativeTriangle(2, np.array([[10.0, -5.0], [3.0, np.nan]]))
+        with pytest.raises(ValueError, match=r"^negative cumulative claims at \(1, 2\): -5.0$"):
             decumulate(cum)
 
 
@@ -238,8 +240,11 @@ class TestValidate:
         assert validate(tri) == ["missing observed cell (2, 2)"]
 
     def test_negative_cell(self):
-        tri = small().with_cell(2, 2, -1.0)
-        assert validate(tri) == ["negative cell (2, 2): -1.0"]
+        """A negative cumulative cell is refused, by its cumulative value; a
+        negative increment whose row stays >= 0 is valid."""
+        tri = small().with_cell(2, 2, -200.0)
+        assert validate(tri) == [f"negative cumulative cell (2, 2): {tri.cell(2, 1) - 200.0}"]
+        assert validate(small().with_cell(2, 2, -1.0)) == []
 
     def test_non_finite_cells(self):
         tri = small().with_cell(1, 1, np.inf).with_cell(2, 2, -np.inf)
@@ -292,12 +297,11 @@ def loop_decumulate(cum):
     dim = cum.dimension
     arr = np.array(cum.values)
     for i in range(1, dim + 1):
+        for j in range(1, dim - i + 2):
+            if cum.values[i - 1, j - 1] < 0:
+                raise ValueError(f"negative cumulative claims at ({i}, {j}): {cum.values[i - 1, j - 1]}")
+    for i in range(1, dim + 1):
         for j in range(2, dim - i + 2):
-            if cum.values[i - 1, j - 1] < cum.values[i - 1, j - 2]:
-                raise ValueError(
-                    f"cumulative claims decrease at ({i}, {j}): "
-                    f"{cum.values[i - 1, j - 1]} < {cum.values[i - 1, j - 2]}"
-                )
             arr[i - 1, j - 1] = cum.values[i - 1, j - 1] - cum.values[i - 1, j - 2]
     return arr
 
@@ -315,12 +319,16 @@ def loop_validate(inc):
                     problems.append(f"missing observed cell ({i}, {j})")
                 elif not np.isfinite(v):
                     problems.append(f"non-finite cell ({i}, {j}): {v}")
-                elif v < 0:
-                    problems.append(f"negative cell ({i}, {j}): {v}")
             elif not np.isnan(v):
                 problems.append(f"unexpected future cell ({i}, {j}): {v}")
+    if problems:
+        return problems
+    cum = cumulate(inc)
+    for i in range(1, dim + 1):
+        for j in range(1, dim - i + 2):
+            if cum.values[i - 1, j - 1] < 0:
+                problems.append(f"negative cumulative cell ({i}, {j}): {cum.values[i - 1, j - 1]}")
     if not problems:
-        cum = cumulate(inc)
         for j in range(1, dim + 1):
             running = 0.0
             for p in range(1, dim - j + 2):
