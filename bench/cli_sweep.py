@@ -33,7 +33,11 @@ every command runs a second time with --out naming a temporary file, one
 per tree, and `<command> --help` runs for each of the five commands.
 A handful more (singles) run once: `verify --stat reserve-ay --year 4`
 on the last triangle above, which that h fails; commands reading a
-triangle and a priors file that are not UTF-8; and --priors or --q given
+triangle and a priors file that are not UTF-8; `reserves`, `impact` and
+`verify` of each MALFORMED triangle (a wrong count of values, a bad
+token in the first or the last row, a bad token before a short row, an
+empty token, tokens float() reads that a strict decimal reader would
+refuse, and an inf, which validate refuses); and --priors or --q given
 to a statistic that does not read it, on the bundled file.
 Each (exit code, stdout, stderr, bytes written to --out) that differs is
 printed, and the exit code is 1 on any difference, else 0. The triangle
@@ -77,6 +81,16 @@ UNREAD_FLAGS = (
     ["verify", "--stat", "bf-total", "--q", "2"],
     ["heatmap", "--stat", "rmse-ay", "--year", "3", "--q", "0.995"],
 )
+# Triangle files that ingest refuses, or accepts token by token as float() reads it.
+MALFORMED = {
+    "count.csv": "I=3\n1,2,3\n4,5,6\n7\n",
+    "token-first-row.csv": "I=3\n1,x,3\n4,5\n6\n",
+    "token-last-row.csv": "I=3\n1,2,3\n4,5\n6y\n",
+    "token-before-short-row.csv": "I=3\n1,q,3\n4\n6\n",
+    "empty-token.csv": "I=3\n1,2,3\n4,\n6\n",
+    "float-tokens.csv": "I=3\n1_000, 2.5 ,\u0661\u0662\n4,5\n6\n",
+    "inf.csv": "I=3\n1,2,3\n4,inf\n6\n",
+}
 HELP = tuple([command, "--help"] for command in ("reserves", "impact", "marginal", "verify", "heatmap"))
 PUBLISHED = Path(__file__).resolve().parents[1] / "tests" / "published.py"
 OUT = "<out>"  # in an argv, the tree's own --out file
@@ -157,15 +171,19 @@ def triangles(tree: dict, directory: Path) -> list:
 def singles(paths: list, directory: Path) -> list:
     """The argvs run once: on paths as triangles gives them (the bundled
     file first, the overflowing sigma^2 triangle last), on a triangle and a
-    priors file written into directory in Latin-1, not UTF-8."""
+    priors file written into directory in Latin-1, not UTF-8, and on the
+    MALFORMED triangles written there in UTF-8."""
     triangle, priors = directory / "latin1.csv", directory / "latin1-priors.csv"
     triangle.write_bytes(b"I=2\n1,2\n3\xe9\n")
     priors.write_bytes(b"1,6.0e8\xe9\n")
-    latin = [[command, str(triangle)] for command in ("reserves", "impact", "verify")]
+    for name, text in MALFORMED.items():
+        (directory / name).write_text(text, encoding="utf-8")
+    raw = [triangle, *(directory / name for name in MALFORMED)]
+    ingested = [[command, str(path)] for path in raw for command in ("reserves", "impact", "verify")]
     with_priors = [[*argv, "--priors", str(priors)] for argv in (["reserves", paths[0]],
                                                                  ["impact", paths[0], "--stat", "bf-total"])]
     unread = [[argv[0], paths[0], *argv[1:]] for argv in UNREAD_FLAGS]
-    return [["verify", paths[-1], "--stat", "reserve-ay", "--year", "4"], *latin, *with_priors, *unread]
+    return [["verify", paths[-1], "--stat", "reserve-ay", "--year", "4"], *ingested, *with_priors, *unread]
 
 
 def sweep(trees: list, paths: list, once: list = ()) -> tuple:

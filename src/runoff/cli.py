@@ -32,7 +32,6 @@ from runoff.oracle import _STATISTICS, TOLERANCE, _per_year, _verify
 from runoff.triangle import IncrementalTriangle, _cells, _from_cells, _observed, _records, validate
 
 STATISTICS = tuple(_STATISTICS)
-PER_YEAR = frozenset(filter(_per_year, STATISTICS))
 
 
 class UsageError(Exception):
@@ -60,27 +59,13 @@ def _lines(path: str, what: str) -> list:
         raise DataError(f"cannot read {what}: {exc}") from exc
 
 
-def _bad_row(path: str, rows: list) -> DataError:
-    """The error of the first of the data rows that holds a wrong count of
-    values (row i of n holds n-i+1) or a token float() refuses, by row and
-    column."""
-    for i, row in enumerate(rows, start=1):
-        tokens = row.split(",")
-        if len(tokens) != len(rows) - i + 1:
-            return DataError(f"{path}: row {i}: expected {len(rows) - i + 1} values, got {len(tokens)}")
-        for j, tok in enumerate(tokens, start=1):
-            try:
-                float(tok)
-            except ValueError:
-                return DataError(f"{path}: row {i}, column {j}: not a number: {tok.strip()!r}")
-
-
 def ingest(path: str) -> IncrementalTriangle:
     """Parse the triangle file: `I=<n>` header, then n ragged rows of
-    incremental values, row i holding n-i+1 comma-separated numbers,
-    converted by numpy at once and written onto the observed cells of the
-    triangle it builds in place (_from_cells); a bad row is named by
-    _bad_row."""
+    incremental values, row i holding n-i+1 comma-separated numbers, read
+    row by row, token by token, as float() reads it, and written onto the
+    observed cells of the triangle it builds in place (_from_cells). The
+    first row in file order that holds a wrong count of values, or a token
+    float() refuses (by column), is refused, and no later row is read."""
     lines = [ln for _, ln in _lines(path, path)]
     if not lines:
         raise DataError(f"{path}: empty input file")
@@ -97,13 +82,17 @@ def ingest(path: str) -> IncrementalTriangle:
         raise DataError(
             f"{path}: expected {dim} data rows after the header, got {len(lines) - 1}"
         )
-    rows = lines[1:]
-    try:  # numpy converts each token as float() does
-        numbers = np.array(",".join(rows).split(","), dtype=float)
-    except ValueError:
-        numbers = None
-    if numbers is None or any(row.count(",") != dim - i for i, row in enumerate(rows, start=1)):
-        raise _bad_row(path, rows)
+    numbers = []
+    for i, row in enumerate(lines[1:], start=1):
+        tokens = row.split(",")
+        if len(tokens) != dim - i + 1:
+            raise DataError(f"{path}: row {i}: expected {dim - i + 1} values, got {len(tokens)}")
+        read = iter(tokens)
+        try:
+            numbers += map(float, read)
+        except ValueError:
+            j = len(tokens) - len(list(read))  # map stops at the token float() refused
+            raise DataError(f"{path}: row {i}, column {j}: not a number: {tokens[j - 1].strip()!r}") from None
     inc = _from_cells(numbers, dim)
     problems = validate(inc)
     if problems:

@@ -9,8 +9,8 @@ import pytest
 
 from conftest import bundled_path, proportional_triangle
 from runoff import chainladder, cli
-from runoff.cli import PER_YEAR, STATISTICS, _label, main
-from runoff.oracle import _RESERVE, COLUMNS, _Statistic, verify_mse_components
+from runoff.cli import STATISTICS, _label, main
+from runoff.oracle import _RESERVE, COLUMNS, _per_year, _Statistic, verify_mse_components
 from runoff.triangle import Container, IncrementalTriangle, observed_mask
 from test_oracle import OVERFLOWING_MSE_STEP, OVERFLOWING_STEP, near_proportional
 
@@ -291,7 +291,7 @@ class TestVerifyCommand:
                           else rng.choice([0.0, 1.0, 1e6, 5e-324, 1e308], n)).tolist())
             path = rows_file(tmp_path, [[next(cells) for _ in range(dim - i)] for i in range(dim)], f"t{t}.csv")
             for stat, fmt in itertools.product(STATISTICS, ("text", "json")):
-                year = ["--year", str(dim)] if stat in PER_YEAR else []
+                year = ["--year", str(dim)] if _per_year(stat) else []
                 code, out, err = run(capsys, "verify", path, "--stat", stat, *year, "--format", fmt)
                 nan_verdict = "max relative error: nan" in out or '"max_rel_error": NaN' in out
                 assert not (code == 3 and nan_verdict), (t, stat, fmt)
@@ -407,7 +407,7 @@ class TestHeatmapCommand:
         bundled triangle (the MSE ones reach 1.8e15) holds at most 17
         significant digits."""
         for stat in STATISTICS:
-            for year in (2, 5, 10) if stat in PER_YEAR else (None,):
+            for year in (2, 5, 10) if _per_year(stat) else (None,):
                 argv = [command, bundled_path(), "--stat", stat, "--format", "svg"]
                 code, out, _ = run(capsys, *argv, *(["--year", str(year)] if year else []))
                 assert code == 0
@@ -447,7 +447,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("stat", ["reserve-total", "mse-total", "rmse-ay", "quantile"])
     def test_priors_on_a_statistic_that_reads_none(self, capsys, command, stat):
         """Refused like --year on a total, before the file is opened."""
-        year = ["--year", "3"] if stat in PER_YEAR else []
+        year = ["--year", "3"] if _per_year(stat) else []
         got = run(capsys, command, bundled_path(), "--stat", stat, *year, "--priors", "/nonexistent.csv")
         assert got == (1, "", f"usage error: --stat {stat} does not take --priors\n")
 
@@ -456,7 +456,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("q", ["0.5", "2"])
     def test_q_on_a_statistic_other_than_the_quantile(self, capsys, command, stat, q):
         """A level nothing reads is refused, in range or not."""
-        year = ["--year", "3"] if stat in PER_YEAR else []
+        year = ["--year", "3"] if _per_year(stat) else []
         got = run(capsys, command, bundled_path(), "--stat", stat, *year, "--q", q)
         assert got == (1, "", f"usage error: --stat {stat} does not take --q\n")
 
@@ -563,7 +563,8 @@ class TestDataErrors:
         ("1,2,3\n4,5\n", "expected 3 data rows after the header, got 2"),
         ("1,2,3\n4,,\n6", "row 2: expected 2 values, got 3"),
         ("1,2,3\n4,\n6", "row 2, column 2: not a number: ''"),
-    ], ids=["token", "hex", "count-first", "rows", "count-after-empty", "empty"])
+        ("1,2,3\n4,5\n6y", "row 3, column 1: not a number: '6y'"),
+    ], ids=["token", "hex", "count-first", "rows", "count-after-empty", "empty", "last-row"])
     def test_the_first_bad_row_is_named(self, capsys, tmp_path, rows, message):
         """The first row in file order with a wrong count of values or a
         token float() refuses is named, by column for a token, and later
@@ -745,13 +746,13 @@ class TestByteOrderMark:
 OVERFLOWING_SUMS = "I=4\n1e308,1e308,1,1\n1,1,1\n1,1\n1\n"
 OVERFLOWING_MSE = "I=4\n1e200,2e200,1e200,1e199\n1.1e200,2e200,1e200\n1.2e200,2.1e200\n1.3e200\n"
 STAT_COMMANDS = [
-    [command, "--stat", stat, *(["--year", "3"] if stat in PER_YEAR else [])]
+    [command, "--stat", stat, *(["--year", "3"] if _per_year(stat) else [])]
     for command in ("impact", "marginal", "verify", "heatmap")
     for stat in STATISTICS
 ]
 
 SQUARES_COMMANDS = [  # year 6, whose ultimate squares past the largest double
-    [command, "--stat", stat, *(["--year", "6"] if stat in PER_YEAR else [])]
+    [command, "--stat", stat, *(["--year", "6"] if _per_year(stat) else [])]
     for command in ("impact", "verify")
     for stat in ("mse-ay", "mse-total", "rmse-ay", "rmse-total", "quantile")
 ]

@@ -12,9 +12,9 @@ import pytest
 
 from published import EXAMPLES
 from runoff import IncrementalTriangle, validate
-from runoff.cli import PER_YEAR, STATISTICS, main
+from runoff.cli import STATISTICS, main
 from runoff.chainladder import estimate_development_factors, estimate_sigmas, mse_accident_year, mse_total, reserves
-from runoff.oracle import verify_mse_components, verify_quantile_impacts, verify_reserve_impacts
+from runoff.oracle import _per_year, verify_mse_components, verify_quantile_impacts, verify_reserve_impacts
 from runoff.triangle import cumulate
 from test_exact import MACK_BOUNDS, mack_errors
 
@@ -74,6 +74,6 @@ def test_the_cli_gives_the_published_figures_and_every_verification_passes(name,
     assert tuple(round(year["rmse"]) for year in doc["years"][1:]) == example.se_by_year
     dim = doc["I"]
     for stat in STATISTICS:
-        for year in [["--year", str(i)] for i in range(2, dim + 1)] if stat in PER_YEAR else [[]]:
+        for year in [["--year", str(i)] for i in range(2, dim + 1)] if _per_year(stat) else [[]]:
             code, out = main(["verify", str(path), "--stat", stat, *year]), capsys.readouterr().out
             assert code == 0 and out.endswith("result: PASS\n"), (stat, year, out)
