@@ -6,7 +6,12 @@ output that differs.
 Both trees are loaded in one process, each runoff package in its own set
 of sys.modules entries (bench/layers.py's load and use), and every
 command goes through each tree's cli.main in turn, its stdout and stderr
-captured. The triangles are the bundled file and, written by
+captured. A few commands (closed_argvs) also run as fresh `python -m
+runoff.cli` processes of each tree, its src on PYTHONPATH, whose stdout
+is closed at once, buffered and unbuffered, so how a process ends
+(runoff.cli.run) is compared too: its exit code and stderr.
+
+The triangles are the bundled file and, written by
 bench/layers.py's write_triangle, the Taylor-Ashe and RAA examples of
 Mack (1993, 1994) (tests/published.py; RAA holds a negative increment),
 random_rows at I = 12, 40 and 100, an
@@ -31,6 +36,10 @@ text and json and with --tolerance 1e-14; `impact` and `verify` of the
 quantile at --q 0.5; and five usage errors. On the bundled triangle
 every command runs a second time with --out naming a temporary file, one
 per tree, and `<command> --help` runs for each of the five commands.
+The closed-stdout processes run a passing and a failing `verify` of the
+bundled triangle, `verify --format json` of random100.csv (larger than
+stdout's buffer), `reserves` of a file that is not there, `--help` and
+`reserves --help`.
 A handful more (singles) run once: `verify --stat reserve-ay --year 4`
 on the last triangle above, which that h fails; commands reading a
 triangle and a priors file that are not UTF-8; `reserves`, `impact` and
@@ -50,6 +59,8 @@ import argparse
 import contextlib
 import importlib.util
 import io
+import os
+import subprocess
 import sys
 import tempfile
 import traceback
@@ -141,6 +152,39 @@ def run(tree: dict, argv: list, file: Path) -> tuple:
     return code, out.getvalue(), err.getvalue(), written
 
 
+def closed(src: str, argv: list, unbuffered: bool) -> tuple:
+    """(exit code, stdout, stderr, bytes written) of a fresh `python -m
+    runoff.cli argv` of the tree src, buffered or not, whose stdout is
+    closed at once: its stdout reads "" and nothing is written."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"} | {"PYTHONPATH": str(Path(src).resolve())}
+    proc = subprocess.Popen([sys.executable, "-m", "runoff.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env | ({"PYTHONUNBUFFERED": "1"} if unbuffered else {}), text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    return proc.wait(), "", err, None
+
+
+def closed_argvs(paths: list, directory: Path) -> list:
+    """The argvs each tree runs as a process with stdout closed, on paths
+    as triangles gives them and a file directory does not hold."""
+    large = next(path for path in paths if Path(path).name == "random100.csv")
+    return [["verify", paths[0]], ["verify", paths[0], "--tolerance", "0"], ["verify", large, "--format", "json"],
+            ["reserves", str(directory / "missing.csv")], ["--help"], ["reserves", "--help"]]
+
+
+def closed_sweep(srcs: list, argvs: list) -> tuple:
+    """(processes run per tree, the differing ones as (argv, outputs per
+    tree)) of closed on each argv, buffered and then unbuffered; the argv
+    of a difference starts with how stdout was buffered."""
+    differ = []
+    for argv in argvs:
+        for unbuffered in (False, True):
+            outputs = [closed(src, argv, unbuffered) for src in srcs]
+            if any(o != outputs[0] for o in outputs[1:]):
+                differ.append(([f"[closed, {'un' if unbuffered else ''}buffered]", *argv], outputs))
+    return 2 * len(argvs), differ
+
+
 def published():
     """tests/published.py of this checkout: the two published Mack examples."""
     spec = importlib.util.spec_from_file_location("published", PUBLISHED)
@@ -215,13 +259,14 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         paths = triangles(trees[0], Path(tmp))
         count, differ = sweep(trees, paths, singles(paths, Path(tmp)))
-    for argv, outputs in differ:
+        processes, closed_differ = closed_sweep(args.src, closed_argvs(paths, Path(tmp)))
+    for argv, outputs in differ + closed_differ:
         print(" ".join(Path(a).name for a in argv) + ":")  # a triangle by its file name
         for src, (code, out, err, written) in zip(args.src, outputs):
             wrote = "" if written is None else f", {len(written)} bytes to --out"
             print(f"  {src}: exit {code}, {len(out)} chars out{wrote}, stderr {err[-200:]!r}")
-    print(f"{count} commands, {len(differ)} differ")
-    return 1 if differ else 0
+    print(f"{count} commands, {len(differ)} differ; {processes} closed-stdout processes, {len(closed_differ)} differ")
+    return 1 if differ or closed_differ else 0
 
 
 if __name__ == "__main__":

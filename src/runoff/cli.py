@@ -9,9 +9,9 @@ among them), 3 verification failure.
 
 main is the in-process API; run is the one process entry (the `runoff`
 console script and `python -m runoff.cli`). It ends the process without
-the interpreter's teardown collection, and where stdout is closed before
-the document is written (`runoff verify ... | head -1`), it prints
-nothing more and exits with the command's code (see run).
+the interpreter's teardown collection. A closed stdout (`runoff verify
+... | head -1`) is checked once, by run's flush after main: the process
+prints nothing more and exits with the command's code (see run).
 """
 
 from __future__ import annotations
@@ -267,11 +267,15 @@ def render_svg(impacts: ImpactTriangle) -> str:
 
 
 def _write(text: str, out: str | None):
-    """text to stdout, flushed, so a closed stdout raises here, or to the
-    file out."""
+    """text to stdout, flushed, or to the file out. Where stdout's reader
+    is gone, the BrokenPipeError of that write is dropped: whatever of
+    text is still in stdout's buffer is left to run's one flush."""
     if out is None:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            pass
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
@@ -373,8 +377,8 @@ def cmd_reserves(args) -> tuple:
     *rmse, total_rmse = (math.sqrt(m) if math.isfinite(m) else None for m in mse)
     if fit.sigma2 is not None and None in (*rmse, total_rmse):
         print("note: rmse left empty where the MSE overflows double precision", file=sys.stderr)
-    columns = (np.arange(1, dim + 1), fit.latest, fit.ult, fit.reserves, np.array(rmse), bf_by_year)
-    columns = [c.tolist() for c in columns]
+    columns = [list(range(1, dim + 1)), fit.latest.tolist(), fit.ult.tolist(), fit.reserves.tolist(), rmse,
+               bf_by_year.tolist()]
     summary = {"reserve_total": total, "rmse_total": total_rmse, "bf_total": bf_tot}
     if args.format == "json":
         return _json({"statistic": "reserves", "I": dim, "years": _records(keys, columns), "summary": summary}), 0
@@ -414,19 +418,14 @@ def cmd_verify(args) -> tuple:
 
 
 def main(argv=None) -> int:
-    """Run one command in this process and return its exit code. Where
-    stdout's reader is gone, the BrokenPipeError of the write is raised
-    with the command's exit code as its exit_code."""
+    """Run one command in this process and return its exit code, also
+    where stdout's reader is gone (see _write)."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused or left empty
             text, code = args.handler(args)
-        try:
-            _write(text, args.out)
-        except BrokenPipeError as exc:
-            exc.exit_code = code
-            raise
+        _write(text, args.out)
         return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -451,34 +450,26 @@ def run():
     exit no longer runs, which CPython never guaranteed; --out is written
     and closed inside a with block.
 
-    Where stdout's reader has closed, os.devnull takes stdout's
-    descriptor, as Python's documentation advises for SIGPIPE, so nothing
-    more is printed, and the process exits with the command's code. That
-    holds for argparse's exit after --help too: its text, which may still
-    sit in stdout's buffer, is flushed here, and the exit code is
-    argparse's.
+    After main, or argparse's exit after --help, stdout is flushed once:
+    the one check of a closed stdout. Where its reader has closed and text
+    is still buffered, that flush raises, and os.devnull takes stdout's
+    descriptor, as Python's documentation advises for SIGPIPE, so the
+    interpreter's own flush at exit prints nothing more. The process exits
+    with the command's code, or argparse's, either way. Where stdout was
+    never open (sys.stdout is None), there is nothing to flush.
     """
     try:
         code = main()
     except SystemExit as exc:  # --help
         code = exc.code
-        try:
-            sys.stdout.flush()
-        except BrokenPipeError:
-            _to_devnull()
-    except BrokenPipeError as exc:
-        if not hasattr(exc, "exit_code"):  # not main's write to stdout
-            raise
-        _to_devnull()
-        code = exc.exit_code
     finally:
         gc.freeze()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
-
-
-def _to_devnull():
-    """Point stdout's descriptor at os.devnull: its reader has closed."""
-    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 if __name__ == "__main__":

@@ -4,9 +4,11 @@ which ends through runoff.cli.run.
 Every run is a fresh interpreter with runoff importable from src. The
 README quick-start commands, --help and one command per failing exit
 code must write what in-process main writes: stdout, stderr, the --out
-bytes and the exit code. All the runs of this module are started by one
-module fixture, two at a time, the largest (15.8 MB of JSON at I=60)
-first, so the module adds about the wall time of its runs over two.
+bytes and the exit code; with stdout closed, or never open, a process
+writes nothing more and keeps its exit code. All the runs of this module
+are started by one module fixture, two at a time, the two largest (15.8
+MB of JSON at I=60, read whole and closed at once) first, so the module
+adds about the wall time of its runs over two.
 """
 
 import os
@@ -49,17 +51,27 @@ ATEXIT = (
     "atexit.register(lambda: print('atexit: json', 'json' in sys.modules, file=sys.stderr)); "
     "runpy.run_module('runoff.cli', run_name='__main__', alter_sys=True)"
 )
-# name -> (argv, keyword arguments of child): every run of this module. A
-# closed run's stdout is closed before the command writes, as `| head -c 10`
-# does; the buffered one's document is still in stdout's buffer when the
-# command returns, the unbuffered one's is written at once.
+# A child whose sys.stdout is None, as Python leaves it where descriptor 1
+# was never open (`runoff ... >&-`), then runs the CLI as -m does.
+NO_STDOUT = "import runpy, sys; sys.stdout = None; runpy.run_module('runoff.cli', run_name='__main__', alter_sys=True)"
+LARGE_JSON = ["verify", LARGE, "--stat", "mse-total", "--format", "json"]
+CLOSED = {"unbuffered": False, "close_stdout": True}
+# name -> (argv, keyword arguments of child): every run of this module, the
+# two large ones first. A closed run's stdout is closed before the command
+# writes, as `| head -c 10` does; the buffered one's document is still in
+# stdout's buffer when the command returns, unless it is larger than that
+# buffer (closed-buffered-large-json), and the unbuffered one's is written
+# at once.
 RUNS = {
-    "large-json": (["verify", LARGE, "--stat", "mse-total", "--format", "json"], {}),
+    "large-json": (LARGE_JSON, {}),
+    "closed-buffered-large-json": (LARGE_JSON, CLOSED),
     **{name: (argv, {}) for name, (_, argv) in COMMANDS.items()},
-    "closed-buffered-text": (["verify", TRI, "--tolerance", "0"], {"unbuffered": False, "close_stdout": True}),
+    "closed-buffered-text": (["verify", TRI, "--tolerance", "0"], CLOSED),
     "closed-unbuffered-json": (["verify", TRI, "--format", "json"], {"close_stdout": True}),
-    "closed-buffered-help": (["--help"], {"unbuffered": False, "close_stdout": True}),
-    "closed-buffered-command-help": (["reserves", "--help"], {"unbuffered": False, "close_stdout": True}),
+    "closed-buffered-help": (["--help"], CLOSED),
+    "closed-buffered-command-help": (["reserves", "--help"], CLOSED),
+    "closed-buffered-data-error": (COMMANDS["data-error"][1], CLOSED),
+    "no-stdout-data-error": (COMMANDS["data-error"][1], {"code": NO_STDOUT}),
     "atexit-csv": (["reserves", TRI], {"code": ATEXIT}),
     "atexit-json": (["reserves", TRI, "--format", "json"], {"code": ATEXIT}),
 }
@@ -128,22 +140,27 @@ def test_a_large_document_is_piped_whole(processes, large):
 
 
 @pytest.mark.parametrize("name, code", [
-    ("closed-buffered-text", 3), ("closed-unbuffered-json", 0),
+    ("closed-buffered-text", 3), ("closed-unbuffered-json", 0), ("closed-buffered-large-json", 0),
     ("closed-buffered-help", 0), ("closed-buffered-command-help", 0),
 ])
 def test_a_closed_stdout_exits_with_the_commands_code_and_prints_nothing(processes, name, code):
     assert processes[name] == (code, b"", b"", None)
 
 
-def test_main_raises_on_a_closed_stdout_with_the_commands_code(monkeypatch):
+@pytest.mark.parametrize("name", ["closed-buffered-data-error", "no-stdout-data-error"])
+def test_a_failing_command_without_a_reader_writes_its_error_alone(name, processes):
+    """A closed stdout, or none at all, leaves the command's exit code and
+    its error on stderr as they are."""
+    assert processes[name] == processes["data-error"]
+
+
+def test_main_returns_the_commands_code_on_a_closed_stdout(monkeypatch):
     class Closed:
         def write(self, text):
             raise BrokenPipeError(32, "Broken pipe")
 
     monkeypatch.setattr(sys, "stdout", Closed())
-    with pytest.raises(BrokenPipeError) as exc:
-        main(["verify", TRI, "--tolerance", "0"])
-    assert exc.value.exit_code == 3
+    assert main(["verify", TRI, "--tolerance", "0"]) == 3
 
 
 @pytest.mark.parametrize("name, loaded", [("atexit-csv", False), ("atexit-json", True)])
