@@ -8,8 +8,10 @@ of sys.modules entries (bench/layers.py's load and use), and every
 command goes through each tree's cli.main in turn, its stdout and stderr
 captured. A few commands (closed_argvs) also run as fresh `python -m
 runoff.cli` processes of each tree, its src on PYTHONPATH, whose stdout
-is closed at once, buffered and unbuffered, so how a process ends
-(runoff.cli.run) is compared too: its exit code and stderr.
+takes nothing (STDOUTS): a pipe closed at once, buffered and unbuffered,
+a descriptor 1 never open (`>&-`), and /dev/full where it exists; so how
+a process writes and ends (runoff.cli run and _write) is compared too:
+its exit code and stderr.
 
 The triangles are the bundled file and, written by
 bench/layers.py's write_triangle, the Taylor-Ashe and RAA examples of
@@ -36,10 +38,10 @@ text and json and with --tolerance 1e-14; `impact` and `verify` of the
 quantile at --q 0.5; and five usage errors. On the bundled triangle
 every command runs a second time with --out naming a temporary file, one
 per tree, and `<command> --help` runs for each of the five commands.
-The closed-stdout processes run a passing and a failing `verify` of the
-bundled triangle, `verify --format json` of random100.csv (larger than
-stdout's buffer), `reserves` of a file that is not there, `--help` and
-`reserves --help`.
+The processes without a usable stdout run a passing and a failing
+`verify` of the bundled triangle, `verify --format json` of
+random100.csv (larger than stdout's buffer), `reserves` of a file that
+is not there, `--help` and `reserves --help`.
 A handful more (singles) run once: `verify --stat reserve-ay --year 4`
 on the last triangle above, which that h fails; commands reading a
 triangle and a priors file that are not UTF-8; `reserves`, `impact` and
@@ -105,6 +107,10 @@ MALFORMED = {
 HELP = tuple([command, "--help"] for command in ("reserves", "impact", "marginal", "verify", "heatmap"))
 PUBLISHED = Path(__file__).resolve().parents[1] / "tests" / "published.py"
 OUT = "<out>"  # in an argv, the tree's own --out file
+FULL = "/dev/full"  # every write to it fails with ENOSPC
+# How closed_sweep gives a process its stdout: a pipe closed at once, buffered
+# and unbuffered; never open (descriptor 1 closed, as `>&-` leaves it); FULL.
+STDOUTS = ("closed, buffered", "closed, unbuffered", "never open") + (("full",) if os.path.exists(FULL) else ())
 
 
 def proportional_rows(dim: int = 6) -> list:
@@ -152,20 +158,25 @@ def run(tree: dict, argv: list, file: Path) -> tuple:
     return code, out.getvalue(), err.getvalue(), written
 
 
-def closed(src: str, argv: list, unbuffered: bool) -> tuple:
+def process(src: str, argv: list, stdout: str) -> tuple:
     """(exit code, stdout, stderr, bytes written) of a fresh `python -m
-    runoff.cli argv` of the tree src, buffered or not, whose stdout is
-    closed at once: its stdout reads "" and nothing is written."""
+    runoff.cli argv` of the tree src, its stdout given as the STDOUTS entry
+    stdout names: its stdout reads "" and nothing is written."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"} | {"PYTHONPATH": str(Path(src).resolve())}
-    proc = subprocess.Popen([sys.executable, "-m", "runoff.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            env=env | ({"PYTHONUNBUFFERED": "1"} if unbuffered else {}), text=True)
-    proc.stdout.close()
-    err = proc.stderr.read()
+    env |= {"PYTHONUNBUFFERED": "1"} if stdout == "closed, unbuffered" else {}
+    never_open = (lambda: os.close(1)) if stdout == "never open" else None  # run in the child before Python starts
+    with open(FULL, "wb") if stdout == "full" else contextlib.nullcontext(subprocess.PIPE) as sink:
+        proc = subprocess.Popen([sys.executable, "-m", "runoff.cli", *argv], stdout=sink, stderr=subprocess.PIPE,
+                                env=env, text=True, preexec_fn=never_open)
+    if proc.stdout is not None:
+        proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
     return proc.wait(), "", err, None
 
 
 def closed_argvs(paths: list, directory: Path) -> list:
-    """The argvs each tree runs as a process with stdout closed, on paths
+    """The argvs each tree runs as a process for each of STDOUTS, on paths
     as triangles gives them and a file directory does not hold."""
     large = next(path for path in paths if Path(path).name == "random100.csv")
     return [["verify", paths[0]], ["verify", paths[0], "--tolerance", "0"], ["verify", large, "--format", "json"],
@@ -174,15 +185,15 @@ def closed_argvs(paths: list, directory: Path) -> list:
 
 def closed_sweep(srcs: list, argvs: list) -> tuple:
     """(processes run per tree, the differing ones as (argv, outputs per
-    tree)) of closed on each argv, buffered and then unbuffered; the argv
-    of a difference starts with how stdout was buffered."""
+    tree)) of process on each argv, for each of STDOUTS; the argv of a
+    difference starts with how stdout was given."""
     differ = []
     for argv in argvs:
-        for unbuffered in (False, True):
-            outputs = [closed(src, argv, unbuffered) for src in srcs]
+        for stdout in STDOUTS:
+            outputs = [process(src, argv, stdout) for src in srcs]
             if any(o != outputs[0] for o in outputs[1:]):
-                differ.append(([f"[closed, {'un' if unbuffered else ''}buffered]", *argv], outputs))
-    return 2 * len(argvs), differ
+                differ.append(([f"[{stdout}]", *argv], outputs))
+    return len(STDOUTS) * len(argvs), differ
 
 
 def published():
@@ -265,7 +276,7 @@ def main(argv=None) -> int:
         for src, (code, out, err, written) in zip(args.src, outputs):
             wrote = "" if written is None else f", {len(written)} bytes to --out"
             print(f"  {src}: exit {code}, {len(out)} chars out{wrote}, stderr {err[-200:]!r}")
-    print(f"{count} commands, {len(differ)} differ; {processes} closed-stdout processes, {len(closed_differ)} differ")
+    print(f"{count} commands, {len(differ)} differ; {processes} processes without a usable stdout, {len(closed_differ)} differ")
     return 1 if differ or closed_differ else 0
 
 

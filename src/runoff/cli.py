@@ -8,10 +8,10 @@ statistic, or a verifier's complex step, that overflows double precision
 among them), 3 verification failure.
 
 main is the in-process API; run is the one process entry (the `runoff`
-console script and `python -m runoff.cli`). It ends the process without
-the interpreter's teardown collection. A closed stdout (`runoff verify
-... | head -1`) is checked once, by run's flush after main: the process
-prints nothing more and exits with the command's code (see run).
+console script and `python -m runoff.cli`), ending it without the
+interpreter's teardown collection. _write writes the document: a stdout
+closed (`runoff verify ... | head -1`) or never open takes nothing and the
+code is kept; any other failed write, to stdout or --out, exits 1.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import gc
 import math
 import os
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -267,21 +268,27 @@ def render_svg(impacts: ImpactTriangle) -> str:
 
 
 def _write(text: str, out: str | None):
-    """text to stdout, flushed, or to the file out. Where stdout's reader
-    is gone, the BrokenPipeError of that write is dropped: whatever of
-    text is still in stdout's buffer is left to run's one flush."""
-    if out is None:
-        try:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            pass
-        return
+    """text to the file out, or to stdout, flushed, by one rule for both:
+    where there is nowhere to go (the reader is gone, BrokenPipeError, or
+    stdout was never open, None) nothing is written and the command keeps
+    its code; any other OSError is refused as a usage error naming out or
+    stdout. Whatever of text stays in stdout's buffer is left to run's flush."""
     try:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8") as fh:
+            if fh is not None:
+                fh.write(text)
+                fh.flush()
+    except BrokenPipeError:
+        pass
     except OSError as exc:
-        raise UsageError(f"cannot write {out}: {exc}") from exc
+        raise UsageError(f"cannot write {'stdout' if out is None else out}: {exc}") from exc
+
+
+def _say(line: str):
+    """line on stderr, or nowhere where there is none (sys.stderr is None):
+    print(file=None) would write it to stdout, into the document."""
+    if sys.stderr is not None:
+        print(line, file=sys.stderr)
 
 
 def _check_flags(args, dim: int):
@@ -365,7 +372,7 @@ def cmd_reserves(args) -> tuple:
     try:
         cum, factors, fit = _baseline(inc, sigmas=True)
     except (ValueError, ZeroDivisionError) as exc:  # too few accident years, or a zero C_{i,k} in sigma^2
-        print(f"note: rmse column left empty: {exc}", file=sys.stderr)
+        _say(f"note: rmse column left empty: {exc}")
         cum, factors, fit = _baseline(inc)
     total = float(fit.reserve_total)
     if not math.isfinite(total):  # nor is it where an ultimate is not finite
@@ -376,7 +383,7 @@ def cmd_reserves(args) -> tuple:
     mse = [math.nan] * (dim + 1) if fit.sigma2 is None else [*fit.mse_by_year, fit.mse_total]
     *rmse, total_rmse = (math.sqrt(m) if math.isfinite(m) else None for m in mse)
     if fit.sigma2 is not None and None in (*rmse, total_rmse):
-        print("note: rmse left empty where the MSE overflows double precision", file=sys.stderr)
+        _say("note: rmse left empty where the MSE overflows double precision")
     columns = [list(range(1, dim + 1)), fit.latest.tolist(), fit.ult.tolist(), fit.reserves.tolist(), rmse,
                bf_by_year.tolist()]
     summary = {"reserve_total": total, "rmse_total": total_rmse, "bf_total": bf_tot}
@@ -419,7 +426,7 @@ def cmd_verify(args) -> tuple:
 
 def main(argv=None) -> int:
     """Run one command in this process and return its exit code, also
-    where stdout's reader is gone (see _write)."""
+    where stdout is closed, never open or full (see _write)."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -428,10 +435,10 @@ def main(argv=None) -> int:
         _write(text, args.out)
         return code
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        _say(f"usage error: {exc}")
         return 1
     except (DataError, ValueError, ZeroDivisionError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return 2
 
 
@@ -450,13 +457,13 @@ def run():
     exit no longer runs, which CPython never guaranteed; --out is written
     and closed inside a with block.
 
-    After main, or argparse's exit after --help, stdout is flushed once:
-    the one check of a closed stdout. Where its reader has closed and text
-    is still buffered, that flush raises, and os.devnull takes stdout's
-    descriptor, as Python's documentation advises for SIGPIPE, so the
-    interpreter's own flush at exit prints nothing more. The process exits
-    with the command's code, or argparse's, either way. Where stdout was
-    never open (sys.stdout is None), there is nothing to flush.
+    After main, or argparse's exit after --help, stdout is flushed once.
+    Where text is still buffered and cannot be written (its reader has
+    closed, or its device is full), that flush raises OSError, and
+    os.devnull takes stdout's descriptor, as Python's documentation
+    advises for SIGPIPE, so the interpreter's own flush at exit prints
+    nothing more. The process exits with main's code, or argparse's,
+    either way. Where stdout was never open (None), nothing is flushed.
     """
     try:
         code = main()
@@ -467,7 +474,7 @@ def run():
     try:
         if sys.stdout is not None:
             sys.stdout.flush()
-    except BrokenPipeError:
+    except OSError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
 

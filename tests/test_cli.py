@@ -3,6 +3,8 @@ import itertools
 import json
 import os
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -724,7 +726,7 @@ class TestByteOrderMark:
 
     def test_triangle(self, capsys, tmp_path):
         p = tmp_path / "bom.csv"
-        p.write_bytes(b"\xef\xbb\xbf" + open(bundled_path(), "rb").read())
+        p.write_bytes(b"\xef\xbb\xbf" + Path(bundled_path()).read_bytes())
         for command in (["reserves"], ["impact", "--format", "json"]):
             want = run(capsys, command[0], bundled_path(), *command[1:])
             assert want[0] == 0
@@ -909,6 +911,25 @@ class TestOutputFile:
         target = tmp_path / "missing" / "out"
         code, out, err = run(capsys, command, bundled_path(), "--out", str(target))
         assert (code, out) == (1, "") and err.startswith(f"usage error: cannot write {target}: ")
+
+
+class TestNoStderr:
+    """Where there is no stderr (sys.stderr is None, as in an embedding
+    host or under pythonw), a note or an error goes nowhere, and never
+    into the document on stdout."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["reserves", "<zero>"], 0),  # the zero-cell note: rmse column left empty
+        (["impact", bundled_path(), "--stat", "reserve-ay"], 1),
+        (["reserves", "<missing>"], 2),
+    ], ids=["note", "usage-error", "data-error"])
+    def test_a_note_or_an_error_goes_nowhere(self, capsys, monkeypatch, tmp_path, argv, code):
+        zero = rows_file(tmp_path, [[100, 50, 10, 5], [0, 60, 12], [130, 70], [140]], "zero.csv")
+        argv = [zero if a == "<zero>" else str(tmp_path / "missing.csv") if a == "<missing>" else a for a in argv]
+        got, document, err = run(capsys, *argv)
+        assert got == code and err
+        monkeypatch.setattr(sys, "stderr", None)
+        assert run(capsys, *argv) == (code, document, "")
 
 
 class TestHelp:

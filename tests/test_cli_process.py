@@ -5,7 +5,8 @@ Every run is a fresh interpreter with runoff importable from src. The
 README quick-start commands, --help and one command per failing exit
 code must write what in-process main writes: stdout, stderr, the --out
 bytes and the exit code; with stdout closed, or never open, a process
-writes nothing more and keeps its exit code. All the runs of this module
+writes nothing more and keeps its exit code, and a write to a full device,
+on stdout or --out, is refused as a usage error. All the runs of this module
 are started by one module fixture, two at a time, the two largest (15.8
 MB of JSON at I=60, read whole and closed at once) first, so the module
 adds about the wall time of its runs over two.
@@ -56,6 +57,7 @@ ATEXIT = (
 NO_STDOUT = "import runpy, sys; sys.stdout = None; runpy.run_module('runoff.cli', run_name='__main__', alter_sys=True)"
 LARGE_JSON = ["verify", LARGE, "--stat", "mse-total", "--format", "json"]
 CLOSED = {"unbuffered": False, "close_stdout": True}
+FULL = "/dev/full"  # a device every write to fails with ENOSPC, where it exists
 # name -> (argv, keyword arguments of child): every run of this module, the
 # two large ones first. A closed run's stdout is closed before the command
 # writes, as `| head -c 10` does; the buffered one's document is still in
@@ -72,20 +74,30 @@ RUNS = {
     "closed-buffered-command-help": (["reserves", "--help"], CLOSED),
     "closed-buffered-data-error": (COMMANDS["data-error"][1], CLOSED),
     "no-stdout-data-error": (COMMANDS["data-error"][1], {"code": NO_STDOUT}),
+    "no-stdout-reserves": (COMMANDS["reserves"][1], {"code": NO_STDOUT}),
+    "no-stdout-verify-fails": (COMMANDS["verify-fails"][1], {"code": NO_STDOUT}),
+    **({"full-stdout-reserves": (COMMANDS["reserves"][1], {"stdout": FULL}),
+        "full-out-reserves": ([*COMMANDS["reserves"][1], "--out", FULL], {})} if os.path.exists(FULL) else {}),
     "atexit-csv": (["reserves", TRI], {"code": ATEXIT}),
     "atexit-json": (["reserves", TRI, "--format", "json"], {"code": ATEXIT}),
 }
 
 
-def child(argv, unbuffered=True, close_stdout=False, code=None) -> tuple:
+def child(argv, unbuffered=True, close_stdout=False, code=None, stdout=None) -> tuple:
     """(exit code, stdout, stderr) of a fresh interpreter running
-    `python -m runoff.cli argv`, or `python -c code argv`."""
+    `python -m runoff.cli argv`, or `python -c code argv`; where stdout
+    names a file, the child's stdout is that file, and its stdout reads b""."""
     env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"} | ({"PYTHONUNBUFFERED": "1"} if unbuffered else {})
     head = ["-m", "runoff.cli"] if code is None else ["-c", code]
+    if stdout is not None:
+        with open(stdout, "wb") as fh:
+            proc = subprocess.run([sys.executable, *head, *argv], env=env, stdout=fh, stderr=subprocess.PIPE, timeout=120)
+        return proc.returncode, b"", proc.stderr
     proc = subprocess.Popen([sys.executable, *head, *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     if close_stdout:
         proc.stdout.close()
-        err = proc.stderr.read()
+        with proc.stderr:
+            err = proc.stderr.read()
         return proc.wait(timeout=120), b"", err
     out, err = proc.communicate(timeout=120)
     return proc.returncode, out, err
@@ -152,6 +164,21 @@ def test_a_failing_command_without_a_reader_writes_its_error_alone(name, process
     """A closed stdout, or none at all, leaves the command's exit code and
     its error on stderr as they are."""
     assert processes[name] == processes["data-error"]
+
+
+@pytest.mark.parametrize("name, code", [("no-stdout-reserves", 0), ("no-stdout-verify-fails", 3)])
+def test_a_stdout_never_open_takes_nothing_and_keeps_the_commands_code(processes, name, code):
+    assert processes[name] == (code, b"", b"", None)
+
+
+@pytest.mark.skipif(not os.path.exists(FULL), reason=f"no {FULL}")
+@pytest.mark.parametrize("name, where", [("full-stdout-reserves", "stdout"), ("full-out-reserves", FULL)])
+def test_a_full_device_is_refused_as_a_usage_error(processes, name, where):
+    """A write that fails for another reason than a gone reader is
+    refused alike on stdout and --out, and the interpreter's flush at exit
+    prints nothing more."""
+    message = f"usage error: cannot write {where}: [Errno 28] No space left on device\n"
+    assert processes[name] == (1, b"", message.encode(), None)
 
 
 def test_main_returns_the_commands_code_on_a_closed_stdout(monkeypatch):
