@@ -462,8 +462,9 @@ def run():
     closed, or its device is full), that flush raises OSError, and
     os.devnull takes stdout's descriptor, as Python's documentation
     advises for SIGPIPE, so the interpreter's own flush at exit prints
-    nothing more. The process exits with main's code, or argparse's,
-    either way. Where stdout was never open (None), nothing is flushed.
+    nothing more. A gone reader keeps main's code, or argparse's; any
+    other failure is refused by _write's rule where main has not already
+    (argparse's help, exit 0). Where stdout is None, nothing is flushed.
     """
     try:
         code = main()
@@ -474,8 +475,11 @@ def run():
     try:
         if sys.stdout is not None:
             sys.stdout.flush()
-    except OSError:
+    except OSError as exc:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not (code or isinstance(exc, BrokenPipeError)):
+            _say(f"usage error: cannot write stdout: {exc}")
+            code = 1
     sys.exit(code)
 
 

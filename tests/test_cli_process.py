@@ -58,12 +58,14 @@ NO_STDOUT = "import runpy, sys; sys.stdout = None; runpy.run_module('runoff.cli'
 LARGE_JSON = ["verify", LARGE, "--stat", "mse-total", "--format", "json"]
 CLOSED = {"unbuffered": False, "close_stdout": True}
 FULL = "/dev/full"  # a device every write to fails with ENOSPC, where it exists
+FULL_BUFFERED = {"stdout": FULL, "unbuffered": False}
 # name -> (argv, keyword arguments of child): every run of this module, the
 # two large ones first. A closed run's stdout is closed before the command
 # writes, as `| head -c 10` does; the buffered one's document is still in
 # stdout's buffer when the command returns, unless it is larger than that
 # buffer (closed-buffered-large-json), and the unbuffered one's is written
-# at once.
+# at once. A full run's stdout is /dev/full, buffered as a file's is: the
+# document's write fails in the command, --help's only in run's flush.
 RUNS = {
     "large-json": (LARGE_JSON, {}),
     "closed-buffered-large-json": (LARGE_JSON, CLOSED),
@@ -76,7 +78,8 @@ RUNS = {
     "no-stdout-data-error": (COMMANDS["data-error"][1], {"code": NO_STDOUT}),
     "no-stdout-reserves": (COMMANDS["reserves"][1], {"code": NO_STDOUT}),
     "no-stdout-verify-fails": (COMMANDS["verify-fails"][1], {"code": NO_STDOUT}),
-    **({"full-stdout-reserves": (COMMANDS["reserves"][1], {"stdout": FULL}),
+    **({"full-stdout-reserves": (COMMANDS["reserves"][1], FULL_BUFFERED),
+        "full-stdout-help": (["--help"], FULL_BUFFERED),
         "full-out-reserves": ([*COMMANDS["reserves"][1], "--out", FULL], {})} if os.path.exists(FULL) else {}),
     "atexit-csv": (["reserves", TRI], {"code": ATEXIT}),
     "atexit-json": (["reserves", TRI, "--format", "json"], {"code": ATEXIT}),
@@ -172,11 +175,13 @@ def test_a_stdout_never_open_takes_nothing_and_keeps_the_commands_code(processes
 
 
 @pytest.mark.skipif(not os.path.exists(FULL), reason=f"no {FULL}")
-@pytest.mark.parametrize("name, where", [("full-stdout-reserves", "stdout"), ("full-out-reserves", FULL)])
+@pytest.mark.parametrize("name, where", [
+    ("full-stdout-reserves", "stdout"), ("full-stdout-help", "stdout"), ("full-out-reserves", FULL),
+])
 def test_a_full_device_is_refused_as_a_usage_error(processes, name, where):
     """A write that fails for another reason than a gone reader is
-    refused alike on stdout and --out, and the interpreter's flush at exit
-    prints nothing more."""
+    refused alike on stdout and --out, once, and the interpreter's flush at
+    exit prints nothing more."""
     message = f"usage error: cannot write {where}: [Errno 28] No space left on device\n"
     assert processes[name] == (1, b"", message.encode(), None)
 

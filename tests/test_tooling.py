@@ -278,7 +278,9 @@ def test_the_numpy_floor_has_the_warning_pytest_turns_into_an_error():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         config = tomllib.load(fh)
     assert config["project"]["dependencies"] == ["numpy>=1.25"]
-    assert config["tool"]["pytest"]["ini_options"]["filterwarnings"] == ["error::numpy.exceptions.ComplexWarning"]
+    assert config["tool"]["pytest"]["ini_options"]["filterwarnings"] == [
+        "error::numpy.exceptions.ComplexWarning", "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning",
+    ]
     assert "numpy 1.25+" in (ROOT / "README.md").read_text()
 
 
