@@ -6,12 +6,14 @@ output that differs.
 Both trees are loaded in one process, each runoff package in its own set
 of sys.modules entries (bench/layers.py's load and use), and every
 command goes through each tree's cli.main in turn, its stdout and stderr
-captured. A few commands (closed_argvs) also run as fresh `python -m
+captured. A few commands (process_runs) also run as fresh `python -m
 runoff.cli` processes of each tree, its src on PYTHONPATH, whose stdout
 takes nothing (STDOUTS): a pipe closed at once, buffered and unbuffered,
-a descriptor 1 never open (`>&-`), and /dev/full where it exists; so how
-a process writes and ends (runoff.cli run and _write) is compared too:
-its exit code and stderr.
+a descriptor 1 never open (`>&-`), and /dev/full where it exists, buffered
+and unbuffered; or whose stderr takes nothing (STDERRS): a descriptor 2
+never open (`2>&-`) and /dev/full. So how a process writes and ends
+(runoff.cli run, _write and _say) is compared too: its exit code, and
+its stderr or stdout where that is a pipe.
 
 The triangles are the bundled file and, written by
 bench/layers.py's write_triangle, the Taylor-Ashe and RAA examples of
@@ -41,7 +43,8 @@ per tree, and `<command> --help` runs for each of the five commands.
 The processes without a usable stdout run a passing and a failing
 `verify` of the bundled triangle, `verify --format json` of
 random100.csv (larger than stdout's buffer), `reserves` of a file that
-is not there, `--help` and `reserves --help`.
+is not there, `--help` and `reserves --help`; those without a usable
+stderr run `reserves` of a file that is not there and a usage error.
 A handful more (singles) run once: `verify --stat reserve-ay --year 4`
 on the last triangle above, which that h fails; commands reading a
 triangle and a priors file that are not UTF-8; `reserves`, `impact` and
@@ -109,8 +112,11 @@ PUBLISHED = Path(__file__).resolve().parents[1] / "tests" / "published.py"
 OUT = "<out>"  # in an argv, the tree's own --out file
 FULL = "/dev/full"  # every write to it fails with ENOSPC
 # How closed_sweep gives a process its stdout: a pipe closed at once, buffered
-# and unbuffered; never open (descriptor 1 closed, as `>&-` leaves it); FULL.
-STDOUTS = ("closed, buffered", "closed, unbuffered", "never open") + (("full",) if os.path.exists(FULL) else ())
+# and unbuffered; never open (descriptor 1 closed, as `>&-` leaves it); FULL,
+# buffered and unbuffered. Or its stderr: never open (`2>&-`); FULL.
+HAS_FULL = os.path.exists(FULL)
+STDOUTS = ("closed, buffered", "closed, unbuffered", "never open") + (("full", "full, unbuffered") if HAS_FULL else ())
+STDERRS = ("stderr never open",) + (("stderr full",) if HAS_FULL else ())
 
 
 def proportional_rows(dim: int = 6) -> list:
@@ -158,42 +164,48 @@ def run(tree: dict, argv: list, file: Path) -> tuple:
     return code, out.getvalue(), err.getvalue(), written
 
 
-def process(src: str, argv: list, stdout: str) -> tuple:
+def process(src: str, argv: list, how: str) -> tuple:
     """(exit code, stdout, stderr, bytes written) of a fresh `python -m
-    runoff.cli argv` of the tree src, its stdout given as the STDOUTS entry
-    stdout names: its stdout reads "" and nothing is written."""
+    runoff.cli argv` of the tree src, its stdout, or its stderr, given as
+    the STDOUTS or STDERRS entry how names; the other stream is a pipe,
+    read whole. The stream given reads "" and nothing is written."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"} | {"PYTHONPATH": str(Path(src).resolve())}
-    env |= {"PYTHONUNBUFFERED": "1"} if stdout == "closed, unbuffered" else {}
-    never_open = (lambda: os.close(1)) if stdout == "never open" else None  # run in the child before Python starts
-    with open(FULL, "wb") if stdout == "full" else contextlib.nullcontext(subprocess.PIPE) as sink:
-        proc = subprocess.Popen([sys.executable, "-m", "runoff.cli", *argv], stdout=sink, stderr=subprocess.PIPE,
-                                env=env, text=True, preexec_fn=never_open)
-    if proc.stdout is not None:
+    env |= {"PYTHONUNBUFFERED": "1"} if how.endswith(", unbuffered") else {}
+    fd = 2 if how in STDERRS else 1
+    never_open = (lambda: os.close(fd)) if how.endswith("never open") else None  # run in the child before Python starts
+    with open(FULL, "wb") if "full" in how else contextlib.nullcontext(subprocess.PIPE) as sink:
+        pipes = {"stdout": sink, "stderr": subprocess.PIPE} if fd == 1 else {"stdout": subprocess.PIPE, "stderr": sink}
+        proc = subprocess.Popen([sys.executable, "-m", "runoff.cli", *argv], **pipes, env=env, text=True,
+                                preexec_fn=never_open)
+    if fd == 1 and proc.stdout is not None:
         proc.stdout.close()
-    with proc.stderr:
-        err = proc.stderr.read()
-    return proc.wait(), "", err, None
+    out, err = proc.communicate()
+    return proc.returncode, out or "", err or "", None
 
 
-def closed_argvs(paths: list, directory: Path) -> list:
-    """The argvs each tree runs as a process for each of STDOUTS, on paths
-    as triangles gives them and a file directory does not hold."""
+def process_runs(paths: list, directory: Path) -> list:
+    """The (how its streams are given, argv) pairs each tree runs as a
+    process, on paths as triangles gives them and a file directory does not
+    hold: six argvs for each of STDOUTS, and two of them, a data error and
+    a usage error, for each of STDERRS."""
     large = next(path for path in paths if Path(path).name == "random100.csv")
-    return [["verify", paths[0]], ["verify", paths[0], "--tolerance", "0"], ["verify", large, "--format", "json"],
-            ["reserves", str(directory / "missing.csv")], ["--help"], ["reserves", "--help"]]
+    missing, usage = ["reserves", str(directory / "missing.csv")], ["impact", paths[0], "--stat", "reserve-ay"]
+    argvs = [["verify", paths[0]], ["verify", paths[0], "--tolerance", "0"], ["verify", large, "--format", "json"],
+             missing, ["--help"], ["reserves", "--help"]]
+    runs = [(how, argv) for argv in argvs for how in STDOUTS]
+    return runs + [(how, argv) for argv in (missing, usage) for how in STDERRS]
 
 
-def closed_sweep(srcs: list, argvs: list) -> tuple:
+def closed_sweep(srcs: list, runs: list) -> tuple:
     """(processes run per tree, the differing ones as (argv, outputs per
-    tree)) of process on each argv, for each of STDOUTS; the argv of a
-    difference starts with how stdout was given."""
+    tree)) of process on each of runs; the argv of a difference starts with
+    how the streams were given."""
     differ = []
-    for argv in argvs:
-        for stdout in STDOUTS:
-            outputs = [process(src, argv, stdout) for src in srcs]
-            if any(o != outputs[0] for o in outputs[1:]):
-                differ.append(([f"[{stdout}]", *argv], outputs))
-    return len(STDOUTS) * len(argvs), differ
+    for how, argv in runs:
+        outputs = [process(src, argv, how) for src in srcs]
+        if any(o != outputs[0] for o in outputs[1:]):
+            differ.append(([f"[{how}]", *argv], outputs))
+    return len(runs), differ
 
 
 def published():
@@ -270,13 +282,14 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         paths = triangles(trees[0], Path(tmp))
         count, differ = sweep(trees, paths, singles(paths, Path(tmp)))
-        processes, closed_differ = closed_sweep(args.src, closed_argvs(paths, Path(tmp)))
+        processes, closed_differ = closed_sweep(args.src, process_runs(paths, Path(tmp)))
     for argv, outputs in differ + closed_differ:
         print(" ".join(Path(a).name for a in argv) + ":")  # a triangle by its file name
         for src, (code, out, err, written) in zip(args.src, outputs):
             wrote = "" if written is None else f", {len(written)} bytes to --out"
             print(f"  {src}: exit {code}, {len(out)} chars out{wrote}, stderr {err[-200:]!r}")
-    print(f"{count} commands, {len(differ)} differ; {processes} processes without a usable stdout, {len(closed_differ)} differ")
+    print(f"{count} commands, {len(differ)} differ; "
+          f"{processes} processes without a usable stdout or stderr, {len(closed_differ)} differ")
     return 1 if differ or closed_differ else 0
 
 

@@ -9,9 +9,11 @@ among them), 3 verification failure.
 
 main is the in-process API; run is the one process entry (the `runoff`
 console script and `python -m runoff.cli`), ending it without the
-interpreter's teardown collection. _write writes the document: a stdout
-closed (`runoff verify ... | head -1`) or never open takes nothing and the
-code is kept; any other failed write, to stdout or --out, exits 1.
+interpreter's teardown collection. _write writes every document, --help's
+text among them: a stdout closed (`runoff verify ... | head -1`) or never
+open takes nothing and the code is kept; any other failed write, to stdout
+or --out, exits 1. _say writes a note or an error on stderr, and a stderr
+that is missing, closed or full takes nothing and the code is kept.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ import numpy as np
 
 from runoff.bornhuetter import PriorUltimates, bf_reserves, default_priors
 from runoff.chainladder import _baseline
-from runoff.impact import (ORDER_ONE_STATISTICS, ImpactTriangle, _check_mse, _impact, impact_rmse,
-                           marginal_contributions)
+from runoff.impact import ImpactTriangle, _check_mse, _impact, impact_rmse, marginal_contributions
 from runoff.oracle import _STATISTICS, TOLERANCE, _per_year, _verify
 from runoff.triangle import IncrementalTriangle, _cells, _from_cells, _observed, _records, validate
 
@@ -44,10 +45,17 @@ class DataError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse whose failures map onto exit code 1 instead of 2."""
+    """argparse whose failures map onto exit code 1 instead of 2, and whose
+    text for stdout (--help) is a document, written by _write."""
 
     def error(self, message):
         raise UsageError(message)
+
+    def _print_message(self, message, file=None):
+        if file is sys.stdout:
+            _write(message, None)
+        else:
+            super()._print_message(message, file)
 
 
 def _lines(path: str, what: str) -> list:
@@ -268,11 +276,12 @@ def render_svg(impacts: ImpactTriangle) -> str:
 
 
 def _write(text: str, out: str | None):
-    """text to the file out, or to stdout, flushed, by one rule for both:
-    where there is nowhere to go (the reader is gone, BrokenPipeError, or
-    stdout was never open, None) nothing is written and the command keeps
-    its code; any other OSError is refused as a usage error naming out or
-    stdout. Whatever of text stays in stdout's buffer is left to run's flush."""
+    """text, a command's document or --help's (_Parser), to the file out or
+    to stdout, flushed, by one rule for both: where there is nowhere to go
+    (the reader is gone, BrokenPipeError, or stdout was never open, None)
+    nothing is written and the command keeps its code; any other OSError is
+    refused as a usage error naming out or stdout. Whatever of text stays in
+    stdout's buffer is left to run's flush."""
     try:
         with nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8") as fh:
             if fh is not None:
@@ -285,10 +294,15 @@ def _write(text: str, out: str | None):
 
 
 def _say(line: str):
-    """line on stderr, or nowhere where there is none (sys.stderr is None):
-    print(file=None) would write it to stdout, into the document."""
-    if sys.stderr is not None:
-        print(line, file=sys.stderr)
+    """line on stderr, or nowhere where there is none (sys.stderr is None:
+    print(file=None) would write it to stdout, into the document) or it
+    cannot be written (closed or full, OSError), so the command keeps its
+    code. What stays in stderr's buffer is left to run's flush."""
+    try:
+        if sys.stderr is not None:
+            print(line, file=sys.stderr)
+    except OSError:
+        pass
 
 
 def _check_flags(args, dim: int):
@@ -396,7 +410,7 @@ def cmd_impact(args) -> tuple:
     """impact, marginal (the impacts times the increments) and heatmap."""
     inc, impacts, value, _ = _computed(args)
     if args.command == "marginal":
-        expected = value if impacts.statistic in ORDER_ONE_STATISTICS else None
+        expected = value if _STATISTICS[args.stat].order_one else None
         impacts = marginal_contributions(impacts, inc, expected)
     if args.format == "json":
         return render_json(impacts, value), 0
@@ -457,14 +471,13 @@ def run():
     exit no longer runs, which CPython never guaranteed; --out is written
     and closed inside a with block.
 
-    After main, or argparse's exit after --help, stdout is flushed once.
-    Where text is still buffered and cannot be written (its reader has
-    closed, or its device is full), that flush raises OSError, and
-    os.devnull takes stdout's descriptor, as Python's documentation
+    After main, or argparse's exit after --help, stdout and stderr are
+    flushed once each. Where a failed write left text in a buffer (its
+    reader has closed, or its device is full), that flush raises OSError,
+    and os.devnull takes the stream's descriptor, as Python's documentation
     advises for SIGPIPE, so the interpreter's own flush at exit prints
-    nothing more. A gone reader keeps main's code, or argparse's; any
-    other failure is refused by _write's rule where main has not already
-    (argparse's help, exit 0). Where stdout is None, nothing is flushed.
+    nothing more and leaves the code, main's or argparse's, as _write and
+    _say decided it, not 120. A stream that is None is not flushed.
     """
     try:
         code = main()
@@ -472,14 +485,12 @@ def run():
         code = exc.code
     finally:
         gc.freeze()
-    try:
-        if sys.stdout is not None:
-            sys.stdout.flush()
-    except OSError as exc:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if not (code or isinstance(exc, BrokenPipeError)):
-            _say(f"usage error: cannot write stdout: {exc}")
-            code = 1
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:
+                stream.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     sys.exit(code)
 
 

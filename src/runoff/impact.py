@@ -46,10 +46,6 @@ __all__ = ["ImpactTriangle", "d_ln_f", "impact_reserve_ay", "impact_reserve_tota
            "impact_bf_total", "impact_mse_ay", "impact_rmse", "impact_mse_total",
            "marginal_contributions"]
 
-# Statistics that are homogeneous of order 1 in the increments, for which
-# the Euler allocation sum(IF * X) equals the statistic exactly. BF with
-# frozen priors is excluded: mu does not scale with X.
-ORDER_ONE_STATISTICS = ("reserve-ay", "reserve-total")
 # Relative tolerance of the Euler sum-check in marginal_contributions.
 EULER_RTOL = 1e-9
 
@@ -325,7 +321,9 @@ def marginal_contributions(
     """Cellwise IF_{k,j} * X_{k,j}, the Euler allocation of the statistic.
 
     When expected_total is given the statistic must be homogeneous of
-    order 1 (per-year or total chain-ladder reserves); the allocation of
+    order 1: its label names an entry of runoff.oracle's _STATISTICS that
+    sets order_one (the per-year and total chain-ladder reserves; BF with
+    frozen priors is not, as mu does not scale with X). The allocation of
     any other statistic does not sum to its value and the check is
     refused rather than silently reported. The allocation must then sum
     to expected_total within EULER_RTOL (1e-9) of the larger of
@@ -336,7 +334,9 @@ def marginal_contributions(
     """
     if impacts.dimension != inc.dimension:
         raise ValueError("impact triangle and data triangle dimensions differ")
-    if expected_total is not None and impacts.statistic not in ORDER_ONE_STATISTICS:
+    from runoff.oracle import _STATISTICS  # loaded by import runoff; oracle imports this module
+
+    if expected_total is not None and not getattr(_STATISTICS.get(impacts.statistic), "order_one", False):
         raise ValueError(
             f"Euler sum-check refused: {impacts.statistic!r} is not homogeneous "
             "of order 1 in the increments, its allocation does not sum to the "

@@ -414,10 +414,11 @@ def verify_quantile_impacts(
 # A statistic over a Fit: value(fit, year, mu, q), complex-safe over batch axes, of year (None: the
 # total) with priors mu and quantile level q; grad and numeric(fit, year, mu, q), its gradient over the
 # 3I-2 fitted sums and the oracle's step of it (None: the complex step of value); whether _verify checks
-# it by the MSE's component protocol (_mse_components) and it reads sigmas, priors and q (--q); and for
-# an RMSE root, the name of its MSE, whose value it reads and whose impacts the CLI maps by impact_rmse.
-_Statistic = namedtuple("_Statistic", "value grad numeric components sigmas priors quantile root",
-                        defaults=(None, False, False, False, False, None))
+# it by the MSE's component protocol (_mse_components) and it reads sigmas, priors and q (--q); for
+# an RMSE root, the name of its MSE, whose value it reads and whose impacts the CLI maps by impact_rmse;
+# and whether it is homogeneous of order 1 in the cells, so its allocation sums to it (Euler check).
+_Statistic = namedtuple("_Statistic", "value grad numeric components sigmas priors quantile root order_one",
+                        defaults=(None, False, False, False, False, None, False))
 
 
 def _pick(by_year: np.ndarray, year: int | None):
@@ -463,6 +464,7 @@ def _stepped_mse(base: Fit, stack: Fit) -> np.ndarray:
 _RESERVE = _Statistic(
     lambda fit, year, mu, q: fit.reserve_total if year is None else fit.reserves[..., year - 1],
     lambda fit, year, mu, q: _reserve(fit, year),
+    order_one=True,
 )
 _BF = _Statistic(
     lambda fit, year, mu, q: _pick(bf_reserve_values(fit.fprod, mu), year),

@@ -12,6 +12,7 @@ import pytest
 from conftest import bundled_path, proportional_triangle
 from runoff import chainladder, cli
 from runoff.cli import STATISTICS, _label, main
+from runoff.impact import marginal_contributions
 from runoff.oracle import _RESERVE, COLUMNS, _per_year, _Statistic, verify_mse_components
 from runoff.triangle import Container, IncrementalTriangle, observed_mask
 from test_oracle import OVERFLOWING_MSE_STEP, OVERFLOWING_STEP, near_proportional
@@ -522,6 +523,24 @@ class TestANewEntry:
         self.same_as(capsys, "stepped-total", "reserve-total")
         code, out, _ = run(capsys, "verify", bundled_path(), "--stat", "stepped-total")
         assert code == 0 and out.startswith("statistic: stepped-total\n") and out.endswith("result: PASS\n")
+
+    def test_an_alias_of_the_reserve_is_euler_checked(self, capsys, monkeypatch):
+        """marginal runs the Euler check from the entry (order_one), not
+        from the name, and marginal_contributions accepts it by its label."""
+        seen = []
+
+        def spy(impacts, inc, expected_total=None):
+            seen.append(expected_total)
+            return marginal_contributions(impacts, inc, expected_total)
+
+        monkeypatch.setattr(cli, "marginal_contributions", spy)
+        got = run(capsys, "marginal", bundled_path(), "--stat", "alias-ay", "--year", "3")
+        assert got == run(capsys, "marginal", bundled_path(), "--stat", "reserve-ay", "--year", "3")
+        assert seen[0] is not None and seen[0] == seen[1]  # the value of reserve-ay at year 3
+        inc = cli.ingest(bundled_path())
+        impacts, value, _ = cli.compute("alias-ay", inc, 3, 0.995, "cl")
+        assert impacts.statistic == "alias-ay"
+        assert marginal_contributions(impacts, inc, value).statistic == "alias-ay-contribution"
 
 
 class TestDataErrors:

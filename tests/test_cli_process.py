@@ -6,12 +6,14 @@ README quick-start commands, --help and one command per failing exit
 code must write what in-process main writes: stdout, stderr, the --out
 bytes and the exit code; with stdout closed, or never open, a process
 writes nothing more and keeps its exit code, and a write to a full device,
-on stdout or --out, is refused as a usage error. All the runs of this module
+on stdout or --out, --help's text too, is refused as a usage error; with
+stderr closed or full, a process keeps its exit code. All the runs of this module
 are started by one module fixture, two at a time, the two largest (15.8
-MB of JSON at I=60, read whole and closed at once) first, so the module
+MB of JSON at I=60, read whole and written to a pipe with no reader) first, so the module
 adds about the wall time of its runs over two.
 """
 
+import contextlib
 import os
 import subprocess
 import sys
@@ -56,54 +58,69 @@ ATEXIT = (
 # was never open (`runoff ... >&-`), then runs the CLI as -m does.
 NO_STDOUT = "import runpy, sys; sys.stdout = None; runpy.run_module('runoff.cli', run_name='__main__', alter_sys=True)"
 LARGE_JSON = ["verify", LARGE, "--stat", "mse-total", "--format", "json"]
-CLOSED = {"unbuffered": False, "close_stdout": True}
+PIPE = subprocess.PIPE
+CLOSED = "<closed>"  # in place of a stream's file, a pipe whose reader is gone before the child starts
 FULL = "/dev/full"  # a device every write to fails with ENOSPC, where it exists
+NEEDS_FULL = pytest.mark.skipif(not os.path.exists(FULL), reason=f"no {FULL}")
+CLOSED_BUFFERED = {"unbuffered": False, "stdout": CLOSED}
 FULL_BUFFERED = {"stdout": FULL, "unbuffered": False}
 # name -> (argv, keyword arguments of child): every run of this module, the
 # two large ones first. A closed run's stdout is closed before the command
 # writes, as `| head -c 10` does; the buffered one's document is still in
 # stdout's buffer when the command returns, unless it is larger than that
 # buffer (closed-buffered-large-json), and the unbuffered one's is written
-# at once. A full run's stdout is /dev/full, buffered as a file's is: the
-# document's write fails in the command, --help's only in run's flush.
+# at once. A full run's stdout is /dev/full, buffered as a file's is unless
+# it is named unbuffered: the document's write, or --help's, fails in _write
+# either way, and a buffered one's again in run's flush. A closed or full
+# stderr fails the error line's write in _say, and a buffered one's again in
+# run's flush.
 RUNS = {
     "large-json": (LARGE_JSON, {}),
-    "closed-buffered-large-json": (LARGE_JSON, CLOSED),
+    "closed-buffered-large-json": (LARGE_JSON, CLOSED_BUFFERED),
     **{name: (argv, {}) for name, (_, argv) in COMMANDS.items()},
-    "closed-buffered-text": (["verify", TRI, "--tolerance", "0"], CLOSED),
-    "closed-unbuffered-json": (["verify", TRI, "--format", "json"], {"close_stdout": True}),
-    "closed-buffered-help": (["--help"], CLOSED),
-    "closed-buffered-command-help": (["reserves", "--help"], CLOSED),
-    "closed-buffered-data-error": (COMMANDS["data-error"][1], CLOSED),
+    "closed-buffered-text": (["verify", TRI, "--tolerance", "0"], CLOSED_BUFFERED),
+    "closed-unbuffered-json": (["verify", TRI, "--format", "json"], {"stdout": CLOSED}),
+    "closed-buffered-help": (["--help"], CLOSED_BUFFERED),
+    "closed-buffered-command-help": (["reserves", "--help"], CLOSED_BUFFERED),
+    "closed-buffered-data-error": (COMMANDS["data-error"][1], CLOSED_BUFFERED),
     "no-stdout-data-error": (COMMANDS["data-error"][1], {"code": NO_STDOUT}),
     "no-stdout-reserves": (COMMANDS["reserves"][1], {"code": NO_STDOUT}),
     "no-stdout-verify-fails": (COMMANDS["verify-fails"][1], {"code": NO_STDOUT}),
+    "no-stdout-help": (["--help"], {"code": NO_STDOUT}),
+    "closed-stderr-data-error": (COMMANDS["data-error"][1], {"stderr": CLOSED}),
+    "closed-buffered-stderr-data-error": (COMMANDS["data-error"][1], {"stderr": CLOSED, "unbuffered": False}),
     **({"full-stdout-reserves": (COMMANDS["reserves"][1], FULL_BUFFERED),
         "full-stdout-help": (["--help"], FULL_BUFFERED),
-        "full-out-reserves": ([*COMMANDS["reserves"][1], "--out", FULL], {})} if os.path.exists(FULL) else {}),
+        "full-unbuffered-stdout-help": (["--help"], {"stdout": FULL}),
+        "full-out-reserves": ([*COMMANDS["reserves"][1], "--out", FULL], {}),
+        "full-stderr-data-error": (COMMANDS["data-error"][1], {"stderr": FULL}),
+        "full-buffered-stderr-data-error": (COMMANDS["data-error"][1], {"stderr": FULL, "unbuffered": False}),
+        "full-stderr-usage-error": (COMMANDS["usage-error"][1], {"stderr": FULL})} if os.path.exists(FULL) else {}),
     "atexit-csv": (["reserves", TRI], {"code": ATEXIT}),
     "atexit-json": (["reserves", TRI, "--format", "json"], {"code": ATEXIT}),
 }
 
 
-def child(argv, unbuffered=True, close_stdout=False, code=None, stdout=None) -> tuple:
+def child(argv, unbuffered=True, code=None, stdout=PIPE, stderr=PIPE) -> tuple:
     """(exit code, stdout, stderr) of a fresh interpreter running
-    `python -m runoff.cli argv`, or `python -c code argv`; where stdout
-    names a file, the child's stdout is that file, and its stdout reads b""."""
+    `python -m runoff.cli argv`, or `python -c code argv`. Its stdout and
+    its stderr are each PIPE, read whole; CLOSED, a pipe whose reader is
+    gone; or the path of a file. A stream that is not read reads b""."""
     env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"} | ({"PYTHONUNBUFFERED": "1"} if unbuffered else {})
     head = ["-m", "runoff.cli"] if code is None else ["-c", code]
-    if stdout is not None:
-        with open(stdout, "wb") as fh:
-            proc = subprocess.run([sys.executable, *head, *argv], env=env, stdout=fh, stderr=subprocess.PIPE, timeout=120)
-        return proc.returncode, b"", proc.stderr
-    proc = subprocess.Popen([sys.executable, *head, *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    if close_stdout:
-        proc.stdout.close()
-        with proc.stderr:
-            err = proc.stderr.read()
-        return proc.wait(timeout=120), b"", err
+    with contextlib.ExitStack() as stack:
+        files = []
+        for how in (stdout, stderr):
+            if how == CLOSED:
+                reader, how = os.pipe()
+                os.close(reader)
+                stack.callback(os.close, how)
+            elif how != PIPE:
+                how = stack.enter_context(open(how, "wb"))
+            files.append(how)
+        proc = subprocess.Popen([sys.executable, *head, *argv], env=env, stdout=files[0], stderr=files[1])
     out, err = proc.communicate(timeout=120)
-    return proc.returncode, out, err
+    return proc.returncode, out or b"", err or b""
 
 
 @pytest.fixture(scope="module")
@@ -169,19 +186,35 @@ def test_a_failing_command_without_a_reader_writes_its_error_alone(name, process
     assert processes[name] == processes["data-error"]
 
 
-@pytest.mark.parametrize("name, code", [("no-stdout-reserves", 0), ("no-stdout-verify-fails", 3)])
+@pytest.mark.parametrize("name, code", [
+    ("no-stdout-reserves", 0), ("no-stdout-verify-fails", 3), ("no-stdout-help", 0),
+])
 def test_a_stdout_never_open_takes_nothing_and_keeps_the_commands_code(processes, name, code):
+    """--help's text too, which argparse would write on stderr."""
     assert processes[name] == (code, b"", b"", None)
 
 
-@pytest.mark.skipif(not os.path.exists(FULL), reason=f"no {FULL}")
+@pytest.mark.parametrize("name, code", [
+    ("closed-stderr-data-error", 2), ("closed-buffered-stderr-data-error", 2),
+    *(pytest.param(name, code, marks=NEEDS_FULL) for name, code in (
+        ("full-stderr-data-error", 2), ("full-buffered-stderr-data-error", 2), ("full-stderr-usage-error", 1))),
+])
+def test_a_stderr_closed_or_full_takes_nothing_and_keeps_the_commands_code(processes, name, code):
+    """The error line goes nowhere, and the interpreter's flush at exit
+    does not turn the code into 120."""
+    assert processes[name] == (code, b"", b"", None)
+
+
+@NEEDS_FULL
 @pytest.mark.parametrize("name, where", [
-    ("full-stdout-reserves", "stdout"), ("full-stdout-help", "stdout"), ("full-out-reserves", FULL),
+    ("full-stdout-reserves", "stdout"), ("full-stdout-help", "stdout"), ("full-unbuffered-stdout-help", "stdout"),
+    ("full-out-reserves", FULL),
 ])
 def test_a_full_device_is_refused_as_a_usage_error(processes, name, where):
     """A write that fails for another reason than a gone reader is
-    refused alike on stdout and --out, once, and the interpreter's flush at
-    exit prints nothing more."""
+    refused alike on stdout and --out, --help's text as a document,
+    buffered or not, once, and the interpreter's flush at exit prints
+    nothing more."""
     message = f"usage error: cannot write {where}: [Errno 28] No space left on device\n"
     assert processes[name] == (1, b"", message.encode(), None)
 
