@@ -6,14 +6,9 @@ output that differs.
 Both trees are loaded in one process, each runoff package in its own set
 of sys.modules entries (bench/layers.py's load and use), and every
 command goes through each tree's cli.main in turn, its stdout and stderr
-captured. A few commands (process_runs) also run as fresh `python -m
-runoff.cli` processes of each tree, its src on PYTHONPATH, whose stdout
-takes nothing (STDOUTS): a pipe closed at once, buffered and unbuffered,
-a descriptor 1 never open (`>&-`), and /dev/full where it exists, buffered
-and unbuffered; or whose stderr takes nothing (STDERRS): a descriptor 2
-never open (`2>&-`) and /dev/full. So how a process writes and ends
-(runoff.cli run, _write and _say) is compared too: its exit code, and
-its stderr or stdout where that is a pipe.
+captured. How a process writes and ends (runoff.cli run, and stdout or
+stderr that takes nothing) is not compared here: tests/test_cli_process.py
+runs the CLI as a process and checks each run against in-process main.
 
 The triangles are the bundled file and, written by
 bench/layers.py's write_triangle, the Taylor-Ashe and RAA examples of
@@ -40,11 +35,6 @@ text and json and with --tolerance 1e-14; `impact` and `verify` of the
 quantile at --q 0.5; and five usage errors. On the bundled triangle
 every command runs a second time with --out naming a temporary file, one
 per tree, and `<command> --help` runs for each of the five commands.
-The processes without a usable stdout run a passing and a failing
-`verify` of the bundled triangle, `verify --format json` of
-random100.csv (larger than stdout's buffer), `reserves` of a file that
-is not there, `--help` and `reserves --help`; those without a usable
-stderr run `reserves` of a file that is not there and a usage error.
 A handful more (singles) run once: `verify --stat reserve-ay --year 4`
 on the last triangle above, which that h fails; commands reading a
 triangle and a priors file that are not UTF-8; `reserves`, `impact` and
@@ -64,8 +54,6 @@ import argparse
 import contextlib
 import importlib.util
 import io
-import os
-import subprocess
 import sys
 import tempfile
 import traceback
@@ -110,13 +98,6 @@ MALFORMED = {
 HELP = tuple([command, "--help"] for command in ("reserves", "impact", "marginal", "verify", "heatmap"))
 PUBLISHED = Path(__file__).resolve().parents[1] / "tests" / "published.py"
 OUT = "<out>"  # in an argv, the tree's own --out file
-FULL = "/dev/full"  # every write to it fails with ENOSPC
-# How closed_sweep gives a process its stdout: a pipe closed at once, buffered
-# and unbuffered; never open (descriptor 1 closed, as `>&-` leaves it); FULL,
-# buffered and unbuffered. Or its stderr: never open (`2>&-`); FULL.
-HAS_FULL = os.path.exists(FULL)
-STDOUTS = ("closed, buffered", "closed, unbuffered", "never open") + (("full", "full, unbuffered") if HAS_FULL else ())
-STDERRS = ("stderr never open",) + (("stderr full",) if HAS_FULL else ())
 
 
 def proportional_rows(dim: int = 6) -> list:
@@ -162,50 +143,6 @@ def run(tree: dict, argv: list, file: Path) -> tuple:
     written = file.read_bytes() if file.exists() else None
     file.unlink(missing_ok=True)
     return code, out.getvalue(), err.getvalue(), written
-
-
-def process(src: str, argv: list, how: str) -> tuple:
-    """(exit code, stdout, stderr, bytes written) of a fresh `python -m
-    runoff.cli argv` of the tree src, its stdout, or its stderr, given as
-    the STDOUTS or STDERRS entry how names; the other stream is a pipe,
-    read whole. The stream given reads "" and nothing is written."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"} | {"PYTHONPATH": str(Path(src).resolve())}
-    env |= {"PYTHONUNBUFFERED": "1"} if how.endswith(", unbuffered") else {}
-    fd = 2 if how in STDERRS else 1
-    never_open = (lambda: os.close(fd)) if how.endswith("never open") else None  # run in the child before Python starts
-    with open(FULL, "wb") if "full" in how else contextlib.nullcontext(subprocess.PIPE) as sink:
-        pipes = {"stdout": sink, "stderr": subprocess.PIPE} if fd == 1 else {"stdout": subprocess.PIPE, "stderr": sink}
-        proc = subprocess.Popen([sys.executable, "-m", "runoff.cli", *argv], **pipes, env=env, text=True,
-                                preexec_fn=never_open)
-    if fd == 1 and proc.stdout is not None:
-        proc.stdout.close()
-    out, err = proc.communicate()
-    return proc.returncode, out or "", err or "", None
-
-
-def process_runs(paths: list, directory: Path) -> list:
-    """The (how its streams are given, argv) pairs each tree runs as a
-    process, on paths as triangles gives them and a file directory does not
-    hold: six argvs for each of STDOUTS, and two of them, a data error and
-    a usage error, for each of STDERRS."""
-    large = next(path for path in paths if Path(path).name == "random100.csv")
-    missing, usage = ["reserves", str(directory / "missing.csv")], ["impact", paths[0], "--stat", "reserve-ay"]
-    argvs = [["verify", paths[0]], ["verify", paths[0], "--tolerance", "0"], ["verify", large, "--format", "json"],
-             missing, ["--help"], ["reserves", "--help"]]
-    runs = [(how, argv) for argv in argvs for how in STDOUTS]
-    return runs + [(how, argv) for argv in (missing, usage) for how in STDERRS]
-
-
-def closed_sweep(srcs: list, runs: list) -> tuple:
-    """(processes run per tree, the differing ones as (argv, outputs per
-    tree)) of process on each of runs; the argv of a difference starts with
-    how the streams were given."""
-    differ = []
-    for how, argv in runs:
-        outputs = [process(src, argv, how) for src in srcs]
-        if any(o != outputs[0] for o in outputs[1:]):
-            differ.append(([f"[{how}]", *argv], outputs))
-    return len(runs), differ
 
 
 def published():
@@ -282,15 +219,13 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         paths = triangles(trees[0], Path(tmp))
         count, differ = sweep(trees, paths, singles(paths, Path(tmp)))
-        processes, closed_differ = closed_sweep(args.src, process_runs(paths, Path(tmp)))
-    for argv, outputs in differ + closed_differ:
+    for argv, outputs in differ:
         print(" ".join(Path(a).name for a in argv) + ":")  # a triangle by its file name
         for src, (code, out, err, written) in zip(args.src, outputs):
             wrote = "" if written is None else f", {len(written)} bytes to --out"
             print(f"  {src}: exit {code}, {len(out)} chars out{wrote}, stderr {err[-200:]!r}")
-    print(f"{count} commands, {len(differ)} differ; "
-          f"{processes} processes without a usable stdout or stderr, {len(closed_differ)} differ")
-    return 1 if differ or closed_differ else 0
+    print(f"{count} commands, {len(differ)} differ")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

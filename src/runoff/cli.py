@@ -275,20 +275,26 @@ def render_svg(impacts: ImpactTriangle) -> str:
     return "\n".join(parts) + "\n"
 
 
+_stdout_gone = False  # stdout's reader is gone: set by _write, read by run
+
+
 def _write(text: str, out: str | None):
     """text, a command's document or --help's (_Parser), to the file out or
     to stdout, flushed, by one rule for both: where there is nowhere to go
     (the reader is gone, BrokenPipeError, or stdout was never open, None)
     nothing is written and the command keeps its code; any other OSError is
-    refused as a usage error naming out or stdout. Whatever of text stays in
-    stdout's buffer is left to run's flush."""
+    refused as a usage error naming out or stdout. A gone reader of stdout
+    is noted in _stdout_gone for run, and no descriptor is touched here.
+    Whatever of text stays in stdout's buffer is left to run's flush."""
+    global _stdout_gone
     try:
         with nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8") as fh:
             if fh is not None:
                 fh.write(text)
                 fh.flush()
     except BrokenPipeError:
-        pass
+        if out is None:
+            _stdout_gone = True
     except OSError as exc:
         raise UsageError(f"cannot write {'stdout' if out is None else out}: {exc}") from exc
 
@@ -475,9 +481,12 @@ def run():
     flushed once each. Where a failed write left text in a buffer (its
     reader has closed, or its device is full), that flush raises OSError,
     and os.devnull takes the stream's descriptor, as Python's documentation
-    advises for SIGPIPE, so the interpreter's own flush at exit prints
-    nothing more and leaves the code, main's or argparse's, as _write and
-    _say decided it, not 120. A stream that is None is not flushed.
+    advises for SIGPIPE; it takes stdout's too where _write found its reader
+    gone, as a document larger than stdout's buffer does and leaves nothing
+    buffered. So the interpreter's own flush at exit, and an atexit handler
+    that prints, write nothing more and leave the code, main's or
+    argparse's, as _write and _say decided it, not 120. A stream that is
+    None is not flushed.
     """
     try:
         code = main()
@@ -485,11 +494,13 @@ def run():
         code = exc.code
     finally:
         gc.freeze()
-    for stream in (sys.stdout, sys.stderr):
+    for stream, gone in ((sys.stdout, _stdout_gone), (sys.stderr, False)):
         try:
             if stream is not None:
                 stream.flush()
         except OSError:
+            gone = True
+        if gone:
             os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     sys.exit(code)
 

@@ -18,6 +18,9 @@ from runoff.triangle import Container, IncrementalTriangle, observed_mask
 from test_oracle import OVERFLOWING_MSE_STEP, OVERFLOWING_STEP, near_proportional
 
 
+NOT_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)  # in a document of exit 0
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
@@ -29,6 +32,18 @@ def rows_file(tmp_path, rows, name="rows.csv") -> str:
     p = tmp_path / name
     p.write_text(f"I={len(rows)}\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows))
     return str(p)
+
+
+def extreme_files(tmp_path):
+    """(t, I, path) of 40 seeded triangle files, I = 2..8, of cells
+    log-uniform over 1e-300..1e300 or drawn from {0, 1, 1e6, 5e-324, 1e308}."""
+    rng = np.random.default_rng(40)
+    for t in range(40):
+        dim = int(rng.integers(2, 9))
+        n = dim * (dim + 1) // 2
+        cells = iter((10.0 ** rng.uniform(-300, 300, n) if rng.random() < 0.5
+                      else rng.choice([0.0, 1.0, 1e6, 5e-324, 1e308], n)).tolist())
+        yield t, dim, rows_file(tmp_path, [[next(cells) for _ in range(dim - i)] for i in range(dim)], f"t{t}.csv")
 
 
 def proportional_file(tmp_path) -> str:
@@ -280,25 +295,17 @@ class TestVerifyCommand:
         assert code == 0 and out.startswith("statistic: mse-components\n")
 
     def test_no_extreme_triangle_reads_a_nan_verdict(self, capsys, tmp_path):
-        """40 seeded triangles, I = 2..8, of cells log-uniform over 1e-300..1e300
-        or drawn from {0, 1, 1e6, 5e-324, 1e308}, through verify for every
-        --stat, in text and JSON: a verification may fail (exit 3), but never
-        on a NaN max relative error, which is a step that overflowed and is
-        refused by the --stat given; a pass (exit 0) writes no NaN and no
-        infinity."""
-        rng = np.random.default_rng(40)
-        for t in range(40):
-            dim = int(rng.integers(2, 9))
-            n = dim * (dim + 1) // 2
-            cells = iter((10.0 ** rng.uniform(-300, 300, n) if rng.random() < 0.5
-                          else rng.choice([0.0, 1.0, 1e6, 5e-324, 1e308], n)).tolist())
-            path = rows_file(tmp_path, [[next(cells) for _ in range(dim - i)] for i in range(dim)], f"t{t}.csv")
+        """The triangles of extreme_files through verify for every --stat, in
+        text and JSON: a verification may fail (exit 3), but never on a NaN
+        max relative error, which is a step that overflowed and is refused by
+        the --stat given; a pass (exit 0) writes no NaN and no infinity."""
+        for t, dim, path in extreme_files(tmp_path):
             for stat, fmt in itertools.product(STATISTICS, ("text", "json")):
                 year = ["--year", str(dim)] if _per_year(stat) else []
                 code, out, err = run(capsys, "verify", path, "--stat", stat, *year, "--format", fmt)
                 nan_verdict = "max relative error: nan" in out or '"max_rel_error": NaN' in out
                 assert not (code == 3 and nan_verdict), (t, stat, fmt)
-                assert not (code == 0 and re.search(r"\b(nan|inf|infinity)\b", out, re.IGNORECASE)), (t, stat, fmt)
+                assert not (code == 0 and NOT_FINITE.search(out)), (t, stat, fmt)
                 assert "mse-components" not in err, (t, stat, fmt)
 
     @pytest.mark.parametrize("stat", ["bf-total", "bf-ay"])
@@ -319,6 +326,23 @@ class TestVerifyCommand:
             os.close(read_end)
         assert want[0] == 0 and "result: PASS" in want[1]
         assert got == want
+
+
+def test_no_extreme_triangle_breaks_a_command(capsys, tmp_path):
+    """The triangles of extreme_files through `reserves --format json`, and
+    for every --stat `impact` and `marginal --format json` and `heatmap`:
+    each exits 0 or refuses the data (exit 2), none raises, and a document
+    of exit 0 holds no NaN and no infinity."""
+    for t, dim, path in extreme_files(tmp_path):
+        argvs = [["reserves", path, "--format", "json"]]
+        for stat in STATISTICS:
+            target = [path, "--stat", stat, *(["--year", str(dim)] if _per_year(stat) else [])]
+            argvs += [["impact", *target, "--format", "json"], ["marginal", *target, "--format", "json"],
+                      ["heatmap", *target]]
+        for argv in argvs:
+            code, out, _ = run(capsys, *argv)
+            assert code in (0, 2), (t, argv)
+            assert not (code == 0 and NOT_FINITE.search(out)), (t, argv)
 
 
 ONE_FIT_COMMANDS = [
