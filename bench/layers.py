@@ -48,7 +48,7 @@ steps both in the MSE verifier's stack, whose building blocks and
 plug-in MSEs it does not read.
 The ingest stage reads the triangle through runoff.cli.ingest from a
 file in the CLI's input format, written into a temporary directory by
-write_triangle (which bench/cli_sweep.py uses too); validate checks the
+write_triangle (which bench/sweep.py uses too); validate checks the
 increments as ingest does, decumulate inverts the cumulated triangle,
 and render_csv writes the reserve-total impact triangle as the CLI's CSV.
 Beside the stages, each tree runs CLI_COMMAND (the MSE verifier's text

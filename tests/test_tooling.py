@@ -525,51 +525,77 @@ def test_every_round_zero_op_meets_the_benchmark_reference(tmp_path, monkeypatch
         assert gate.check_cli(code, text, reference[key]) == [], key
 
 
-def test_api_sweep_compares_two_trees_result_by_result(monkeypatch):
-    """bench/api_sweep.py on one tree loaded twice, one of them with the
-    diagonal of its MSE gradients moved: exactly the MSE and quantile
-    results differ, and the runoff in use before is in use after."""
+def test_the_sweep_compares_two_trees_and_counts_contract_breaks(monkeypatch, capsys, tmp_path):
+    """bench/sweep.py on one tree loaded twice. With the diagonal of the
+    MSE gradients moved in one copy, exactly the MSE and quantile results
+    of the API group at I = 4 differ. With that move undone and the CSV
+    rendering edited to name a NaN, exactly the commands of the CLI group
+    on the bundled triangle (per-year statistics at year 5 alone) that
+    render a CSV differ, on stdout and with --out in the file, and break
+    the contract in the edited copy. A command whose main raises in both
+    copies breaks it too, though the copies agree, and gives exit 1; and a
+    document of exit 0 breaks it exactly where NOT_FINITE matches it,
+    non-ASCII letters that match "inf" included. The runoff in use
+    before is in use after."""
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
-    sweep = importlib.import_module("api_sweep")
-    src = str(ROOT / "src")
+    sweep = importlib.import_module("sweep")
+    src, path = str(ROOT / "src"), bundled_path()
+    for name, value in (("SIZES", (4,)), ("YEARS", (5,)), ("triangles", lambda tree, directory: [path]),
+                        ("singles", lambda paths, directory: [])):
+        monkeypatch.setattr(sweep, name, value)
     trees = [sweep.load(src), sweep.load(src)]
+    groups = sweep.groups(trees[0], tmp_path)
     moved = trees[1]["runoff.chainladder"].Fit
-    original = moved.mse_diagonal.func
+    kept = moved.mse_diagonal
 
     def mse_diagonal(fit):
-        return original(fit) + 1.0
+        return kept.func(fit) + 1.0
 
-    monkeypatch.setattr(moved, "mse_diagonal", type(moved.mse_diagonal)(mse_diagonal))
-    count, differ = sweep.sweep(trees, (4,))
+    monkeypatch.setattr(moved, "mse_diagonal", type(kept)(mse_diagonal))
+    count, differ, breaks = sweep.sweep(trees, groups[:-1])
     assert sys.modules["runoff"] is runoff
     names = list(sweep.calls(runoff, 4))
-    # 27: the quantile on a fresh triangle after the MSE verifier too, and four from_rows results
-    assert count == len(names) == 27 + 3 * 4
-    assert differ == [f"I=4 {name}" for name in names if "mse" in name or "quantile" in name]
+    # 27: the quantile on a fresh triangle after the MSE verifier too; four
+    # from_rows results and four of impact_rmse and marginal_contributions
+    assert count == len(names) == 27 + 4 * 4
+    assert [name for name, _ in differ] == [name for name in names if "mse" in name or "quantile" in name]
+    assert breaks == []
 
+    monkeypatch.setattr(moved, "mse_diagonal", kept)
+    monkeypatch.setattr(trees[1]["runoff.cli"], "render_csv", lambda impacts: "edited nan\n")
+    raising = ["reserves", path, "--format", "json"]
+    for cli in (tree["runoff.cli"] for tree in trees):
+        def raise_on(argv, main=cli.main):
+            if argv == raising:
+                raise RuntimeError("raised")
+            return main(argv)
 
-def test_cli_sweep_compares_two_trees_command_by_command(monkeypatch, capsys):
-    """bench/cli_sweep.py on one tree loaded twice, one of them with its
-    CSV rendering edited, on the bundled triangle (per-year statistics at
-    year 5 alone): exactly the commands that render a CSV differ, on
-    stdout and with --out in the file, and the runoff in use before is in
-    use after."""
-    monkeypatch.syspath_prepend(str(ROOT / "bench"))
-    sweep = importlib.import_module("cli_sweep")
-    monkeypatch.setattr(sweep, "YEARS", (5,))
-    src, path = str(ROOT / "src"), bundled_path()
-    trees = [sweep.load(src), sweep.load(src)]
-    monkeypatch.setattr(trees[1]["runoff.cli"], "render_csv", lambda impacts: "edited\n")
-    count, differ = sweep.sweep(trees, [path])
+        monkeypatch.setattr(cli, "main", raise_on)
+    count, differ, breaks = sweep.sweep(trees, groups[-1:])
     assert sys.modules["runoff"] is runoff
-    got = {tuple(argv): outputs for argv, outputs in differ}
+    argvs = {name: call.args[1] for name, call in groups[-1](runoff).items()}
+    (raised,) = (name for name, argv in argvs.items() if argv == raising)
+    assert count == len(argvs) == 2 * (4 + 9 * 10 + 5) + 5
+    got = dict(differ)
     csv = {  # csv is the default --format
-        tuple(a) for a in sweep.commands(path, STATISTICS)
-        if a[0] in ("impact", "marginal") and dict(zip(a, a[1:])).get("--format", "csv") == "csv"
+        name for name, a in argvs.items()
+        if a[:2] in (["impact", path], ["marginal", path]) and dict(zip(a, a[1:])).get("--format", "csv") == "csv"
     }
-    to_file = {(*a, "--out", sweep.OUT) for a in csv}
-    assert count == 2 * (4 + 9 * 10 + 5) + 5 and got and set(got) <= csv | to_file
-    assert {a for a in got if sweep.OUT not in a} == {a[:-2] for a in got if sweep.OUT in a}
-    edited = {False: (0, "edited\n", None), True: (0, "", b"edited\n")}  # (exit, stdout, file) by --out
-    assert all((o[0], o[1], o[3]) == edited[sweep.OUT in argv] for argv, (_, o) in got.items())
-    assert all(main(list(argv)) != 0 for argv in csv - set(got))  # the ones that render nothing
+    assert got and set(got) <= csv
+
+    def to_file(name):
+        return "--out" in argvs[name]
+
+    assert {tuple(argvs[n]) for n in got if not to_file(n)} == {tuple(argvs[n][:-2]) for n in got if to_file(n)}
+    edited = {False: (0, "edited nan\n", None), True: (0, "", b"edited nan\n")}  # (exit, stdout, file) by --out
+    assert all((r[1].exit, r[1].stdout, r[1].written) == edited[to_file(n)] for n, r in got.items())
+    assert all(main(argvs[n]) != 0 for n in csv - set(got) if not to_file(n))  # the ones that render nothing
+    assert [name for name, _ in breaks] == [name for name in argvs if name in got or name == raised]
+    assert [(r.exit, r.stderr.splitlines()[-1]) for r in dict(breaks)[raised]] == [(None, "RuntimeError: raised")] * 2
+    capsys.readouterr()
+    assert sweep.report(["a", "b"], *sweep.sweep(trees, [lambda runoff: {raised: groups[-1](runoff)[raised]}])) == 1
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == f"{raised} breaks the contract" and printed[1].startswith("  a: exit None, 0 chars out, stderr ")
+    assert printed[-1] == "1 results, 0 differ, 1 break the contract"
+    documents = ("Infinity", "-inf,", "NaN", "\u0130nf", "\u0131nf", "info", "nanos", "1.0\n")
+    assert [sweep.broken(sweep.Command(0, d, "", None)) for d in documents] == [True] * 5 + [False] * 3
