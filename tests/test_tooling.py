@@ -525,18 +525,15 @@ def test_every_round_zero_op_meets_the_benchmark_reference(tmp_path, monkeypatch
         assert gate.check_cli(code, text, reference[key]) == [], key
 
 
-def test_the_sweep_compares_two_trees_and_counts_contract_breaks(monkeypatch, capsys, tmp_path):
+def test_the_sweep_compares_two_trees_group_by_group(monkeypatch, capsys, tmp_path):
     """bench/sweep.py on one tree loaded twice. With the diagonal of the
     MSE gradients moved in one copy, exactly the MSE and quantile results
     of the API group at I = 4 differ. With that move undone and the CSV
     rendering edited to name a NaN, exactly the commands of the CLI group
     on the bundled triangle (per-year statistics at year 5 alone) that
     render a CSV differ, on stdout and with --out in the file, and break
-    the contract in the edited copy. A command whose main raises in both
-    copies breaks it too, though the copies agree, and gives exit 1; and a
-    document of exit 0 breaks it exactly where NOT_FINITE matches it,
-    non-ASCII letters that match "inf" included. The runoff in use
-    before is in use after."""
+    the contract in the edited copy. The runoff in use before is in use
+    after."""
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     sweep = importlib.import_module("sweep")
     src, path = str(ROOT / "src"), bundled_path()
@@ -563,18 +560,9 @@ def test_the_sweep_compares_two_trees_and_counts_contract_breaks(monkeypatch, ca
 
     monkeypatch.setattr(moved, "mse_diagonal", kept)
     monkeypatch.setattr(trees[1]["runoff.cli"], "render_csv", lambda impacts: "edited nan\n")
-    raising = ["reserves", path, "--format", "json"]
-    for cli in (tree["runoff.cli"] for tree in trees):
-        def raise_on(argv, main=cli.main):
-            if argv == raising:
-                raise RuntimeError("raised")
-            return main(argv)
-
-        monkeypatch.setattr(cli, "main", raise_on)
     count, differ, breaks = sweep.sweep(trees, groups[-1:])
     assert sys.modules["runoff"] is runoff
     argvs = {name: call.args[1] for name, call in groups[-1](runoff).items()}
-    (raised,) = (name for name, argv in argvs.items() if argv == raising)
     assert count == len(argvs) == 2 * (4 + 9 * 10 + 5) + 5
     got = dict(differ)
     csv = {  # csv is the default --format
@@ -590,10 +578,39 @@ def test_the_sweep_compares_two_trees_and_counts_contract_breaks(monkeypatch, ca
     edited = {False: (0, "edited nan\n", None), True: (0, "", b"edited nan\n")}  # (exit, stdout, file) by --out
     assert all((r[1].exit, r[1].stdout, r[1].written) == edited[to_file(n)] for n, r in got.items())
     assert all(main(argvs[n]) != 0 for n in csv - set(got) if not to_file(n))  # the ones that render nothing
-    assert [name for name, _ in breaks] == [name for name in argvs if name in got or name == raised]
-    assert [(r.exit, r.stderr.splitlines()[-1]) for r in dict(breaks)[raised]] == [(None, "RuntimeError: raised")] * 2
+    assert [name for name, _ in breaks] == [name for name in argvs if name in got]
+
+
+def test_the_sweep_counts_contract_breaks_where_the_trees_agree(monkeypatch, capsys, tmp_path):
+    """bench/sweep.py on one tree loaded twice, whose main raises on one
+    argv of the CLI group in both copies: the copies agree, yet that
+    command breaks the contract in each, with exit None and the error at
+    the end of its stderr, and the report names it and gives exit 1. A
+    document of exit 0 breaks it exactly where NOT_FINITE matches it,
+    non-ASCII letters that match "inf" included."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    sweep = importlib.import_module("sweep")
+    path = bundled_path()
+    for name, value in (("SIZES", ()), ("triangles", lambda tree, directory: [path]),
+                        ("singles", lambda paths, directory: [])):
+        monkeypatch.setattr(sweep, name, value)
+    trees = [sweep.load(str(ROOT / "src")), sweep.load(str(ROOT / "src"))]
+    (commands,) = sweep.groups(trees[0], tmp_path)
+    raising = ["reserves", path, "--format", "json"]
+    (raised,) = (name for name, call in commands(runoff).items() if call.args[1] == raising)
+    for cli in (tree["runoff.cli"] for tree in trees):
+        def raise_on(argv, main=cli.main):
+            if argv == raising:
+                raise RuntimeError("raised")
+            return main(argv)
+
+        monkeypatch.setattr(cli, "main", raise_on)
+    count, differ, breaks = sweep.sweep(trees, [lambda runoff: {raised: commands(runoff)[raised]}])
+    assert sys.modules["runoff"] is runoff
+    assert (count, differ, [name for name, _ in breaks]) == (1, [], [raised])
+    assert [(r.exit, r.stderr.splitlines()[-1]) for r in breaks[0][1]] == [(None, "RuntimeError: raised")] * 2
     capsys.readouterr()
-    assert sweep.report(["a", "b"], *sweep.sweep(trees, [lambda runoff: {raised: groups[-1](runoff)[raised]}])) == 1
+    assert sweep.report(["a", "b"], count, differ, breaks) == 1
     printed = capsys.readouterr().out.splitlines()
     assert printed[0] == f"{raised} breaks the contract" and printed[1].startswith("  a: exit None, 0 chars out, stderr ")
     assert printed[-1] == "1 results, 0 differ, 1 break the contract"
