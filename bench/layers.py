@@ -1,4 +1,5 @@
-"""Per-stage timings of the runoff fit, impact and oracle layers at growing sizes.
+"""Per-stage timings of the runoff fit, impact and oracle layers at growing
+sizes, and the wall time of fresh CLI and import processes.
 
     python bench/layers.py                          # this checkout, after
     python bench/layers.py --src OTHER/src --label before --sizes 10 20 40 60
@@ -7,65 +8,43 @@
 Every stage runs on one random triangle per size I (the test suite's
 distribution, a fixed seed per size). Given two or more trees (--src,
 one --label each), they are loaded in one process, each package in its
-own set of sys.modules entries, and timed batch by batch in turn, the
-order reversed every batch, so drift of the host reads in every label
-alike and one record compares them.
-
+own set of sys.modules entries. One rule times them all (in_turn): each
+round makes every call with the trees in turn, in reverse order every
+other round, so drift of the host reads in every label alike and one
+record compares them.
 A stage is first called once per tree, untimed, so that the first batch
-of a run reads as the later ones do; then it is timed in BATCHES
-batches, each repeating the call until BATCH_S has passed, and its entry
+reads as the later ones do; then it is timed in BATCHES rounds of one
+batch, each repeating the call until BATCH_S has passed, and its entry
 is the least mean time per call over the batches (best_s) and their
-median (median_s), with the number of calls and batches made; a batch
-whose time passes SLOW_S ends the stage. At I >= 100 a batch holds a few
-calls, and best_s reads host and allocator state as much as code, so
-compare median_s there. After the timing, one
-more call runs under tracemalloc, and its peak of traced memory is the
-stage's peak_mb, and one more under sys.settrace, and the bytecodes it
-executes (f_trace_opcodes on every frame, the stage's own call included)
-are its bytecodes: a perfbench worker runs only 5 or 12 ops, so most of
-their code runs too few times for the interpreter to specialize it, and
-the count tracks the interpreter's share of an op. The estimator and
-impact stages reuse one triangle and its factors and sigmas, so where
-runoff keeps a triangle's Fit they time only their own algebra over it.
-Where runoff also holds values for the impacts on that Fit (its total
-gradients and MSE coefficients, the oracle's stepped totals), the
+median (median_s), with the number of calls and batches made. At I >=
+100 a batch holds a few calls, and best_s reads host and allocator state
+as much as code, so compare median_s there. One more call runs under
+tracemalloc, its peak being the stage's peak_mb, and one more under
+sys.settrace, the bytecodes it executes (f_trace_opcodes on every frame)
+being its bytecodes: a perfbench worker runs only 5 or 12 ops, too few
+for the interpreter to specialize most of their code, and the count
+tracks the interpreter's share of an op. The estimator and impact stages
+reuse one triangle and its factors and sigmas, so where runoff keeps a
+triangle's Fit they time only their own algebra over it; the
 impact_reserve_total, impact_mse_ay, impact_mse_total and
-impact_quantile stages drop whatever it holds beyond its fields and
-FIT_VALUES before each call (unheld), so each times its gradients over
-the sums as well as its triangle. The fit stage times building that Fit
-with its Mack sums and the values derived from them (FIT_VALUES), and
-sensitivity_report a whole report (the perfbench api-report op) from
-the increments, where the impacts of one fit share its held gradients. A triangle keeps what its verifiers fit, so each
-verify_* call checks a fresh IncrementalTriangle of the same values and
-times a first verification; verify_reserve_impacts_year checks the
-reserve of year I//2 and verify_mse_components_year the MSE of year I//2
-alone, the single-year paths, and verify_round makes the four perfbench
-oracle-verify ops on one fresh triangle, where each total is stepped
-once: the quantile verifier steps the map by the stepped total reserve
-and total MSE that the MSE verifier's stack holds on the fit, with no
-stack of its own, and verify_quantile_impacts, on a fresh triangle,
-steps both in the MSE verifier's stack, whose building blocks and
-plug-in MSEs it does not read.
-The ingest stage reads the triangle through runoff.cli.ingest from a
-file in the CLI's input format, written into a temporary directory by
-write_triangle (which bench/sweep.py uses too); validate checks the
-increments as ingest does, decumulate inverts the cumulated triangle,
-and render_csv writes the reserve-total impact triangle as the CLI's CSV.
-Beside the stages, each tree runs CLI_COMMAND (the MSE verifier's text
-report) on the ingest stage's file once per size, in a fresh process
-started as `python -m runoff.cli` starts it (cli_run), and records its
-wall time, start-up and exit included, and its peak RSS (its VmHWM,
-Linux) under cli[I=<n>]. After the sizes, each tree runs each of the
-README quick-start commands (README_COMMANDS) on the bundled triangle
-CLI_RUNS times, the trees in turn, the order reversed every run, and
-records the median wall time and peak RSS of each under readme. Last,
-each tree times `import runoff` after `import numpy` in CLI_RUNS fresh
-processes (import_run), the trees in turn, the order reversed every
-run, and records the median and interquartile range under import: each
-imports a copy of the tree's package without its __pycache__, under
-PYTHONDONTWRITEBYTECODE=1, so it compiles runoff's source, as every
-perfbench worker does in its fresh checkout.
-The result goes under layers[label] of
+impact_quantile stages drop what the Fit holds beyond its fields and
+FIT_VALUES before each call (unheld), so each times its gradients too.
+The fit stage times building that Fit with its Mack sums and FIT_VALUES,
+and sensitivity_report a whole report (the perfbench api-report op).
+Each verify_* call checks a fresh IncrementalTriangle of the same values,
+a first verification; the _year stages check year I//2 alone, and
+verify_round makes the four perfbench oracle-verify ops on one fresh
+triangle. The ingest stage reads the triangle through runoff.cli.ingest
+from a file written by write_triangle (which bench/sweep.py uses too).
+After the stages, the fresh processes of each tree (processes) run
+CLI_RUNS times, in turn: CLI_COMMAND on each size's file, each `runoff`
+line of the README's CLI quick start on the tree's own bundled triangle,
+both started as `python -m runoff.cli` starts the CLI (cli_run), and
+`import runoff` after numpy from a copy of the tree's package without
+__pycache__, which compiles its source as every perfbench worker does
+(import_run). Each is summarized alike under processes[name]: the median
+and interquartile range of each number a run measures, the exit codes a
+CLI run gives, and the run count. The result goes under layers[label] of
 BENCH_<yyyymmdd>.json in the repository root, merged with what the file
 already holds, so a before and an after run share one file.
 """
@@ -80,6 +59,7 @@ import importlib
 import json
 import os
 import platform
+import shlex
 import shutil
 import statistics
 import subprocess
@@ -92,24 +72,13 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 SIZES = (10, 20, 40, 60, 100, 200, 400)
 BATCHES = 5
 BATCH_S = 0.05
-SLOW_S = 5.0
 QUANTILE_LEVEL = 0.995
 # The CLI command each tree runs in a fresh process per size, after the input file.
 CLI_COMMAND = ("verify", "--stat", "mse-total", "--format", "text")
-# The README quick-start commands, TRIANGLE and SVG standing for the bundled
-# triangle's path and the heatmap's file, and how often each tree runs each.
-TRIANGLE, SVG = "<triangle>", "<svg>"
-README_COMMANDS = {
-    "reserves": ("reserves", TRIANGLE),
-    "impact-reserve-ay": ("impact", TRIANGLE, "--stat", "reserve-ay", "--year", "8"),
-    "impact-quantile-json": ("impact", TRIANGLE, "--stat", "quantile", "--q", "0.995", "--format", "json"),
-    "marginal-reserve-total": ("marginal", TRIANGLE, "--stat", "reserve-total"),
-    "verify-reserve-total": ("verify", TRIANGLE, "--stat", "reserve-total"),
-    "heatmap-reserve-ay": ("heatmap", TRIANGLE, "--stat", "reserve-ay", "--year", "8", "--out", SVG),
-}
 CLI_RUNS = 11
 
 
@@ -249,33 +218,42 @@ def load(src: str) -> dict:
         use(before)
 
 
+def in_turn(rounds: int, per_tree: list) -> list:
+    """Per tree of per_tree (each a dict of named zero-argument calls), name
+    -> the results of its call in each of rounds rounds: each round makes
+    every call with the trees in turn, in reverse order every other round."""
+    results = [{name: [] for name in calls} for calls in per_tree]
+    order = list(range(len(per_tree)))
+    for _ in range(rounds):
+        for name in per_tree[0]:
+            for m in order:
+                results[m][name].append(per_tree[m][name]())
+        order.reverse()
+    return results
+
+
+def batch(tree: dict, call) -> tuple:
+    """With tree's modules in use, how often call was made until BATCH_S
+    had passed, and its mean time per call."""
+    use(tree)
+    n, t0 = 0, time.perf_counter()
+    while (elapsed := time.perf_counter() - t0) < BATCH_S:
+        call()
+        n += 1
+    return n, elapsed / n
+
+
 def per_call(trees: list, calls: list) -> list:
     """Per call, each made with its tree's modules in use: the least mean
-    time per call over BATCHES batches of calls, each batch lasting at
-    least BATCH_S, and how many calls and batches that took. The calls
-    take their batches in turn, in reverse order every other batch."""
-    means, counts = [[] for _ in calls], [0] * len(calls)
-    order = list(range(len(calls)))
-    for m in order:  # untimed: the first batch then reads as the later ones
-        use(trees[m])
-        calls[m]()
-    while len(means[0]) < BATCHES:
-        slow = False
-        for m in order:
-            use(trees[m])
-            n, t0 = 0, time.perf_counter()
-            while (elapsed := time.perf_counter() - t0) < BATCH_S:
-                calls[m]()
-                n += 1
-            means[m].append(elapsed / n)
-            counts[m] += n
-            slow |= elapsed > SLOW_S
-        order.reverse()
-        if slow:
-            break
+    time per call over BATCHES batches, their median, and how many calls
+    and batches that took, the calls taking their batches in turn."""
+    for tree, call in zip(trees, calls):  # untimed: the first batch then reads as the later ones
+        use(tree)
+        call()
+    per_tree = [{"batch": functools.partial(batch, tree, call)} for tree, call in zip(trees, calls)]
     return [
-        {"best_s": min(ms), "median_s": statistics.median(ms), "calls": n, "batches": len(ms)}
-        for ms, n in zip(means, counts)
+        {"best_s": min(means), "median_s": statistics.median(means), "calls": sum(counts), "batches": len(means)}
+        for counts, means in (zip(*runs["batch"]) for runs in in_turn(BATCHES, per_tree))
     ]
 
 
@@ -310,20 +288,21 @@ def bytecodes(call) -> int:
     return count
 
 
-def cli_run(src: str, argv: list) -> dict:
-    """One fresh process running the runoff CLI of the tree src on argv, its
-    module run as `python -m runoff.cli` runs it, so it ends as the CLI does
-    (through runoff.cli.run, where the tree has it): its exit code, wall
-    time and peak RSS in MB (2^20 bytes), which an atexit handler registered
-    before the CLI reads as the process's VmHWM. Its ru_maxrss would not do:
-    Linux starts it at the RSS of this process, which forked it."""
+def cli_run(src: str, argv: list, directory: Path) -> dict:
+    """One fresh process, in directory, running the runoff CLI of the tree
+    src on argv, its module run as `python -m runoff.cli` runs it, so it
+    ends as the CLI does (through runoff.cli.run, where the tree has it):
+    its exit code, wall time and peak RSS in MB (2^20 bytes), which an
+    atexit handler registered before the CLI reads as the process's VmHWM.
+    Its ru_maxrss would not do: Linux starts it at the RSS of this process,
+    which forked it."""
     code = ("import atexit, runpy, sys; "
             "atexit.register(lambda: print(*(ln.split()[1] for ln in open('/proc/self/status') "
             "if ln.startswith('VmHWM:')), file=sys.stderr)); "
             "runpy.run_module('runoff.cli', run_name='__main__', alter_sys=True)")
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
     t0 = time.perf_counter()
-    done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+    done = subprocess.run([sys.executable, "-c", code, *argv], cwd=directory, env=env,
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     wall = time.perf_counter() - t0
     return {"exit": done.returncode, "wall_s": wall, "peak_rss_mb": int(done.stderr.split()[-1]) / 1024}
@@ -333,62 +312,50 @@ def cli_run(src: str, argv: list) -> dict:
 IMPORT = "import time, numpy; t0 = time.perf_counter(); import runoff; print(time.perf_counter() - t0)"
 
 
-def import_run(src: Path) -> float:
+def import_run(src: Path) -> dict:
     """The wall time of `import runoff` from the tree src, after `import
     numpy`, in a fresh process that writes no bytecode
     (PYTHONDONTWRITEBYTECODE=1)."""
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()), PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run([sys.executable, "-c", IMPORT], env=env, capture_output=True, text=True, check=True)
-    return float(done.stdout)
+    return {"import_s": float(done.stdout)}
 
 
-def import_runs(srcs: list, directory: Path) -> list:
-    """Per tree of srcs, the median and interquartile range of CLI_RUNS
-    import_run times of a copy of its package without __pycache__, made
-    in directory, so every run compiles the source; the trees take turns,
-    in reverse order every other run."""
-    copies = []
-    for m, src in enumerate(srcs):
-        copies.append(directory / f"import{m}")
-        shutil.copytree(Path(src) / "runoff", copies[-1] / "runoff", ignore=shutil.ignore_patterns("__pycache__"))
-    runs = [[] for _ in srcs]
-    order = list(range(len(srcs)))
-    for _ in range(CLI_RUNS):
-        for m in order:
-            runs[m].append(import_run(copies[m]))
-        order.reverse()
-    return [
-        {"median_s": statistics.median(times), "iqr_s": float(np.subtract(*np.percentile(times, [75, 25]))),
-         "runs": len(times)}
-        for times in runs
-    ]
+def quick_start() -> list:
+    """The argv of each `runoff` line of the README's CLI quick start."""
+    text = README.read_text()
+    block = text[text.index("## Quick start (CLI)"):text.index("## Quick start (API)")]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("runoff ")]
 
 
-def readme_runs(srcs: list, directory: Path) -> list:
-    """Per tree of srcs, README command name -> the median wall time and
-    peak RSS of its CLI_RUNS runs, and their exit codes: the trees take each
-    command in turn, in reverse order every other run."""
-    tri = str(ROOT / "src" / "runoff" / "data" / "belgian.csv")
-    runs = [{name: [] for name in README_COMMANDS} for _ in srcs]
-    order = list(range(len(srcs)))
-    for _ in range(CLI_RUNS):
-        for name, argv in README_COMMANDS.items():
-            argv = [tri if a == TRIANGLE else str(directory / "impacts.svg") if a == SVG else a for a in argv]
-            for m in order:
-                runs[m][name].append(cli_run(srcs[m], argv))
-        order.reverse()
-    return [
-        {
-            name: {
-                "median_s": statistics.median(run["wall_s"] for run in tree_runs[name]),
-                "peak_rss_mb": statistics.median(run["peak_rss_mb"] for run in tree_runs[name]),
-                "exits": sorted({run["exit"] for run in tree_runs[name]}),
-                "runs": len(tree_runs[name]),
-            }
-            for name in README_COMMANDS
-        }
-        for tree_runs in runs
-    ]
+def processes(src: str, sizes: list, directory: Path) -> dict:
+    """Name -> zero-argument call of one fresh process of the tree src, run
+    in directory: CLI_COMMAND on the file of each size there, each README
+    quick-start command with $TRI the tree's own bundled triangle, and
+    `import runoff` from a copy of the tree's package made there without
+    __pycache__ (in a directory of its own: the CLI's cwd is on its path)."""
+    tri = str(Path(src).resolve() / "runoff" / "data" / "belgian.csv")
+    argvs = [[CLI_COMMAND[0], f"random{dim}.csv", *CLI_COMMAND[1:]] for dim in sizes] + quick_start()
+    copy = Path(tempfile.mkdtemp(dir=directory))
+    shutil.copytree(Path(src) / "runoff", copy / "runoff", ignore=shutil.ignore_patterns("__pycache__"))
+    return {
+        "runoff " + " ".join(argv): functools.partial(cli_run, src, [tri if a == "$TRI" else a for a in argv], directory)
+        for argv in argvs
+    } | {"import runoff": functools.partial(import_run, copy)}
+
+
+def summary(runs: list) -> dict:
+    """The median and interquartile range of each number the runs measure,
+    the exit codes where they give one, and how many runs there were."""
+    out = {}
+    for key in runs[0]:
+        values = [run[key] for run in runs]
+        if key == "exit":
+            out["exits"] = sorted(set(values))
+        else:
+            q1, median, q3 = np.percentile(values, [25, 50, 75])
+            out[key] = {"median": float(median), "iqr": float(q3 - q1)}
+    return out | {"runs": len(runs)}
 
 
 def main(argv=None) -> int:
@@ -415,12 +382,9 @@ def main(argv=None) -> int:
             },
             "batches": BATCHES,
             "batch_s": BATCH_S,
-            "slow_s": SLOW_S,
             "interleaved_with": [other for other in args.label if other != label],
             "seconds": {},
-            "cli": {"command": " ".join(CLI_COMMAND)},
-            "readme": {},
-            "import": {},
+            "processes": {},
         }
         for label in args.label
     ]
@@ -442,21 +406,13 @@ def main(argv=None) -> int:
                         f"{row['peak_mb']:9.2f} MB {row['bytecodes']:8d} bytecodes",
                         flush=True,
                     )
-            for src, label, section, row in zip(args.src, args.label, sections, rows):
+            for section, row in zip(sections, rows):
                 section["seconds"][f"I={dim}"] = row
-                argv = [CLI_COMMAND[0], str(Path(tmp.name) / f"random{dim}.csv"), *CLI_COMMAND[1:]]
-                run = section["cli"][f"I={dim}"] = cli_run(src, argv)
-                print(f"I={dim:<4} {'cli ' + ' '.join(CLI_COMMAND[:3]):<30} {label:<10} {run['wall_s']:.6f} s "
-                      f"{run['peak_rss_mb']:9.2f} MB RSS, exit {run['exit']}", flush=True)
-        for label, section, readme in zip(args.label, sections, readme_runs(args.src, Path(tmp.name))):
-            section["readme"] = readme
-            for name, run in readme.items():
-                print(f"     {'cli ' + name:<30} {label:<10} {run['median_s']:.6f} s "
-                      f"{run['peak_rss_mb']:9.2f} MB RSS, exits {run['exits']}, median of {run['runs']}", flush=True)
-        for label, section, imported in zip(args.label, sections, import_runs(args.src, Path(tmp.name))):
-            section["import"] = imported
-            print(f"     {'import runoff':<30} {label:<10} {imported['median_s']:.6f} s "
-                  f"IQR {imported['iqr_s']:.6f} s, median of {imported['runs']}", flush=True)
+        groups = [processes(src, args.sizes, Path(tmp.name)) for src in args.src]
+        for label, section, runs in zip(args.label, sections, in_turn(CLI_RUNS, groups)):
+            for name, tree_runs in runs.items():
+                section["processes"][name] = summary(tree_runs)
+                print(f"{name:<60} {label:<10} {json.dumps(section['processes'][name])}", flush=True)
     finally:
         use(outer)
         tmp.cleanup()

@@ -56,10 +56,10 @@ def test_criterion_01_point_estimates(belgian):
     cum, factors = fitted(belgian)
     sigmas = estimate_sigmas(cum, factors)
     by_year, total = reserves(cum, factors)
-    assert abs(by_year[7] - 226_403_952) <= 1.0
-    assert abs(total - 1_463_388_942) <= 1.0
-    assert abs(math.sqrt(mse_accident_year(cum, factors, sigmas, 8)) - 9_448_925) <= 1.0
-    assert abs(math.sqrt(mse_total(cum, factors, sigmas)) - 45_480_914) <= 1.0
+    assert abs(by_year[7] - golden.RESERVE_AY8) <= 1.0
+    assert abs(total - golden.RESERVE_TOTAL) <= 1.0
+    assert abs(math.sqrt(mse_accident_year(cum, factors, sigmas, 8)) - golden.RMSE_AY8) <= 1.0
+    assert abs(math.sqrt(mse_total(cum, factors, sigmas)) - golden.RMSE_TOTAL) <= 1.0
 
 
 def test_criterion_02_reserve_impact_table(belgian):

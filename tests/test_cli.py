@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import golden
 from conftest import bundled_path, proportional_triangle
 from runoff import chainladder, cli
 from runoff.cli import STATISTICS, _label, main
@@ -65,7 +66,7 @@ class TestReservesCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["I"] == 10
-        assert abs(doc["summary"]["reserve_total"] - 1_463_388_942) <= 1.0
+        assert abs(doc["summary"]["reserve_total"] - golden.RESERVE_TOTAL) <= 1.0
         assert len(doc["years"]) == 10
 
     def test_three_years_leave_rmse_empty(self, capsys, tmp_path):
@@ -134,7 +135,7 @@ class TestImpactCommand:
         assert doc["target"] == 8
         assert doc["I"] == 10
         assert len(doc["cells"]) == 55
-        assert abs(doc["summary"]["value_of_statistic"] - 226_403_952) <= 1.0
+        assert abs(doc["summary"]["value_of_statistic"] - golden.RESERVE_AY8) <= 1.0
 
     def test_quantile_stat(self, capsys):
         code, out, _ = run(
@@ -170,7 +171,7 @@ class TestMarginalCommand:
         assert code == 0
         rows = out.strip().splitlines()[1:]
         total = sum(float(r.split(",")[2]) for r in rows)
-        assert abs(total - 1_463_388_942) <= 200.0  # 10 significant digits per cell
+        assert abs(total - golden.RESERVE_TOTAL) <= 200.0  # 10 significant digits per cell
 
     def test_non_order_one_statistic_still_allowed(self, capsys):
         code, out, _ = run(capsys, "marginal", bundled_path(), "--stat", "rmse-total")

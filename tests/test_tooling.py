@@ -16,7 +16,7 @@ import importlib
 import importlib.util
 import json
 import os
-import shlex
+import shutil
 import subprocess
 import sys
 import types
@@ -137,22 +137,17 @@ def test_the_library_imports_no_typing():
     assert "collections" in imported and "typing" not in imported
 
 
-def readme_quick_start() -> list:
-    """The argv of each `runoff` line of the README's CLI quick start."""
-    text = (ROOT / "README.md").read_text()
-    block = text[text.index("## Quick start (CLI)"):text.index("## Quick start (API)")]
-    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("runoff ")]
-
-
 def test_layer_record_times_every_stage(tmp_path, monkeypatch):
-    """One tree: every stage at I=5, and one process each of CLI_COMMAND at
-    I=5 and of the first README command, each ending with exit 0 (every
-    README command runs as a process in tests/test_cli_process.py)."""
+    """One tree: every stage at I=5, and one run of each of its processes,
+    CLI_COMMAND at I=5, the first README command and the import, each CLI
+    run ending with exit 0 (every README command runs as a process in
+    tests/test_cli_process.py)."""
     monkeypatch.setattr(sys, "path", list(sys.path))  # layers.main prepends --src
     layers = load(LAYERS, "bench_layers")
     monkeypatch.setattr(layers, "BATCH_S", 1e-4)
     monkeypatch.setattr(layers, "CLI_RUNS", 1)
-    monkeypatch.setattr(layers, "README_COMMANDS", dict(list(layers.README_COMMANDS.items())[:1]))
+    first = layers.quick_start()[:1]
+    monkeypatch.setattr(layers, "quick_start", lambda: first)
     out = tmp_path / "BENCH.json"
     assert layers.main(["--sizes", "5", "--out", str(out)]) == 0
     row = json.loads(out.read_text())["layers"]["after"]["seconds"]["I=5"]
@@ -161,73 +156,83 @@ def test_layer_record_times_every_stage(tmp_path, monkeypatch):
     rows = runoff.IncrementalTriangle.from_rows(layers.random_rows(5))
     assert stages["ingest"]().values.tobytes() == rows.values.tobytes()
     for stage in row.values():
+        assert set(stage) == {"best_s", "median_s", "calls", "batches", "peak_mb", "bytecodes"}
         assert stage["median_s"] >= stage["best_s"] > 0.0 and stage["bytecodes"] > 0
         assert stage["batches"] == layers.BATCHES and stage["calls"] >= stage["batches"]
-    record = json.loads(out.read_text())["layers"]["after"]
-    run = record["cli"]["I=5"]
-    assert run["exit"] == 0 and run["wall_s"] > 0.0 and run["peak_rss_mb"] > 0.0
-    assert list(record["readme"]) == list(layers.README_COMMANDS)
-    for run in record["readme"].values():
-        assert run["exits"] == [0] and run["runs"] == 1 and run["median_s"] > 0.0 and run["peak_rss_mb"] > 0.0
-    assert record["import"]["runs"] == 1 and record["import"]["median_s"] > 0.0 and record["import"]["iqr_s"] == 0.0
+    processes = json.loads(out.read_text())["layers"]["after"]["processes"]
+    assert list(processes) == ["runoff verify random5.csv --stat mse-total --format text", "runoff reserves $TRI",
+                               "import runoff"]
+    for name, run in processes.items():
+        measured = [key for key in run if key not in ("exits", "runs")]
+        assert measured == (["import_s"] if name == "import runoff" else ["wall_s", "peak_rss_mb"])
+        assert run["runs"] == 1 and run.get("exits", [0]) == [0]
+        assert all(run[key]["median"] > 0.0 and run[key]["iqr"] == 0.0 for key in measured)
 
 
-def test_the_layer_record_times_the_readme_commands():
+def test_a_trees_processes_are_the_sizes_the_readme_and_the_import(tmp_path, monkeypatch):
+    """The process group of one tree: CLI_COMMAND on each size's file, then
+    each `runoff` line of the README in README order, on that tree's own
+    bundled triangle, each run in the group's directory, then `import
+    runoff` from a copy of the tree's package that holds no __pycache__."""
     layers = load(LAYERS, "bench_layers")
-    tri, svg = "$TRI", "impacts.svg"
-    assert readme_quick_start() == [
-        [tri if a == layers.TRIANGLE else svg if a == layers.SVG else a for a in argv]
-        for argv in layers.README_COMMANDS.values()
+    other = tmp_path / "other"
+    shutil.copytree(ROOT / "src" / "runoff", other / "runoff")
+    (other / "runoff" / "__pycache__").mkdir(exist_ok=True)
+    made = []
+    monkeypatch.setattr(layers, "cli_run", lambda src, argv, directory: made.append((src, argv, directory)))
+    monkeypatch.setattr(layers, "import_run", lambda src: made.append(src))
+    group = layers.processes(str(other), [5, 10], tmp_path)
+    readme = layers.quick_start()
+    assert [argv[0] for argv in readme] == ["reserves", "impact", "impact", "marginal", "verify", "heatmap"]
+    assert list(group) == [
+        *(f"runoff verify random{dim}.csv --stat mse-total --format text" for dim in (5, 10)),
+        *("runoff " + " ".join(argv) for argv in readme),
+        "import runoff",
     ]
+    for call in group.values():
+        call()
+    tri = str(other / "runoff" / "data" / "belgian.csv")
+    sized = [["verify", f"random{dim}.csv", "--stat", "mse-total", "--format", "text"] for dim in (5, 10)]
+    assert made[:-1] == [(str(other), argv, tmp_path)
+                         for argv in sized + [[tri if a == "$TRI" else a for a in argv] for argv in readme]]
+    assert all("$TRI" in argv for argv in readme)
+    copy = made[-1]
+    assert copy.parent == tmp_path and (copy / "runoff" / "__init__.py").exists()
+    assert not list(copy.rglob("__pycache__"))
 
 
 def test_the_process_tests_run_the_readme_commands():
     from test_cli_process import COMMANDS, TRI
 
-    assert readme_quick_start() == [
+    assert load(LAYERS, "bench_layers").quick_start() == [
         ["$TRI" if a == TRI else "impacts.svg" if a == "<out>" else a for a in argv]
         for _, argv in list(COMMANDS.values())[:6]
     ]
 
 
-def test_the_readme_commands_are_timed_in_turn(tmp_path, monkeypatch):
-    """Each README command runs CLI_RUNS times per tree, the trees in
-    turn, in reverse order every other run; each tree's median is its own."""
+def test_the_trees_take_each_round_in_turn():
+    """Each round makes every call, each with the trees in turn, in
+    reverse order every other round; each tree's results are its own."""
     layers = load(LAYERS, "bench_layers")
-    monkeypatch.setattr(layers, "CLI_RUNS", 3)
     made = []
-
-    def cli_run(src, argv):
-        made.append((src, argv[0]))
-        return {"exit": 0, "wall_s": float(len(made)), "peak_rss_mb": 1.0}
-
-    monkeypatch.setattr(layers, "cli_run", cli_run)
-    first, second = layers.readme_runs(["a", "b"], tmp_path)
-    names = [argv[0] for argv in layers.README_COMMANDS.values()]
-    assert made == [(src, name) for order in ("ab", "ba", "ab") for name in names for src in order]
-    assert first["reserves"] == {"median_s": 14.0, "peak_rss_mb": 1.0, "exits": [0], "runs": 3}
-    assert second["reserves"]["median_s"] == 13.0
+    per_tree = [{name: lambda made_by=tree + name: made.append(made_by) or len(made) for name in "xy"}
+                for tree in "ab"]
+    first, second = layers.in_turn(3, per_tree)
+    assert made == ["ax", "bx", "ay", "by", "bx", "ax", "by", "ay", "ax", "bx", "ay", "by"]
+    assert first == {"x": [1, 6, 9], "y": [3, 8, 11]} and second == {"x": [2, 5, 10], "y": [4, 7, 12]}
 
 
-def test_the_import_is_timed_in_turn_on_copies_without_bytecode(tmp_path, monkeypatch):
-    """Each tree's package is copied without __pycache__, and imported
-    CLI_RUNS times, the trees in turn, in reverse order every other run;
-    each tree's median and IQR are its own."""
+def test_every_process_is_summarized_alike():
+    """The median and interquartile range of every number the runs
+    measure, the exit codes where a run gives one, and the run count."""
     layers = load(LAYERS, "bench_layers")
-    monkeypatch.setattr(layers, "CLI_RUNS", 4)
-    made = []
-
-    def import_run(src):
-        made.append(src.name)
-        assert not list(src.rglob("__pycache__")) and (src / "runoff" / "__init__.py").exists()
-        return float(len(made))
-
-    monkeypatch.setattr(layers, "import_run", import_run)
-    src = str(ROOT / "src")
-    first, second = layers.import_runs([src, src], tmp_path)
-    assert made == ["import0", "import1", "import1", "import0"] * 2
-    assert first == {"median_s": 4.5, "iqr_s": 2.5, "runs": 4}  # 1, 4, 5, 8
-    assert second == {"median_s": 4.5, "iqr_s": 3.5, "runs": 4}  # 2, 3, 6, 7
+    runs = [{"exit": code, "wall_s": wall, "peak_rss_mb": 2.0} for code, wall in ((0, 1.0), (3, 4.0), (0, 5.0), (0, 8.0))]
+    assert layers.summary(runs) == {
+        "exits": [0, 3], "wall_s": {"median": 4.5, "iqr": 2.5}, "peak_rss_mb": {"median": 2.0, "iqr": 0.0}, "runs": 4,
+    }
+    assert layers.summary([{"import_s": t} for t in (2.0, 3.0, 6.0, 7.0)]) == {
+        "import_s": {"median": 4.5, "iqr": 3.5}, "runs": 4,
+    }
 
 
 def test_each_stage_is_called_once_before_its_timed_batches(monkeypatch):
@@ -243,20 +248,23 @@ def test_each_stage_is_called_once_before_its_timed_batches(monkeypatch):
 
 def test_layer_record_interleaves_two_trees(tmp_path, monkeypatch):
     """Two trees, loaded in one process each in its own sys.modules
-    entries, time the same stages under their own labels; the runoff in
-    use before is in use after."""
+    entries, time the same stages and processes under their own labels;
+    the runoff in use before is in use after."""
     monkeypatch.setattr(sys, "path", list(sys.path))
     layers = load(LAYERS, "bench_layers")
     monkeypatch.setattr(layers, "BATCH_S", 1e-4)
-    monkeypatch.setattr(layers, "cli_run", lambda src, argv: {"exit": 0, "wall_s": 1.0, "peak_rss_mb": 1.0})
-    monkeypatch.setattr(layers, "import_run", lambda src: 1.0)
+    monkeypatch.setattr(layers, "cli_run", lambda src, argv, directory: {"exit": 0, "wall_s": 1.0, "peak_rss_mb": 1.0})
+    monkeypatch.setattr(layers, "import_run", lambda src: {"import_s": 1.0})
     out = tmp_path / "BENCH.json"
     src, path = str(ROOT / "src"), list(sys.path)
     assert layers.main(["--src", src, src, "--label", "before", "after", "--sizes", "5", "--out", str(out)]) == 0
     record = json.loads(out.read_text())["layers"]
     assert record["before"]["interleaved_with"] == ["after"] and record["after"]["interleaved_with"] == ["before"]
     assert set(record["before"]["seconds"]["I=5"]) == set(record["after"]["seconds"]["I=5"]) >= {"verify_round"}
-    assert record["before"]["import"] == record["after"]["import"] == {"median_s": 1.0, "iqr_s": 0.0, "runs": 11}
+    processes = record["before"]["processes"]
+    assert processes == record["after"]["processes"] and len(processes) == 1 + 6 + 1
+    assert processes["import runoff"] == {"import_s": {"median": 1.0, "iqr": 0.0}, "runs": 11}
+    assert processes["runoff reserves $TRI"]["exits"] == [0]
     assert sys.modules["runoff"] is runoff and sys.path == path
     with pytest.raises(SystemExit):
         layers.main(["--src", src, src, "--label", "after"])
